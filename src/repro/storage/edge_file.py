@@ -11,6 +11,8 @@ naming the corrupt section instead of returning garbage records.
 
 from __future__ import annotations
 
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -28,6 +30,11 @@ _KIND_MAP = {
     ActivityKind.DEL_EDGE: fmt.KIND_DEL,
     ActivityKind.MOD_EDGE: fmt.KIND_MOD,
 }
+#: The :class:`ActivityKind` of each on-disk kind code, for columnar
+#: consumers (``ACTIVITY_KIND_OF_CODE[scan.activities["kind"]]``).
+ACTIVITY_KIND_OF_CODE = np.array(
+    sorted(_KIND_MAP, key=_KIND_MAP.__getitem__), dtype=np.uint8
+)
 
 
 def write_edge_file(
@@ -41,8 +48,11 @@ def write_edge_file(
 
     Each vertex segment contains a checkpoint of its out-edges at ``t1``
     followed by its edge activities in ``(t1, t2]``; every activity carries
-    the ``tu`` link to the next activity on the same edge. With the default
-    ``version=2`` every section is followed by its CRC32.
+    the ``tu`` link to the next activity on the same edge. The checkpoint
+    holds the edges' own state: an edge whose endpoint is deleted at
+    ``t1`` is kept (it shows again if the vertex is re-added), vertex
+    liveness being the reader's to apply. With the default ``version=2``
+    every section is followed by its CRC32.
     """
     if t1 > t2:
         raise StorageError(f"invalid group range [{t1}, {t2}]")
@@ -64,7 +74,7 @@ def write_edge_file(
     for v in range(V):
         checkpoint: List[bytes] = []
         for u in sorted(out_keys.get(v, ())):
-            w = graph.edge_state_at(v, u, t1)
+            w = graph.edge_record_state_at(v, u, t1)
             if w is not None:
                 checkpoint.append(fmt.pack_checkpoint_entry(u, w))
         acts = by_src.get(v, [])
@@ -115,27 +125,54 @@ def write_edge_file(
         plan.maybe_corrupt(path)
 
 
+@dataclass(frozen=True)
+class EdgeFileScan:
+    """Every vertex segment of an edge file as columns, all sections
+    length- and CRC-checked (the result of :meth:`EdgeFile.scan`).
+
+    ``checkpoint`` / ``activities`` hold the records of all segments back
+    to back, in vertex order, as :data:`~repro.storage.format
+    .CHECKPOINT_DTYPE` / :data:`~repro.storage.format.ACTIVITY_DTYPE`
+    arrays; ``cp_counts`` / ``act_counts`` say how many belong to each of
+    ``vertices`` (the vertices that have a segment).
+    """
+
+    vertices: np.ndarray
+    cp_counts: np.ndarray
+    act_counts: np.ndarray
+    checkpoint: np.ndarray
+    activities: np.ndarray
+
+
 class EdgeFile:
-    """Random-access reader over a time-locality edge file (v1 or v2).
+    """Reader over a time-locality edge file (v1 or v2).
+
+    Two access patterns, one set of checks. :meth:`segment` seeks to one
+    vertex through the index (:meth:`_read_segment`); :meth:`scan` reads
+    the whole file once and returns every segment as columns, and is what
+    :meth:`all_segments`, :meth:`verify` and the series loader are built
+    on. ``scan`` checks every section's length and CRC itself and, on any
+    anomaly, re-enters :meth:`_read_segment` for the offending vertex, so
+    a truncated or bit-flipped section raises the identical typed
+    :class:`~repro.errors.StorageError` /
+    :class:`~repro.errors.IntegrityError`, byte for byte, on either path.
 
     With ``mmap=True`` the file is mapped read-only via ``np.memmap`` once
-    at open and every segment read is a slice of the mapping — no
-    per-access ``open``/``seek`` and no eager copy of the file into RAM,
-    which is what lets stores larger than memory stream through the
-    engine. Both modes validate through the *same* code path
-    (:meth:`_read_segment` over a ``read(offset, size)`` callable), so a
-    truncated or bit-flipped section raises the identical typed
-    :class:`~repro.errors.StorageError` /
-    :class:`~repro.errors.IntegrityError`, byte for byte, either way.
+    at open and both patterns read slices of the mapping — no per-access
+    ``open``/``seek`` and no eager copy of the file into RAM, which is
+    what lets stores larger than memory stream through the engine.
     """
 
     def __init__(self, path: Path, mmap: bool = False) -> None:
         self.path = Path(path)
         with open(self.path, "rb") as fh:
             self.header = fmt.read_header(fh, str(self.path))
-            self._index = fmt.read_index(
+            index = fmt.read_index(
                 fh, self.header.num_vertices, self.header.version, str(self.path)
             )
+        #: ``(offset, checkpoint entries, activities)`` per vertex.
+        self._index: List[Tuple[int, int, int]] = index.tolist()
+        self._index_columns = index
         self._trailer_size = fmt.segment_trailer_size(self.header.version)
         self.mmap = bool(mmap)
         self._mm: Optional[np.memmap] = None
@@ -146,11 +183,6 @@ class EdgeFile:
             if self.mmap
             else "storage.edge_files_eager"
         )
-
-    def _mmap_read(self, offset: int, size: int) -> bytes:
-        """``read(offset, size)`` over the mapping; clamps at EOF like
-        ``file.read`` so the shared truncation checks fire identically."""
-        return self._mm[offset : offset + size].tobytes()
 
     @property
     def t1(self) -> Time:
@@ -176,6 +208,17 @@ class EdgeFile:
 
         return read
 
+    @staticmethod
+    def _buffer_read(data: np.ndarray) -> Callable[[int, int], bytes]:
+        """``read(offset, size)`` over file bytes already in memory (or
+        mapped); clamps at EOF like ``file.read`` so the shared truncation
+        checks fire identically."""
+
+        def read(offset: int, size: int) -> bytes:
+            return data[offset : offset + size].tobytes()
+
+        return read
+
     def _read_segment(
         self, read: Callable[[int, int], bytes], v: int,
         offset: int, n_cp: int, n_act: int,
@@ -184,10 +227,10 @@ class EdgeFile:
     ]:
         """Read + validate one vertex segment via ``read(offset, size)``.
 
-        The single validation path for both the eager (file-handle) and
-        memmap readers: section lengths, then the (v2) CRC trailer through
-        :func:`repro.storage.format.verify_segment` — so corruption is
-        reported with exactly the same section naming in either mode.
+        Section lengths, then the (v2) CRC trailer through
+        :func:`repro.storage.format.verify_segment`. Every corruption
+        error of this class is raised from here — :meth:`scan` re-enters
+        it for the segment its bulk checks reject.
         """
         cp_expected = n_cp * fmt.CHECKPOINT_ENTRY_SIZE
         act_expected = n_act * fmt.ACTIVITY_SIZE
@@ -230,39 +273,153 @@ class EdgeFile:
         if offset == 0:
             return [], []
         if self._mm is not None:
-            return self._read_segment(self._mmap_read, v, offset, n_cp, n_act)
+            return self._read_segment(
+                self._buffer_read(self._mm), v, offset, n_cp, n_act
+            )
         with open(self.path, "rb") as fh:
             return self._read_segment(
                 self._file_read(fh), v, offset, n_cp, n_act
             )
 
+    # ------------------------------------------------------------------ #
+    # whole-file columnar read
+
+    def _file_bytes(self) -> np.ndarray:
+        """The file as a ``uint8`` array: the mapping, or one ``read()``."""
+        if self._mm is not None:
+            return self._mm
+        with open(self.path, "rb") as fh:
+            return np.frombuffer(fh.read(), dtype=np.uint8)
+
+    def _verified_sections(
+        self, data: np.ndarray
+    ) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+        """Check every segment of ``data``; returns the vertices that have
+        one and, for each, the byte offsets ``(checkpoint start,
+        activities start, activities end)``.
+
+        Lengths are checked for all segments at once and the CRC32s are
+        computed over slices of ``data`` (no copies) and compared in bulk.
+        The first segment, in vertex order, that is short or mismatches
+        is handed to :meth:`_read_segment` to raise the error.
+        """
+        index = self._index_columns
+        vertices = np.flatnonzero(index["offset"] != 0)
+        offset = index["offset"][vertices]
+        cp_bytes = index["n_cp"][vertices].astype(np.int64) * np.int64(
+            fmt.CHECKPOINT_ENTRY_SIZE
+        )
+        act_bytes = index["n_act"][vertices].astype(np.int64) * np.int64(
+            fmt.ACTIVITY_SIZE
+        )
+        size = np.uint64(data.shape[0])
+        needed = (cp_bytes + act_bytes + self._trailer_size).astype(np.uint64)
+        fits = (offset <= size) & (needed <= size - np.minimum(offset, size))
+        # Segments before the first short one are still CRC-checked first:
+        # an earlier mismatch is reported ahead of a later truncation.
+        intact = int(fits.argmin()) if not fits.all() else fits.shape[0]
+        cp_lo = offset[:intact].astype(np.int64)
+        act_lo = cp_lo + cp_bytes[:intact]
+        act_hi = act_lo + act_bytes[:intact]
+        bounds = list(zip(cp_lo.tolist(), act_lo.tolist(), act_hi.tolist()))
+        suspect = intact
+        if self._trailer_size and intact:
+            view = memoryview(data)
+            crc32 = zlib.crc32
+            actual = np.array(
+                [(crc32(view[a:b]), crc32(view[b:c])) for a, b, c in bounds],
+                dtype=np.uint32,
+            )
+            trailer_bytes = act_hi[:, None] + np.arange(
+                self._trailer_size, dtype=np.int64
+            )
+            stored = data[trailer_bytes].view("<u4")
+            mismatch = (actual != stored).any(axis=1)
+            if mismatch.any():
+                suspect = int(mismatch.argmax())
+        if suspect < fits.shape[0]:
+            v = int(vertices[suspect])
+            self._read_segment(self._buffer_read(data), v, *self._index[v])
+            raise StorageError(
+                f"segment of vertex {v} in {self.path} changed while "
+                "it was being read"
+            )
+        if self._trailer_size:
+            obs.add("storage.crc_verified", intact)
+        obs.add("storage.segments_read", intact)
+        obs.add("storage.bytes_read", int(needed.sum()))
+        return vertices, bounds
+
+    def scan(self) -> EdgeFileScan:
+        """Read every vertex segment in one pass, as columns.
+
+        The access pattern of the paper's Section 4.3 loader — one
+        sequential read that saturates the disk — with the records
+        decoded by structured ``np.frombuffer`` views instead of one
+        ``struct`` call each. Every section is validated exactly as
+        :meth:`segment` would (see :meth:`_verified_sections`), and the
+        ``storage.*`` counters advance by the same totals as reading each
+        segment on its own.
+        """
+        data = self._file_bytes()
+        vertices, bounds = self._verified_sections(data)
+        view = memoryview(data)
+        checkpoint = np.frombuffer(
+            b"".join([view[a:b] for a, b, _ in bounds]),
+            dtype=fmt.CHECKPOINT_DTYPE,
+        )
+        activities = np.frombuffer(
+            b"".join([view[b:c] for _, b, c in bounds]),
+            dtype=fmt.ACTIVITY_DTYPE,
+        )
+        for section, records in (
+            ("checkpoint sector", checkpoint),
+            ("activity segment", activities),
+        ):
+            if records.shape[0] and records["dst"].max() >= self.num_vertices:
+                raise StorageError(
+                    f"{section} in {self.path} names vertex "
+                    f"{int(records['dst'].max())}, outside the file's "
+                    f"{self.num_vertices} vertices"
+                )
+        if activities.shape[0]:
+            if activities["kind"].max() > fmt.KIND_MOD:
+                raise StorageError(
+                    f"unknown activity kind {int(activities['kind'].max())} "
+                    f"in {self.path}"
+                )
+            latest = int(activities["time"].max())
+            if latest > np.iinfo(np.int64).max:
+                raise StorageError(
+                    f"activity time {latest} in {self.path} exceeds the "
+                    "signed 64-bit time range"
+                )
+        index = self._index_columns
+        return EdgeFileScan(
+            vertices=vertices,
+            cp_counts=index["n_cp"][vertices].astype(np.int64),
+            act_counts=index["n_act"][vertices].astype(np.int64),
+            checkpoint=checkpoint,
+            activities=activities,
+        )
+
     def all_segments(self) -> Iterator[Tuple[
         int, List[Tuple[int, float]], List[Tuple[int, int, int, int, float]]
     ]]:
-        """Sequentially read every vertex segment in one file pass.
+        """Every vertex segment, as record tuples, from one :meth:`scan`.
 
         Yields ``(vertex, checkpoint entries, activity records)`` for
-        vertices that have a segment — the access pattern of the paper's
-        Section 4.3 loader, which always saturates the disk.
+        vertices that have a segment.
         """
-        if self._mm is not None:
-            for v, (offset, n_cp, n_act) in enumerate(self._index):
-                if offset == 0:
-                    continue
-                checkpoint, activities = self._read_segment(
-                    self._mmap_read, v, offset, n_cp, n_act
-                )
-                yield v, checkpoint, activities
-            return
-        with open(self.path, "rb") as fh:
-            read = self._file_read(fh)
-            for v, (offset, n_cp, n_act) in enumerate(self._index):
-                if offset == 0:
-                    continue
-                checkpoint, activities = self._read_segment(
-                    read, v, offset, n_cp, n_act
-                )
-                yield v, checkpoint, activities
+        scan = self.scan()
+        checkpoint = scan.checkpoint.tolist()
+        activities = scan.activities.tolist()
+        cp_hi = np.cumsum(scan.cp_counts).tolist()
+        act_hi = np.cumsum(scan.act_counts).tolist()
+        cp_lo = act_lo = 0
+        for v, cp_end, act_end in zip(scan.vertices.tolist(), cp_hi, act_hi):
+            yield v, checkpoint[cp_lo:cp_end], activities[act_lo:act_end]
+            cp_lo, act_lo = cp_end, act_end
 
     def verify(self) -> int:
         """Fully scan the file, validating every section; returns the
@@ -272,10 +429,8 @@ class EdgeFile:
         store can be integrity-checked up front instead of failing
         mid-computation.
         """
-        checked = 0
-        for _ in self.all_segments():
-            checked += 1
-        return checked
+        vertices, _ = self._verified_sections(self._file_bytes())
+        return int(vertices.shape[0])
 
     def edge_state_at(self, v: VertexId, u: VertexId, t: Time) -> Optional[Weight]:
         """Weight of edge ``(v, u)`` at time ``t``, or None when absent.

@@ -38,6 +38,8 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import IntegrityError, StorageError
 
 MAGIC = b"CHRN"
@@ -60,6 +62,20 @@ _INDEX_ENTRY = struct.Struct("<QII")
 _CHECKPOINT_ENTRY = struct.Struct("<Id")
 _ACTIVITY = struct.Struct("<BIQQd")
 _CRC = struct.Struct("<I")
+
+#: Packed NumPy views of the same records, for whole-section decodes
+#: (one ``np.frombuffer`` instead of one ``unpack_from`` per record).
+INDEX_DTYPE = np.dtype([("offset", "<u8"), ("n_cp", "<u4"), ("n_act", "<u4")])
+CHECKPOINT_DTYPE = np.dtype([("dst", "<u4"), ("weight", "<f8")])
+ACTIVITY_DTYPE = np.dtype(
+    [
+        ("kind", "u1"),
+        ("dst", "<u4"),
+        ("time", "<u8"),
+        ("tu", "<u8"),
+        ("weight", "<f8"),
+    ]
+)
 
 #: Activity kind codes in edge files (edge activities only).
 KIND_ADD = 0
@@ -182,7 +198,12 @@ def read_index(
     num_vertices: int,
     version: int = VERSION,
     path: Optional[str] = None,
-) -> List[Tuple[int, int, int]]:
+) -> np.ndarray:
+    """The vertex index as an :data:`INDEX_DTYPE` array, one row per vertex.
+
+    Length and (v2) CRC are checked on the raw bytes first; the decode is
+    then a single structured view, not one ``unpack_from`` per vertex.
+    """
     expected = num_vertices * _INDEX_ENTRY.size
     raw = fh.read(expected)
     if len(raw) != expected:
@@ -198,10 +219,7 @@ def read_index(
                 f"{f' in {path}' if path else ''}"
             )
         _verify("vertex index", raw, _CRC.unpack(crc_raw)[0], path)
-    return [
-        _INDEX_ENTRY.unpack_from(raw, i * _INDEX_ENTRY.size)
-        for i in range(num_vertices)
-    ]
+    return np.frombuffer(raw, dtype=INDEX_DTYPE)
 
 
 def pack_checkpoint_entry(dst: int, weight: float) -> bytes:
@@ -214,11 +232,10 @@ def unpack_checkpoint_entries(raw: bytes) -> List[Tuple[int, float]]:
             f"checkpoint sector length {len(raw)} is not a multiple of "
             f"the {_CHECKPOINT_ENTRY.size}-byte entry size"
         )
-    n = len(raw) // _CHECKPOINT_ENTRY.size
-    return [
-        _CHECKPOINT_ENTRY.unpack_from(raw, i * _CHECKPOINT_ENTRY.size)
-        for i in range(n)
-    ]
+    entries: List[Tuple[int, float]] = np.frombuffer(
+        raw, dtype=CHECKPOINT_DTYPE
+    ).tolist()
+    return entries
 
 
 def pack_activity(kind: int, dst: int, time: int, tu: int, weight: float) -> bytes:
@@ -231,8 +248,10 @@ def unpack_activities(raw: bytes) -> List[Tuple[int, int, int, int, float]]:
             f"activity segment length {len(raw)} is not a multiple of "
             f"the {_ACTIVITY.size}-byte record size"
         )
-    n = len(raw) // _ACTIVITY.size
-    return [_ACTIVITY.unpack_from(raw, i * _ACTIVITY.size) for i in range(n)]
+    records: List[Tuple[int, int, int, int, float]] = np.frombuffer(
+        raw, dtype=ACTIVITY_DTYPE
+    ).tolist()
+    return records
 
 
 def pack_segment_trailer(cp_raw: bytes, act_raw: bytes) -> bytes:

@@ -42,28 +42,6 @@ class SnapshotGroup:
             )
         return self.edge_file.out_edges_at(v, t)
 
-    def live_vertices_at(self, t: Time) -> Set[VertexId]:
-        """Explicit vertex liveness at ``t``: checkpoint + replayed records.
-
-        Vertices that become *implicitly* live inside the group (first
-        incident edge activity, no explicit record) are resolved by the
-        loader, which observes edge activities during its sequential scan.
-        """
-        from repro.temporal.activity import ActivityKind
-
-        live = set(self.live_vertices_at_start)
-        explicit: Dict[VertexId, bool] = {}
-        for a in self.vertex_activities:
-            if a.time > t:
-                break
-            explicit[a.src] = a.kind == ActivityKind.ADD_VERTEX
-        for v, state in explicit.items():
-            if state:
-                live.add(v)
-            else:
-                live.discard(v)
-        return live
-
     @classmethod
     def open(
         cls,

@@ -230,15 +230,30 @@ class TemporalGraphStore:
     def num_groups(self) -> int:
         return len(self._groups)
 
+    def group_index(self, t: Time) -> int:
+        """Index of the snapshot group that owns time ``t``.
+
+        The first group whose ``[t1, t2]`` contains ``t``; the last group
+        for times past its end (the graph no longer changes there); ``-1``
+        for times before the first group, which precede all history.
+        """
+        if not self._groups:
+            raise StorageError(f"store at {self.path} has no snapshot groups")
+        for i, group in enumerate(self._groups):
+            if group.contains(t):
+                return i
+        if t > self._groups[-1].t2:
+            return len(self._groups) - 1
+        if t < self._groups[0].t1:
+            return -1
+        raise StorageError(f"no snapshot group covers time {t}")
+
     def group_for(self, t: Time) -> SnapshotGroup:
         """The snapshot group whose time range contains ``t``."""
-        for group in self._groups:
-            if group.contains(t):
-                return group
-        last = self._groups[-1]
-        if t > last.t2:
-            return last
-        raise StorageError(f"no snapshot group covers time {t}")
+        index = self.group_index(t)
+        if index < 0:
+            raise StorageError(f"no snapshot group covers time {t}")
+        return self._groups[index]
 
     def total_bytes(self) -> int:
         return sum(g.edge_file.size_bytes() for g in self._groups)

@@ -111,13 +111,16 @@ class TemporalGraph:
         first = self._first_touch.get(v)
         return first is not None and first <= t
 
-    def edge_state_at(
+    def edge_record_state_at(
         self, u: VertexId, v: VertexId, t: Time
     ) -> Optional[Weight]:
-        """Return the edge weight at ``t``, or ``None`` if the edge is absent.
+        """The edge's own state at ``t``, endpoint liveness *not* applied.
 
-        This is the log-replay ground truth for the on-disk ``tu``-link scan
-        (Section 4.2) and for snapshot reconstruction.
+        The weight left by the latest ``addE``/``modE`` at or before ``t``
+        when the latest ``addE``/``delE`` is an ``addE``, else ``None``.
+        This is what a store checkpoint records: an edge whose endpoint is
+        deleted at ``t`` must survive the checkpoint, because it shows
+        again once the vertex is re-added.
         """
         events = self._edge_events.get((u, v))
         if not events:
@@ -134,7 +137,18 @@ class TemporalGraph:
                 live = False
             elif a.kind == ActivityKind.MOD_EDGE:
                 weight = a.weight if a.weight is not None else weight
-        if not live:
+        return weight if live else None
+
+    def edge_state_at(
+        self, u: VertexId, v: VertexId, t: Time
+    ) -> Optional[Weight]:
+        """Return the edge weight at ``t``, or ``None`` if the edge is absent.
+
+        This is the log-replay ground truth for the on-disk ``tu``-link scan
+        (Section 4.2) and for snapshot reconstruction.
+        """
+        weight = self.edge_record_state_at(u, v, t)
+        if weight is None:
             return None
         if not (self.vertex_live_at(u, t) and self.vertex_live_at(v, t)):
             return None

@@ -22,10 +22,17 @@ import numpy as np
 
 from repro.errors import SnapshotError
 from repro.temporal.activity import ActivityKind
-from repro.temporal.bitmap import MAX_SNAPSHOTS, mask_below
+from repro.temporal.bitmap import mask_below
 from repro.temporal.graph import TemporalGraph
+from repro.temporal.reconstruct import (
+    EdgeEvents,
+    check_times,
+    first_touch_times,
+    reconstruct_edges,
+    vertex_liveness,
+)
 from repro.temporal.snapshot import Snapshot
-from repro.types import EdgeKey, Time, VertexId
+from repro.types import Time, VertexId
 
 
 class SnapshotSeriesView:
@@ -265,100 +272,50 @@ class GroupView:
 def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesView:
     """Reconstruct the states of ``graph`` at the given ``times``.
 
-    A single forward sweep over the activity log maintains the live edge and
-    vertex sets; at each snapshot time the live edges are folded into the
-    shared edge array's bitmaps. This mirrors the sequential-scan
-    reconstruction from the on-disk layout (Section 4.3).
+    The activity log is turned into columns and handed to the
+    reconstruction kernel (:mod:`repro.temporal.reconstruct`): every edge
+    record is valid on ``[time, next record on that edge)``, which
+    ``np.searchsorted`` maps to a range of snapshot bits — the in-memory
+    counterpart of the on-disk ``tu``-linked sequential scan
+    (Section 4.3), and the same kernel
+    :func:`~repro.storage.loader.load_series` runs, so the two agree
+    array for array. Cost does not grow with the number of snapshots and
+    intermediate memory is ``O(activities + E)``; the ``(E, S)`` weight
+    matrix is allocated only when some live (edge, snapshot) cell has a
+    weight other than ``1.0``. Vertex liveness is the single rule of
+    :mod:`repro.temporal.graph` (latest explicit record wins, else first
+    touch).
     """
-    times = list(times)
-    if not times:
-        raise SnapshotError("need at least one snapshot time")
-    if len(times) > MAX_SNAPSHOTS:
-        raise SnapshotError(
-            f"a series view supports at most {MAX_SNAPSHOTS} snapshots, "
-            f"got {len(times)}; process longer series in groups"
-        )
-    if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-        raise SnapshotError(f"snapshot times must be strictly increasing: {times}")
-
+    times = check_times(times)
+    snapshot_times = np.asarray(times, dtype=np.int64)
     V = graph.num_vertices
-    S = len(times)
     activities = graph.activities
-
-    first_touch: Dict[VertexId, Time] = {}
-    for a in activities:
-        first_touch.setdefault(a.src, a.time)
-        if a.dst >= 0:
-            first_touch.setdefault(a.dst, a.time)
-
-    live_edges: Dict[EdgeKey, float] = {}
-    explicit_vertex: Dict[VertexId, bool] = {}
-
-    edge_row: Dict[EdgeKey, int] = {}
-    rows_src: List[int] = []
-    rows_dst: List[int] = []
-    bitmaps: List[int] = []
-    weight_cells: List[Tuple[int, int, float]] = []
-    has_weights = False
-    vertex_bitmap = np.zeros(V, dtype=np.uint64)
-
-    idx = 0
-    n_act = len(activities)
-    for s, t in enumerate(times):
-        while idx < n_act and activities[idx].time <= t:
-            a = activities[idx]
-            idx += 1
-            if a.kind == ActivityKind.ADD_EDGE:
-                live_edges[(a.src, a.dst)] = a.weight if a.weight is not None else 1.0
-                if a.weight not in (None, 1.0):
-                    has_weights = True
-            elif a.kind == ActivityKind.DEL_EDGE:
-                live_edges.pop((a.src, a.dst), None)
-            elif a.kind == ActivityKind.MOD_EDGE:
-                if (a.src, a.dst) in live_edges:
-                    live_edges[(a.src, a.dst)] = (
-                        a.weight if a.weight is not None else 1.0
-                    )
-                    if a.weight not in (None, 1.0):
-                        has_weights = True
-            elif a.kind == ActivityKind.ADD_VERTEX:
-                explicit_vertex[a.src] = True
-            elif a.kind == ActivityKind.DEL_VERTEX:
-                explicit_vertex[a.src] = False
-
-        def vertex_live(v: VertexId) -> bool:
-            state = explicit_vertex.get(v)
-            if state is not None:
-                return state
-            touched = first_touch.get(v)
-            return touched is not None and touched <= t
-
-        sbit = np.uint64(1 << s)
-        for v in range(V):
-            if vertex_live(v):
-                vertex_bitmap[v] |= sbit
-        for (u, v), w in live_edges.items():
-            if not (vertex_live(u) and vertex_live(v)):
-                continue
-            row = edge_row.get((u, v))
-            if row is None:
-                row = len(rows_src)
-                edge_row[(u, v)] = row
-                rows_src.append(u)
-                rows_dst.append(v)
-                bitmaps.append(0)
-            bitmaps[row] |= 1 << s
-            weight_cells.append((row, s, w))
-
-    E = len(rows_src)
-    out_src = np.asarray(rows_src, dtype=np.int64)
-    out_dst = np.asarray(rows_dst, dtype=np.int64)
-    out_bitmap = np.asarray(bitmaps, dtype=np.uint64)
-    out_weight = None
-    if has_weights:
-        out_weight = np.ones((E, S), dtype=np.float64)
-        for row, s, w in weight_cells:
-            out_weight[row, s] = w
+    edge_acts = [a for a in activities if a.dst >= 0]
+    vertex_acts = [a for a in activities if a.dst < 0]
+    events = EdgeEvents(
+        src=np.array([a.src for a in edge_acts], dtype=np.int64),
+        dst=np.array([a.dst for a in edge_acts], dtype=np.int64),
+        time=np.array([a.time for a in edge_acts], dtype=np.int64),
+        kind=np.array([a.kind for a in edge_acts], dtype=np.uint8),
+        weight=np.array(
+            [1.0 if a.weight is None else a.weight for a in edge_acts],
+            dtype=np.float64,
+        ),
+    )
+    vertex_bitmap = vertex_liveness(
+        V,
+        snapshot_times,
+        np.array([a.src for a in vertex_acts], dtype=np.int64),
+        np.array([a.time for a in vertex_acts], dtype=np.int64),
+        np.array(
+            [a.kind == ActivityKind.ADD_VERTEX for a in vertex_acts],
+            dtype=np.bool_,
+        ),
+        first_touch_times(V, [events]),
+    )
+    out_src, out_dst, out_bitmap, out_weight = reconstruct_edges(
+        snapshot_times, [events], vertex_bitmap
+    )
     return SnapshotSeriesView(
         V, times, out_src, out_dst, out_bitmap, out_weight, vertex_bitmap
     )
