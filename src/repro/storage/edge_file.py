@@ -31,9 +31,14 @@ _KIND_MAP = {
     ActivityKind.MOD_EDGE: fmt.KIND_MOD,
 }
 #: The :class:`ActivityKind` of each on-disk kind code, for columnar
-#: consumers (``ACTIVITY_KIND_OF_CODE[scan.activities["kind"]]``).
+#: consumers (``ACTIVITY_KIND_OF_CODE[scan.activities["kind"]]``), and
+#: the inverse lookup the writer uses.
 ACTIVITY_KIND_OF_CODE = np.array(
     sorted(_KIND_MAP, key=_KIND_MAP.__getitem__), dtype=np.uint8
+)
+_CODE_OF_ACTIVITY_KIND = np.zeros(len(ActivityKind), dtype=np.uint8)
+_CODE_OF_ACTIVITY_KIND[ACTIVITY_KIND_OF_CODE] = np.arange(
+    len(_KIND_MAP), dtype=np.uint8
 )
 
 
@@ -53,59 +58,64 @@ def write_edge_file(
     ``t1`` is kept (it shows again if the vertex is re-added), vertex
     liveness being the reader's to apply. With the default ``version=2``
     every section is followed by its CRC32.
+
+    Both sectors are cut from the log's columns
+    (:meth:`TemporalGraph.columns`, shared by every group of a store) in
+    one pass each and emitted through the format's record dtypes; the
+    only per-segment work is slicing the sections and their two CRC32s.
     """
     if t1 > t2:
         raise StorageError(f"invalid group range [{t1}, {t2}]")
     V = graph.num_vertices
     header = fmt.EdgeFileHeader(V, t1, t2, version)
-    trailer_size = fmt.segment_trailer_size(version)
+    columns = graph.columns()
+    events = columns.events
 
-    by_src: Dict[VertexId, List] = {}
-    for a in graph.activities:
-        if a.is_edge_activity and t1 < a.time <= t2:
-            by_src.setdefault(a.src, []).append(a)
-    out_keys: Dict[VertexId, List[VertexId]] = {}
-    for src, dst in graph.edge_keys():
-        out_keys.setdefault(src, []).append(dst)
+    # Checkpoint: per edge, the record valid at t1 (time <= t1 <
+    # next_time) when it leaves the edge live, in (src, dst) order.
+    at_t1 = (events.time <= t1) & (columns.next_time > t1) & columns.live
+    cp = columns.edge_order[at_t1[columns.edge_order]]
+    checkpoint = np.empty(cp.shape[0], dtype=fmt.CHECKPOINT_DTYPE)
+    checkpoint["dst"] = events.dst[cp]
+    checkpoint["weight"] = events.weight[cp]
 
-    segments: List[bytes] = []
-    index: List[Tuple[int, int, int]] = []
-    offset = header.segments_offset
-    for v in range(V):
-        checkpoint: List[bytes] = []
-        for u in sorted(out_keys.get(v, ())):
-            w = graph.edge_record_state_at(v, u, t1)
-            if w is not None:
-                checkpoint.append(fmt.pack_checkpoint_entry(u, w))
-        acts = by_src.get(v, [])
-        # tu links: next activity time on the same (v, dst) edge.
-        next_time: Dict[int, int] = {}
-        tus = [fmt.TU_INFINITY] * len(acts)
-        for i in range(len(acts) - 1, -1, -1):
-            dst = acts[i].dst
-            tus[i] = next_time.get(dst, fmt.TU_INFINITY)
-            next_time[dst] = acts[i].time
-        packed_acts = [
-            fmt.pack_activity(
-                _KIND_MAP[a.kind],
-                a.dst,
-                a.time,
-                tus[i],
-                a.weight if a.weight is not None else 1.0,
-            )
-            for i, a in enumerate(acts)
-        ]
-        if not checkpoint and not packed_acts:
-            index.append((0, 0, 0))
-            continue
-        cp_raw = b"".join(checkpoint)
-        act_raw = b"".join(packed_acts)
-        segment = cp_raw + act_raw
+    # Activities: the (t1, t2] slice of the log, stably ordered by source.
+    lo, hi = np.searchsorted(events.time, [t1, t2], side="right")
+    act = lo + np.argsort(events.src[lo:hi], kind="stable")
+    next_time = columns.next_time[act]
+    activities = np.empty(act.shape[0], dtype=fmt.ACTIVITY_DTYPE)
+    activities["kind"] = _CODE_OF_ACTIVITY_KIND[events.kind[act]]
+    activities["dst"] = events.dst[act]
+    activities["time"] = events.time[act]
+    activities["tu"] = next_time
+    activities["tu"][next_time > t2] = fmt.TU_INFINITY
+    activities["weight"] = events.weight[act]
+
+    cp_counts = np.bincount(events.src[cp], minlength=V)
+    act_counts = np.bincount(events.src[lo:hi], minlength=V)
+    vertices = np.flatnonzero(cp_counts + act_counts)
+    cp_bytes = cp_counts[vertices] * fmt.CHECKPOINT_ENTRY_SIZE
+    act_bytes = act_counts[vertices] * fmt.ACTIVITY_SIZE
+    segment_bytes = cp_bytes + act_bytes + fmt.segment_trailer_size(version)
+    index = np.zeros(V, dtype=fmt.INDEX_DTYPE)
+    index["offset"][vertices] = (
+        header.segments_offset + np.cumsum(segment_bytes) - segment_bytes
+    )
+    index["n_cp"] = cp_counts
+    index["n_act"] = act_counts
+
+    cp_raw = memoryview(checkpoint.tobytes())
+    act_raw = memoryview(activities.tobytes())
+    sections: List[fmt.Buffer] = []
+    cp_lo = act_lo = 0
+    for cp_hi, act_hi in zip(
+        np.cumsum(cp_bytes).tolist(), np.cumsum(act_bytes).tolist()
+    ):
+        cp_section, act_section = cp_raw[cp_lo:cp_hi], act_raw[act_lo:act_hi]
+        sections += (cp_section, act_section)
         if version >= 2:
-            segment += fmt.pack_segment_trailer(cp_raw, act_raw)
-        index.append((offset, len(checkpoint), len(packed_acts)))
-        segments.append(segment)
-        offset += len(cp_raw) + len(act_raw) + trailer_size
+            sections.append(fmt.pack_segment_trailer(cp_section, act_section))
+        cp_lo, act_lo = cp_hi, act_hi
 
     # Writer primitive: durable callers (store.create, WAL compaction)
     # hand it a tmp sibling via atomic_write_via and publish after.
@@ -113,8 +123,7 @@ def write_edge_file(
     with open(path, "wb") as fh:
         fmt.write_header(fh, header)
         fmt.write_index(fh, index, version)
-        for segment in segments:
-            fh.write(segment)
+        fh.write(b"".join(sections))
 
     # Deterministic storage-fault injection: an installed FaultPlan may
     # flip one byte of the file just written. One None-check when idle.

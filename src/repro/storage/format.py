@@ -36,11 +36,14 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import IntegrityError, StorageError
+
+#: What a section's bytes may arrive as: the writer slices memoryviews.
+Buffer = Union[bytes, memoryview]
 
 MAGIC = b"CHRN"
 #: Current write version: per-section CRC32 checksums.
@@ -83,7 +86,7 @@ KIND_DEL = 1
 KIND_MOD = 2
 
 
-def checksum(data: bytes) -> int:
+def checksum(data: Buffer) -> int:
     """The CRC32 the v2 format stores for each section."""
     return zlib.crc32(data) & 0xFFFFFFFF
 
@@ -178,16 +181,14 @@ def read_header(fh: BinaryIO, path: Optional[str] = None) -> EdgeFileHeader:
     return EdgeFileHeader(num_vertices, t1, t2, version)
 
 
-def pack_index(entries: List[Tuple[int, int, int]]) -> bytes:
-    return b"".join(_INDEX_ENTRY.pack(*entry) for entry in entries)
-
-
 def write_index(
     fh: BinaryIO,
-    entries: List[Tuple[int, int, int]],
+    entries: Union[np.ndarray, Sequence[Tuple[int, int, int]]],
     version: int = VERSION,
 ) -> None:
-    raw = pack_index(entries)
+    """Write the vertex index: one ``(offset, n_cp, n_act)`` row per vertex
+    (an :data:`INDEX_DTYPE` array, or tuples convertible to one)."""
+    raw = np.asarray(entries, dtype=INDEX_DTYPE).tobytes()
     fh.write(raw)
     if version >= 2:
         fh.write(_CRC.pack(checksum(raw)))
@@ -222,10 +223,6 @@ def read_index(
     return np.frombuffer(raw, dtype=INDEX_DTYPE)
 
 
-def pack_checkpoint_entry(dst: int, weight: float) -> bytes:
-    return _CHECKPOINT_ENTRY.pack(dst, weight)
-
-
 def unpack_checkpoint_entries(raw: bytes) -> List[Tuple[int, float]]:
     if len(raw) % _CHECKPOINT_ENTRY.size:
         raise StorageError(
@@ -236,10 +233,6 @@ def unpack_checkpoint_entries(raw: bytes) -> List[Tuple[int, float]]:
         raw, dtype=CHECKPOINT_DTYPE
     ).tolist()
     return entries
-
-
-def pack_activity(kind: int, dst: int, time: int, tu: int, weight: float) -> bytes:
-    return _ACTIVITY.pack(kind, dst, time, tu, weight)
 
 
 def unpack_activities(raw: bytes) -> List[Tuple[int, int, int, int, float]]:
@@ -254,7 +247,7 @@ def unpack_activities(raw: bytes) -> List[Tuple[int, int, int, int, float]]:
     return records
 
 
-def pack_segment_trailer(cp_raw: bytes, act_raw: bytes) -> bytes:
+def pack_segment_trailer(cp_raw: Buffer, act_raw: Buffer) -> bytes:
     """The v2 per-segment trailer: CRC32(checkpoint) + CRC32(activities)."""
     return _CRC.pack(checksum(cp_raw)) + _CRC.pack(checksum(act_raw))
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.obs import runtime as obs
@@ -14,7 +16,13 @@ from repro.storage.atomic import atomic_write_json, atomic_write_via
 from repro.storage.edge_file import write_edge_file
 from repro.storage.snapshot_group import SnapshotGroup
 from repro.temporal.activity import Activity, ActivityKind
+from repro.temporal.bitmap import MAX_SNAPSHOTS
 from repro.temporal.graph import TemporalGraph
+from repro.temporal.reconstruct import (
+    first_of_edge,
+    first_touch_times,
+    vertex_liveness,
+)
 from repro.types import Time
 
 MANIFEST_NAME = "manifest.json"
@@ -43,6 +51,61 @@ class StoreConfig:
         if self.memory_budget_bytes is not None:
             return total_bytes > self.memory_budget_bytes
         return False
+
+
+def group_entries(
+    graph: TemporalGraph,
+    edge_files: Sequence[str],
+    boundaries: Sequence[Sequence[Time]],
+) -> List[Dict[str, Any]]:
+    """The manifest's ``groups`` list for ``boundaries`` of ``graph``.
+
+    Per group: its edge file, ``[t1, t2]``, the vertices live at ``t1``
+    (the vertex half of the checkpoint) and the explicit vertex records
+    in ``(t1, t2]``. Liveness at every group start comes from the series
+    kernel's :func:`vertex_liveness`, one call per ``MAX_SNAPSHOTS``
+    starts; the records are a ``searchsorted`` slice of the log's columns.
+    """
+    columns = graph.columns()
+    V = graph.num_vertices
+    bounds = np.asarray(boundaries, dtype=np.int64)
+    first_touch = first_touch_times(V, [columns.events])
+    live: List[List[int]] = []
+    for begin in range(0, bounds.shape[0], MAX_SNAPSHOTS):
+        starts = bounds[begin : begin + MAX_SNAPSHOTS, 0]
+        bitmap = vertex_liveness(
+            V,
+            starts,
+            columns.vertex,
+            columns.vertex_time,
+            columns.vertex_add,
+            first_touch,
+        )
+        for bit in range(starts.shape[0]):
+            at_start = (bitmap >> np.uint64(bit)) & np.uint64(1)
+            live.append(np.flatnonzero(at_start).tolist())
+    kinds = np.where(
+        columns.vertex_add, ActivityKind.ADD_VERTEX, ActivityKind.DEL_VERTEX
+    )
+    records = [
+        {"time": time, "kind": kind, "vertex": vertex}
+        for time, kind, vertex in zip(
+            columns.vertex_time.tolist(), kinds.tolist(), columns.vertex.tolist()
+        )
+    ]
+    cuts = np.searchsorted(columns.vertex_time, bounds, side="right").tolist()
+    return [
+        {
+            "edge_file": name,
+            "t1": t1,
+            "t2": t2,
+            "live_vertices_at_start": live_at_start,
+            "vertex_activities": records[lo:hi],
+        }
+        for name, (t1, t2), live_at_start, (lo, hi) in zip(
+            edge_files, boundaries, live, cuts
+        )
+    ]
 
 
 class TemporalGraphStore:
@@ -136,9 +199,8 @@ class TemporalGraphStore:
         t0, t_end = graph.time_range
 
         boundaries = cls._plan_groups(graph, redundancy_ratio, max_groups)
-        entries = []
-        for gi, (g1, g2) in enumerate(boundaries):
-            edge_name = f"edges_{gi:04d}.chronos"
+        names = [f"edges_{gi:04d}.chronos" for gi in range(len(boundaries))]
+        for edge_name, (g1, g2) in zip(names, boundaries):
             # Publish each group atomically: a crash mid-create leaves at
             # worst a stale tmp sibling, never a torn edge file a later
             # open would misread as truncation/corruption.
@@ -147,30 +209,11 @@ class TemporalGraphStore:
                 lambda tmp, g1=g1, g2=g2: write_edge_file(tmp, graph, g1, g2),
                 tag="create",
             )
-            live = [
-                v
-                for v in range(graph.num_vertices)
-                if graph.vertex_live_at(v, g1)
-            ]
-            vertex_acts = [
-                {"time": a.time, "kind": int(a.kind), "vertex": a.src}
-                for a in graph.activities_between(g1, g2)
-                if not a.is_edge_activity
-            ]
-            entries.append(
-                {
-                    "edge_file": edge_name,
-                    "t1": g1,
-                    "t2": g2,
-                    "live_vertices_at_start": live,
-                    "vertex_activities": vertex_acts,
-                }
-            )
         manifest = {
             "num_vertices": graph.num_vertices,
             "time_range": [t0, t_end],
             "redundancy_ratio": redundancy_ratio,
-            "groups": entries,
+            "groups": group_entries(graph, names, boundaries),
         }
         # The manifest is the commit point of the whole store; it must
         # never be observable half-written.
@@ -183,36 +226,45 @@ class TemporalGraphStore:
         redundancy_ratio: float,
         max_groups: Optional[int],
     ) -> List[List[Time]]:
-        """Choose group boundaries under the redundancy-ratio rule."""
+        """Choose group boundaries under the redundancy-ratio rule.
+
+        A group's budget is fixed by the number of edges live at its
+        first edge record (its checkpoint size); it closes at the first
+        record that takes its activity bytes past the budget and is later
+        than its start. Both are read off the log's columns, one step per
+        group.
+        """
         t0, t_end = graph.time_range
-        # Estimate checkpoint size as it evolves: count live edges.
-        live = set()
+        columns = graph.columns()
+        events = columns.events
+        # Live edges before each record: prefix sum of the transitions of
+        # the per-record live flag along each edge's chain.
+        order = columns.edge_order
+        live = columns.live[order]
+        continues = ~first_of_edge(events.src[order], events.dst[order])
+        step = live.astype(np.int64)
+        step[1:] -= live[:-1] & continues[1:]
+        transition = np.empty_like(step)
+        transition[order] = step
+        live_before = np.cumsum(transition) - transition
+
         boundaries: List[List[Time]] = []
         group_start = t0 - 1  # group checkpoints taken at t1 (exclusive deltas)
-        act_bytes = 0
-        budget = None
-        last_time = t0
-        for a in graph.activities:
-            if a.is_edge_activity:
-                if budget is None:
-                    cp_bytes = max(
-                        len(live) * fmt.CHECKPOINT_ENTRY_SIZE,
-                        fmt.CHECKPOINT_ENTRY_SIZE,
-                    )
-                    budget = cp_bytes * (1.0 - redundancy_ratio) / redundancy_ratio
-                act_bytes += fmt.ACTIVITY_SIZE
-                if a.kind == ActivityKind.ADD_EDGE:
-                    live.add((a.src, a.dst))
-                elif a.kind == ActivityKind.DEL_EDGE:
-                    live.discard((a.src, a.dst))
-                if act_bytes > budget and a.time > group_start:
-                    boundaries.append([group_start, a.time])
-                    group_start = a.time
-                    act_bytes = 0
-                    budget = None
-            last_time = a.time
+        first = 0  # the group's first edge record
+        while first < events.time.shape[0]:
+            cp_bytes = max(int(live_before[first]), 1) * fmt.CHECKPOINT_ENTRY_SIZE
+            budget = cp_bytes * (1.0 - redundancy_ratio) / redundancy_ratio
+            # Fewest records whose activity bytes exceed the budget.
+            records = int(budget // fmt.ACTIVITY_SIZE) + 1
+            later = int(np.searchsorted(events.time, group_start, side="right"))
+            close = max(first + records - 1, later)
+            if close >= events.time.shape[0]:
+                break
+            boundaries.append([group_start, int(events.time[close])])
+            group_start = boundaries[-1][1]
+            first = close + 1
         if group_start < t_end or not boundaries:
-            boundaries.append([group_start, max(t_end, last_time)])
+            boundaries.append([group_start, t_end])
         if max_groups is not None and len(boundaries) > max_groups:
             # Merge the smallest adjacent ranges until under the cap.
             while len(boundaries) > max_groups:

@@ -37,7 +37,11 @@ from repro.obs import runtime as obs
 from repro.resilience import faults
 from repro.storage.atomic import atomic_write_via, fsync_dir, publish
 from repro.storage.edge_file import write_edge_file
-from repro.storage.store import MANIFEST_NAME, TemporalGraphStore
+from repro.storage.store import (
+    MANIFEST_NAME,
+    TemporalGraphStore,
+    group_entries,
+)
 from repro.temporal.graph import TemporalGraph
 
 __all__ = ["COMPACT_TMP_DIR", "compact_to", "edge_file_name", "gc_unreferenced"]
@@ -123,34 +127,13 @@ def _compact_to(
     )
 
     # Step 1: stage every new edge file in the scratch directory.
-    entries: List[Dict[str, Any]] = []
-    staged: List[str] = []
+    staged = [edge_file_name(generation, gi) for gi in range(len(boundaries))]
     bytes_written = 0
-    for gi, (g1, g2) in enumerate(boundaries):
-        name = edge_file_name(generation, gi)
+    for name, (g1, g2) in zip(staged, boundaries):
         write_edge_file(scratch / name, graph, g1, g2)
         bytes_written += (scratch / name).stat().st_size
-        staged.append(name)
-        live = [
-            v
-            for v in range(graph.num_vertices)
-            if graph.vertex_live_at(v, g1)
-        ]
-        vertex_acts = [
-            {"time": a.time, "kind": int(a.kind), "vertex": a.src}
-            for a in graph.activities_between(g1, g2)
-            if not a.is_edge_activity
-        ]
-        entries.append(
-            {
-                "edge_file": name,
-                "t1": g1,
-                "t2": g2,
-                "live_vertices_at_start": live,
-                "vertex_activities": vertex_acts,
-            }
-        )
         faults.maybe_crash("compact.write")
+    entries = group_entries(graph, staged, boundaries)
 
     # Step 2: fsync + publish each staged file (still unreferenced).
     for name in staged:

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 from repro.errors import TemporalGraphError
 from repro.temporal.activity import (
     Activity,
+    ActivityKind,
     add_edge,
     add_vertex,
     del_edge,
@@ -53,22 +54,9 @@ class TemporalGraphBuilder:
         """
         return self._last_time
 
-    def _check_time(self, t: Time) -> None:
-        if t < self._last_time:
-            raise TemporalGraphError(
-                f"activity at time {t} appended after time {self._last_time}; "
-                "activities must be appended in non-decreasing time order"
-            )
-        self._last_time = t
-
     def add_vertex(self, v: VertexId, t: Time) -> "TemporalGraphBuilder":
         """Record an explicit vertex addition at time ``t``."""
-        self._check_time(t)
-        if self._strict and self._vertex_live.get(v, False):
-            raise TemporalGraphError(f"vertex {v} already live at time {t}")
-        self._vertex_live[v] = True
-        self._activities.append(add_vertex(v, t))
-        return self
+        return self.append(add_vertex(v, t))
 
     def del_vertex(self, v: VertexId, t: Time) -> "TemporalGraphBuilder":
         """Record a vertex deletion at time ``t``.
@@ -77,12 +65,7 @@ class TemporalGraphBuilder:
         snapshots while the vertex is dead (endpoint-liveness rule), so no
         cascading edge deletes are emitted.
         """
-        self._check_time(t)
-        if self._strict and not self._vertex_live.get(v, False):
-            raise TemporalGraphError(f"vertex {v} not live at time {t}")
-        self._vertex_live[v] = False
-        self._activities.append(del_vertex(v, t))
-        return self
+        return self.append(del_vertex(v, t))
 
     def add_edge(
         self, u: VertexId, v: VertexId, t: Time, weight: Weight = 1.0
@@ -92,58 +75,65 @@ class TemporalGraphBuilder:
         In non-strict mode, re-adding a live edge is recorded as a weight
         modification instead (the mention-graph interpretation).
         """
-        self._check_time(t)
-        key = (u, v)
-        if self._edge_live.get(key, False):
-            if self._strict:
-                raise TemporalGraphError(f"edge {key} already live at time {t}")
-            self._activities.append(mod_edge(u, v, t, weight))
-            return self
-        self._edge_live[key] = True
-        self._activities.append(add_edge(u, v, t, weight))
-        return self
+        if not self._strict and self._edge_live.get((u, v), False):
+            # Build the modE directly rather than an addE for append()
+            # to rewrite: mention-style streams are mostly re-adds.
+            return self.append(mod_edge(u, v, t, weight))
+        return self.append(add_edge(u, v, t, weight))
 
     def del_edge(self, u: VertexId, v: VertexId, t: Time) -> "TemporalGraphBuilder":
         """Record an edge deletion ``(u, v)`` at time ``t``."""
-        self._check_time(t)
-        key = (u, v)
-        if not self._edge_live.get(key, False):
-            if self._strict:
-                raise TemporalGraphError(f"edge {key} not live at time {t}")
-            return self
-        self._edge_live[key] = False
-        self._activities.append(del_edge(u, v, t))
-        return self
+        return self.append(del_edge(u, v, t))
 
     def mod_edge(
         self, u: VertexId, v: VertexId, t: Time, weight: Weight
     ) -> "TemporalGraphBuilder":
         """Record a weight modification of a live edge ``(u, v)``."""
-        self._check_time(t)
-        key = (u, v)
-        if not self._edge_live.get(key, False):
-            if self._strict:
-                raise TemporalGraphError(f"edge {key} not live at time {t}")
-            return self
-        self._activities.append(mod_edge(u, v, t, weight))
-        return self
+        return self.append(mod_edge(u, v, t, weight))
 
     def append(self, activity: Activity) -> "TemporalGraphBuilder":
-        """Append a pre-built :class:`Activity`, applying the same checks."""
-        dispatch = {
-            activity.kind.ADD_VERTEX: lambda: self.add_vertex(activity.src, activity.time),
-            activity.kind.DEL_VERTEX: lambda: self.del_vertex(activity.src, activity.time),
-            activity.kind.ADD_EDGE: lambda: self.add_edge(
-                activity.src, activity.dst, activity.time, activity.weight or 1.0
-            ),
-            activity.kind.DEL_EDGE: lambda: self.del_edge(
-                activity.src, activity.dst, activity.time
-            ),
-            activity.kind.MOD_EDGE: lambda: self.mod_edge(
-                activity.src, activity.dst, activity.time, activity.weight or 1.0
-            ),
-        }
-        dispatch[activity.kind]()
+        """Append one record, applying the per-vertex / per-edge checks.
+
+        The caller's (frozen) record is kept as it is, except that in
+        non-strict mode re-adding a live edge is recorded as a ``modE``
+        and a delete or modification of a dead edge is dropped.
+        """
+        t = activity.time
+        if t < self._last_time:
+            raise TemporalGraphError(
+                f"activity at time {t} appended after time {self._last_time}; "
+                "activities must be appended in non-decreasing time order"
+            )
+        self._last_time = t
+        kind = activity.kind
+        if kind == ActivityKind.ADD_VERTEX or kind == ActivityKind.DEL_VERTEX:
+            v = activity.src
+            adding = kind == ActivityKind.ADD_VERTEX
+            if self._strict and self._vertex_live.get(v, False) == adding:
+                state = "already live" if adding else "not live"
+                raise TemporalGraphError(f"vertex {v} {state} at time {t}")
+            self._vertex_live[v] = adding
+        else:
+            key = (activity.src, activity.dst)
+            live = self._edge_live.get(key, False)
+            if kind == ActivityKind.ADD_EDGE:
+                if live:
+                    if self._strict:
+                        raise TemporalGraphError(
+                            f"edge {key} already live at time {t}"
+                        )
+                    weight = activity.weight
+                    activity = mod_edge(
+                        *key, t, 1.0 if weight is None else weight
+                    )
+                self._edge_live[key] = True
+            elif not live:
+                if self._strict:
+                    raise TemporalGraphError(f"edge {key} not live at time {t}")
+                return self
+            elif kind == ActivityKind.DEL_EDGE:
+                self._edge_live[key] = False
+        self._activities.append(activity)
         return self
 
     def build(self, num_vertices: Optional[int] = None) -> TemporalGraph:

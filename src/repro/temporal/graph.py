@@ -25,8 +25,11 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TemporalGraphError
 from repro.temporal.activity import Activity, ActivityKind
+from repro.temporal.columns import LogColumns, log_columns
 from repro.types import EdgeKey, Time, VertexId, Weight
 
 
@@ -38,7 +41,8 @@ class TemporalGraph:
         activities: Iterable[Activity],
         num_vertices: Optional[int] = None,
     ) -> None:
-        self._activities: List[Activity] = sorted(activities)
+        self._activities: Tuple[Activity, ...] = tuple(sorted(activities))
+        self._columns: Optional[LogColumns] = None
         max_vid = -1
         for a in self._activities:
             max_vid = max(max_vid, a.src, a.dst)
@@ -75,7 +79,18 @@ class TemporalGraph:
     @property
     def activities(self) -> Sequence[Activity]:
         """The full, time-sorted activity log."""
-        return tuple(self._activities)
+        return self._activities
+
+    def columns(self) -> LogColumns:
+        """The log as NumPy columns, converted on first use and kept.
+
+        The one conversion every columnar consumer shares — series
+        reconstruction and the store writer (see
+        :mod:`repro.temporal.columns`).
+        """
+        if self._columns is None:
+            self._columns = log_columns(self._activities, self._num_vertices)
+        return self._columns
 
     @property
     def num_activities(self) -> int:
@@ -160,10 +175,8 @@ class TemporalGraph:
 
     def activities_between(self, t1: Time, t2: Time) -> List[Activity]:
         """All activities with ``t1 < time <= t2``, in time order."""
-        times = [a.time for a in self._activities]
-        lo = bisect.bisect_right(times, t1)
-        hi = bisect.bisect_right(times, t2)
-        return self._activities[lo:hi]
+        lo, hi = np.searchsorted(self.columns().time, [t1, t2], side="right")
+        return list(self._activities[lo:hi])
 
     def edge_events_for(self, u: VertexId, v: VertexId) -> Sequence[Activity]:
         """Time-sorted activities for one edge pair (may be empty)."""

@@ -47,7 +47,10 @@ from repro.types import Time
 __all__ = [
     "EdgeEvents",
     "NEVER",
+    "chain_state",
     "check_times",
+    "edge_order",
+    "first_of_edge",
     "first_touch_times",
     "reconstruct_edges",
     "vertex_liveness",
@@ -133,7 +136,7 @@ def _column(
     return np.concatenate(parts).astype(dtype, copy=False)
 
 
-def _edge_order(
+def edge_order(
     src: np.ndarray, dst: np.ndarray, num_vertices: int
 ) -> np.ndarray:
     """The stable permutation sorting records by ``(src, dst)``."""
@@ -143,6 +146,35 @@ def _edge_order(
     key = src.astype(np.uint64) * np.uint64(num_vertices)
     key += dst.astype(np.uint64)
     return np.argsort(key, kind="stable")
+
+
+def first_of_edge(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask of the first record of each edge, columns in :func:`edge_order`."""
+    starts = np.ones(src.shape[0], dtype=np.bool_)
+    starts[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return starts
+
+
+def chain_state(
+    new_chain: np.ndarray, time: np.ndarray, kind: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(until, live)`` of records already grouped into per-edge chains.
+
+    The columns are in :func:`edge_order`, ``new_chain`` marking the
+    first record of each chain (an edge within one stream). ``until`` is
+    the time of the next record of the chain — the paper's ``tu`` link —
+    or :data:`NEVER` for the last one; ``live`` says whether the edge is
+    live after the record: the chain's latest non-``modE`` record at or
+    before it is an ``addE`` (``modE`` of a dead edge is a no-op).
+    """
+    n = time.shape[0]
+    index = np.arange(n, dtype=np.int64)
+    until = np.full(n, NEVER, dtype=np.int64)
+    until[:-1] = np.where(new_chain[1:], NEVER, time[1:])
+    chain_start = np.maximum.accumulate(np.where(new_chain, index, 0))
+    anchor = np.maximum.accumulate(np.where(kind != _MOD, index, -1))
+    live = (anchor >= chain_start) & (kind[anchor] == _ADD)
+    return until, live
 
 
 def first_touch_times(
@@ -232,29 +264,19 @@ def reconstruct_edges(
     )
 
     # Stable sort by edge key: within an edge, records keep replay order.
-    order = _edge_order(src, dst, vertex_bitmap.shape[0])
+    order = edge_order(src, dst, vertex_bitmap.shape[0])
     src, dst, time, kind, weight, stream, stop = (
         column[order]
         for column in (src, dst, time, kind, weight, stream, stop)
     )
-    n = src.shape[0]
-    index = np.arange(n, dtype=np.int64)
-    new_edge = np.ones(n, dtype=np.bool_)
-    new_edge[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    new_edge = first_of_edge(src, dst)
     new_chain = new_edge.copy()
     new_chain[1:] |= stream[1:] != stream[:-1]
 
     # Validity interval [time, next record of the chain), in snapshots.
-    until = np.full(n, NEVER, dtype=np.int64)
-    until[:-1] = np.where(new_chain[1:], NEVER, time[1:])
+    until, live = chain_state(new_chain, time, kind)
     lo = np.searchsorted(times, time, side="left")
     hi = np.minimum(np.searchsorted(times, until, side="left"), stop)
-
-    # A record leaves the edge live when the chain's latest non-modE
-    # record at or before it is an addE (modE of a dead edge is a no-op).
-    chain_start = np.maximum.accumulate(np.where(new_chain, index, 0))
-    anchor = np.maximum.accumulate(np.where(kind != _MOD, index, -1))
-    live = (anchor >= chain_start) & (kind[anchor] == _ADD)
 
     cover = _bit_ranges(lo, hi)
     cover &= vertex_bitmap[src] & vertex_bitmap[dst]

@@ -21,11 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SnapshotError
-from repro.temporal.activity import ActivityKind
 from repro.temporal.bitmap import mask_below
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.reconstruct import (
-    EdgeEvents,
     check_times,
     first_touch_times,
     reconstruct_edges,
@@ -272,10 +270,11 @@ class GroupView:
 def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesView:
     """Reconstruct the states of ``graph`` at the given ``times``.
 
-    The activity log is turned into columns and handed to the
-    reconstruction kernel (:mod:`repro.temporal.reconstruct`): every edge
-    record is valid on ``[time, next record on that edge)``, which
-    ``np.searchsorted`` maps to a range of snapshot bits — the in-memory
+    The log's columns (:meth:`TemporalGraph.columns`, converted once per
+    graph) are handed to the reconstruction kernel
+    (:mod:`repro.temporal.reconstruct`): every edge record is valid on
+    ``[time, next record on that edge)``, which ``np.searchsorted`` maps
+    to a range of snapshot bits — the in-memory
     counterpart of the on-disk ``tu``-linked sequential scan
     (Section 4.3), and the same kernel
     :func:`~repro.storage.loader.load_series` runs, so the two agree
@@ -289,28 +288,14 @@ def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesV
     times = check_times(times)
     snapshot_times = np.asarray(times, dtype=np.int64)
     V = graph.num_vertices
-    activities = graph.activities
-    edge_acts = [a for a in activities if a.dst >= 0]
-    vertex_acts = [a for a in activities if a.dst < 0]
-    events = EdgeEvents(
-        src=np.array([a.src for a in edge_acts], dtype=np.int64),
-        dst=np.array([a.dst for a in edge_acts], dtype=np.int64),
-        time=np.array([a.time for a in edge_acts], dtype=np.int64),
-        kind=np.array([a.kind for a in edge_acts], dtype=np.uint8),
-        weight=np.array(
-            [1.0 if a.weight is None else a.weight for a in edge_acts],
-            dtype=np.float64,
-        ),
-    )
+    columns = graph.columns()
+    events = columns.events
     vertex_bitmap = vertex_liveness(
         V,
         snapshot_times,
-        np.array([a.src for a in vertex_acts], dtype=np.int64),
-        np.array([a.time for a in vertex_acts], dtype=np.int64),
-        np.array(
-            [a.kind == ActivityKind.ADD_VERTEX for a in vertex_acts],
-            dtype=np.bool_,
-        ),
+        columns.vertex,
+        columns.vertex_time,
+        columns.vertex_add,
         first_touch_times(V, [events]),
     )
     out_src, out_dst, out_bitmap, out_weight = reconstruct_edges(

@@ -89,3 +89,66 @@ class TestBuild:
         g = b.build()
         assert g.num_activities == 2
         assert not g.edge_live_at(0, 1, 3)
+
+
+class TestAppend:
+    def test_keeps_the_callers_record(self):
+        from repro.temporal import add_edge, add_vertex, del_edge, mod_edge
+
+        records = [
+            add_vertex(2, 1),
+            add_edge(0, 1, 1, 3.0),
+            mod_edge(0, 1, 2, 4.0),
+            del_edge(0, 1, 3),
+        ]
+        b = TemporalGraphBuilder()
+        for record in records:
+            b.append(record)
+        assert all(a is r for a, r in zip(b.build().activities, records))
+
+    def test_non_strict_rewrites_and_drops_like_the_methods(self):
+        from repro.temporal import add_edge, del_edge, mod_edge
+
+        b = TemporalGraphBuilder(strict=False)
+        b.append(del_edge(0, 1, 1)).append(mod_edge(0, 1, 1, 2.0))  # dropped
+        b.append(add_edge(0, 1, 2, 3.0)).append(add_edge(0, 1, 3, 5.0))
+        assert b.last_time == 3
+        assert b.build().activities == (add_edge(0, 1, 2, 3.0), mod_edge(0, 1, 3, 5.0))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda b: b.add_edge(0, 1, 1).add_edge(0, 1, 2), r"edge \(0, 1\) already live at time 2"),
+            (lambda b: b.del_edge(0, 1, 4), r"edge \(0, 1\) not live at time 4"),
+            (lambda b: b.mod_edge(0, 1, 4, 2.0), r"edge \(0, 1\) not live at time 4"),
+            (lambda b: b.add_vertex(3, 1).add_vertex(3, 2), "vertex 3 already live at time 2"),
+            (lambda b: b.del_vertex(3, 2), "vertex 3 not live at time 2"),
+            (lambda b: b.add_edge(0, 1, 5).add_edge(1, 2, 4), "activity at time 4 appended after time 5"),
+        ],
+    )
+    def test_strict_error_messages(self, build, message):
+        with pytest.raises(TemporalGraphError, match=message):
+            build(TemporalGraphBuilder())
+
+    def test_zero_weight_is_kept(self):
+        from repro.temporal import add_edge
+
+        b = TemporalGraphBuilder(strict=False)
+        b.append(add_edge(0, 1, 1, 0.0)).append(add_edge(0, 1, 2, 0.0))
+        assert [a.weight for a in b.build().activities] == [0.0, 0.0]
+
+    def test_zero_weight_survives_the_streaming_head(self, tmp_path):
+        """The head used to store ``weight or 1.0``: 0.0 read back as 1.0
+        until a reopen replayed the WAL, which holds 0.0."""
+        from repro.streaming import StreamingStore
+        from repro.temporal import add_edge, mod_edge
+
+        batch = [add_edge(0, 1, 1, 0.0), add_edge(1, 2, 1, 2.0), mod_edge(1, 2, 2, 0.0)]
+        with StreamingStore(tmp_path) as store:
+            store.append(batch)
+            live = store.series([1, 2])
+            fingerprint = store.fingerprint()
+        assert live.out_weight.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+        with StreamingStore(tmp_path) as reopened:
+            assert reopened.fingerprint() == fingerprint
+            assert reopened.series([1, 2]).out_weight.tolist() == live.out_weight.tolist()

@@ -34,7 +34,7 @@ from repro.temporal import (
     del_vertex,
     mod_edge,
 )
-from repro.temporal.reconstruct import _edge_order
+from repro.temporal.reconstruct import edge_order
 from repro.temporal.series import build_series
 from tests.conftest import random_temporal_graph
 from tests.replay_oracle import (
@@ -44,6 +44,7 @@ from tests.replay_oracle import (
 )
 
 OPS = ("addE", "addE", "addE", "delE", "modE", "addV", "delV")
+WEIGHTS = (1.0, 1.0, 2.0, 0.5, 7.0)
 
 STORE_SHAPES = (
     {},  # the default redundancy ratio
@@ -53,7 +54,7 @@ STORE_SHAPES = (
 
 
 @st.composite
-def op_lists(draw):
+def op_lists(draw, weights=WEIGHTS):
     """``(num_vertices, [(op, u, v, t, w), ...])`` in time order, with
     zero time steps so records tie on a timestamp."""
     num_vertices = draw(st.integers(min_value=2, max_value=6))
@@ -62,7 +63,7 @@ def op_lists(draw):
     t = draw(st.integers(min_value=0, max_value=3))
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         t += draw(st.integers(min_value=0, max_value=2))
-        w = draw(st.sampled_from([1.0, 1.0, 2.0, 0.5, 7.0]))
+        w = draw(st.sampled_from(weights))
         ops.append((draw(st.sampled_from(OPS)), draw(vertex), draw(vertex), t, w))
     return num_vertices, ops
 
@@ -108,8 +109,8 @@ def _raw(num_vertices, ops):
 
 
 @st.composite
-def graphs_and_times(draw):
-    num_vertices, ops = draw(op_lists())
+def graphs_and_times(draw, weights=WEIGHTS):
+    num_vertices, ops = draw(op_lists(weights))
     flavour = draw(st.sampled_from(["strict", "non-strict", "raw"]))
     if flavour == "raw":
         graph = _raw(num_vertices, ops)
@@ -265,8 +266,8 @@ def test_packed_sort_key_and_its_lexsort_fallback_agree():
     src = rng.integers(0, 50, 500)
     dst = rng.integers(0, 50, 500)
     expected = np.lexsort((dst, src))
-    np.testing.assert_array_equal(_edge_order(src, dst, 50), expected)
-    np.testing.assert_array_equal(_edge_order(src, dst, (1 << 32) + 1), expected)
+    np.testing.assert_array_equal(edge_order(src, dst, 50), expected)
+    np.testing.assert_array_equal(edge_order(src, dst, (1 << 32) + 1), expected)
 
 
 # ---------------------------------------------------------------------- #
