@@ -37,31 +37,24 @@ def main() -> None:
         f"{series.num_edges} distinct edges, 32 snapshots\n"
     )
 
-    # Both the legacy ufunc.at scatter and the default segmented-reduction
-    # kernel plans (repro.engine.kernels) produce bit-identical values; the
-    # comparison below shows the LABS effect on each, and the plan path's
-    # extra win on top of it.
-    print("Wall-clock (vectorised engines, real time):")
-    base_wall = {}
-    for kernel in ("legacy", "plan"):
-        print(f"  kernel={kernel}:")
-        for batch in (1, 4, 8, 32):
-            layout = (
-                LayoutKind.STRUCTURE_LOCALITY
-                if batch == 1
-                else LayoutKind.TIME_LOCALITY
-            )
-            cfg = EngineConfig(
-                mode="push", batch_size=batch, layout=layout, kernel=kernel
-            )
-            t0 = time.perf_counter()
-            run(series, PageRank(iterations=5), cfg)
-            wall = time.perf_counter() - t0
-            base_wall.setdefault(kernel, wall)
-            print(
-                f"    batch {batch:3d}: {wall:6.3f}s  "
-                f"(speedup {base_wall[kernel] / wall:4.1f}x)"
-            )
+    print("Wall-clock (vectorised engine, real time):")
+    base_wall = None
+    for batch in (1, 4, 8, 32):
+        layout = (
+            LayoutKind.STRUCTURE_LOCALITY
+            if batch == 1
+            else LayoutKind.TIME_LOCALITY
+        )
+        cfg = EngineConfig(mode="push", batch_size=batch, layout=layout)
+        t0 = time.perf_counter()
+        run(series, PageRank(iterations=5), cfg)
+        wall = time.perf_counter() - t0
+        if base_wall is None:
+            base_wall = wall
+        print(
+            f"    batch {batch:3d}: {wall:6.3f}s  "
+            f"(speedup {base_wall / wall:4.1f}x)"
+        )
 
     if args.executor == "process":
         print(

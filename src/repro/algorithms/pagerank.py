@@ -24,6 +24,7 @@ class PageRank(VertexProgram):
     semantics = Semantics.REGATHER
     gather = GatherKind.SUM
     needs_weights = False
+    needs_degrees = True
     directed = True
 
     def __init__(

@@ -92,6 +92,8 @@ class VertexProgram:
     gather: GatherKind = GatherKind.SUM
     #: Whether scatter consumes edge weights.
     needs_weights: bool = False
+    #: Whether scatter divides by the source's out-degree.
+    needs_degrees: bool = False
     #: Directed programs propagate along edge direction only. Undirected
     #: programs (WCC, MIS) must be run on a symmetrised temporal graph; see
     #: :func:`repro.datasets.generators.symmetrized`.

@@ -2,7 +2,7 @@
 
 A key names one *deterministic computation*: the engine's bitwise-identity
 contract (values and logical counters are independent of executor,
-worker count, kernel, batching, sanitizer, and observability) is what
+worker count, batching, sanitizer, and observability) is what
 makes the remaining dimensions — group content, program, and the few
 config fields that do shape results — a complete key.
 
@@ -16,7 +16,7 @@ config fields that do shape results — a complete key.
   warm-started REGATHER results are tolerance-equal, not bitwise, so
   entries written under ``reuse="incremental"`` never serve a
   ``reuse="cache"`` run.
-- Executor, workers, dispatch batching, kernel, mmap, sanitize, and
+- Executor, workers, dispatch batching, mmap, sanitize, and
   checkpoointing are deliberately *excluded*: they are proven
   result-neutral (PR 1/2/4/5 parity suites), so a serial run can serve
   a process-executor run and vice versa.

@@ -1,8 +1,7 @@
-"""Shared plumbing for the three execution modes."""
+"""The per-group execution context shared by both scatter implementations."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,53 +10,10 @@ import numpy as np
 from repro.algorithms.program import Semantics, VertexProgram
 from repro.engine.config import EngineConfig
 from repro.engine.counters import EngineCounters
-from repro.engine.kernels import fold_at
 from repro.engine.state import GroupState
 from repro.memsim.hierarchy import MemoryHierarchy
-from repro.obs import runtime as obs
 from repro.parallel.locks import LockTable
 from repro.temporal.series import GroupView
-
-# Memoised bitmap -> ascending snapshot index array. Bitmaps repeat heavily
-# across edges, so this keeps the traced inner loop cheap. Bounded as an
-# LRU so long multi-group runs over high-churn series cannot grow it
-# without limit.
-_BITS_CACHE: "OrderedDict[int, np.ndarray]" = OrderedDict()
-_BITS_CACHE_MAX = 1 << 16
-
-
-def snap_indices(bitmap: int) -> np.ndarray:
-    """Ascending snapshot indices set in ``bitmap`` (cached)."""
-    cached = _BITS_CACHE.get(bitmap)
-    if cached is None:
-        nbytes = max((int(bitmap).bit_length() + 7) // 8, 1)
-        unpacked = np.unpackbits(
-            np.frombuffer(int(bitmap).to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little",
-        )
-        cached = np.flatnonzero(unpacked).astype(np.int64)
-        cached.flags.writeable = False  # instances are shared via the cache
-        _BITS_CACHE[bitmap] = cached
-        if len(_BITS_CACHE) > _BITS_CACHE_MAX:
-            _BITS_CACHE.popitem(last=False)
-    else:
-        _BITS_CACHE.move_to_end(bitmap)
-    return cached
-
-
-def unpack_bits(bitmaps: np.ndarray, num_snapshots: int) -> np.ndarray:
-    """``(E, S)`` boolean matrix from an array of snapshot bitmaps."""
-    shifts = np.arange(num_snapshots, dtype=np.uint64)
-    return ((bitmaps[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-
-
-def mask_to_int(row: np.ndarray) -> int:
-    """Pack a boolean snapshot row into a bitmap int (vectorised)."""
-    row = np.ascontiguousarray(row, dtype=bool)
-    if row.size == 0:
-        return 0
-    packed = np.packbits(row, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 @dataclass
@@ -84,96 +40,3 @@ class ExecContext:
     @property
     def monotone(self) -> bool:
         return self.program.semantics is Semantics.MONOTONE
-
-    @property
-    def use_plan(self) -> bool:
-        """Whether vectorised scatters go through the cached gather plan."""
-        return self.config.kernel != "legacy"
-
-    def snap_mask_int(self) -> int:
-        return mask_to_int(self.state.snap_active)
-
-    def needs_degrees(self) -> bool:
-        """PageRank-style programs divide by the source out-degree."""
-        return getattr(self.program, "name", "") == "pagerank"
-
-    def out_weights(self) -> Optional[np.ndarray]:
-        """Edge weights for scatter, or None when the program ignores them."""
-        return self.group.out_weight if self.program.needs_weights else None
-
-    def in_weights(self) -> Optional[np.ndarray]:
-        return self.group.in_weight if self.program.needs_weights else None
-
-
-class ModeEngine:
-    """Base class for push/pull/stream scatter implementations.
-
-    Subclasses implement :meth:`scatter_vectorized` and
-    :meth:`scatter_traced`; apply/convergence is mode-independent and lives
-    in :mod:`repro.engine.runner`.
-    """
-
-    name = "abstract"
-    uses_locks = False
-
-    def scatter(self, ctx: ExecContext) -> None:
-        # The one scatter-phase bracket for every path: serial folds and
-        # process-executor dispatches (where the planned kernel routes
-        # through ctx.shm to the pool) both pass through here.
-        with obs.span("phase", "scatter"):
-            if ctx.traced:
-                self.scatter_traced(ctx)
-            else:
-                self.scatter_vectorized(ctx)
-
-    def scatter_vectorized(self, ctx: ExecContext) -> None:
-        raise NotImplementedError
-
-    def scatter_traced(self, ctx: ExecContext) -> None:
-        raise NotImplementedError
-
-    # -------------------------------------------------------------- #
-
-    @staticmethod
-    def propagate_block(
-        ctx: ExecContext,
-        src_sel: np.ndarray,
-        dst_sel: np.ndarray,
-        bitmap_sel: np.ndarray,
-        weight_sel: Optional[np.ndarray],
-        gather_order: Optional[np.ndarray] = None,
-        count_value_reads: bool = False,
-    ) -> int:
-        """Vectorised propagation for a block of edges.
-
-        Computes messages for all ``(edge, snapshot)`` pairs that are live,
-        source-active, and snapshot-active, masks the rest to the gather
-        identity, and folds them into the accumulator with the gather
-        ufunc. ``gather_order`` optionally permutes the rows before the
-        gather (stream mode gathers in shuffled bucket order).
-
-        Returns the number of accumulator element updates performed.
-        """
-        state = ctx.state
-        program = ctx.program
-        Sg = ctx.group.num_snapshots
-        bits = unpack_bits(bitmap_sel, Sg)
-        valid = bits & state.snap_active[None, :]
-        if ctx.monotone:
-            valid &= state.active[src_sel]
-        vals = state.values[src_sel]
-        deg = None
-        if ctx.needs_degrees():
-            deg = ctx.group.out_degrees[src_sel]
-        with np.errstate(invalid="ignore"):
-            msg = program.scatter(vals, weight_sel, deg)
-            msg = np.where(valid, msg, program.gather.identity)
-        if gather_order is not None:
-            dst_sel = dst_sel[gather_order]
-            msg = msg[gather_order]
-        fold_at(program.gather.ufunc, state.acc, dst_sel, msg)
-        updates = int(valid.sum())
-        ctx.counters.acc_updates += updates
-        if count_value_reads:
-            ctx.counters.vertex_value_reads += updates
-        return updates

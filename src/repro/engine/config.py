@@ -66,14 +66,6 @@ class EngineConfig:
     #: instead of locked shared-memory writes. Used by
     #: :mod:`repro.distributed`.
     distributed: bool = False
-    #: Vectorised scatter kernel: ``"plan"`` uses the cached,
-    #: destination-sorted gather plan with segmented reductions
-    #: (:mod:`repro.engine.kernels`); ``"plan-at"`` uses the plan's
-    #: selection but folds with ``ufunc.at`` (the dispatch-table fallback,
-    #: exposed for parity tests); ``"legacy"`` is the original
-    #: unpack-per-iteration ``ufunc.at`` path, kept for benchmarking
-    #: against. All three produce bitwise-identical results and counters.
-    kernel: str = "plan"
     #: How untraced runs execute: ``"serial"`` in-process (the default), or
     #: ``"process"`` on a persistent pool of ``workers`` real OS processes
     #: over shared-memory state (:mod:`repro.parallel.shm`). The process
@@ -162,8 +154,6 @@ class EngineConfig:
             raise EngineError(f"num_cores must be positive, got {self.num_cores}")
         if self.parallel not in ("partition", "snapshot"):
             raise EngineError(f"unknown parallel strategy {self.parallel!r}")
-        if self.kernel not in ("plan", "plan-at", "legacy"):
-            raise EngineError(f"unknown scatter kernel {self.kernel!r}")
         if self.num_cores > 1 and not self.trace:
             raise EngineError(
                 "multi-core execution is simulated and requires trace=True"

@@ -1,9 +1,7 @@
-"""Segmented-reduction scatter kernels: cached, destination-sorted gather plans.
+"""The vectorised scatter: cached, destination-sorted gather plans.
 
-The vectorised engines previously re-unpacked the group's edge bitmaps into
-an ``(E, S_g)`` boolean matrix every iteration and folded messages with
-``np.ufunc.at`` — an order of magnitude slower than NumPy's segmented
-reductions. A :class:`GatherPlan` does the bitmap unpacking exactly once per
+This is the one production scatter path. A :class:`GatherPlan` unpacks a
+group's edge bitmaps exactly once per
 :class:`~repro.temporal.series.GroupView`: the live ``(edge, snapshot)``
 pairs are flattened into a COO stream, pre-sorted by flat destination index
 in the accumulator's *physical* layout order, and segment boundaries are
@@ -15,12 +13,14 @@ reads and writes go through flat ``np.take``-style indexing of the state
 arrays' backing storage rather than 2-D fancy indexing through a
 (possibly transposed) view.
 
-Bitwise identity with the ``ufunc.at`` path is preserved deliberately:
+Bitwise identity with a sequential per-edge fold — the simulated engine of
+:mod:`repro.engine.traced`, and ``ufunc.at`` in the fold's own property
+test — is preserved deliberately:
 
 - the stable destination sort keeps each destination cell's contributions in
-  edge-ascending order, the same per-cell order ``ufunc.at`` applies them in
-  (both for push/pull's edge-major order and for stream mode's bucket order,
-  because bucket id is monotone in destination vertex);
+  edge-ascending order, the order a per-edge loop applies them in (both for
+  push/pull's edge-major order and for stream mode's bucket order, because
+  bucket id is monotone in destination vertex);
 - additive folds use ``np.bincount``, whose C loop accumulates sequentially
   in stream order — unlike ``np.add.reduceat``, which pairwise-sums and so
   drifts in the last ulp;
@@ -35,10 +35,9 @@ candidate stream positions are gathered from the active sources' CSR slices
 (and re-sorted, restoring destination order) instead of masking the whole
 stream.
 
-Gather ufuncs outside the dispatch table fall back to ``ufunc.at`` over the
-pre-selected, pre-sorted stream — still far cheaper than the legacy path
-because the unpack/mask work is gone, and bitwise identical because the
-per-cell application order is unchanged.
+Push, pull and stream are three *accountings* of this one scatter
+(:func:`vectorized_scatter`): the mode picks the plan direction and which
+logical counters the fold's update count feeds.
 """
 
 from __future__ import annotations
@@ -47,10 +46,13 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.config import Mode
+from repro.errors import EngineError
 from repro.layout.vertex_array import LayoutKind, flat_destination_index
 from repro.obs import runtime as obs
 
 if TYPE_CHECKING:
+    from repro.engine.common import ExecContext
     from repro.temporal.series import GroupView
 
 #: When the monotone frontier's candidate stream entries are fewer than
@@ -61,7 +63,7 @@ _CSR_SELECT_FACTOR = 4
 #: Gather ufuncs with an order-exact segmented reduction. ``np.add`` is
 #: handled separately via ``np.bincount`` (see module docstring).
 _REDUCEAT_UFUNCS = frozenset(
-    {np.minimum, np.maximum, np.fmin, np.fmax, np.logical_and, np.logical_or}
+    {np.minimum, np.maximum, np.logical_and, np.logical_or}
 )
 
 
@@ -110,48 +112,30 @@ class SegmentedStreamFold:
         ufunc: np.ufunc,
         msg: np.ndarray,
         sel: Optional[np.ndarray],
-        force_at: bool = False,
     ) -> int:
         """Fold ``msg`` into the flat accumulator at the selected destinations.
 
         Returns the number of accumulator element updates (= selected stream
-        entries). ``sel is None`` means the whole stream. ``force_at``
-        exercises the ``ufunc.at`` fallback regardless of the dispatch table
-        (used by tests and benchmarks to prove parity).
+        entries). ``sel is None`` means the whole stream.
         """
         full = sel is None
         flat_sel = self.flat if full else self.flat[sel]
         n = int(flat_sel.shape[0])
         if n == 0:
             return 0
-        if not force_at and ufunc is np.add:
+        if ufunc is np.add:
             seg_starts, seg_ids, cells = self._segments(flat_sel, full)
             folded = np.bincount(seg_ids, weights=msg, minlength=seg_starts.shape[0])
             acc_flat[cells] = np.add(acc_flat[cells], folded)
-        elif not force_at and ufunc in _REDUCEAT_UFUNCS:
+        elif ufunc in _REDUCEAT_UFUNCS:
             seg_starts, _, cells = self._segments(flat_sel, full)
             folded = ufunc.reduceat(msg, seg_starts)
             acc_flat[cells] = ufunc(acc_flat[cells], folded)
         else:
-            ufunc.at(acc_flat, flat_sel, msg)
+            raise EngineError(
+                f"no segmented reduction for gather ufunc {ufunc.__name__!r}"
+            )
         return n
-
-
-def fold_at(
-    ufunc: np.ufunc,
-    acc: np.ndarray,
-    dst_sel: object,
-    msg: np.ndarray,
-) -> None:
-    """In-place ``ufunc.at`` fold — the sanctioned raw-scatter site.
-
-    The legacy and traced engine paths fold unsorted edge blocks straight
-    into the accumulator. Keeping the actual ``ufunc.at`` call here (the
-    only module chronolint's CHR002 exempts) means every in-place scatter
-    in the engine and executors flows through this file, where the
-    per-cell application-order guarantees documented above are audited.
-    """
-    ufunc.at(acc, dst_sel, msg)
 
 
 class GatherPlan(SegmentedStreamFold):
@@ -189,7 +173,7 @@ class GatherPlan(SegmentedStreamFold):
             ncells,
         )
         # Stable sort: within one destination cell the stream stays in
-        # edge-ascending order — the order ufunc.at folded it in.
+        # edge-ascending order — the order a per-edge loop folds it in.
         order = np.argsort(flat, kind="stable")
         self.edge_ids = edge_ids[order]
         self.snap_ids = snap_ids[order]
@@ -362,7 +346,6 @@ def stream_scatter(
     monotone: bool,
     needs_degrees: bool,
     degree_cells: Optional[np.ndarray] = None,
-    force_at: bool = False,
 ) -> int:
     """One planned scatter over a destination-sorted stream (or a slice).
 
@@ -408,7 +391,7 @@ def stream_scatter(
             deg = degree_cells[src_flat]
         with np.errstate(invalid="ignore"):
             msg = program.scatter(vals, weights, deg)
-    return plan.fold(acc_flat, program.gather.ufunc, msg, sel, force_at=force_at)
+    return plan.fold(acc_flat, program.gather.ufunc, msg, sel)
 
 
 def planned_scatter(ctx: Any, direction: str) -> int:
@@ -423,7 +406,7 @@ def planned_scatter(ctx: Any, direction: str) -> int:
     state = ctx.state
     program = ctx.program
     plan = state.gather_plan(direction)
-    needs_degrees = ctx.needs_degrees()
+    needs_degrees = program.needs_degrees
     return stream_scatter(
         plan,
         program,
@@ -436,5 +419,56 @@ def planned_scatter(ctx: Any, direction: str) -> int:
         degree_cells=(
             plan.cell_degrees(ctx.group.out_degrees) if needs_degrees else None
         ),
-        force_at=ctx.config.kernel == "plan-at",
     )
+
+
+def vectorized_scatter(ctx: "ExecContext") -> None:
+    """One untraced scatter phase: the mode's accounting of one planned scatter.
+
+    Push enumerates the out-edges of its frontier (every out-edge for
+    REGATHER programs) and, for MONOTONE programs, scans its own O(|V|)
+    dirty bits; pull enumerates the full in-edge array and checks one
+    dirty bit per live in-neighbour — its O(|E|) overhead, read off the
+    plan's per-snapshot stream histogram; stream (X-Stream) enumerates the
+    full out-edge array and writes one update entry per fold. The plan's
+    destination sort refines stream mode's shuffle order (bucket id is
+    monotone in destination vertex), so per-destination fold order — and
+    therefore every result bit — is the same in all three.
+    """
+    group = ctx.group
+    state = ctx.state
+    counters = ctx.counters
+    mode = ctx.config.mode
+    if mode is Mode.PUSH:
+        edge_counts = np.diff(group.out_index)
+        if ctx.monotone:
+            counters.dirty_checks += group.num_vertices * group.num_snapshots
+            active_now = state.active & state.snap_active[None, :]
+            active_any = active_now.any(axis=1)
+            n_sel = int(edge_counts[active_any].sum())
+            if n_sel == 0:
+                return
+            # One enumeration covers every edge of every active vertex.
+            counters.edge_array_accesses += n_sel
+            counters.vertex_value_reads += int(
+                active_now[active_any & (edge_counts > 0)].sum()
+            )
+        else:
+            counters.edge_array_accesses += group.num_edges
+            counters.vertex_value_reads += int((edge_counts > 0).sum()) * int(
+                state.snap_active.sum()
+            )
+        counters.acc_updates += planned_scatter(ctx, "out")
+        return
+    counters.edge_array_accesses += group.num_edges
+    if mode is Mode.PULL:
+        plan = state.gather_plan("in")
+        counters.dirty_checks += int(
+            plan.snap_entry_counts[state.snap_active].sum()
+        )
+        updates = planned_scatter(ctx, "in")
+    else:
+        updates = planned_scatter(ctx, "out")
+        counters.update_entries += updates
+    counters.acc_updates += updates
+    counters.vertex_value_reads += updates

@@ -19,22 +19,15 @@ from repro.algorithms.program import Semantics, VertexProgram
 from repro.engine.common import ExecContext
 from repro.engine.config import EngineConfig, Mode
 from repro.engine.counters import EngineCounters
-from repro.engine.pull import PullEngine
-from repro.engine.push import PushEngine
+from repro.engine.kernels import vectorized_scatter
 from repro.engine.state import GroupState
-from repro.engine.stream import StreamEngine
+from repro.engine.traced import trace_apply, traced_scatter
 from repro.layout.address_space import AddressSpace
 from repro.memsim.counters import MemoryCounters
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.obs import runtime as obs
 from repro.parallel.locks import LockTable
 from repro.temporal.series import GroupView, SnapshotSeriesView
-
-ENGINES = {
-    Mode.PUSH: PushEngine(),
-    Mode.PULL: PullEngine(),
-    Mode.STREAM: StreamEngine(),
-}
 
 #: Safety cap for convergence-driven programs.
 MAX_SAFE_ITERATIONS = 100_000
@@ -61,50 +54,12 @@ def _apply_phase(ctx: ExecContext) -> None:
     new = np.where(upd_mask, cand, state.values)
     changed = program.changed(state.values, new) & snapm[None, :]
     if ctx.traced:
-        _trace_apply(ctx, changed)
+        trace_apply(ctx, changed)
     state.values[:] = new
     # In-place mask updates: the process executor's workers map these
     # arrays through shared memory, so the storage must stay put.
     state.active[...] = changed & group.vertex_exists
     state.snap_active[...] = snapm & changed.any(axis=0)
-
-
-def _trace_apply(ctx: ExecContext, changed: np.ndarray) -> None:
-    """Charge the apply phase's memory accesses to the simulated cores."""
-    state = ctx.state
-    hier = ctx.hierarchy
-    core_of = ctx.core_of
-    vlay = state.values_layout
-    alay = state.acc_layout
-    dlay = state.dirty_layout
-    if ctx.monotone:
-        rows = np.nonzero(state.received.any(axis=1))[0]
-        for v in rows:
-            core = int(core_of[v])
-            snaps = np.nonzero(state.received[v])[0]
-            for a, n in alay.ranges(v, snaps):
-                hier.access(a, n, False, core)
-            for a, n in vlay.ranges(v, snaps):
-                hier.access(a, n, True, core)
-            hier.alu(len(snaps), core)
-        crows = np.nonzero(changed.any(axis=1))[0]
-        for v in crows:
-            core = int(core_of[v])
-            snaps = np.nonzero(changed[v])[0]
-            for a, n in dlay.ranges(v, snaps):
-                hier.access(a, n, True, core)
-    else:
-        snaps = np.nonzero(state.snap_active)[0]
-        if snaps.size == 0:
-            return
-        live_rows = np.nonzero(ctx.group.vertex_exists.any(axis=1))[0]
-        for v in live_rows:
-            core = int(core_of[v])
-            for a, n in alay.ranges(v, snaps):
-                hier.access(a, n, False, core)
-            for a, n in vlay.ranges(v, snaps):
-                hier.access(a, n, True, core)
-            hier.alu(len(snaps), core)
 
 
 def run_group(
@@ -189,174 +144,149 @@ def _run_group_once(
         "group",
         {"start": int(group.start), "stop": int(group.stop)},
     ):
-        return _run_group_body(
-            group,
-            program,
-            config,
-            hierarchy=hierarchy,
-            locks=locks,
-            core_of=core_of,
-            only_snapshots=only_snapshots,
-            address_space=address_space,
-            initial_values=initial_values,
-            initial_active=initial_active,
-            on_iteration=on_iteration,
+        program.validate()
+        counters = EngineCounters()
+        traced = config.trace
+        if traced and hierarchy is None:
+            hierarchy = MemoryHierarchy(
+                config.num_cores, config.hierarchy_config, config.cost_model
+            )
+        if state is None:
+            state = GroupState(
+                group,
+                config.layout,
+                program,
+                trace=traced,
+                address_space=address_space,
+            )
+        else:
+            state.snap_active[...] = True
+            if program.semantics is Semantics.MONOTONE:
+                state.active[...] = (
+                    program.initial_active(group) & group.vertex_exists
+                )
+            else:
+                state.active[...] = group.vertex_exists
+        if initial_values is not None:
+            state.values[:] = np.where(
+                group.vertex_exists, initial_values, np.nan
+            )
+        if initial_active is not None:
+            state.active[...] = initial_active & group.vertex_exists
+        if only_snapshots is not None:
+            mask = np.zeros(group.num_snapshots, dtype=bool)
+            mask[list(only_snapshots)] = True
+            state.snap_active &= mask
+            state.active &= mask[None, :]
+
+        if not traced:
+            # Build (or fetch) the gather plan up front: the bitmap unpack and
+            # destination sort happen once per group, not once per iteration.
+            with obs.span("phase", "plan"):
+                plan = state.gather_plan(
+                    "in" if config.mode is Mode.PULL else "out"
+                )
+            if config.sanitize and shm is None:
+                # Serial arm of the sanitizer: the segmented fold assumes a
+                # destination-sorted stream; prove it once per group. (The
+                # process executor proves shard disjointness instead — see
+                # BatchSession.)
+                from repro.parallel.plan_shard import assert_destination_sorted
+
+                assert_destination_sorted(plan.flat, int(group.start))
+
+        resolved = core_of if core_of is not None else config.resolve_core_of(
+            group.num_vertices
+        )
+        if _wants_locks(config):
+            if locks is None:
+                locks = LockTable(config.cost_model)
+        else:
+            locks = None
+        ctx = ExecContext(
+            group=group,
             state=state,
+            program=program,
+            config=config,
+            counters=counters,
+            hierarchy=hierarchy if traced else None,
+            core_of=resolved,
+            locks=locks,
             shm=shm,
         )
-
-
-def _run_group_body(
-    group: GroupView,
-    program: VertexProgram,
-    config: EngineConfig,
-    hierarchy: Optional[MemoryHierarchy] = None,
-    locks: Optional[LockTable] = None,
-    core_of: Optional[np.ndarray] = None,
-    only_snapshots: Optional[List[int]] = None,
-    address_space: Optional[AddressSpace] = None,
-    initial_values: Optional[np.ndarray] = None,
-    initial_active: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[ExecContext], None]] = None,
-    state: Optional[GroupState] = None,
-    shm: Optional[object] = None,
-) -> Tuple[np.ndarray, EngineCounters]:
-    program.validate()
-    engine = ENGINES[config.mode]
-    counters = EngineCounters()
-    traced = config.trace
-    if traced and hierarchy is None:
-        hierarchy = MemoryHierarchy(
-            config.num_cores, config.hierarchy_config, config.cost_model
+        max_iter = (
+            config.max_iterations
+            if config.max_iterations is not None
+            else (program.max_iterations or MAX_SAFE_ITERATIONS)
         )
-    if state is None:
-        state = GroupState(
-            group,
-            config.layout,
-            program,
-            trace=traced,
-            address_space=address_space,
-        )
-    else:
-        state.snap_active[...] = True
-        if program.semantics is Semantics.MONOTONE:
-            state.active[...] = program.initial_active(group) & group.vertex_exists
-        else:
-            state.active[...] = group.vertex_exists
-    if initial_values is not None:
-        state.values[:] = np.where(group.vertex_exists, initial_values, np.nan)
-    if initial_active is not None:
-        state.active[...] = initial_active & group.vertex_exists
-    if only_snapshots is not None:
-        mask = np.zeros(group.num_snapshots, dtype=bool)
-        mask[list(only_snapshots)] = True
-        state.snap_active &= mask
-        state.active &= mask[None, :]
-
-    if not traced and config.kernel != "legacy":
-        # Build (or fetch) the gather plan up front: the bitmap unpack and
-        # destination sort happen once per group, not once per iteration.
-        with obs.span("phase", "plan"):
-            plan = state.gather_plan(
-                "in" if config.mode is Mode.PULL else "out"
+        regather = program.semantics is Semantics.REGATHER
+        cost = config.cost_model
+        # Observability, hoisted out of the loop: when disabled (the common
+        # case) each iteration costs one None check and a shared no-op
+        # context manager — no span object or args dict is ever allocated.
+        observation = obs.active()
+        tracing = observation is not None and observation.tracer is not None
+        gstart = int(group.start)
+        while state.snap_active.any() and counters.iterations < max_iter:
+            ispan = (
+                observation.span(
+                    "iteration",
+                    "iteration",
+                    {"group": gstart, "index": int(counters.iterations)},
+                )
+                if tracing
+                else obs.NOOP
             )
-        if config.sanitize and shm is None:
-            # Serial arm of the sanitizer: the segmented fold assumes a
-            # destination-sorted stream; prove it once per group. (The
-            # process executor proves shard disjointness instead — see
-            # BatchSession.)
-            from repro.parallel.plan_shard import assert_destination_sorted
-
-            assert_destination_sorted(plan.flat, int(group.start))
-
-    resolved = core_of if core_of is not None else config.resolve_core_of(
-        group.num_vertices
-    )
-    if _wants_locks(config):
-        if locks is None:
-            locks = LockTable(config.cost_model)
-    else:
-        locks = None
-    ctx = ExecContext(
-        group=group,
-        state=state,
-        program=program,
-        config=config,
-        counters=counters,
-        hierarchy=hierarchy if traced else None,
-        core_of=resolved,
-        locks=locks,
-    )
-    max_iter = (
-        config.max_iterations
-        if config.max_iterations is not None
-        else (program.max_iterations or MAX_SAFE_ITERATIONS)
-    )
-    regather = program.semantics is Semantics.REGATHER
-    cost = config.cost_model
-
-    # ctx.shm routes every planned scatter to the worker pool (no-op for
-    # serial runs, where shm is None).
-    ctx.shm = shm
-    # Observability, hoisted out of the loop: when disabled (the common
-    # case) each iteration costs one None check and a shared no-op
-    # context manager — no span object or args dict is ever allocated.
-    observation = obs.active()
-    tracing = observation is not None and observation.tracer is not None
-    gstart = int(group.start)
-    while state.snap_active.any() and counters.iterations < max_iter:
-        ispan = (
-            observation.span(
-                "iteration",
-                "iteration",
-                {"group": gstart, "index": int(counters.iterations)},
-            )
-            if tracing
-            else obs.NOOP
-        )
-        with ispan:
-            if traced:
-                before = [c.cycles for c in hierarchy.counters.per_core]
-                msgs_before = counters.messages
-                bytes_before = counters.message_bytes
-            if regather:
-                state.reset_acc()
-            state.received[:] = False
-            engine.scatter(ctx)
-            if locks is not None:
-                extra, total = locks.finish_iteration()
-                for core, cyc in extra.items():
-                    hierarchy.add_cycles(cyc, core)
-                counters.lock_contention_cycles += total
-            with obs.span("phase", "apply"):
-                _apply_phase(ctx)
-            counters.iterations += 1
-            if traced:
-                deltas = [
-                    c.cycles - b
-                    for c, b in zip(hierarchy.counters.per_core, before)
-                ]
-                counters.sim_cycles += max(deltas)
-                if config.distributed:
-                    dm = counters.messages - msgs_before
-                    db = counters.message_bytes - bytes_before
-                    if dm:
-                        # Machines flush their per-destination buffers
-                        # concurrently each superstep.
-                        net_s = (
-                            cost.message_seconds(dm, db) / config.num_cores
-                        )
-                        counters.extra_seconds += net_s
-                        counters.sim_cycles += int(net_s * cost.frequency_hz)
-            if on_iteration is not None:
-                on_iteration(ctx)
-    # Copy the result out *before* the owning session releases the
-    # group: unlinking the shared segments unmaps the state arrays'
-    # backing storage.
-    with obs.span("phase", "gather"):
-        result = state.values.copy()
-
-    return result, counters
+            with ispan:
+                if traced:
+                    before = [c.cycles for c in hierarchy.counters.per_core]
+                    msgs_before = counters.messages
+                    bytes_before = counters.message_bytes
+                if regather:
+                    state.reset_acc()
+                # The one scatter-phase bracket for every path: simulated
+                # scatters, serial folds and process-executor dispatches (where
+                # the planned scatter routes through ctx.shm to the pool).
+                with obs.span("phase", "scatter"):
+                    if traced:
+                        traced_scatter(ctx)
+                    else:
+                        vectorized_scatter(ctx)
+                if locks is not None:
+                    extra, total = locks.finish_iteration()
+                    for core, cyc in extra.items():
+                        hierarchy.add_cycles(cyc, core)
+                    counters.lock_contention_cycles += total
+                with obs.span("phase", "apply"):
+                    _apply_phase(ctx)
+                counters.iterations += 1
+                if traced:
+                    deltas = [
+                        c.cycles - b
+                        for c, b in zip(hierarchy.counters.per_core, before)
+                    ]
+                    counters.sim_cycles += max(deltas)
+                    if config.distributed:
+                        dm = counters.messages - msgs_before
+                        db = counters.message_bytes - bytes_before
+                        if dm:
+                            # Machines flush their per-destination buffers
+                            # concurrently each superstep.
+                            net_s = (
+                                cost.message_seconds(dm, db) / config.num_cores
+                            )
+                            counters.extra_seconds += net_s
+                            counters.sim_cycles += int(
+                                net_s * cost.frequency_hz
+                            )
+                if on_iteration is not None:
+                    on_iteration(ctx)
+        # Copy the result out *before* the owning session releases the
+        # group: unlinking the shared segments unmaps the state arrays'
+        # backing storage.
+        with obs.span("phase", "gather"):
+            result = state.values.copy()
+        return result, counters
 
 
 @dataclass
@@ -384,10 +314,8 @@ class RunResult:
         """Simulated end-to-end time (traced runs only)."""
         if not self.config.trace:
             return None
-        return (
-            self.config.cost_model.seconds(self.counters.sim_cycles)
-            + 0.0  # extra_seconds already folded into sim_cycles
-        )
+        # extra_seconds is already folded into sim_cycles
+        return self.config.cost_model.seconds(self.counters.sim_cycles)
 
     def decoded(self) -> np.ndarray:
         """User-facing values (e.g. MIS membership instead of encoding)."""
@@ -499,9 +427,6 @@ def _run_series(
     resumed = 0
     cached = 0
     seeded = 0
-    #: Per-group run_group overrides (seeded initial state), set by the
-    #: reuse planner for the group about to execute.
-    extra: Dict[str, Any]
 
     def complete(
         group: GroupView,
@@ -524,111 +449,80 @@ def _run_series(
         if _plan is not None and _plan.take_abort(group.start):
             os._exit(137)
 
-    use_batch = (
-        config.executor == "process"
-        and not traced
-        and config.parallel == "partition"
+    # Under the process executor up to dispatch_batch groups share one
+    # setup IPC round-trip (see repro.parallel.shm.BatchSession); groups
+    # still run to convergence one at a time in series order, so values,
+    # counters, and checkpoint layout match serial (dispatch width 1)
+    # exactly. Seeds depend on the predecessor group's completed result,
+    # so incremental reuse flushes one group per dispatch; plain cache
+    # reuse (lookups need no results) keeps full batching.
+    use_batch = config.executor == "process"
+    dispatch = (
+        config.effective_dispatch_batch()
+        if use_batch and not (planner is not None and planner.seed_incremental)
+        else 1
     )
-    if use_batch:
-        # Batched dispatch: up to dispatch_batch groups share one setup
-        # IPC round-trip (see repro.parallel.shm.BatchSession). Groups
-        # still run to convergence one at a time in series order, so
-        # values, counters, and checkpoint layout match serial exactly.
-        from repro.parallel.shm import run_batch
+    pending: List[Tuple[GroupView, Dict[str, Any]]] = []
 
-        # Seeds depend on the predecessor group's completed result, so
-        # incremental reuse flushes one group per dispatch; plain cache
-        # reuse (lookups need no results) keeps full batching.
-        dispatch = (
-            1
-            if planner is not None and planner.seed_incremental
-            else config.effective_dispatch_batch()
-        )
-        pending: List[Tuple[GroupView, Dict[str, Any]]] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            batch_groups = [g for g, _ in pending]
-            batch_extras = [k for _, k in pending]
-            pending.clear()
-            run_batch(
-                batch_groups,
-                program,
-                config,
-                group_kwargs=[
-                    dict(
-                        hierarchy=hierarchy,
-                        locks=locks,
-                        core_of=core_of,
-                        address_space=space,
-                        **extra,
-                    )
-                    for extra in batch_extras
-                ],
-                on_group_done=lambda i, vals, counters: complete(
-                    batch_groups[i], vals, counters, True
-                ),
-            )
-
-        for group in series.groups(batch):
-            restored = checkpoint.load(group) if checkpoint is not None else None
-            if restored is not None:
-                # Keep completion order identical to serial: everything
-                # dispatched before this group finishes first.
-                flush()
-                vals, counters = restored
-                resumed += 1
-                complete(group, vals, counters, False)
-                continue
-            extra = {}
-            if planner is not None:
-                entry = planner.lookup(group)
-                if entry is not None:
-                    flush()
-                    cached += 1
-                    complete(group, entry.values, entry.counters, False)
-                    continue
-                extra, base_counters = planner.seed_kwargs(group)
-                if extra:
-                    seeded += 1
-                if base_counters is not None:
-                    total.merge(base_counters)
-            pending.append((group, extra))
-            if len(pending) >= dispatch:
-                flush()
-        flush()
-    else:
-        for group in series.groups(batch):
-            restored = checkpoint.load(group) if checkpoint is not None else None
-            if restored is not None:
-                vals, counters = restored
-                resumed += 1
-                complete(group, vals, counters, False)
-                continue
-            extra = {}
-            if planner is not None:
-                entry = planner.lookup(group)
-                if entry is not None:
-                    cached += 1
-                    complete(group, entry.values, entry.counters, False)
-                    continue
-                extra, base_counters = planner.seed_kwargs(group)
-                if extra:
-                    seeded += 1
-                if base_counters is not None:
-                    total.merge(base_counters)
-            vals, counters = run_group(
-                group,
-                program,
-                config,
+    def flush() -> None:
+        if not pending:
+            return
+        groups = [g for g, _ in pending]
+        kwargs = [
+            dict(
                 hierarchy=hierarchy,
                 locks=locks,
                 core_of=core_of,
                 address_space=space,
                 **extra,
             )
-            complete(group, vals, counters, True)
+            for _, extra in pending
+        ]
+        pending.clear()
+        if use_batch:
+            from repro.parallel.shm import run_batch
+
+            run_batch(
+                groups,
+                program,
+                config,
+                group_kwargs=kwargs,
+                on_group_done=lambda i, vals, counters: complete(
+                    groups[i], vals, counters, True
+                ),
+            )
+        else:
+            vals, counters = run_group(groups[0], program, config, **kwargs[0])
+            complete(groups[0], vals, counters, True)
+
+    for group in series.groups(batch):
+        restored = checkpoint.load(group) if checkpoint is not None else None
+        if restored is not None:
+            # Keep completion order identical to serial: everything
+            # dispatched before this group finishes first.
+            flush()
+            vals, counters = restored
+            resumed += 1
+            complete(group, vals, counters, False)
+            continue
+        extra: Dict[str, Any] = {}
+        if planner is not None:
+            entry = planner.lookup(group)
+            if entry is not None:
+                flush()
+                cached += 1
+                complete(group, entry.values, entry.counters, False)
+                continue
+            # Seeded initial state for the group about to execute.
+            extra, base_counters = planner.seed_kwargs(group)
+            if extra:
+                seeded += 1
+            if base_counters is not None:
+                total.merge(base_counters)
+        pending.append((group, extra))
+        if len(pending) >= dispatch:
+            flush()
+    flush()
     if traced:
         total.per_core_cycles = [c.cycles for c in hierarchy.counters.per_core]
     return RunResult(

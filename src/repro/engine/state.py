@@ -98,11 +98,12 @@ class GroupState:
             self.active[...] = group.vertex_exists
         self.snap_active = alloc.allocate((Sg,), np.bool_, "snap_active")
         self.snap_active[...] = True
-        #: (V, S_g) mask of accumulator cells written in the current
-        #: iteration (traced runs use it to charge apply-phase accesses).
-        self.received = np.zeros((V, Sg), dtype=bool)
 
         # --- simulated address regions (traced runs only) --------------- #
+        #: (V, S_g) mask of accumulator cells written in the current
+        #: iteration; the simulated engine charges apply-phase accesses
+        #: from it (:mod:`repro.engine.traced`).
+        self.received: Optional[np.ndarray] = None
         self.space: Optional[AddressSpace] = None
         self.values_layout: Optional[VertexArrayLayout] = None
         self.acc_layout: Optional[VertexArrayLayout] = None
@@ -112,6 +113,7 @@ class GroupState:
         self.update_buffer_base = -1
         self.bucket_bases: Optional[np.ndarray] = None
         if trace:
+            self.received = np.zeros((V, Sg), dtype=bool)
             self.space = address_space or AddressSpace()
             space = self.space
             vbytes = V * Sg * 8

@@ -10,7 +10,7 @@ and runs four interprocedural passes against it:
   wall-clock reads, global-RNG draws, env reads, and set-iteration
   nondeterminism outside the injected-clock ``repro.obs`` boundary. This
   machine-checks the determinism contract ``repro.cache.keys.config_digest``
-  assumes when it excludes executor/workers/kernel/sanitize from the key.
+  assumes when it excludes executor/workers/sanitize from the key.
 - :mod:`repro.flow.exceptions` (CHF002) — exception-flow audit: every
   ``raise`` reachable from a public API surfaces a ``repro.errors`` type,
   and the retryable/non-retryable split consumed by ``resilience/retry.py``

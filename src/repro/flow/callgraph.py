@@ -19,8 +19,8 @@ every function body to zero or more callee qualnames:
   method name against every class in the package — minus a blocklist of
   ubiquitous builtin-collection/file method names (``.append``, ``.get``,
   ``.write``, ...) that would otherwise wire unrelated code together.
-  Fallback is what lets dict-dispatched engines (``ENGINES[mode]``) stay
-  inside the analyzed world;
+  Fallback is what lets handle-dispatched calls (``ctx.shm.scatter``)
+  stay inside the analyzed world;
 - anything still unresolved is **optimistically ignored**: chronoflow
   proves contracts about the code it can see, and the per-file chronolint
   rules keep the blind spots narrow.

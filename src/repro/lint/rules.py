@@ -137,13 +137,13 @@ class GlobalRandomnessRule(Rule):
 class ScatterDisciplineRule(Rule):
     """CHR002: ``ufunc.at`` / in-place scatter only inside engine/kernels.py.
 
-    The bitwise-identity contract between the serial fold, the plan
-    kernels, and the sharded process executor holds because every
-    accumulator write goes through the audited fold implementations in
-    :mod:`repro.engine.kernels` (per-cell application order is pinned
-    there). A stray ``ufunc.at`` elsewhere in the engine or executors
-    bypasses that audit — and under owner-computes sharding it can write
-    cells the worker does not own.
+    The bitwise-identity contract between the serial fold, the simulated
+    engine, and the sharded process executor holds because every
+    vectorised accumulator write goes through the one audited segmented
+    fold in :mod:`repro.engine.kernels` (per-cell application order is
+    pinned there). A stray ``ufunc.at`` elsewhere in the engine or
+    executors bypasses that audit — and under owner-computes sharding it
+    can write cells the worker does not own.
     """
 
     rule_id = "CHR002"
@@ -172,7 +172,7 @@ class ScatterDisciplineRule(Rule):
         ):
             yield node, (
                 "in-place ufunc.at scatter outside repro.engine.kernels; "
-                "route the fold through kernels.fold_at / SegmentedStreamFold "
+                "route the fold through kernels.SegmentedStreamFold.fold "
                 "so per-cell application order stays audited"
             )
 

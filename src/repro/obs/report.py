@@ -140,7 +140,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         "parallel": config.parallel,
         "batch_size": config.batch_size,
         "dispatch_batch": config.dispatch_batch,
-        "kernel": config.kernel,
         "mmap": config.mmap,
         "sanitize": config.sanitize,
         "reuse": config.reuse,
@@ -172,7 +171,6 @@ def incremental_report(result: Any) -> Dict[str, Any]:
                 "executor": config.executor,
                 "workers": config.workers,
                 "batch_size": config.batch_size,
-                "kernel": config.kernel,
             }
         )
     return build_report(

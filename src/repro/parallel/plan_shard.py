@@ -247,13 +247,12 @@ class PlanShard(SegmentedStreamFold):
         ufunc: np.ufunc,
         msg: np.ndarray,
         sel: Optional[np.ndarray],
-        force_at: bool = False,
     ) -> int:
         if self.sanitize_map is not None:
             flat_sel = self.flat if sel is None else self.flat[sel]
             if flat_sel.shape[0]:
                 self._check_ownership(flat_sel)
-        return super().fold(acc_flat, ufunc, msg, sel, force_at=force_at)
+        return super().fold(acc_flat, ufunc, msg, sel)
 
     # ------------------------------------------------------------------ #
     # per-iteration selection (slice-local positions)

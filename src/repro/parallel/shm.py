@@ -558,7 +558,6 @@ class _WorkerGroup:
         self.program = program
         self.monotone = spec["monotone"]
         self.needs_degrees = spec["needs_degrees"]
-        self.force_at = spec["force_at"]
         self.obs_args = {
             "group": spec.get("group_start", -1),
             "worker": spec.get("worker_id", -1),
@@ -578,7 +577,6 @@ class _WorkerGroup:
                 monotone=self.monotone,
                 needs_degrees=self.needs_degrees,
                 degree_cells=self.degree_cells,
-                force_at=self.force_at,
             )
 
     def close(self) -> None:
@@ -1015,8 +1013,6 @@ def _process_unavailable_reason(config: EngineConfig) -> Optional[str]:
     """Why the process executor can't run this config (None = it can)."""
     if config.workers <= 1:
         return "workers=1 gives no parallelism"
-    if config.kernel == "legacy":
-        return "the legacy kernel has no shardable gather plan"
     if config.distributed:
         return "distributed runs are simulated serially"
     if not shared_memory_available():
@@ -1099,10 +1095,9 @@ class BatchSession:
         program: "VertexProgram",
         config: EngineConfig,
     ) -> None:
-        needs_degrees = getattr(program, "name", "") == "pagerank"
+        needs_degrees = program.needs_degrees
         needs_weights = program.needs_weights
         monotone = program.semantics is Semantics.MONOTONE
-        force_at = config.kernel == "plan-at"
         plan_faults = faults.active()
         pool = self.pool
         # Whether workers should record (and later ship) their own spans;
@@ -1185,7 +1180,6 @@ class BatchSession:
                         "group_start": group_start,
                         "monotone": monotone,
                         "needs_degrees": needs_degrees,
-                        "force_at": force_at,
                     }
                     if plan_faults is not None:
                         # Consumed at build time, keyed by group start: a
@@ -1220,8 +1214,8 @@ class BatchSession:
                 f"session built for direction {self.direction!r}, "
                 f"got scatter in {direction!r}"
             )
-        # No span here: the engine-level scatter bracket in
-        # ModeEngine.scatter already covers this round-trip.
+        # No span here: the runner's scatter bracket
+        # (_run_group_once) already covers this round-trip.
         return sum(
             self.pool.call_all(
                 ("scatter", index),

@@ -77,7 +77,6 @@ class RunCheckpoint:
             "mode": config.mode.value,
             "layout": config.layout.value,
             "batch_size": config.batch_size,
-            "kernel": config.kernel,
             "max_iterations": config.max_iterations,
         }
         self._groups: dict = {}

@@ -26,6 +26,29 @@ def no_shared_memory_leaks():
     assert leaked == [], f"leaked shared-memory segments: {leaked}"
 
 
+#: The counters both engines define (the rest are simulation-only).
+LOGICAL_COUNTERS = (
+    "iterations",
+    "edge_array_accesses",
+    "acc_updates",
+    "vertex_value_reads",
+    "dirty_checks",
+    "update_entries",
+)
+
+
+def assert_matches_traced(got, traced, label=""):
+    """An untraced run equals the ``trace=True`` run of the same cell:
+    values byte for byte and all six logical counters."""
+    assert got.values.tobytes() == traced.values.tobytes(), (
+        f"values differ from the traced run {label}"
+    )
+    for name in LOGICAL_COUNTERS:
+        assert getattr(got.counters, name) == getattr(traced.counters, name), (
+            f"{name} differs from the traced run {label}"
+        )
+
+
 def random_temporal_graph(
     num_vertices: int = 50,
     num_events: int = 600,

@@ -1,9 +1,9 @@
-"""Tests for engine-internal helpers."""
+"""Tests for the simulated engine's bitmap helpers."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.common import mask_to_int, snap_indices, unpack_bits
+from repro.engine.traced import mask_to_int, snap_indices
 
 
 class TestSnapIndices:
@@ -23,18 +23,6 @@ class TestSnapIndices:
         got = list(snap_indices(bitmap))
         want = [i for i in range(64) if (bitmap >> i) & 1]
         assert got == want
-
-
-class TestUnpackBits:
-    def test_matrix_shape_and_values(self):
-        bm = np.array([0b101, 0b010], dtype=np.uint64)
-        mat = unpack_bits(bm, 3)
-        assert mat.shape == (2, 3)
-        assert mat.tolist() == [[True, False, True], [False, True, False]]
-
-    def test_empty(self):
-        mat = unpack_bits(np.zeros(0, dtype=np.uint64), 4)
-        assert mat.shape == (0, 4)
 
 
 class TestMaskToInt:

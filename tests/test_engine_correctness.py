@@ -25,6 +25,7 @@ from repro.reference import (
     reference_sssp,
     reference_wcc,
 )
+from tests.conftest import assert_matches_traced
 
 MODES = [Mode.PUSH, Mode.PULL, Mode.STREAM]
 LAYOUTS = [LayoutKind.TIME_LOCALITY, LayoutKind.STRUCTURE_LOCALITY]
@@ -132,13 +133,7 @@ class TestTracedEqualsVectorized:
         traced = run(
             small_series, prog, EngineConfig(mode=mode, batch_size=2, trace=True)
         )
-        np.testing.assert_array_equal(fast.values, traced.values)
-        assert fast.counters.iterations == traced.counters.iterations
-        assert (
-            fast.counters.edge_array_accesses
-            == traced.counters.edge_array_accesses
-        )
-        assert fast.counters.acc_updates == traced.counters.acc_updates
+        assert_matches_traced(fast, traced)
         assert traced.sim_seconds is not None and traced.sim_seconds > 0
         assert fast.sim_seconds is None
 

@@ -1,10 +1,12 @@
-"""Property tests: segmented-kernel scatter is bit-identical to ufunc.at.
+"""Property tests: the plan-driven scatter is bit-identical to a per-edge fold.
 
-The gather-plan kernels (:mod:`repro.engine.kernels`) promise *bitwise*
-identical values and *identical* logical counters versus the legacy
-unpack-and-``ufunc.at`` path, for every mode, layout, gather kind, and
-semantics. These tests state that promise as properties over random
-temporal graphs and random COO streams.
+The vectorised scatter (:mod:`repro.engine.kernels`) promises *bitwise*
+identical values and *identical* logical counters versus the per-edge
+simulated engine (:mod:`repro.engine.traced`, ``trace=True``) — an
+independent implementation of the same fold order — for every mode,
+layout, gather kind, and semantics; the fold itself is checked against a
+sequential ``ufunc.at``. These tests state that promise as properties
+over random temporal graphs and random COO streams.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ from repro.engine.config import EngineConfig, Mode
 from repro.engine.kernels import GatherPlan
 from repro.engine.runner import run
 from repro.layout.vertex_array import LayoutKind
-from tests.conftest import random_temporal_graph
+from repro.temporal.builder import TemporalGraphBuilder
+from tests.conftest import assert_matches_traced, random_temporal_graph
 
 MODES = [Mode.PUSH, Mode.PULL, Mode.STREAM]
 LAYOUTS = [LayoutKind.TIME_LOCALITY, LayoutKind.STRUCTURE_LOCALITY]
@@ -59,19 +62,12 @@ def _program(app: str) -> VertexProgram:
 
 
 def _assert_kernels_agree(series, app, mode, layout, batch):
-    results = {}
-    for kernel in ("legacy", "plan", "plan-at"):
-        cfg = EngineConfig(mode=mode, layout=layout, batch_size=batch, kernel=kernel)
-        results[kernel] = run(series, _program(app), cfg)
-    ref = results["legacy"]
-    for kernel in ("plan", "plan-at"):
-        got = results[kernel]
-        assert got.values.tobytes() == ref.values.tobytes(), (
-            f"{kernel} values differ from legacy for {app}/{mode}/{layout}"
-        )
-        assert got.counters == ref.counters, (
-            f"{kernel} counters differ from legacy for {app}/{mode}/{layout}"
-        )
+    cfg = EngineConfig(mode=mode, layout=layout, batch_size=batch)
+    assert_matches_traced(
+        run(series, _program(app), cfg),
+        run(series, _program(app), cfg.with_(trace=True)),
+        f"for {app}/{mode}/{layout}/batch {batch}",
+    )
 
 
 @given(
@@ -79,8 +75,9 @@ def _assert_kernels_agree(series, app, mode, layout, batch):
     mode=st.sampled_from(MODES),
     layout=st.sampled_from(LAYOUTS),
     batch=st.sampled_from([1, 3, 8]),
-    # additive REGATHER, min MONOTONE (weighted and unweighted), logical OR
-    app=st.sampled_from(["pagerank", "sssp", "wcc", "reach-or"]),
+    # additive REGATHER (weighted and unweighted), min MONOTONE (weighted
+    # and unweighted), min REGATHER, logical OR
+    app=st.sampled_from(["pagerank", "sssp", "wcc", "spmv", "mis", "reach-or"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_plan_matches_ufunc_at_on_random_graphs(seed, mode, layout, batch, app):
@@ -135,9 +132,23 @@ def test_monotone_selection_branches_agree(monkeypatch, factor):
     graph = random_temporal_graph(num_vertices=25, num_events=200, seed=5)
     series = graph.series(graph.evenly_spaced_times(8))
     baseline = run(
-        series, _program("sssp"), EngineConfig(mode=Mode.PUSH, kernel="legacy")
+        series, _program("sssp"), EngineConfig(mode=Mode.PUSH, trace=True)
     )
     monkeypatch.setattr(kernels, "_CSR_SELECT_FACTOR", factor)
-    got = run(series, _program("sssp"), EngineConfig(mode=Mode.PUSH, kernel="plan"))
-    assert got.values.tobytes() == baseline.values.tobytes()
-    assert got.counters == baseline.counters
+    got = run(series, _program("sssp"), EngineConfig(mode=Mode.PUSH))
+    assert_matches_traced(got, baseline)
+
+
+def test_push_counts_dirty_checks_when_frontier_has_no_out_edges():
+    """Push scans its own O(|V|) dirty bits every iteration — also the last
+    one of a monotone run, whose frontier is all sinks and scatters nothing."""
+    builder = TemporalGraphBuilder()
+    for leaf in (1, 2):
+        builder.add_edge(0, leaf, leaf)  # a star: both leaves are sinks
+    series = builder.build().series([2, 3])
+    program = make_program("sssp", source=0)
+    got = run(series, program, EngineConfig(mode=Mode.PUSH))
+    traced = run(series, program, EngineConfig(mode=Mode.PUSH, trace=True))
+    assert_matches_traced(got, traced)
+    V, S = series.num_vertices, series.num_snapshots
+    assert got.counters.dirty_checks == got.counters.iterations * V * S

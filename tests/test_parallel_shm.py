@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import make_program
+from repro.algorithms import PageRank, make_program
 from repro.algorithms.program import GatherKind, Semantics, VertexProgram
 from repro.engine.config import EngineConfig
 from repro.engine.runner import run, run_group
@@ -140,6 +140,30 @@ def test_initial_values_seeding_parity(series16):
     assert_no_segment_leaks()
 
 
+class RenamedPageRank(PageRank):
+    """PageRank under another name: still needs source out-degrees."""
+
+    name = "ppr"
+
+
+def test_renamed_pagerank_subclass_gets_degrees(series16):
+    """``needs_degrees`` is declared by the class, not inferred from the
+    program's name, on the serial, simulated and process paths alike."""
+    want = run(series16, PageRank(iterations=3), EngineConfig(batch_size=4))
+    for kwargs in (
+        {},
+        {"trace": True},
+        {"executor": "process", "workers": WORKERS},
+    ):
+        got = run(
+            series16,
+            RenamedPageRank(iterations=3),
+            EngineConfig(batch_size=4, **kwargs),
+        )
+        assert got.values.tobytes() == want.values.tobytes(), kwargs
+    assert_no_segment_leaks()
+
+
 # ---------------------------------------------------------------------- #
 # robustness: worker failure must not deadlock or leak
 
@@ -228,26 +252,6 @@ def test_workers_one_falls_back_to_serial(series16):
             program,
             EngineConfig(mode="push", batch_size=4, executor="process", workers=1),
         )
-    assert result.values.tobytes() == serial.values.tobytes()
-
-
-def test_legacy_kernel_falls_back_to_serial(series16):
-    program = make_program("pagerank")
-    with pytest.warns(RuntimeWarning, match="falling back to the serial"):
-        result = run(
-            series16,
-            program,
-            EngineConfig(
-                mode="push",
-                batch_size=4,
-                kernel="legacy",
-                executor="process",
-                workers=WORKERS,
-            ),
-        )
-    serial = run(
-        series16, program, EngineConfig(mode="push", batch_size=4, kernel="legacy")
-    )
     assert result.values.tobytes() == serial.values.tobytes()
 
 
