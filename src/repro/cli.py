@@ -499,14 +499,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             batch_records=args.batch_records,
         ) as store:
             step = max(1, args.batch_records)
-            for i in range(0, len(activities), step):
+            for i in range(0, graph.num_activities, step):
                 store.append(activities[i : i + step])
             if args.compact:
                 store.compact()
             summary = {
                 "store": str(store.path),
                 "graph": args.graph,
-                "records_ingested": len(activities),
+                "records_ingested": graph.num_activities,
                 "num_activities": store.num_activities,
                 "last_seq": store.last_seq,
                 "generation": store.generation,

@@ -4,22 +4,20 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from repro.temporal.graph import TemporalGraph
 
 
 def graph_statistics(graph: TemporalGraph) -> Dict[str, float]:
     """Summary statistics analogous to the paper's Table 1 columns."""
-    touched = set()
-    for a in graph.activities:
-        touched.add(a.src)
-        if a.dst >= 0:
-            touched.add(a.dst)
+    columns = graph.columns()
+    events = columns.events
+    touched = np.unique(np.concatenate([events.src, events.dst, columns.vertex]))
     t0, t1 = graph.time_range if graph.num_activities else (0, 0)
     return {
-        "num_vertices": len(touched),
-        "num_edge_activities": sum(
-            1 for a in graph.activities if a.is_edge_activity
-        ),
+        "num_vertices": int(touched.shape[0]),
+        "num_edge_activities": int(events.time.shape[0]),
         "num_activities": graph.num_activities,
         "num_distinct_edges": graph.num_edge_keys,
         "time_span": t1 - t0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def run_group(
     address_space: Optional[AddressSpace] = None,
     initial_values: Optional[np.ndarray] = None,
     initial_active: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[ExecContext], None]] = None,
     state: Optional[GroupState] = None,
 ) -> Tuple[np.ndarray, EngineCounters]:
     """Run one LABS group to convergence; return ``(values, counters)``.
@@ -102,7 +101,6 @@ def run_group(
         address_space=address_space,
         initial_values=initial_values,
         initial_active=initial_active,
-        on_iteration=on_iteration,
         state=state,
     )
     if config.trace or config.executor != "process" or state is not None:
@@ -127,7 +125,6 @@ def _run_group_once(
     address_space: Optional[AddressSpace] = None,
     initial_values: Optional[np.ndarray] = None,
     initial_active: Optional[np.ndarray] = None,
-    on_iteration: Optional[Callable[[ExecContext], None]] = None,
     state: Optional[GroupState] = None,
     shm: Optional[object] = None,
 ) -> Tuple[np.ndarray, EngineCounters]:
@@ -279,8 +276,6 @@ def _run_group_once(
                             counters.sim_cycles += int(
                                 net_s * cost.frequency_hz
                             )
-                if on_iteration is not None:
-                    on_iteration(ctx)
         # Copy the result out *before* the owning session releases the
         # group: unlinking the shared segments unmaps the state arrays'
         # backing storage.

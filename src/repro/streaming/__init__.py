@@ -7,7 +7,7 @@ The write path the read-only reproduction was missing (ROADMAP
   log of graph activities with configurable fsync policies
   (``always`` / ``batch`` / ``os``) and torn-tail recovery;
 - :mod:`repro.streaming.store` — :class:`StreamingStore`, a mutable
-  "head" (validated activity log) layered over the immutable v2
+  "head" (the activity log as columns) layered over the immutable v2
   snapshot-group store, recovered from the WAL on every open;
 - :mod:`repro.streaming.compact` — compaction of head + base into fresh
   v2 edge files, published with the write -> fsync -> ``os.replace`` ->

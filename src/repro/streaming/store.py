@@ -9,22 +9,25 @@ A :class:`StreamingStore` directory holds at most three kinds of state:
 - transient scratch (``.compact-tmp/``, ``*.tmp-*`` siblings) that only
   exists inside a compaction and is deleted on every open.
 
-The in-memory **head** is a validated
-:class:`~repro.temporal.builder.TemporalGraphBuilder` holding the full
-logical activity log (base + replayed WAL + live appends). Opening a
-store *is* recovery — there is no separate repair tool to remember:
+The in-memory **head** holds the full logical activity log (base +
+replayed WAL + live appends): a non-strict
+:class:`~repro.temporal.builder.TemporalGraphBuilder` continuing the base
+log, fed whole record arrays and never an ``Activity``. Opening a store
+*is* recovery — there is no separate repair tool to remember:
 
 1. delete unpublished temp siblings and stale scratch;
 2. load the manifest (if any) and delete edge files it does not
    reference (the debris of a death between file publication and the
    manifest swap);
-3. reconstruct the base activity log from the groups' activity segments
-   (exact: a full-history store checkpoints nothing at its first group
-   boundary, so the segments carry every edge activity verbatim);
+3. read the base activity log back from the groups' activity segments
+   with the bulk, CRC-checked scan ``load_series`` runs (exact: a
+   full-history store checkpoints nothing at its first group boundary,
+   so the segments carry every edge activity verbatim) and keep it as it
+   was written — the canonical log of the head that was compacted;
 4. scan the WAL, truncate a torn tail at the last valid CRC frame, and
-   replay — *skipping* frames at or below the manifest's absorbed
-   sequence, which makes replay idempotent when a crash landed between
-   the manifest swap and the WAL reset;
+   replay the surviving records in one batch — *skipping* frames at or
+   below the manifest's absorbed sequence, which makes replay idempotent
+   when a crash landed between the manifest swap and the WAL reset;
 5. resume appending at the next sequence number.
 
 Analytics freshness: ``series(times)`` exposes the head to the engine.
@@ -42,26 +45,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.cache.fingerprint import digest_bytes
 from repro.errors import StorageError, TemporalGraphError
 from repro.obs import runtime as obs
 from repro.storage.atomic import remove_stale_tmp
+from repro.storage.loader import _group_events
 from repro.storage.store import MANIFEST_NAME, StoreConfig, TemporalGraphStore
 from repro.streaming import wal as walmod
 from repro.streaming.compact import compact_to, gc_unreferenced
 from repro.temporal.activity import Activity, ActivityKind
 from repro.temporal.builder import TemporalGraphBuilder
+from repro.temporal.columns import log_columns, make_records, records_of
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.series import SnapshotSeriesView
 from repro.types import Time
 
 __all__ = ["RecoveryReport", "StreamingStore"]
-
-_KIND_FROM_CODE = {
-    0: ActivityKind.ADD_EDGE,
-    1: ActivityKind.DEL_EDGE,
-    2: ActivityKind.MOD_EDGE,
-}
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -154,15 +155,14 @@ class StreamingStore:
             scan = walmod.recover_wal(wal_path)
             report.truncated_bytes = scan.torn_bytes
             report.torn_reason = scan.torn_reason
-            for frame in scan.frames:
-                if frame.seq <= self._wal_seq:
-                    report.skipped_frames += 1
-                    obs.add("recover.skipped_frames")
-                    continue
-                for activity in frame.activities:
-                    self._head.append(activity)
-                report.replayed_frames += 1
-                report.replayed_records += len(frame.activities)
+            replayed = [f.records for f in scan.frames if f.seq > self._wal_seq]
+            report.replayed_frames = len(replayed)
+            report.skipped_frames = len(scan.frames) - len(replayed)
+            obs.add("recover.skipped_frames", report.skipped_frames)
+            if replayed:
+                records = np.concatenate(replayed)
+                report.replayed_records = records.shape[0]
+                self._head.extend(records)
             last_seq = max(last_seq, scan.last_seq)
             obs.add("recover.replayed_records", report.replayed_records)
         self._last_seq = last_seq
@@ -194,44 +194,45 @@ class StreamingStore:
         return loaded
 
     def _load_base(self, report: RecoveryReport) -> None:
-        """Reconstruct the base activity log from the snapshot store.
+        """Read the base activity log back from the snapshot store.
 
         Exact for full-history stores: the first group starts one
         instant before the first activity, so its checkpoint sector is
-        empty and the activity segments carry the entire edge log.
+        empty and the activity segments carry the entire edge log. The
+        head continues that log as it was written (it is canonical: the
+        log of the head that was compacted), not a re-validated copy.
         """
         store = TemporalGraphStore(self.path, self.store_config)
         report.base_groups = store.num_groups
-        activities: List[Activity] = []
+        # The manifest's explicit vertex records, decoded by the store.
+        parts = [
+            records_of([a for g in store.groups for a in g.vertex_activities])
+        ]
         for gi, group in enumerate(store.groups):
-            for v, checkpoint, acts in group.edge_file.all_segments():
-                if gi == 0 and checkpoint:
-                    raise StorageError(
-                        f"store at {self.path} checkpoints edges at its "
-                        "first group boundary; streaming requires a "
-                        "full-history store (compaction always writes one)"
-                    )
-                for kind_code, dst, time, _tu, weight in acts:
-                    kind = _KIND_FROM_CODE[kind_code]
-                    activities.append(
-                        Activity(
-                            time=time,
-                            kind=kind,
-                            src=v,
-                            dst=dst,
-                            weight=(
-                                weight
-                                if kind is not ActivityKind.DEL_EDGE
-                                else None
-                            ),
-                        )
-                    )
-            for record in group.vertex_activities:
-                activities.append(record)
-        activities.sort()
-        for activity in activities:
-            self._head.append(activity)
-        report.base_records = len(activities)
+            events = _group_events(group, stop=0)
+            # Checkpoint entries read as records at t1; activities are later.
+            logged = events.time > group.t1
+            if gi == 0 and not logged.all():
+                raise StorageError(
+                    f"store at {self.path} checkpoints edges at its "
+                    "first group boundary; streaming requires a "
+                    "full-history store (compaction always writes one)"
+                )
+            kind = events.kind[logged]
+            weight = events.weight[logged]
+            weight[kind == ActivityKind.DEL_EDGE] = np.nan  # stored as 1.0
+            parts.append(
+                make_records(
+                    kind,
+                    events.src[logged],
+                    events.dst[logged],
+                    events.time[logged],
+                    weight,
+                )
+            )
+        base = log_columns(np.concatenate(parts))
+        self._head = TemporalGraphBuilder(strict=False, after=base)
+        report.base_records = len(self._head)
         self._num_vertices_floor = int(store.num_vertices)
 
     # ------------------------------------------------------------------ #
@@ -258,29 +259,29 @@ class StreamingStore:
     def append(self, activities: Sequence[Activity]) -> int:
         """Durably append one batch of activities; returns its sequence.
 
-        Times are pre-validated against the head (non-decreasing within
-        the batch, none before the head's last time) *before* any byte
-        reaches the WAL, so a rejected batch changes nothing anywhere.
+        The batch is pre-validated *before* any byte reaches the WAL —
+        ids and times must fit the record format
+        (:class:`~repro.errors.StorageError`), times must not decrease
+        within the batch nor start before the head's last time — so a
+        rejected batch changes nothing anywhere.
         Once the WAL write returns, the batch is durable under the
         configured fsync policy and applied to the in-memory head.
         """
-        batch = list(activities)
-        if not batch:
+        records = walmod.encode(list(activities))
+        if not records.shape[0]:
             return self._last_seq
-        previous = self._head.last_time
-        for activity in batch:
-            if activity.time < previous:
-                raise TemporalGraphError(
-                    f"activity at time {activity.time} appended after "
-                    f"time {previous}; batches must be time-ordered"
-                )
-            previous = activity.time
-        seq = self._wal.append(batch)
+        times = np.concatenate(([self._head.last_time], records["time"]))
+        late = np.flatnonzero(times[1:] < times[:-1])
+        if late.shape[0]:
+            raise TemporalGraphError(
+                f"activity at time {times[late[0] + 1]} appended after "
+                f"time {times[late[0]]}; batches must be time-ordered"
+            )
+        seq = self._wal.append(records)
         # Past this point the batch is durable; the head must follow.
-        # strict=False + the time pre-check above make these appends
-        # infallible (redundant adds/deletes degrade to mod/no-op).
-        for activity in batch:
-            self._head.append(activity)
+        # strict=False + the time pre-check above make this infallible
+        # (redundant adds/deletes degrade to mod/no-op).
+        self._head.extend(records)
         self._last_seq = seq
         self._graph_cache = None
         return seq
@@ -302,8 +303,8 @@ class StreamingStore:
                 )
             graph = self._head.build()
             if self._num_vertices_floor > graph.num_vertices:
-                graph = self._head.build(
-                    num_vertices=self._num_vertices_floor
+                graph = TemporalGraph.from_columns(
+                    graph.columns(), self._num_vertices_floor
                 )
             self._graph_cache = graph
         return self._graph_cache
@@ -329,9 +330,10 @@ class StreamingStore:
         live (base vs WAL), so it is stable across compaction too.
         """
         graph = self.graph()
-        chunks = [f"v{graph.num_vertices}:".encode("ascii")]
-        chunks.extend(walmod.pack_record(a) for a in graph.activities)
-        return digest_bytes(*chunks)
+        return digest_bytes(
+            f"v{graph.num_vertices}:".encode("ascii"),
+            graph.columns().records.tobytes(),
+        )
 
     # ------------------------------------------------------------------ #
     # compaction

@@ -9,9 +9,13 @@ One frame is ``[payload length u32][payload crc32 u32][payload]`` where
 the payload is ``[seq u64][record count u16]`` followed by ``count``
 fixed-size activity records ``(kind u8, src u32, dst i64, time i64,
 weight f64)`` — ``dst = -1`` and a NaN weight encode the vertex-activity
-and no-weight cases. The CRC covers the whole payload, so a torn tail
-(partial frame, bit flip) is detected at the exact frame boundary and
-:func:`scan_wal` reports the last valid offset for truncation.
+and no-weight cases: the bytes of a
+:data:`~repro.temporal.columns.RECORD` array, the one record codec. A
+batch is written with ``tobytes()`` and a frame read back by one
+``np.frombuffer``, its records checked in bulk. The CRC covers the whole
+payload, so a torn tail (partial frame, bit flip) is detected at the
+exact frame boundary and :func:`scan_wal` reports the last valid offset
+for truncation.
 
 Sequence numbers are strictly increasing across the log's lifetime and
 survive compaction: the store manifest records the highest sequence a
@@ -36,7 +40,6 @@ of the frame) and ``wal.fsync`` (dies after the write, before the
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import zlib
@@ -44,10 +47,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import StorageError
+import numpy as np
+
+from repro.errors import StorageError, TemporalGraphError
 from repro.obs import runtime as obs
 from repro.resilience import faults
 from repro.temporal.activity import Activity, ActivityKind
+from repro.temporal.columns import RECORD, activities_of, records_of
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -57,6 +63,7 @@ __all__ = [
     "WalFrame",
     "WalScan",
     "WalWriter",
+    "encode",
     "header_bytes",
     "pack_record",
     "recover_wal",
@@ -73,13 +80,14 @@ _HEADER = struct.Struct("<4sHH")
 _CRC = struct.Struct("<I")
 _FRAME_HEADER = struct.Struct("<II")  # payload length, payload crc32
 _PAYLOAD_HEADER = struct.Struct("<QH")  # sequence, record count
-_RECORD = struct.Struct("<BIqqd")  # kind, src, dst, time, weight
 
 HEADER_SIZE = _HEADER.size + _CRC.size
 #: Records per frame are bounded by the u16 count field.
 MAX_FRAME_RECORDS = 0xFFFF
 
 PathLike = Union[str, "os.PathLike[str]"]
+#: What the write path takes: records, or a caller's activities.
+Batch = Union[np.ndarray, Sequence[Activity]]
 
 
 def _crc(data: bytes) -> int:
@@ -91,49 +99,71 @@ def header_bytes() -> bytes:
     return raw + _CRC.pack(_crc(raw))
 
 
+def encode(batch: Batch) -> np.ndarray:
+    """A batch as :data:`RECORD` s: an array is one already, activities
+    are taken apart (:class:`StorageError` for an id or a time the
+    record format cannot hold)."""
+    if isinstance(batch, np.ndarray):
+        return batch
+    try:
+        return records_of(batch)
+    except TemporalGraphError as exc:
+        raise StorageError(
+            f"activity outside the WAL record format: {exc}"
+        ) from exc
+
+
+def _decodable(records: np.ndarray) -> bool:
+    """Whether every record obeys the rules :class:`Activity` enforces."""
+    kind, dst = records["kind"], records["dst"]
+    weightless = np.isnan(records["weight"])
+    return bool(
+        np.all(
+            (kind <= ActivityKind.MOD_EDGE)
+            & (records["time"] >= 0)
+            & np.where(
+                kind >= ActivityKind.ADD_EDGE,
+                (dst >= 0) & ~(weightless & (kind != ActivityKind.DEL_EDGE)),
+                (dst == -1) & weightless,
+            )
+        )
+    )
+
+
 def pack_record(activity: Activity) -> bytes:
     """One activity as the fixed-size WAL record encoding."""
-    weight = activity.weight if activity.weight is not None else math.nan
-    return _RECORD.pack(
-        int(activity.kind),
-        activity.src,
-        activity.dst,
-        activity.time,
-        weight,
-    )
+    return encode([activity]).tobytes()
 
 
 def unpack_record(raw: bytes, offset: int) -> Activity:
-    kind_code, src, dst, time, weight = _RECORD.unpack_from(raw, offset)
-    kind = ActivityKind(kind_code)
-    return Activity(
-        time=time,
-        kind=kind,
-        src=src,
-        dst=dst,
-        weight=None if math.isnan(weight) else weight,
-    )
+    records = np.frombuffer(raw, RECORD, 1, offset)
+    if not _decodable(records):
+        raise StorageError("undecodable activity record")
+    return activities_of(records)[0]
 
 
-def pack_frame(seq: int, activities: Sequence[Activity]) -> bytes:
+def pack_frame(seq: int, batch: Batch) -> bytes:
     """A complete CRC-framed batch, ready to append."""
-    if not 0 < len(activities) <= MAX_FRAME_RECORDS:
+    records = encode(batch)
+    if not 0 < records.shape[0] <= MAX_FRAME_RECORDS:
         raise StorageError(
             f"WAL frame must carry 1..{MAX_FRAME_RECORDS} records, "
-            f"got {len(activities)}"
+            f"got {records.shape[0]}"
         )
-    payload = _PAYLOAD_HEADER.pack(seq, len(activities)) + b"".join(
-        pack_record(a) for a in activities
-    )
+    payload = _PAYLOAD_HEADER.pack(seq, records.shape[0]) + records.tobytes()
     return _FRAME_HEADER.pack(len(payload), _crc(payload)) + payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalFrame:
-    """One decoded frame: its sequence number and activity batch."""
+    """One decoded frame: its sequence number and record batch."""
 
     seq: int
-    activities: Tuple[Activity, ...]
+    records: np.ndarray  # RECORD
+
+    @property
+    def activities(self) -> Tuple[Activity, ...]:
+        return activities_of(self.records)
 
 
 @dataclass
@@ -155,7 +185,7 @@ class WalScan:
 
     @property
     def num_records(self) -> int:
-        return sum(len(f.activities) for f in self.frames)
+        return sum(f.records.shape[0] for f in self.frames)
 
 
 def scan_wal(path: PathLike) -> WalScan:
@@ -202,7 +232,7 @@ def scan_wal(path: PathLike) -> WalScan:
             torn_reason = "frame payload checksum mismatch"
             break
         seq, count = _PAYLOAD_HEADER.unpack_from(payload, 0)
-        if len(payload) != _PAYLOAD_HEADER.size + count * _RECORD.size:
+        if len(payload) != _PAYLOAD_HEADER.size + count * RECORD.itemsize:
             torn_reason = "frame record count disagrees with payload length"
             break
         if seq <= last_seq:
@@ -210,17 +240,13 @@ def scan_wal(path: PathLike) -> WalScan:
                 f"sequence regression ({seq} after {last_seq})"
             )
             break
-        try:
-            activities = tuple(
-                unpack_record(payload, _PAYLOAD_HEADER.size + i * _RECORD.size)
-                for i in range(count)
-            )
-        except (ValueError, StorageError):
+        records = np.frombuffer(payload, RECORD, count, _PAYLOAD_HEADER.size)
+        if not _decodable(records):
             # An undecodable record behind a valid CRC means the frame
             # was written by a different/buggy producer: stop here too.
             torn_reason = "undecodable activity record"
             break
-        frames.append(WalFrame(seq=seq, activities=activities))
+        frames.append(WalFrame(seq=seq, records=records))
         last_seq = seq
         offset = start + length
     valid_end = offset  # == len(raw) when the scan consumed every byte
@@ -306,7 +332,7 @@ class WalWriter:
             raise StorageError(f"WAL writer for {self.path} is closed")
         return self._fh
 
-    def append(self, activities: Sequence[Activity]) -> int:
+    def append(self, batch: Batch) -> int:
         """Durably append one batch; returns its sequence number.
 
         When the call returns, the batch is as durable as the fsync
@@ -316,7 +342,7 @@ class WalWriter:
         """
         fh = self._handle()
         seq = self._next_seq
-        frame = pack_frame(seq, activities)
+        frame = pack_frame(seq, batch)
         plan = faults.active()
         if plan is not None and plan.take_crash("wal.append"):
             # Simulated death mid-write: the OS received a strict prefix
@@ -329,9 +355,9 @@ class WalWriter:
         fh.write(frame)
         fh.flush()
         self._next_seq = seq + 1
-        self._unsynced_records += len(activities)
+        self._unsynced_records += len(batch)
         obs.add("wal.appends")
-        obs.add("wal.records", len(activities))
+        obs.add("wal.records", len(batch))
         obs.add("wal.bytes_written", len(frame))
         faults.maybe_crash("wal.fsync")
         if self.fsync_policy == "always" or (

@@ -8,7 +8,10 @@ an immutable :class:`~repro.temporal.graph.TemporalGraph`.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.errors import TemporalGraphError
 from repro.temporal.activity import (
@@ -20,8 +23,14 @@ from repro.temporal.activity import (
     del_vertex,
     mod_edge,
 )
+from repro.temporal.columns import RECORD, LogColumns, log_columns, make_records
 from repro.temporal.graph import TemporalGraph
 from repro.types import EdgeKey, Time, VertexId, Weight
+
+_ADD_VERTEX = int(ActivityKind.ADD_VERTEX)
+_ADD_EDGE = int(ActivityKind.ADD_EDGE)
+_DEL_EDGE = int(ActivityKind.DEL_EDGE)
+_MOD_EDGE = int(ActivityKind.MOD_EDGE)
 
 
 class TemporalGraphBuilder:
@@ -31,18 +40,32 @@ class TemporalGraphBuilder:
     order in which a log is produced). ``strict=False`` relaxes the per-edge
     consistency checks, turning redundant adds/deletes into no-op records —
     useful when ingesting noisy real-world event streams such as repeated
-    mentions in a Twitter-like graph.
+    mentions in a Twitter-like graph. ``after`` continues an existing log,
+    which is taken as it is.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self._activities: List[Activity] = []
+    def __init__(
+        self, strict: bool = True, after: Optional[LogColumns] = None
+    ) -> None:
+        #: The log so far, one list per :data:`RECORD` field.
+        self._columns: List[list] = [[] for _ in RECORD.names]
         self._edge_live: Dict[EdgeKey, bool] = {}
         self._vertex_live: Dict[VertexId, bool] = {}
         self._last_time: Time = 0
         self._strict = strict
+        if after is not None and after.time.shape[0]:
+            self._columns = [after.records[name].tolist() for name in RECORD.names]
+            # In replay order, so each key ends on its latest record.
+            events = after.events
+            edges = zip(events.src.tolist(), events.dst.tolist())
+            self._edge_live = dict(zip(edges, after.live.tolist()))
+            self._vertex_live = dict(
+                zip(after.vertex.tolist(), after.vertex_add.tolist())
+            )
+            self._last_time = int(after.time[-1])
 
     def __len__(self) -> int:
-        return len(self._activities)
+        return len(self._columns[0])
 
     @property
     def last_time(self) -> Time:
@@ -75,10 +98,6 @@ class TemporalGraphBuilder:
         In non-strict mode, re-adding a live edge is recorded as a weight
         modification instead (the mention-graph interpretation).
         """
-        if not self._strict and self._edge_live.get((u, v), False):
-            # Build the modE directly rather than an addE for append()
-            # to rewrite: mention-style streams are mostly re-adds.
-            return self.append(mod_edge(u, v, t, weight))
         return self.append(add_edge(u, v, t, weight))
 
     def del_edge(self, u: VertexId, v: VertexId, t: Time) -> "TemporalGraphBuilder":
@@ -94,48 +113,65 @@ class TemporalGraphBuilder:
     def append(self, activity: Activity) -> "TemporalGraphBuilder":
         """Append one record, applying the per-vertex / per-edge checks.
 
-        The caller's (frozen) record is kept as it is, except that in
-        non-strict mode re-adding a live edge is recorded as a ``modE``
-        and a delete or modification of a dead edge is dropped.
+        The record is logged as it is, except that in non-strict mode
+        re-adding a live edge is logged as a ``modE`` and a delete or
+        modification of a dead edge is dropped.
         """
-        t = activity.time
+        weight = activity.weight
+        self._log(
+            int(activity.kind),
+            activity.src,
+            activity.dst,
+            activity.time,
+            math.nan if weight is None else weight,
+        )
+        return self
+
+    def extend(self, records: np.ndarray) -> None:
+        """:meth:`append` every row of a :data:`RECORD` array, in order."""
+        for row in records.tolist():
+            self._log(*row)
+
+    def _log(
+        self, kind: int, src: VertexId, dst: VertexId, t: Time, weight: Weight
+    ) -> None:
         if t < self._last_time:
             raise TemporalGraphError(
                 f"activity at time {t} appended after time {self._last_time}; "
                 "activities must be appended in non-decreasing time order"
             )
         self._last_time = t
-        kind = activity.kind
-        if kind == ActivityKind.ADD_VERTEX or kind == ActivityKind.DEL_VERTEX:
-            v = activity.src
-            adding = kind == ActivityKind.ADD_VERTEX
-            if self._strict and self._vertex_live.get(v, False) == adding:
+        if kind < _ADD_EDGE:
+            adding = kind == _ADD_VERTEX
+            if self._strict and self._vertex_live.get(src, False) == adding:
                 state = "already live" if adding else "not live"
-                raise TemporalGraphError(f"vertex {v} {state} at time {t}")
-            self._vertex_live[v] = adding
+                raise TemporalGraphError(f"vertex {src} {state} at time {t}")
+            self._vertex_live[src] = adding
         else:
-            key = (activity.src, activity.dst)
+            key = (src, dst)
             live = self._edge_live.get(key, False)
-            if kind == ActivityKind.ADD_EDGE:
+            if kind == _ADD_EDGE:
                 if live:
                     if self._strict:
                         raise TemporalGraphError(
                             f"edge {key} already live at time {t}"
                         )
-                    weight = activity.weight
-                    activity = mod_edge(
-                        *key, t, 1.0 if weight is None else weight
-                    )
+                    kind = _MOD_EDGE
                 self._edge_live[key] = True
             elif not live:
                 if self._strict:
                     raise TemporalGraphError(f"edge {key} not live at time {t}")
-                return self
-            elif kind == ActivityKind.DEL_EDGE:
+                return
+            elif kind == _DEL_EDGE:
                 self._edge_live[key] = False
-        self._activities.append(activity)
-        return self
+        kinds, srcs, dsts, times, weights = self._columns
+        kinds.append(kind)
+        srcs.append(src)
+        dsts.append(dst)
+        times.append(t)
+        weights.append(weight)
 
     def build(self, num_vertices: Optional[int] = None) -> TemporalGraph:
         """Freeze the log into an immutable :class:`TemporalGraph`."""
-        return TemporalGraph(self._activities, num_vertices=num_vertices)
+        columns = log_columns(make_records(*self._columns))
+        return TemporalGraph.from_columns(columns, num_vertices)

@@ -1,14 +1,19 @@
-"""The activity log as columns: the one log→columns conversion.
+"""The activity log as columns: the one stored form of a log.
 
-A :class:`~repro.temporal.graph.TemporalGraph` is immutable, so its log is
-turned into NumPy columns at most once (:meth:`TemporalGraph.columns`
-memoises the result) and every columnar consumer reads the same arrays:
+A :class:`~repro.temporal.graph.TemporalGraph` *is* a :class:`LogColumns`
+plus a vertex count. The builder, the streaming head, the store loader and
+the WAL all hold records as :data:`RECORD` arrays, :func:`log_columns`
+turns one into the view every consumer reads:
 
 - :func:`~repro.temporal.series.build_series` hands ``events`` and the
   explicit vertex records to the reconstruction kernel;
 - the store writer (:func:`~repro.storage.edge_file.write_edge_file`,
   group planning and the manifest entries in :mod:`repro.storage.store`)
   slices them once per snapshot group.
+
+:class:`~repro.temporal.activity.Activity` objects exist only at the API
+edge: :func:`records_of` takes a caller's records apart once and
+:func:`activities_of` builds them back for whoever asks to see them.
 
 Besides the records themselves the view carries what a per-group consumer
 would otherwise recompute from the whole log for every group: the stable
@@ -21,11 +26,13 @@ that record's ``live`` flag is set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import TemporalGraphError
 from repro.temporal.activity import Activity, ActivityKind
 from repro.temporal.reconstruct import (
     EdgeEvents,
@@ -34,24 +41,49 @@ from repro.temporal.reconstruct import (
     first_of_edge,
 )
 
-__all__ = ["LogColumns", "log_columns"]
+__all__ = [
+    "RECORD",
+    "LogColumns",
+    "activities_of",
+    "log_columns",
+    "make_records",
+    "records_of",
+]
+
+#: One activity record. Packed, so an array's bytes are ``struct "<BIqqd"``
+#: per record — the WAL's record encoding and what a store fingerprint
+#: digests. ``dst = -1`` marks a vertex record, a NaN weight "no weight".
+RECORD = np.dtype(
+    [
+        ("kind", "u1"),
+        ("src", "<u4"),
+        ("dst", "<i8"),
+        ("time", "<i8"),
+        ("weight", "<f8"),
+    ]
+)
+
+_KINDS = tuple(ActivityKind)
 
 
 @dataclass(frozen=True)
 class LogColumns:
     """One activity log, as columns in replay order.
 
-    ``time`` covers every record of the log. ``events`` holds the edge
-    records and ``vertex`` / ``vertex_time`` / ``vertex_add`` the explicit
-    vertex records (``vertex_add`` true for ``addV``), each in replay
-    order, so their time columns are non-decreasing and a time range is a
-    ``np.searchsorted`` slice. ``edge_order``, ``live`` and ``next_time``
-    are aligned with ``events``: the stable permutation sorting the edge
-    records by ``(src, dst)``, "the edge is live after this record", and
-    the time of the next record on the same edge
+    ``records`` (:data:`RECORD`) and ``time`` cover every record of the
+    log, in the canonical ``(time, kind, src, dst, weight)`` order.
+    ``events`` holds the edge records (weight ``1.0`` where a record
+    carries none) and ``vertex`` / ``vertex_time`` / ``vertex_add`` the
+    explicit vertex records (``vertex_add`` true for ``addV``), each in
+    replay order, so their time columns are non-decreasing and a time
+    range is a ``np.searchsorted`` slice. ``edge_order``, ``live`` and
+    ``next_time`` are aligned with ``events``: the stable permutation
+    sorting the edge records by ``(src, dst)``, "the edge is live after
+    this record", and the time of the next record on the same edge
     (:data:`~repro.temporal.reconstruct.NEVER` for the last one).
     """
 
+    records: np.ndarray  # RECORD, all records
     time: np.ndarray  # int64, all records
     events: EdgeEvents
     vertex: np.ndarray  # int64
@@ -62,42 +94,93 @@ class LogColumns:
     next_time: np.ndarray  # int64
 
 
-def log_columns(
-    activities: Sequence[Activity], num_vertices: int
-) -> LogColumns:
-    """Convert a replay-ordered activity log over ``num_vertices`` ids."""
-    edge_acts = [a for a in activities if a.dst >= 0]
-    vertex_acts = [a for a in activities if a.dst < 0]
-    events = EdgeEvents(
-        src=np.array([a.src for a in edge_acts], dtype=np.int64),
-        dst=np.array([a.dst for a in edge_acts], dtype=np.int64),
-        time=np.array([a.time for a in edge_acts], dtype=np.int64),
-        kind=np.array([a.kind for a in edge_acts], dtype=np.uint8),
-        weight=np.array(
-            [1.0 if a.weight is None else a.weight for a in edge_acts],
-            dtype=np.float64,
-        ),
+def make_records(
+    kind: Any, src: Any, dst: Any, time: Any, weight: Any
+) -> np.ndarray:
+    """One :data:`RECORD` array from its five columns (arrays or lists).
+
+    An id or a time the record format cannot hold is a
+    :class:`TemporalGraphError`.
+    """
+    try:
+        src, dst, time = (np.asarray(c, dtype=np.int64) for c in (src, dst, time))
+    except OverflowError as exc:
+        raise TemporalGraphError(f"id or time beyond 64 bits: {exc}") from exc
+    if src.shape[0] and src.max() > 0xFFFFFFFF:
+        raise TemporalGraphError(
+            f"vertex id {src.max()} does not fit the record's 32-bit source"
+        )
+    records = np.empty(src.shape[0], dtype=RECORD)
+    records["kind"] = kind
+    records["src"] = src
+    records["dst"] = dst
+    records["time"] = time
+    records["weight"] = weight
+    return records
+
+
+def records_of(activities: Sequence[Activity]) -> np.ndarray:
+    """Take a caller's records apart, in the order given (the API edge)."""
+    return make_records(
+        [a.kind for a in activities],
+        [a.src for a in activities],
+        [a.dst for a in activities],
+        [a.time for a in activities],
+        [math.nan if a.weight is None else a.weight for a in activities],
     )
-    order = edge_order(events.src, events.dst, num_vertices)
+
+
+def activities_of(records: np.ndarray) -> Tuple[Activity, ...]:
+    """The records as :class:`Activity` objects (validated as they are built)."""
+    return tuple(
+        Activity(t, _KINDS[k], s, d, None if w != w else w)
+        for k, s, d, t, w in records.tolist()
+    )
+
+
+def log_columns(records: np.ndarray) -> LogColumns:
+    """The log holding ``records``, which may come in any order.
+
+    Sorting is stable, so records equal in every field keep the order
+    they were given in — the order ``sorted()`` leaves equal
+    :class:`Activity` objects in.
+    """
+    canonical = ("time", "kind", "src", "dst", "weight")
+    records = records[np.lexsort([records[key] for key in canonical[::-1]])]
+    kind = records["kind"]
+    src = records["src"].astype(np.int64)
+    dst = np.ascontiguousarray(records["dst"])
+    time = np.ascontiguousarray(records["time"])
+
+    on_edge = kind >= ActivityKind.ADD_EDGE
+    weight = records["weight"][on_edge]
+    events = EdgeEvents(
+        src=src[on_edge],
+        dst=dst[on_edge],
+        time=time[on_edge],
+        kind=kind[on_edge],
+        weight=np.where(np.isnan(weight), 1.0, weight),
+    )
+    # Any id bound above the largest id gives the same permutation.
+    id_bound = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    by_edge = edge_order(events.src, events.dst, id_bound)
     until, live_after = chain_state(
-        first_of_edge(events.src[order], events.dst[order]),
-        events.time[order],
-        events.kind[order],
+        first_of_edge(events.src[by_edge], events.dst[by_edge]),
+        events.time[by_edge],
+        events.kind[by_edge],
     )
     live = np.empty_like(live_after)
-    live[order] = live_after
+    live[by_edge] = live_after
     next_time = np.empty_like(until)
-    next_time[order] = until
+    next_time[by_edge] = until
     return LogColumns(
-        time=np.array([a.time for a in activities], dtype=np.int64),
+        records=records,
+        time=time,
         events=events,
-        vertex=np.array([a.src for a in vertex_acts], dtype=np.int64),
-        vertex_time=np.array([a.time for a in vertex_acts], dtype=np.int64),
-        vertex_add=np.array(
-            [a.kind == ActivityKind.ADD_VERTEX for a in vertex_acts],
-            dtype=np.bool_,
-        ),
-        edge_order=order,
+        vertex=src[~on_edge],
+        vertex_time=time[~on_edge],
+        vertex_add=kind[~on_edge] == ActivityKind.ADD_VERTEX,
+        edge_order=by_edge,
         live=live,
         next_time=next_time,
     )

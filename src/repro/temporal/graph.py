@@ -22,50 +22,73 @@ Semantics (documented here once, relied on everywhere else):
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.errors import TemporalGraphError
 from repro.temporal.activity import Activity, ActivityKind
-from repro.temporal.columns import LogColumns, log_columns
+from repro.temporal.columns import (
+    LogColumns,
+    activities_of,
+    log_columns,
+    records_of,
+)
+from repro.temporal.reconstruct import first_of_edge, first_touch_times
 from repro.types import EdgeKey, Time, VertexId, Weight
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.temporal.series import SnapshotSeriesView
+    from repro.temporal.snapshot import Snapshot
 
 
 class TemporalGraph:
-    """An immutable temporal graph backed by a sorted activity log."""
+    """An immutable temporal graph: one :class:`LogColumns` and a vertex count.
+
+    ``TemporalGraph(activities)`` is the API-edge constructor and converts
+    the records once; producers that already hold columns use
+    :meth:`from_columns`.
+    """
 
     def __init__(
         self,
         activities: Iterable[Activity],
         num_vertices: Optional[int] = None,
     ) -> None:
-        self._activities: Tuple[Activity, ...] = tuple(sorted(activities))
-        self._columns: Optional[LogColumns] = None
+        self._adopt(log_columns(records_of(list(activities))), num_vertices)
+
+    @classmethod
+    def from_columns(
+        cls, columns: LogColumns, num_vertices: Optional[int] = None
+    ) -> "TemporalGraph":
+        """The graph whose log is ``columns`` (kept, not copied)."""
+        graph = cls.__new__(cls)
+        graph._adopt(columns, num_vertices)
+        return graph
+
+    def _adopt(self, columns: LogColumns, num_vertices: Optional[int]) -> None:
+        self._columns = columns
+        records = columns.records
         max_vid = -1
-        for a in self._activities:
-            max_vid = max(max_vid, a.src, a.dst)
-        inferred = max_vid + 1
+        if records.shape[0]:
+            max_vid = max(int(records["src"].max()), int(records["dst"].max()))
         if num_vertices is None:
-            num_vertices = inferred
-        elif num_vertices < inferred:
+            num_vertices = max_vid + 1
+        elif num_vertices <= max_vid:
             raise TemporalGraphError(
                 f"num_vertices={num_vertices} but activities reference "
                 f"vertex {max_vid}"
             )
         self._num_vertices = num_vertices
-        self._edge_events: Dict[EdgeKey, List[Activity]] = {}
-        self._vertex_events: Dict[VertexId, List[Activity]] = {}
-        self._first_touch: Dict[VertexId, Time] = {}
-        for a in self._activities:
-            if a.is_edge_activity:
-                self._edge_events.setdefault((a.src, a.dst), []).append(a)
-                for v in (a.src, a.dst):
-                    self._first_touch.setdefault(v, a.time)
-            else:
-                self._vertex_events.setdefault(a.src, []).append(a)
-                self._first_touch.setdefault(a.src, a.time)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -76,55 +99,73 @@ class TemporalGraph:
         """Size of the (dense) vertex id space."""
         return self._num_vertices
 
-    @property
+    @cached_property
     def activities(self) -> Sequence[Activity]:
-        """The full, time-sorted activity log."""
-        return self._activities
+        """The full, time-sorted activity log, materialised on first use."""
+        return activities_of(self._columns.records)
 
     def columns(self) -> LogColumns:
-        """The log as NumPy columns, converted on first use and kept.
+        """The log itself: the arrays every columnar consumer shares.
 
-        The one conversion every columnar consumer shares — series
-        reconstruction and the store writer (see
+        Series reconstruction and the store writer read these (see
         :mod:`repro.temporal.columns`).
         """
-        if self._columns is None:
-            self._columns = log_columns(self._activities, self._num_vertices)
         return self._columns
 
     @property
     def num_activities(self) -> int:
-        return len(self._activities)
+        return int(self._columns.time.shape[0])
+
+    @cached_property
+    def _edge_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of the edge records in ``edge_order``: the sorted
+        key the point queries search."""
+        events, order = self._columns.events, self._columns.edge_order
+        return events.src[order], events.dst[order]
+
+    def _edge_rows(self, u: VertexId, v: VertexId) -> np.ndarray:
+        """Rows of ``columns().events`` on edge ``(u, v)``, in replay order."""
+        src, dst = self._edge_index
+        lo, hi = np.searchsorted(src, [u, u + 1])
+        first, last = lo + np.searchsorted(dst[lo:hi], [v, v + 1])
+        return self._columns.edge_order[first:last]
 
     @property
     def num_edge_keys(self) -> int:
         """Number of distinct ``(src, dst)`` pairs ever touched by the log."""
-        return len(self._edge_events)
+        return int(first_of_edge(*self._edge_index).sum())
 
     def edge_keys(self) -> Iterable[EdgeKey]:
         """All distinct ``(src, dst)`` pairs, in no particular order."""
-        return self._edge_events.keys()
+        src, dst = self._edge_index
+        first = first_of_edge(src, dst)
+        return list(zip(src[first].tolist(), dst[first].tolist()))
 
     @property
     def time_range(self) -> Tuple[Time, Time]:
         """``(first, last)`` activity timestamps. Raises on an empty log."""
-        if not self._activities:
+        time = self._columns.time
+        if not time.shape[0]:
             raise TemporalGraphError("empty temporal graph has no time range")
-        return self._activities[0].time, self._activities[-1].time
+        return int(time[0]), int(time[-1])
 
     # ------------------------------------------------------------------ #
     # Point-in-time state queries
     # ------------------------------------------------------------------ #
 
+    @cached_property
+    def first_touch(self) -> np.ndarray:
+        """``(V,)`` time of each vertex's first incident edge record."""
+        return first_touch_times(self._num_vertices, [self._columns.events])
+
     def vertex_live_at(self, v: VertexId, t: Time) -> bool:
         """Apply the vertex-liveness rule documented in the module docstring."""
-        events = self._vertex_events.get(v)
-        if events:
-            idx = bisect.bisect_right([e.time for e in events], t) - 1
-            if idx >= 0:
-                return events[idx].kind == ActivityKind.ADD_VERTEX
-        first = self._first_touch.get(v)
-        return first is not None and first <= t
+        columns = self._columns
+        rows = np.flatnonzero(columns.vertex == v)
+        before = int(np.searchsorted(columns.vertex_time[rows], t, side="right"))
+        if before:
+            return bool(columns.vertex_add[rows[before - 1]])
+        return 0 <= v < self._num_vertices and bool(self.first_touch[v] <= t)
 
     def edge_record_state_at(
         self, u: VertexId, v: VertexId, t: Time
@@ -137,21 +178,24 @@ class TemporalGraph:
         deleted at ``t`` must survive the checkpoint, because it shows
         again once the vertex is re-added.
         """
-        events = self._edge_events.get((u, v))
-        if not events:
-            return None
+        events = self._columns.events
+        rows = self._edge_rows(u, v)
         live = False
         weight: Weight = 1.0
-        for a in events:
-            if a.time > t:
+        for time, kind, payload in zip(
+            events.time[rows].tolist(),
+            events.kind[rows].tolist(),
+            events.weight[rows].tolist(),
+        ):
+            if time > t:
                 break
-            if a.kind == ActivityKind.ADD_EDGE:
+            if kind == ActivityKind.ADD_EDGE:
                 live = True
-                weight = a.weight if a.weight is not None else 1.0
-            elif a.kind == ActivityKind.DEL_EDGE:
+                weight = payload
+            elif kind == ActivityKind.DEL_EDGE:
                 live = False
-            elif a.kind == ActivityKind.MOD_EDGE:
-                weight = a.weight if a.weight is not None else weight
+            elif kind == ActivityKind.MOD_EDGE:
+                weight = payload
         return weight if live else None
 
     def edge_state_at(
@@ -175,12 +219,15 @@ class TemporalGraph:
 
     def activities_between(self, t1: Time, t2: Time) -> List[Activity]:
         """All activities with ``t1 < time <= t2``, in time order."""
-        lo, hi = np.searchsorted(self.columns().time, [t1, t2], side="right")
-        return list(self._activities[lo:hi])
+        lo, hi = np.searchsorted(self._columns.time, [t1, t2], side="right")
+        return list(self.activities[lo:hi])
 
     def edge_events_for(self, u: VertexId, v: VertexId) -> Sequence[Activity]:
         """Time-sorted activities for one edge pair (may be empty)."""
-        return tuple(self._edge_events.get((u, v), ()))
+        kind = self._columns.records["kind"]
+        on_edge = np.flatnonzero(kind >= ActivityKind.ADD_EDGE)
+        positions = on_edge[self._edge_rows(u, v)]
+        return tuple(self.activities[i] for i in positions.tolist())
 
     def out_edge_events(self) -> Dict[VertexId, List[Activity]]:
         """Edge activities grouped by source vertex, each list time-sorted.
@@ -189,7 +236,7 @@ class TemporalGraph:
         (Section 4.2: one segment per vertex).
         """
         grouped: Dict[VertexId, List[Activity]] = {}
-        for a in self._activities:
+        for a in self.activities:
             if a.is_edge_activity:
                 grouped.setdefault(a.src, []).append(a)
         return grouped

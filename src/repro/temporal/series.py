@@ -25,7 +25,6 @@ from repro.temporal.bitmap import mask_below
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.reconstruct import (
     check_times,
-    first_touch_times,
     reconstruct_edges,
     vertex_liveness,
 )
@@ -117,17 +116,14 @@ class SnapshotSeriesView:
     def _per_snapshot_degrees(
         src: np.ndarray, bitmap: np.ndarray, num_vertices: int, S: int
     ) -> np.ndarray:
-        if src.shape[0] == 0:
-            return np.zeros((num_vertices, S), dtype=np.int64)
-        # One pass over the live (edge, snapshot) COO stream instead of one
-        # bitmap scan per snapshot.
-        shifts = np.arange(S, dtype=np.uint64)
-        bits = ((bitmap[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-        edge_ids, snap_ids = np.nonzero(bits)
-        flat = src[edge_ids] * np.int64(S) + snap_ids
-        return np.bincount(flat, minlength=num_vertices * S).reshape(
-            num_vertices, S
-        )
+        # One small scan per snapshot: the single-pass form needs the
+        # ``(E, S)`` bit matrix widened to int64, tens of megabytes of
+        # fresh pages per call, and its cost then follows the allocator.
+        degrees = np.zeros((num_vertices, S), dtype=np.int64)
+        for s in range(S):
+            live = ((bitmap >> np.uint64(s)) & np.uint64(1)).astype(bool)
+            degrees[:, s] = np.bincount(src[live], minlength=num_vertices)
+        return degrees
 
     # ------------------------------------------------------------------ #
 
@@ -296,7 +292,7 @@ def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesV
         columns.vertex,
         columns.vertex_time,
         columns.vertex_add,
-        first_touch_times(V, [events]),
+        graph.first_touch,
     )
     out_src, out_dst, out_bitmap, out_weight = reconstruct_edges(
         snapshot_times, [events], vertex_bitmap

@@ -104,7 +104,7 @@ class TestAppend:
         b = TemporalGraphBuilder()
         for record in records:
             b.append(record)
-        assert all(a is r for a, r in zip(b.build().activities, records))
+        assert list(b.build().activities) == records
 
     def test_non_strict_rewrites_and_drops_like_the_methods(self):
         from repro.temporal import add_edge, del_edge, mod_edge

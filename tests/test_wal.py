@@ -205,3 +205,87 @@ def test_writer_use_after_close_raises(tmp_path):
     writer.close()
     with pytest.raises(StorageError):
         writer.append(_sample_activities()[:1])
+
+
+# --------------------------------------------------------------------- #
+# records the scanner must refuse, and ids the writer must refuse
+# --------------------------------------------------------------------- #
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param((5, 0, 1, 1, 1.0), id="unknown-kind"),
+        pytest.param((2, 0, 1, -1, 1.0), id="negative-time"),
+        pytest.param((0, 0, -1, -5, NAN), id="negative-time-vertex"),
+        pytest.param((2, 0, -1, 1, 1.0), id="addE-without-dst"),
+        pytest.param((3, 0, -2, 1, NAN), id="delE-negative-dst"),
+        pytest.param((2, 0, 1, 1, NAN), id="addE-without-weight"),
+        pytest.param((4, 0, 1, 1, NAN), id="modE-without-weight"),
+        pytest.param((0, 0, 3, 1, NAN), id="addV-with-dst"),
+        pytest.param((1, 0, -2, 1, NAN), id="delV-dst-not-minus-one"),
+        pytest.param((0, 0, -1, 1, 2.0), id="addV-with-weight"),
+    ],
+)
+def test_scan_stops_at_crc_valid_frame_with_an_invalid_record(tmp_path, record):
+    """A record no ``Activity`` could have produced, behind a valid CRC,
+    ends the scan at its frame like any other torn tail."""
+    import struct
+    import zlib
+
+    acts = _sample_activities()
+    payload = struct.pack("<QH", 2, 2) + pack_record(acts[1])
+    payload += struct.pack("<BIqqd", *record)
+    bad = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    path = tmp_path / "wal.chronos"
+    _write_wal(path, [(1, acts)])
+    clean_size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(bad)
+        fh.write(pack_frame(3, acts))
+    scan = scan_wal(path)
+    assert [f.seq for f in scan.frames] == [1]
+    assert scan.torn_reason == "undecodable activity record"
+    assert scan.valid_end == clean_size
+    assert scan.torn_bytes == path.stat().st_size - clean_size
+
+
+@pytest.mark.parametrize(
+    "activity",
+    [
+        pytest.param(add_edge(2**32, 1, 5), id="src-past-u32"),
+        pytest.param(add_vertex(2**32, 5), id="vertex-past-u32"),
+        pytest.param(add_edge(1, 2**63, 5), id="dst-past-i64"),
+        pytest.param(add_edge(1, 2, 2**63), id="time-past-i64"),
+    ],
+)
+def test_ids_and_times_outside_the_record_format_are_typed_errors(
+    tmp_path, activity
+):
+    """The write path raises ``StorageError`` (not ``struct.error`` or
+    ``OverflowError``) before a byte reaches the WAL or the head."""
+    from repro.streaming import StreamingStore
+
+    with pytest.raises(StorageError):
+        pack_record(activity)
+    wal_path = tmp_path / "s" / walmod.WAL_NAME
+    with StreamingStore(tmp_path / "s") as store:
+        store.append(_sample_activities())
+        before = (
+            wal_path.stat().st_size,
+            store.num_activities,
+            store.last_time,
+            store.last_seq,
+        )
+        with pytest.raises(StorageError):
+            store.append([add_edge(3, 4, 5), activity])
+        assert before == (
+            wal_path.stat().st_size,
+            store.num_activities,
+            store.last_time,
+            store.last_seq,
+        )
+        assert store.append([add_edge(3, 4, 5)]) == before[3] + 1
+    assert scan_wal(wal_path).num_records == 5
