@@ -17,5 +17,5 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.21"],
+    install_requires=["numpy>=1.25"],
 )

@@ -1,55 +1,45 @@
-"""The vectorised scatter: cached, destination-sorted gather plans.
+"""The vectorised scatter: one cached, edge-major gather plan per group.
 
 This is the one production scatter path. A :class:`GatherPlan` unpacks a
 group's edge bitmaps exactly once per
 :class:`~repro.temporal.series.GroupView`: the live ``(edge, snapshot)``
-pairs are flattened into a COO stream, pre-sorted by flat destination index
-in the accumulator's *physical* layout order, and segment boundaries are
-stored so each iteration's fold becomes one segmented reduction —
-``np.bincount`` for additive gathers, ``<ufunc>.reduceat`` for min/max and
-the logical ufuncs — plus one duplicate-free flat assignment into the
-accumulator. Because the stream is sorted in physical order, all per-entry
-reads and writes go through flat ``np.take``-style indexing of the state
-arrays' backing storage rather than 2-D fancy indexing through a
-(possibly transposed) view.
+pairs of the group's **in-edge array** are flattened, in enumeration
+order, into a COO stream of flat indices in the accumulator's *physical*
+layout order. The in-edge array is already in ``(dst, src)`` order — the
+stable destination sort of the out-edge array — so the stream is
+``(dst, src, snapshot)``-ordered with no sort at all, one plan serves
+push, pull and stream, and each iteration's fold is the sequential
+``ufunc.at(acc_flat, dst_flat[sel], msg)`` (:func:`fold_stream`).
 
-Bitwise identity with a sequential per-edge fold — the simulated engine of
-:mod:`repro.engine.traced`, and ``ufunc.at`` in the fold's own property
-test — is preserved deliberately:
+Bitwise identity with the per-edge simulated engine
+(:mod:`repro.engine.traced`) holds by construction: ``ufunc.at`` applies
+its entries one by one in stream order, and every destination cell's
+contributions sit in the stream in source-ascending order — the order a
+per-edge loop reaches them in, whether it walks the out-edge array (push),
+the in-edge array (pull) or stream mode's shuffle buckets (bucket id is
+monotone in destination vertex). Consecutive entries target *different*
+cells, so the fold has no store-to-load chain on one accumulator element —
+which a destination-cell-sorted stream has, and why that order was slower.
 
-- the stable destination sort keeps each destination cell's contributions in
-  edge-ascending order, the order a per-edge loop applies them in (both for
-  push/pull's edge-major order and for stream mode's bucket order, because
-  bucket id is monotone in destination vertex);
-- additive folds use ``np.bincount``, whose C loop accumulates sequentially
-  in stream order — unlike ``np.add.reduceat``, which pairwise-sums and so
-  drifts in the last ulp;
-- min/max/logical folds are order-exact, so ``reduceat`` is safe;
-- REGATHER programs reset the accumulator to the gather identity before
-  every scatter, so combining the segment totals into the accumulator
-  afterwards reproduces the sequential result exactly.
-
-Monotone frontier filtering composes with the plan through a cached
-per-source CSR over the flattened stream: when the frontier is small, the
-candidate stream positions are gathered from the active sources' CSR slices
-(and re-sorted, restoring destination order) instead of masking the whole
-stream.
-
-Push, pull and stream are three *accountings* of this one scatter
-(:func:`vectorized_scatter`): the mode picks the plan direction and which
-logical counters the fold's update count feeds.
+Monotone frontiers compose with the plan through a cached per-source CSR
+over the stream: a small frontier gathers its candidate positions from the
+active sources' CSR slices — ascending sources over a ``(dst, src)``
+stream, so every cell's contributions stay in stream order — instead of
+masking the whole stream. Push, pull and stream are three *accountings*
+of this one scatter (:func:`vectorized_scatter`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.config import Mode
-from repro.errors import EngineError
 from repro.layout.vertex_array import LayoutKind, flat_destination_index
 from repro.obs import runtime as obs
+from repro.temporal.bitmap import popcounts
 
 if TYPE_CHECKING:
     from repro.engine.common import ExecContext
@@ -60,91 +50,43 @@ if TYPE_CHECKING:
 #: per-source CSR slices instead of masking the full stream.
 _CSR_SELECT_FACTOR = 4
 
-#: Gather ufuncs with an order-exact segmented reduction. ``np.add`` is
-#: handled separately via ``np.bincount`` (see module docstring).
-_REDUCEAT_UFUNCS = frozenset(
-    {np.minimum, np.maximum, np.logical_and, np.logical_or}
-)
+#: Logical gathers fold as max / min over truth-valued messages: float
+#: accumulators encode False / True as 0.0 / 1.0, on which these equal
+#: ``logical_or`` / ``logical_and`` byte for byte — and, unlike those, have
+#: an indexed ``ufunc.at`` loop (~25x faster on float64).
+_TRUTH_FOLDS = {np.logical_or: np.maximum, np.logical_and: np.minimum}
 
 
-def _narrow_index(arr: np.ndarray, max_value: int) -> np.ndarray:
-    """Downcast flat indices so the stable argsort radix passes fewer bytes."""
-    if max_value < (1 << 16):
-        return arr.astype(np.uint16)
-    if max_value < (1 << 32):
-        return arr.astype(np.uint32)
-    return arr.astype(np.int64)
+def fold_stream(
+    acc_flat: np.ndarray, ufunc: np.ufunc, dst_flat: np.ndarray, msg: np.ndarray
+) -> None:
+    """``acc_flat[dst_flat[i]] = ufunc(acc_flat[dst_flat[i]], msg[i])``, in order.
 
-
-class SegmentedStreamFold:
-    """Fold machinery over a destination-sorted flat stream.
-
-    Shared by the full-group :class:`GatherPlan` and the per-worker
-    :class:`repro.parallel.plan_shard.PlanShard`: both expose a sorted
-    ``flat`` destination stream, and both fold with the same segmented
-    reductions, so serial and sharded execution apply bitwise-identical
-    per-cell operations in identical order.
+    The engine's one accumulator write (chronolint CHR002): a sequential
+    per-entry fold, so per-cell application order is the stream's order.
     """
-
-    flat: np.ndarray  # sorted flat destination index per stream entry
-    _full_segments: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    def _segments(
-        self, flat_sel: np.ndarray, full: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(seg_starts, seg_ids, cells)`` for a sorted selection."""
-        if full and self._full_segments is not None:
-            return self._full_segments
-        starts_mask = np.empty(flat_sel.shape[0], dtype=bool)
-        starts_mask[0] = True
-        np.not_equal(flat_sel[1:], flat_sel[:-1], out=starts_mask[1:])
-        seg_starts = np.flatnonzero(starts_mask)
-        seg_ids = np.cumsum(starts_mask) - 1
-        cells = flat_sel[seg_starts].astype(np.intp)
-        segments = (seg_starts, seg_ids, cells)
-        if full:
-            self._full_segments = segments
-        return segments
-
-    def fold(
-        self,
-        acc_flat: np.ndarray,
-        ufunc: np.ufunc,
-        msg: np.ndarray,
-        sel: Optional[np.ndarray],
-    ) -> int:
-        """Fold ``msg`` into the flat accumulator at the selected destinations.
-
-        Returns the number of accumulator element updates (= selected stream
-        entries). ``sel is None`` means the whole stream.
-        """
-        full = sel is None
-        flat_sel = self.flat if full else self.flat[sel]
-        n = int(flat_sel.shape[0])
-        if n == 0:
-            return 0
-        if ufunc is np.add:
-            seg_starts, seg_ids, cells = self._segments(flat_sel, full)
-            folded = np.bincount(seg_ids, weights=msg, minlength=seg_starts.shape[0])
-            acc_flat[cells] = np.add(acc_flat[cells], folded)
-        elif ufunc in _REDUCEAT_UFUNCS:
-            seg_starts, _, cells = self._segments(flat_sel, full)
-            folded = ufunc.reduceat(msg, seg_starts)
-            acc_flat[cells] = ufunc(acc_flat[cells], folded)
-        else:
-            raise EngineError(
-                f"no segmented reduction for gather ufunc {ufunc.__name__!r}"
-            )
-        return n
+    truth = _TRUTH_FOLDS.get(ufunc)
+    if truth is not None:
+        ufunc, msg = truth, (msg != 0).astype(np.float64)
+    ufunc.at(acc_flat, dst_flat, msg)
 
 
-class GatherPlan(SegmentedStreamFold):
-    """A destination-sorted COO view of one group edge array's live pairs.
+def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + counts[i])``."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
 
-    Built once per (group, edge direction, accumulator layout) and reused by
-    every iteration of every run over that group. All stored arrays are
-    immutable; per-iteration state (frontiers, snapshot masks) enters through
-    the ``select_*`` methods.
+
+class GatherPlan:
+    """The edge-major COO stream of one group's live (in-edge, snapshot) pairs.
+
+    Built once per (group, accumulator layout) from the group's in-edge
+    array — ``(dst, src)``-ordered, which the constructor relies on — and
+    reused by every mode and iteration of every run over that group.
+    Per-iteration state (frontiers, snapshot masks) enters through the
+    ``select_*`` methods.
     """
 
     def __init__(
@@ -156,103 +98,100 @@ class GatherPlan(SegmentedStreamFold):
         num_snapshots: int,
         weights: Optional[np.ndarray] = None,
         layout: LayoutKind = LayoutKind.TIME_LOCALITY,
+        degrees: Optional[np.ndarray] = None,
     ) -> None:
         self.num_vertices = int(num_vertices)
         self.num_snapshots = int(num_snapshots)
         self.layout = layout
-        ncells = self.num_vertices * self.num_snapshots
 
-        # Unpack every edge's snapshot bitmap exactly once.
-        shifts = np.arange(num_snapshots, dtype=np.uint64)
-        bits = ((bitmap[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-        edge_ids, snap_ids = np.nonzero(bits)  # edge-major, snapshots ascending
-        flat = _narrow_index(
-            flat_destination_index(
-                layout, dst[edge_ids], snap_ids, num_vertices, num_snapshots
-            ),
-            ncells,
-        )
-        # Stable sort: within one destination cell the stream stays in
-        # edge-ascending order — the order a per-edge loop folds it in.
-        order = np.argsort(flat, kind="stable")
-        self.edge_ids = edge_ids[order]
-        self.snap_ids = snap_ids[order]
-        self.src_ids = src[self.edge_ids]
-        self.dst_ids = dst[self.edge_ids]
-        #: Flat destination index (physical accumulator order), sorted.
-        self.flat = flat[order]
-        #: Flat *source* index in the same physical order (for value reads).
-        #: Kept at the platform index width: these arrays are consumed as
-        #: fancy indices every iteration, and a narrow dtype would force a
-        #: stream-sized cast per gather.
+        # Unpack every edge's snapshot bitmap exactly once; the mask walks
+        # it edge-major, snapshots ascending: (dst, src, snapshot) order.
+        bits = np.unpackbits(
+            bitmap.astype("<u8").view(np.uint8).reshape(bitmap.shape[0], 8),
+            axis=1,
+            count=num_snapshots,
+            bitorder="little",
+        ).view(bool)
+        self.snap_ids = np.broadcast_to(
+            np.arange(num_snapshots, dtype=np.uint8), bits.shape
+        )[bits]
+        snap_ids = self.snap_ids.astype(np.int64)
+        #: Live entries per edge (an edge's entries are contiguous).
+        self._live = popcounts(bitmap)
+        src_ids = np.repeat(src, self._live)
+        #: Flat destination / source index per entry, in the accumulator's
+        #: physical order. Kept at the platform index width: they are
+        #: consumed as fancy indices every iteration, and a narrow dtype
+        #: would force a stream-sized cast per use.
+        self.dst_flat = flat_destination_index(
+            layout, np.repeat(dst, self._live), snap_ids, num_vertices, num_snapshots
+        ).astype(np.intp, copy=False)
         self.src_flat = flat_destination_index(
-            layout, self.src_ids, self.snap_ids, num_vertices, num_snapshots
-        ).astype(np.intp)
+            layout, src_ids, snap_ids, num_vertices, num_snapshots
+        ).astype(np.intp, copy=False)
         #: Flat source index in C (V, S_g) order, for the boolean masks
-        #: (active/dirty), which are always C-contiguous ``(V, S_g)``.
-        self.src_flat_c = (
-            self.src_ids * np.int64(num_snapshots) + self.snap_ids
-        ).astype(np.intp)
-        self.weight_stream = (
-            None if weights is None else weights[self.edge_ids, self.snap_ids]
-        )
-        self.length = int(self.flat.shape[0])
+        #: (active/dirty), which are always C-contiguous ``(V, S_g)`` —
+        #: the time-locality physical order, hence an alias there.
+        self.src_flat_c = self.src_flat
+        if layout is not LayoutKind.TIME_LOCALITY:
+            self.src_flat_c = (src_ids * num_snapshots + snap_ids).astype(
+                np.intp, copy=False
+            )
+        self.weight_stream = None if weights is None else weights[bits]
+        self.length = int(self.dst_flat.shape[0])
         #: Stream entries per snapshot (pull mode's dirty-check count).
-        self.snap_entry_counts = np.bincount(
-            self.snap_ids, minlength=num_snapshots
-        ).astype(np.int64)
+        self.snap_entry_counts = np.array(
+            [np.count_nonzero(bits[:, s]) for s in range(num_snapshots)],
+            dtype=np.int64,
+        )
 
-        self._full_segments: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._src_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._degree_key: Optional[int] = None
-        self._degree_stream: Optional[np.ndarray] = None
-        self._cell_degree_key: Optional[int] = None
-        self._cell_degrees: Optional[np.ndarray] = None
-        #: Parent-issued shared-memory publication token, lazily assigned
-        #: by the process executor the first time this plan is shipped; a
-        #: rebuilt plan gets a fresh token, so worker-side plan caches can
-        #: never serve stale arrays.
+        # References (not copies) for the lazily derived structures.
+        self._src = src
+        self._degrees = degrees
+        #: Parent-issued shared-memory publication token, assigned by the
+        #: process executor the first time this plan is shipped; a rebuilt
+        #: plan gets a fresh one, so worker caches never serve stale arrays.
         self.shm_token: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # cached derived structures
 
-    def degree_stream(self, degrees: np.ndarray) -> np.ndarray:
-        """Per-entry source out-degree, memoised on the degrees array."""
-        if self._degree_key != id(degrees):
-            self._degree_stream = degrees[self.src_ids, self.snap_ids]
-            self._degree_key = id(degrees)
-        return self._degree_stream
-
-    def cell_degrees(self, degrees: np.ndarray) -> np.ndarray:
-        """Out-degrees flattened in physical layout order, memoised.
+    @cached_property
+    def degree_cells(self) -> np.ndarray:
+        """The group's out-degrees flattened in physical layout order.
 
         Lets weight-free scatters evaluate once per ``(vertex, snapshot)``
-        cell instead of once per stream entry (see ``planned_scatter``).
+        cell instead of once per stream entry (see :func:`stream_scatter`).
         """
-        if self._cell_degree_key != id(degrees):
-            phys = (
-                degrees
-                if self.layout is LayoutKind.TIME_LOCALITY
-                else degrees.T
-            )
-            self._cell_degrees = np.ascontiguousarray(phys).reshape(-1)
-            self._cell_degree_key = id(degrees)
-        return self._cell_degrees
+        time_major = self.layout is LayoutKind.TIME_LOCALITY
+        phys = self._degrees if time_major else self._degrees.T
+        return np.ascontiguousarray(phys).reshape(-1)
 
+    def dst_vertices(self) -> np.ndarray:
+        """Destination vertex per entry (non-decreasing), derived from
+        ``dst_flat`` itself: sanitizer and shard cuts see what the fold writes."""
+        if self.layout is LayoutKind.TIME_LOCALITY:
+            return self.dst_flat // self.num_snapshots
+        return self.dst_flat % self.num_vertices
+
+    @cached_property
     def _source_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(ptr, positions)``: stream positions grouped by source vertex."""
-        if self._src_csr is None:
-            positions = np.argsort(
-                _narrow_index(self.src_ids, self.num_vertices), kind="stable"
-            )
-            counts = np.bincount(self.src_ids, minlength=self.num_vertices)
-            ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            self._src_csr = (ptr, positions)
-        return self._src_csr
+        """``(ptr, positions)``: stream positions grouped by source vertex —
+        the E edges sorted by source (stable: a source's edges stay in stream
+        order), each expanded to its contiguous stream range."""
+        live = self._live
+        # E keys, downcast so the stable sort radix-passes fewer bytes.
+        narrow = np.min_scalar_type(self.num_vertices)
+        order = np.argsort(self._src.astype(narrow), kind="stable")
+        positions = _ragged_ranges((np.cumsum(live) - live)[order], live[order])
+        per_source = np.bincount(
+            self._src, weights=live, minlength=self.num_vertices
+        )
+        ptr = np.concatenate(([0], np.cumsum(per_source))).astype(np.int64)
+        return ptr, positions
 
     # ------------------------------------------------------------------ #
-    # per-iteration selection
+    # per-iteration selection and fold
 
     def select_stationary(self, snap_active: np.ndarray) -> Optional[np.ndarray]:
         """Stream positions live under ``snap_active``; None = whole stream."""
@@ -266,72 +205,61 @@ class GatherPlan(SegmentedStreamFold):
         """Stream positions whose (source, snapshot) is in the frontier.
 
         Equals ``flatnonzero(snap_active[s] & active[src, s])`` over the
-        stream; small frontiers are resolved through the per-source CSR
-        slices instead of a full-stream mask.
+        stream up to order: small frontiers are resolved through the
+        per-source CSR slices (source-major, which keeps every destination
+        cell's entries in stream order) instead of a full-stream mask.
         """
-        frontier = np.flatnonzero((active & snap_active[None, :]).any(axis=1))
+        active_now = active & snap_active[None, :]
+        frontier = np.flatnonzero(active_now.any(axis=1))
         if frontier.size == 0 or self.length == 0:
             return np.empty(0, dtype=np.int64)
-        active_flat = np.ravel(active)  # C-order (V, S_g), view
-        ptr, positions = self._source_csr()
+        active_flat = active_now.reshape(-1)  # C-order (V, S_g)
+        ptr, positions = self._source_csr
         counts = ptr[frontier + 1] - ptr[frontier]
         total = int(counts.sum())
         if total * _CSR_SELECT_FACTOR >= self.length:
-            keep = snap_active[self.snap_ids]
-            keep &= active_flat[self.src_flat_c]
-            return np.flatnonzero(keep)
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Ragged gather of the frontier sources' stream slices.
-        ends = np.cumsum(counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        cand = positions[np.repeat(ptr[frontier], counts) + within]
-        keep = snap_active[self.snap_ids[cand]]
-        keep &= active_flat[self.src_flat_c[cand]]
-        cand = cand[keep]
-        cand.sort()  # restore destination order for the segmented fold
-        return cand
+            return np.flatnonzero(active_flat[self.src_flat_c])
+        cand = positions[_ragged_ranges(ptr[frontier], counts)]
+        return cand[active_flat[self.src_flat_c[cand]]]
+
+    def fold(
+        self,
+        acc_flat: np.ndarray,
+        ufunc: np.ufunc,
+        msg: np.ndarray,
+        sel: Optional[np.ndarray],
+    ) -> int:
+        """Fold ``msg`` at the selected entries (None = all); returns updates."""
+        dst_flat = self.dst_flat if sel is None else self.dst_flat[sel]
+        fold_stream(acc_flat, ufunc, dst_flat, msg)
+        return int(dst_flat.shape[0])
+
 
 # ---------------------------------------------------------------------- #
 # plan cache and the engine entry point
 
 
 def plan_for(group: "GroupView", direction: str, layout: LayoutKind) -> GatherPlan:
-    """The (cached) gather plan for one direction of a group's edge array.
+    """The (cached) gather plan of a group — the same object for ``"out"``
+    and ``"in"``: the edge-major in-edge stream serves every mode.
 
     Plans depend only on the group's immutable topology, so they are cached
     on the :class:`~repro.temporal.series.GroupView` itself and shared by
     every run/iteration over that group.
     """
-    cache: Optional[Dict] = getattr(group, "plan_cache", None)
-    if cache is None:
-        cache = {}
-        group.plan_cache = cache
-    key = (direction, layout)
-    plan = cache.get(key)
+    plan = group.plan_cache.get(layout)
     obs.add("plan.cache_hits" if plan is not None else "plan.cache_builds")
     if plan is None:
-        if direction == "in":
-            plan = GatherPlan(
-                group.in_src,
-                group.in_dst,
-                group.in_bitmap,
-                group.num_vertices,
-                group.num_snapshots,
-                weights=group.in_weight,
-                layout=layout,
-            )
-        else:
-            plan = GatherPlan(
-                group.out_src,
-                group.out_dst,
-                group.out_bitmap,
-                group.num_vertices,
-                group.num_snapshots,
-                weights=group.out_weight,
-                layout=layout,
-            )
-        cache[key] = plan
+        plan = group.plan_cache[layout] = GatherPlan(
+            group.in_src,
+            group.in_dst,
+            group.in_bitmap,
+            group.num_vertices,
+            group.num_snapshots,
+            weights=group.in_weight,
+            layout=layout,
+            degrees=group.out_degrees,
+        )
     return plan
 
 
@@ -347,14 +275,14 @@ def stream_scatter(
     needs_degrees: bool,
     degree_cells: Optional[np.ndarray] = None,
 ) -> int:
-    """One planned scatter over a destination-sorted stream (or a slice).
+    """One planned scatter over an edge-major plan stream (or a slice).
 
     ``plan`` is anything with the gather-plan stream surface —
     :class:`GatherPlan` for the serial executor, a
     :class:`repro.parallel.plan_shard.PlanShard` inside a worker process.
     Selects the live (edge, snapshot) stream entries, computes their
-    messages elementwise, and folds them with the segmented kernel
-    matching the program's gather ufunc; returns accumulator updates.
+    messages elementwise, and folds them sequentially with the program's
+    gather ufunc (:func:`fold_stream`); returns accumulator updates.
     ``degree_cells`` is the source out-degree array flattened in physical
     layout order (required when ``needs_degrees``) — per-entry degrees are
     gathered from it at ``plan.src_flat``, which equals the per-entry
@@ -394,7 +322,7 @@ def stream_scatter(
     return plan.fold(acc_flat, program.gather.ufunc, msg, sel)
 
 
-def planned_scatter(ctx: Any, direction: str) -> int:
+def planned_scatter(ctx: Any) -> int:
     """Run one planned scatter for ``ctx``; returns accumulator updates.
 
     Under ``executor="process"`` the scatter is delegated to the
@@ -402,10 +330,10 @@ def planned_scatter(ctx: Any, direction: str) -> int:
     shard); otherwise it runs in-process via :func:`stream_scatter`.
     """
     if ctx.shm is not None:
-        return ctx.shm.scatter(direction)
+        return ctx.shm.scatter()
     state = ctx.state
     program = ctx.program
-    plan = state.gather_plan(direction)
+    plan = state.gather_plan()
     needs_degrees = program.needs_degrees
     return stream_scatter(
         plan,
@@ -416,9 +344,7 @@ def planned_scatter(ctx: Any, direction: str) -> int:
         state.snap_active,
         monotone=ctx.monotone,
         needs_degrees=needs_degrees,
-        degree_cells=(
-            plan.cell_degrees(ctx.group.out_degrees) if needs_degrees else None
-        ),
+        degree_cells=plan.degree_cells if needs_degrees else None,
     )
 
 
@@ -431,7 +357,7 @@ def vectorized_scatter(ctx: "ExecContext") -> None:
     dirty bit per live in-neighbour — its O(|E|) overhead, read off the
     plan's per-snapshot stream histogram; stream (X-Stream) enumerates the
     full out-edge array and writes one update entry per fold. The plan's
-    destination sort refines stream mode's shuffle order (bucket id is
+    ``(dst, src)`` order refines stream mode's shuffle order (bucket id is
     monotone in destination vertex), so per-destination fold order — and
     therefore every result bit — is the same in all three.
     """
@@ -458,17 +384,16 @@ def vectorized_scatter(ctx: "ExecContext") -> None:
             counters.vertex_value_reads += int((edge_counts > 0).sum()) * int(
                 state.snap_active.sum()
             )
-        counters.acc_updates += planned_scatter(ctx, "out")
+        counters.acc_updates += planned_scatter(ctx)
         return
     counters.edge_array_accesses += group.num_edges
     if mode is Mode.PULL:
-        plan = state.gather_plan("in")
         counters.dirty_checks += int(
-            plan.snap_entry_counts[state.snap_active].sum()
+            state.gather_plan().snap_entry_counts[state.snap_active].sum()
         )
-        updates = planned_scatter(ctx, "in")
+        updates = planned_scatter(ctx)
     else:
-        updates = planned_scatter(ctx, "out")
+        updates = planned_scatter(ctx)
         counters.update_entries += updates
     counters.acc_updates += updates
     counters.vertex_value_reads += updates

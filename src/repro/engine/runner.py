@@ -177,20 +177,18 @@ def _run_group_once(
             state.active &= mask[None, :]
 
         if not traced:
-            # Build (or fetch) the gather plan up front: the bitmap unpack and
-            # destination sort happen once per group, not once per iteration.
+            # Build (or fetch) the gather plan up front: the bitmap unpack
+            # happens once per group, not once per iteration.
             with obs.span("phase", "plan"):
-                plan = state.gather_plan(
-                    "in" if config.mode is Mode.PULL else "out"
-                )
+                plan = state.gather_plan()
             if config.sanitize and shm is None:
-                # Serial arm of the sanitizer: the segmented fold assumes a
-                # destination-sorted stream; prove it once per group. (The
-                # process executor proves shard disjointness instead — see
-                # BatchSession.)
+                # Serial arm of the sanitizer: per-cell fold order and the
+                # shard cuts both assume a destination-vertex-major stream;
+                # prove it once per group. (The process executor proves
+                # shard disjointness instead — see BatchSession.)
                 from repro.parallel.plan_shard import assert_destination_sorted
 
-                assert_destination_sorted(plan.flat, int(group.start))
+                assert_destination_sorted(plan.dst_vertices(), int(group.start))
 
         resolved = core_of if core_of is not None else config.resolve_core_of(
             group.num_vertices

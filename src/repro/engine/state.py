@@ -155,14 +155,14 @@ class GroupState:
         """Reset the accumulator to the gather identity (REGATHER programs)."""
         self._acc_phys.fill(self.program.gather.identity)
 
-    def gather_plan(self, direction: str) -> GatherPlan:
-        """The cached gather plan for this group/layout in ``direction``.
+    def gather_plan(self) -> GatherPlan:
+        """The cached gather plan for this group/layout (every mode's).
 
         Plans live on the :class:`~repro.temporal.series.GroupView` (they
         depend only on immutable topology), so snapshot-parallel runs that
         share one group share one plan too.
         """
-        return plan_for(self.group, direction, self.layout_kind)
+        return plan_for(self.group, "in", self.layout_kind)
 
     def alloc_stream_buffers(self, num_buckets: int) -> None:
         """Reserve the stream-mode update buffer and shuffle buckets."""

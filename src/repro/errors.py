@@ -129,7 +129,7 @@ class ShardRaceError(EngineError):
     """The shard-race sanitizer detected a violation of owner-computes.
 
     Raised under ``EngineConfig(sanitize=True)`` when a group's shard plan
-    assigns one destination segment to two workers (overlap, detected by
+    assigns one destination vertex to two workers (overlap, detected by
     the parent before any scatter runs) or when a worker is about to fold
     into an accumulator cell outside its claimed ownership range (detected
     at the write site inside the worker, against the shadow ownership map
@@ -155,7 +155,9 @@ class ShardRaceError(EngineError):
         self.worker = worker
         #: The other worker involved in an overlap, when known.
         self.other = other
-        #: Flat accumulator cell index of the offending write, when known.
+        #: Flat accumulator cell index of the offending write, when known
+        #: (the stream-order checks, which police whole destination-vertex
+        #: runs, report the vertex's ownership key here).
         self.cell = cell
 
     def __reduce__(self):

@@ -139,9 +139,9 @@ class ScatterDisciplineRule(Rule):
 
     The bitwise-identity contract between the serial fold, the simulated
     engine, and the sharded process executor holds because every
-    vectorised accumulator write goes through the one audited segmented
-    fold in :mod:`repro.engine.kernels` (per-cell application order is
-    pinned there). A stray ``ufunc.at`` elsewhere in the engine or
+    vectorised accumulator write goes through the one audited sequential
+    fold, :func:`repro.engine.kernels.fold_stream` (per-cell application
+    order is pinned there). A stray ``ufunc.at`` elsewhere in the engine or
     executors bypasses that audit — and under owner-computes sharding it
     can write cells the worker does not own.
     """
@@ -172,7 +172,7 @@ class ScatterDisciplineRule(Rule):
         ):
             yield node, (
                 "in-place ufunc.at scatter outside repro.engine.kernels; "
-                "route the fold through kernels.SegmentedStreamFold.fold "
+                "route the fold through kernels.fold_stream "
                 "so per-cell application order stays audited"
             )
 

@@ -1,14 +1,15 @@
-"""Sharding a destination-sorted gather plan across real workers.
+"""Sharding the edge-major gather plan across real workers.
 
-The :class:`~repro.engine.kernels.GatherPlan` stream is pre-sorted by flat
-destination index in the accumulator's physical layout order, so slicing it
-into contiguous ranges — with cuts only at *segment* (destination-cell)
-boundaries — hands each worker a set of accumulator cells nobody else
-writes. That is the owner-computes discipline of partition-parallelism
-(paper Section 3.4) realised without locks: every worker selects, computes
-messages for, and folds exactly its own slice, and because each cell's
-contributions stay in the same stream order as the serial fold, the result
-is bitwise identical to serial execution.
+The :class:`~repro.engine.kernels.GatherPlan` stream is the live pairs of
+the group's in-edge array in ``(dst, src, snapshot)`` order, so it is
+destination-**vertex**-major under both layouts: slicing it into
+contiguous ranges — with cuts only at destination-vertex boundaries —
+hands each worker a set of accumulator cells nobody else writes. That is
+the owner-computes discipline of partition-parallelism (paper Section 3.4)
+realised without locks: every worker selects, computes messages for, and
+folds exactly its own slice, and because each cell's contributions stay in
+the same stream order as the serial fold, the result is bitwise identical
+to serial execution.
 
 :func:`shard_boundaries` is computed by the parent once per (group,
 session); :class:`PlanShard` is built by each worker once per group from
@@ -20,17 +21,22 @@ once per iteration.
 owner-computes): the lock-free correctness argument above is an
 *invariant*, not a property the runtime otherwise checks. With the
 sanitizer on, the parent verifies the shard slices tile the stream with
-pairwise-disjoint destination-cell ranges (:func:`verify_disjoint_ownership`)
-and publishes a shadow **ownership map** — one byte per accumulator cell,
-holding ``worker_id + 1`` for the owner (:func:`ownership_map`) — into
-shared memory next to the plan. Every worker fold then validates the
-cells it is about to write against that map *at the write site*
-(:meth:`PlanShard.fold`), so an overlapping shard plan or an
-out-of-ownership write raises a typed
+pairwise-disjoint destination-vertex ranges
+(:func:`verify_disjoint_ownership`) and publishes a shadow **ownership
+map** — one byte per accumulator cell, holding ``worker_id + 1`` for the
+owner (:func:`ownership_map`) — into shared memory next to the plan. Every
+worker fold then validates the cells it is about to write against that map
+*at the write site* (:meth:`PlanShard.fold`), so an overlapping shard plan
+or an out-of-ownership write raises a typed
 :class:`~repro.errors.ShardRaceError` naming the group, the writing
 worker, and the owning worker, instead of silently corrupting the
 accumulator. Clean runs are bitwise-unaffected: the sanitizer only reads
 engine state.
+
+The stream-shaped arguments below come in two kinds: ``dst_flat`` is the
+plan's flat destination *cell* per entry (any order), ``keys`` a
+non-decreasing ownership key per entry — the destination vertex,
+:meth:`GatherPlan.dst_vertices` — whose runs are what a cut must not split.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.engine.kernels import SegmentedStreamFold
+from repro.engine.kernels import fold_stream
 from repro.errors import EngineError, ShardRaceError
 
 #: Ownership-map claims are ``worker_id + 1`` stored in one byte
@@ -57,10 +63,12 @@ SHARD_BUILDS = 0
 # shard-race sanitizer primitives (EngineConfig(sanitize=True))
 
 
-def ownership_map(flat: np.ndarray, bounds: np.ndarray, ncells: int) -> np.ndarray:
+def ownership_map(
+    dst_flat: np.ndarray, bounds: np.ndarray, ncells: int
+) -> np.ndarray:
     """``(ncells,)`` uint8 claim map: cell -> owning ``worker_id + 1``.
 
-    Built by the parent from the destination-sorted stream and the shard
+    Built by the parent from the plan's destination stream and the shard
     boundaries *before* any worker scatters, so detection cannot race the
     writes it polices. Cells no stream entry targets stay 0 (unowned) —
     a write there is out-of-ownership by definition.
@@ -75,23 +83,23 @@ def ownership_map(flat: np.ndarray, bounds: np.ndarray, ncells: int) -> np.ndarr
     for w in range(workers):
         b, e = int(bounds[w]), int(bounds[w + 1])
         if e > b:
-            claims[flat[b:e]] = np.uint8(w + 1)
+            claims[dst_flat[b:e]] = np.uint8(w + 1)
     return claims
 
 
 def verify_disjoint_ownership(
-    flat: np.ndarray, bounds: np.ndarray, group: int
+    keys: np.ndarray, bounds: np.ndarray, group: int
 ) -> None:
-    """Check the shard slices tile the stream with disjoint cell ranges.
+    """Check the shard slices tile the stream with disjoint key ranges.
 
-    ``flat`` being destination-sorted means each worker's slice covers the
-    contiguous cell interval ``[flat[b], flat[e-1]]``; two slices share a
-    cell iff those intervals intersect. Raises
+    ``keys`` being non-decreasing means each worker's slice covers the
+    contiguous interval ``[keys[b], keys[e-1]]``; two slices share a
+    destination iff those intervals intersect. Raises
     :class:`~repro.errors.ShardRaceError` naming both workers and the
-    first shared cell on overlap, or on boundaries that do not tile
-    ``[0, len(flat))`` monotonically.
+    first shared key on overlap, or on boundaries that do not tile
+    ``[0, len(keys))`` monotonically.
     """
-    length = int(flat.shape[0])
+    length = int(keys.shape[0])
     workers = int(bounds.shape[0]) - 1
     if int(bounds[0]) != 0 or int(bounds[-1]) != length:
         raise ShardRaceError(
@@ -101,7 +109,7 @@ def verify_disjoint_ownership(
         )
     prev_end = 0
     prev_owner: Optional[int] = None
-    last_cell = -1
+    last_key = -1
     for w in range(workers):
         b, e = int(bounds[w]), int(bounds[w + 1])
         if b != prev_end:
@@ -113,47 +121,46 @@ def verify_disjoint_ownership(
         prev_end = e
         if e <= b:
             continue
-        first_cell = int(flat[b])
-        if first_cell <= last_cell and prev_owner is not None:
+        first_key = int(keys[b])
+        if first_key <= last_key and prev_owner is not None:
             raise ShardRaceError(
-                "overlapping shard ownership: destination cell is claimed "
+                "overlapping shard ownership: destination is claimed "
                 "by two workers",
-                group=group, worker=w, other=prev_owner, cell=first_cell,
+                group=group, worker=w, other=prev_owner, cell=first_key,
             )
-        last_cell = int(flat[e - 1])
+        last_key = int(keys[e - 1])
         prev_owner = w
 
 
-def assert_destination_sorted(flat: np.ndarray, group: int) -> None:
-    """Serial-sanitize check: the plan stream must be destination-sorted.
+def assert_destination_sorted(keys: np.ndarray, group: int) -> None:
+    """Serial-sanitize check: destination vertex non-decreasing along the stream.
 
-    The segmented fold and the shard slicing both assume a sorted ``flat``
-    stream; a corrupted or mis-built plan silently mis-folds. Checked once
-    per group (plans are cached), not per iteration.
+    Per-cell fold order and the shard slicing both assume a
+    destination-vertex-major stream; a corrupted or mis-built plan silently
+    mis-folds. Checked once per group run, not per iteration.
     """
-    if flat.shape[0] > 1:
-        steps = np.asarray(flat[1:] < flat[:-1])
+    if keys.shape[0] > 1:
+        steps = np.asarray(keys[1:] < keys[:-1])
         if steps.any():
             pos = int(np.flatnonzero(steps)[0]) + 1
             raise ShardRaceError(
                 f"gather plan stream is not destination-sorted at "
                 f"position {pos}",
-                group=group, cell=int(flat[pos]),
+                group=group, cell=int(keys[pos]),
             )
 
 
-def shard_boundaries(flat: np.ndarray, workers: int) -> np.ndarray:
-    """``(workers + 1,)`` stream positions cutting ``flat`` into shards.
+def shard_boundaries(keys: np.ndarray, workers: int) -> np.ndarray:
+    """``(workers + 1,)`` stream positions cutting the stream into shards.
 
-    ``flat`` is the plan's sorted flat-destination stream. Ideal equal-size
-    cuts are snapped *backwards* to the start of the destination segment
-    they fall into, so no accumulator cell is split across two workers.
-    Boundaries are non-decreasing; a worker whose slice is empty simply
-    folds nothing.
+    Ideal equal-size cuts are snapped *backwards* to the start of the run
+    of equal ``keys`` (one destination vertex) they fall into, so no
+    destination is split across two workers. Boundaries are
+    non-decreasing; a worker whose slice is empty simply folds nothing.
     """
     global BOUNDARY_BUILDS
     BOUNDARY_BUILDS += 1
-    length = int(flat.shape[0])
+    length = int(keys.shape[0])
     if length == 0 or workers <= 1:
         bounds = np.zeros(workers + 1, dtype=np.int64)
         bounds[-1] = length
@@ -161,26 +168,27 @@ def shard_boundaries(flat: np.ndarray, workers: int) -> np.ndarray:
             bounds[1:-1] = length
         return bounds
     ideal = (np.arange(1, workers, dtype=np.int64) * length) // workers
-    # searchsorted(left) on the cell value at each ideal cut = the first
-    # stream position of that cell, i.e. the enclosing segment's start.
-    snapped = np.searchsorted(flat, flat[ideal], side="left").astype(np.int64)
+    # searchsorted(left) on the key at each ideal cut = the first stream
+    # position of that key, i.e. the enclosing run's start.
+    snapped = np.searchsorted(keys, keys[ideal], side="left").astype(np.int64)
     bounds = np.concatenate(
         (np.zeros(1, dtype=np.int64), snapped, np.asarray([length], dtype=np.int64))
     )
     return np.maximum.accumulate(bounds)
 
 
-class PlanShard(SegmentedStreamFold):
-    """One worker's contiguous slice of a destination-sorted plan stream.
+class PlanShard:
+    """One worker's contiguous slice of the edge-major plan stream.
 
     Mirrors the :class:`~repro.engine.kernels.GatherPlan` stream surface
-    consumed by :func:`~repro.engine.kernels.stream_scatter` — ``flat``,
-    ``src_flat``, ``src_flat_c``, ``snap_ids``, ``weight_stream``,
-    ``select_*`` and the inherited segmented ``fold`` — restricted to
-    positions ``[start, stop)`` of the full stream. All arrays are
-    zero-copy views of the shared-memory blocks the parent published, so
-    construction is O(1); the slice's full-stream segment table is cached
-    after the first stationary fold.
+    consumed by :func:`~repro.engine.kernels.stream_scatter` —
+    ``src_flat``, ``weight_stream``, ``select_*`` and ``fold`` — restricted
+    to positions ``[start, stop)`` of the full stream. ``arrays`` is the
+    worker's plan-cache entry (role name -> attached shared-memory or
+    memmap array; ``weights`` only when the program reads them,
+    ``src_flat_c`` only where it is not ``src_flat`` itself — C order *is*
+    the physical order under time-locality) and is sliced zero-copy, so
+    construction is O(1).
 
     When the parent published an ownership claim map (``sanitize_map``;
     see :func:`ownership_map`), :meth:`fold` validates every destination
@@ -190,11 +198,7 @@ class PlanShard(SegmentedStreamFold):
 
     def __init__(
         self,
-        flat: np.ndarray,
-        src_flat: np.ndarray,
-        src_flat_c: np.ndarray,
-        snap_ids: np.ndarray,
-        weight_stream: Optional[np.ndarray],
+        arrays: "Mapping[str, np.ndarray]",
         num_vertices: int,
         num_snapshots: int,
         start: int,
@@ -207,29 +211,24 @@ class PlanShard(SegmentedStreamFold):
         SHARD_BUILDS += 1
         self.start = int(start)
         self.stop = int(stop)
-        self.flat = flat[start:stop]
-        self.src_flat = src_flat[start:stop]
-        self.src_flat_c = src_flat_c[start:stop]
-        self.snap_ids = snap_ids[start:stop]
-        self.weight_stream = (
-            None if weight_stream is None else weight_stream[start:stop]
-        )
+        self.dst_flat = arrays["dst_flat"][start:stop]
+        self.src_flat = arrays["src_flat"][start:stop]
+        self.src_flat_c = arrays.get("src_flat_c", arrays["src_flat"])[start:stop]
+        self.snap_ids = arrays["snap_ids"][start:stop]
+        weights = arrays.get("weights")
+        self.weight_stream = None if weights is None else weights[start:stop]
         self.num_vertices = int(num_vertices)
         self.num_snapshots = int(num_snapshots)
-        self.length = int(self.flat.shape[0])
-        self._full_segments = None
         self.sanitize_map = sanitize_map
         self.worker_id = int(worker_id)
         self.group_start = int(group_start)
 
-    def _check_ownership(self, flat_sel: np.ndarray) -> None:
+    def _check_ownership(self, dst_flat: np.ndarray) -> None:
         """Raise unless every selected destination cell belongs to us."""
-        claims = self.sanitize_map[flat_sel]
-        mine = np.uint8(self.worker_id + 1)
-        bad = claims != mine
+        claims = self.sanitize_map[dst_flat]
+        bad = claims != np.uint8(self.worker_id + 1)
         if bad.any():
             pos = int(np.flatnonzero(bad)[0])
-            cell = int(flat_sel[pos])
             claim = int(claims[pos])
             raise ShardRaceError(
                 "out-of-ownership scatter write"
@@ -238,7 +237,7 @@ class PlanShard(SegmentedStreamFold):
                 group=self.group_start,
                 worker=self.worker_id,
                 other=claim - 1 if claim else None,
-                cell=cell,
+                cell=int(dst_flat[pos]),
             )
 
     def fold(
@@ -248,11 +247,11 @@ class PlanShard(SegmentedStreamFold):
         msg: np.ndarray,
         sel: Optional[np.ndarray],
     ) -> int:
+        dst_flat = self.dst_flat if sel is None else self.dst_flat[sel]
         if self.sanitize_map is not None:
-            flat_sel = self.flat if sel is None else self.flat[sel]
-            if flat_sel.shape[0]:
-                self._check_ownership(flat_sel)
-        return super().fold(acc_flat, ufunc, msg, sel)
+            self._check_ownership(dst_flat)
+        fold_stream(acc_flat, ufunc, dst_flat, msg)
+        return int(dst_flat.shape[0])
 
     # ------------------------------------------------------------------ #
     # per-iteration selection (slice-local positions)
@@ -268,46 +267,10 @@ class PlanShard(SegmentedStreamFold):
     ) -> np.ndarray:
         """Slice positions whose (source, snapshot) is in the frontier.
 
-        The full-slice mask is the same selection the serial
-        :meth:`GatherPlan.select_monotone` makes, restricted to this
-        shard's contiguous range — ascending order, so the segmented fold
-        sees each cell's contributions in the serial order.
+        The full-slice mask is the serial
+        :meth:`GatherPlan.select_monotone` selection restricted to this
+        shard's contiguous range, so each owned cell sees its contributions
+        in the serial order.
         """
-        if self.length == 0:
-            return np.empty(0, dtype=np.int64)
-        keep = snap_active[self.snap_ids]
-        keep &= np.ravel(active)[self.src_flat_c]
-        return np.flatnonzero(keep)
-
-
-def shard_from_arrays(
-    arrays: "Mapping[str, np.ndarray]",
-    *,
-    num_vertices: int,
-    num_snapshots: int,
-    start: int,
-    stop: int,
-    sanitize_map: Optional[np.ndarray] = None,
-    worker_id: int = -1,
-    group_start: int = -1,
-) -> PlanShard:
-    """Build a :class:`PlanShard` from a named plan-array mapping.
-
-    The mapping is a worker's plan-cache entry (role name -> attached
-    shared-memory or memmap array); ``weights`` is optional — a program
-    that ignores weights never ships the stream.
-    """
-    return PlanShard(
-        arrays["flat"],
-        arrays["src_flat"],
-        arrays["src_flat_c"],
-        arrays["snap_ids"],
-        arrays.get("weights"),
-        num_vertices,
-        num_snapshots,
-        start,
-        stop,
-        sanitize_map=sanitize_map,
-        worker_id=worker_id,
-        group_start=group_start,
-    )
+        active_now = (active & snap_active[None, :]).reshape(-1)
+        return np.flatnonzero(active_now[self.src_flat_c])

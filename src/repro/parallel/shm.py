@@ -11,7 +11,7 @@ deterministic *simulation* in :mod:`repro.parallel.multicore`:
 - each LABS group's state arrays (values / accumulator / active masks)
   are allocated in named POSIX shared memory via
   :class:`SharedMemoryAllocator`;
-- the group's destination-sorted gather plan is published **once per
+- the group's edge-major gather plan is published **once per
   plan, not once per dispatch**: the parent keeps an LRU of plan tokens
   per pool (:meth:`WorkerPool.note_plan_token`) mirrored exactly by the
   workers' plan caches, so a plan already resident in the workers is
@@ -20,7 +20,7 @@ deterministic *simulation* in :mod:`repro.parallel.multicore`:
   (:class:`BatchSession` sends a single ``batch`` message per worker
   covering every group of the batch, then per-iteration ``scatter``
   commands carry only the group index);
-- the plan is sharded at destination-segment boundaries
+- the plan is sharded at destination-vertex boundaries
   (:mod:`repro.parallel.plan_shard`), giving every worker exclusive
   ownership of its accumulator cells — owner-computes, no locks — so the
   parallel fold is bitwise identical to the serial one;
@@ -110,16 +110,16 @@ if TYPE_CHECKING:
     from repro.temporal.series import GroupView, SnapshotSeriesView
 
 from repro.algorithms.program import Semantics
-from repro.engine.config import EngineConfig, Mode
+from repro.engine.config import EngineConfig
 from repro.engine.counters import EngineCounters
 from repro.engine.kernels import stream_scatter
 from repro.engine.state import ArrayAllocator, GroupState
 from repro.errors import EngineError, WorkerError
 from repro.obs import runtime as obs
 from repro.parallel.plan_shard import (
+    PlanShard,
     ownership_map,
     shard_boundaries,
-    shard_from_arrays,
     verify_disjoint_ownership,
 )
 from repro.resilience import faults
@@ -545,7 +545,7 @@ class _WorkerGroup:
             if san_spec is not None
             else None
         )
-        self.shard = shard_from_arrays(
+        self.shard = PlanShard(
             arrays,
             num_vertices=spec["num_vertices"],
             num_snapshots=spec["num_snapshots"],
@@ -1040,8 +1040,8 @@ class _GroupHandle:
         self.index = index
         self.group_start = group_start
 
-    def scatter(self, direction: str) -> int:
-        return self.session.scatter(self.index, direction, self.group_start)
+    def scatter(self) -> int:
+        return self.session.scatter(self.index, self.group_start)
 
 
 class BatchSession:
@@ -1073,7 +1073,6 @@ class BatchSession:
         self.pool = pool
         self.base = base
         self.timeout = config.worker_timeout_s
-        self.direction = "in" if config.mode is Mode.PULL else "out"
         self.allocators: List[Optional[SharedMemoryAllocator]] = []
         self.states: List[Optional[GroupState]] = []
         self.handles: List[_GroupHandle] = []
@@ -1113,7 +1112,7 @@ class BatchSession:
                     group, config.layout, program, allocator=galloc
                 )
                 self.states.append(state)
-                plan = state.gather_plan(self.direction)
+                plan = state.gather_plan()
                 use_weights = needs_weights and plan.weight_stream is not None
                 if plan.shm_token is None:
                     plan.shm_token = _new_token()
@@ -1133,32 +1132,33 @@ class BatchSession:
                         return galloc.publish(name, arr)
 
                     plan_blocks = {
-                        "flat": _publish("plan_flat", plan.flat),
+                        "dst_flat": _publish("plan_dst_flat", plan.dst_flat),
                         "src_flat": _publish("plan_src_flat", plan.src_flat),
-                        "src_flat_c": _publish(
-                            "plan_src_flat_c", plan.src_flat_c
-                        ),
                         "snap_ids": _publish("plan_snap_ids", plan.snap_ids),
                     }
+                    if plan.src_flat_c is not plan.src_flat:
+                        plan_blocks["src_flat_c"] = _publish(
+                            "plan_src_flat_c", plan.src_flat_c
+                        )
                     if use_weights:
                         plan_blocks["weights"] = _publish(
                             "plan_weights", plan.weight_stream
                         )
                     if needs_degrees:
                         plan_blocks["degree_cells"] = _publish(
-                            "plan_degree_cells",
-                            plan.cell_degrees(group.out_degrees),
+                            "plan_degree_cells", plan.degree_cells
                         )
-                bounds = shard_boundaries(plan.flat, pool.workers)
+                dst_vertices = plan.dst_vertices()
+                bounds = shard_boundaries(dst_vertices, pool.workers)
                 sanitize_spec: Optional[BlockSpec] = None
                 if config.sanitize:
                     verify_disjoint_ownership(
-                        plan.flat, bounds, group=group_start
+                        dst_vertices, bounds, group=group_start
                     )
                     sanitize_spec = galloc.publish(
                         "sanitize_map",
                         ownership_map(
-                            plan.flat,
+                            plan.dst_flat,
                             bounds,
                             plan.num_vertices * plan.num_snapshots,
                         ),
@@ -1208,12 +1208,7 @@ class BatchSession:
                 group=int(groups[0].start),
             )
 
-    def scatter(self, index: int, direction: str, group_start: int) -> int:
-        if direction != self.direction:
-            raise EngineError(
-                f"session built for direction {self.direction!r}, "
-                f"got scatter in {direction!r}"
-            )
+    def scatter(self, index: int, group_start: int) -> int:
         # No span here: the runner's scatter bracket
         # (_run_group_once) already covers this round-trip.
         return sum(

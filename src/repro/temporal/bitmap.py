@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import ValidationError
 
 MAX_SNAPSHOTS = 64
@@ -38,6 +40,21 @@ def mask_below(n: int) -> int:
 def popcount(bitmap: int) -> int:
     """Number of snapshots present in ``bitmap``."""
     return int(bitmap).bit_count() if hasattr(int, "bit_count") else bin(bitmap).count("1")
+
+
+def popcounts(bitmaps: np.ndarray) -> np.ndarray:
+    """Per-element :func:`popcount` of a ``uint64`` bitmap array (int64).
+
+    The SWAR bit-count: ``np.bitwise_count`` needs NumPy >= 2.0, above
+    the package floor.
+    """
+    x = bitmaps.astype(np.uint64)
+    x -= (x >> np.uint64(1)) & np.uint64(0x5555555555555555)
+    x = (x & np.uint64(0x3333333333333333)) + (
+        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
+    )
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
 def bits_iter(bitmap: int) -> Iterator[int]:

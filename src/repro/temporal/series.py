@@ -243,9 +243,11 @@ class GroupView:
             (series.vertex_bitmap[:, None] >> shifts[None, :]) & np.uint64(1)
         ).astype(bool)
         self.times = series.times[start:stop]
-        #: Cached scatter kernel plans, keyed ``(direction, layout)`` and
-        #: filled lazily by :func:`repro.engine.kernels.plan_for`. Plans
-        #: depend only on the (immutable) group topology, so every run and
+        #: Cached scatter kernel plans, keyed by layout (one plan — the
+        #: edge-major live stream of ``in_*``, which is why that array's
+        #: ``(dst, src)`` order matters — serves every mode) and filled
+        #: lazily by :func:`repro.engine.kernels.plan_for`. Plans depend
+        #: only on the (immutable) group topology, so every run and
         #: iteration over this view shares them.
         self.plan_cache: Dict = {}
 

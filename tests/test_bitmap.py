@@ -36,6 +36,20 @@ class TestPopcount:
         assert popcount(0b1011) == 3
         assert popcount(mask_below(64)) == 64
 
+    def test_array_form_matches_scalar(self):
+        import numpy as np
+
+        from repro.temporal.bitmap import popcounts
+
+        rng = np.random.default_rng(0)
+        bitmaps = rng.integers(0, 1 << 63, size=200, dtype=np.uint64) << np.uint64(
+            1
+        ) | rng.integers(0, 2, size=200, dtype=np.uint64)
+        bitmaps[:3] = [0, 1, mask_below(64)]
+        counts = popcounts(bitmaps)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [popcount(b) for b in bitmaps.tolist()]
+
 
 class TestBitsIter:
     def test_ascending_order(self):

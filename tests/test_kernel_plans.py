@@ -4,9 +4,10 @@ The vectorised scatter (:mod:`repro.engine.kernels`) promises *bitwise*
 identical values and *identical* logical counters versus the per-edge
 simulated engine (:mod:`repro.engine.traced`, ``trace=True``) — an
 independent implementation of the same fold order — for every mode,
-layout, gather kind, and semantics; the fold itself is checked against a
-sequential ``ufunc.at``. These tests state that promise as properties
-over random temporal graphs and random COO streams.
+layout, gather kind, and semantics; selection + fold are checked against a
+pure-Python per-edge loop, and the plan's no-sort stream order against
+the property of the series it rests on. These tests state that promise as
+properties over random temporal graphs and random COO streams.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ LAYOUTS = [LayoutKind.TIME_LOCALITY, LayoutKind.STRUCTURE_LOCALITY]
 
 
 class ReachabilityOr(VertexProgram):
-    """A logical-OR flood program (exercises the reduceat bool dispatch)."""
+    """A logical-OR flood program (exercises the truth-valued fold)."""
 
     name = "reach-or"
     semantics = Semantics.REGATHER
@@ -86,6 +87,110 @@ def test_plan_matches_ufunc_at_on_random_graphs(seed, mode, layout, batch, app):
     _assert_kernels_agree(series, app, mode, layout, batch)
 
 
+#: Message values every fold must survive: NaN is truthy, ``-0.0`` falsy.
+_HOSTILE = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 5e-324])
+
+
+def _random_in_edges(rng, num_vertices, num_edges, num_snapshots):
+    """Distinct random edges in ``(dst, src)`` order + live bitmaps."""
+    pairs = np.sort(
+        rng.choice(
+            num_vertices * num_vertices,
+            size=min(num_edges, num_vertices * num_vertices),
+            replace=False,
+        )
+    )
+    dst, src = np.divmod(pairs.astype(np.int64), num_vertices)
+    bitmap = rng.integers(
+        0, 1 << num_snapshots, size=pairs.shape[0], dtype=np.uint64
+    )
+    return src, dst, bitmap
+
+
+def _stream_triples(plan):
+    """``(dst, src, snapshot)`` per stream entry, decoded from the plan's
+    own index arrays (the only thing the fold and the gathers read)."""
+    V, S = plan.num_vertices, plan.num_snapshots
+    src, snap = np.divmod(plan.src_flat_c, S)
+    if plan.layout is LayoutKind.TIME_LOCALITY:
+        dst, dsnap = np.divmod(plan.dst_flat, S)
+        src_phys = src * S + snap
+    else:
+        dsnap, dst = np.divmod(plan.dst_flat, V)
+        src_phys = snap * V + src
+    assert np.array_equal(dsnap, snap) and np.array_equal(plan.snap_ids, snap)
+    assert np.array_equal(plan.src_flat, src_phys)
+    return dst, src, snap
+
+
+def _physical(layout, logical):
+    """A ``(V, S)`` array's flat physical-order copy."""
+    phys = logical if layout is LayoutKind.TIME_LOCALITY else logical.T
+    return phys.reshape(-1).copy()  # never a view of ``logical``
+
+
+SELECTIONS = ["none", "stationary", "mask", "csr"]
+
+
+def _check_fold_against_per_edge_loop(
+    seed, num_edges, num_vertices, num_snapshots, kind, layout, selection,
+    hostile=0.3,
+):
+    """Select + fold, for every gather ufunc, vs sequential ``ufunc.at``
+    semantics spelled out as a pure-Python per-edge loop (edges in
+    ``(dst, src)`` order, snapshots ascending — the fold *is* ``ufunc.at``,
+    so calling it here would compare the fold with itself) over hostile
+    float messages; twice on one accumulator: identity-initialised, then
+    persisting."""
+    rng = np.random.default_rng(seed)
+    V, S = num_vertices, num_snapshots
+    src, dst, bitmap = _random_in_edges(rng, V, num_edges, S)
+    plan = GatherPlan(src, dst, bitmap, V, S, layout=layout)
+    e_dst, e_src, e_snap = _stream_triples(plan)
+
+    acc = np.full((V, S), kind.identity, dtype=np.float64)  # the oracle's
+    acc_flat = _physical(layout, acc)  # the plan's, physical order
+    touched = np.zeros((V, S), dtype=bool)
+    for _round in range(2):
+        msgs = np.where(
+            rng.random((V, V, S)) < hostile,
+            rng.choice(_HOSTILE, size=(V, V, S)),
+            # magnitudes far apart: a sum in the wrong order rounds apart
+            rng.normal(size=(V, V, S)) * 10.0 ** rng.integers(-8, 9, (V, V, S)),
+        )  # message of pair (src, dst, snapshot)
+        snap_active = rng.random(S) < 0.7
+        active = rng.random((V, S)) < 0.4
+        if selection == "none":
+            sel, chosen = None, np.ones((V, S), dtype=bool)
+        elif selection == "stationary":
+            sel = plan.select_stationary(snap_active)
+            chosen = np.broadcast_to(snap_active, (V, S))
+        else:
+            factor = 0 if selection == "csr" else 10**9
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_CSR_SELECT_FACTOR", factor)
+                sel = plan.select_monotone(active, snap_active)
+            chosen = active & snap_active[None, :]
+        pick = slice(None) if sel is None else sel
+        msg = msgs[e_src[pick], e_dst[pick], e_snap[pick]]
+        with np.errstate(invalid="ignore"):
+            n = plan.fold(acc_flat, kind.ufunc, msg, sel)
+            expected = 0
+            for u, d, bits in zip(src.tolist(), dst.tolist(), bitmap.tolist()):
+                for k in range(S):
+                    if (bits >> k) & 1 and chosen[u, k]:
+                        acc[d, k] = kind.ufunc(acc[d, k], msgs[u, d, k])
+                        touched[d, k] = True
+                        expected += 1
+        assert n == expected
+        assert acc_flat.tobytes() == _physical(layout, acc).tobytes()
+    untouched = _physical(layout, ~touched)
+    assert (
+        acc_flat[untouched].tobytes()
+        == np.full(int(untouched.sum()), kind.identity).tobytes()
+    )
+
+
 @given(
     seed=st.integers(0, 10_000),
     num_edges=st.integers(0, 60),
@@ -93,36 +198,114 @@ def test_plan_matches_ufunc_at_on_random_graphs(seed, mode, layout, batch, app):
     num_snapshots=st.integers(1, 7),
     kind=st.sampled_from(list(GatherKind)),
     layout=st.sampled_from(LAYOUTS),
+    selection=st.sampled_from(SELECTIONS),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_fold_matches_ufunc_at_on_random_streams(
-    seed, num_edges, num_vertices, num_snapshots, kind, layout
+    seed, num_edges, num_vertices, num_snapshots, kind, layout, selection
 ):
-    """The fold itself, for every gather ufunc, vs a sequential ufunc.at."""
+    _check_fold_against_per_edge_loop(
+        seed, num_edges, num_vertices, num_snapshots, kind, layout, selection
+    )
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("kind", list(GatherKind))
+def test_fold_matches_per_edge_loop_on_a_complete_graph(kind, layout, selection):
+    """Every cell gets many contributions, few of them NaN / inf (which
+    would saturate it): per-cell application order is what is tested."""
+    _check_fold_against_per_edge_loop(
+        11, 81, 9, 4, kind, layout, selection, hostile=0.01
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    num_edges=st.integers(0, 60),
+    num_vertices=st.integers(1, 12),
+    num_snapshots=st.integers(1, 7),
+    layout=st.sampled_from(LAYOUTS),
+)
+@settings(max_examples=40, deadline=None)
+def test_plan_stream_is_dst_src_snapshot_ordered(
+    seed, num_edges, num_vertices, num_snapshots, layout
+):
     rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    bitmap = rng.integers(
-        0, 1 << num_snapshots, size=num_edges, dtype=np.uint64
+    src, dst, bitmap = _random_in_edges(
+        rng, num_vertices, num_edges, num_snapshots
     )
-    plan = GatherPlan(
-        src, dst, bitmap, num_vertices, num_snapshots, layout=layout
+    plan = GatherPlan(src, dst, bitmap, num_vertices, num_snapshots, layout=layout)
+    expected = [
+        (d, u, k)
+        for u, d, bits in zip(src.tolist(), dst.tolist(), bitmap.tolist())
+        for k in range(num_snapshots)
+        if (bits >> k) & 1
+    ]
+    assert list(zip(*(a.tolist() for a in _stream_triples(plan)))) == expected
+    assert expected == sorted(expected)
+    assert np.all(np.diff(plan.dst_vertices()) >= 0)
+    assert plan.snap_entry_counts.tolist() == np.bincount(
+        [k for _, _, k in expected], minlength=num_snapshots
+    ).tolist()
+
+
+@given(seed=st.integers(0, 10_000), symmetric=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_in_edge_array_is_the_stable_destination_sort_of_out(seed, symmetric):
+    """What the no-sort plan rests on: ``in_*`` is ``out_*`` stably sorted
+    by destination, for the series and for every group view of it."""
+    graph = random_temporal_graph(
+        num_vertices=14, num_events=120, seed=seed, symmetric=symmetric
     )
-    if kind in (GatherKind.OR, GatherKind.AND):
-        msg = rng.integers(0, 2, size=plan.length).astype(np.float64)
-    else:
-        msg = rng.normal(size=plan.length)
-    shape = (
-        (num_vertices, num_snapshots)
-        if layout is LayoutKind.TIME_LOCALITY
-        else (num_snapshots, num_vertices)
+    series = graph.series(graph.evenly_spaced_times(7))
+    for view in (series, series.group(0, 7), series.group(2, 5), series.group(6, 7)):
+        order = np.argsort(view.out_dst, kind="stable")
+        assert np.array_equal(view.in_dst, view.out_dst[order])
+        assert np.array_equal(view.in_src, view.out_src[order])
+        assert np.array_equal(view.in_bitmap, view.out_bitmap[order])
+        assert (view.in_weight is None) == (view.out_weight is None)
+        if view.in_weight is not None:
+            assert np.array_equal(view.in_weight, view.out_weight[order])
+
+
+def test_one_plan_per_group_and_layout_serves_both_directions():
+    graph = random_temporal_graph(num_vertices=20, num_events=150, seed=3)
+    group = graph.series(graph.evenly_spaced_times(6)).group(0, 6)
+    for layout in LAYOUTS:
+        assert kernels.plan_for(group, "out", layout) is kernels.plan_for(
+            group, "in", layout
+        )
+    assert kernels.plan_for(group, "out", LAYOUTS[0]) is not kernels.plan_for(
+        group, "out", LAYOUTS[1]
     )
-    acc_plan = np.full(shape, kind.identity, dtype=np.float64)
-    acc_at = acc_plan.copy()
-    n = plan.fold(acc_plan.reshape(-1), kind.ufunc, msg, None)
-    kind.ufunc.at(acc_at.reshape(-1), plan.flat.astype(np.intp), msg)
-    assert n == plan.length
-    assert acc_plan.tobytes() == acc_at.tobytes()
+
+
+def test_plan_bytes_per_live_cell():
+    """Stream-length arrays a plan holds — an exact count: flat destination
+    and source indices (8 + 8 B), snapshot ids (1 B), and, once a monotone
+    program has run, the per-source CSR's positions (8 B)."""
+    from repro.datasets import wiki_like
+
+    graph = wiki_like(300, 4000, seed=1)
+    group = graph.series(graph.evenly_spaced_times(8)).group(0, 8)
+    plan = kernels.plan_for(group, "in", LayoutKind.TIME_LOCALITY)
+    plan.select_monotone(
+        np.ones((group.num_vertices, 8), dtype=bool), np.ones(8, dtype=bool)
+    )
+
+    def stream_bytes():
+        arrays = {}
+        for value in vars(plan).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray) and a.shape == (plan.length,):
+                    arrays[id(a)] = a.nbytes
+        return sum(arrays.values())
+
+    assert plan.length > group.num_edges  # a real stream, not a toy
+    assert plan.weight_stream is None and plan.src_flat_c is plan.src_flat
+    assert stream_bytes() == 25 * plan.length
+    assert stream_bytes() <= 32 * plan.length
 
 
 @pytest.mark.parametrize("factor", [0, 10**9])

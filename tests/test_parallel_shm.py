@@ -11,6 +11,7 @@ without leaking a single ``/dev/shm`` segment.
 """
 
 import glob
+import os
 import subprocess
 import sys
 import textwrap
@@ -30,7 +31,9 @@ from repro.parallel import shm
 from repro.parallel.plan_shard import shard_boundaries
 from tests.conftest import random_temporal_graph
 
-WORKERS = 2
+#: Overridable so the CI multi-worker smoke job can run the same tests
+#: at workers=4 (see .github/workflows/ci.yml).
+WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 ALGOS = ["pagerank", "wcc", "sssp", "mis", "spmv"]
 MODES = ["push", "pull"]
 BATCHES = [1, 4, 16]

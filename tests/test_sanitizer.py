@@ -1,8 +1,8 @@
 """The shard-race sanitizer (``EngineConfig(sanitize=True)``).
 
 The process executor's lock-free correctness rests on one invariant: the
-destination-sorted plan stream is cut only at segment boundaries, so each
-worker folds into accumulator cells nobody else touches. The sanitizer
+destination-vertex-major plan stream is cut only at vertex boundaries, so
+each worker folds into accumulator cells nobody else touches. The sanitizer
 turns that invariant into a runtime check — the parent proves shard
 disjointness before publishing, workers validate every fold against a
 shadow ownership map in shared memory — and these tests prove both that
@@ -12,6 +12,7 @@ corrupting results.
 """
 
 import glob
+import os
 import pickle
 
 import numpy as np
@@ -32,7 +33,9 @@ from repro.parallel.plan_shard import (
 )
 from tests.conftest import random_temporal_graph
 
-WORKERS = 2
+#: Overridable so the CI multi-worker smoke job can run the same tests
+#: at workers=4 (see .github/workflows/ci.yml).
+WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 ALGOS = ["pagerank", "wcc", "sssp", "mis", "spmv"]
 MODES = ["push", "pull"]
 
@@ -113,50 +116,52 @@ def test_assert_destination_sorted():
     assert ei.value.group == 8
 
 
-def _shard(flat, sanitize_map, worker_id):
-    aux = np.zeros_like(flat)
+def _shard(dst_flat, sanitize_map, worker_id):
+    """A whole-stream shard over an edge-major destination stream (cells
+    of one vertex interleave; only the vertex is non-decreasing)."""
+    aux = np.zeros_like(dst_flat)
+    arrays = {"dst_flat": dst_flat, "src_flat": aux, "snap_ids": aux.astype(np.uint8)}
     return PlanShard(
-        flat, aux, aux, aux, None,
-        num_vertices=flat.shape[0], num_snapshots=1,
-        start=0, stop=flat.shape[0],
+        arrays, num_vertices=3, num_snapshots=2,
+        start=0, stop=dst_flat.shape[0],
         sanitize_map=sanitize_map, worker_id=worker_id, group_start=16,
     )
 
 
 def test_plan_shard_rejects_write_into_another_workers_cell():
-    flat = np.array([0, 0, 1, 2], dtype=np.int64)
-    claims = np.array([1, 2, 1, 0], dtype=np.uint8)  # cell 1 belongs to w1
-    shard = _shard(flat, claims, worker_id=0)
-    acc = np.zeros(4, dtype=np.float64)
+    dst_flat = np.array([1, 0, 0, 2], dtype=np.intp)
+    claims = np.array([1, 1, 2, 0, 0, 0], dtype=np.uint8)  # cell 2 is w1's
+    shard = _shard(dst_flat, claims, worker_id=0)
+    acc = np.zeros(6, dtype=np.float64)
     with pytest.raises(ShardRaceError) as ei:
         shard.fold(acc, np.add, np.ones(4, dtype=np.float64), None)
     err = ei.value
     assert err.worker == 0 and err.other == 1
-    assert err.cell == 1 and err.group == 16
-    assert acc.tolist() == [0.0, 0.0, 0.0, 0.0]  # nothing was written
+    assert err.cell == 2 and err.group == 16
+    assert acc.tolist() == [0.0] * 6  # nothing was written
 
 
 def test_plan_shard_rejects_write_into_unclaimed_cell():
-    flat = np.array([0, 3], dtype=np.int64)
-    claims = np.array([1, 0, 0, 0], dtype=np.uint8)  # cell 3 unclaimed
-    shard = _shard(flat, claims, worker_id=0)
+    dst_flat = np.array([0, 3], dtype=np.intp)
+    claims = np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8)  # cell 3 unclaimed
+    shard = _shard(dst_flat, claims, worker_id=0)
+    acc = np.zeros(6, dtype=np.float64)
     with pytest.raises(ShardRaceError) as ei:
-        shard.fold(
-            np.zeros(4, dtype=np.float64), np.add,
-            np.ones(2, dtype=np.float64), None,
-        )
+        shard.fold(acc, np.add, np.ones(2, dtype=np.float64), None)
     assert ei.value.other is None and ei.value.cell == 3
+    assert acc.tolist() == [0.0] * 6  # not even the owned cell 0
 
 
 def test_plan_shard_sanitized_fold_matches_unsanitized():
-    flat = np.array([0, 0, 1, 2, 2], dtype=np.int64)
-    msg = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    claims = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-    clean = np.zeros(5, dtype=np.float64)
+    flat = np.array([1, 0, 1, 0, 3, 2, 2], dtype=np.intp)
+    msg = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    claims = np.array([1, 1, 1, 1, 0, 0], dtype=np.uint8)
+    clean = np.zeros(6, dtype=np.float64)
     _shard(flat, None, -1).fold(clean, np.add, msg, None)
-    sanitized = np.zeros(5, dtype=np.float64)
+    sanitized = np.zeros(6, dtype=np.float64)
     _shard(flat, claims, worker_id=0).fold(sanitized, np.add, msg, None)
     assert sanitized.tobytes() == clean.tobytes()
+    assert clean.tolist() == [10.0, 5.0, 96.0, 16.0, 0.0, 0.0]
 
 
 def test_shard_race_error_survives_pickling():
@@ -240,15 +245,19 @@ def test_serial_sanitize_detects_unsorted_plan(series16):
     program = make_program("pagerank")
     config = EngineConfig(batch_size=8, sanitize=True)
     state = GroupState(group, config.layout, program)
-    plan = state.gather_plan("out")
-    rising = np.flatnonzero(np.asarray(plan.flat[1:]) > np.asarray(plan.flat[:-1]))
-    assert rising.size, "fixture plan must have more than one segment"
+    plan = state.gather_plan()
+    vertices = plan.dst_vertices()
+    rising = np.flatnonzero(vertices[1:] > vertices[:-1])
+    assert rising.size, "fixture plan must span more than one destination"
     i = int(rising[0])
-    plan.flat[i], plan.flat[i + 1] = plan.flat[i + 1], plan.flat[i]
+    before = state.acc_flat.copy()
+    plan.dst_flat[i], plan.dst_flat[i + 1] = plan.dst_flat[i + 1], plan.dst_flat[i]
     try:
         with pytest.raises(ShardRaceError) as ei:
             run_group(group, program, config, state=state)
         assert ei.value.group == 0
+        assert ei.value.cell == int(vertices[i])
+        assert state.acc_flat.tobytes() == before.tobytes()  # nothing folded
     finally:
         # Plans are cached on the group view; drop the corrupted one so
         # later tests over the same fixture rebuild it clean.
