@@ -58,7 +58,7 @@ def report_table(
         slug = re.sub(r"[^a-z0-9]+", "_", title.lower()).strip("_")
         # Benchmark report output, regenerable by rerunning the bench —
         # never a durability artifact the engine reads back.
-        # chronoflow: allow-atomic-write
+        # chronolint: allow-atomic-write
         (_RESULTS_DIR / f"{slug}.md").write_text(table.render() + "\n")
     except OSError:
         pass  # reporting must never fail the benchmark

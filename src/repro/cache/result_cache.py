@@ -213,7 +213,8 @@ class ResultCache:
 
         def _save(tmp: Path) -> None:
             # Writer callback: atomic_write_via hands it a tmp sibling and
-            # fsyncs + renames after (tag covers open and np.save below).
+            # fsyncs + renames after. The tag covers np.save below, whose
+            # target is the handle, not a path CHF003 can trace to tmp.
             with open(tmp, "wb") as fh:  # chronolint: allow-atomic-write
                 np.save(fh, entry.values, allow_pickle=False)
 

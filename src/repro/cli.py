@@ -72,24 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run chronolint, the engine-invariant static analyzer",
+        help="run chronolint, the static analyzer: per-file invariant "
+        "rules and call-graph proofs",
         add_help=False,
     )
     lint.add_argument(
         "args",
         nargs=argparse.REMAINDER,
         help="arguments forwarded to chronolint (see `repro lint --help`)",
-    )
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="run chronoflow, the interprocedural call-graph analyzer",
-        add_help=False,
-    )
-    analyze.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to chronoflow (see `repro analyze --help`)",
     )
 
     cachep = sub.add_parser(
@@ -628,11 +618,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # Same verbatim forwarding for chronoflow.
-        from repro.flow.cli import main as chronoflow_main
-
-        return chronoflow_main(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.command == "stats":
         return _cmd_stats(args)

@@ -7,7 +7,7 @@ operation.
 
 from __future__ import annotations
 
-#: Machine-checked retry classification (chronoflow CHF002): the retry
+#: Machine-checked retry classification (chronolint CHF002): the retry
 #: machinery in :mod:`repro.resilience.retry` may catch exactly the
 #: retryable classes, and nothing declared non-retryable may sit in the
 #: retryable subtree — a shard race or injected crash is deterministic,

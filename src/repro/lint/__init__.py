@@ -3,15 +3,30 @@
 The engine's headline property — LABS batching with results *bitwise
 identical to serial* across the process executor and the fault-recovery
 paths — rests on invariants (seeded RNG only, audited scatter folds,
-owner-computes shm writes, typed errors, pinned dtypes) that nothing in
-Python enforces. This package enforces them mechanically:
+owner-computes shm writes, typed errors, pinned dtypes, temp-scoped
+durable writes) that nothing in Python enforces. This package enforces
+them mechanically, as one analyzer with two kinds of rule over one parse
+of every file:
 
-- :mod:`repro.lint.core` — the AST visitor engine, violation records,
-  and the ``# chronolint:`` suppression-tag protocol;
-- :mod:`repro.lint.rules` — the repo-specific CHR001–CHR006 rule set
-  (pluggable: ``@register`` adds new rules);
+- :mod:`repro.lint.core` — the run (read, tokenise and parse each file
+  once), :class:`Finding` records, the ``# chronolint:`` suppression-tag
+  protocol and its stale-tag audit, the rule registry;
+- :mod:`repro.lint.rules` — the per-file rules CHR001–CHR003 and
+  CHR005–CHR007, one AST walk per file, plus the detectors the
+  whole-program rules share with them;
+- :mod:`repro.lint.callgraph` — the module-level call graph over the
+  library files of the same run;
+- the whole-program rules over that graph:
+  :mod:`repro.lint.effects` (CHF001, nothing reachable from
+  ``runner.run`` reads clocks, global RNG, the environment or set
+  order — the premise of ``repro.cache.keys.config_digest``),
+  :mod:`repro.lint.exceptions` (CHF002, typed raises along public call
+  chains and the declared retry split), :mod:`repro.lint.sinks`
+  (CHF003, every raw write's path is temp-scoped) and
+  :mod:`repro.lint.ipc` (CHF004, WorkerPool payloads trace back to
+  declared-picklable constructors);
 - :mod:`repro.lint.cli` — the ``chronolint`` console entry point, also
-  reachable as ``python -m repro.lint`` and ``python -m repro.cli lint``.
+  reachable as ``python -m repro.lint`` and ``repro lint``.
 
 The *dynamic* half of the tooling — the shard-race sanitizer
 (``EngineConfig(sanitize=True)``) — lives with the executor in
@@ -19,37 +34,42 @@ The *dynamic* half of the tooling — the shard-race sanitizer
 
 Public API::
 
-    from repro.lint import lint_source, lint_paths, all_rules
+    from repro.lint import analyze_paths, lint_source
 
-    violations, _ = lint_source(code, path="src/repro/engine/foo.py")
-    assert not [v for v in violations if not v.suppressed]
+    result = analyze_paths(["src"])
+    assert not result.active
+    findings, _ = lint_source(code, path="src/repro/engine/foo.py")
 """
 
+from repro.lint.callgraph import Program
 from repro.lint.core import (
     REGISTRY,
+    AnalysisResult,
     FileContext,
-    LintError,
+    Finding,
     Rule,
     Suppressions,
-    Violation,
     all_rules,
+    analyze_paths,
+    build_program,
     iter_python_files,
-    lint_paths,
     lint_source,
     module_name,
     register,
 )
 
 __all__ = [
+    "AnalysisResult",
     "FileContext",
-    "LintError",
+    "Finding",
+    "Program",
     "REGISTRY",
     "Rule",
     "Suppressions",
-    "Violation",
     "all_rules",
+    "analyze_paths",
+    "build_program",
     "iter_python_files",
-    "lint_paths",
     "lint_source",
     "module_name",
     "register",

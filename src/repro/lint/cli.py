@@ -1,43 +1,47 @@
-"""The ``chronolint`` console entry point.
+"""The ``chronolint`` console entry point (also ``repro lint``).
 
 Usage::
 
     chronolint src/ benchmarks/ tests/          # CI invocation
     chronolint src/ --strict                    # also audit suppressions
+    chronolint src/ --json report.json          # machine-readable report
     chronolint --list-rules                     # what is enforced, and why
-    chronolint src/repro/engine --select CHR001,CHR006
+    chronolint src/repro/engine --select CHR001,CHF003
 
-Exit status: 0 when every file parses and no *untagged* violation was
-found; 1 on untagged violations or unparsable files; with ``--strict``
+Exit status: 0 when every file parses and no *untagged* finding was
+found; 1 on untagged findings or unparsable files; with ``--strict``
 also 1 when a suppression tag matched nothing (stale tags rot the audit
-trail) — suppressed violations themselves are reported but never fail the
-run, that is what the tag is for.
+trail); 2 on usage errors. Suppressed findings are reported under
+``--strict`` but never fail the run — that is what the tag is for.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
-from repro.lint.core import all_rules, lint_paths
+from repro.lint.core import all_rules, analyze_paths
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronolint",
         description=(
-            "Invariant linter for the Chronos engine: determinism and "
-            "shm-safety contracts, enforced mechanically (CHR001-CHR006)."
+            "Static analyzer for the Chronos engine: per-file invariant "
+            "rules (CHR) and call-graph proofs of the determinism, "
+            "exception-flow, crash-consistency and IPC-typing contracts "
+            "(CHF)."
         ),
     )
     parser.add_argument(
-        "paths", nargs="*", help="files or directories to lint"
+        "paths", nargs="*", help="files or directories to analyze"
     )
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="report suppressed violations and fail on suppression tags "
+        help="report suppressed findings and fail on suppression tags "
         "that no longer match anything",
     )
     parser.add_argument(
@@ -47,13 +51,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
+        "--json",
+        default=None,
+        metavar="FILE",
+        help="write the full JSON report to FILE ('-' for stdout)",
+    )
+    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule with the invariant it guards",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true",
-        help="suppress the summary line (violations still print)",
+        help="suppress the summary line (findings still print)",
     )
     return parser
 
@@ -82,37 +92,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"chronolint: no rules match --select {args.select!r}",
               file=sys.stderr)
         return 2
-    violations, errors, sups = lint_paths(args.paths, rules=rules)
 
-    active = [v for v in violations if not v.suppressed]
-    suppressed = [v for v in violations if v.suppressed]
-    for violation in active:
-        print(violation.format())
+    result = analyze_paths(args.paths, rules=rules)
+
+    for found in result.active:
+        print(found.format())
     if args.strict:
-        for violation in suppressed:
-            print(violation.format())
-    for error in errors:
-        print(error.format(), file=sys.stderr)
+        for found in result.suppressed:
+            print(found.format())
+    for path in sorted(result.errors):
+        print(f"{path}: error: {result.errors[path]}", file=sys.stderr)
+    stale = result.stale_tags if args.strict else []
+    for path, line, token in stale:
+        print(
+            f"{path}:{line}:0: STALE suppression tag {token!r} "
+            "matches no finding; remove it"
+        )
 
-    stale = 0
-    if args.strict:
-        for path in sorted(sups):
-            for line, token in sups[path].unused():
-                stale += 1
-                print(
-                    f"{path}:{line}:0: STALE suppression tag {token!r} "
-                    "matches no violation; remove it",
-                )
+    if args.json:
+        payload = json.dumps(result.to_json(), indent=1, sort_keys=True)
+        if args.json == "-":
+            print(payload)
+        else:
+            # Analysis report at a user-chosen path: regenerable by
+            # rerunning the tool, never a durability artifact.
+            # chronolint: allow-atomic-write
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
 
-    failed = bool(active or errors or stale)
+    failed = result.failed(strict=args.strict)
     if not args.quiet:
-        bits = [f"{len(active)} violation(s)"]
-        if suppressed:
-            bits.append(f"{len(suppressed)} suppressed")
+        bits = [f"{len(result.active)} finding(s)"]
+        if result.suppressed:
+            bits.append(f"{len(result.suppressed)} suppressed")
         if stale:
-            bits.append(f"{stale} stale tag(s)")
-        if errors:
-            bits.append(f"{len(errors)} unparsable file(s)")
+            bits.append(f"{len(stale)} stale tag(s)")
+        if result.errors:
+            bits.append(f"{len(result.errors)} unparsable file(s)")
+        bits.append(
+            f"{len(result.program.functions)} function(s), "
+            f"{result.program.edge_count()} edge(s)"
+        )
         status = "FAILED" if failed else "ok"
         print(f"chronolint: {status} — {', '.join(bits)}")
     return 1 if failed else 0

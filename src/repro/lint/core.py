@@ -1,23 +1,34 @@
-"""chronolint core: parsed files, violations, suppression tags, the runner.
+"""chronolint core: parsed files, findings, suppression tags, the one run.
 
-A lint run is a pure function of source text: every file is parsed once
-into an AST, comment tokens are scanned for ``chronolint:`` suppression
-tags, and each registered rule (:mod:`repro.lint.rules`) is dispatched
-over the node types it subscribed to by a single tree walk. Rules yield
-``(node, message)`` pairs; this module turns them into
-:class:`Violation` records and resolves suppressions.
+A run is a pure function of source text. Every file under the given
+paths is read, tokenised for ``chronolint:`` suppression tags and parsed
+into an AST exactly once (:class:`FileContext`). Two kinds of registered
+rule then consume the same parsed files:
+
+- *per-file* rules (CHR001–CHR007, :mod:`repro.lint.rules`) subscribe to
+  AST node types and are dispatched by a single tree walk per file,
+  yielding ``(node, message)`` pairs;
+- *whole-program* rules (CHF001–CHF004) see the call graph
+  (:mod:`repro.lint.callgraph`) built over the library subset of those
+  files (``module_name(path) is not None``) and yield findings whose
+  evidence may be a call chain.
+
+Both report :class:`Finding` records, resolved against the same tags and
+audited by the same stale-tag check.
 
 Suppression syntax (comments only — tags inside string literals are
 inert, which is what lets the test fixtures embed tagged sources):
 
 - ``# chronolint: allow-<slug>`` — suppress the named rule, e.g.
   ``# chronolint: allow-broad-except`` for CHR003;
-- ``# chronolint: disable=CHR001,CHR005`` — suppress by rule id;
-- ``# chronolint: skip-file`` — anywhere in the file, skips it entirely.
+- ``# chronolint: disable=CHR001,CHF003`` — suppress by rule id (either
+  family, any case);
+- ``# chronolint: skip-file`` — anywhere in the file, skips it entirely
+  (it is not parsed, linted, or part of the call graph).
 
 A tag covers its own physical line and the line directly below it, so a
 justification can sit on its own line above the violating statement.
-Suppressed violations are still collected (``Violation.suppressed``) so
+Suppressed findings are still collected (``Finding.suppressed``) so
 ``--strict`` can report them and flag tags that no longer match anything.
 """
 
@@ -26,21 +37,27 @@ from __future__ import annotations
 import ast
 import io
 import os
+import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import PurePosixPath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type,
+)
+
+from repro.lint.callgraph import Program
 
 __all__ = [
+    "AnalysisResult",
     "FileContext",
-    "LintError",
+    "Finding",
     "REGISTRY",
     "Rule",
     "Suppressions",
-    "Violation",
     "all_rules",
+    "analyze_paths",
+    "build_program",
     "iter_python_files",
-    "lint_paths",
     "lint_source",
     "module_name",
     "parse_suppressions",
@@ -51,32 +68,44 @@ __all__ = [
 _SKIP_DIRS = frozenset({".git", "__pycache__", ".hypothesis", ".pytest_cache",
                         "node_modules", ".mypy_cache", "build", "dist"})
 
+#: A rule id of either family, as written in ``disable=`` lists.
+_RULE_ID = re.compile(r"CH[RF]\d{3}", re.IGNORECASE)
+
 
 @dataclass(frozen=True)
-class Violation:
+class Finding:
     """One rule firing at one source location."""
 
     rule: str  #: rule id, e.g. ``"CHR003"``
-    path: str  #: file path as given to the linter
+    slug: str  #: suppression slug, e.g. ``"broad-except"``
+    path: str  #: file path as given to the run
     line: int  #: 1-based line of the offending node
     col: int  #: 0-based column of the offending node
     message: str
+    #: Qualnames from an analysis root to the offending function, when a
+    #: whole-program finding is reachability-based — the offending line
+    #: may be arbitrarily far from the contract it breaks.
+    chain: Tuple[str, ...] = ()
     suppressed: bool = False  #: an ``allow``/``disable`` tag covered it
 
     def format(self) -> str:
         tag = " (suppressed)" if self.suppressed else ""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{tag}"
+        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{tag}"
+        if self.chain:
+            text += "\n    via " + " -> ".join(self.chain)
+        return text
 
-
-@dataclass(frozen=True)
-class LintError:
-    """A file chronolint could not analyse (syntax/decoding error)."""
-
-    path: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}: error: {self.message}"
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "rule": self.rule,
+            "slug": self.slug,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+            "chain": list(self.chain),
+            "suppressed": self.suppressed,
+        }
 
 
 @dataclass
@@ -84,9 +113,9 @@ class Suppressions:
     """Parsed ``chronolint:`` tags of one file."""
 
     skip_file: bool = False
-    #: line -> tokens on/above it: ``allow-<slug>`` slugs and ``CHRnnn`` ids.
+    #: line -> tokens on/above it: ``allow-<slug>`` slugs and rule ids.
     by_line: Dict[int, Set[str]] = field(default_factory=dict)
-    #: ``(line, token)`` pairs that matched a violation (strict-mode audit).
+    #: ``(line, token)`` pairs that matched a finding (strict-mode audit).
     used: Set[Tuple[int, str]] = field(default_factory=set)
     #: every ``(line, token)`` pair declared in the file.
     declared: Set[Tuple[int, str]] = field(default_factory=set)
@@ -103,23 +132,20 @@ class Suppressions:
         return hit
 
     def unused(self) -> List[Tuple[int, str]]:
-        """Declared tags that never matched a violation, sorted by line."""
+        """Declared tags that never matched a finding, sorted by line."""
         return sorted(self.declared - self.used)
 
 
-def parse_suppressions(
-    source: str, prefixes: Sequence[str] = ("chronolint",)
-) -> Suppressions:
-    """Extract tags from comment tokens (string literals are inert).
+def parse_suppressions(source: str) -> Suppressions:
+    """Extract ``# chronolint:`` tags from comment tokens.
 
-    ``prefixes`` selects which tag spellings are honoured: chronolint
-    itself parses ``# chronolint:`` comments only, while chronoflow
-    (:mod:`repro.flow`) shares this machinery and accepts both
-    ``# chronolint:`` and ``# chronoflow:`` tags — the sink-analysis
-    pair (CHR008/CHF003) shares the ``atomic-write`` slug, so one
-    chronolint tag can cover both tools at a site where both fire.
+    String literals are inert. Rule ids (``disable=CHF003`` or a bare
+    ``chr001``) are matched case-insensitively and stored upper-case, so
+    every id of a ``disable=`` list counts, whichever family it names.
     """
     sup = Suppressions()
+    if "chronolint:" not in source:
+        return sup  # no tag can hide in a file without the prefix
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
@@ -128,12 +154,9 @@ def parse_suppressions(
         if tok.type != tokenize.COMMENT:
             continue
         text = tok.string.lstrip("#").strip()
-        matched = next(
-            (p for p in prefixes if text.startswith(p + ":")), None
-        )
-        if matched is None:
+        if not text.startswith("chronolint:"):
             continue
-        body = text[len(matched) + 1:].strip()
+        body = text[len("chronolint:"):].strip()
         line = tok.start[0]
         entries: Set[str] = set()
         for part in body.replace(",", " ").split():
@@ -141,10 +164,10 @@ def parse_suppressions(
                 sup.skip_file = True
             elif part.startswith("allow-"):
                 entries.add(part[len("allow-"):])
-            elif part.startswith("disable="):
-                entries.add(part[len("disable="):])
-            elif part.upper().startswith("CHR"):
-                entries.add(part.upper())
+            else:
+                rule_id = part.removeprefix("disable=")
+                if _RULE_ID.fullmatch(rule_id):
+                    entries.add(rule_id.upper())
         if entries:
             sup.by_line.setdefault(line, set()).update(entries)
             sup.declared.update((line, e) for e in entries)
@@ -156,7 +179,8 @@ def module_name(path: str) -> Optional[str]:
 
     ``src/repro/engine/kernels.py`` -> ``"repro.engine.kernels"``;
     files outside the library (tests, benchmarks, examples) -> ``None``.
-    Rules use this to scope themselves to library subtrees.
+    Rules use this to scope themselves to library subtrees, and the run
+    uses it to pick the files that make up the call graph.
     """
     norm = PurePosixPath(path.replace(os.sep, "/"))
     parts = list(norm.parts)
@@ -179,7 +203,7 @@ def module_name(path: str) -> Optional[str]:
 
 @dataclass
 class FileContext:
-    """Everything rules may consult about the file being linted."""
+    """One parsed file: everything per-file rules may consult."""
 
     path: str
     source: str
@@ -203,18 +227,20 @@ class FileContext:
 class Rule:
     """Base class of every chronolint rule.
 
-    Subclasses declare an id/slug/title, the AST node types they want to
-    see (``interests``), and implement :meth:`check`, yielding
-    ``(node, message)`` pairs for each firing. Registration is pluggable:
-    decorate the class with :func:`register` (third-party rules can do the
-    same — the engine has no built-in knowledge of the CHR set).
+    A rule is one of two kinds. A *per-file* rule declares the AST node
+    types it wants to see (``interests``) and implements :meth:`check`,
+    yielding ``(node, message)`` pairs. A *whole-program* rule declares no
+    interests and implements :meth:`run`, which sees the call graph of the
+    library files and yields :class:`Finding` records; suppression is the
+    run's job, so rules report every finding unconditionally. Registration
+    is pluggable: decorate the class with :func:`register`.
     """
 
     rule_id: str = "CHR000"
     #: Suppression slug: ``# chronolint: allow-<slug>``.
     slug: str = "nothing"
     title: str = ""
-    #: One-line statement of the invariant the rule guards (docs/--list-rules).
+    #: One-line statement of the invariant the rule guards (--list-rules).
     invariant: str = ""
     interests: Tuple[type, ...] = ()
 
@@ -223,20 +249,46 @@ class Rule:
     ) -> Iterator[Tuple[ast.AST, str]]:
         raise NotImplementedError
 
+    def run(self, program: Program) -> Iterable[Finding]:
+        raise NotImplementedError
 
-#: Registered rule classes by id, in registration order.
-REGISTRY: Dict[str, type] = {}
+    def finding(
+        self,
+        path: str,
+        node: Optional[ast.AST],
+        message: str,
+        chain: Tuple[str, ...] = (),
+    ) -> Finding:
+        """A finding of this rule anchored at ``node`` (line 1 if None)."""
+        return Finding(
+            rule=self.rule_id,
+            slug=self.slug,
+            path=path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            message=message,
+            chain=chain,
+        )
 
 
-def register(cls: type) -> type:
+#: Registered rule classes by id.
+REGISTRY: Dict[str, Type[Rule]] = {}
+
+
+def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a :class:`Rule` subclass to the registry."""
     REGISTRY[cls.rule_id] = cls
     return cls
 
 
 def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
-    """Fresh instances of every registered rule (optionally a subset)."""
-    import repro.lint.rules  # noqa: F401  — registers the CHR rule set
+    """Fresh instances of every registered rule (optionally a subset), by id."""
+    # Importing the rule modules registers them.
+    import repro.lint.effects  # noqa: F401
+    import repro.lint.exceptions  # noqa: F401
+    import repro.lint.ipc  # noqa: F401
+    import repro.lint.rules  # noqa: F401
+    import repro.lint.sinks  # noqa: F401
 
     wanted = None if select is None else {s.upper() for s in select}
     return [
@@ -246,14 +298,19 @@ def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     ]
 
 
+def _resolve(found: Finding, sup: Suppressions) -> Finding:
+    """``found``, marked suppressed when a tag of ``sup`` covers it."""
+    return replace(found, suppressed=sup.cover(found.line, found.rule, found.slug))
+
+
 class _Dispatcher(ast.NodeVisitor):
-    """One tree walk, dispatching nodes to the rules that subscribed."""
+    """One tree walk, dispatching nodes to the per-file rules that subscribed."""
 
     def __init__(
         self,
         rules: Sequence[Rule],
         ctx: FileContext,
-        out: List[Violation],
+        out: List[Finding],
     ) -> None:
         self._ctx = ctx
         self._out = out
@@ -266,21 +323,8 @@ class _Dispatcher(ast.NodeVisitor):
         ctx = self._ctx
         for rule in self._by_type.get(type(node), ()):
             for where, message in rule.check(node, ctx):
-                line = getattr(where, "lineno", 1)
-                col = getattr(where, "col_offset", 0)
-                suppressed = ctx.suppressions.cover(
-                    line, rule.rule_id, rule.slug
-                )
-                self._out.append(
-                    Violation(
-                        rule=rule.rule_id,
-                        path=ctx.path,
-                        line=line,
-                        col=col,
-                        message=message,
-                        suppressed=suppressed,
-                    )
-                )
+                found = rule.finding(ctx.path, where, message)
+                self._out.append(_resolve(found, ctx.suppressions))
 
     def visit(self, node: ast.AST) -> None:
         self._dispatch(node)
@@ -294,34 +338,46 @@ class _Dispatcher(ast.NodeVisitor):
                 self._ctx.func_stack.pop()
 
 
+def _parse(source: str, path: str) -> Optional[FileContext]:
+    """Tokenise and parse one file; None when it carries ``skip-file``.
+
+    Raises :class:`SyntaxError` on unparsable input.
+    """
+    sup = parse_suppressions(source)
+    if sup.skip_file:
+        return None
+    return FileContext(
+        path=path,
+        source=source,
+        tree=ast.parse(source, filename=path),
+        module=module_name(path),
+        suppressions=sup,
+    )
+
+
+def _lint(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
+    out: List[Finding] = []
+    _Dispatcher(rules, ctx, out).visit(ctx.tree)
+    out.sort(key=lambda f: (f.line, f.col, f.rule))
+    return out
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Violation], Optional[Suppressions]]:
-    """Lint one source string as if it lived at ``path``.
+) -> Tuple[List[Finding], Optional[Suppressions]]:
+    """Run the per-file rules over one source string as if it lived at ``path``.
 
-    Returns ``(violations, suppressions)``; the suppressions object is
-    ``None`` when the file was skipped via ``skip-file``. Violations
-    include suppressed ones (``Violation.suppressed`` set) so callers can
+    Returns ``(findings, suppressions)``; the suppressions object is
+    ``None`` when the file was skipped via ``skip-file``. Findings
+    include suppressed ones (``Finding.suppressed`` set) so callers can
     audit tags. Raises :class:`SyntaxError` on unparsable input.
     """
-    active = list(all_rules() if rules is None else rules)
-    sup = parse_suppressions(source)
-    if sup.skip_file:
+    ctx = _parse(source, path)
+    if ctx is None:
         return [], None
-    tree = ast.parse(source, filename=path)
-    ctx = FileContext(
-        path=path,
-        source=source,
-        tree=tree,
-        module=module_name(path),
-        suppressions=sup,
-    )
-    out: List[Violation] = []
-    _Dispatcher(active, ctx, out).visit(tree)
-    out.sort(key=lambda v: (v.line, v.col, v.rule))
-    return out, sup
+    return _lint(ctx, all_rules() if rules is None else rules), ctx.suppressions
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -346,31 +402,107 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
             yield path
 
 
-def lint_paths(
+@dataclass
+class AnalysisResult:
+    """Everything one run produced."""
+
+    program: Program
+    findings: List[Finding] = field(default_factory=list)
+    #: Files that could not be read or parsed: path -> error.
+    errors: Dict[str, str] = field(default_factory=dict)
+    #: Tags that matched no finding: (path, line, token).
+    stale_tags: List[Tuple[str, int, str]] = field(default_factory=list)
+
+    @property
+    def active(self) -> List[Finding]:
+        return [f for f in self.findings if not f.suppressed]
+
+    @property
+    def suppressed(self) -> List[Finding]:
+        return [f for f in self.findings if f.suppressed]
+
+    def failed(self, strict: bool) -> bool:
+        if self.active or self.errors:
+            return True
+        return strict and bool(self.stale_tags)
+
+    def to_json(self) -> Dict[str, object]:
+        by_rule: Dict[str, List[Dict[str, object]]] = {}
+        for found in self.findings:
+            by_rule.setdefault(found.rule, []).append(found.to_json())
+        return {
+            "tool": "chronolint",
+            "modules": sorted(self.program.modules),
+            "functions": len(self.program.functions),
+            "call_edges": self.program.edge_count(),
+            "findings": by_rule,
+            "errors": dict(sorted(self.errors.items())),
+            "stale_tags": [
+                {"path": p, "line": l, "token": t}
+                for p, l, t in self.stale_tags
+            ],
+            "summary": {
+                "active": len(self.active),
+                "suppressed": len(self.suppressed),
+                "stale": len(self.stale_tags),
+            },
+        }
+
+
+def analyze_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Violation], List[LintError], Dict[str, Suppressions]]:
-    """Lint every python file under ``paths``.
+) -> AnalysisResult:
+    """Run ``rules`` (default: all) over every python file under ``paths``.
 
-    Returns ``(violations, errors, suppressions_by_path)`` — errors are
-    files that failed to parse (they fail a run like violations do).
+    Each file is read, tokenised and parsed once; per-file rules walk
+    every file, whole-program rules run over the call graph of the
+    library files. A tag is audited as stale when it matched nothing,
+    unless it names a registered rule that was not among ``rules`` —
+    a ``--select`` run cannot know whether that rule would have used it.
     """
-    violations: List[Violation] = []
-    errors: List[LintError] = []
+    active = list(all_rules() if rules is None else rules)
+    program = Program()
+    result = AnalysisResult(program=program)
     sups: Dict[str, Suppressions] = {}
     for path in iter_python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
+                ctx = _parse(handle.read(), path)
         except (OSError, UnicodeDecodeError) as exc:
-            errors.append(LintError(path=path, message=str(exc)))
+            result.errors[path] = str(exc)
             continue
-        try:
-            found, sup = lint_source(source, path=path, rules=rules)
         except SyntaxError as exc:
-            errors.append(LintError(path=path, message=f"syntax error: {exc}"))
+            result.errors[path] = f"syntax error: {exc}"
             continue
-        violations.extend(found)
-        if sup is not None:
-            sups[path] = sup
-    return violations, errors, sups
+        if ctx is None:
+            continue
+        sups[path] = ctx.suppressions
+        result.findings.extend(_lint(ctx, active))
+        if ctx.module is not None:
+            program.add(ctx.module, path, ctx.tree)
+    program.link()
+
+    for rule in active:
+        if rule.interests:
+            continue
+        for found in rule.run(program):
+            result.findings.append(_resolve(found, sups[found.path]))
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+
+    selected = {token for rule in active for token in (rule.rule_id, rule.slug)}
+    unselected = {
+        token
+        for cls in REGISTRY.values()
+        for token in (cls.rule_id, cls.slug)
+    } - selected
+    for path in sorted(sups):
+        for line, token in sups[path].unused():
+            if token not in unselected:
+                result.stale_tags.append((path, line, token))
+    return result
+
+
+def build_program(paths: Iterable[str]) -> Program:
+    """The call graph over the library files under ``paths``, no rules run."""
+    return analyze_paths(paths, rules=()).program

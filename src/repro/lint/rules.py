@@ -1,4 +1,4 @@
-"""The CHR rule set: the engine's determinism and shm-safety contracts.
+"""The per-file CHR rules, and the detectors the CHF rules share with them.
 
 Each rule mechanically enforces one invariant the engine's correctness
 story rests on (bitwise-identical LABS results across the serial,
@@ -14,29 +14,35 @@ never raise).
 | CHR001 | global-rng      | no global-RNG nondeterminism                    |
 | CHR002 | scatter         | in-place scatter only inside engine/kernels.py  |
 | CHR003 | broad-except    | no untagged bare/broad ``except``               |
-| CHR004 | ipc             | WorkerPool IPC ships picklable primitives only  |
 | CHR005 | untyped-raise   | library raises use ``repro.errors`` types       |
 | CHR006 | dtype           | explicit dtypes on engine/parallel allocations  |
 | CHR007 | obs-boundary    | clocks and span recording live in repro.obs     |
-| CHR008 | atomic-write    | durable writes go through storage.atomic / WAL  |
+
+Where a CHR and a CHF rule look for the same thing — clock reads,
+global-RNG draws, untyped raises, the typed-error hierarchy — the
+detector below is the one definition both call.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Optional, Tuple
+import inspect
+from typing import AbstractSet, Dict, Iterable, Iterator, Optional, Set, Tuple
 
+from repro.lint.callgraph import attr_chain
 from repro.lint.core import FileContext, Rule, register
 
 __all__ = [
-    "AtomicWriteRule",
     "BroadExceptRule",
     "DtypeDisciplineRule",
     "GlobalRandomnessRule",
-    "IpcPicklableRule",
     "ObservabilityBoundaryRule",
     "ScatterDisciplineRule",
     "TypedRaiseRule",
+    "clock_read",
+    "error_hierarchy",
+    "global_rng",
+    "untyped_raise",
 ]
 
 #: Modules whose results must be bitwise-reproducible: the engine, the
@@ -56,17 +62,117 @@ _WALL_CLOCK = frozenset({
     "monotonic", "monotonic_ns", "process_time", "process_time_ns",
 })
 
+#: Legacy ``np.random.*`` functions, which draw from hidden global state.
+_NP_LEGACY_RNG = frozenset({
+    "seed", "rand", "randn", "randint", "random", "random_sample",
+    "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
+    "normal", "standard_normal", "poisson", "binomial", "beta", "gamma",
+    "exponential", "bytes", "get_state", "set_state", "RandomState",
+})
+#: Stdlib ``random.*`` functions, which draw from the interpreter-global RNG.
+_STDLIB_RNG = frozenset({
+    "seed", "random", "randint", "randrange", "choice", "choices",
+    "shuffle", "sample", "uniform", "gauss", "betavariate", "expovariate",
+    "normalvariate", "getrandbits", "triangular",
+})
 
-def _attr_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``("np", "random", "seed")`` for ``np.random.seed``; None if dynamic."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
+#: Builtins a library may raise anywhere outside ``repro.errors``...
+_ALWAYS_ALLOWED = frozenset({"NotImplementedError"})
+#: ...and the special methods whose protocol is a builtin raise.
+_GETATTR_FUNCS = frozenset({
+    "__getattr__", "__getattribute__", "__setattr__", "__delattr__",
+})
+_ITER_FUNCS = frozenset({"__next__", "__anext__"})
+
+
+def clock_read(chain: Tuple[str, ...]) -> bool:
+    """Whether a call's attribute chain reads a clock (``time.*``, ``now``)."""
+    if len(chain) == 2 and chain[0] == "time" and chain[1] in _WALL_CLOCK:
+        return True
+    return (
+        len(chain) >= 2
+        and chain[-1] in ("now", "utcnow", "today")
+        and any(p in ("datetime", "date") for p in chain[:-1])
+    )
+
+
+def global_rng(call: ast.Call, chain: Tuple[str, ...]) -> Optional[str]:
+    """How a call draws global RNG state, or None.
+
+    ``"np-legacy"`` for the module-level ``np.random.*`` functions,
+    ``"unseeded"`` for ``np.random.default_rng()`` (entropy-seeded),
+    ``"stdlib"`` for the module-level ``random.*`` functions.
+    """
+    if len(chain) == 3 and chain[0] in ("np", "numpy") and chain[1] == "random":
+        if chain[2] in _NP_LEGACY_RNG:
+            return "np-legacy"
+        if chain[2] == "default_rng" and not call.args and not call.keywords:
+            return "unseeded"
+    elif len(chain) == 2 and chain[0] == "random" and chain[1] in _STDLIB_RNG:
+        return "stdlib"
     return None
+
+
+def untyped_raise(
+    node: ast.Raise, typed: AbstractSet[str], funcs: Iterable[str]
+) -> Optional[str]:
+    """The class an untyped ``raise`` constructs, or None when it is allowed.
+
+    Allowed: re-raises, exception variables and dynamic expressions, the
+    ``typed`` classes, ``NotImplementedError`` (abstract interfaces),
+    ``AttributeError`` inside ``__getattr__``-family methods, and
+    ``StopIteration`` inside ``__next__``; ``funcs`` names the enclosing
+    function(s).
+    """
+    exc = node.exc
+    name: Optional[str] = None
+    if isinstance(exc, ast.Call):
+        if isinstance(exc.func, ast.Name):
+            name = exc.func.id
+        elif isinstance(exc.func, ast.Attribute):
+            name = exc.func.attr
+    elif isinstance(exc, ast.Name):
+        name = exc.id
+    if name is None or not name[:1].isupper():
+        return None  # bare re-raise, dynamic expression, or caught variable
+    if name in typed or name in _ALWAYS_ALLOWED:
+        return None
+    enclosing = set(funcs)
+    if name == "AttributeError" and enclosing & _GETATTR_FUNCS:
+        return None
+    if name in ("StopIteration", "StopAsyncIteration") and enclosing & _ITER_FUNCS:
+        return None
+    return name
+
+
+def error_hierarchy(tree: ast.Module) -> Dict[str, Set[str]]:
+    """The typed errors an ``errors.py`` defines: class -> transitive bases.
+
+    The one reading of the hierarchy: CHR005 applies it to the installed
+    ``repro/errors.py``, CHF002 to the analyzed package's own (the golden
+    fixtures analyze synthetic packages, so neither imports the module).
+    """
+    bases: Dict[str, Tuple[str, ...]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            chains = (attr_chain(base) for base in node.bases)
+            bases[node.name] = tuple(c[-1] for c in chains if c)
+    closure: Dict[str, Set[str]] = {}
+
+    def ancestors(name: str, seen: Set[str]) -> Set[str]:
+        if name in closure:
+            return closure[name]
+        if name in seen:
+            return set()
+        seen.add(name)
+        out: Set[str] = set()
+        for base in bases.get(name, ()):
+            out.add(base)
+            out |= ancestors(base, seen)
+        closure[name] = out
+        return out
+
+    return {name: ancestors(name, set()) for name in bases}
 
 
 def _has_kwarg(node: ast.Call, name: str) -> bool:
@@ -95,38 +201,25 @@ class GlobalRandomnessRule(Rule):
     )
     interests = (ast.Call,)
 
-    _NP_LEGACY = frozenset({
-        "seed", "rand", "randn", "randint", "random", "random_sample",
-        "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
-        "normal", "standard_normal", "poisson", "binomial", "beta", "gamma",
-        "exponential", "bytes", "get_state", "set_state", "RandomState",
-    })
-    _STDLIB_RANDOM = frozenset({
-        "seed", "random", "randint", "randrange", "choice", "choices",
-        "shuffle", "sample", "uniform", "gauss", "betavariate", "expovariate",
-        "normalvariate", "getrandbits", "triangular",
-    })
-
     def check(
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Tuple[ast.AST, str]]:
         assert isinstance(node, ast.Call)
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None:
             return
-        if len(chain) == 3 and chain[0] in ("np", "numpy") and chain[1] == "random":
-            fn = chain[2]
-            if fn in self._NP_LEGACY:
-                yield node, (
-                    f"np.random.{fn} uses hidden global RNG state; draw from "
-                    "a seeded np.random.Generator (np.random.default_rng(seed))"
-                )
-            elif fn == "default_rng" and not node.args and not node.keywords:
-                yield node, (
-                    "np.random.default_rng() without a seed is entropy-"
-                    "seeded; pass an explicit seed for reproducible output"
-                )
-        elif len(chain) == 2 and chain[0] == "random" and chain[1] in self._STDLIB_RANDOM:
+        kind = global_rng(node, chain)
+        if kind == "np-legacy":
+            yield node, (
+                f"np.random.{chain[2]} uses hidden global RNG state; draw from "
+                "a seeded np.random.Generator (np.random.default_rng(seed))"
+            )
+        elif kind == "unseeded":
+            yield node, (
+                "np.random.default_rng() without a seed is entropy-"
+                "seeded; pass an explicit seed for reproducible output"
+            )
+        elif kind == "stdlib":
             yield node, (
                 f"random.{chain[1]} uses the interpreter-global RNG; use a "
                 "seeded random.Random(seed) or np.random.default_rng(seed)"
@@ -226,89 +319,6 @@ class BroadExceptRule(Rule):
 
 
 @register
-class IpcPicklableRule(Rule):
-    """CHR004: WorkerPool IPC ships declared-picklable primitives only.
-
-    Messages to :class:`repro.parallel.shm.WorkerPool` workers cross a
-    process boundary through ``pickle``. Lambdas and closures do not
-    pickle at all; ndarrays pickle by *copying*, silently defeating the
-    shared-memory design (workers must map published segments, never
-    receive array payloads). This rule statically rejects both appearing
-    anywhere inside the arguments of ``call_each`` / ``call_all`` /
-    ``conn.send`` calls.
-    """
-
-    rule_id = "CHR004"
-    slug = "ipc"
-    title = "WorkerPool IPC args are picklable primitives"
-    invariant = (
-        "worker messages contain primitives/dataclass specs only — arrays "
-        "travel via named shm segments, code via top-level defs"
-    )
-    interests = (ast.Call,)
-
-    _IPC_METHODS = frozenset({"call_each", "call_all"})
-    _NDARRAY_FACTORIES = frozenset({
-        "array", "asarray", "ascontiguousarray", "zeros", "ones", "empty",
-        "full", "arange", "frombuffer", "copy", "memmap",
-    })
-
-    def _is_ipc_call(self, func: ast.expr) -> bool:
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr in self._IPC_METHODS:
-            return True
-        # send_bytes is the batched-dispatch framing (pickle.dumps +
-        # send_bytes); its payload obeys the same picklable-primitives
-        # contract as Connection.send.
-        if func.attr in ("send", "send_bytes"):
-            chain = _attr_chain(func.value)
-            terminal = chain[-1] if chain else ""
-            return "conn" in terminal or "pipe" in terminal
-        return False
-
-    def check(
-        self, node: ast.AST, ctx: FileContext
-    ) -> Iterator[Tuple[ast.AST, str]]:
-        assert isinstance(node, ast.Call)
-        if not self._is_ipc_call(node.func):
-            return
-        payload = list(node.args) + [kw.value for kw in node.keywords]
-        for arg in payload:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Lambda):
-                    yield sub, (
-                        "lambda inside a WorkerPool IPC message; closures "
-                        "do not pickle — ship a top-level function name or "
-                        "a declared spec instead"
-                    )
-                elif isinstance(sub, ast.Call):
-                    chain = _attr_chain(sub.func)
-                    if (
-                        chain is not None
-                        and len(chain) == 2
-                        and chain[0] in ("np", "numpy")
-                        and chain[1] in self._NDARRAY_FACTORIES
-                    ):
-                        yield sub, (
-                            f"np.{chain[1]} constructed inside a WorkerPool "
-                            "IPC message; arrays must travel through named "
-                            "shared-memory segments (BlockSpec), not pickles"
-                        )
-
-
-def _typed_error_names() -> FrozenSet[str]:
-    """Exception class names exported by :mod:`repro.errors` (live set)."""
-    import repro.errors
-
-    return frozenset(
-        name
-        for name, obj in vars(repro.errors).items()
-        if isinstance(obj, type) and issubclass(obj, BaseException)
-    )
-
-
-@register
 class TypedRaiseRule(Rule):
     """CHR005: library raises use typed errors from ``repro.errors``.
 
@@ -316,9 +326,9 @@ class TypedRaiseRule(Rule):
     :class:`~repro.errors.ChronosError` hierarchy — e.g. only
     ``WorkerError`` is retryable. A stray ``ValueError`` either escapes
     ``except ChronosError`` handlers or gets misclassified. Allowed
-    outside the hierarchy: re-raises, exception *variables*,
-    ``NotImplementedError`` (abstract interfaces), and ``AttributeError``
-    inside ``__getattr__``-family protocol methods.
+    outside the hierarchy: what :func:`untyped_raise` allows (re-raises,
+    exception *variables*, ``NotImplementedError``, and the
+    ``__getattr__`` / ``__next__`` protocol errors).
     """
 
     rule_id = "CHR005"
@@ -330,13 +340,11 @@ class TypedRaiseRule(Rule):
     )
     interests = (ast.Raise,)
 
-    _ALWAYS_ALLOWED = frozenset({"NotImplementedError"})
-    _GETATTR_FUNCS = frozenset({
-        "__getattr__", "__getattribute__", "__setattr__", "__delattr__",
-    })
-
     def __init__(self) -> None:
-        self._allowed = _typed_error_names() | self._ALWAYS_ALLOWED
+        import repro.errors
+
+        tree = ast.parse(inspect.getsource(repro.errors))
+        self._typed = set(error_hierarchy(tree))
 
     def check(
         self, node: ast.AST, ctx: FileContext
@@ -344,31 +352,13 @@ class TypedRaiseRule(Rule):
         assert isinstance(node, ast.Raise)
         if ctx.module is None:  # library scope only
             return
-        exc = node.exc
-        if exc is None:  # bare re-raise
-            return
-        name: Optional[str] = None
-        if isinstance(exc, ast.Call):
-            if isinstance(exc.func, ast.Name):
-                name = exc.func.id
-            elif isinstance(exc.func, ast.Attribute):
-                name = exc.func.attr
-        elif isinstance(exc, ast.Name):
-            name = exc.id
-        if name is None or not name[:1].isupper():
-            return  # dynamic expression or a caught-exception variable
-        if name in self._allowed:
-            return
-        if (
-            name == "AttributeError"
-            and any(f in self._GETATTR_FUNCS for f in ctx.func_stack)
-        ):
-            return
-        yield node, (
-            f"raise {name} inside the library; raise a typed error from "
-            "repro.errors so callers can dispatch on the ChronosError "
-            "hierarchy"
-        )
+        name = untyped_raise(node, self._typed, ctx.func_stack)
+        if name is not None:
+            yield node, (
+                f"raise {name} inside the library; raise a typed error "
+                "from repro.errors so callers can dispatch on the "
+                "ChronosError hierarchy"
+            )
 
 
 @register
@@ -404,7 +394,7 @@ class DtypeDisciplineRule(Rule):
         assert isinstance(node, ast.Call)
         if not ctx.in_module(*_DETERMINISTIC_SCOPE):
             return
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None or len(chain) != 2 or chain[0] not in ("np", "numpy"):
             return
         fn = chain[1]
@@ -458,20 +448,16 @@ class ObservabilityBoundaryRule(Rule):
         assert isinstance(node, ast.Call)
         if ctx.module is None or ctx.in_module(_OBS_MODULE):
             return
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None:
             return
-        if len(chain) == 2 and chain[0] == "time" and chain[1] in _WALL_CLOCK:
+        if clock_read(chain) and chain[0] == "time":
             yield node, (
                 f"time.{chain[1]} read outside repro.obs; library timing "
                 "flows through repro.obs.span / an injected clock so a "
                 "disabled run stays provably clock-free"
             )
-        elif (
-            len(chain) >= 2
-            and chain[-1] in ("now", "utcnow", "today")
-            and any(p in ("datetime", "date") for p in chain[:-1])
-        ):
+        elif clock_read(chain):
             yield node, (
                 f"{'.'.join(chain)} reads the wall clock outside repro.obs; "
                 "inject time through the observability layer instead"
@@ -481,92 +467,4 @@ class ObservabilityBoundaryRule(Rule):
                 f"{chain[-1]} constructed outside repro.obs; install an "
                 "observation (repro.obs.observe / install) instead of "
                 "recording spans ad hoc"
-            )
-
-
-@register
-class AtomicWriteRule(Rule):
-    """CHR008: durable writes go through ``repro.storage.atomic`` or the WAL.
-
-    A reader that observes a half-written file sees torn state: the crash
-    matrix (PR 8) proves recovery only because every durable byte is
-    published via write-to-temp → fsync → ``os.replace`` → dir-fsync
-    (:mod:`repro.storage.atomic`) or the CRC-framed WAL
-    (:mod:`repro.streaming`). A raw ``open(path, "wb")`` / ``np.save`` /
-    ``os.replace`` anywhere else in the library is either a latent
-    torn-write bug or an intentional non-durable output (bench reports,
-    trace dumps) — the latter get a justified
-    ``# chronolint: allow-atomic-write`` tag. This is the fast syntactic
-    companion to chronoflow's interprocedural sink pass (CHF003), which
-    additionally proves temp-scoped paths never escape.
-    """
-
-    rule_id = "CHR008"
-    slug = "atomic-write"
-    title = "durable writes flow through storage.atomic or the WAL"
-    invariant = (
-        "every durable filesystem write is published atomically "
-        "(storage.atomic helpers) or WAL-framed; raw writes are declared"
-    )
-    interests = (ast.Call,)
-
-    #: The modules that implement the publish discipline itself.
-    _EXEMPT = ("repro.storage.atomic", "repro.streaming")
-
-    _NP_WRITERS = frozenset({"save", "savez", "savez_compressed", "savetxt"})
-    _OS_REPLACERS = frozenset({"replace", "rename", "renames"})
-    _PATH_WRITERS = frozenset({"write_bytes", "write_text"})
-
-    @staticmethod
-    def _write_mode(node: ast.Call) -> Optional[str]:
-        """The mode literal of an ``open()`` call when it writes, else None."""
-        mode: Optional[ast.expr] = None
-        if len(node.args) >= 2:
-            mode = node.args[1]
-        for kw in node.keywords:
-            if kw.arg == "mode":
-                mode = kw.value
-        if mode is None:
-            return None  # default "r" — not a write
-        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-            return mode.value if any(c in mode.value for c in "wxa") else None
-        return None  # dynamic mode expression — out of syntactic reach
-
-    def check(
-        self, node: ast.AST, ctx: FileContext
-    ) -> Iterator[Tuple[ast.AST, str]]:
-        assert isinstance(node, ast.Call)
-        if ctx.module is None or ctx.in_module(*self._EXEMPT):
-            return
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            mode = self._write_mode(node)
-            if mode is not None:
-                yield node, (
-                    f"open(..., {mode!r}) outside repro.storage.atomic / "
-                    "repro.streaming; publish durable bytes via "
-                    "atomic_write_bytes/atomic_write_via or the WAL, or tag "
-                    "non-durable output with "
-                    "'# chronolint: allow-atomic-write'"
-                )
-            return
-        chain = _attr_chain(func)
-        if chain is None:
-            return
-        if len(chain) == 2 and chain[0] in ("np", "numpy") and chain[1] in self._NP_WRITERS:
-            yield node, (
-                f"np.{chain[1]} writes a file in place; route it through "
-                "atomic_write_via so readers never observe a torn array"
-            )
-        elif len(chain) == 2 and chain[0] == "os" and chain[1] in self._OS_REPLACERS:
-            yield node, (
-                f"os.{chain[1]} outside repro.storage.atomic; publication "
-                "renames belong to the atomic helpers (which also fsync "
-                "the file and directory)"
-            )
-        elif len(chain) >= 2 and chain[-1] in self._PATH_WRITERS:
-            yield node, (
-                f"Path.{chain[-1]} writes in place; publish via "
-                "repro.storage.atomic, or tag non-durable output with "
-                "'# chronolint: allow-atomic-write'"
             )

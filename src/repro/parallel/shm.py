@@ -157,7 +157,7 @@ PLAN_CACHE_CAP = 32
 SERIES_CACHE_CAP = 4
 
 #: Classes this module is allowed to construct into a WorkerPool IPC
-#: payload. Machine-checked by chronoflow CHF004: crossing the process
+#: payload. Machine-checked by chronolint CHF004: crossing the process
 #: boundary is an explicit contract, so a refactor that starts pickling
 #: an undeclared class (or an ndarray) through the framing fails static
 #: analysis instead of silently copying per dispatch.
@@ -355,7 +355,6 @@ class _PlanSpill:
         # Spill block inside this allocator's private tempfile.mkdtemp dir,
         # deleted on release(); the path never outlives the run, so the
         # atomic-publish discipline does not apply.
-        # chronolint: allow-atomic-write
         with open(path, "wb") as fh:
             # mmap cannot map a zero-length file; pad empty blocks with
             # one byte (the spec's shape still says 0 elements).

@@ -118,8 +118,8 @@ def write_edge_file(
         cp_lo, act_lo = cp_hi, act_hi
 
     # Writer primitive: durable callers (store.create, WAL compaction)
-    # hand it a tmp sibling via atomic_write_via and publish after.
-    # chronolint: allow-atomic-write
+    # hand it a tmp sibling via atomic_write_via and publish after
+    # (chronolint CHF003 proves it at every caller).
     with open(path, "wb") as fh:
         fmt.write_header(fh, header)
         fmt.write_index(fh, index, version)

@@ -1,11 +1,11 @@
-"""chronoflow: every CHF pass has a firing and a passing golden fixture.
+"""chronolint's call-graph rules: every CHF rule has a firing and a
+passing golden fixture.
 
 Each fixture is a synthetic ``src/repro`` mini-package written to a tmp
-dir — chronoflow decides library membership with the same
-``module_name`` heuristic chronolint uses, so the on-disk layout must
-look like the real tree. Sources live inside string literals, so
-suppression tags within them are inert to the linters scanning this
-repository (same trick as ``test_lint.py``).
+dir — the call graph is built over the files ``module_name`` places in
+the library, so the on-disk layout must look like the real tree. Sources
+live inside string literals, so suppression tags within them are inert
+to the run scanning this repository (same trick as ``test_lint.py``).
 """
 
 import json
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow import all_passes, analyze_paths, build_program
-from repro.flow.cli import main as chronoflow_main
+from repro.lint import all_rules, analyze_paths, build_program
+from repro.lint.cli import main as chronolint_main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,8 +32,8 @@ def write_pkg(tmp_path, files):
 
 def analyze(tmp_path, files, select=None):
     src = write_pkg(tmp_path, files)
-    passes = all_passes(select) if select else None
-    return analyze_paths([str(src)], passes=passes)
+    rules = all_rules(select) if select else None
+    return analyze_paths([str(src)], rules=rules)
 
 
 def fired(result):
@@ -410,12 +410,13 @@ def test_chf003_publish_machinery_is_exempt(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# CHF004 — IPC boundary typing (the dataflow upgrade over CHR004)
+# CHF004 — IPC boundary typing
 
 
 def test_chf004_fires_on_named_array_crossing_ipc(tmp_path):
-    # CHR004 only sees factories *literally inside* the framing call;
-    # naming the array first is exactly the hole this pass closes.
+    # A factory *literally inside* the framing call is the easy case
+    # (test_lint's test_chr004_*); naming the array first is the hole a
+    # syntactic check leaves open.
     result = analyze(tmp_path, {
         "parallel/shm.py": """
         import pickle
@@ -479,13 +480,13 @@ def test_chf004_non_ipc_sends_are_ignored(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# suppression tags (shared machinery with chronolint)
+# suppression tags (one prefix, one audit for both kinds of rule)
 
 
 def test_suppression_tag_covers_and_chronolint_prefix_works(tmp_path):
-    # The CHR008/CHF003 pair shares the atomic-write slug, so one
-    # chronolint tag at a site where both fire covers both tools.
-    for prefix in ("chronoflow", "chronolint"):
+    # Whole-program findings honour the same # chronolint: tags as the
+    # per-file rules; the retired # chronoflow: prefix is inert.
+    for prefix, covered in (("chronolint", True), ("chronoflow", False)):
         result = analyze(tmp_path / prefix, {
             "io.py": f"""
             RESULTS = "results/out.bin"
@@ -496,15 +497,16 @@ def test_suppression_tag_covers_and_chronolint_prefix_works(tmp_path):
                     fh.write(payload)
             """,
         }, select=["CHF003"])
-        assert result.active == []
-        assert [v.rule for v in result.suppressed] == ["CHF003"]
+        assert [v.rule for v in result.suppressed] == (["CHF003"] if covered else [])
+        assert [v.rule for v in result.active] == ([] if covered else ["CHF003"])
         assert result.stale_tags == []
 
 
 def test_stale_chronoflow_tag_is_reported(tmp_path):
+    # A tag naming a whole-program rule is audited like any other.
     result = analyze(tmp_path, {
         "clean.py": """
-        # chronoflow: allow-atomic-write
+        # chronolint: allow-atomic-write
         def nothing():
             return 0
         """,
@@ -515,15 +517,19 @@ def test_stale_chronoflow_tag_is_reported(tmp_path):
 
 
 def test_stale_chronolint_tag_is_not_chronoflows_business(tmp_path):
-    # chronolint audits its own prefix; chronoflow must not double-report.
-    result = analyze(tmp_path, {
+    # One audit: a stale tag in a library file — which both the per-file
+    # walk and the call graph see — is reported exactly once.
+    src = write_pkg(tmp_path, {
         "clean.py": """
-        # chronolint: allow-atomic-write
+        # chronolint: allow-broad-except
         def nothing():
             return 0
         """,
     })
-    assert result.stale_tags == []
+    result = analyze_paths([str(src)])
+    assert result.stale_tags == [
+        (str(src / "repro" / "clean.py"), 2, "broad-except")
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -541,13 +547,13 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
         """,
     })
     report = tmp_path / "report.json"
-    status = chronoflow_main([str(src), "--json", str(report)])
+    status = chronolint_main([str(src), "--json", str(report)])
     out = capsys.readouterr().out
     assert status == 1
     assert "CHF003" in out and "FAILED" in out
     payload = json.loads(report.read_text())
     assert payload["summary"]["active"] == 1
-    assert "CHF003" in payload["violations"]
+    assert "CHF003" in payload["findings"]
 
 
 def test_cli_clean_package_and_select(tmp_path, capsys):
@@ -557,49 +563,57 @@ def test_cli_clean_package_and_select(tmp_path, capsys):
             return 2 * x
         """,
     })
-    assert chronoflow_main([str(src), "--strict"]) == 0
+    assert chronolint_main([str(src), "--strict"]) == 0
     capsys.readouterr()
-    assert chronoflow_main([str(src), "--select", "CHF001,CHF003"]) == 0
+    assert chronolint_main([str(src), "--select", "CHF001,CHF003"]) == 0
     capsys.readouterr()
-    assert chronoflow_main([str(src), "--select", "nope"]) == 2
+    assert chronolint_main([str(src), "--select", "nope"]) == 2
     capsys.readouterr()
-    assert chronoflow_main([]) == 2
+    assert chronolint_main([]) == 2
 
 
 def test_cli_syntax_error_fails(tmp_path):
     src = write_pkg(tmp_path, {"broken.py": "def oops(:\n"})
-    assert chronoflow_main([str(src)]) == 1
+    assert chronolint_main([str(src)]) == 1
 
 
 def test_cli_list_passes(capsys):
-    assert chronoflow_main(["--list-passes"]) == 0
+    # --list-rules lists the whole-program rules beside the per-file ones.
+    assert chronolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for pass_id in ("CHF001", "CHF002", "CHF003", "CHF004"):
         assert pass_id in out
 
 
 def test_repro_cli_analyze_subcommand(tmp_path, capsys):
+    # `repro lint` is the one subcommand, and it runs the CHF rules.
     from repro.cli import main as repro_main
 
     src = write_pkg(tmp_path, {
-        "pure.py": """
-        def double(x):
-            return 2 * x
+        "io.py": """
+        RESULTS = "results/out.bin"
+
+        def save(payload):
+            with open(RESULTS, "wb") as fh:
+                fh.write(payload)
         """,
     })
-    assert repro_main(["analyze", str(src), "--strict"]) == 0
+    assert repro_main(["lint", str(src), "--strict"]) == 1
+    assert "CHF003" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------- #
 # the repository itself satisfies all four contracts (the CI gate)
 
 
-def test_repository_is_chronoflow_clean(capsys):
-    status = chronoflow_main([str(REPO / "src"), "--strict"])
-    out = capsys.readouterr().out
-    assert status == 0, f"chronoflow found violations:\n{out}"
-    # The analyzer is live on the real tree, not vacuously passing.
-    assert "0 finding(s)" in out
-    program = build_program([str(REPO / "src")])
-    assert "repro.engine.runner:run" in program.functions
-    assert len(program.functions) > 500
+def test_repository_is_chronoflow_clean():
+    result = analyze_paths([str(REPO / "src")])
+    chf = [f for f in result.findings if f.rule.startswith("CHF")]
+    active = [f.format() for f in chf if not f.suppressed]
+    assert active == [], "\n".join(active)
+    # The analyzer is live on the real tree, not vacuously passing: the
+    # tagged non-durable outputs (reports, trace dumps) are still found.
+    assert any(f.rule == "CHF003" for f in chf)
+    assert result.stale_tags == []
+    assert "repro.engine.runner:run" in result.program.functions
+    assert len(result.program.functions) > 500

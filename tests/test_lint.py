@@ -3,16 +3,20 @@
 All lint fixtures live inside string literals — chronolint parses
 comments with ``tokenize``, so suppression tags (and violations) inside
 strings are inert, which is exactly what lets this file itself stay
-clean under ``chronolint tests/``.
+clean under ``chronolint tests/``. The fixtures of the retired syntactic
+rules CHR004 / CHR008 are inputs of the call-graph rules that subsume
+them, CHF004 / CHF003.
 """
 
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, lint_source, module_name
+from repro.lint import all_rules, analyze_paths, lint_source, module_name
 from repro.lint.cli import main as chronolint_main
+from repro.lint.core import parse_suppressions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -31,6 +35,24 @@ def lint(source, path):
 def fired(source, path):
     """Rule ids of unsuppressed violations for a fixture."""
     return sorted({v.rule for v in lint(source, path) if not v.suppressed})
+
+
+def analyze_in_function(tmp_path, source, path, rule):
+    """Run ``rule`` over a fresh tree holding one file, ``path`` (a
+    ``src/repro/...`` module or a test file), whose one function has
+    ``source`` as its body."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    target = root / path
+    target.parent.mkdir(parents=True)
+    body = textwrap.indent(textwrap.dedent(source), "    ")
+    target.write_text("def site():\n" + body)
+    return analyze_paths([str(root)], rules=all_rules([rule]))
+
+
+def flow_fired(tmp_path, source, path, rule):
+    """Rule ids of unsuppressed findings of ``analyze_in_function``."""
+    result = analyze_in_function(tmp_path, source, path, rule)
+    return sorted({v.rule for v in result.active})
 
 
 # ---------------------------------------------------------------------- #
@@ -153,45 +175,46 @@ def test_chr003_suppressed_by_allow_tag():
 
 
 # ---------------------------------------------------------------------- #
-# CHR004 — IPC picklability
+# IPC picklability — the retired CHR004's fixtures, now CHF004 inputs
 
 
-def test_chr004_fires_on_lambda_in_ipc_message():
+def test_chr004_fires_on_lambda_in_ipc_message(tmp_path):
     src = "pool.call_each([(\"run\", lambda: 1)])\n"
-    assert fired(src, PARALLEL) == ["CHR004"]
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
 
 
-def test_chr004_fires_on_ndarray_in_conn_send():
-    # dtype declared, so only the IPC rule fires — arrays simply do not
-    # belong in a pipe message, picklable or not.
+def test_chr004_fires_on_ndarray_in_conn_send(tmp_path):
+    # Arrays simply do not belong in a pipe message, picklable or not.
     src = "import numpy as np\nconn.send((\"setup\", np.zeros(4, dtype=np.float64)))\n"
-    assert fired(src, PARALLEL) == ["CHR004"]
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
 
 
-def test_chr004_passes_primitive_messages_and_generator_send():
-    assert fired("pool.call_all((\"scatter\",))\n", PARALLEL) == []
-    assert fired("parent_conn.send((\"ok\", 3, \"done\"))\n", PARALLEL) == []
+def test_chr004_passes_primitive_messages_and_generator_send(tmp_path):
+    src = "pool.call_all((\"scatter\",))\n"
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
+    src = "parent_conn.send((\"ok\", 3, \"done\"))\n"
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
     # A generator's .send is not IPC.
     src = "import numpy as np\ngen.send(np.zeros(4, dtype=np.float64))\n"
-    assert fired(src, PARALLEL) == []
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
 
 
-def test_chr004_covers_send_bytes_framing():
+def test_chr004_covers_send_bytes_framing(tmp_path):
     # The batched-dispatch framing (pickle.dumps + send_bytes) obeys the
     # same contract: no closures, no array payloads.
-    assert (
-        fired("conn.send_bytes(lambda: 1)\n", PARALLEL) == ["CHR004"]
-    )
+    src = "conn.send_bytes(lambda: 1)\n"
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
     src = (
         "import numpy as np\n"
         "conn.send_bytes(np.frombuffer(buf, dtype=np.uint8))\n"
     )
-    assert fired(src, PARALLEL) == ["CHR004"]
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
     # Pre-serialized bytes by name are exactly what the framing ships.
-    assert fired("conn.send_bytes(payload)\n", PARALLEL) == []
+    src = "conn.send_bytes(payload)\n"
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
 
 
-def test_chr004_rejects_memmap_in_ipc_message():
+def test_chr004_rejects_memmap_in_ipc_message(tmp_path):
     # Memmap-backed blocks cross the pipe as (path, offset, shape, dtype)
     # specs — never as the mapped array itself (pickling one copies it).
     src = (
@@ -199,7 +222,7 @@ def test_chr004_rejects_memmap_in_ipc_message():
         "pool.call_each([(\"batch\", np.memmap(p, dtype=np.uint8, "
         "mode=\"r\"))])\n"
     )
-    assert fired(src, PARALLEL) == ["CHR004"]
+    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
 
 
 # ---------------------------------------------------------------------- #
@@ -311,46 +334,52 @@ def test_chr007_passes_inside_obs_and_outside_library():
 
 
 # ---------------------------------------------------------------------- #
-# CHR008 — atomic writes
+# Atomic writes — the retired CHR008's fixtures, now CHF003 inputs
 
 ATOMIC = "src/repro/storage/atomic.py"
 STREAMING = "src/repro/streaming/wal.py"
 STORE = "src/repro/storage/store.py"
 
 
-def test_chr008_fires_on_raw_write_modes():
-    assert fired("fh = open(p, \"wb\")\n", STORE) == ["CHR008"]
-    assert fired("fh = open(p, mode=\"w\")\n", LIBRARY) == ["CHR008"]
-    assert fired("fh = open(p, \"ab\")\n", ENGINE) == ["CHR008"]
+def test_chr008_fires_on_raw_write_modes(tmp_path):
+    def sink(src, path):
+        return flow_fired(tmp_path, src, path, "CHF003")
+
+    assert sink("fh = open(p, \"wb\")\n", STORE) == ["CHF003"]
+    assert sink("fh = open(p, mode=\"w\")\n", LIBRARY) == ["CHF003"]
+    assert sink("fh = open(p, \"ab\")\n", ENGINE) == ["CHF003"]
     # Reads are fine, as is the default mode.
-    assert fired("fh = open(p, \"rb\")\n", STORE) == []
-    assert fired("fh = open(p)\n", STORE) == []
+    assert sink("fh = open(p, \"rb\")\n", STORE) == []
+    assert sink("fh = open(p)\n", STORE) == []
 
 
-def test_chr008_fires_on_np_save_and_os_replace():
-    src = "import numpy as np\nnp.save(p, arr)\n"
-    assert fired(src, STORE) == ["CHR008"]
-    assert fired("import os\nos.replace(a, b)\n", LIBRARY) == ["CHR008"]
-    assert fired("path.write_bytes(b\"x\")\n", STORE) == ["CHR008"]
-    assert fired("path.write_text(\"x\")\n", LIBRARY) == ["CHR008"]
+def test_chr008_fires_on_np_save_and_os_replace(tmp_path):
+    def sink(src, path):
+        return flow_fired(tmp_path, src, path, "CHF003")
+
+    assert sink("import numpy as np\nnp.save(p, arr)\n", STORE) == ["CHF003"]
+    assert sink("import os\nos.replace(a, b)\n", LIBRARY) == ["CHF003"]
+    assert sink("path.write_bytes(b\"x\")\n", STORE) == ["CHF003"]
+    assert sink("path.write_text(\"x\")\n", LIBRARY) == ["CHF003"]
 
 
-def test_chr008_passes_inside_publish_machinery_and_tests():
+def test_chr008_passes_inside_publish_machinery_and_tests(tmp_path):
     raw = "import os\nfh = open(p, \"wb\")\nos.replace(a, b)\n"
-    assert fired(raw, ATOMIC) == []
-    assert fired(raw, STREAMING) == []
-    assert fired(raw, OUTSIDE) == []  # tests/benchmarks are out of scope
+    assert flow_fired(tmp_path, raw, ATOMIC, "CHF003") == []
+    assert flow_fired(tmp_path, raw, STREAMING, "CHF003") == []
+    # tests/benchmarks are out of scope
+    assert flow_fired(tmp_path, raw, OUTSIDE, "CHF003") == []
 
 
-def test_chr008_suppressed_by_allow_tag():
+def test_chr008_suppressed_by_allow_tag(tmp_path):
     src = """
     # trace dump, not a durability artifact
     # chronolint: allow-atomic-write
     fh = open(p, "w")
     """
-    found = lint(src, LIBRARY)
-    assert [v.rule for v in found] == ["CHR008"]
-    assert found[0].suppressed
+    result = analyze_in_function(tmp_path, src, LIBRARY, "CHF003")
+    assert [v.rule for v in result.findings] == ["CHF003"]
+    assert result.findings[0].suppressed
 
 
 # ---------------------------------------------------------------------- #
@@ -382,20 +411,34 @@ def test_stale_tags_are_reported():
 
 
 def test_parse_suppressions_alternate_prefixes():
-    # chronoflow shares this parser with its own tag prefix; chronolint
-    # itself only honours chronolint-prefixed tags.
-    from repro.lint.core import parse_suppressions
-
+    # One prefix: a # chronoflow: comment (the retired second tool's) is
+    # an ordinary comment.
     src = (
         "# chronoflow: allow-atomic-write\nx = 1\n"
         "# chronolint: allow-scatter\ny = 2\n"
     )
-    both = parse_suppressions(src, prefixes=("chronolint", "chronoflow"))
-    assert (1, "atomic-write") in both.declared
-    assert (3, "scatter") in both.declared
-    only_lint = parse_suppressions(src)
-    assert (1, "atomic-write") not in only_lint.declared
-    assert (3, "scatter") in only_lint.declared
+    sup = parse_suppressions(src)
+    assert sup.declared == {(3, "scatter")}
+
+
+def test_disable_lists_keep_every_id_of_either_family_any_case():
+    # Every id of a disable= list counts, whichever family it names, and
+    # ids match case-insensitively.
+    src = (
+        "# chronolint: disable=CHF001,CHF003\nx = 1\n"
+        "# chronolint: disable=chr001\n"
+    )
+    sup = parse_suppressions(src)
+    assert sup.by_line == {1: {"CHF001", "CHF003"}, 3: {"CHR001"}}
+    found = lint(
+        """
+        import numpy as np
+        # chronolint: disable=chr001
+        np.random.seed(0)
+        """,
+        LIBRARY,
+    )
+    assert [(v.rule, v.suppressed) for v in found] == [("CHR001", True)]
 
 
 def test_tags_inside_strings_are_inert():
@@ -458,15 +501,26 @@ def test_cli_strict_flags_stale_tags(tmp_path, capsys):
     assert "STALE" in capsys.readouterr().out
 
 
+def test_cli_strict_select_audits_only_selected_rules(tmp_path, capsys):
+    # Tags naming rules that did not run are not stale...
+    assert chronolint_main([str(REPO / "src"), "--select", "CHR006", "--strict"]) == 0
+    assert "STALE" not in capsys.readouterr().out
+    # ...while a genuinely stale tag for a selected rule still fails.
+    f = tmp_path / "stale.py"
+    f.write_text("x = 1  # chronolint: allow-dtype\n")
+    assert chronolint_main([str(f), "--select", "CHR006", "--strict"]) == 1
+    assert "STALE" in capsys.readouterr().out
+
+
 def test_cli_usage_errors_and_list_rules(capsys):
     assert chronolint_main([]) == 2
     assert chronolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in (
-        "CHR001", "CHR002", "CHR003", "CHR004", "CHR005", "CHR006", "CHR007",
-        "CHR008",
-    ):
-        assert rule_id in out
+    listed = [line.split()[0] for line in out.splitlines() if line[:1] == "C"]
+    assert listed == [
+        "CHF001", "CHF002", "CHF003", "CHF004",
+        "CHR001", "CHR002", "CHR003", "CHR005", "CHR006", "CHR007",
+    ]
 
 
 def test_repro_cli_lint_subcommand(capsys):
