@@ -8,12 +8,19 @@ order, into a COO stream of flat indices in the accumulator's *physical*
 layout order. The in-edge array is already in ``(dst, src)`` order — the
 stable destination sort of the out-edge array — so the stream is
 ``(dst, src, snapshot)``-ordered with no sort at all, one plan serves
-push, pull and stream, and each iteration's fold is the sequential
-``ufunc.at(acc_flat, dst_flat[sel], msg)`` (:func:`fold_stream`).
+push, pull and stream, and each iteration's fold is one call of the native
+gather-fold (:func:`fold_stream`, :mod:`repro.engine.native_fold`): a C
+loop applying ``acc_flat[dst_flat[p]] = op(acc_flat[dst_flat[p]], m)`` per
+selected entry ``p``. Weight-free programs pass one message per
+``(vertex, snapshot)`` cell and the loop gathers ``m = msg[src_flat[p]]``
+itself, so no stream-length message array is built; weighted programs pass
+one message per selected entry.
 
 Bitwise identity with the per-edge simulated engine
-(:mod:`repro.engine.traced`) holds by construction: ``ufunc.at`` applies
-its entries one by one in stream order, and every destination cell's
+(:mod:`repro.engine.traced`) holds by construction: the fold applies its
+entries one by one in stream order, each with NumPy's scalar combine
+rule (``tests/test_kernel_plans.py`` checks it against ``ufunc.at``), and
+every destination cell's
 contributions sit in the stream in source-ascending order — the order a
 per-edge loop reaches them in, whether it walks the out-edge array (push),
 the in-edge array (pull) or stream mode's shuffle buckets (bucket id is
@@ -36,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
+from repro.engine import native_fold
 from repro.engine.config import Mode
 from repro.layout.vertex_array import LayoutKind, flat_destination_index
 from repro.obs import runtime as obs
@@ -50,25 +58,49 @@ if TYPE_CHECKING:
 #: per-source CSR slices instead of masking the full stream.
 _CSR_SELECT_FACTOR = 4
 
+#: The native combine kind of each gather ufunc.
+_NATIVE_KINDS = {
+    np.add: "add",
+    np.minimum: "min",
+    np.maximum: "max",
+    np.logical_or: "max",
+    np.logical_and: "min",
+}
+
 #: Logical gathers fold as max / min over truth-valued messages: float
 #: accumulators encode False / True as 0.0 / 1.0, on which these equal
-#: ``logical_or`` / ``logical_and`` byte for byte — and, unlike those, have
-#: an indexed ``ufunc.at`` loop (~25x faster on float64).
-_TRUTH_FOLDS = {np.logical_or: np.maximum, np.logical_and: np.minimum}
+#: ``logical_or`` / ``logical_and`` byte for byte, so two C loops serve
+#: four gather kinds.
+_TRUTH_FOLDS = (np.logical_or, np.logical_and)
 
 
 def fold_stream(
-    acc_flat: np.ndarray, ufunc: np.ufunc, dst_flat: np.ndarray, msg: np.ndarray
-) -> None:
-    """``acc_flat[dst_flat[i]] = ufunc(acc_flat[dst_flat[i]], msg[i])``, in order.
+    acc_flat: np.ndarray,
+    ufunc: np.ufunc,
+    dst_flat: np.ndarray,
+    msg: np.ndarray,
+    sel: Optional[np.ndarray] = None,
+    src: Optional[np.ndarray] = None,
+) -> int:
+    """``acc_flat[dst_flat[p]] = ufunc(acc_flat[dst_flat[p]], m)``, in order.
 
-    The engine's one accumulator write (chronolint CHR002): a sequential
-    per-entry fold, so per-cell application order is the stream's order.
+    ``p`` runs over ``sel`` (None = every entry); ``m`` is
+    ``msg[src[p]]`` when ``src`` is given (one message per cell), else
+    ``msg[i]`` for the ``i``-th folded entry. The engine's one accumulator
+    write (chronolint CHR002): a sequential per-entry native fold, so
+    per-cell application order is the stream's order. Returns the number
+    of entries folded.
     """
-    truth = _TRUTH_FOLDS.get(ufunc)
-    if truth is not None:
-        ufunc, msg = truth, (msg != 0).astype(np.float64)
-    ufunc.at(acc_flat, dst_flat, msg)
+    if ufunc in _TRUTH_FOLDS:
+        msg = msg != 0
+    return native_fold.fold(
+        _NATIVE_KINDS[ufunc],
+        acc_flat,
+        dst_flat,
+        np.ascontiguousarray(msg, dtype=np.float64),
+        sel,
+        src,
+    )
 
 
 def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -228,11 +260,13 @@ class GatherPlan:
         ufunc: np.ufunc,
         msg: np.ndarray,
         sel: Optional[np.ndarray],
+        src: Optional[np.ndarray] = None,
     ) -> int:
-        """Fold ``msg`` at the selected entries (None = all); returns updates."""
-        dst_flat = self.dst_flat if sel is None else self.dst_flat[sel]
-        fold_stream(acc_flat, ufunc, dst_flat, msg)
-        return int(dst_flat.shape[0])
+        """Fold ``msg`` at the selected entries (None = all); returns updates.
+
+        ``src`` (``src_flat``) gathers per-cell messages; see :func:`fold_stream`.
+        """
+        return fold_stream(acc_flat, ufunc, self.dst_flat, msg, sel, src)
 
 
 # ---------------------------------------------------------------------- #
@@ -296,30 +330,25 @@ def stream_scatter(
         sel = plan.select_stationary(snap_active)
         if sel is not None and sel.size == 0:
             return 0
-    weights = None
-    if program.needs_weights and plan.weight_stream is not None:
-        weights = plan.weight_stream if sel is None else plan.weight_stream[sel]
-    ncells = plan.num_vertices * plan.num_snapshots
-    if weights is None and (sel is None or sel.size >= ncells):
+    ufunc = program.gather.ufunc
+    deg = degree_cells if needs_degrees else None
+    if not program.needs_weights or plan.weight_stream is None:
         # Weight-free messages depend only on the (source, snapshot) cell:
         # evaluate the elementwise scatter once per cell over the flat
-        # values array and gather the results — identical inputs through
-        # identical IEEE operations, so every message bit is unchanged,
-        # but the arithmetic shrinks from stream-sized to V*S_g-sized.
-        deg = degree_cells if needs_degrees else None
+        # values array and let the fold gather them by ``src_flat`` —
+        # identical inputs through identical IEEE operations, so every
+        # message bit is unchanged, with V*S_g-sized arithmetic and no
+        # stream-sized temporary.
         with np.errstate(invalid="ignore"):
             cell_msg = program.scatter(values_flat, None, deg)
-        msg = cell_msg[plan.src_flat if sel is None else plan.src_flat[sel]]
-    else:
-        src_flat = plan.src_flat if sel is None else plan.src_flat[sel]
-        vals = values_flat[src_flat]
-        deg = None
-        if needs_degrees:
-            assert degree_cells is not None  # contract: see docstring
-            deg = degree_cells[src_flat]
-        with np.errstate(invalid="ignore"):
-            msg = program.scatter(vals, weights, deg)
-    return plan.fold(acc_flat, program.gather.ufunc, msg, sel)
+        return plan.fold(acc_flat, ufunc, cell_msg, sel, plan.src_flat)
+    src_flat = plan.src_flat if sel is None else plan.src_flat[sel]
+    weights = plan.weight_stream if sel is None else plan.weight_stream[sel]
+    if deg is not None:
+        deg = deg[src_flat]
+    with np.errstate(invalid="ignore"):
+        msg = program.scatter(values_flat[src_flat], weights, deg)
+    return plan.fold(acc_flat, ufunc, msg, sel)
 
 
 def planned_scatter(ctx: Any) -> int:

@@ -12,7 +12,8 @@ never raise).
 | id     | slug            | invariant                                       |
 | ------ | --------------- | ----------------------------------------------- |
 | CHR001 | global-rng      | no global-RNG nondeterminism                    |
-| CHR002 | scatter         | in-place scatter only inside engine/kernels.py  |
+| CHR002 | scatter         | in-place scatter and native loads only inside   |
+|        |                 | the native gather-fold (engine/native_fold.py)  |
 | CHR003 | broad-except    | no untagged bare/broad ``except``               |
 | CHR005 | untyped-raise   | library raises use ``repro.errors`` types       |
 | CHR006 | dtype           | explicit dtypes on engine/parallel allocations  |
@@ -49,8 +50,15 @@ __all__ = [
 #: scatter kernels, and both parallel executors.
 _DETERMINISTIC_SCOPE = ("repro.engine", "repro.parallel")
 
-#: The one module allowed to perform in-place scatter folds.
-_KERNEL_MODULE = "repro.engine.kernels"
+#: The one module allowed to perform in-place scatter folds or load native
+#: code: the native gather-fold.
+_NATIVE_FOLD_MODULE = "repro.engine.native_fold"
+
+#: Call names that load a native library (``ctypes.CDLL(path)``,
+#: ``ctypes.cdll.LoadLibrary(path)``, ``np.ctypeslib.load_library(...)``).
+_NATIVE_LOADERS = frozenset({
+    "CDLL", "PyDLL", "WinDLL", "OleDLL", "LoadLibrary", "load_library",
+})
 
 #: The one package allowed to read clocks or construct span recorders —
 #: everything else receives time through injection (CHR007).
@@ -228,23 +236,26 @@ class GlobalRandomnessRule(Rule):
 
 @register
 class ScatterDisciplineRule(Rule):
-    """CHR002: ``ufunc.at`` / in-place scatter only inside engine/kernels.py.
+    """CHR002: in-place scatters and native loads only in the native fold.
 
     The bitwise-identity contract between the serial fold, the simulated
     engine, and the sharded process executor holds because every
     vectorised accumulator write goes through the one audited sequential
-    fold, :func:`repro.engine.kernels.fold_stream` (per-cell application
-    order is pinned there). A stray ``ufunc.at`` elsewhere in the engine or
-    executors bypasses that audit — and under owner-computes sharding it
+    fold, the native gather-fold of :mod:`repro.engine.native_fold`
+    (reached through :func:`repro.engine.kernels.fold_stream`; per-cell
+    application order and NumPy's tie / NaN rules are pinned there). A
+    stray ``ufunc.at`` — or a second native library — in the engine or
+    executors bypasses that audit, and under owner-computes sharding it
     can write cells the worker does not own.
     """
 
     rule_id = "CHR002"
     slug = "scatter"
-    title = "in-place scatter folds live in engine/kernels.py only"
+    title = "in-place scatters and native loads live in engine/native_fold.py only"
     invariant = (
-        "every accumulator scatter goes through the audited folds of "
-        "repro.engine.kernels, preserving per-cell application order"
+        "every accumulator scatter goes through the native gather-fold "
+        "(repro.engine.native_fold), preserving per-cell application "
+        "order; no other engine or executor module loads native code"
     )
     interests = (ast.Call,)
 
@@ -254,7 +265,7 @@ class ScatterDisciplineRule(Rule):
         assert isinstance(node, ast.Call)
         if not ctx.in_module(*_DETERMINISTIC_SCOPE):
             return
-        if ctx.in_module(_KERNEL_MODULE):
+        if ctx.in_module(_NATIVE_FOLD_MODULE):
             return
         func = node.func
         # The ufunc.at signature: <ufunc>.at(array, indices[, values]).
@@ -264,9 +275,17 @@ class ScatterDisciplineRule(Rule):
             and len(node.args) >= 2
         ):
             yield node, (
-                "in-place ufunc.at scatter outside repro.engine.kernels; "
-                "route the fold through kernels.fold_stream "
+                "in-place ufunc.at scatter outside the native gather-fold; "
+                "fold through kernels.fold_stream (repro.engine.native_fold) "
                 "so per-cell application order stays audited"
+            )
+            return
+        chain = attr_chain(func)
+        if chain is not None and chain[-1] in _NATIVE_LOADERS:
+            yield node, (
+                f"native library load ({'.'.join(chain)}) outside "
+                "repro.engine.native_fold, the one engine module that "
+                "runs native code"
             )
 
 

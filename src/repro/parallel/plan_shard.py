@@ -192,7 +192,8 @@ class PlanShard:
 
     When the parent published an ownership claim map (``sanitize_map``;
     see :func:`ownership_map`), :meth:`fold` validates every destination
-    cell it is about to write against the map first and raises
+    cell it is about to write against the map before the native fold
+    runs and raises
     :class:`~repro.errors.ShardRaceError` on an out-of-ownership write.
     """
 
@@ -246,12 +247,11 @@ class PlanShard:
         ufunc: np.ufunc,
         msg: np.ndarray,
         sel: Optional[np.ndarray],
+        src: Optional[np.ndarray] = None,
     ) -> int:
-        dst_flat = self.dst_flat if sel is None else self.dst_flat[sel]
         if self.sanitize_map is not None:
-            self._check_ownership(dst_flat)
-        fold_stream(acc_flat, ufunc, dst_flat, msg)
-        return int(dst_flat.shape[0])
+            self._check_ownership(self.dst_flat if sel is None else self.dst_flat[sel])
+        return fold_stream(acc_flat, ufunc, self.dst_flat, msg, sel, src)
 
     # ------------------------------------------------------------------ #
     # per-iteration selection (slice-local positions)

@@ -5,14 +5,15 @@ identical values and *identical* logical counters versus the per-edge
 simulated engine (:mod:`repro.engine.traced`, ``trace=True``) — an
 independent implementation of the same fold order — for every mode,
 layout, gather kind, and semantics; selection + fold are checked against a
-pure-Python per-edge loop, and the plan's no-sort stream order against
-the property of the series it rests on. These tests state that promise as
-properties over random temporal graphs and random COO streams.
+pure-Python per-edge loop, the native fold against NumPy's sequential
+``ufunc.at`` (:func:`oracle_fold`), and the plan's no-sort stream order
+against the property of the series it rests on. These tests state that
+promise as properties over random temporal graphs and random COO streams.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_program
@@ -90,6 +91,27 @@ def test_plan_matches_ufunc_at_on_random_graphs(seed, mode, layout, batch, app):
 #: Message values every fold must survive: NaN is truthy, ``-0.0`` falsy.
 _HOSTILE = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 5e-324])
 
+#: Logical gathers fold as max / min over truth values (see kernels).
+_ORACLE_TRUTH_FOLDS = {np.logical_or: np.maximum, np.logical_and: np.minimum}
+
+
+def oracle_fold(acc_flat, ufunc, dst_flat, msg, sel=None, src=None):
+    """:func:`repro.engine.kernels.fold_stream` as NumPy's sequential
+    ``ufunc.at`` — the engine's fold before the native loop replaced it.
+
+    ``ufunc.at`` applies its entries one at a time in order, each with the
+    ufunc's scalar rule: ``(a < m || isnan(a)) ? a : m`` for minimum (a tie
+    takes the message, so ``min(0.0, -0.0)`` is ``-0.0``), the mirror for
+    maximum, and ``a + m`` with the accumulator's NaN payload winning.
+    """
+    truth = _ORACLE_TRUTH_FOLDS.get(ufunc)
+    if truth is not None:
+        ufunc, msg = truth, (msg != 0).astype(np.float64)
+    pick = slice(None) if sel is None else sel
+    if src is not None:
+        msg = msg[src[pick]]
+    ufunc.at(acc_flat, dst_flat[pick], msg)
+
 
 def _random_in_edges(rng, num_vertices, num_edges, num_snapshots):
     """Distinct random edges in ``(dst, src)`` order + live bitmaps."""
@@ -136,12 +158,10 @@ def _check_fold_against_per_edge_loop(
     seed, num_edges, num_vertices, num_snapshots, kind, layout, selection,
     hostile=0.3,
 ):
-    """Select + fold, for every gather ufunc, vs sequential ``ufunc.at``
-    semantics spelled out as a pure-Python per-edge loop (edges in
-    ``(dst, src)`` order, snapshots ascending — the fold *is* ``ufunc.at``,
-    so calling it here would compare the fold with itself) over hostile
-    float messages; twice on one accumulator: identity-initialised, then
-    persisting."""
+    """Select + fold, for every gather ufunc, vs the sequential fold spelled
+    out as a pure-Python per-edge loop (edges in ``(dst, src)`` order,
+    snapshots ascending) over hostile float messages; twice on one
+    accumulator: identity-initialised, then persisting."""
     rng = np.random.default_rng(seed)
     V, S = num_vertices, num_snapshots
     src, dst, bitmap = _random_in_edges(rng, V, num_edges, S)
@@ -201,12 +221,82 @@ def _check_fold_against_per_edge_loop(
     selection=st.sampled_from(SELECTIONS),
 )
 @settings(max_examples=100, deadline=None)
-def test_fold_matches_ufunc_at_on_random_streams(
+def test_fold_matches_per_edge_loop_on_random_streams(
     seed, num_edges, num_vertices, num_snapshots, kind, layout, selection
 ):
     _check_fold_against_per_edge_loop(
         seed, num_edges, num_vertices, num_snapshots, kind, layout, selection
     )
+
+
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)
+#: Floats the fold must carry bit for bit: both NaN signs, a NaN payload,
+#: both infinities, both zeros, a subnormal — and anything else.
+_FOLD_FLOATS = st.one_of(
+    st.sampled_from(
+        [float(v) for v in _HOSTILE]
+        + [float(np.copysign(np.nan, -1.0)), float(_NAN_PAYLOAD[0])]
+    ),
+    st.floats(),
+)
+
+
+def _hostile_example(kind, acc, msg):
+    return example(
+        kind=kind, use_sel=False, use_src=False, acc=acc, msg=msg, seed=0
+    )
+
+
+@given(
+    kind=st.sampled_from(list(GatherKind)),
+    use_sel=st.booleans(),
+    use_src=st.booleans(),
+    acc=st.lists(_FOLD_FLOATS, min_size=1, max_size=6),
+    msg=st.lists(_FOLD_FLOATS, min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@_hostile_example(GatherKind.MIN, [0.0], [-0.0])  # a tie takes the message
+@_hostile_example(GatherKind.MAX, [0.0], [-0.0])
+@_hostile_example(GatherKind.MIN, [np.nan], [1.0])  # NaN in the accumulator
+@_hostile_example(GatherKind.MAX, [np.nan], [1.0])
+@_hostile_example(GatherKind.MIN, [1.0], [np.nan])  # NaN in the message
+@_hostile_example(GatherKind.MAX, [1.0], [np.nan])
+@_hostile_example(GatherKind.MIN, [np.inf, -np.inf], [-np.inf, np.inf, np.inf])
+@_hostile_example(GatherKind.MAX, [np.inf, -np.inf], [-np.inf, np.inf, -np.inf])
+# Two NaNs: the sum keeps the accumulator's sign and payload.
+@_hostile_example(GatherKind.SUM, [float(np.copysign(np.nan, -1.0))], [np.nan])
+@settings(max_examples=300, deadline=None)
+def test_fold_matches_ufunc_at_on_random_streams(
+    kind, use_sel, use_src, acc, msg, seed
+):
+    """The native fold vs :func:`oracle_fold` in all four index forms:
+    entries all or ``sel`` (any order), messages per entry or gathered per
+    cell through ``src``."""
+    rng = np.random.default_rng(seed)
+    messages = np.array(msg, dtype=np.float64)
+    if use_src:
+        length = int(rng.integers(0, 40))
+        src = rng.integers(0, messages.shape[0], length)
+        folded = int(rng.integers(0, length + 1)) if use_sel else length
+    else:
+        length = messages.shape[0] + (int(rng.integers(0, 10)) if use_sel else 0)
+        src, folded = None, messages.shape[0]
+    dst = rng.integers(0, len(acc), length)
+    sel = rng.permutation(length)[:folded] if use_sel else None
+    got = np.array(acc, dtype=np.float64)
+    want = got.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        count = kernels.fold_stream(got, kind.ufunc, dst, messages, sel, src)
+        oracle_fold(want, kind.ufunc, dst, messages, sel, src)
+    assert count == folded
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [GatherKind.MIN, GatherKind.MAX])
+def test_min_max_tie_on_signed_zero_takes_the_message(kind):
+    acc = np.zeros(1)
+    kernels.fold_stream(acc, kind.ufunc, np.zeros(1, dtype=np.intp), np.array([-0.0]))
+    assert acc.tobytes() == np.array([-0.0]).tobytes()
 
 
 @pytest.mark.parametrize("selection", SELECTIONS)

@@ -22,6 +22,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 ENGINE = "src/repro/engine/push.py"
 KERNELS = "src/repro/engine/kernels.py"
+NATIVE_FOLD = "src/repro/engine/native_fold.py"
 PARALLEL = "src/repro/parallel/shm.py"
 LIBRARY = "src/repro/temporal/series.py"
 OUTSIDE = "tests/test_something.py"
@@ -100,15 +101,33 @@ def fold(acc, idx, vals):
 """
 
 
-def test_chr002_fires_outside_kernels():
+NATIVE_LOADS = [
+    "import ctypes\nlib = ctypes.CDLL('libfold.so')\n",
+    "import ctypes\nlib = ctypes.cdll.LoadLibrary('libfold.so')\n",
+    "from ctypes import CDLL\nlib = CDLL('libfold.so')\n",
+    "import numpy as np\nlib = np.ctypeslib.load_library('libfold', '.')\n",
+]
+
+
+def test_chr002_fires_outside_the_native_fold():
     assert fired(SCATTER, ENGINE) == ["CHR002"]
     assert fired(SCATTER, PARALLEL) == ["CHR002"]
+    assert fired(SCATTER, KERNELS) == ["CHR002"]
 
 
-def test_chr002_passes_inside_kernels_and_out_of_scope():
-    assert fired(SCATTER, KERNELS) == []
+def test_chr002_passes_inside_the_native_fold_and_out_of_scope():
+    assert fired(SCATTER, NATIVE_FOLD) == []
     assert fired(SCATTER, LIBRARY) == []
     assert fired(SCATTER, OUTSIDE) == []
+
+
+@pytest.mark.parametrize("source", NATIVE_LOADS)
+def test_chr002_fires_on_a_native_library_load_outside_the_native_fold(source):
+    assert fired(source, ENGINE) == ["CHR002"]
+    assert fired(source, PARALLEL) == ["CHR002"]
+    assert fired(source, KERNELS) == ["CHR002"]
+    assert fired(source, NATIVE_FOLD) == []
+    assert fired(source, LIBRARY) == []
 
 
 def test_chr002_ignores_non_scatter_at():

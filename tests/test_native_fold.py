@@ -1,0 +1,158 @@
+"""The native gather-fold's build path: lazy, cached, race-safe, typed failures.
+
+Each subprocess is a fresh interpreter with its own cache root
+(``XDG_CACHE_HOME``), so "first import", "second process" and "two
+processes building at once" are real; the in-process tests reset the
+module's loaded library with ``monkeypatch`` so later tests keep theirs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.engine import kernels, native_fold
+from repro.errors import EngineError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Imports the engine, lists what the cache holds, then folds once.
+_PROBE = """
+import sys
+from pathlib import Path
+import numpy as np
+import repro
+from repro.engine import kernels
+cache = Path(sys.argv[1])
+print(sorted(p.name for p in cache.rglob("*") if p.is_file()))
+acc = np.zeros(3)
+kernels.fold_stream(acc, np.add, np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]))
+print(acc.tolist())
+"""
+
+
+def _env(cache_root, path=None):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache_root), PYTHONPATH=str(SRC))
+    if path is not None:
+        env["PATH"] = str(path)
+    return env
+
+
+def _probe(cache_root, path=None):
+    return subprocess.Popen(
+        [sys.executable, "-c", _PROBE, str(cache_root)],
+        env=_env(cache_root, path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(proc):
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    return out.splitlines()
+
+
+def _cache_files(cache_root):
+    return sorted(p.name for p in (cache_root / "repro" / "native").iterdir())
+
+
+def test_import_does_not_build_and_the_first_fold_does(tmp_path):
+    listing, result = _finish(_probe(tmp_path))
+    assert listing == "[]"  # import repro ran no compiler
+    assert result == "[1.0, 0.0, 5.0]"
+    (library,) = _cache_files(tmp_path)
+    assert library.startswith("native_fold-") and library.endswith(".so")
+    mode = (tmp_path / "repro" / "native").stat().st_mode
+    assert mode & 0o077 == 0
+
+
+def test_a_second_process_loads_without_the_compiler(tmp_path):
+    _finish(_probe(tmp_path))
+    no_compiler = tmp_path / "empty-bin"
+    no_compiler.mkdir()
+    listing, result = _finish(_probe(tmp_path, path=no_compiler))
+    assert listing == str(_cache_files(tmp_path))  # the first build, reused
+    assert result == "[1.0, 0.0, 5.0]"
+
+
+def test_concurrent_first_builds_both_load_and_leave_no_temp_files(tmp_path):
+    procs = [_probe(tmp_path) for _ in range(2)]
+    for proc in procs:
+        assert _finish(proc)[1] == "[1.0, 0.0, 5.0]"
+    (library,) = _cache_files(tmp_path)  # no ".tmp-" sibling survives
+    assert library.endswith(".so")
+
+
+@pytest.fixture
+def fresh_library(tmp_path, monkeypatch):
+    """An unloaded native fold whose cache root is ``tmp_path``."""
+    monkeypatch.setattr(native_fold, "_FOLDS", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "repro" / "native"
+
+
+def _fold_once():
+    acc = np.zeros(2)
+    kernels.fold_stream(acc, np.add, np.array([1]), np.array([1.0]))
+    return acc
+
+
+def test_a_missing_compiler_is_a_typed_error_naming_it(fresh_library, monkeypatch, tmp_path):
+    empty = tmp_path / "empty-bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    with pytest.raises(EngineError, match="'gcc'"):
+        _fold_once()
+    assert list(fresh_library.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
+def test_a_group_or_world_writable_cache_dir_is_refused(fresh_library, monkeypatch, mode):
+    fresh_library.mkdir(parents=True)
+    fresh_library.chmod(mode)
+    monkeypatch.setattr(native_fold.ctypes, "CDLL", _never_dlopen)
+    with pytest.raises(EngineError, match="writable by group or others"):
+        _fold_once()
+    assert list(fresh_library.iterdir()) == []
+
+
+def test_a_cache_dir_owned_by_another_user_is_refused(fresh_library, monkeypatch):
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    monkeypatch.setattr(native_fold.ctypes, "CDLL", _never_dlopen)
+    with pytest.raises(EngineError, match="owned by uid"):
+        _fold_once()
+
+
+def _never_dlopen(*args, **kwargs):
+    raise AssertionError("dlopen from a refused cache directory")
+
+
+def test_the_library_name_hashes_source_flags_and_platform(monkeypatch, tmp_path):
+    base = native_fold.library_path(tmp_path)
+    edited = tmp_path / "native_fold.c"
+    edited.write_bytes(native_fold.SOURCE.read_bytes() + b"\n")
+    for target, name, value in (
+        (native_fold, "SOURCE", edited),
+        (native_fold, "CFLAGS", native_fold.CFLAGS + ("-g",)),
+        (native_fold.sysconfig, "get_platform", lambda: "other-arch"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, name, value)
+            assert native_fold.library_path(tmp_path) != base, name
+    assert native_fold.library_path(tmp_path) == base
+
+
+def test_a_short_message_array_is_a_typed_error():
+    with pytest.raises(EngineError, match="2 entries got only 1 messages"):
+        kernels.fold_stream(np.zeros(2), np.add, np.array([0, 1]), np.array([1.0]))
