@@ -16,10 +16,10 @@ config fields that do shape results — a complete key.
   warm-started REGATHER results are tolerance-equal, not bitwise, so
   entries written under ``reuse="incremental"`` never serve a
   ``reuse="cache"`` run.
-- Executor, workers, dispatch batching, mmap, sanitize, and
-  checkpoointing are deliberately *excluded*: they are proven
-  result-neutral (PR 1/2/4/5 parity suites), so a serial run can serve
-  a process-executor run and vice versa.
+- Executor, workers, sanitize, and checkpointing are deliberately
+  *excluded*: they are proven result-neutral (the executor, sanitizer
+  and checkpoint parity suites), so a serial run can serve a
+  process-executor run and vice versa.
 
 ``CACHE_FORMAT`` versions the whole scheme; bumping it orphans (never
 mis-serves) existing entries.

@@ -17,8 +17,10 @@ traced duration of its root ``run`` span instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import tempfile
 from typing import List, Optional
 
 from repro import obs
@@ -218,8 +220,9 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "--parallel",
         choices=["partition", "snapshot"],
         default="partition",
-        help="partition-parallel shards each LABS group's gather plan; "
-        "snapshot-parallel distributes whole groups to the pool",
+        help="multi-core strategy (paper Section 3.4): partition shards "
+        "each LABS group by destination vertex; snapshot-parallelism is "
+        "simulated only and is rejected with --executor process",
     )
     runp.add_argument(
         "--worker-timeout",
@@ -244,20 +247,11 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "same arguments resumes at the first incomplete group",
     )
     runp.add_argument(
-        "--dispatch-batch",
-        type=int,
-        default=None,
-        metavar="GROUPS",
-        help="LABS groups per process-executor setup round-trip "
-        "(default 8); results are bitwise identical at any setting",
-    )
-    runp.add_argument(
         "--mmap",
         action="store_true",
         help="out-of-core mode: persist the generated graph as an on-disk "
-        "snapshot-group store, open it memory-mapped "
-        "(StoreConfig(mmap=True)), and spill process-executor plan "
-        "blocks to disk instead of shared memory",
+        "snapshot-group store in a temporary directory and open it "
+        "memory-mapped (StoreConfig(mmap=True))",
     )
     runp.add_argument(
         "--sanitize",
@@ -320,26 +314,7 @@ def _run_and_report(
     memsim: bool,
     chrome_out: Optional[str],
 ) -> int:
-    graph = GENERATORS[args.graph](seed=args.seed)
-    if args.app in UNDIRECTED_APPS:
-        graph = symmetrized(graph)
-    times = graph.evenly_spaced_times(args.snapshots)
-    if args.mmap:
-        # Out-of-core path: round-trip the graph through an on-disk
-        # snapshot-group store and open it memory-mapped, exactly like a
-        # store that exceeds a memory budget would be.
-        import tempfile
-
-        from repro.storage.loader import load_series
-        from repro.storage.store import StoreConfig, TemporalGraphStore
-
-        store_dir = tempfile.mkdtemp(prefix="repro-store-")
-        TemporalGraphStore.create(store_dir, graph)
-        store = TemporalGraphStore(store_dir, StoreConfig(mmap=True))
-        series = load_series(store, times)
-    else:
-        series = graph.series(times)
-    program = make_program(args.app)
+    # Built first so a rejected combination fails before any graph work.
     config = EngineConfig(
         mode=args.mode,
         batch_size=args.batch,
@@ -358,25 +333,44 @@ def _run_and_report(
         worker_timeout_s=args.worker_timeout,
         retry_limit=args.retry_limit,
         sanitize=args.sanitize,
-        dispatch_batch=args.dispatch_batch,
-        mmap=args.mmap,
         reuse=args.reuse,
         cache_dir=args.cache_dir,
     )
-    executor_note = (
-        f", {args.executor} executor ({args.workers} workers, "
-        f"{args.parallel}-parallel)"
-        if args.executor == "process"
-        else ""
-    )
-    print(
-        f"{args.app} on {args.graph}: {series.num_vertices} vertices, "
-        f"{series.num_edges} distinct edges, {series.num_snapshots} snapshots, "
-        f"{args.mode} mode, batch "
-        f"{config.effective_batch_size(series.num_snapshots)}"
-        f"{executor_note}"
-    )
-    result = run(series, program, config, checkpoint_dir=args.checkpoint_dir)
+    graph = GENERATORS[args.graph](seed=args.seed)
+    if args.app in UNDIRECTED_APPS:
+        graph = symmetrized(graph)
+    times = graph.evenly_spaced_times(args.snapshots)
+    program = make_program(args.app)
+    with contextlib.ExitStack() as scratch:
+        if args.mmap:
+            # Out-of-core path: round-trip the graph through an on-disk
+            # snapshot-group store and open it memory-mapped, exactly like
+            # a store that exceeds a memory budget would be. The store
+            # lives only as long as the run.
+            from repro.storage.loader import load_series
+            from repro.storage.store import StoreConfig, TemporalGraphStore
+
+            store_dir = scratch.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-store-")
+            )
+            TemporalGraphStore.create(store_dir, graph)
+            store = TemporalGraphStore(store_dir, StoreConfig(mmap=True))
+            series = load_series(store, times)
+        else:
+            series = graph.series(times)
+        executor_note = (
+            f", {args.executor} executor ({args.workers} workers)"
+            if args.executor == "process"
+            else ""
+        )
+        print(
+            f"{args.app} on {args.graph}: {series.num_vertices} vertices, "
+            f"{series.num_edges} distinct edges, "
+            f"{series.num_snapshots} snapshots, {args.mode} mode, batch "
+            f"{config.effective_batch_size(series.num_snapshots)}"
+            f"{executor_note}"
+        )
+        result = run(series, program, config, checkpoint_dir=args.checkpoint_dir)
     wall = observation.tracer.duration("run") if observation.tracer else None
     c = result.counters
     resumed_note = (

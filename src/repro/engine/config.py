@@ -22,11 +22,6 @@ class Mode(enum.Enum):
     STREAM = "stream"
 
 
-#: Groups per batched process-executor dispatch when
-#: :attr:`EngineConfig.dispatch_batch` is left unset.
-DEFAULT_DISPATCH_BATCH = 8
-
-
 @dataclass
 class EngineConfig:
     """Everything that shapes one engine run.
@@ -51,7 +46,8 @@ class EngineConfig:
     #: Simulated core count (traced runs only).
     num_cores: int = 1
     #: ``partition`` assigns vertex partitions to cores; ``snapshot``
-    #: assigns whole snapshots to cores (Section 3.4).
+    #: assigns whole snapshots to cores (Section 3.4). Snapshot-parallelism
+    #: is simulated only: with ``executor="process"`` it is an error.
     parallel: str = "partition"
     #: Vertex -> core map for partition-parallelism; contiguous ranges by
     #: default. Use :mod:`repro.partition` for Metis-style assignments.
@@ -108,24 +104,6 @@ class EngineConfig:
     #: The sanitizer only *reads* engine state, so clean runs stay bitwise
     #: identical to ``sanitize=False``.
     sanitize: bool = False
-    #: How many LABS groups the process executor sets up per IPC
-    #: round-trip: one ``batch`` message publishes the state (and any
-    #: uncached plans) of this many groups at once, collapsing dispatch
-    #: round-trips from O(groups) to O(groups / dispatch_batch). ``None``
-    #: uses :data:`DEFAULT_DISPATCH_BATCH`. Batching changes only *when*
-    #: shared arrays are published, never the fold order, so results stay
-    #: bitwise identical at any setting.
-    dispatch_batch: Optional[int] = None
-    #: Out-of-core switch for the engine side: with ``mmap=True`` the
-    #: process executor spills published plan blocks to disk files and
-    #: ships them to workers as ``(path, offset, shape, dtype)`` specs
-    #: mapped read-only via ``np.memmap``, instead of occupying POSIX
-    #: shared memory. Pair with ``StoreConfig(mmap=True)`` (or a memory
-    #: budget) to run stores larger than RAM end-to-end.
-    mmap: bool = False
-    #: Directory for ``mmap=True`` plan spill files (``None`` = the
-    #: platform temp dir).
-    spill_dir: Optional[str] = None
     #: Result reuse across runs (:mod:`repro.cache`): ``None`` (default)
     #: recomputes everything; ``"cache"`` serves any group whose
     #: (content fingerprint, program identity, config digest) key has a
@@ -167,6 +145,12 @@ class EngineConfig:
                 "the process executor is wall-clock-only; traced runs are "
                 "simulated serially (use executor='serial' with num_cores)"
             )
+        if self.executor == "process" and self.parallel == "snapshot":
+            raise EngineError(
+                "the process executor is partition-parallel only; "
+                "snapshot-parallelism is simulated (use trace=True, "
+                "num_cores>1 with parallel='snapshot')"
+            )
         if self.worker_timeout_s <= 0:
             raise EngineError(
                 f"worker_timeout_s must be positive, got {self.worker_timeout_s}"
@@ -183,10 +167,6 @@ class EngineConfig:
             raise EngineError(
                 f"unknown fallback mode {self.fallback!r} "
                 "(expected 'serial' or 'raise')"
-            )
-        if self.dispatch_batch is not None and self.dispatch_batch <= 0:
-            raise EngineError(
-                f"dispatch_batch must be positive, got {self.dispatch_batch}"
             )
         if self.reuse not in (None, "cache", "incremental"):
             raise EngineError(
@@ -209,11 +189,6 @@ class EngineConfig:
         if self.batch_size is None:
             return num_snapshots
         return min(self.batch_size, num_snapshots)
-
-    def effective_dispatch_batch(self) -> int:
-        if self.dispatch_batch is None:
-            return DEFAULT_DISPATCH_BATCH
-        return self.dispatch_batch
 
     def with_(self, **kwargs: Any) -> "EngineConfig":
         """A modified copy (dataclasses.replace convenience)."""

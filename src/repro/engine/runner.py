@@ -364,34 +364,6 @@ def _run_series(
     config: EngineConfig,
     checkpoint_dir: "str | os.PathLike[str] | None" = None,
 ) -> RunResult:
-    if (
-        config.executor == "process"
-        and not config.trace
-        and config.parallel == "snapshot"
-    ):
-        # Snapshot-parallelism on real cores: whole LABS groups are
-        # distributed to the worker pool instead of sharding each group.
-        from repro.parallel.shm import run_snapshot_parallel
-
-        if checkpoint_dir is not None:
-            import warnings
-
-            warnings.warn(
-                "checkpoint_dir is ignored under snapshot-parallel process "
-                "execution (groups are checkpointed by the group loop only)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if config.reuse is not None:
-            import warnings
-
-            warnings.warn(
-                "reuse is ignored under snapshot-parallel process execution "
-                "(results are memoized by the group loop only)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return run_snapshot_parallel(series, program, config)
     checkpoint = None
     if checkpoint_dir is not None:
         from repro.resilience.checkpoint import RunCheckpoint
@@ -442,7 +414,7 @@ def _run_series(
         if _plan is not None and _plan.take_abort(group.start):
             os._exit(137)
 
-    # Under the process executor up to dispatch_batch groups share one
+    # Under the process executor up to DISPATCH_BATCH groups share one
     # setup IPC round-trip (see repro.parallel.shm.BatchSession); groups
     # still run to convergence one at a time in series order, so values,
     # counters, and checkpoint layout match serial (dispatch width 1)
@@ -450,11 +422,11 @@ def _run_series(
     # so incremental reuse flushes one group per dispatch; plain cache
     # reuse (lookups need no results) keeps full batching.
     use_batch = config.executor == "process"
-    dispatch = (
-        config.effective_dispatch_batch()
-        if use_batch and not (planner is not None and planner.seed_incremental)
-        else 1
-    )
+    dispatch = 1
+    if use_batch and not (planner is not None and planner.seed_incremental):
+        from repro.parallel.shm import DISPATCH_BATCH
+
+        dispatch = DISPATCH_BATCH
     pending: List[Tuple[GroupView, Dict[str, Any]]] = []
 
     def flush() -> None:

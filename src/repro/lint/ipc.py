@@ -17,8 +17,8 @@ whether it sits literally inside the call's arguments or was merely
 
 (A syntactic twin, CHR004, saw only the literal case; it is gone.) Package-class
 constructions inside a payload must appear in the module-level
-``__ipc_picklable__`` declaration (the shm layer declares ``BlockSpec``
-and ``FileBlockSpec``); a class outside the registry may pickle today
+``__ipc_picklable__`` declaration (the shm layer declares
+``BlockSpec``); a class outside the registry may pickle today
 and silently stop pickling (or start copying) after a refactor, so
 crossing the boundary is an explicit contract, not an accident. Names
 that resolve to nothing (parameters, foreign calls) stay optimistic.

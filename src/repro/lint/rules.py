@@ -442,11 +442,11 @@ class ObservabilityBoundaryRule(Rule):
     which returns the shared no-op while disabled and a recording span
     (whose *injected* clock is read inside :mod:`repro.obs`) while
     enabled. A direct ``time.perf_counter()`` / ``datetime.now()`` read,
-    or a :class:`~repro.obs.trace.Tracer` / ``PhaseTimer`` constructed
-    ad hoc in library code, punches through that boundary: timing state
-    appears that the installed observation does not own, and determinism
-    contracts (bitwise identity across executors and reruns) can no
-    longer be argued from the absence of clock reads. ``time.sleep`` is
+    or a :class:`~repro.obs.trace.Tracer` constructed ad hoc in library
+    code, punches through that boundary: timing state appears that the
+    installed observation does not own, and determinism contracts
+    (bitwise identity across executors and reruns) can no longer be
+    argued from the absence of clock reads. ``time.sleep`` is
     not a clock read and stays allowed (retry backoff).
     """
 
@@ -455,11 +455,11 @@ class ObservabilityBoundaryRule(Rule):
     title = "clock reads and span recording only inside repro.obs"
     invariant = (
         "library code receives time through repro.obs injection; no "
-        "direct clock reads or ad-hoc Tracer/PhaseTimer construction"
+        "direct clock reads or ad-hoc Tracer construction"
     )
     interests = (ast.Call,)
 
-    _RECORDERS = frozenset({"Tracer", "PhaseTimer"})
+    _RECORDERS = frozenset({"Tracer"})
 
     def check(
         self, node: ast.AST, ctx: FileContext

@@ -10,7 +10,7 @@ reader after a crash. A path is temp-scoped when it derives from
 
 - a local bound to a ``tempfile.*`` allocation or ``_tmp_sibling(...)``,
 - a ``self.<attr>`` that some method of the class binds from
-  ``tempfile.*`` (the plan-spill allocator pattern),
+  ``tempfile.*`` (an object owning a private temp directory),
 - the parameter of a *writer callback* handed to ``atomic_write_via``
   (by name or as an inline lambda — the helper supplies a tmp sibling
   and publishes after),

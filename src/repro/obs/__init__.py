@@ -10,10 +10,10 @@ Three pillars over one inversion-of-control runtime:
   process executor's existing IPC channel and are stitched into the
   parent trace.
 - **Metrics registry** (:mod:`repro.obs.metrics`): named counters,
-  gauges, and histograms — IPC round-trips and payload bytes, plan and
-  series cache hits, storage bytes read and CRCs verified, retry and
-  checkpoint events, and the engine's own logical counters — snapshotable
-  to JSON and diffable between runs.
+  gauges, and histograms — IPC round-trips and payload bytes, plan cache
+  hits, storage bytes read and CRCs verified, retry and checkpoint
+  events, and the engine's own logical counters — snapshotable to JSON
+  and diffable between runs.
 - **Run reports** (:mod:`repro.obs.report`): ``RunResult.report()`` and
   the ``repro trace`` / ``--trace out.json`` / ``--metrics out.json``
   CLI surface build a per-run summary (phase breakdown, cache hit rates,
@@ -56,13 +56,11 @@ from repro.obs.runtime import (
     gauge,
     ingest,
     install,
-    install_phase_timer,
     observe,
     reset,
     shipping,
     span,
 )
-from repro.obs.timer import PhaseTimer
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -77,7 +75,6 @@ __all__ = [
     "MetricsRegistry",
     "NOOP",
     "Observation",
-    "PhaseTimer",
     "Span",
     "Tracer",
     "absorb_counters",
@@ -94,7 +91,6 @@ __all__ = [
     "gauge",
     "ingest",
     "install",
-    "install_phase_timer",
     "logical_sequence",
     "observe",
     "reset",

@@ -68,9 +68,6 @@ def build_report(
         "plan_token_hit_rate": _hit_rate(
             get("plan.token_hits", 0), get("plan.token_misses", 0)
         ),
-        "series_token_hit_rate": _hit_rate(
-            get("series.token_hits", 0), get("series.token_misses", 0)
-        ),
     }
     report["ipc"] = {
         "round_trips": get("ipc.round_trips", 0),
@@ -139,8 +136,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         "workers": config.workers,
         "parallel": config.parallel,
         "batch_size": config.batch_size,
-        "dispatch_batch": config.dispatch_batch,
-        "mmap": config.mmap,
         "sanitize": config.sanitize,
         "reuse": config.reuse,
         "cache_dir": config.cache_dir,

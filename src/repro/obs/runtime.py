@@ -8,10 +8,9 @@ the metric writers return after one global read, so enabling
 observability can never change results and disabling it costs nothing
 measurable on the per-iteration hot path.
 
-One :class:`Observation` bundles the three optional sinks — a
-:class:`~repro.obs.trace.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry`, and a phase-timer factory
-(the legacy :mod:`repro.parallel.timing` hook) — and is installed
+One :class:`Observation` bundles the two optional sinks — a
+:class:`~repro.obs.trace.Tracer` and a
+:class:`~repro.obs.metrics.MetricsRegistry` — and is installed
 process-wide. Worker processes of the shm executor get their own
 observation (:func:`enable_worker`) whose events/metrics are shipped
 back over IPC (:func:`drain`) and stitched into the parent's
@@ -50,14 +49,11 @@ __all__ = [
     "gauge",
     "ingest",
     "install",
-    "install_phase_timer",
     "observe",
     "reset",
     "shipping",
     "span",
 ]
-
-PhaseTimerFactory = Callable[[str], "ContextManager[None]"]
 
 
 class _NoopSpan:
@@ -90,8 +86,6 @@ BASELINE_COUNTERS: Tuple[str, ...] = (
     "plan.cache_hits",
     "plan.token_hits",
     "plan.token_misses",
-    "series.token_hits",
-    "series.token_misses",
     "storage.bytes_read",
     "storage.segments_read",
     "storage.crc_verified",
@@ -127,31 +121,26 @@ BASELINE_COUNTERS: Tuple[str, ...] = (
 
 
 class Observation:
-    """One installed observability scope: tracer + registry + timer."""
+    """One installed observability scope: tracer + registry."""
 
-    __slots__ = ("tracer", "registry", "phase_timer")
+    __slots__ = ("tracer", "registry")
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        phase_timer: Optional[PhaseTimerFactory] = None,
     ) -> None:
         self.tracer = tracer
         self.registry = registry
-        self.phase_timer = phase_timer
         if registry is not None:
             registry.declare(BASELINE_COUNTERS)
 
     def span(
         self, cat: str, name: str, args: Optional[Dict[str, Any]] = None
     ) -> "ContextManager[Any]":
-        timer: Optional["ContextManager[None]"] = None
-        if self.phase_timer is not None and cat == "phase":
-            timer = self.phase_timer(name)
         if self.tracer is None:
-            return timer if timer is not None else NOOP
-        return self.tracer.span(cat, name, args, timer)
+            return NOOP
+        return self.tracer.span(cat, name, args)
 
 
 #: The installed observation; None = observability disabled everywhere.
@@ -239,8 +228,8 @@ def absorb_counters(counters: Any, prefix: str = "engine.") -> None:
 
     Uses set-semantics (:meth:`MetricsRegistry.put`): ``engine.*``
     always equals the most recent completed run's ``EngineCounters``
-    totals, so a nested run (serial fallback inside a degraded
-    snapshot-parallel run) cannot double-count.
+    totals: a later run replaces an earlier run's figures instead of
+    adding to them.
     """
     observation = _ACTIVE
     if observation is None or observation.registry is None:
@@ -249,32 +238,6 @@ def absorb_counters(counters: Any, prefix: str = "engine.") -> None:
         value = getattr(counters, f.name)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             observation.registry.put(prefix + f.name, value)
-
-
-# ----------------------------------------------------------------- #
-# the legacy phase-timer hook (repro.parallel.timing)
-
-
-def install_phase_timer(timer: Optional[PhaseTimerFactory]) -> None:
-    """Attach a phase-timer factory to the active observation.
-
-    With no observation installed, a timer-only one is created (the
-    pre-obs ``timing.install`` contract: phase timing without tracing or
-    metrics); installing ``None`` detaches the timer and removes the
-    observation again if the timer was all it had.
-    """
-    global _ACTIVE
-    observation = _ACTIVE
-    if timer is None:
-        if observation is not None:
-            observation.phase_timer = None
-            if observation.tracer is None and observation.registry is None:
-                _ACTIVE = None
-        return
-    if observation is None:
-        _ACTIVE = Observation(phase_timer=timer)
-    else:
-        observation.phase_timer = timer
 
 
 # ----------------------------------------------------------------- #

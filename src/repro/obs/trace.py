@@ -16,8 +16,7 @@ the engine's hierarchy); events appear in begin order.
 
 Categories: ``run`` / ``group`` / ``iteration`` are the logical skeleton
 (see :func:`logical_sequence`, which the executor-parity tests compare);
-``phase`` spans carry the time attribution (and feed any installed
-:class:`~repro.obs.timer.PhaseTimer`); ``retry`` marks resilience
+``phase`` spans carry the time attribution; ``retry`` marks resilience
 events.
 
 :func:`chrome_trace` converts events to the Chrome trace-event format
@@ -34,7 +33,6 @@ import time
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -70,7 +68,7 @@ class Span:
     never allocates one of these.
     """
 
-    __slots__ = ("_tracer", "_event", "_t0", "_timer")
+    __slots__ = ("_tracer", "_event", "_t0")
 
     def __init__(
         self,
@@ -78,10 +76,8 @@ class Span:
         cat: str,
         name: str,
         args: Optional[Dict[str, Any]],
-        timer: Optional[ContextManager[None]] = None,
     ) -> None:
         self._tracer = tracer
-        self._timer = timer
         self._event: Event = {
             "name": name,
             "cat": cat,
@@ -100,8 +96,6 @@ class Span:
         self._event["depth"] = tracer.depth
         tracer.depth += 1
         tracer.events.append(self._event)
-        if self._timer is not None:
-            self._timer.__enter__()
         self._t0 = tracer.clock()
         self._event["ts"] = self._t0
         return self
@@ -115,8 +109,6 @@ class Span:
         tracer = self._tracer
         self._event["dur"] = tracer.clock() - self._t0
         tracer.depth -= 1
-        if self._timer is not None:
-            self._timer.__exit__(exc_type, exc, tb)
         return None
 
 
@@ -124,8 +116,8 @@ class Tracer:
     """Records spans and instant events for one process/thread lane.
 
     ``clock`` is the injected time source (default
-    ``time.perf_counter``); this class and :class:`PhaseTimer` are the
-    only places in the library that read it. ``(pid, tid)`` identify the
+    ``time.perf_counter``); this class is the only place in the library
+    that reads it. ``(pid, tid)`` identify the
     lane in exported traces — the parent uses tid 0, stitched workers
     tid ``worker+1`` — and ``threads`` maps lanes to display labels.
     """
@@ -153,9 +145,8 @@ class Tracer:
         cat: str,
         name: str,
         args: Optional[Dict[str, Any]] = None,
-        timer: Optional[ContextManager[None]] = None,
     ) -> Span:
-        return Span(self, cat, name, args, timer)
+        return Span(self, cat, name, args)
 
     def instant(
         self, cat: str, name: str, args: Optional[Dict[str, Any]] = None

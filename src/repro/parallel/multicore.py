@@ -68,10 +68,10 @@ def run_multicore(
             sim_seconds=cost.seconds(res.counters.sim_cycles),
             per_core_seconds=per_core,
         )
-    return _run_snapshot_parallel(series, program, config)
+    return _simulate_snapshot_parallel(series, program, config)
 
 
-def _run_snapshot_parallel(
+def _simulate_snapshot_parallel(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: EngineConfig,

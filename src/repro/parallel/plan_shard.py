@@ -13,9 +13,8 @@ to serial execution.
 
 :func:`shard_boundaries` is computed by the parent once per (group,
 session); :class:`PlanShard` is built by each worker once per group from
-the shared-memory copies of the plan arrays. Both keep module-level build
-counters so benchmarks can assert construction happens once per group, not
-once per iteration.
+the shared-memory copies of the plan arrays — once per group, never once
+per iteration.
 
 **Shard-race sanitizer** (``EngineConfig(sanitize=True)`` — TSan for
 owner-computes): the lock-free correctness argument above is an
@@ -51,12 +50,6 @@ from repro.errors import EngineError, ShardRaceError
 #: Ownership-map claims are ``worker_id + 1`` stored in one byte
 #: (0 = unowned), which caps sanitized pools at 255 workers.
 SANITIZER_MAX_WORKERS = 255
-
-#: Module-level build counters (micro-assert hooks for the benchmarks):
-#: bumped once per boundary computation / shard construction. Worker
-#: processes count their own shards; the parent counts boundary builds.
-BOUNDARY_BUILDS = 0
-SHARD_BUILDS = 0
 
 
 # ---------------------------------------------------------------------- #
@@ -158,8 +151,6 @@ def shard_boundaries(keys: np.ndarray, workers: int) -> np.ndarray:
     destination is split across two workers. Boundaries are
     non-decreasing; a worker whose slice is empty simply folds nothing.
     """
-    global BOUNDARY_BUILDS
-    BOUNDARY_BUILDS += 1
     length = int(keys.shape[0])
     if length == 0 or workers <= 1:
         bounds = np.zeros(workers + 1, dtype=np.int64)
@@ -184,8 +175,8 @@ class PlanShard:
     consumed by :func:`~repro.engine.kernels.stream_scatter` —
     ``src_flat``, ``weight_stream``, ``select_*`` and ``fold`` — restricted
     to positions ``[start, stop)`` of the full stream. ``arrays`` is the
-    worker's plan-cache entry (role name -> attached shared-memory or
-    memmap array; ``weights`` only when the program reads them,
+    worker's plan-cache entry (role name -> attached shared-memory
+    array; ``weights`` only when the program reads them,
     ``src_flat_c`` only where it is not ``src_flat`` itself — C order *is*
     the physical order under time-locality) and is sliced zero-copy, so
     construction is O(1).
@@ -208,8 +199,6 @@ class PlanShard:
         worker_id: int = -1,
         group_start: int = -1,
     ) -> None:
-        global SHARD_BUILDS
-        SHARD_BUILDS += 1
         self.start = int(start)
         self.stop = int(stop)
         self.dst_flat = arrays["dst_flat"][start:stop]

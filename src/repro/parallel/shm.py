@@ -16,10 +16,10 @@ deterministic *simulation* in :mod:`repro.parallel.multicore`:
   per pool (:meth:`WorkerPool.note_plan_token`) mirrored exactly by the
   workers' plan caches, so a plan already resident in the workers is
   referenced by key alone — zero bytes re-shipped, zero re-attachment;
-- multiple groups are dispatched in **one batched IPC round-trip**
-  (:class:`BatchSession` sends a single ``batch`` message per worker
-  covering every group of the batch, then per-iteration ``scatter``
-  commands carry only the group index);
+- up to :data:`DISPATCH_BATCH` groups are dispatched in **one batched
+  IPC round-trip** (:class:`BatchSession` sends a single ``batch``
+  message per worker covering every group of the batch, then
+  per-iteration ``scatter`` commands carry only the group index);
 - the plan is sharded at destination-vertex boundaries
   (:mod:`repro.parallel.plan_shard`), giving every worker exclusive
   ownership of its accumulator cells — owner-computes, no locks — so the
@@ -27,12 +27,7 @@ deterministic *simulation* in :mod:`repro.parallel.multicore`:
 - per iteration, the parent broadcasts one ``scatter`` command and
   collects one reply per worker (the BSP barrier); apply and convergence
   run in the parent over the same shared arrays through the unchanged
-  serial code path, which keeps values *and* logical counters identical;
-- under ``EngineConfig(mmap=True)`` (out-of-core runs) plan blocks are
-  spilled to disk files and shipped as :class:`FileBlockSpec`
-  ``(path, offset, shape, dtype)`` records that workers open with
-  ``np.memmap`` — page-cache-backed shared read-only mappings — instead
-  of being copied into ``/dev/shm``.
+  serial code path, which keeps values *and* logical counters identical.
 
 Every parent->worker message is framed explicitly (``pickle.dumps`` +
 ``send_bytes``) so the module can count IPC round-trips
@@ -40,22 +35,18 @@ Every parent->worker message is framed explicitly (``pickle.dumps`` +
 (:data:`IPC_PAYLOAD_BYTES`); the perf tests assert the amortization
 against these counters.
 
-Snapshot-parallelism on real cores is also provided
-(:func:`run_snapshot_parallel`): whole LABS groups are distributed to the
-pool and each worker runs the serial engine over its groups — the
-lock-free, batching-incompatible strategy the paper compares against.
-The series itself is published once into shared memory and cached by the
-workers under a per-series token, so repeat dispatches (and repeat runs
-on a warm pool) ship only group ranges, not the pickled series.
+Snapshot-parallelism (whole groups per core, Section 3.4) is measured in
+the simulator only (:mod:`repro.parallel.multicore`, ``trace=True``);
+this executor is partition-parallel.
 
 A worker that raises mid-iteration replies with the pickled exception
 instead of blocking; the parent then tears the pool down, unlinks every
 shared segment, and re-raises the original exception — no deadlock and no
 ``/dev/shm`` leaks. Workers unregister attached segments from their
 ``resource_tracker`` (Python registers on attach, which would otherwise
-produce spurious leak warnings at exit). Worker plan/series caches
-survive segment unlink and spill-file deletion by POSIX semantics: an
-established mapping outlives the name.
+produce spurious leak warnings at exit). Worker plan caches survive
+segment unlink by POSIX semantics: an established mapping outlives the
+name.
 
 Failure handling (:mod:`repro.resilience`): every worker IPC carries a
 deadline (``EngineConfig.worker_timeout_s``) — a worker that dies or hangs
@@ -94,20 +85,19 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
+    from multiprocessing.shared_memory import SharedMemory
     from types import FrameType
 
     from numpy.typing import DTypeLike
 
     from repro.algorithms.program import VertexProgram
-    from repro.engine.runner import RunResult
-    from repro.temporal.series import GroupView, SnapshotSeriesView
+    from repro.temporal.series import GroupView
 
 from repro.algorithms.program import Semantics
 from repro.engine.config import EngineConfig
@@ -142,26 +132,28 @@ POOL_SPAWNS = 0
 #: one round-trip, however many workers it fans out to), and the total
 #: pickled payload bytes those round-trips shipped. The batched-dispatch
 #: tests diff these across a run to prove round-trips are O(batches) and
-#: payload bytes collapse once plans/series are cached in the workers.
+#: payload bytes collapse once plans are cached in the workers.
 IPC_ROUND_TRIPS = 0
 IPC_PAYLOAD_BYTES = 0
 
+#: How many LABS groups one ``batch`` setup round-trip publishes: the
+#: runner accumulates this many groups per dispatch, so setup costs
+#: ``2 * ceil(groups / DISPATCH_BATCH)`` round-trips per run. Batching
+#: changes only *when* shared arrays are published, never the fold order.
+DISPATCH_BATCH = 8
+
 #: How many distinct gather plans each worker keeps mapped; the parent
 #: mirrors this LRU exactly (:meth:`WorkerPool.note_plan_token`), so it
-#: must be comfortably above ``EngineConfig.effective_dispatch_batch()``
-#: or intra-batch eviction would thrash.
+#: must be comfortably above :data:`DISPATCH_BATCH` or intra-batch
+#: eviction would thrash.
 PLAN_CACHE_CAP = 32
-
-#: How many pickled snapshot series each worker keeps for the
-#: snapshot-parallel path.
-SERIES_CACHE_CAP = 4
 
 #: Classes this module is allowed to construct into a WorkerPool IPC
 #: payload. Machine-checked by chronolint CHF004: crossing the process
 #: boundary is an explicit contract, so a refactor that starts pickling
 #: an undeclared class (or an ndarray) through the framing fails static
 #: analysis instead of silently copying per dispatch.
-__ipc_picklable__ = ("BlockSpec", "FileBlockSpec")
+__ipc_picklable__ = ("BlockSpec",)
 
 _segment_counter = itertools.count()
 _token_counter = itertools.count()
@@ -188,33 +180,11 @@ class BlockSpec:
     dtype: str
 
 
-@dataclass(frozen=True)
-class FileBlockSpec:
-    """How to ``np.memmap`` one published array straight from a file.
-
-    The out-of-core block reference: instead of copying an array into a
-    ``/dev/shm`` segment, the parent names the backing file region and
-    workers map it read-only. Used for plan blocks spilled to disk under
-    ``EngineConfig(mmap=True)``, where duplicating stream-sized arrays
-    into shared memory would reinstate the RAM ceiling the memory-mapped
-    store just removed.
-    """
-
-    path: str
-    offset: int
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-AnyBlockSpec = Union[BlockSpec, FileBlockSpec]
-
-
 # ---------------------------------------------------------------------- #
 # emergency cleanup: unlink segments when the *parent* is killed mid-run
 
-#: Allocators/spills with possibly-live resources; the signal handler
-#: releases them so a SIGTERM/SIGINT to the parent leaves ``/dev/shm``
-#: (and the spill directory) clean.
+#: Allocators with possibly-live segments; the signal handler releases
+#: them so a SIGTERM/SIGINT to the parent leaves ``/dev/shm`` clean.
 _LIVE_ALLOCATORS: "weakref.WeakSet" = weakref.WeakSet()
 _SIGNAL_OWNER_PID: Optional[int] = None
 _ORIG_HANDLERS: Dict[int, object] = {}
@@ -280,7 +250,7 @@ class SharedMemoryAllocator(ArrayAllocator):
         from multiprocessing import shared_memory  # imported lazily: see below
 
         self._shared_memory = shared_memory
-        self._segments: List[object] = []
+        self._segments: List["SharedMemory"] = []
         self.blocks: Dict[str, BlockSpec] = {}
         _ensure_signal_cleanup()
         _LIVE_ALLOCATORS.add(self)
@@ -318,56 +288,7 @@ class SharedMemoryAllocator(ArrayAllocator):
                 seg.unlink()
             except FileNotFoundError:
                 pass
-            try:
-                seg.close()
-            except BufferError:
-                pass
-
-
-class _PlanSpill:
-    """File-backed publication of plan blocks (``EngineConfig(mmap=True)``).
-
-    Under out-of-core execution the gather-plan streams may rival the
-    store itself in size; copying them into ``/dev/shm`` would reinstate
-    the RAM ceiling the memory-mapped store just removed. Each block is
-    instead written once to a spill file and shipped as a
-    :class:`FileBlockSpec`; workers open it with ``np.memmap`` (shared
-    read-only pages backed by the page cache, evictable under memory
-    pressure). POSIX unlink semantics let :meth:`release` delete the
-    files while worker plan caches keep their established mappings alive.
-    """
-
-    def __init__(self, spill_dir: Optional[str]) -> None:
-        import tempfile
-
-        self._dir: Optional[str] = tempfile.mkdtemp(
-            prefix="repro-plan-spill-", dir=spill_dir
-        )
-        self._counter = itertools.count()
-        _ensure_signal_cleanup()
-        _LIVE_ALLOCATORS.add(self)
-
-    def publish(self, name: str, array: np.ndarray) -> FileBlockSpec:
-        if self._dir is None:
-            raise EngineError("plan spill directory already released")
-        arr = np.ascontiguousarray(array)
-        path = os.path.join(self._dir, f"{next(self._counter)}-{name}.bin")
-        # Spill block inside this allocator's private tempfile.mkdtemp dir,
-        # deleted on release(); the path never outlives the run, so the
-        # atomic-publish discipline does not apply.
-        with open(path, "wb") as fh:
-            # mmap cannot map a zero-length file; pad empty blocks with
-            # one byte (the spec's shape still says 0 elements).
-            fh.write(arr.tobytes() if arr.nbytes else b"\x00")
-        return FileBlockSpec(path, 0, tuple(arr.shape), arr.dtype.str)
-
-    def release(self) -> None:
-        import shutil
-
-        d, self._dir = self._dir, None
-        _LIVE_ALLOCATORS.discard(self)
-        if d is not None:
-            shutil.rmtree(d, ignore_errors=True)
+            _close_segment(seg)
 
 
 _shm_probe_result: Optional[bool] = None
@@ -392,42 +313,13 @@ def shared_memory_available() -> bool:
     return _shm_probe_result
 
 
-def _lru_note(cache: "OrderedDict[str, None]", key: str, cap: int) -> bool:
-    """Record ``key`` in an LRU key set; True = already present (a hit).
-
-    The parent's token mirrors and the workers' entry caches run this
-    identical arithmetic over the identical key sequence (every worker
-    receives every group spec), which is what keeps a parent-side "hit"
-    guaranteed to find the entry still resident worker-side.
-    """
-    if key in cache:
-        cache.move_to_end(key)
-        return True
-    cache[key] = None
-    while len(cache) > cap:
-        cache.popitem(last=False)
-    return False
-
-
 # ---------------------------------------------------------------------- #
 # worker side
 
 
-def _attach_block(spec: AnyBlockSpec, segments: List[object]) -> np.ndarray:
-    if isinstance(spec, FileBlockSpec):
-        # Out-of-core block: map the named file region read-only. The
-        # mapping (a np.memmap) doubles as the "segment" for lifetime
-        # tracking; it has no close() — _close_segment skips it and the
-        # pages unmap when the last array view is collected.
-        mm = np.memmap(
-            spec.path,
-            dtype=np.dtype(spec.dtype),
-            mode="r",
-            offset=spec.offset,
-            shape=spec.shape,
-        )
-        segments.append(mm)
-        return mm
+def _attach_block(
+    spec: BlockSpec, segments: List["SharedMemory"]
+) -> np.ndarray:
     from multiprocessing import resource_tracker, shared_memory
 
     # Python (< 3.13) registers attached segments with the resource
@@ -446,13 +338,10 @@ def _attach_block(spec: AnyBlockSpec, segments: List[object]) -> np.ndarray:
     return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf)
 
 
-def _close_segment(seg: object) -> None:
-    """Close one attached segment; a no-op for memmap-backed blocks."""
-    close = getattr(seg, "close", None)
-    if close is None:
-        return
+def _close_segment(seg: "SharedMemory") -> None:
+    """Unmap one segment this process holds."""
     try:
-        close()
+        seg.close()
     except BufferError:
         # Arrays over this segment are still referenced (e.g. by a live
         # shard of an evicted-but-in-use plan entry); the mapping stays
@@ -464,7 +353,7 @@ class _PlanEntry:
     """One cached plan's attached arrays + the segments backing them."""
 
     def __init__(
-        self, arrays: Dict[str, np.ndarray], segments: List[object]
+        self, arrays: Dict[str, np.ndarray], segments: List["SharedMemory"]
     ) -> None:
         self.arrays = arrays
         self.segments = segments
@@ -476,20 +365,14 @@ class _PlanEntry:
             _close_segment(seg)
 
 
-#: Worker-resident caches, keyed by the parent-issued tokens. They
-#: deliberately survive ``batch_end``: the whole point is that the next
-#: run's dispatch references plans/series by token with zero payload.
+#: Worker-resident plan cache, keyed by the parent-issued tokens. It
+#: deliberately survives ``batch_end``: the whole point is that the next
+#: run's dispatch references plans by token with zero payload.
 _PLAN_CACHE: "OrderedDict[str, _PlanEntry]" = OrderedDict()
-_SERIES_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
 #: Cache telemetry, readable through the ``stats`` command; the
 #: plan-cache tests assert reuse/invalidation against these.
-_WORKER_STATS: Dict[str, int] = {
-    "plan_attaches": 0,
-    "plan_hits": 0,
-    "series_loads": 0,
-    "series_hits": 0,
-}
+_WORKER_STATS: Dict[str, int] = {"plan_attaches": 0, "plan_hits": 0}
 
 
 def _plan_arrays(spec: dict) -> Dict[str, np.ndarray]:
@@ -510,7 +393,7 @@ def _plan_arrays(spec: dict) -> Dict[str, np.ndarray]:
             f"plan {key!r} is not cached in this worker and no blocks "
             "were shipped"
         )
-    segments: List[object] = []
+    segments: List["SharedMemory"] = []
     arrays = {role: _attach_block(b, segments) for role, b in blocks.items()}
     _PLAN_CACHE[key] = _PlanEntry(arrays, segments)
     while len(_PLAN_CACHE) > PLAN_CACHE_CAP:
@@ -525,7 +408,7 @@ class _WorkerGroup:
     """One worker's mapped view of one batched group + its plan shard."""
 
     def __init__(self, spec: dict, program: "VertexProgram") -> None:
-        self._segments: List[object] = []
+        self._segments: List["SharedMemory"] = []
         arrays = _plan_arrays(spec)
         blocks: Dict[str, BlockSpec] = spec["state_blocks"]
         attach = lambda name: _attach_block(blocks[name], self._segments)
@@ -614,54 +497,6 @@ class _WorkerBatch:
             g.close()
 
 
-def _series_from_payload(payload: dict) -> object:
-    """The snapshot series for one dispatch, via the worker series cache."""
-    token = payload["series_token"]
-    cached = _SERIES_CACHE.get(token)
-    if cached is not None:
-        _SERIES_CACHE.move_to_end(token)
-        _WORKER_STATS["series_hits"] += 1
-        obs.add("worker.series_hits")
-        return cached
-    ref = payload.get("series_ref")
-    if ref is None:
-        raise EngineError(
-            f"series {token!r} is not cached in this worker and no "
-            "segment was shipped"
-        )
-    segments: List[object] = []
-    raw = _attach_block(ref, segments)
-    # Copy the pickle out before closing: loads() may keep buffer views.
-    series = pickle.loads(raw.tobytes())
-    raw = None
-    for seg in segments:
-        _close_segment(seg)
-    _SERIES_CACHE[token] = series
-    while len(_SERIES_CACHE) > SERIES_CACHE_CAP:
-        _SERIES_CACHE.popitem(last=False)
-    _WORKER_STATS["series_loads"] += 1
-    obs.add("worker.series_loads")
-    return series
-
-
-def _run_serial_groups(payload: dict) -> list:
-    """Snapshot-parallel worker body: serial engine over assigned groups."""
-    from repro.engine.runner import run_group
-
-    series = _series_from_payload(payload)
-    program = payload["program"]
-    config = payload["config"]
-    fault_specs: Dict[int, list] = payload.get("faults", {})
-    out = []
-    for start, stop in payload["ranges"]:
-        for spec in fault_specs.get(start, ()):
-            faults.run_worker_fault(spec)
-        group = series.group(start, stop)
-        vals, counters = run_group(group, program, config)
-        out.append((start, stop, vals, counters))
-    return out
-
-
 def _worker_main(conn: "Connection") -> None:
     """Command loop of one pool worker (top-level: spawn-safe)."""
     # The parent's emergency-cleanup handlers must not run here: restore
@@ -707,12 +542,6 @@ def _worker_main(conn: "Connection") -> None:
                     batch.close()
                     batch = None
                 conn.send(("ok", None))
-            elif cmd == "run_groups":
-                if msg[1].get("obs"):
-                    obs.enable_worker(int(msg[1].get("worker", 0)))
-                else:
-                    obs.reset()
-                conn.send(("ok", _run_serial_groups(msg[1])))
             elif cmd == "obs_drain":
                 # Ship this worker's recorded spans/metrics to the parent
                 # for trace stitching (None when nothing was recorded).
@@ -763,11 +592,10 @@ class WorkerPool:
     makes a mid-iteration failure shut the pool down instead of
     deadlocking it.
 
-    The pool also carries the parent-side mirrors of the workers' plan
-    and series caches (:meth:`note_plan_token` / :meth:`note_series_token`).
-    Tying the mirrors to the pool object is what makes them correct: a
-    respawned pool is a fresh object with empty mirrors, matching its
-    fresh workers' empty caches.
+    The pool also carries the parent-side mirror of the workers' plan
+    caches (:meth:`note_plan_token`). Tying the mirror to the pool object
+    is what makes it correct: a respawned pool is a fresh object with an
+    empty mirror, matching its fresh workers' empty caches.
     """
 
     def __init__(self, workers: int) -> None:
@@ -780,7 +608,6 @@ class WorkerPool:
         self.workers = workers
         self.broken = False
         self.plan_tokens: "OrderedDict[str, None]" = OrderedDict()
-        self.series_tokens: "OrderedDict[str, None]" = OrderedDict()
         ctx = multiprocessing.get_context()
         self._procs = []
         self._conns = []
@@ -807,12 +634,21 @@ class WorkerPool:
         return not self.broken and all(p.is_alive() for p in self._procs)
 
     def note_plan_token(self, key: str) -> bool:
-        """Record a plan key; True = the workers already hold this plan."""
-        return _lru_note(self.plan_tokens, key, PLAN_CACHE_CAP)
+        """Record a plan key; True = the workers already hold this plan.
 
-    def note_series_token(self, key: str) -> bool:
-        """Record a series token; True = already resident in the workers."""
-        return _lru_note(self.series_tokens, key, SERIES_CACHE_CAP)
+        The workers' plan caches run this identical LRU arithmetic over
+        the identical key sequence (every worker receives every group
+        spec), which is what keeps a parent-side "hit" guaranteed to find
+        the plan still resident worker-side.
+        """
+        tokens = self.plan_tokens
+        if key in tokens:
+            tokens.move_to_end(key)
+            return True
+        tokens[key] = None
+        while len(tokens) > PLAN_CACHE_CAP:
+            tokens.popitem(last=False)
+        return False
 
     def call_each(
         self,
@@ -1054,11 +890,8 @@ class BatchSession:
     phase) are visible without any republish.
 
     Plan publication is once-per-plan, not once-per-group-dispatch: the
-    parent mirrors the workers' plan/series LRU caches (see
-    :class:`WorkerPool`) and ships blocks only on a mirror miss. Under
-    ``EngineConfig(mmap=True)`` plan blocks spill to disk files shipped
-    as :class:`FileBlockSpec` (path, offset, shape, dtype) instead of
-    occupying shared memory.
+    parent mirrors the workers' plan LRU caches (see :class:`WorkerPool`)
+    and ships blocks only on a mirror miss.
     """
 
     def __init__(
@@ -1075,9 +908,6 @@ class BatchSession:
         self.allocators: List[Optional[SharedMemoryAllocator]] = []
         self.states: List[Optional[GroupState]] = []
         self.handles: List[_GroupHandle] = []
-        self.spill: Optional[_PlanSpill] = (
-            _PlanSpill(config.spill_dir) if config.mmap else None
-        )
         self._obs = False
         try:
             self._build(groups, program, config)
@@ -1118,33 +948,28 @@ class BatchSession:
                 # The role set shipped for a plan depends on the program,
                 # so the cache key covers both.
                 key = f"{plan.shm_token}:{int(use_weights)}{int(needs_degrees)}"
-                plan_blocks: Optional[Dict[str, AnyBlockSpec]] = None
+                plan_blocks: Optional[Dict[str, BlockSpec]] = None
                 token_hit = pool.note_plan_token(key)
                 obs.add(
                     "plan.token_hits" if token_hit else "plan.token_misses"
                 )
                 if not token_hit:
-
-                    def _publish(name: str, arr: np.ndarray) -> AnyBlockSpec:
-                        if self.spill is not None:
-                            return self.spill.publish(name, arr)
-                        return galloc.publish(name, arr)
-
+                    publish = galloc.publish
                     plan_blocks = {
-                        "dst_flat": _publish("plan_dst_flat", plan.dst_flat),
-                        "src_flat": _publish("plan_src_flat", plan.src_flat),
-                        "snap_ids": _publish("plan_snap_ids", plan.snap_ids),
+                        "dst_flat": publish("plan_dst_flat", plan.dst_flat),
+                        "src_flat": publish("plan_src_flat", plan.src_flat),
+                        "snap_ids": publish("plan_snap_ids", plan.snap_ids),
                     }
                     if plan.src_flat_c is not plan.src_flat:
-                        plan_blocks["src_flat_c"] = _publish(
+                        plan_blocks["src_flat_c"] = publish(
                             "plan_src_flat_c", plan.src_flat_c
                         )
                     if use_weights:
-                        plan_blocks["weights"] = _publish(
+                        plan_blocks["weights"] = publish(
                             "plan_weights", plan.weight_stream
                         )
                     if needs_degrees:
-                        plan_blocks["degree_cells"] = _publish(
+                        plan_blocks["degree_cells"] = publish(
                             "plan_degree_cells", plan.degree_cells
                         )
                 dst_vertices = plan.dst_vertices()
@@ -1247,9 +1072,6 @@ class BatchSession:
                 alloc.release()
                 self.allocators[i] = None
         self.states = [None] * len(self.states)
-        if self.spill is not None:
-            self.spill.release()
-            self.spill = None
 
 
 def run_batch(
@@ -1343,140 +1165,3 @@ def run_batch(
             session.release()
     return results
 
-
-def run_snapshot_parallel(
-    series: "SnapshotSeriesView",
-    program: "VertexProgram",
-    config: EngineConfig,
-) -> "RunResult":
-    """Wall-clock snapshot-parallelism: whole groups round-robin on the pool.
-
-    Each worker runs the unchanged serial engine over its assigned LABS
-    groups (with ``batch_size=1`` this is exactly the paper's
-    snapshot-per-core strategy); results are reassembled in group order,
-    so values and merged counters are identical to a serial run.
-
-    The series itself — the dominant payload — is published to shared
-    memory once and cached in the workers under a parent-issued token
-    (see :data:`_SERIES_CACHE`): repeat dispatches over the same series
-    ship only the token plus per-worker group ranges, collapsing the
-    per-dispatch pickle bytes that made this path pathological.
-    """
-    from repro.engine.runner import RunResult, run
-
-    def serial_result() -> "RunResult":
-        res = run(series, program, config.with_(executor="serial"))
-        return RunResult(
-            values=res.values,
-            program=program,
-            config=config,
-            counters=res.counters,
-            memory=res.memory,
-            hierarchy=res.hierarchy,
-        )
-
-    if config.workers <= 1:
-        _fallback("workers=1 gives no parallelism")
-        return serial_result()
-    if not shared_memory_available():
-        _fallback("POSIX shared memory is unavailable")
-        return serial_result()
-
-    S = series.num_snapshots
-    batch = config.effective_batch_size(S)
-    ranges = [(s, min(s + batch, S)) for s in range(0, S, batch)]
-    serial_cfg = config.with_(executor="serial", workers=1)
-    token = getattr(series, "shm_token", None)
-    if token is None:
-        token = _new_token()
-        try:
-            series.shm_token = token
-        except AttributeError:
-            pass  # unwriteable view: republish per run, still correct
-
-    alloc = SharedMemoryAllocator()
-    ship_obs = obs.shipping()
-
-    def attempt() -> list:
-        # get_pool inside the attempt: a retry after a broken pool spawns
-        # a fresh one.
-        pool = get_pool(config.workers)
-        plan = faults.active()
-        with obs.span("phase", "dispatch"):
-            ref: Optional[BlockSpec] = None
-            series_hit = pool.note_series_token(token)
-            obs.add(
-                "series.token_hits" if series_hit else "series.token_misses"
-            )
-            if not series_hit:
-                if "series" not in alloc.blocks:
-                    raw = pickle.dumps(
-                        series, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    alloc.publish(
-                        "series", np.frombuffer(raw, dtype=np.uint8)
-                    )
-                ref = alloc.blocks["series"]
-            messages = []
-            for w in range(pool.workers):
-                body: Dict[str, object] = {
-                    "series_token": token,
-                    "series_ref": ref,
-                    "program": program,
-                    "config": serial_cfg,
-                    "ranges": ranges[w :: pool.workers],
-                    "obs": ship_obs,
-                    "worker": w,
-                }
-                if plan is not None:
-                    # Consumed in the parent, keyed by group start: a
-                    # retried dispatch ships clean payloads (same rule as
-                    # the partition-parallel setup message).
-                    specs = {
-                        start: plan.take_worker_faults(start, w)
-                        for start, _stop in body["ranges"]
-                    }
-                    specs = {s: f for s, f in specs.items() if f}
-                    if specs:
-                        body["faults"] = specs
-                messages.append(("run_groups", body))
-        replies = pool.call_each(messages, timeout=config.worker_timeout_s)
-        if ship_obs:
-            try:
-                for payload in pool.call_all(
-                    ("obs_drain",), timeout=config.worker_timeout_s
-                ):
-                    obs.ingest(payload)
-            # Best-effort stitching: a drain failure must not fail (or
-            # retry) a dispatch whose results are already in hand.
-            except Exception:  # chronolint: allow-broad-except
-                pass
-        return replies
-
-    try:
-        result = execute_with_retry(
-            attempt,
-            RetryPolicy.from_config(config),
-            describe="snapshot-parallel dispatch",
-            serial_fallback=serial_result,
-        )
-    finally:
-        alloc.release()
-    if isinstance(result, RunResult):
-        return result  # degraded: the whole series was recomputed serially
-    replies = result
-
-    with obs.span("phase", "gather"):
-        out = np.full((series.num_vertices, S), np.nan, dtype=np.float64)
-        chunks = {}
-        for reply in replies:
-            for start, stop, vals, counters in reply:
-                chunks[(start, stop)] = (vals, counters)
-        total = EngineCounters()
-        for rng in ranges:  # merge in group order: deterministic counters
-            vals, counters = chunks[rng]
-            out[:, rng[0] : rng[1]] = vals
-            total.merge(counters)
-    return RunResult(
-        values=out, program=program, config=config, counters=total
-    )

@@ -1,11 +1,10 @@
 """Batched process-executor dispatch: IPC amortization, counter-proven.
 
-This PR's tentpole claim is that per-group dispatch cost collapses:
-setup IPC goes from O(groups) round-trips to O(groups / dispatch_batch)
-(one ``batch`` message publishes many groups), plans are published once
-per run and referenced by token thereafter, and the snapshot-parallel
-path stops re-pickling the whole series per dispatch. None of that may
-be taken on faith — :mod:`repro.parallel.shm` counts round-trips and
+Per-group dispatch cost is amortized: setup IPC is O(groups /
+``shm.DISPATCH_BATCH``) round-trips (one ``batch`` message publishes many
+groups), plans are published once per run and referenced by token
+thereafter, and shard boundaries are cut once per group. None of that
+may be taken on faith — :mod:`repro.parallel.shm` counts round-trips and
 payload bytes (``IPC_ROUND_TRIPS`` / ``IPC_PAYLOAD_BYTES``) and the
 workers count plan-cache attaches vs hits, so every claim here is an
 exact arithmetic assertion, alongside the usual bitwise-parity bar.
@@ -13,7 +12,6 @@ exact arithmetic assertion, alongside the usual bitwise-parity bar.
 
 import glob
 import os
-import pickle
 
 import pytest
 
@@ -55,7 +53,7 @@ def _process_config(**kwargs):
 
 
 def _worker_stats():
-    """The live pool's per-worker plan/series cache counters."""
+    """The live pool's per-worker plan-cache counters."""
     assert shm._POOL is not None and not shm._POOL.broken
     return shm._POOL.call_all(("stats",))
 
@@ -64,17 +62,23 @@ def _worker_stats():
 # round-trips: O(groups) -> O(batches), by exact formula
 
 
-@pytest.mark.parametrize("dispatch", [1, 8])
-def test_ipc_round_trips_match_batch_formula(series16, dispatch):
+@pytest.mark.parametrize("batch", [1, 2])
+def test_ipc_round_trips_match_batch_formula(series16, batch):
     """Per run: one ``batch`` + one ``batch_end`` per session, one
-    ``scatter`` per iteration — so round-trips = 2*ceil(G/dispatch) + iters."""
+    ``scatter`` per iteration — so round-trips = 2*ceil(G/8) + iters.
+    16 snapshots give 16 groups (2 sessions) at batch_size=1 and 8 groups
+    (1 session) at batch_size=2."""
+    assert shm.DISPATCH_BATCH == 8
     program = make_program("pagerank")
-    serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
-    groups = -(-series16.num_snapshots // 2)  # batch_size=2 -> 8 groups
-    sessions = -(-groups // dispatch)
+    serial = run(series16, program, EngineConfig(mode="push", batch_size=batch))
+    groups = -(-series16.num_snapshots // batch)
+    sessions = -(-groups // shm.DISPATCH_BATCH)
+    assert sessions == {1: 2, 2: 1}[batch]
 
     shm.shutdown_pool()  # cold pool: no cross-test cache interference
-    config = _process_config(dispatch_batch=dispatch)
+    config = EngineConfig(
+        mode="push", batch_size=batch, executor="process", workers=WORKERS
+    )
     before = shm.IPC_ROUND_TRIPS
     result = run(series16, program, config)
     delta = shm.IPC_ROUND_TRIPS - before
@@ -85,18 +89,17 @@ def test_ipc_round_trips_match_batch_formula(series16, dispatch):
     assert_no_segment_leaks()
 
 
-def test_batching_reduces_round_trips(series16):
-    """dispatch_batch=8 spends strictly fewer round-trips than 1, with
-    identical results — batching changes IPC shape, never values."""
+def test_batching_reduces_round_trips(series16, monkeypatch):
+    """Dispatch width 8 spends strictly fewer round-trips than width 1,
+    with identical results — batching changes IPC shape, never values."""
     program = make_program("wcc")
     deltas = {}
     results = {}
     for dispatch in (1, 8):
+        monkeypatch.setattr(shm, "DISPATCH_BATCH", dispatch)
         shm.shutdown_pool()
         before = shm.IPC_ROUND_TRIPS
-        results[dispatch] = run(
-            series16, program, _process_config(dispatch_batch=dispatch)
-        )
+        results[dispatch] = run(series16, program, _process_config())
         deltas[dispatch] = shm.IPC_ROUND_TRIPS - before
     assert deltas[8] < deltas[1]
     assert (
@@ -105,59 +108,21 @@ def test_batching_reduces_round_trips(series16):
     assert results[8].counters == results[1].counters
 
 
-# ---------------------------------------------------------------------- #
-# payload bytes: the snapshot-parallel re-pickling fix
+def test_shard_boundaries_cut_once_per_group(series16, monkeypatch):
+    """The parent cuts each group's plan into shards once, at session
+    setup — never once per iteration."""
+    calls = []
+    real = shm.shard_boundaries
 
+    def counting(keys, workers):
+        calls.append(workers)
+        return real(keys, workers)
 
-def test_snapshot_parallel_payload_drops_10x(series16):
-    """The old design shipped ``{series, program, config}`` to every
-    worker on every dispatch; now the series travels once through a shared
-    segment and later dispatches reference it by token. The counter-measured
-    warm-dispatch payload must be >= 10x smaller than one old-style dispatch."""
-    program = make_program("pagerank")
-    config = EngineConfig(
-        mode="push",
-        batch_size=1,
-        executor="process",
-        workers=WORKERS,
-        parallel="snapshot",
-    )
-    serial = run(series16, program, EngineConfig(mode="push", batch_size=1))
-    old_style_payload = WORKERS * len(
-        pickle.dumps(
-            {
-                "series": series16,
-                "program": program,
-                "config": config.with_(executor="serial", workers=1),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    )
-
-    shm.shutdown_pool()
-    before = shm.IPC_PAYLOAD_BYTES
-    cold = run(series16, program, config)
-    mid = shm.IPC_PAYLOAD_BYTES
-    warm = run(series16, program, config)
-    after = shm.IPC_PAYLOAD_BYTES
-
-    for result in (cold, warm):
-        assert result.values.tobytes() == serial.values.tobytes()
-        assert result.counters == serial.counters
-    cold_bytes = mid - before
-    warm_bytes = after - mid
-    # Even the cold dispatch no longer pickles the series into the pipe
-    # (it rides a shared segment), and the warm dispatch ships only the
-    # token — the >= 10x acceptance bar, proven by the engine counters.
-    assert cold_bytes < old_style_payload
-    assert warm_bytes <= cold_bytes
-    assert old_style_payload >= 10 * warm_bytes, (
-        f"warm dispatch payload {warm_bytes}B vs old-style "
-        f"{old_style_payload}B: less than a 10x drop"
-    )
-    stats = _worker_stats()
-    # The second run found the series already resident in every worker.
-    assert all(s["series_hits"] >= 1 for s in stats)
+    monkeypatch.setattr(shm, "shard_boundaries", counting)
+    result = run(series16, make_program("pagerank"), _process_config())
+    groups = -(-series16.num_snapshots // 2)
+    assert len(calls) == groups
+    assert result.counters.iterations > groups  # else the check is vacuous
     assert_no_segment_leaks()
 
 
@@ -233,7 +198,6 @@ def test_batched_dispatch_with_sanitize_parity(series16):
             executor="process",
             workers=WORKERS,
             sanitize=True,
-            dispatch_batch=4,
         ),
     )
     assert result.values.tobytes() == serial.values.tobytes()
@@ -243,7 +207,7 @@ def test_batched_dispatch_with_sanitize_parity(series16):
 
 def test_checkpoint_resume_over_batched_dispatch(series16, tmp_path):
     program = make_program("wcc")
-    config = _process_config(dispatch_batch=4)
+    config = _process_config()
     serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
     first = run(series16, program, config, checkpoint_dir=tmp_path)
     assert first.resumed_groups == 0
@@ -260,7 +224,7 @@ def test_restored_groups_complete_in_series_order(series16, tmp_path):
     the batched loop must still complete groups in series order (the
     checkpoint store and counter merge depend on it)."""
     program = make_program("pagerank")
-    config = _process_config(dispatch_batch=8)
+    config = _process_config()
     serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
     full = run(series16, program, config, checkpoint_dir=tmp_path)
     assert full.values.tobytes() == serial.values.tobytes()

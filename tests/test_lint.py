@@ -336,7 +336,7 @@ def test_chr007_fires_on_datetime_now():
 def test_chr007_fires_on_ad_hoc_span_recorders():
     src = "from repro.obs import Tracer\nt = Tracer()\n"
     assert fired(src, ENGINE) == ["CHR007"]
-    src2 = "from repro.obs import PhaseTimer\np = PhaseTimer()\n"
+    src2 = "from repro.obs.trace import Tracer\nt = Tracer(tid=2)\n"
     assert fired(src2, LIBRARY) == ["CHR007"]
     src3 = "from repro.obs import trace\nt = trace.Tracer(tid=1)\n"
     assert fired(src3, PARALLEL) == ["CHR007"]

@@ -24,7 +24,6 @@ from repro.engine.runner import run
 from repro.obs import (
     BASELINE_COUNTERS,
     MetricsRegistry,
-    PhaseTimer,
     Tracer,
     chrome_trace,
     logical_sequence,
@@ -293,39 +292,6 @@ def test_distributed_report_same_shape_with_network_figures():
     # Same top-level shape as an engine run report.
     for key in ("counters", "metrics", "derived", "ipc", "retries"):
         assert key in report
-
-
-# ---------------------------------------------------------------------- #
-# phase timer (the promoted benchmark timer) and the legacy shim
-
-
-def test_phase_timer_accumulates_and_filters():
-    timer = PhaseTimer(only=("apply",))
-    # Drive through the obs runtime like the engine does.
-    obs.install_phase_timer(timer)
-    try:
-        with obs.span("phase", "apply"):
-            pass
-        with obs.span("phase", "plan"):  # filtered out by `only`
-            pass
-    finally:
-        obs.install_phase_timer(None)
-    assert set(timer.seconds) == {"apply"}
-    assert timer.seconds["apply"] >= 0.0
-    assert obs.active() is None  # timer-only observation was removed
-
-
-def test_legacy_timing_shim_still_installs_timers():
-    from repro.parallel import timing
-
-    timer = PhaseTimer()
-    timing.install(timer)
-    try:
-        with timing.span("gather"):
-            pass
-    finally:
-        timing.install(None)
-    assert "gather" in timer.seconds
 
 
 # ---------------------------------------------------------------------- #

@@ -483,19 +483,3 @@ class TestCheckpointAtomicity:
         )
         assert not [p for p in ckdir.iterdir() if ".tmp-" in p.name]
         assert (ckdir / "run_checkpoint.json").exists()
-
-
-class TestSnapshotParallelResilience:
-    def test_snapshot_parallel_kill_recovers(self, series, program):
-        serial = run(
-            series, program, EngineConfig(batch_size=1, parallel="snapshot")
-        )
-        plan = FaultPlan().kill_worker(group_start=0, worker=0)
-        cfg = process_config(batch_size=1, parallel="snapshot")
-        # Snapshot-parallelism dispatches the whole series at once, so the
-        # retry unit is the dispatch itself.
-        result, msgs = run_with_plan(series, program, cfg, plan)
-        assert plan.fired.get("kill") == 1
-        assert result.values.tobytes() == serial.values.tobytes()
-        assert any("respawning the pool" in m for m in msgs)
-        assert_no_leaks()

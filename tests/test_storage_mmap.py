@@ -5,13 +5,10 @@ every edge file as a read-only ``np.memmap`` instead of eager per-access
 file reads. The contract tested here is total equivalence: identical
 series, identical engine values and counters for every application in
 push and pull, identical integrity errors on corruption — the *only*
-difference mmap is allowed to make is where the bytes live. The
-engine-side half (``EngineConfig(mmap=True)``) spills process-executor
-plan blocks to disk files shipped as ``FileBlockSpec``; runs must stay
-bitwise-identical there too, with no spill directories left behind.
+difference mmap is allowed to make is where the bytes live, under
+the serial and the process executor alike.
 """
 
-import glob
 import os
 
 import pytest
@@ -114,8 +111,8 @@ def test_mmap_vs_eager_bitwise_parity(eager_series, mmap_series, algo, mode):
 
 def test_store_past_memory_budget_runs_out_of_core(store_path, times):
     """A 1-byte budget forces mmap on; serial and process runs over the
-    out-of-core store (with engine-side plan spill) must be bitwise
-    identical to the fully in-memory path."""
+    out-of-core store must be bitwise identical to the fully in-memory
+    path."""
     eager_store = TemporalGraphStore(store_path)
     assert eager_store.mmap is False
     assert eager_store.total_bytes() > 1  # the budget is genuinely exceeded
@@ -149,37 +146,12 @@ def test_store_past_memory_budget_runs_out_of_core(store_path, times):
             batch_size=4,
             executor="process",
             workers=WORKERS,
-            mmap=True,
         ),
     )
     assert ooc_serial.values.tobytes() == in_memory.values.tobytes()
     assert ooc_serial.counters == in_memory.counters
     assert ooc_process.values.tobytes() == in_memory.values.tobytes()
     assert ooc_process.counters == in_memory.counters
-
-
-def test_engine_mmap_spills_plans_and_cleans_up(eager_series, tmp_path):
-    """EngineConfig(mmap=True): plan blocks ride FileBlockSpec disk files;
-    results stay bitwise-identical and the spill directory is removed."""
-    program = make_program("sssp")
-    serial = run(eager_series, program, EngineConfig(mode="pull", batch_size=4))
-    shm.shutdown_pool()  # cold caches: plans WILL be published via spill
-    result = run(
-        eager_series,
-        program,
-        EngineConfig(
-            mode="pull",
-            batch_size=4,
-            executor="process",
-            workers=WORKERS,
-            mmap=True,
-            spill_dir=str(tmp_path),
-        ),
-    )
-    assert result.values.tobytes() == serial.values.tobytes()
-    assert result.counters == serial.counters
-    assert glob.glob(str(tmp_path / "repro-plan-spill-*")) == []
-    assert glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*") == []
 
 
 # ---------------------------------------------------------------------- #

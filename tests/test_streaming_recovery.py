@@ -27,6 +27,7 @@ from repro.engine import EngineConfig, run
 from repro.errors import InjectedCrash, StorageError, TemporalGraphError
 from repro.resilience import faults
 from repro.streaming import StreamingStore, fsck_store
+from repro.streaming.wal import FSYNC_POLICIES
 from repro.temporal.activity import add_edge, add_vertex, del_edge
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -103,6 +104,20 @@ class TestCrashMatrix:
         with StreamingStore(store_dir) as again:
             assert again.fingerprint() == ref_fp
         assert fsck_store(store_dir)["clean"]
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_fsync_policy_never_changes_the_store(self, tmp_path, policy):
+        """A policy decides when bytes reach the disk, never which: every
+        policy ingests to the never-crashed reference fingerprint."""
+        ref_fp = _reference_fingerprint(tmp_path)
+        store_dir = tmp_path / "store"
+        with StreamingStore(store_dir, fsync=policy, batch_records=2) as store:
+            store.append(_batch_a())
+            store.compact()
+            store.append(_batch_b())
+            assert store.fingerprint() == ref_fp
+        with StreamingStore(store_dir) as reopened:
+            assert reopened.fingerprint() == ref_fp
 
     @pytest.mark.parametrize("point", faults.CRASH_POINTS)
     def test_analytics_after_recovery_match_no_crash_run(
