@@ -17,7 +17,7 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The native gather-fold's C source is compiled on first use.
-    package_data={"repro": ["lint/py.typed", "engine/native_fold.c"]},
+    # The native library's C sources are compiled on first use.
+    package_data={"repro": ["lint/py.typed", "native/*.c"]},
     install_requires=["numpy>=1.25"],
 )

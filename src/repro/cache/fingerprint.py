@@ -111,10 +111,12 @@ def group_fingerprint(group: "GroupView") -> str:
 def edge_file_fingerprint(edge_file: "EdgeFile") -> str:
     """The stored-CRC fingerprint of one edge file (see module docs).
 
-    v2 files: digest of the header CRC, index CRC, and every vertex
-    segment's two trailer CRC32s — read via the vertex index without
-    touching segment data. v1 files (no stored CRCs): digest of the
-    full file bytes.
+    v2 files: digest of the header and index with their CRCs, then every
+    vertex segment's two trailer CRC32s in vertex order — located through
+    the vertex index and gathered from a read-only mapping in one fancy
+    index, without touching segment data (a trailer cut short by EOF
+    contributes the bytes that exist). v1 files (no stored CRCs): digest
+    of the full file bytes.
     """
     from repro.storage import format as fmt
 
@@ -123,16 +125,18 @@ def edge_file_fingerprint(edge_file: "EdgeFile") -> str:
         with open(path, "rb") as fh:
             return digest_bytes(b"v1:", fh.read())
     trailer = fmt.segment_trailer_size(edge_file.version)
+    index = edge_file._index_columns
+    live = index["offset"] != 0
+    data = np.memmap(path, dtype=np.uint8, mode="r")
+    size = data.shape[0]
+    # Each term is clamped to EOF before the sum, so no index field wraps.
+    data_len = index["n_cp"][live] * np.int64(fmt.CHECKPOINT_ENTRY_SIZE)
+    data_len += index["n_act"][live] * np.int64(fmt.ACTIVITY_SIZE)
+    start = np.minimum(index["offset"][live], size).astype(np.int64)
+    start += np.minimum(data_len, size)
+    at = (start[:, None] + np.arange(trailer)).ravel()
     h = hashlib.blake2b(digest_size=DIGEST_SIZE)
-    with open(path, "rb") as fh:
-        # Header + its CRC, and the packed index + its CRC, in one read.
-        h.update(fh.read(edge_file.header.segments_offset))
-        for offset, n_cp, n_act in edge_file._index:
-            if offset == 0:
-                continue
-            data_len = (
-                n_cp * fmt.CHECKPOINT_ENTRY_SIZE + n_act * fmt.ACTIVITY_SIZE
-            )
-            fh.seek(offset + data_len)
-            h.update(fh.read(trailer))
+    # Header + its CRC, and the packed index + its CRC.
+    h.update(data[: edge_file.header.segments_offset])
+    h.update(data[at[at < size]])
     return h.hexdigest()

@@ -9,7 +9,7 @@ layout order. The in-edge array is already in ``(dst, src)`` order — the
 stable destination sort of the out-edge array — so the stream is
 ``(dst, src, snapshot)``-ordered with no sort at all, one plan serves
 push, pull and stream, and each iteration's fold is one call of the native
-gather-fold (:func:`fold_stream`, :mod:`repro.engine.native_fold`): a C
+gather-fold (:func:`fold_stream`, :func:`repro.native.fold`): a C
 loop applying ``acc_flat[dst_flat[p]] = op(acc_flat[dst_flat[p]], m)`` per
 selected entry ``p``. Weight-free programs pass one message per
 ``(vertex, snapshot)`` cell and the loop gathers ``m = msg[src_flat[p]]``
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import native_fold
+from repro import native
 from repro.engine.config import Mode
 from repro.layout.vertex_array import LayoutKind, flat_destination_index
 from repro.obs import runtime as obs
@@ -93,7 +93,7 @@ def fold_stream(
     """
     if ufunc in _TRUTH_FOLDS:
         msg = msg != 0
-    return native_fold.fold(
+    return native.fold(
         _NATIVE_KINDS[ufunc],
         acc_flat,
         dst_flat,

@@ -12,8 +12,8 @@ never raise).
 | id     | slug            | invariant                                       |
 | ------ | --------------- | ----------------------------------------------- |
 | CHR001 | global-rng      | no global-RNG nondeterminism                    |
-| CHR002 | scatter         | in-place scatter and native loads only inside   |
-|        |                 | the native gather-fold (engine/native_fold.py)  |
+| CHR002 | scatter         | in-place scatter only inside the native library |
+|        |                 | (engine, parallel); native loads only in it     |
 | CHR003 | broad-except    | no untagged bare/broad ``except``               |
 | CHR005 | untyped-raise   | library raises use ``repro.errors`` types       |
 | CHR006 | dtype           | explicit dtypes on engine/parallel allocations  |
@@ -50,9 +50,9 @@ __all__ = [
 #: scatter kernels, and both parallel executors.
 _DETERMINISTIC_SCOPE = ("repro.engine", "repro.parallel")
 
-#: The one module allowed to perform in-place scatter folds or load native
-#: code: the native gather-fold.
-_NATIVE_FOLD_MODULE = "repro.engine.native_fold"
+#: The one module allowed to load native code: the native library, whose
+#: gather-fold is also the engine's one in-place scatter.
+_NATIVE_MODULE = "repro.native"
 
 #: Call names that load a native library (``ctypes.CDLL(path)``,
 #: ``ctypes.cdll.LoadLibrary(path)``, ``np.ctypeslib.load_library(...)``).
@@ -236,26 +236,28 @@ class GlobalRandomnessRule(Rule):
 
 @register
 class ScatterDisciplineRule(Rule):
-    """CHR002: in-place scatters and native loads only in the native fold.
+    """CHR002: in-place scatters and native loads only in the native library.
 
     The bitwise-identity contract between the serial fold, the simulated
     engine, and the sharded process executor holds because every
     vectorised accumulator write goes through the one audited sequential
-    fold, the native gather-fold of :mod:`repro.engine.native_fold`
-    (reached through :func:`repro.engine.kernels.fold_stream`; per-cell
-    application order and NumPy's tie / NaN rules are pinned there). A
-    stray ``ufunc.at`` — or a second native library — in the engine or
-    executors bypasses that audit, and under owner-computes sharding it
-    can write cells the worker does not own.
+    fold, the native gather-fold of :mod:`repro.native` (reached through
+    :func:`repro.engine.kernels.fold_stream`; per-cell application order
+    and NumPy's tie / NaN rules are pinned there). A stray ``ufunc.at`` in
+    the engine or executors bypasses that audit, and under owner-computes
+    sharding it can write cells the worker does not own. The library is
+    also the package's only foreign code: a native load anywhere else in
+    ``repro`` — a second library, loaded past the build's hash and
+    ownership checks — is flagged too.
     """
 
     rule_id = "CHR002"
     slug = "scatter"
-    title = "in-place scatters and native loads live in engine/native_fold.py only"
+    title = "in-place scatters and native loads live in repro/native/ only"
     invariant = (
         "every accumulator scatter goes through the native gather-fold "
-        "(repro.engine.native_fold), preserving per-cell application "
-        "order; no other engine or executor module loads native code"
+        "(repro.native), preserving per-cell application order; no other "
+        "module of the package loads native code"
     )
     interests = (ast.Call,)
 
@@ -263,9 +265,7 @@ class ScatterDisciplineRule(Rule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Tuple[ast.AST, str]]:
         assert isinstance(node, ast.Call)
-        if not ctx.in_module(*_DETERMINISTIC_SCOPE):
-            return
-        if ctx.in_module(_NATIVE_FOLD_MODULE):
+        if ctx.module is None or ctx.in_module(_NATIVE_MODULE):
             return
         func = node.func
         # The ufunc.at signature: <ufunc>.at(array, indices[, values]).
@@ -274,18 +274,20 @@ class ScatterDisciplineRule(Rule):
             and func.attr == "at"
             and len(node.args) >= 2
         ):
-            yield node, (
-                "in-place ufunc.at scatter outside the native gather-fold; "
-                "fold through kernels.fold_stream (repro.engine.native_fold) "
-                "so per-cell application order stays audited"
-            )
+            if ctx.in_module(*_DETERMINISTIC_SCOPE):
+                yield node, (
+                    "in-place ufunc.at scatter outside the native "
+                    "gather-fold; fold through kernels.fold_stream "
+                    "(repro.native) so per-cell application order stays "
+                    "audited"
+                )
             return
         chain = attr_chain(func)
         if chain is not None and chain[-1] in _NATIVE_LOADERS:
             yield node, (
                 f"native library load ({'.'.join(chain)}) outside "
-                "repro.engine.native_fold, the one engine module that "
-                "runs native code"
+                "repro.native, the one module of the package that runs "
+                "native code"
             )
 
 

@@ -11,13 +11,14 @@ naming the corrupt section instead of returning garbage records.
 
 from __future__ import annotations
 
-import zlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.errors import StorageError
 from repro.obs import runtime as obs
 from repro.storage import format as fmt
@@ -61,8 +62,9 @@ def write_edge_file(
 
     Both sectors are cut from the log's columns
     (:meth:`TemporalGraph.columns`, shared by every group of a store) in
-    one pass each and emitted through the format's record dtypes; the
-    only per-segment work is slicing the sections and their two CRC32s.
+    one pass each and emitted through the format's record dtypes; one
+    native call (:func:`repro.native.pack_sections`) then lays out every
+    segment with its CRC32 trailer.
     """
     if t1 > t2:
         raise StorageError(f"invalid group range [{t1}, {t2}]")
@@ -104,18 +106,13 @@ def write_edge_file(
     index["n_cp"] = cp_counts
     index["n_act"] = act_counts
 
-    cp_raw = memoryview(checkpoint.tobytes())
-    act_raw = memoryview(activities.tobytes())
-    sections: List[fmt.Buffer] = []
-    cp_lo = act_lo = 0
-    for cp_hi, act_hi in zip(
-        np.cumsum(cp_bytes).tolist(), np.cumsum(act_bytes).tolist()
-    ):
-        cp_section, act_section = cp_raw[cp_lo:cp_hi], act_raw[act_lo:act_hi]
-        sections += (cp_section, act_section)
-        if version >= 2:
-            sections.append(fmt.pack_segment_trailer(cp_section, act_section))
-        cp_lo, act_lo = cp_hi, act_hi
+    segments = native.pack_sections(
+        checkpoint.view(np.uint8),
+        activities.view(np.uint8),
+        cp_bytes.astype(np.int64),
+        act_bytes.astype(np.int64),
+        checked=version >= 2,
+    )
 
     # Writer primitive: durable callers (store.create, WAL compaction)
     # hand it a tmp sibling via atomic_write_via and publish after
@@ -123,7 +120,7 @@ def write_edge_file(
     with open(path, "wb") as fh:
         fmt.write_header(fh, header)
         fmt.write_index(fh, index, version)
-        fh.write(b"".join(sections))
+        fh.write(memoryview(segments))
 
     # Deterministic storage-fault injection: an installed FaultPlan may
     # flip one byte of the file just written. One None-check when idle.
@@ -179,8 +176,7 @@ class EdgeFile:
             index = fmt.read_index(
                 fh, self.header.num_vertices, self.header.version, str(self.path)
             )
-        #: ``(offset, checkpoint entries, activities)`` per vertex.
-        self._index: List[Tuple[int, int, int]] = index.tolist()
+        #: ``(offset, n_cp, n_act)`` per vertex, an ``INDEX_DTYPE`` array.
         self._index_columns = index
         self._trailer_size = fmt.segment_trailer_size(self.header.version)
         self.mmap = bool(mmap)
@@ -211,17 +207,23 @@ class EdgeFile:
 
     @staticmethod
     def _file_read(fh: BinaryIO) -> Callable[[int, int], bytes]:
+        """``read(offset, size)`` over an open file; clamped at EOF before
+        reading, so an index's length never sizes an allocation."""
+        end = os.fstat(fh.fileno()).st_size
+
         def read(offset: int, size: int) -> bytes:
+            if offset >= end:
+                return b""
             fh.seek(offset)
-            return fh.read(size)
+            return fh.read(min(size, end - offset))
 
         return read
 
     @staticmethod
     def _buffer_read(data: np.ndarray) -> Callable[[int, int], bytes]:
         """``read(offset, size)`` over file bytes already in memory (or
-        mapped); clamps at EOF like ``file.read`` so the shared truncation
-        checks fire identically."""
+        mapped); clamps at EOF like :meth:`_file_read` so the shared
+        truncation checks fire identically."""
 
         def read(offset: int, size: int) -> bytes:
             return data[offset : offset + size].tobytes()
@@ -278,7 +280,7 @@ class EdgeFile:
         """
         if not 0 <= v < self.num_vertices:
             raise StorageError(f"vertex {v} out of range")
-        offset, n_cp, n_act = self._index[v]
+        offset, n_cp, n_act = self._index_columns[v].item()
         if offset == 0:
             return [], []
         if self._mm is not None:
@@ -301,16 +303,19 @@ class EdgeFile:
             return np.frombuffer(fh.read(), dtype=np.uint8)
 
     def _verified_sections(
-        self, data: np.ndarray
-    ) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+        self, data: np.ndarray, gather: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Check every segment of ``data``; returns the vertices that have
-        one and, for each, the byte offsets ``(checkpoint start,
-        activities start, activities end)``.
+        one and, with ``gather``, all their checkpoint and all their
+        activity sections, each back to back in vertex order as ``uint8``
+        arrays (empty without).
 
-        Lengths are checked for all segments at once and the CRC32s are
-        computed over slices of ``data`` (no copies) and compared in bulk.
-        The first segment, in vertex order, that is short or mismatches
-        is handed to :meth:`_read_segment` to raise the error.
+        NumPy checks every segment's length against the file at once, and
+        that together they fit in it; one native call
+        (:func:`repro.native.scan_sections`) then checks the CRC32s of the
+        segments that fit and copies their sections. The first segment, in
+        vertex order, that is short or mismatches is handed to
+        :meth:`_read_segment` to raise the error.
         """
         index = self._index_columns
         vertices = np.flatnonzero(index["offset"] != 0)
@@ -327,28 +332,27 @@ class EdgeFile:
         # Segments before the first short one are still CRC-checked first:
         # an earlier mismatch is reported ahead of a later truncation.
         intact = int(fits.argmin()) if not fits.all() else fits.shape[0]
-        cp_lo = offset[:intact].astype(np.int64)
-        act_lo = cp_lo + cp_bytes[:intact]
-        act_hi = act_lo + act_bytes[:intact]
-        bounds = list(zip(cp_lo.tolist(), act_lo.tolist(), act_hi.tolist()))
-        suspect = intact
-        if self._trailer_size and intact:
-            view = memoryview(data)
-            crc32 = zlib.crc32
-            actual = np.array(
-                [(crc32(view[a:b]), crc32(view[b:c])) for a, b, c in bounds],
-                dtype=np.uint32,
+        # Disjoint segments fit in the file together; overlapping ones must
+        # not size the gather (or the work) past it.
+        claimed = needed[:intact].sum(dtype=np.float64)
+        if claimed > data.shape[0]:
+            raise StorageError(
+                f"the segments of {self.path} overlap: they span "
+                f"{int(claimed)} bytes of a {data.shape[0]}-byte file"
             )
-            trailer_bytes = act_hi[:, None] + np.arange(
-                self._trailer_size, dtype=np.int64
-            )
-            stored = data[trailer_bytes].view("<u4")
-            mismatch = (actual != stored).any(axis=1)
-            if mismatch.any():
-                suspect = int(mismatch.argmax())
+        suspect, checkpoint, activities = native.scan_sections(
+            data,
+            offset[:intact].astype(np.int64),
+            cp_bytes[:intact],
+            act_bytes[:intact],
+            checked=self._trailer_size != 0,
+            gather=gather,
+        )
         if suspect < fits.shape[0]:
             v = int(vertices[suspect])
-            self._read_segment(self._buffer_read(data), v, *self._index[v])
+            self._read_segment(
+                self._buffer_read(data), v, *self._index_columns[v].item()
+            )
             raise StorageError(
                 f"segment of vertex {v} in {self.path} changed while "
                 "it was being read"
@@ -357,30 +361,24 @@ class EdgeFile:
             obs.add("storage.crc_verified", intact)
         obs.add("storage.segments_read", intact)
         obs.add("storage.bytes_read", int(needed.sum()))
-        return vertices, bounds
+        return vertices, checkpoint, activities
 
     def scan(self) -> EdgeFileScan:
         """Read every vertex segment in one pass, as columns.
 
         The access pattern of the paper's Section 4.3 loader — one
         sequential read that saturates the disk — with the records
-        decoded by structured ``np.frombuffer`` views instead of one
-        ``struct`` call each. Every section is validated exactly as
+        decoded by structured views of the gathered sections instead of
+        one ``struct`` call each. Every section is validated exactly as
         :meth:`segment` would (see :meth:`_verified_sections`), and the
         ``storage.*`` counters advance by the same totals as reading each
         segment on its own.
         """
-        data = self._file_bytes()
-        vertices, bounds = self._verified_sections(data)
-        view = memoryview(data)
-        checkpoint = np.frombuffer(
-            b"".join([view[a:b] for a, b, _ in bounds]),
-            dtype=fmt.CHECKPOINT_DTYPE,
+        vertices, cp_raw, act_raw = self._verified_sections(
+            self._file_bytes(), gather=True
         )
-        activities = np.frombuffer(
-            b"".join([view[b:c] for _, b, c in bounds]),
-            dtype=fmt.ACTIVITY_DTYPE,
-        )
+        checkpoint = cp_raw.view(fmt.CHECKPOINT_DTYPE)
+        activities = act_raw.view(fmt.ACTIVITY_DTYPE)
         for section, records in (
             ("checkpoint sector", checkpoint),
             ("activity segment", activities),
@@ -438,7 +436,9 @@ class EdgeFile:
         store can be integrity-checked up front instead of failing
         mid-computation.
         """
-        vertices, _ = self._verified_sections(self._file_bytes())
+        vertices, _, _ = self._verified_sections(
+            self._file_bytes(), gather=False
+        )
         return int(vertices.shape[0])
 
     def edge_state_at(self, v: VertexId, u: VertexId, t: Time) -> Optional[Weight]:

@@ -42,9 +42,6 @@ import numpy as np
 
 from repro.errors import IntegrityError, StorageError
 
-#: What a section's bytes may arrive as: the writer slices memoryviews.
-Buffer = Union[bytes, memoryview]
-
 MAGIC = b"CHRN"
 #: Current write version: per-section CRC32 checksums.
 VERSION = 2
@@ -86,7 +83,7 @@ KIND_DEL = 1
 KIND_MOD = 2
 
 
-def checksum(data: Buffer) -> int:
+def checksum(data: bytes) -> int:
     """The CRC32 the v2 format stores for each section."""
     return zlib.crc32(data) & 0xFFFFFFFF
 
@@ -245,11 +242,6 @@ def unpack_activities(raw: bytes) -> List[Tuple[int, int, int, int, float]]:
         raw, dtype=ACTIVITY_DTYPE
     ).tolist()
     return records
-
-
-def pack_segment_trailer(cp_raw: Buffer, act_raw: Buffer) -> bytes:
-    """The v2 per-segment trailer: CRC32(checkpoint) + CRC32(activities)."""
-    return _CRC.pack(checksum(cp_raw)) + _CRC.pack(checksum(act_raw))
 
 
 def verify_segment(

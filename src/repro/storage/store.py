@@ -136,6 +136,7 @@ class TemporalGraphStore:
             ) from exc
         try:
             self.num_vertices: int = self._manifest["num_vertices"]
+            entries: List[Dict[str, Any]] = self._manifest["groups"]
         except (KeyError, TypeError) as exc:
             raise StorageError(
                 f"store manifest at {manifest_path} is missing required "
@@ -144,10 +145,14 @@ class TemporalGraphStore:
         # Resolve out-of-core mode from file sizes *before* opening any
         # group, so a store past the memory budget is never loaded eagerly.
         total_bytes = 0
-        for entry in self._manifest["groups"]:
+        for entry in entries:
             edge_path = self.path / entry["edge_file"]
-            if edge_path.exists():
-                total_bytes += edge_path.stat().st_size
+            if not edge_path.exists():
+                raise StorageError(
+                    f"store manifest at {manifest_path} lists the edge file "
+                    f"{edge_path}, which does not exist"
+                )
+            total_bytes += edge_path.stat().st_size
         self.mmap: bool = self.config.resolve_mmap(total_bytes)
         obs.gauge("storage.store_bytes", float(total_bytes))
         obs.gauge("storage.store_mmap", 1.0 if self.mmap else 0.0)
@@ -157,11 +162,11 @@ class TemporalGraphStore:
             "load",
             {
                 "op": "open_store",
-                "groups": len(self._manifest["groups"]),
+                "groups": len(entries),
                 "mmap": self.mmap,
             },
         ):
-            for entry in self._manifest["groups"]:
+            for entry in entries:
                 vertex_acts = [
                     Activity(
                         time=a["time"],

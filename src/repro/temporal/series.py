@@ -25,6 +25,7 @@ from repro.temporal.bitmap import mask_below
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.reconstruct import (
     check_times,
+    edge_order,
     reconstruct_edges,
     vertex_liveness,
 )
@@ -66,7 +67,9 @@ class SnapshotSeriesView:
         self.num_vertices = int(num_vertices)
         self.times: Tuple[Time, ...] = tuple(times)
         S = len(self.times)
-        order = np.lexsort((out_dst, out_src))
+        # Both producers hand rows over already in (src, dst) order, where
+        # the stable sort is a linear run check.
+        order = edge_order(out_src, out_dst, num_vertices)
         self.out_src = out_src[order].astype(np.int64)
         self.out_dst = out_dst[order].astype(np.int64)
         self.out_bitmap = out_bitmap[order].astype(np.uint64)
@@ -76,7 +79,7 @@ class SnapshotSeriesView:
         counts = np.bincount(self.out_src, minlength=num_vertices)
         self.out_index = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-        in_order = np.lexsort((self.out_src, self.out_dst))
+        in_order = edge_order(self.out_dst, self.out_src, num_vertices)
         self.in_src = self.out_src[in_order]
         self.in_dst = self.out_dst[in_order]
         self.in_bitmap = self.out_bitmap[in_order]

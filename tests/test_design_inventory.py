@@ -1,4 +1,4 @@
-"""DESIGN.md §3 names every library module, and only modules that exist.
+"""DESIGN.md §3 names every library module and C source, and only ones that exist.
 
 The inventory block lists a top-level file or a package directory at an
 indent of two spaces and a package's files at four; deeper lines continue
@@ -27,7 +27,7 @@ def design_inventory():
             package = names[0]
             continue
         for name in names:
-            if not name.endswith(".py"):
+            if not name.endswith((".py", ".c")):
                 break  # the description
             paths.add(name if indent == 2 else package + name)
     return paths
@@ -36,7 +36,8 @@ def design_inventory():
 def test_design_inventory_matches_the_source_tree():
     modules = {
         path.relative_to(SRC).as_posix()
-        for path in SRC.rglob("*.py")
+        for pattern in ("*.py", "*.c")
+        for path in SRC.rglob(pattern)
         if path.name not in ("__init__.py", "__main__.py")
     }
     listed = design_inventory()

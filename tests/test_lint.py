@@ -22,7 +22,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 ENGINE = "src/repro/engine/push.py"
 KERNELS = "src/repro/engine/kernels.py"
-NATIVE_FOLD = "src/repro/engine/native_fold.py"
+NATIVE = "src/repro/native/__init__.py"
+STORAGE = "src/repro/storage/edge_file.py"
 PARALLEL = "src/repro/parallel/shm.py"
 LIBRARY = "src/repro/temporal/series.py"
 OUTSIDE = "tests/test_something.py"
@@ -116,8 +117,9 @@ def test_chr002_fires_outside_the_native_fold():
 
 
 def test_chr002_passes_inside_the_native_fold_and_out_of_scope():
-    assert fired(SCATTER, NATIVE_FOLD) == []
+    assert fired(SCATTER, NATIVE) == []
     assert fired(SCATTER, LIBRARY) == []
+    assert fired(SCATTER, STORAGE) == []
     assert fired(SCATTER, OUTSIDE) == []
 
 
@@ -126,8 +128,10 @@ def test_chr002_fires_on_a_native_library_load_outside_the_native_fold(source):
     assert fired(source, ENGINE) == ["CHR002"]
     assert fired(source, PARALLEL) == ["CHR002"]
     assert fired(source, KERNELS) == ["CHR002"]
-    assert fired(source, NATIVE_FOLD) == []
-    assert fired(source, LIBRARY) == []
+    assert fired(source, LIBRARY) == ["CHR002"]
+    assert fired(source, STORAGE) == ["CHR002"]
+    assert fired(source, NATIVE) == []
+    assert fired(source, OUTSIDE) == []
 
 
 def test_chr002_ignores_non_scatter_at():

@@ -1,4 +1,7 @@
-"""The native gather-fold's build path: lazy, cached, race-safe, typed failures.
+"""The native library's build path: lazy, cached, race-safe, typed failures.
+
+The fold and the store's section codec share the one library, so the
+first fold here is the first native call of the process.
 
 Each subprocess is a fresh interpreter with its own cache root
 (``XDG_CACHE_HOME``), so "first import", "second process" and "two
@@ -6,6 +9,8 @@ processes building at once" are real; the in-process tests reset the
 module's loaded library with ``monkeypatch`` so later tests keep theirs.
 """
 
+import ast
+import fnmatch
 import os
 import subprocess
 import sys
@@ -14,10 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import kernels, native_fold
+from repro import native
+from repro.engine import kernels
 from repro.errors import EngineError
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 #: Imports the engine, lists what the cache holds, then folds once.
 _PROBE = """
@@ -71,7 +78,7 @@ def test_import_does_not_build_and_the_first_fold_does(tmp_path):
     assert listing == "[]"  # import repro ran no compiler
     assert result == "[1.0, 0.0, 5.0]"
     (library,) = _cache_files(tmp_path)
-    assert library.startswith("native_fold-") and library.endswith(".so")
+    assert library.startswith("repro_native-") and library.endswith(".so")
     mode = (tmp_path / "repro" / "native").stat().st_mode
     assert mode & 0o077 == 0
 
@@ -95,8 +102,8 @@ def test_concurrent_first_builds_both_load_and_leave_no_temp_files(tmp_path):
 
 @pytest.fixture
 def fresh_library(tmp_path, monkeypatch):
-    """An unloaded native fold whose cache root is ``tmp_path``."""
-    monkeypatch.setattr(native_fold, "_FOLDS", None)
+    """An unloaded native library whose cache root is ``tmp_path``."""
+    monkeypatch.setattr(native, "_FUNCTIONS", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path / "repro" / "native"
 
@@ -120,7 +127,7 @@ def test_a_missing_compiler_is_a_typed_error_naming_it(fresh_library, monkeypatc
 def test_a_group_or_world_writable_cache_dir_is_refused(fresh_library, monkeypatch, mode):
     fresh_library.mkdir(parents=True)
     fresh_library.chmod(mode)
-    monkeypatch.setattr(native_fold.ctypes, "CDLL", _never_dlopen)
+    monkeypatch.setattr(native.ctypes, "CDLL", _never_dlopen)
     with pytest.raises(EngineError, match="writable by group or others"):
         _fold_once()
     assert list(fresh_library.iterdir()) == []
@@ -129,7 +136,7 @@ def test_a_group_or_world_writable_cache_dir_is_refused(fresh_library, monkeypat
 def test_a_cache_dir_owned_by_another_user_is_refused(fresh_library, monkeypatch):
     uid = os.getuid()
     monkeypatch.setattr(os, "getuid", lambda: uid + 1)
-    monkeypatch.setattr(native_fold.ctypes, "CDLL", _never_dlopen)
+    monkeypatch.setattr(native.ctypes, "CDLL", _never_dlopen)
     with pytest.raises(EngineError, match="owned by uid"):
         _fold_once()
 
@@ -138,21 +145,62 @@ def _never_dlopen(*args, **kwargs):
     raise AssertionError("dlopen from a refused cache directory")
 
 
+def _edited_sources(tmp_path, which):
+    """``SOURCES`` with source ``which`` replaced by an edited copy."""
+    sources = list(native.SOURCES)
+    edited = tmp_path / sources[which].name
+    edited.write_bytes(sources[which].read_bytes() + b"\n")
+    sources[which] = edited
+    return tuple(sources)
+
+
 def test_the_library_name_hashes_source_flags_and_platform(monkeypatch, tmp_path):
-    base = native_fold.library_path(tmp_path)
-    edited = tmp_path / "native_fold.c"
-    edited.write_bytes(native_fold.SOURCE.read_bytes() + b"\n")
+    base = native.library_path(tmp_path)
     for target, name, value in (
-        (native_fold, "SOURCE", edited),
-        (native_fold, "CFLAGS", native_fold.CFLAGS + ("-g",)),
-        (native_fold.sysconfig, "get_platform", lambda: "other-arch"),
+        *(
+            (native, "SOURCES", _edited_sources(tmp_path, which))
+            for which in range(len(native.SOURCES))
+        ),
+        (native, "CFLAGS", native.CFLAGS + ("-g",)),
+        (native.sysconfig, "get_platform", lambda: "other-arch"),
     ):
         with monkeypatch.context() as patched:
             patched.setattr(target, name, value)
-            assert native_fold.library_path(tmp_path) != base, name
-    assert native_fold.library_path(tmp_path) == base
+            assert native.library_path(tmp_path) != base, name
+    assert native.library_path(tmp_path) == base
 
 
 def test_a_short_message_array_is_a_typed_error():
     with pytest.raises(EngineError, match="2 entries got only 1 messages"):
         kernels.fold_stream(np.zeros(2), np.add, np.array([0, 1]), np.array([1.0]))
+
+
+def _setup_py_package_data():
+    tree = ast.parse((REPO / "setup.py").read_text())
+    (data,) = (
+        kw.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "package_data"
+    )
+    return ast.literal_eval(data)["repro"]
+
+
+def test_every_c_source_ships_with_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((REPO / "pyproject.toml").read_text())
+    shipped = {
+        "pyproject.toml": pyproject["tool"]["setuptools"]["package-data"]["repro"],
+        "setup.py": _setup_py_package_data(),
+    }
+    sources = sorted(
+        path.relative_to(SRC / "repro").as_posix()
+        for path in (SRC / "repro").rglob("*.c")
+    )
+    assert sources == sorted(
+        source.relative_to(SRC / "repro").as_posix() for source in native.SOURCES
+    )
+    for where, patterns in shipped.items():
+        for source in sources:
+            assert any(fnmatch.fnmatch(source, p) for p in patterns), (where, source)

@@ -268,6 +268,8 @@ def test_packed_sort_key_and_its_lexsort_fallback_agree():
     expected = np.lexsort((dst, src))
     np.testing.assert_array_equal(edge_order(src, dst, 50), expected)
     np.testing.assert_array_equal(edge_order(src, dst, (1 << 32) + 1), expected)
+    # The series' in-edge order, (dst, src): keys swapped.
+    np.testing.assert_array_equal(edge_order(dst, src, 50), np.lexsort((src, dst)))
 
 
 # ---------------------------------------------------------------------- #
@@ -304,7 +306,7 @@ def test_load_series_storage_counters_equal_per_segment_totals(mmap, tmp_path):
     for gi in owners:
         edge_file = store.groups[gi].edge_file
         for v in range(edge_file.num_vertices):
-            offset, n_cp, n_act = edge_file._index[v]
+            offset, n_cp, n_act = edge_file._index_columns[v].item()
             if offset:
                 segments += 1
                 bytes_read += (
@@ -348,7 +350,9 @@ def test_scan_rejects_records_the_kernel_could_not_index(
     path = tmp_path / "v1.chronos"
     write_edge_file(path, graph, 0, 2, version=1)
     # Vertex 0's segment: no checkpoint, one activity record.
-    offset = next(off for off, _cp, _act in EdgeFile(path)._index if off)
+    offset = next(
+        off for off, _cp, _act in EdgeFile(path)._index_columns.tolist() if off
+    )
     data = bytearray(path.read_bytes())
     data[offset + where.start : offset + where.stop] = raw
     path.write_bytes(bytes(data))

@@ -54,7 +54,7 @@ def _section_boundaries(path, graph):
         index_end,  # index crc | segments
     ]
     ef = EdgeFile(path)
-    for offset, n_cp, n_act in ef._index:
+    for offset, n_cp, n_act in ef._index_columns.tolist():
         if offset == 0:
             continue
         cp_end = offset + n_cp * fmt.CHECKPOINT_ENTRY_SIZE
@@ -124,7 +124,8 @@ class TestBitFlipMatrix:
     def test_segment_flip_names_the_vertex_sector(self, edge_path):
         ef = EdgeFile(edge_path)
         target = next(
-            (v, off) for v, (off, n_cp, n_act) in enumerate(ef._index)
+            (v, off)
+            for v, (off, n_cp, n_act) in enumerate(ef._index_columns.tolist())
             if off != 0 and n_cp + n_act > 0
         )
         v, offset = target

@@ -162,7 +162,9 @@ def _flipped_copy(path, tmp_path):
     """A copy of the edge file with one byte inside vertex data flipped."""
     data = bytearray(path.read_bytes())
     ef = EdgeFile(path)
-    offset = next(off for off, _cp, _act in ef._index if off != 0)
+    offset = next(
+        off for off, _cp, _act in ef._index_columns.tolist() if off != 0
+    )
     data[offset] ^= 0xFF
     out = tmp_path / "corrupt.chronos"
     out.write_bytes(bytes(data))

@@ -57,13 +57,31 @@ class TestCorruptEdgeFiles:
             assert ef.out_edges_at(v, 5) == {}
 
 
+def _drop_first_edge_file(path, manifest):
+    (path / manifest["groups"][0]["edge_file"]).unlink()
+
+
+def _drop_groups(path, manifest):
+    del manifest["groups"]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestCorruptStore:
-    def test_manifest_missing_group_file(self, graph, tmp_path):
+    @pytest.mark.parametrize(
+        "damage,names",
+        [
+            (_drop_first_edge_file, "edges_0000.chronos, which does not exist"),
+            (_drop_groups, "missing required fields: 'groups'"),
+        ],
+        ids=["missing-edge-file", "no-groups"],
+    )
+    def test_damaged_manifest_is_a_typed_error(self, graph, tmp_path, damage, names):
         store = TemporalGraphStore.create(tmp_path / "s", graph)
-        manifest = json.loads((store.path / "manifest.json").read_text())
-        (store.path / manifest["groups"][0]["edge_file"]).unlink()
-        with pytest.raises(FileNotFoundError):
+        manifest_path = store.path / "manifest.json"
+        damage(store.path, json.loads(manifest_path.read_text()))
+        with pytest.raises(StorageError, match=names) as err:
             TemporalGraphStore(store.path)
+        assert str(manifest_path) in str(err.value)
 
     def test_manifest_must_exist(self, tmp_path):
         with pytest.raises(StorageError):

@@ -13,7 +13,9 @@ the same manifest and byte-identical edge files, in format versions 1 and
 from __future__ import annotations
 
 import json
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.storage.edge_file import write_edge_file
 from repro.storage.store import MANIFEST_NAME, group_entries
 from repro.streaming import StreamingStore
 from repro.temporal import (
+    ActivityKind,
     TemporalGraph,
     add_edge,
     add_vertex,
@@ -101,6 +104,54 @@ def test_larger_store_is_byte_identical_to_the_oracle(weighted, tmp_path):
     assert group_entries(graph, names, boundaries) == oracle_manifest_entries(
         graph, names, boundaries
     )
+
+
+def oracle_sections(cp, act, cp_len, act_len, checked):
+    """The writer's per-segment trailer loop before the native codec: slice
+    each segment's two sections, append CRC32(checkpoint) + CRC32(activities)."""
+    out, cp_at, act_at = [], 0, 0
+    for cl, al in zip(cp_len, act_len):
+        cp_section = cp[cp_at : cp_at + cl]
+        act_section = act[act_at : act_at + al]
+        out += (cp_section, act_section)
+        if checked:
+            out.append(
+                struct.pack("<II", zlib.crc32(cp_section), zlib.crc32(act_section))
+            )
+        cp_at, act_at = cp_at + cl, act_at + al
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_segments_equal_the_per_segment_trailer_loop(seed, tmp_path):
+    """Every segment region the codec writes is what the old loop wrote
+    from the same sections, over v2 stores with deletions whose groups
+    hold empty checkpoint and empty activity sectors."""
+    graph = random_temporal_graph(seed=seed, num_vertices=40, num_events=900)
+    store = TemporalGraphStore.create(tmp_path, graph, redundancy_ratio=0.8)
+    empty_cp = empty_act = 0
+    for group in store.groups:
+        raw = group.edge_file.path.read_bytes()
+        header = group.edge_file.header
+        index = np.frombuffer(
+            raw, fmt.INDEX_DTYPE, count=header.num_vertices,
+            offset=fmt.header_size(header.version),
+        )
+        index = index[index["offset"] != 0]
+        offset = index["offset"].tolist()
+        cp_len = (index["n_cp"] * fmt.CHECKPOINT_ENTRY_SIZE).tolist()
+        act_len = (index["n_act"] * fmt.ACTIVITY_SIZE).tolist()
+        cp = b"".join(raw[o : o + c] for o, c in zip(offset, cp_len))
+        act = b"".join(
+            raw[o + c : o + c + a] for o, c, a in zip(offset, cp_len, act_len)
+        )
+        assert raw[header.segments_offset :] == oracle_sections(
+            cp, act, cp_len, act_len, checked=True
+        )
+        empty_cp += cp_len.count(0)
+        empty_act += act_len.count(0)
+    assert empty_cp and empty_act
+    assert (graph.columns().events.kind == ActivityKind.DEL_EDGE).any()
 
 
 def test_liveness_of_more_group_starts_than_one_bitmap_holds(tmp_path):
