@@ -11,9 +11,9 @@ snapshot baseline) and with LABS batches, showing
 Run:  python examples/labs_batching.py [--executor process --workers 4]
 
 With ``--executor process`` the wall-clock section also times the same
-runs on a pool of real worker processes over shared memory
-(``repro.parallel.shm``) — bitwise-identical results, and a speedup on
-hosts with enough free cores.
+runs on a pool of worker threads, each folding its own destination shard
+of every LABS group (``repro.parallel.shm``) — bitwise-identical results,
+and a speedup on hosts with enough free cores.
 """
 
 import argparse
@@ -58,8 +58,8 @@ def main() -> None:
 
     if args.executor == "process":
         print(
-            f"\nWall-clock, process executor ({args.workers} real workers, "
-            "shared memory):"
+            f"\nWall-clock, thread executor ({args.workers} worker threads, "
+            "one plan shard each):"
         )
         for batch in (1, 4, 8, 32):
             layout = (

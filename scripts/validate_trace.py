@@ -4,7 +4,7 @@
 Usage::
 
     python scripts/validate_trace.py --jsonl events.jsonl
-    python scripts/validate_trace.py --chrome trace.json [--expect-workers]
+    python scripts/validate_trace.py --chrome trace.json
 
 Checks (the CI observability job's schema gate):
 
@@ -15,9 +15,7 @@ Checks (the CI observability job's schema gate):
 - **Chrome** (``repro run --trace out.json`` / ``repro trace``): the
   file is one valid JSON object with a ``traceEvents`` list, containing
   exactly one depth-0 ``run`` span, at least one ``group``/``iteration``
-  span each, ``thread_name`` metadata, and (with ``--expect-workers``)
-  events on at least one worker lane (``tid > 0``) — the stitched
-  worker spans.
+  span each, and ``thread_name`` metadata.
 
 Exit status 0 when every file validates; 1 with a message otherwise.
 """
@@ -32,7 +30,7 @@ from typing import Any, Dict, List
 REQUIRED_KEYS = (
     "name", "cat", "ph", "ts", "dur", "pid", "tid", "depth", "args",
 )
-KNOWN_CATEGORIES = {"run", "group", "iteration", "phase", "retry"}
+KNOWN_CATEGORIES = {"run", "group", "iteration", "phase"}
 
 
 def fail(msg: str) -> None:
@@ -67,7 +65,7 @@ def validate_jsonl(path: str) -> int:
     return count
 
 
-def validate_chrome(path: str, expect_workers: bool) -> int:
+def validate_chrome(path: str) -> int:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -90,10 +88,6 @@ def validate_chrome(path: str, expect_workers: bool) -> int:
     for cat in ("group", "iteration"):
         if by_cat.get(cat, 0) < 1:
             fail(f"{path}: no {cat} spans")
-    if expect_workers:
-        worker_lanes = {e["tid"] for e in spans if e.get("tid", 0) > 0}
-        if not worker_lanes:
-            fail(f"{path}: no stitched worker-lane events (tid > 0)")
     return len(events)
 
 
@@ -103,9 +97,6 @@ def main(argv: List[str] | None = None) -> int:
                         metavar="PATH", help="JSONL event log to validate")
     parser.add_argument("--chrome", action="append", default=[],
                         metavar="PATH", help="Chrome trace JSON to validate")
-    parser.add_argument("--expect-workers", action="store_true",
-                        help="require stitched worker-lane events in "
-                        "--chrome files")
     args = parser.parse_args(argv)
     if not args.jsonl and not args.chrome:
         parser.error("nothing to validate: pass --jsonl and/or --chrome")
@@ -113,7 +104,7 @@ def main(argv: List[str] | None = None) -> int:
         n = validate_jsonl(path)
         print(f"validate_trace: ok — {path}: {n} JSONL events")
     for path in args.chrome:
-        n = validate_chrome(path, args.expect_workers)
+        n = validate_chrome(path)
         print(f"validate_trace: ok — {path}: {n} Chrome trace events")
     return 0
 

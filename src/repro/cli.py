@@ -207,14 +207,15 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "--executor",
         choices=["serial", "process"],
         default="serial",
-        help="run in-process, or on a pool of real worker processes over "
-        "shared memory (wall-clock parallelism; incompatible with --trace)",
+        help="run in the calling thread, or (process) fold each LABS "
+        "group's plan shards on a pool of worker threads (wall-clock "
+        "parallelism; incompatible with --trace)",
     )
     runp.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker-process count for --executor process",
+        help="worker-thread count for --executor process",
     )
     runp.add_argument(
         "--parallel",
@@ -223,21 +224,6 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         help="multi-core strategy (paper Section 3.4): partition shards "
         "each LABS group by destination vertex; snapshot-parallelism is "
         "simulated only and is rejected with --executor process",
-    )
-    runp.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="per-IPC reply deadline for --executor process; a worker "
-        "that misses it counts as dead and triggers a retry",
-    )
-    runp.add_argument(
-        "--retry-limit",
-        type=int,
-        default=2,
-        help="retries per LABS group on a fresh pool after a worker "
-        "failure, before degrading to the serial executor",
     )
     runp.add_argument(
         "--checkpoint-dir",
@@ -257,8 +243,8 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "--sanitize",
         action="store_true",
         help="enable the shard-race sanitizer: validate owner-computes "
-        "shard disjointness and every worker's writes against a shadow "
-        "ownership map (raises ShardRaceError on violation)",
+        "shard disjointness and every worker thread's writes against a "
+        "shadow ownership map (raises ShardRaceError on violation)",
     )
     runp.add_argument(
         "--reuse",
@@ -330,8 +316,6 @@ def _run_and_report(
         executor=args.executor,
         workers=args.workers,
         parallel=args.parallel,
-        worker_timeout_s=args.worker_timeout,
-        retry_limit=args.retry_limit,
         sanitize=args.sanitize,
         reuse=args.reuse,
         cache_dir=args.cache_dir,

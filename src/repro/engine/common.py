@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -14,6 +14,9 @@ from repro.engine.state import GroupState
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.parallel.locks import LockTable
 from repro.temporal.series import GroupView
+
+if TYPE_CHECKING:
+    from repro.parallel.shm import GroupShards
 
 
 @dataclass
@@ -28,10 +31,9 @@ class ExecContext:
     hierarchy: Optional[MemoryHierarchy] = None
     core_of: Optional[np.ndarray] = None
     locks: Optional[LockTable] = None
-    #: Live per-group handle (:class:`repro.parallel.shm._GroupHandle`)
-    #: when this group executes on the process pool as part of a batched
-    #: dispatch; planned scatters route through it.
-    shm: Optional[object] = None
+    #: The group's plan shards when it executes on the worker-thread pool
+    #: (``executor="process"``); planned scatters route through them.
+    shards: Optional["GroupShards"] = None
 
     @property
     def traced(self) -> bool:

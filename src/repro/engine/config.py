@@ -62,42 +62,25 @@ class EngineConfig:
     #: instead of locked shared-memory writes. Used by
     #: :mod:`repro.distributed`.
     distributed: bool = False
-    #: How untraced runs execute: ``"serial"`` in-process (the default), or
-    #: ``"process"`` on a persistent pool of ``workers`` real OS processes
-    #: over shared-memory state (:mod:`repro.parallel.shm`). The process
-    #: executor shards each group's gather plan by destination segment
-    #: ranges (owner-computes, lock-free) and produces bitwise-identical
-    #: values and identical logical counters. Traced (simulated) runs are
-    #: always serial; ``executor="process"`` with ``trace=True`` is an
-    #: error.
+    #: How untraced runs execute: ``"serial"`` in the calling thread (the
+    #: default), or ``"process"``, which selects the pool of ``workers``
+    #: worker *threads* of :mod:`repro.parallel.shm` (the value name
+    #: predates the threads). Each group's gather plan is sharded by
+    #: destination-vertex ranges (owner-computes, lock-free), each thread
+    #: folds its shard through the GIL-free native fold, and values and
+    #: logical counters are bitwise identical to serial. Traced
+    #: (simulated) runs are always serial; ``executor="process"`` with
+    #: ``trace=True`` is an error.
     executor: str = "serial"
-    #: Real worker-process count for ``executor="process"``. ``workers=1``
-    #: falls back to the serial executor (with a warning). Unrelated to
+    #: Worker-thread count for ``executor="process"``. ``workers=1`` falls
+    #: back to the serial executor (with a warning). Unrelated to
     #: ``num_cores``, which is the *simulated* core count of traced runs.
     workers: int = 1
-    #: Deadline (seconds) on every worker IPC of the process executor: a
-    #: reply later than this marks the pool broken exactly like a dead
-    #: worker, instead of blocking the run forever on ``recv()``.
-    worker_timeout_s: float = 600.0
-    #: How many times a LABS group whose pool broke (worker died, hung
-    #: past the deadline, or raised a :class:`~repro.errors.WorkerError`)
-    #: is retried on a freshly spawned pool before giving up. Retried
-    #: groups recompute deterministically, so results stay bitwise
-    #: identical to serial execution.
-    retry_limit: int = 2
-    #: First retry backoff (seconds); doubles on each further retry.
-    retry_backoff_s: float = 0.5
-    #: What happens when a group still fails after ``retry_limit``
-    #: retries: ``"serial"`` (default) degrades gracefully by recomputing
-    #: the group on the serial executor; ``"raise"`` propagates the final
-    #: :class:`~repro.errors.WorkerError` (strict mode).
-    fallback: str = "serial"
-    #: Shard-race sanitizer (TSan for the owner-computes discipline). The
-    #: process executor publishes a shadow shared-memory ownership bitmap
-    #: mapping every accumulator cell to the worker owning it; the parent
-    #: verifies the shard plan's destination ranges are pairwise disjoint
-    #: before any scatter, and every worker validates the cells of each
-    #: fold against the bitmap at the write site, raising a typed
+    #: Shard-race sanitizer (TSan for the owner-computes discipline).
+    #: Under ``executor="process"`` each group's shard plan is proven
+    #: pairwise disjoint before any scatter, and every worker thread
+    #: validates the cells of each fold against an ownership map (cell ->
+    #: owning worker) at the write site, raising a typed
     #: :class:`~repro.errors.ShardRaceError` (naming the group and both
     #: workers) on overlap or an out-of-ownership write. Serial runs
     #: verify the cached gather plan is destination-sorted once per group.
@@ -150,23 +133,6 @@ class EngineConfig:
                 "the process executor is partition-parallel only; "
                 "snapshot-parallelism is simulated (use trace=True, "
                 "num_cores>1 with parallel='snapshot')"
-            )
-        if self.worker_timeout_s <= 0:
-            raise EngineError(
-                f"worker_timeout_s must be positive, got {self.worker_timeout_s}"
-            )
-        if self.retry_limit < 0:
-            raise EngineError(
-                f"retry_limit must be >= 0, got {self.retry_limit}"
-            )
-        if self.retry_backoff_s < 0:
-            raise EngineError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.fallback not in ("serial", "raise"):
-            raise EngineError(
-                f"unknown fallback mode {self.fallback!r} "
-                "(expected 'serial' or 'raise')"
             )
         if self.reuse not in (None, "cache", "incremental"):
             raise EngineError(

@@ -180,10 +180,6 @@ class GatherPlan:
         # References (not copies) for the lazily derived structures.
         self._src = src
         self._degrees = degrees
-        #: Parent-issued shared-memory publication token, assigned by the
-        #: process executor the first time this plan is shipped; a rebuilt
-        #: plan gets a fresh one, so worker caches never serve stale arrays.
-        self.shm_token: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # cached derived structures
@@ -313,7 +309,7 @@ def stream_scatter(
 
     ``plan`` is anything with the gather-plan stream surface —
     :class:`GatherPlan` for the serial executor, a
-    :class:`repro.parallel.plan_shard.PlanShard` inside a worker process.
+    :class:`repro.parallel.plan_shard.PlanShard` on a worker thread.
     Selects the live (edge, snapshot) stream entries, computes their
     messages elementwise, and folds them sequentially with the program's
     gather ufunc (:func:`fold_stream`); returns accumulator updates.
@@ -354,12 +350,12 @@ def stream_scatter(
 def planned_scatter(ctx: Any) -> int:
     """Run one planned scatter for ``ctx``; returns accumulator updates.
 
-    Under ``executor="process"`` the scatter is delegated to the
-    shared-memory worker pool (each worker folds its exclusive destination
-    shard); otherwise it runs in-process via :func:`stream_scatter`.
+    Under ``executor="process"`` the scatter runs on the worker-thread
+    pool (each thread folds its exclusive destination shard); otherwise it
+    runs in this thread via :func:`stream_scatter`.
     """
-    if ctx.shm is not None:
-        return ctx.shm.scatter()
+    if ctx.shards is not None:
+        return ctx.shards.scatter()
     state = ctx.state
     program = ctx.program
     plan = state.gather_plan()

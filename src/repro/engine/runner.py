@@ -56,8 +56,6 @@ def _apply_phase(ctx: ExecContext) -> None:
     if ctx.traced:
         trace_apply(ctx, changed)
     state.values[:] = new
-    # In-place mask updates: the process executor's workers map these
-    # arrays through shared memory, so the storage must stay put.
     state.active[...] = changed & group.vertex_exists
     state.snap_active[...] = snapm & changed.any(axis=0)
 
@@ -84,57 +82,10 @@ def run_group(
     snapshot-parallelism uses this so every per-snapshot run shares the one
     edge array and vertex data array, as the paper describes (Section 6.2).
 
-    Process-executor dispatches run under the retry policy of ``config``
-    (:mod:`repro.resilience.retry`): a broken worker pool — dead worker,
-    reply past ``worker_timeout_s``, injected fault — retries this group
-    on a fresh pool up to ``retry_limit`` times, then degrades to the
-    serial executor (``fallback="serial"``) or raises the final
-    :class:`~repro.errors.WorkerError` (``fallback="raise"``). Group
-    recomputation is deterministic, so retried and degraded runs stay
-    bitwise identical to serial execution.
-    """
-    kwargs = dict(
-        hierarchy=hierarchy,
-        locks=locks,
-        core_of=core_of,
-        only_snapshots=only_snapshots,
-        address_space=address_space,
-        initial_values=initial_values,
-        initial_active=initial_active,
-        state=state,
-    )
-    if config.trace or config.executor != "process" or state is not None:
-        return _run_group_once(group, program, config, **kwargs)
-
-    # A process-executor dispatch is a one-group batch: run_batch owns
-    # session setup, retry (pool respawn), and serial degradation.
-    from repro.parallel.shm import run_batch
-
-    kwargs.pop("state")
-    return run_batch([group], program, config, group_kwargs=[kwargs])[0]
-
-
-def _run_group_once(
-    group: GroupView,
-    program: VertexProgram,
-    config: EngineConfig,
-    hierarchy: Optional[MemoryHierarchy] = None,
-    locks: Optional[LockTable] = None,
-    core_of: Optional[np.ndarray] = None,
-    only_snapshots: Optional[List[int]] = None,
-    address_space: Optional[AddressSpace] = None,
-    initial_values: Optional[np.ndarray] = None,
-    initial_active: Optional[np.ndarray] = None,
-    state: Optional[GroupState] = None,
-    shm: Optional[object] = None,
-) -> Tuple[np.ndarray, EngineCounters]:
-    """One attempt of :func:`run_group` (no retry handling).
-
-    ``shm`` is the per-group handle of a live process-executor
-    :class:`~repro.parallel.shm.BatchSession` (always paired with that
-    session's ``state``): planned scatters route to the worker pool
-    through it, while apply and convergence run here in the parent over
-    the same shared arrays.
+    Under ``executor="process"`` the group's plan is cut into one shard
+    per worker thread here, once (:mod:`repro.parallel.shm`); each
+    iteration's scatter folds the shards on the pool, while apply and
+    convergence run in this thread.
     """
     with obs.span(
         "group",
@@ -176,16 +127,22 @@ def _run_group_once(
             state.snap_active &= mask
             state.active &= mask[None, :]
 
+        shards = None
         if not traced:
-            # Build (or fetch) the gather plan up front: the bitmap unpack
-            # happens once per group, not once per iteration.
+            # Build (or fetch) the gather plan and cut its shards up front:
+            # the bitmap unpack and the shard cuts happen once per group,
+            # not once per iteration.
             with obs.span("phase", "plan"):
                 plan = state.gather_plan()
-            if config.sanitize and shm is None:
+                if config.executor == "process":
+                    from repro.parallel.shm import shard_group
+
+                    shards = shard_group(state, program, config)
+            if config.sanitize and shards is None:
                 # Serial arm of the sanitizer: per-cell fold order and the
                 # shard cuts both assume a destination-vertex-major stream;
-                # prove it once per group. (The process executor proves
-                # shard disjointness instead — see BatchSession.)
+                # prove it once per group. (Sharded runs prove shard
+                # disjointness instead — see GroupShards.)
                 from repro.parallel.plan_shard import assert_destination_sorted
 
                 assert_destination_sorted(plan.dst_vertices(), int(group.start))
@@ -207,7 +164,7 @@ def _run_group_once(
             hierarchy=hierarchy if traced else None,
             core_of=resolved,
             locks=locks,
-            shm=shm,
+            shards=shards,
         )
         max_iter = (
             config.max_iterations
@@ -240,8 +197,8 @@ def _run_group_once(
                 if regather:
                     state.reset_acc()
                 # The one scatter-phase bracket for every path: simulated
-                # scatters, serial folds and process-executor dispatches (where
-                # the planned scatter routes through ctx.shm to the pool).
+                # scatters, serial folds and sharded folds (where the
+                # planned scatter routes through ctx.shards to the pool).
                 with obs.span("phase", "scatter"):
                     if traced:
                         traced_scatter(ctx)
@@ -274,9 +231,6 @@ def _run_group_once(
                             counters.sim_cycles += int(
                                 net_s * cost.frequency_hz
                             )
-        # Copy the result out *before* the owning session releases the
-        # group: unlinking the shared segments unmaps the state arrays'
-        # backing storage.
         with obs.span("phase", "gather"):
             result = state.values.copy()
         return result, counters
@@ -318,9 +272,9 @@ class RunResult:
         return self.values[:, s]
 
     def report(self) -> Dict[str, Any]:
-        """A JSON-ready run summary (phase breakdown, cache rates, IPC
-        totals, retry history) built from this result's counters plus
-        the active observation — see :mod:`repro.obs.report`."""
+        """A JSON-ready run summary (phase breakdown, cache rates, storage
+        and checkpoint totals) built from this result's counters plus the
+        active observation — see :mod:`repro.obs.report`."""
         from repro.obs.report import run_report
 
         return run_report(self)
@@ -414,58 +368,9 @@ def _run_series(
         if _plan is not None and _plan.take_abort(group.start):
             os._exit(137)
 
-    # Under the process executor up to DISPATCH_BATCH groups share one
-    # setup IPC round-trip (see repro.parallel.shm.BatchSession); groups
-    # still run to convergence one at a time in series order, so values,
-    # counters, and checkpoint layout match serial (dispatch width 1)
-    # exactly. Seeds depend on the predecessor group's completed result,
-    # so incremental reuse flushes one group per dispatch; plain cache
-    # reuse (lookups need no results) keeps full batching.
-    use_batch = config.executor == "process"
-    dispatch = 1
-    if use_batch and not (planner is not None and planner.seed_incremental):
-        from repro.parallel.shm import DISPATCH_BATCH
-
-        dispatch = DISPATCH_BATCH
-    pending: List[Tuple[GroupView, Dict[str, Any]]] = []
-
-    def flush() -> None:
-        if not pending:
-            return
-        groups = [g for g, _ in pending]
-        kwargs = [
-            dict(
-                hierarchy=hierarchy,
-                locks=locks,
-                core_of=core_of,
-                address_space=space,
-                **extra,
-            )
-            for _, extra in pending
-        ]
-        pending.clear()
-        if use_batch:
-            from repro.parallel.shm import run_batch
-
-            run_batch(
-                groups,
-                program,
-                config,
-                group_kwargs=kwargs,
-                on_group_done=lambda i, vals, counters: complete(
-                    groups[i], vals, counters, True
-                ),
-            )
-        else:
-            vals, counters = run_group(groups[0], program, config, **kwargs[0])
-            complete(groups[0], vals, counters, True)
-
     for group in series.groups(batch):
         restored = checkpoint.load(group) if checkpoint is not None else None
         if restored is not None:
-            # Keep completion order identical to serial: everything
-            # dispatched before this group finishes first.
-            flush()
             vals, counters = restored
             resumed += 1
             complete(group, vals, counters, False)
@@ -474,7 +379,6 @@ def _run_series(
         if planner is not None:
             entry = planner.lookup(group)
             if entry is not None:
-                flush()
                 cached += 1
                 complete(group, entry.values, entry.counters, False)
                 continue
@@ -484,10 +388,17 @@ def _run_series(
                 seeded += 1
             if base_counters is not None:
                 total.merge(base_counters)
-        pending.append((group, extra))
-        if len(pending) >= dispatch:
-            flush()
-    flush()
+        vals, counters = run_group(
+            group,
+            program,
+            config,
+            hierarchy=hierarchy,
+            locks=locks,
+            core_of=core_of,
+            address_space=space,
+            **extra,
+        )
+        complete(group, vals, counters, True)
     if traced:
         total.per_core_cycles = [c.cycles for c in hierarchy.counters.per_core]
     return RunResult(

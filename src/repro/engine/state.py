@@ -32,26 +32,6 @@ from repro.layout.vertex_array import LayoutKind, VertexArrayLayout
 from repro.temporal.series import GroupView
 
 
-class ArrayAllocator:
-    """Where a :class:`GroupState`'s hot arrays live.
-
-    The default allocator hands out ordinary heap arrays. The process
-    executor substitutes :class:`repro.parallel.shm.SharedMemoryAllocator`
-    so the values/accumulator/mask arrays land in named POSIX shared-memory
-    segments that worker processes can map. ``name`` identifies the array's
-    role ("values", "acc", ...) for allocators that record their blocks.
-    Returned arrays are uninitialised; callers fill them.
-    """
-
-    def allocate(
-        self, shape: tuple, dtype: np.dtype, name: str
-    ) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-
-_HEAP_ALLOCATOR = ArrayAllocator()
-
-
 class GroupState:
     """Mutable state for one LABS group run."""
 
@@ -62,23 +42,20 @@ class GroupState:
         program: VertexProgram,
         trace: bool = False,
         address_space: Optional[AddressSpace] = None,
-        allocator: Optional[ArrayAllocator] = None,
     ) -> None:
         V = group.num_vertices
         Sg = group.num_snapshots
         self.group = group
         self.layout_kind = layout_kind
         self.program = program
-        self.allocator = allocator or _HEAP_ALLOCATOR
-        alloc = self.allocator
 
-        identity = program.gather.identity
         phys_shape = (
             (V, Sg) if layout_kind is LayoutKind.TIME_LOCALITY else (Sg, V)
         )
-        self._values_phys = alloc.allocate(phys_shape, np.float64, "values")
-        self._acc_phys = alloc.allocate(phys_shape, np.float64, "acc")
-        self._acc_phys[...] = identity
+        self._values_phys = np.empty(phys_shape, dtype=np.float64)
+        self._acc_phys = np.full(
+            phys_shape, program.gather.identity, dtype=np.float64
+        )
         self.values = self._vs_view(self._values_phys)
         self.acc = self._vs_view(self._acc_phys)
         #: Flat (physical-order) views of the same storage. The scatter
@@ -88,16 +65,12 @@ class GroupState:
         self.acc_flat = self._acc_phys.reshape(-1)
         self.values[:] = program.initial_values(group)
 
-        #: active/snap_active are updated *in place* throughout (see
-        #: :func:`repro.engine.runner._apply_phase`), so shared-memory
-        #: allocations stay mapped for the whole run.
-        self.active = alloc.allocate((V, Sg), np.bool_, "active")
+        self.active = np.empty((V, Sg), dtype=np.bool_)
         if program.semantics is Semantics.MONOTONE:
             self.active[...] = program.initial_active(group) & group.vertex_exists
         else:
             self.active[...] = group.vertex_exists
-        self.snap_active = alloc.allocate((Sg,), np.bool_, "snap_active")
-        self.snap_active[...] = True
+        self.snap_active = np.ones(Sg, dtype=np.bool_)
 
         # --- simulated address regions (traced runs only) --------------- #
         #: (V, S_g) mask of accumulator cells written in the current

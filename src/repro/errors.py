@@ -7,14 +7,6 @@ operation.
 
 from __future__ import annotations
 
-#: Machine-checked retry classification (chronolint CHF002): the retry
-#: machinery in :mod:`repro.resilience.retry` may catch exactly the
-#: retryable classes, and nothing declared non-retryable may sit in the
-#: retryable subtree — a shard race or injected crash is deterministic,
-#: so retrying it would fail identically while burning the retry budget.
-__retryable__ = ("WorkerError", "InjectedFault")
-__non_retryable__ = ("ShardRaceError", "InjectedCrash")
-
 
 class ChronosError(Exception):
     """Base class for all errors raised by this library."""
@@ -45,67 +37,6 @@ class EngineError(ChronosError):
     """Invalid engine configuration or a failure during execution."""
 
 
-class WorkerError(EngineError):
-    """A worker process of the parallel executor died, hung past its
-    deadline, or otherwise failed at the infrastructure level.
-
-    Unlike an application exception forwarded from a worker (which is
-    re-raised as itself), a :class:`WorkerError` marks a *retryable*
-    infrastructure fault: the runner respawns the pool and retries the
-    failed group (:mod:`repro.resilience.retry`).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        worker: "int | None" = None,
-        group: "int | None" = None,
-        attempt: "int | None" = None,
-    ) -> None:
-        super().__init__(message)
-        #: Index of the failed worker in the pool, when known.
-        self.worker = worker
-        #: Start snapshot index of the LABS group being executed.
-        self.group = group
-        #: 1-based attempt count at which the failure became final.
-        self.attempt = attempt
-
-    def __reduce__(self):
-        # Exceptions with keyword attributes need explicit pickling
-        # support: workers ship these through pipes back to the parent.
-        return (
-            _rebuild_worker_error,
-            (type(self), self.args[0] if self.args else "", self.worker,
-             self.group, self.attempt),
-        )
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        parts = []
-        if self.worker is not None:
-            parts.append(f"worker {self.worker}")
-        if self.group is not None:
-            parts.append(f"group {self.group}")
-        if self.attempt is not None:
-            parts.append(f"attempt {self.attempt}")
-        return f"{base} ({', '.join(parts)})" if parts else base
-
-
-def _rebuild_worker_error(cls, message, worker, group, attempt):
-    return cls(message, worker=worker, group=group, attempt=attempt)
-
-
-class InjectedFault(WorkerError):
-    """The exception a ``scatter_error`` fault raises inside a worker.
-
-    Subclassing :class:`WorkerError` is what makes an injected raise
-    *retryable*: genuine application exceptions forwarded from a worker
-    still propagate immediately. Declared here (not in
-    :mod:`repro.resilience.faults`, which re-exports it) so every raise
-    site in the library uses a type from this module.
-    """
-
-
 class InjectedCrash(ChronosError):
     """A simulated process death at a named durability crash point.
 
@@ -115,8 +46,7 @@ class InjectedCrash(ChronosError):
     bytes a killed process would have handed to the OS, so by the time
     this unwinds, the on-disk state is what a real ``SIGKILL`` at that
     instant leaves behind. Tests catch it, reopen the store, and assert
-    recovery — production code never catches it (it is not a
-    :class:`WorkerError`, so nothing retries it).
+    recovery — production code never catches it.
     """
 
     def __init__(self, message: str, point: "str | None" = None) -> None:
@@ -129,15 +59,11 @@ class ShardRaceError(EngineError):
     """The shard-race sanitizer detected a violation of owner-computes.
 
     Raised under ``EngineConfig(sanitize=True)`` when a group's shard plan
-    assigns one destination vertex to two workers (overlap, detected by
-    the parent before any scatter runs) or when a worker is about to fold
+    assigns one destination vertex to two workers (overlap, detected
+    before any scatter runs) or when a worker thread is about to fold
     into an accumulator cell outside its claimed ownership range (detected
-    at the write site inside the worker, against the shadow ownership map
-    in shared memory).
-
-    Deliberately *not* a :class:`WorkerError`: a race in the shard plan is
-    deterministic, so retrying the group would fail identically — the run
-    aborts instead of degrading.
+    at the write site, against the shadow ownership map). A race in the
+    shard plan is deterministic, so the run aborts.
     """
 
     def __init__(
@@ -161,8 +87,8 @@ class ShardRaceError(EngineError):
         self.cell = cell
 
     def __reduce__(self):
-        # Workers forward this through the IPC pipe; keyword attributes
-        # need explicit pickling support (same contract as WorkerError).
+        # Keyword attributes need explicit pickling support: the default
+        # reduction would rebuild the error from its message alone.
         return (
             _rebuild_shard_race_error,
             (type(self), self.args[0] if self.args else "", self.group,

@@ -1,9 +1,9 @@
 """chronolint: static enforcement of the engine's correctness contracts.
 
 The engine's headline property — LABS batching with results *bitwise
-identical to serial* across the process executor and the fault-recovery
-paths — rests on invariants (seeded RNG only, audited scatter folds,
-owner-computes shm writes, typed errors, pinned dtypes, temp-scoped
+identical to serial* across executors, checkpoint resume and result
+reuse — rests on invariants (seeded RNG only, audited scatter folds,
+owner-computes shard writes, typed errors, pinned dtypes, temp-scoped
 durable writes) that nothing in Python enforces. This package enforces
 them mechanically, as one analyzer with two kinds of rule over one parse
 of every file:
@@ -21,10 +21,8 @@ of every file:
   ``runner.run`` reads clocks, global RNG, the environment or set
   order — the premise of ``repro.cache.keys.config_digest``),
   :mod:`repro.lint.exceptions` (CHF002, typed raises along public call
-  chains and the declared retry split), :mod:`repro.lint.sinks`
-  (CHF003, every raw write's path is temp-scoped) and
-  :mod:`repro.lint.ipc` (CHF004, WorkerPool payloads trace back to
-  declared-picklable constructors);
+  chains) and :mod:`repro.lint.sinks` (CHF003, every raw write's path
+  is temp-scoped);
 - :mod:`repro.lint.cli` — the ``chronolint`` console entry point, also
   reachable as ``python -m repro.lint`` and ``repro lint``.
 

@@ -5,9 +5,7 @@ library module the run parsed (:func:`repro.lint.core.module_name`
 decides library membership — including the synthetic mini-packages the
 golden tests build under a tmp dir): imports (with aliases and relative
 levels), top-level functions, classes with their bases and methods,
-nested functions, and the module-level ``__ipc_picklable__`` /
-``__retryable__`` / ``__non_retryable__`` declarations the rules
-consume. Phase two (:meth:`Program.link`) resolves every call site in
+and nested functions. Phase two (:meth:`Program.link`) resolves every call site in
 every function body to zero or more callee qualnames:
 
 - **precise** resolution covers names defined in the module, imported
@@ -19,7 +17,7 @@ every function body to zero or more callee qualnames:
   method name against every class in the package — minus a blocklist of
   ubiquitous builtin-collection/file method names (``.append``, ``.get``,
   ``.write``, ...) that would otherwise wire unrelated code together.
-  Fallback is what lets handle-dispatched calls (``ctx.shm.scatter``)
+  Fallback is what lets handle-dispatched calls (``ctx.shards.scatter``)
   stay inside the analyzed world;
 - anything still unresolved is **optimistically ignored**: the
   whole-program rules prove contracts about the code they can see, and
@@ -141,8 +139,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: Module-level string-tuple declarations, e.g. ``__ipc_picklable__``.
-    declarations: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -222,13 +218,6 @@ class Program:
 
     def module_of(self, qualname: str) -> str:
         return qualname.split(":", 1)[0]
-
-    def declaration(self, name: str) -> Set[str]:
-        """Union of a string-tuple declaration across every module."""
-        out: Set[str] = set()
-        for mod in self.modules.values():
-            out.update(mod.declarations.get(name, ()))
-        return out
 
     def find_module(self, suffix: str) -> Optional[ModuleInfo]:
         """The module whose dotted name equals or ends with ``suffix``."""
@@ -342,22 +331,6 @@ def _index_module(name: str, path: str, tree: ast.Module) -> ModuleInfo:
                     continue
                 local = alias.asname or alias.name
                 mod.imports[local] = f"{base}.{alias.name}" if base else alias.name
-
-    # Module-level string-tuple declarations (__ipc_picklable__ & co.).
-    for node in tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name) or not target.id.startswith("__"):
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            values = [
-                e.value
-                for e in node.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            ]
-            if len(values) == len(node.value.elts):
-                mod.declarations[target.id] = tuple(values)
 
     def index_function(
         node: ast.AST, prefix: str, cls: Optional[str]

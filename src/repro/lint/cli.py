@@ -31,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Static analyzer for the Chronos engine: per-file invariant "
             "rules (CHR) and call-graph proofs of the determinism, "
-            "exception-flow, crash-consistency and IPC-typing contracts "
-            "(CHF)."
+            "exception-flow and crash-consistency contracts (CHF)."
         ),
     )
     parser.add_argument(

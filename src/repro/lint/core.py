@@ -8,7 +8,7 @@ rule then consume the same parsed files:
 - *per-file* rules (CHR001–CHR007, :mod:`repro.lint.rules`) subscribe to
   AST node types and are dispatched by a single tree walk per file,
   yielding ``(node, message)`` pairs;
-- *whole-program* rules (CHF001–CHF004) see the call graph
+- *whole-program* rules (CHF001–CHF003) see the call graph
   (:mod:`repro.lint.callgraph`) built over the library subset of those
   files (``module_name(path) is not None``) and yield findings whose
   evidence may be a call chain.
@@ -286,7 +286,6 @@ def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     # Importing the rule modules registers them.
     import repro.lint.effects  # noqa: F401
     import repro.lint.exceptions  # noqa: F401
-    import repro.lint.ipc  # noqa: F401
     import repro.lint.rules  # noqa: F401
     import repro.lint.sinks  # noqa: F401
 

@@ -20,7 +20,7 @@ a violation, reported with a sample root-to-function call chain. Calls
 *into* ``repro.obs`` are the sanctioned boundary — the observability
 layer owns the injected clock, and its design guarantees enabling it
 cannot change results — so the walk does not descend into it.
-``time.sleep`` is not a clock read (retry backoff uses it).
+``time.sleep`` is not a clock read.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The per-file CHR rules, and the detectors the CHF rules share with them.
 
 Each rule mechanically enforces one invariant the engine's correctness
-story rests on (bitwise-identical LABS results across the serial,
-process-parallel, and fault-recovery paths — see PAPER.md Section 4's
-disjoint-ownership argument). Rules are scoped by dotted module prefix
+story rests on (bitwise-identical LABS results across the serial and
+thread-parallel executors, checkpoint resume and result reuse — see
+PAPER.md Section 4's disjoint-ownership argument). Rules are scoped by dotted module prefix
 (:meth:`repro.lint.core.FileContext.in_module`), so fixing a violation in
 scope is always preferable to tagging it; tags exist for the handful of
 sites where broad behaviour is the contract (e.g. cleanup paths that must
@@ -239,7 +239,7 @@ class ScatterDisciplineRule(Rule):
     """CHR002: in-place scatters and native loads only in the native library.
 
     The bitwise-identity contract between the serial fold, the simulated
-    engine, and the sharded process executor holds because every
+    engine, and the sharded thread executor holds because every
     vectorised accumulator write goes through the one audited sequential
     fold, the native gather-fold of :mod:`repro.native` (reached through
     :func:`repro.engine.kernels.fold_stream`; per-cell application order
@@ -295,9 +295,9 @@ class ScatterDisciplineRule(Rule):
 class BroadExceptRule(Rule):
     """CHR003: no bare/broad ``except`` without a justification tag.
 
-    ``except Exception:`` swallows typed engine errors (WorkerError,
-    ShardRaceError, IntegrityError, ...) that the retry/fault-recovery
-    machinery dispatches on. Cleanup paths that genuinely must never raise
+    ``except Exception:`` swallows typed engine errors (ShardRaceError,
+    IntegrityError, ...) that callers and the recovery paths dispatch
+    on. Cleanup paths that genuinely must never raise
     keep the behaviour explicitly: tag the line
     ``# chronolint: allow-broad-except`` with a justifying comment.
     """
@@ -343,9 +343,9 @@ class BroadExceptRule(Rule):
 class TypedRaiseRule(Rule):
     """CHR005: library raises use typed errors from ``repro.errors``.
 
-    Callers (and the retry machinery) dispatch on the
-    :class:`~repro.errors.ChronosError` hierarchy — e.g. only
-    ``WorkerError`` is retryable. A stray ``ValueError`` either escapes
+    Callers dispatch on the :class:`~repro.errors.ChronosError`
+    hierarchy — e.g. a checkpoint reload recomputes the group on an
+    ``IntegrityError``. A stray ``ValueError`` either escapes
     ``except ChronosError`` handlers or gets misclassified. Allowed
     outside the hierarchy: what :func:`untyped_raise` allows (re-raises,
     exception *variables*, ``NotImplementedError``, and the
@@ -357,7 +357,7 @@ class TypedRaiseRule(Rule):
     title = "raises use typed errors from repro.errors"
     invariant = (
         "every library-raised exception is a repro.errors type, so "
-        "callers and the retry machinery can dispatch on the hierarchy"
+        "callers can dispatch on the hierarchy"
     )
     interests = (ast.Raise,)
 
@@ -386,11 +386,11 @@ class TypedRaiseRule(Rule):
 class DtypeDisciplineRule(Rule):
     """CHR006: explicit dtypes on engine/parallel array allocations.
 
-    Accumulators and plan arrays cross the shm boundary as raw bytes
-    described by a :class:`~repro.parallel.shm.BlockSpec` dtype string; a
-    dtype left to numpy's platform default (``np.zeros(n)``,
-    ``np.full(shape, fill)``) makes the byte layout an accident of the
-    fill value and platform instead of a declaration. Engine and parallel
+    Accumulators and plan arrays are handed to the native fold as raw
+    buffers whose element type it assumes; a dtype left to numpy's
+    platform default (``np.zeros(n)``, ``np.full(shape, fill)``) makes
+    the byte layout an accident of the fill value and platform instead
+    of a declaration. Engine and parallel
     allocations must say ``np.float64`` / ``np.int64`` / ``np.bool_``
     explicitly.
     """
@@ -400,7 +400,7 @@ class DtypeDisciplineRule(Rule):
     title = "explicit dtype on engine/parallel allocations"
     invariant = (
         "every allocated accumulator/plan array declares its dtype, so "
-        "shm block layouts and fold precision are pinned, not inferred"
+        "native buffer layouts and fold precision are pinned, not inferred"
     )
     interests = (ast.Call,)
 
@@ -429,7 +429,7 @@ class DtypeDisciplineRule(Rule):
             return
         yield node, (
             f"np.{fn} without an explicit dtype in the engine/parallel "
-            "scope; declare np.float64/np.int64/np.bool_ so shm block "
+            "scope; declare np.float64/np.int64/np.bool_ so native buffer "
             "layouts are pinned"
         )
 
@@ -449,7 +449,7 @@ class ObservabilityBoundaryRule(Rule):
     installed observation does not own, and determinism contracts
     (bitwise identity across executors and reruns) can no longer be
     argued from the absence of clock reads. ``time.sleep`` is
-    not a clock read and stays allowed (retry backoff).
+    not a clock read and stays allowed.
     """
 
     rule_id = "CHR007"

@@ -3,21 +3,20 @@
 Three pillars over one inversion-of-control runtime:
 
 - **Structured tracing** (:mod:`repro.obs.trace`): hierarchical spans —
-  run → group → iteration → phase (load / plan / dispatch / scatter /
-  apply / gather / checkpoint) — recorded by a :class:`Tracer` and
-  exportable as JSONL or Chrome trace-event JSON (loadable in Perfetto
-  or ``chrome://tracing``). Worker-side spans travel back over the
-  process executor's existing IPC channel and are stitched into the
-  parent trace.
+  run → group → iteration → phase (load / plan / scatter / apply /
+  gather / checkpoint) — recorded by a :class:`Tracer` and exportable as
+  JSONL or Chrome trace-event JSON (loadable in Perfetto or
+  ``chrome://tracing``). Recording is single-threaded: the executor's
+  worker threads record nothing, and the caller's scatter span covers
+  their folds.
 - **Metrics registry** (:mod:`repro.obs.metrics`): named counters,
-  gauges, and histograms — IPC round-trips and payload bytes, plan cache
-  hits, storage bytes read and CRCs verified, retry and checkpoint
-  events, and the engine's own logical counters — snapshotable to JSON
-  and diffable between runs.
+  gauges, and histograms — plan cache hits, storage bytes read and CRCs
+  verified, checkpoint and result-cache events, and the engine's own
+  logical counters — snapshotable to JSON and diffable between runs.
 - **Run reports** (:mod:`repro.obs.report`): ``RunResult.report()`` and
   the ``repro trace`` / ``--trace out.json`` / ``--metrics out.json``
   CLI surface build a per-run summary (phase breakdown, cache hit rates,
-  IPC totals, retry history) from the two layers above.
+  storage and checkpoint totals) from the two layers above.
 
 The clock-injection contract: **only this package reads clocks**
 (chronolint CHR007). Engine code brackets work with :func:`span` /
@@ -49,16 +48,11 @@ from repro.obs.runtime import (
     active,
     add,
     disable,
-    drain,
-    enable_worker,
     enabled,
     event,
     gauge,
-    ingest,
     install,
     observe,
-    reset,
-    shipping,
     span,
 )
 from repro.obs.trace import (
@@ -84,18 +78,13 @@ __all__ = [
     "chrome_trace",
     "disable",
     "distributed_report",
-    "drain",
-    "enable_worker",
     "enabled",
     "event",
     "gauge",
-    "ingest",
     "install",
     "logical_sequence",
     "observe",
-    "reset",
     "run_report",
-    "shipping",
     "span",
     "write_chrome",
     "write_jsonl",

@@ -4,9 +4,7 @@ A :class:`MetricsRegistry` is a plain in-memory map — no clocks, no
 threads, no I/O — that the runtime (:mod:`repro.obs.runtime`) exposes to
 the engine through :func:`repro.obs.add` / :func:`repro.obs.gauge`.
 Snapshots are JSON-ready dicts; :meth:`MetricsRegistry.diff` subtracts
-two snapshots so a benchmark can attribute counter movement to one run,
-and :meth:`MetricsRegistry.merge` folds a worker's shipped snapshot into
-the parent registry (the stitching half of worker observability).
+two snapshots so a benchmark can attribute counter movement to one run.
 """
 
 from __future__ import annotations
@@ -66,11 +64,6 @@ class MetricsRegistry:
         for name in names:
             self.counters.setdefault(name, 0)
 
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
     # ------------------------------------------------------------- #
     # snapshots
 
@@ -81,22 +74,6 @@ class MetricsRegistry:
             "gauges": dict(self.gauges),
             "histograms": {k: dict(v) for k, v in self.histograms.items()},
         }
-
-    def merge(self, snap: Mapping[str, Any]) -> None:
-        """Fold another registry's snapshot in (worker → parent stitch)."""
-        for name, value in (snap.get("counters") or {}).items():
-            self.inc(str(name), float(value))
-        for name, value in (snap.get("gauges") or {}).items():
-            self.gauges[str(name)] = float(value)
-        for name, h in (snap.get("histograms") or {}).items():
-            mine = self.histograms.get(str(name))
-            if mine is None:
-                self.histograms[str(name)] = dict(h)
-            else:
-                mine["count"] += h["count"]
-                mine["sum"] += h["sum"]
-                mine["min"] = min(mine["min"], h["min"])
-                mine["max"] = max(mine["max"], h["max"])
 
     @staticmethod
     def diff(

@@ -2,15 +2,15 @@
 
 :func:`run_report` (surfaced as ``RunResult.report()``) and
 :func:`distributed_report` (``DistributedResult.report()``) share one
-builder, so serial, process-executor, and simulated-distribution runs
-all produce the same report shape:
+builder, so engine runs under either executor and simulated-distribution
+runs all produce the same report shape:
 
 - ``counters`` — the run's logical ``EngineCounters`` totals;
-- ``metrics`` — the active registry snapshot (IPC, caches, storage,
-  resilience), when a registry is installed;
+- ``metrics`` — the active registry snapshot (caches, storage,
+  checkpoints), when a registry is installed;
 - ``derived`` — hit rates computed from the raw counters;
-- ``ipc`` / ``storage`` / ``retries`` / ``checkpoint`` — the headline
-  numbers pulled out of the snapshot (always present, 0 when idle);
+- ``storage`` / ``checkpoint`` / ``cache`` — the headline numbers pulled
+  out of the snapshot (always present, 0 when idle);
 - ``phases_s`` / ``spans`` / ``wall_s`` — the trace-side phase
   breakdown, when a tracer is installed.
 """
@@ -65,14 +65,6 @@ def build_report(
         "plan_cache_hit_rate": _hit_rate(
             get("plan.cache_hits", 0), get("plan.cache_builds", 0)
         ),
-        "plan_token_hit_rate": _hit_rate(
-            get("plan.token_hits", 0), get("plan.token_misses", 0)
-        ),
-    }
-    report["ipc"] = {
-        "round_trips": get("ipc.round_trips", 0),
-        "payload_bytes": get("ipc.payload_bytes", 0),
-        "pool_spawns": get("pool.spawns", 0),
     }
     report["storage"] = {
         "bytes_read": get("storage.bytes_read", 0),
@@ -80,12 +72,6 @@ def build_report(
         "crc_verified": get("storage.crc_verified", 0),
         "edge_files_mmap": get("storage.edge_files_mmap", 0),
         "edge_files_eager": get("storage.edge_files_eager", 0),
-    }
-    retries: Dict[str, Any] = {
-        "worker_errors": get("retry.worker_errors", 0),
-        "retries": get("retry.retries", 0),
-        "serial_fallbacks": get("retry.serial_fallbacks", 0),
-        "history": [],
     }
     report["checkpoint"] = {
         "groups_stored": get("checkpoint.groups_stored", 0),
@@ -111,16 +97,10 @@ def build_report(
         }
         report["spans"] = tracer.span_counts()
         report["wall_s"] = tracer.duration("run")
-        retries["history"] = [
-            {"name": e["name"], "args": e["args"]}
-            for e in tracer.events
-            if e["cat"] == "retry"
-        ]
     else:
         report["phases_s"] = None
         report["spans"] = None
         report["wall_s"] = None
-    report["retries"] = retries
     if extra:
         report.update(extra)
     return report

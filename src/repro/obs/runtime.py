@@ -11,10 +11,9 @@ measurable on the per-iteration hot path.
 One :class:`Observation` bundles the two optional sinks — a
 :class:`~repro.obs.trace.Tracer` and a
 :class:`~repro.obs.metrics.MetricsRegistry` — and is installed
-process-wide. Worker processes of the shm executor get their own
-observation (:func:`enable_worker`) whose events/metrics are shipped
-back over IPC (:func:`drain`) and stitched into the parent's
-(:func:`ingest`).
+process-wide. Both are single-threaded: the engine records from the
+thread that called ``run``, and the executor's worker threads record
+nothing (the caller's ``phase/scatter`` span covers their folds).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
-    Mapping,
     Optional,
     Tuple,
 )
@@ -42,16 +40,11 @@ __all__ = [
     "active",
     "add",
     "disable",
-    "drain",
-    "enable_worker",
     "enabled",
     "event",
     "gauge",
-    "ingest",
     "install",
     "observe",
-    "reset",
-    "shipping",
     "span",
 ]
 
@@ -77,23 +70,15 @@ NOOP = _NoopSpan()
 
 #: Counters pre-registered at 0 by every metrics-enabled observation, so
 #: snapshots and reports always carry the core names even when the run
-#: never touched a subsystem (e.g. a serial run's IPC counters).
+#: never touched a subsystem (e.g. a cache-free run's cache counters).
 BASELINE_COUNTERS: Tuple[str, ...] = (
-    "ipc.round_trips",
-    "ipc.payload_bytes",
-    "pool.spawns",
     "plan.cache_builds",
     "plan.cache_hits",
-    "plan.token_hits",
-    "plan.token_misses",
     "storage.bytes_read",
     "storage.segments_read",
     "storage.crc_verified",
     "storage.edge_files_mmap",
     "storage.edge_files_eager",
-    "retry.worker_errors",
-    "retry.retries",
-    "retry.serial_fallbacks",
     "checkpoint.groups_stored",
     "checkpoint.groups_loaded",
     "cache.hits",
@@ -178,12 +163,6 @@ def disable() -> None:
     install(None)
 
 
-def reset() -> None:
-    """Drop any (possibly fork-inherited) observation. Worker processes
-    call this on startup so a parent's observation never leaks in."""
-    install(None)
-
-
 # ----------------------------------------------------------------- #
 # the engine-facing hooks (hot-path safe)
 
@@ -204,7 +183,7 @@ def span(
 
 
 def event(cat: str, name: str, args: Optional[Dict[str, Any]] = None) -> None:
-    """Record an instant event (e.g. a retry) on the active tracer."""
+    """Record an instant event on the active tracer."""
     observation = _ACTIVE
     if observation is not None and observation.tracer is not None:
         observation.tracer.instant(cat, name, args)
@@ -238,63 +217,3 @@ def absorb_counters(counters: Any, prefix: str = "engine.") -> None:
         value = getattr(counters, f.name)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             observation.registry.put(prefix + f.name, value)
-
-
-# ----------------------------------------------------------------- #
-# worker-side observability (shipped over the shm executor's IPC)
-
-
-def shipping() -> bool:
-    """Whether dispatches should ask workers to record (and ship) spans."""
-    observation = _ACTIVE
-    return observation is not None and observation.tracer is not None
-
-
-def enable_worker(worker: int) -> None:
-    """Install a fresh worker-side observation (tid ``worker + 1``)."""
-    install(
-        Observation(
-            tracer=Tracer(tid=worker + 1, label=f"worker-{worker}"),
-            registry=MetricsRegistry(),
-        )
-    )
-
-
-def drain() -> Optional[Dict[str, Any]]:
-    """Take the worker's recorded events/metrics for shipment (pickled
-    over the reply pipe); clears them so the next drain is incremental.
-    None when this worker records nothing."""
-    observation = _ACTIVE
-    if observation is None or observation.tracer is None:
-        return None
-    tracer = observation.tracer
-    payload: Dict[str, Any] = {
-        "events": list(tracer.events),
-        "threads": [
-            [pid, tid, label] for (pid, tid), label in tracer.threads.items()
-        ],
-        "metrics": (
-            observation.registry.snapshot()
-            if observation.registry is not None
-            else None
-        ),
-    }
-    tracer.events.clear()
-    if observation.registry is not None:
-        observation.registry.reset()
-    return payload
-
-
-def ingest(payload: Optional[Mapping[str, Any]]) -> None:
-    """Stitch one worker's drained payload into the parent observation."""
-    observation = _ACTIVE
-    if observation is None or payload is None:
-        return
-    if observation.tracer is not None:
-        observation.tracer.events.extend(payload.get("events") or ())
-        for entry in payload.get("threads") or ():
-            pid, tid, label = entry
-            observation.tracer.threads[(int(pid), int(tid))] = str(label)
-    metrics_snap = payload.get("metrics")
-    if observation.registry is not None and metrics_snap:
-        observation.registry.merge(metrics_snap)

@@ -6,18 +6,15 @@ schema, one JSON object per line in the JSONL export)::
     {"name": "apply", "cat": "phase", "ph": "X", "ts": <seconds>,
      "dur": <seconds>, "pid": 1234, "tid": 0, "depth": 2, "args": {...}}
 
-``ph`` is ``"X"`` for complete spans and ``"i"`` for instant events
-(e.g. retries). ``ts`` is a raw monotonic-clock reading — on Linux
-``time.perf_counter`` is ``CLOCK_MONOTONIC``, which shares its epoch
-across forked worker processes, so worker events stitched into a parent
-trace stay on the same timeline. ``depth`` is the span-nesting depth at
-begin time within one tracer (run=0, group=1, iteration=2, phase=3 on
-the engine's hierarchy); events appear in begin order.
+``ph`` is ``"X"`` for complete spans and ``"i"`` for instant events.
+``ts`` is a raw monotonic-clock reading (``time.perf_counter``).
+``depth`` is the span-nesting depth at begin time within one tracer
+(run=0, group=1, iteration=2, phase=3 on the engine's hierarchy); events
+appear in begin order.
 
 Categories: ``run`` / ``group`` / ``iteration`` are the logical skeleton
 (see :func:`logical_sequence`, which the executor-parity tests compare);
-``phase`` spans carry the time attribution; ``retry`` marks resilience
-events.
+``phase`` spans carry the time attribution.
 
 :func:`chrome_trace` converts events to the Chrome trace-event format
 (``ts``/``dur`` in microseconds, relative to the trace start) that
@@ -117,9 +114,9 @@ class Tracer:
 
     ``clock`` is the injected time source (default
     ``time.perf_counter``); this class is the only place in the library
-    that reads it. ``(pid, tid)`` identify the
-    lane in exported traces — the parent uses tid 0, stitched workers
-    tid ``worker+1`` — and ``threads`` maps lanes to display labels.
+    that reads it. ``(pid, tid)`` identify the lane in exported traces
+    (the engine records on one lane, tid 0), and ``threads`` maps lanes
+    to display labels.
     """
 
     __slots__ = ("clock", "pid", "tid", "events", "threads", "depth")
@@ -128,16 +125,14 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         pid: Optional[int] = None,
-        tid: int = 0,
-        label: str = "main",
     ) -> None:
         self.clock: Callable[[], float] = (
             time.perf_counter if clock is None else clock
         )
         self.pid: int = os.getpid() if pid is None else pid
-        self.tid: int = tid
+        self.tid: int = 0
         self.events: List[Event] = []
-        self.threads: Dict[Tuple[int, int], str] = {(self.pid, tid): label}
+        self.threads: Dict[Tuple[int, int], str] = {(self.pid, 0): "main"}
         self.depth: int = 0
 
     def span(

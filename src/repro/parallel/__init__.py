@@ -1,9 +1,9 @@
 """Simulated multi-core execution (paper Sections 3.4 and 6.2).
 
-Multi-core behaviour is *simulated* deterministically rather than run on
-real threads (the GIL would serialise Python threads anyway, and the paper's
-multi-core results are about memory-system events, which the simulation
-measures exactly):
+The paper's multi-core results are about memory-system events — misses,
+inter-core transfers, lock contention — so multi-core behaviour is
+*simulated* deterministically, and the simulation measures those events
+exactly:
 
 - **partition-parallelism** assigns vertex partitions to cores; push-mode
   propagation across partitions acquires per-vertex locks
@@ -17,11 +17,12 @@ measures exactly):
 Per-iteration simulated time is the slowest core's cycles in that iteration
 (BSP barrier), summed over iterations.
 
-*Real* (wall-clock) parallelism lives next door: :mod:`repro.parallel.shm`
-runs LABS groups on a persistent pool of OS processes over shared-memory
-state, sharding each group's gather plan by destination segments
-(:mod:`repro.parallel.plan_shard`) so the parallel fold is lock-free and
-bitwise identical to serial execution. Select it with
+*Real* (wall-clock) partition-parallelism lives next door:
+:mod:`repro.parallel.shm` folds each LABS group's gather plan on a
+persistent pool of threads, one destination-vertex shard per thread
+(:mod:`repro.parallel.plan_shard`), so the parallel fold is lock-free and
+bitwise identical to serial execution. The fold is a native call that
+releases the GIL, so the threads run on real cores. Select it with
 ``EngineConfig(executor="process", workers=N)``.
 """
 
@@ -33,8 +34,6 @@ __all__ = [
     "run_multicore",
     "PlanShard",
     "shard_boundaries",
-    "SharedMemoryAllocator",
-    "WorkerPool",
     "shutdown_pool",
 ]
 
@@ -43,8 +42,6 @@ _LAZY = {
     "run_multicore": "repro.parallel.multicore",
     "PlanShard": "repro.parallel.plan_shard",
     "shard_boundaries": "repro.parallel.plan_shard",
-    "SharedMemoryAllocator": "repro.parallel.shm",
-    "WorkerPool": "repro.parallel.shm",
     "shutdown_pool": "repro.parallel.shm",
 }
 

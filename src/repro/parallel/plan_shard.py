@@ -1,4 +1,4 @@
-"""Sharding the edge-major gather plan across real workers.
+"""Sharding the edge-major gather plan across worker threads.
 
 The :class:`~repro.engine.kernels.GatherPlan` stream is the live pairs of
 the group's in-edge array in ``(dst, src, snapshot)`` order, so it is
@@ -11,22 +11,21 @@ folds exactly its own slice, and because each cell's contributions stay in
 the same stream order as the serial fold, the result is bitwise identical
 to serial execution.
 
-:func:`shard_boundaries` is computed by the parent once per (group,
-session); :class:`PlanShard` is built by each worker once per group from
-the shared-memory copies of the plan arrays — once per group, never once
-per iteration.
+:func:`shard_boundaries` and the :class:`PlanShard` slices are cut once
+per group (:class:`repro.parallel.shm.GroupShards`), never once per
+iteration.
 
 **Shard-race sanitizer** (``EngineConfig(sanitize=True)`` — TSan for
 owner-computes): the lock-free correctness argument above is an
 *invariant*, not a property the runtime otherwise checks. With the
-sanitizer on, the parent verifies the shard slices tile the stream with
+sanitizer on, the caller verifies the shard slices tile the stream with
 pairwise-disjoint destination-vertex ranges
-(:func:`verify_disjoint_ownership`) and publishes a shadow **ownership
+(:func:`verify_disjoint_ownership`) and builds a shadow **ownership
 map** — one byte per accumulator cell, holding ``worker_id + 1`` for the
-owner (:func:`ownership_map`) — into shared memory next to the plan. Every
-worker fold then validates the cells it is about to write against that map
-*at the write site* (:meth:`PlanShard.fold`), so an overlapping shard plan
-or an out-of-ownership write raises a typed
+owner (:func:`ownership_map`) — shared by every shard. Every worker fold
+then validates the cells it is about to write against that map *at the
+write site* (:meth:`PlanShard.fold`), so an overlapping shard plan or an
+out-of-ownership write raises a typed
 :class:`~repro.errors.ShardRaceError` naming the group, the writing
 worker, and the owning worker, instead of silently corrupting the
 accumulator. Clean runs are bitwise-unaffected: the sanitizer only reads
@@ -40,11 +39,11 @@ non-decreasing ownership key per entry — the destination vertex,
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.engine.kernels import fold_stream
+from repro.engine.kernels import GatherPlan, fold_stream
 from repro.errors import EngineError, ShardRaceError
 
 #: Ownership-map claims are ``worker_id + 1`` stored in one byte
@@ -61,9 +60,9 @@ def ownership_map(
 ) -> np.ndarray:
     """``(ncells,)`` uint8 claim map: cell -> owning ``worker_id + 1``.
 
-    Built by the parent from the plan's destination stream and the shard
-    boundaries *before* any worker scatters, so detection cannot race the
-    writes it polices. Cells no stream entry targets stay 0 (unowned) —
+    Built from the plan's destination stream and the shard boundaries
+    *before* any worker scatters, so detection cannot race the writes it
+    polices. Cells no stream entry targets stay 0 (unowned) —
     a write there is out-of-ownership by definition.
     """
     workers = int(bounds.shape[0]) - 1
@@ -174,15 +173,11 @@ class PlanShard:
     Mirrors the :class:`~repro.engine.kernels.GatherPlan` stream surface
     consumed by :func:`~repro.engine.kernels.stream_scatter` —
     ``src_flat``, ``weight_stream``, ``select_*`` and ``fold`` — restricted
-    to positions ``[start, stop)`` of the full stream. ``arrays`` is the
-    worker's plan-cache entry (role name -> attached shared-memory
-    array; ``weights`` only when the program reads them,
-    ``src_flat_c`` only where it is not ``src_flat`` itself — C order *is*
-    the physical order under time-locality) and is sliced zero-copy, so
-    construction is O(1).
+    to positions ``[start, stop)`` of ``plan``'s stream. The plan's arrays
+    are sliced zero-copy, so construction is O(1).
 
-    When the parent published an ownership claim map (``sanitize_map``;
-    see :func:`ownership_map`), :meth:`fold` validates every destination
+    When an ownership claim map is given (``sanitize_map``; see
+    :func:`ownership_map`), :meth:`fold` validates every destination
     cell it is about to write against the map before the native fold
     runs and raises
     :class:`~repro.errors.ShardRaceError` on an out-of-ownership write.
@@ -190,9 +185,7 @@ class PlanShard:
 
     def __init__(
         self,
-        arrays: "Mapping[str, np.ndarray]",
-        num_vertices: int,
-        num_snapshots: int,
+        plan: "GatherPlan",
         start: int,
         stop: int,
         sanitize_map: Optional[np.ndarray] = None,
@@ -201,14 +194,12 @@ class PlanShard:
     ) -> None:
         self.start = int(start)
         self.stop = int(stop)
-        self.dst_flat = arrays["dst_flat"][start:stop]
-        self.src_flat = arrays["src_flat"][start:stop]
-        self.src_flat_c = arrays.get("src_flat_c", arrays["src_flat"])[start:stop]
-        self.snap_ids = arrays["snap_ids"][start:stop]
-        weights = arrays.get("weights")
+        self.dst_flat = plan.dst_flat[start:stop]
+        self.src_flat = plan.src_flat[start:stop]
+        self.src_flat_c = plan.src_flat_c[start:stop]
+        self.snap_ids = plan.snap_ids[start:stop]
+        weights = plan.weight_stream
         self.weight_stream = None if weights is None else weights[start:stop]
-        self.num_vertices = int(num_vertices)
-        self.num_snapshots = int(num_snapshots)
         self.sanitize_map = sanitize_map
         self.worker_id = int(worker_id)
         self.group_start = int(group_start)

@@ -1,35 +1,28 @@
-"""Fault tolerance: injection, retry with backoff, checkpoint/resume.
+"""Fault tolerance: injection and checkpoint/resume.
 
 This package makes partial failure a handled case instead of a run-ending
-one, across three layers:
+one:
 
 - :mod:`repro.resilience.faults` — a seeded, deterministic
-  :class:`~repro.resilience.faults.FaultPlan` that can kill a worker at a
-  chosen LABS group, hang it past its deadline, raise inside its scatter,
-  corrupt bytes of a storage file, or abort the parent mid-series. All
-  hooks are zero-overhead when no plan is installed (one ``None`` check).
-- :mod:`repro.resilience.retry` — deadline/retry policy for the process
-  executor: a timed-out or dead worker breaks the pool, the pool is
-  respawned and the failed group alone is retried with exponential
-  backoff, and persistent failure degrades gracefully to the serial
-  executor (results stay bitwise identical — group recomputation is
-  deterministic).
+  :class:`~repro.resilience.faults.FaultPlan` that can corrupt bytes of a
+  storage file, simulate a process death at a named durability point of
+  the streaming write path (``crash_point``, raising
+  :class:`~repro.errors.InjectedCrash`), or hard-kill a run mid-series
+  (``abort_run_after``). All hooks are zero-overhead when no plan is
+  installed (one ``None`` check).
 - :mod:`repro.resilience.checkpoint` — per-group result persistence so an
   interrupted series run resumes at the first incomplete group
   (``run(..., checkpoint_dir=...)``), built on the vertex-file storage
   primitives with CRC-verified reloads.
 """
 
-from repro.resilience.faults import FaultPlan, InjectedFault, active, injected
-from repro.resilience.retry import RetryPolicy, execute_with_retry
+from repro.resilience.faults import FaultPlan, InjectedCrash, active, injected
 from repro.resilience.checkpoint import RunCheckpoint
 
 __all__ = [
     "FaultPlan",
-    "InjectedFault",
-    "RetryPolicy",
+    "InjectedCrash",
     "RunCheckpoint",
     "active",
-    "execute_with_retry",
     "injected",
 ]

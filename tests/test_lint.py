@@ -4,8 +4,7 @@ All lint fixtures live inside string literals — chronolint parses
 comments with ``tokenize``, so suppression tags (and violations) inside
 strings are inert, which is exactly what lets this file itself stay
 clean under ``chronolint tests/``. The fixtures of the retired syntactic
-rules CHR004 / CHR008 are inputs of the call-graph rules that subsume
-them, CHF004 / CHF003.
+rule CHR008 are inputs of the call-graph rule that subsumes it, CHF003.
 """
 
 import tempfile
@@ -198,57 +197,6 @@ def test_chr003_suppressed_by_allow_tag():
 
 
 # ---------------------------------------------------------------------- #
-# IPC picklability — the retired CHR004's fixtures, now CHF004 inputs
-
-
-def test_chr004_fires_on_lambda_in_ipc_message(tmp_path):
-    src = "pool.call_each([(\"run\", lambda: 1)])\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
-
-
-def test_chr004_fires_on_ndarray_in_conn_send(tmp_path):
-    # Arrays simply do not belong in a pipe message, picklable or not.
-    src = "import numpy as np\nconn.send((\"setup\", np.zeros(4, dtype=np.float64)))\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
-
-
-def test_chr004_passes_primitive_messages_and_generator_send(tmp_path):
-    src = "pool.call_all((\"scatter\",))\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
-    src = "parent_conn.send((\"ok\", 3, \"done\"))\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
-    # A generator's .send is not IPC.
-    src = "import numpy as np\ngen.send(np.zeros(4, dtype=np.float64))\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
-
-
-def test_chr004_covers_send_bytes_framing(tmp_path):
-    # The batched-dispatch framing (pickle.dumps + send_bytes) obeys the
-    # same contract: no closures, no array payloads.
-    src = "conn.send_bytes(lambda: 1)\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
-    src = (
-        "import numpy as np\n"
-        "conn.send_bytes(np.frombuffer(buf, dtype=np.uint8))\n"
-    )
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
-    # Pre-serialized bytes by name are exactly what the framing ships.
-    src = "conn.send_bytes(payload)\n"
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == []
-
-
-def test_chr004_rejects_memmap_in_ipc_message(tmp_path):
-    # Memmap-backed blocks cross the pipe as (path, offset, shape, dtype)
-    # specs — never as the mapped array itself (pickling one copies it).
-    src = (
-        "import numpy as np\n"
-        "pool.call_each([(\"batch\", np.memmap(p, dtype=np.uint8, "
-        "mode=\"r\"))])\n"
-    )
-    assert flow_fired(tmp_path, src, PARALLEL, "CHF004") == ["CHF004"]
-
-
-# ---------------------------------------------------------------------- #
 # CHR005 — typed raises
 
 
@@ -340,9 +288,9 @@ def test_chr007_fires_on_datetime_now():
 def test_chr007_fires_on_ad_hoc_span_recorders():
     src = "from repro.obs import Tracer\nt = Tracer()\n"
     assert fired(src, ENGINE) == ["CHR007"]
-    src2 = "from repro.obs.trace import Tracer\nt = Tracer(tid=2)\n"
+    src2 = "from repro.obs.trace import Tracer\nt = Tracer(pid=2)\n"
     assert fired(src2, LIBRARY) == ["CHR007"]
-    src3 = "from repro.obs import trace\nt = trace.Tracer(tid=1)\n"
+    src3 = "from repro.obs import trace\nt = trace.Tracer(pid=1)\n"
     assert fired(src3, PARALLEL) == ["CHR007"]
 
 
@@ -352,7 +300,7 @@ def test_chr007_passes_inside_obs_and_outside_library():
     assert fired(src, OBS) == []
     assert fired(src, OUTSIDE) == []
     assert fired("from repro.obs.trace import Tracer\nt = Tracer()\n", OBS) == []
-    # time.sleep is not a clock read (retry backoff uses it).
+    # time.sleep is not a clock read.
     assert fired("import time\ntime.sleep(0.1)\n", PARALLEL) == []
 
 
@@ -541,7 +489,7 @@ def test_cli_usage_errors_and_list_rules(capsys):
     out = capsys.readouterr().out
     listed = [line.split()[0] for line in out.splitlines() if line[:1] == "C"]
     assert listed == [
-        "CHF001", "CHF002", "CHF003", "CHF004",
+        "CHF001", "CHF002", "CHF003",
         "CHR001", "CHR002", "CHR003", "CHR005", "CHR006", "CHR007",
     ]
 

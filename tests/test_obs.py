@@ -3,7 +3,7 @@ no-op-when-disabled contract.
 
 The two contracts the engine's correctness story needs from this layer:
 
-- **Executor parity**: serial and process runs emit identical *logical*
+- **Executor parity**: serial and threaded runs emit identical *logical*
   event sequences (group/iteration spans with their args) — the trace is
   a function of the computation, not of the executor.
 - **Provable no-op**: with observability disabled, results are bitwise
@@ -133,18 +133,17 @@ def test_serial_and_process_emit_identical_logical_sequences(app):
     assert seq_serial  # non-vacuous: groups and iterations were recorded
 
 
-def test_worker_spans_are_stitched_into_the_parent_trace():
+def test_threaded_run_records_on_the_calling_thread_only():
+    # Worker threads record no spans: the tracer is single-threaded, and
+    # the caller's scatter phase span covers the sharded fold.
     config = EngineConfig(
         mode="push", batch_size=4, executor="process", workers=2
     )
     _, ob = _observed_run("pagerank", config)
-    lanes = {(e["pid"], e["tid"]) for e in ob.tracer.events}
-    worker_lanes = {lane for lane in lanes if lane[1] > 0}
-    assert worker_lanes, "no worker events were shipped back"
-    labels = set(ob.tracer.threads.values())
-    assert "main" in labels and any(l.startswith("worker-") for l in labels)
-    worker_events = [e for e in ob.tracer.events if e["tid"] > 0]
-    assert {e["name"] for e in worker_events} >= {"worker_scatter"}
+    assert {e["tid"] for e in ob.tracer.events} == {0}
+    assert list(ob.tracer.threads.values()) == ["main"]
+    assert "scatter" in ob.tracer.phase_seconds()
+    assert ob.tracer.depth == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -178,9 +177,9 @@ def test_disabled_span_is_the_shared_noop_singleton():
     assert obs.span("phase", "apply") is obs.NOOP
     assert obs.span("iteration", "iteration", {"i": 1}) is obs.NOOP
     # Metric writers are no-ops without a registry to mutate.
-    obs.add("ipc.round_trips")
+    obs.add("plan.cache_hits")
     obs.gauge("x", 1.0)
-    obs.event("retry", "retry")
+    obs.event("phase", "marker")
     assert obs.active() is None
 
 
@@ -208,7 +207,7 @@ def test_registry_counters_gauges_histograms_and_diff():
     assert delta["counters"]["b"] == 0
 
 
-def test_run_metrics_capture_ipc_caches_and_engine_counters():
+def test_run_metrics_capture_caches_and_engine_counters():
     config = EngineConfig(
         mode="push", batch_size=4, executor="process", workers=2
     )
@@ -216,21 +215,12 @@ def test_run_metrics_capture_ipc_caches_and_engine_counters():
     counters = ob.registry.snapshot()["counters"]
     for name in BASELINE_COUNTERS:
         assert name in counters  # baselines always present
-    assert counters["ipc.round_trips"] > 0
-    assert counters["ipc.payload_bytes"] > 0
     assert counters["plan.cache_builds"] > 0
     # Absorbed engine counters mirror the result's logical totals.
     assert counters["engine.iterations"] == result.counters.iterations
     assert (
         counters["engine.acc_updates"] == result.counters.acc_updates
     )
-
-
-def test_serial_run_keeps_ipc_counters_at_zero():
-    _, ob = _observed_run("pagerank", EngineConfig(mode="push"))
-    counters = ob.registry.snapshot()["counters"]
-    assert counters["ipc.round_trips"] == 0
-    assert counters["pool.spawns"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -250,8 +240,8 @@ def test_run_report_shape_and_derived_rates():
     assert report["program"] == "pagerank"
     assert report["config"]["mode"] == "push"
     assert report["counters"]["iterations"] == result.counters.iterations
-    assert report["ipc"]["round_trips"] == 0
-    assert report["retries"]["worker_errors"] == 0
+    assert report["storage"]["bytes_read"] == 0
+    assert report["checkpoint"]["groups_stored"] == 0
     rate = report["derived"]["plan_cache_hit_rate"]
     assert rate is not None and 0.0 < rate < 1.0
     assert report["phases_s"] and "apply" in report["phases_s"]
@@ -290,7 +280,7 @@ def test_distributed_report_same_shape_with_network_figures():
     assert counters["distributed.messages"] == result.messages
     assert counters["distributed.message_bytes"] == result.message_bytes
     # Same top-level shape as an engine run report.
-    for key in ("counters", "metrics", "derived", "ipc", "retries"):
+    for key in ("counters", "metrics", "derived", "storage", "checkpoint"):
         assert key in report
 
 

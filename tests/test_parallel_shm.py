@@ -1,21 +1,23 @@
-"""Real shared-memory multiprocess execution: parity and robustness.
+"""The thread executor (``executor="process"``): parity and robustness.
 
-The process executor (:mod:`repro.parallel.shm`) promises *bitwise*
-identical values and *identical* logical counters versus the serial
-executor — owner-computes plan sharding keeps every accumulator cell's
-fold order unchanged, and apply/convergence run through the serial code
-path in the parent. These tests state that promise over the full
-application matrix, and pin the failure-handling contract: a worker that
-raises mid-iteration propagates its exception without deadlocking and
-without leaking a single ``/dev/shm`` segment.
+:mod:`repro.parallel.shm` folds each LABS group's plan shards on a
+persistent pool of worker threads. It promises *bitwise* identical values
+and *identical* logical counters versus the serial executor —
+owner-computes plan sharding keeps every accumulator cell's fold order
+unchanged, and apply/convergence run through the serial code path in the
+calling thread. These tests state that promise over the application
+matrix (apps × modes × layouts × batch sizes × worker counts × sanitizer),
+and pin the rest of the executor's contract: an exception in one thread
+propagates as itself and leaves the pool usable, checkpoint resume works
+on threads, and shards are cut once per group.
 """
 
-import glob
 import os
 import subprocess
 import sys
 import textwrap
-import warnings
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.algorithms.program import GatherKind, Semantics, VertexProgram
 from repro.engine.config import EngineConfig
 from repro.engine.runner import run, run_group
 from repro.errors import EngineError
+from repro.layout.vertex_array import LayoutKind
 from repro.parallel import shm
 from repro.parallel.plan_shard import shard_boundaries
 from tests.conftest import random_temporal_graph
@@ -34,9 +37,16 @@ from tests.conftest import random_temporal_graph
 #: Overridable so the CI multi-worker smoke job can run the same tests
 #: at workers=4 (see .github/workflows/ci.yml).
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+#: Every pool size the parity matrix runs: two shards, an odd count, and
+#: whatever the environment asks for.
+POOL_SIZES = sorted({2, 3, WORKERS})
 ALGOS = ["pagerank", "wcc", "sssp", "mis", "spmv"]
-MODES = ["push", "pull"]
-BATCHES = [1, 4, 16]
+MODES = ["push", "pull", "stream"]
+LAYOUTS = [LayoutKind.TIME_LOCALITY, LayoutKind.STRUCTURE_LOCALITY]
+#: 16 snapshots: one-snapshot groups, a ragged last group (3), and
+#: two / four / one whole-series group(s).
+BATCHES = [1, 3, 4, 8, 16]
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +65,15 @@ def _shutdown_pool_after():
     shm.shutdown_pool()
 
 
-def assert_no_segment_leaks():
-    assert glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}*") == []
+def assert_same_run(got, want, label=""):
+    """Bitwise identity, not approximate equality: same bytes, every cell,
+    and every counter."""
+    assert got.values.tobytes() == want.values.tobytes(), label
+    assert got.counters == want.counters, label
+
+
+def threaded(workers=WORKERS, **kwargs):
+    return EngineConfig(executor="process", workers=workers, **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -68,18 +85,35 @@ def assert_no_segment_leaks():
 @pytest.mark.parametrize("algo", ALGOS)
 def test_process_executor_parity(series16, algo, mode, batch):
     program = make_program(algo)
-    serial = run(series16, program, EngineConfig(mode=mode, batch_size=batch))
-    parallel = run(
-        series16,
-        program,
-        EngineConfig(
-            mode=mode, batch_size=batch, executor="process", workers=WORKERS
-        ),
-    )
-    # Bitwise identity, not approximate equality: same bytes, every cell.
-    assert parallel.values.tobytes() == serial.values.tobytes()
-    assert parallel.counters == serial.counters
-    assert_no_segment_leaks()
+    for layout in LAYOUTS:
+        base = dict(mode=mode, layout=layout, batch_size=batch)
+        serial = run(series16, program, EngineConfig(**base))
+        for workers in POOL_SIZES:
+            for sanitize in (False, True):
+                got = run(
+                    series16,
+                    program,
+                    threaded(workers, sanitize=sanitize, **base),
+                )
+                assert_same_run(
+                    got, serial, f"{layout.value} x{workers} sanitize={sanitize}"
+                )
+
+
+def test_many_threads_with_fast_switching_stay_bitwise(series16):
+    """More shards than cores, with the interpreter switching threads as
+    often as it can: a lost or doubled accumulator update would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for algo, mode in (("pagerank", "pull"), ("sssp", "push")):
+            program = make_program(algo)
+            base = dict(mode=mode, batch_size=8)
+            serial = run(series16, program, EngineConfig(**base))
+            got = run(series16, program, threaded(8, sanitize=True, **base))
+            assert_same_run(got, serial, algo)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(deadline=None, max_examples=5)
@@ -91,19 +125,12 @@ def test_process_parity_random_graphs(seed):
     series = g.series(g.evenly_spaced_times(5))
     program = make_program("pagerank")
     serial = run(series, program, EngineConfig(mode="push", batch_size=4))
-    parallel = run(
-        series,
-        program,
-        EngineConfig(
-            mode="push", batch_size=4, executor="process", workers=WORKERS
-        ),
-    )
-    assert parallel.values.tobytes() == serial.values.tobytes()
-    assert parallel.counters == serial.counters
+    parallel = run(series, program, threaded(mode="push", batch_size=4))
+    assert_same_run(parallel, serial)
 
 
 def test_initial_values_seeding_parity(series16):
-    """Incremental-style seeding goes through the same shared arrays."""
+    """Incremental-style seeding goes through the same sharded scatter."""
     program = make_program("sssp")
     group = series16.group(0, 8)
     rng = np.random.default_rng(11)
@@ -114,14 +141,10 @@ def test_initial_values_seeding_parity(series16):
         group, program, EngineConfig(mode="push"), **kwargs
     )
     vals_par, counters_par = run_group(
-        group,
-        program,
-        EngineConfig(mode="push", executor="process", workers=WORKERS),
-        **kwargs,
+        group, program, threaded(mode="push"), **kwargs
     )
     assert vals_par.tobytes() == vals_ser.tobytes()
     assert counters_par == counters_ser
-    assert_no_segment_leaks()
 
 
 class RenamedPageRank(PageRank):
@@ -132,7 +155,7 @@ class RenamedPageRank(PageRank):
 
 def test_renamed_pagerank_subclass_gets_degrees(series16):
     """``needs_degrees`` is declared by the class, not inferred from the
-    program's name, on the serial, simulated and process paths alike."""
+    program's name, on the serial, simulated and threaded paths alike."""
     want = run(series16, PageRank(iterations=3), EngineConfig(batch_size=4))
     for kwargs in (
         {},
@@ -145,26 +168,38 @@ def test_renamed_pagerank_subclass_gets_degrees(series16):
             EngineConfig(batch_size=4, **kwargs),
         )
         assert got.values.tobytes() == want.values.tobytes(), kwargs
-    assert_no_segment_leaks()
 
 
 # ---------------------------------------------------------------------- #
-# robustness: worker failure must not deadlock or leak
+# robustness: a failing thread must not deadlock or break the pool
 
 
 class ExplodingProgram(VertexProgram):
-    """PageRank-shaped program whose scatter raises inside the workers."""
+    """PageRank-shaped program whose first scatter call raises.
+
+    Exactly one shard of the first iteration fails; the others complete.
+    """
 
     name = "exploding"
     semantics = Semantics.REGATHER
     gather = GatherKind.SUM
     max_iterations = 5
 
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.armed = True
+        self.exploded_in = None
+
     def initial_values(self, group):
         return np.where(group.vertex_exists, 1.0, np.nan)
 
     def scatter(self, values, weights, degrees):
-        raise ValueError("boom from a worker")
+        with self._lock:
+            armed, self.armed = self.armed, False
+        if armed:
+            self.exploded_in = threading.current_thread().name
+            raise ValueError("boom from a worker")
+        return values
 
     def apply(self, values, acc, group):
         return acc
@@ -174,27 +209,24 @@ class ExplodingProgram(VertexProgram):
 
 
 def test_worker_exception_propagates_and_cleans_up(series16):
-    config = EngineConfig(mode="push", executor="process", workers=WORKERS)
-    with pytest.raises(ValueError, match="boom from a worker"):
-        run(series16, ExplodingProgram(), config)
-    # The pool was torn down, nothing leaked, and — crucially — we got
-    # here at all: the failure surfaced instead of deadlocking the BSP
-    # barrier.
-    assert_no_segment_leaks()
-    # The executor recovers: the next run builds a fresh pool and works.
     program = make_program("wcc")
     serial = run(series16, program, EngineConfig(mode="push", batch_size=4))
-    parallel = run(
-        series16,
-        program,
-        EngineConfig(mode="push", batch_size=4, executor="process", workers=WORKERS),
-    )
-    assert parallel.values.tobytes() == serial.values.tobytes()
-    assert_no_segment_leaks()
+    run(series16, program, threaded(mode="push", batch_size=4))  # warm pool
+    spawns = shm.POOL_SPAWNS
+    exploding = ExplodingProgram()
+    with pytest.raises(ValueError, match="boom from a worker"):
+        run(series16, exploding, threaded(mode="push"))
+    # The raise came from a pool thread, and surfaced as itself instead of
+    # deadlocking the barrier.
+    assert exploding.exploded_in.startswith("repro-worker")
+    # The same pool serves the next run, correctly.
+    parallel = run(series16, program, threaded(mode="push", batch_size=4))
+    assert shm.POOL_SPAWNS == spawns
+    assert_same_run(parallel, serial)
 
 
-def test_no_resource_tracker_warnings_at_exit():
-    """A clean interpreter exit after process runs emits no tracker noise."""
+def test_clean_interpreter_exit_after_threaded_runs():
+    """Exiting with a live pool joins its threads: no hang, no traceback."""
     script = textwrap.dedent(
         """
         import sys
@@ -215,12 +247,66 @@ def test_no_resource_tracker_warnings_at_exit():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
+        cwd=str(REPO),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "leaked" not in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr == "", proc.stderr
+
+
+# ---------------------------------------------------------------------- #
+# once per group: shard cuts; and checkpoint resume on threads
+
+
+def test_shard_boundaries_cut_once_per_group(series16, monkeypatch):
+    """Each group's plan is cut into shards once, before its first
+    scatter — never once per iteration."""
+    calls = []
+    real = shm.shard_boundaries
+
+    def counting(keys, workers):
+        calls.append(workers)
+        return real(keys, workers)
+
+    monkeypatch.setattr(shm, "shard_boundaries", counting)
+    result = run(
+        series16, make_program("pagerank"), threaded(mode="push", batch_size=2)
+    )
+    groups = -(-series16.num_snapshots // 2)
+    assert calls == [WORKERS] * groups
+    assert result.counters.iterations > groups  # else the check is vacuous
+
+
+def test_checkpoint_resume_on_threads(series16, tmp_path):
+    program = make_program("wcc")
+    config = threaded(mode="push", batch_size=2)
+    serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
+    first = run(series16, program, config, checkpoint_dir=tmp_path)
+    assert first.resumed_groups == 0
+    resumed = run(series16, program, config, checkpoint_dir=tmp_path)
+    assert resumed.resumed_groups == -(-series16.num_snapshots // 2)
+    for result in (first, resumed):
+        assert_same_run(result, serial)
+
+
+def test_restored_groups_complete_in_series_order(series16, tmp_path):
+    """A partial checkpoint interleaves restored and recomputed groups;
+    the group loop must complete them in series order (the checkpoint
+    store and counter merge depend on it)."""
+    program = make_program("pagerank")
+    config = threaded(mode="push", batch_size=2)
+    serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
+    full = run(series16, program, config, checkpoint_dir=tmp_path)
+    assert full.values.tobytes() == serial.values.tobytes()
+    # Drop a middle group's checkpoint: the rerun restores 7 groups and
+    # recomputes exactly one, in place.
+    ckpts = sorted(tmp_path.glob("group_*"))
+    assert len(ckpts) == 8
+    ckpts[3].unlink()
+    with pytest.warns(RuntimeWarning, match="unreadable"):
+        partial = run(series16, program, config, checkpoint_dir=tmp_path)
+    assert partial.resumed_groups == 7
+    assert_same_run(partial, serial)
 
 
 # ---------------------------------------------------------------------- #
@@ -231,11 +317,7 @@ def test_workers_one_falls_back_to_serial(series16):
     program = make_program("pagerank")
     serial = run(series16, program, EngineConfig(mode="push", batch_size=4))
     with pytest.warns(RuntimeWarning, match="falling back to the serial"):
-        result = run(
-            series16,
-            program,
-            EngineConfig(mode="push", batch_size=4, executor="process", workers=1),
-        )
+        result = run(series16, program, threaded(1, mode="push", batch_size=4))
     assert result.values.tobytes() == serial.values.tobytes()
 
 
