@@ -8,18 +8,20 @@ config fields that do shape results — a complete key.
 
 - **Program identity** covers the program class, its declared semantics
   (semantics/gather/tol/max_iterations/needs_weights/directed), and
-  every primitive instance parameter (SSSP's source vertex, PageRank's
-  damping, ...). Changing any of them changes the key.
+  every instance parameter: primitives by value (SSSP's source vertex,
+  PageRank's damping, ...), arrays by dtype, shape and bytes (MIS's
+  priorities). Changing any of them changes the key; a parameter of any
+  other type is an :class:`~repro.errors.EngineError`, never silently
+  left out of the key.
 - **Config digest** covers only the result-shaping fields: mode,
   layout, ``max_iterations`` (a cap changes both values and counters),
   ``distributed`` (message counters), and the ``reuse`` policy itself —
   warm-started REGATHER results are tolerance-equal, not bitwise, so
   entries written under ``reuse="incremental"`` never serve a
   ``reuse="cache"`` run.
-- Executor, workers, sanitize, and checkpointing are deliberately
-  *excluded*: they are proven result-neutral (the executor, sanitizer
-  and checkpoint parity suites), so a serial run can serve a
-  process-executor run and vice versa.
+- Executor, workers and sanitize are deliberately *excluded*: they are
+  proven result-neutral (the executor and sanitizer parity suites), so
+  a serial run can serve a process-executor run and vice versa.
 
 ``CACHE_FORMAT`` versions the whole scheme; bumping it orphans (never
 mis-serves) existing entries.
@@ -29,7 +31,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cache.fingerprint import combine_digests, digest_bytes
+import numpy as np
+
+from repro.cache.fingerprint import _array_chunk, combine_digests, digest_bytes
+from repro.errors import EngineError
 
 if TYPE_CHECKING:
     from repro.algorithms.program import VertexProgram
@@ -55,11 +60,25 @@ def program_identity(program: "VertexProgram") -> str:
         "needs_weights": program.needs_weights,
         "directed": program.directed,
     }
-    # Instance parameters (SSSP source, PageRank damping, ...): every
-    # primitive attribute participates, sorted for determinism.
+    # Instance parameters (SSSP source, PageRank damping, MIS priorities,
+    # ...): every attribute participates, sorted for determinism.
     for attr, value in sorted(vars(program).items()):
         if isinstance(value, _PRIMITIVES):
             ident[f"param.{attr}"] = value
+        elif (
+            isinstance(value, (np.ndarray, np.generic))
+            and not value.dtype.hasobject
+        ):
+            ident[f"param.{attr}"] = (
+                "ndarray",
+                digest_bytes(_array_chunk(value)),
+            )
+        else:
+            raise EngineError(
+                f"{type(program).__name__}.{attr} is a "
+                f"{type(value).__name__}; a cache key covers primitive and "
+                "ndarray program parameters only"
+            )
     return digest_bytes(repr(sorted(ident.items())).encode("utf-8"))
 
 

@@ -7,10 +7,11 @@ directory, so repeated runs in one process hit without touching disk.
 The **disk tier** (optional: ``directory=None`` keeps the cache
 memory-only) persists entries as a raw ``.npy`` value array plus a JSON
 sidecar carrying the counters, provenance metadata, and a CRC32 over
-the value bytes — published through :mod:`repro.storage.atomic` (the
-same write → fsync → rename → directory-fsync discipline as
-:mod:`repro.resilience.checkpoint`), so a cache entry is either
-complete and verifiable or treated as absent.
+the value bytes — published through :mod:`repro.storage.atomic`
+(write → fsync → rename → directory-fsync), so a cache entry is either
+complete and verifiable or treated as absent. Entries land as each
+group completes, which makes the disk tier a run's crash checkpoint: a
+rerun serves every group already persisted and computes the rest.
 
 Misses are the only failure mode: an unreadable, truncated, bit-flipped
 or format-mismatched entry is reported as a miss (and the damaged files

@@ -226,13 +226,6 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "simulated only and is rejected with --executor process",
     )
     runp.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="persist each completed LABS group here; rerunning with the "
-        "same arguments resumes at the first incomplete group",
-    )
-    runp.add_argument(
         "--mmap",
         action="store_true",
         help="out-of-core mode: persist the generated graph as an on-disk "
@@ -258,7 +251,9 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="on-disk tier for --reuse (default: in-memory only); "
+        help="on-disk tier for --reuse (default: in-memory only); each "
+        "computed group lands here as it completes, so rerunning the same "
+        "arguments after a crash resumes where the last run stopped; "
         "inspect it with `repro cache stats --cache-dir DIR`",
     )
     runp.add_argument("--seed", type=int, default=0)
@@ -354,14 +349,9 @@ def _run_and_report(
             f"{config.effective_batch_size(series.num_snapshots)}"
             f"{executor_note}"
         )
-        result = run(series, program, config, checkpoint_dir=args.checkpoint_dir)
+        result = run(series, program, config)
     wall = observation.tracer.duration("run") if observation.tracer else None
     c = result.counters
-    resumed_note = (
-        f", {result.resumed_groups} group(s) resumed from checkpoint"
-        if result.resumed_groups
-        else ""
-    )
     reuse_note = ""
     if args.reuse:
         reuse_note = (
@@ -371,7 +361,7 @@ def _run_and_report(
     print(
         f"done in {wall if wall is not None else 0.0:.2f}s wall; "
         f"{c.iterations} iterations, "
-        f"{c.edge_array_accesses} edge-array accesses{resumed_note}"
+        f"{c.edge_array_accesses} edge-array accesses"
         f"{reuse_note}"
     )
     if memsim:

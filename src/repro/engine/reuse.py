@@ -19,8 +19,8 @@ it answers two questions:
    separately by the config digest's ``reuse`` field).
 
 The planner only *prepends* work (a fingerprint pass, an optional base
-computation) and *substitutes* initial state; the group loop, executors,
-checkpointing, and sanitizer are untouched, which is how reuse composes
+computation) and *substitutes* initial state; the group loop, executors
+and sanitizer are untouched, which is how reuse composes
 with all of them.
 """
 
@@ -68,8 +68,8 @@ class ReusePlanner:
         )
         #: The predecessor state seeds come from: the last snapshot index
         #: of the previous group and its (V,) value column. Every
-        #: completed group (computed, cached, or checkpoint-restored)
-        #: advances these in series order.
+        #: completed group (computed or cached) advances these in series
+        #: order.
         self._seed_idx: Optional[int] = None
         self._seed_col: Optional[np.ndarray] = None
 

@@ -246,9 +246,6 @@ class RunResult:
     counters: EngineCounters
     memory: Optional[MemoryCounters] = None
     hierarchy: Optional[MemoryHierarchy] = None
-    #: Groups restored from a run checkpoint instead of recomputed
-    #: (``run(..., checkpoint_dir=...)`` resuming an interrupted run).
-    resumed_groups: int = 0
     #: Groups served from the result cache (``config.reuse``) without
     #: executing; their cached counters are folded into ``counters``.
     cached_groups: int = 0
@@ -272,8 +269,8 @@ class RunResult:
         return self.values[:, s]
 
     def report(self) -> Dict[str, Any]:
-        """A JSON-ready run summary (phase breakdown, cache rates, storage
-        and checkpoint totals) built from this result's counters plus the
+        """A JSON-ready run summary (phase breakdown, cache rates and
+        storage totals) built from this result's counters plus the
         active observation — see :mod:`repro.obs.report`."""
         from repro.obs.report import run_report
 
@@ -284,16 +281,13 @@ def run(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: Optional[EngineConfig] = None,
-    checkpoint_dir: "str | os.PathLike[str] | None" = None,
 ) -> RunResult:
     """Execute ``program`` over every snapshot of ``series`` under ``config``.
 
-    With ``checkpoint_dir`` every completed LABS group's values and
-    counters are persisted (:mod:`repro.resilience.checkpoint`); rerunning
-    the same ``(series, program, config)`` against the same directory
-    restores completed groups instead of recomputing them and resumes at
-    the first incomplete group. ``RunResult.resumed_groups`` counts the
-    restored groups; results are bitwise identical either way.
+    Under ``EngineConfig(reuse="cache", cache_dir=DIR)`` every computed
+    LABS group is persisted as it completes, so a rerun after a crash
+    serves the groups already on disk (``RunResult.cached_groups``) and
+    computes the rest; results are bitwise identical either way.
     """
     config = config or EngineConfig()
     with obs.span(
@@ -307,7 +301,7 @@ def run(
             "snapshots": int(series.num_snapshots),
         },
     ):
-        result = _run_series(series, program, config, checkpoint_dir)
+        result = _run_series(series, program, config)
     obs.absorb_counters(result.counters)
     return result
 
@@ -316,13 +310,7 @@ def _run_series(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: EngineConfig,
-    checkpoint_dir: "str | os.PathLike[str] | None" = None,
 ) -> RunResult:
-    checkpoint = None
-    if checkpoint_dir is not None:
-        from repro.resilience.checkpoint import RunCheckpoint
-
-        checkpoint = RunCheckpoint(checkpoint_dir, series, program, config)
     planner = None
     if config.reuse is not None:
         from repro.engine.reuse import ReusePlanner
@@ -343,7 +331,6 @@ def _run_series(
 
     total = EngineCounters()
     out = np.full((series.num_vertices, series.num_snapshots), np.nan, dtype=np.float64)
-    resumed = 0
     cached = 0
     seeded = 0
 
@@ -353,9 +340,7 @@ def _run_series(
         counters: EngineCounters,
         computed: bool,
     ) -> None:
-        """Fold one finished group into the run (checkpoint, merge, abort)."""
-        if computed and checkpoint is not None:
-            checkpoint.store(group, vals, counters)
+        """Fold one finished group into the run (cache store, merge, abort)."""
         if planner is not None:
             if computed:
                 planner.store(group, vals, counters)
@@ -369,12 +354,6 @@ def _run_series(
             os._exit(137)
 
     for group in series.groups(batch):
-        restored = checkpoint.load(group) if checkpoint is not None else None
-        if restored is not None:
-            vals, counters = restored
-            resumed += 1
-            complete(group, vals, counters, False)
-            continue
         extra: Dict[str, Any] = {}
         if planner is not None:
             entry = planner.lookup(group)
@@ -408,7 +387,6 @@ def _run_series(
         counters=total,
         memory=hierarchy.counters if traced else None,
         hierarchy=hierarchy,
-        resumed_groups=resumed,
         cached_groups=cached,
         seeded_groups=seeded,
     )

@@ -1,9 +1,9 @@
 """chronolint: static enforcement of the engine's correctness contracts.
 
 The engine's headline property — LABS batching with results *bitwise
-identical to serial* across executors, checkpoint resume and result
-reuse — rests on invariants (seeded RNG only, audited scatter folds,
-owner-computes shard writes, typed errors, pinned dtypes, temp-scoped
+identical to serial* across executors and result reuse — rests on
+invariants (seeded RNG only, audited scatter folds, owner-computes shard
+writes, typed errors, pinned dtypes, temp-scoped
 durable writes) that nothing in Python enforces. This package enforces
 them mechanically, as one analyzer with two kinds of rule over one parse
 of every file:

@@ -11,8 +11,8 @@ every function body to zero or more callee qualnames:
 - **precise** resolution covers names defined in the module, imported
   names (followed through dotted module paths), ``self.``/``cls.``
   method calls (searched through package base classes), and locals whose
-  type is pinned by a constructor assignment (``cp = RunCheckpoint(...)``
-  makes ``cp.record(...)`` resolve);
+  type is pinned by a constructor assignment (``cache = ResultCache(...)``
+  makes ``cache.put(...)`` resolve);
 - **fallback** resolution matches the remaining attribute calls by bare
   method name against every class in the package — minus a blocklist of
   ubiquitous builtin-collection/file method names (``.append``, ``.get``,

@@ -2,7 +2,7 @@
 
 Each rule mechanically enforces one invariant the engine's correctness
 story rests on (bitwise-identical LABS results across the serial and
-thread-parallel executors, checkpoint resume and result reuse — see
+thread-parallel executors and result reuse — see
 PAPER.md Section 4's disjoint-ownership argument). Rules are scoped by dotted module prefix
 (:meth:`repro.lint.core.FileContext.in_module`), so fixing a violation in
 scope is always preferable to tagging it; tags exist for the handful of
@@ -344,8 +344,8 @@ class TypedRaiseRule(Rule):
     """CHR005: library raises use typed errors from ``repro.errors``.
 
     Callers dispatch on the :class:`~repro.errors.ChronosError`
-    hierarchy — e.g. a checkpoint reload recomputes the group on an
-    ``IntegrityError``. A stray ``ValueError`` either escapes
+    hierarchy — e.g. ``repro fsck`` reports a file as damaged on a
+    ``StorageError``. A stray ``ValueError`` either escapes
     ``except ChronosError`` handlers or gets misclassified. Allowed
     outside the hierarchy: what :func:`untyped_raise` allows (re-raises,
     exception *variables*, ``NotImplementedError``, and the

@@ -7,9 +7,9 @@ runs all produce the same report shape:
 
 - ``counters`` — the run's logical ``EngineCounters`` totals;
 - ``metrics`` — the active registry snapshot (caches, storage,
-  checkpoints), when a registry is installed;
+  streaming), when a registry is installed;
 - ``derived`` — hit rates computed from the raw counters;
-- ``storage`` / ``checkpoint`` / ``cache`` — the headline numbers pulled
+- ``storage`` / ``cache`` — the headline numbers pulled
   out of the snapshot (always present, 0 when idle);
 - ``phases_s`` / ``spans`` / ``wall_s`` — the trace-side phase
   breakdown, when a tracer is installed.
@@ -73,10 +73,6 @@ def build_report(
         "edge_files_mmap": get("storage.edge_files_mmap", 0),
         "edge_files_eager": get("storage.edge_files_eager", 0),
     }
-    report["checkpoint"] = {
-        "groups_stored": get("checkpoint.groups_stored", 0),
-        "groups_loaded": get("checkpoint.groups_loaded", 0),
-    }
     report["cache"] = {
         "hits": get("cache.hits", 0),
         "misses": get("cache.misses", 0),
@@ -125,7 +121,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         summary,
         result.counters,
         extra={
-            "resumed_groups": result.resumed_groups,
             "cached_groups": getattr(result, "cached_groups", 0),
             "seeded_groups": getattr(result, "seeded_groups", 0),
         },

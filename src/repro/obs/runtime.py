@@ -79,8 +79,6 @@ BASELINE_COUNTERS: Tuple[str, ...] = (
     "storage.crc_verified",
     "storage.edge_files_mmap",
     "storage.edge_files_eager",
-    "checkpoint.groups_stored",
-    "checkpoint.groups_loaded",
     "cache.hits",
     "cache.misses",
     "cache.stores",

@@ -1,28 +1,23 @@
-"""Fault tolerance: injection and checkpoint/resume.
+"""Fault tolerance: deterministic fault injection.
 
-This package makes partial failure a handled case instead of a run-ending
-one:
+:mod:`repro.resilience.faults` holds a seeded, deterministic
+:class:`~repro.resilience.faults.FaultPlan` that can corrupt bytes of a
+storage file, simulate a process death at a named durability point of
+the streaming write path (``crash_point``, raising
+:class:`~repro.errors.InjectedCrash`), or hard-kill a run mid-series
+(``abort_run_after``). All hooks are zero-overhead when no plan is
+installed (one ``None`` check).
 
-- :mod:`repro.resilience.faults` — a seeded, deterministic
-  :class:`~repro.resilience.faults.FaultPlan` that can corrupt bytes of a
-  storage file, simulate a process death at a named durability point of
-  the streaming write path (``crash_point``, raising
-  :class:`~repro.errors.InjectedCrash`), or hard-kill a run mid-series
-  (``abort_run_after``). All hooks are zero-overhead when no plan is
-  installed (one ``None`` check).
-- :mod:`repro.resilience.checkpoint` — per-group result persistence so an
-  interrupted series run resumes at the first incomplete group
-  (``run(..., checkpoint_dir=...)``), built on the vertex-file storage
-  primitives with CRC-verified reloads.
+A series run that must survive a crash persists its groups through the
+result cache (``EngineConfig(reuse="cache", cache_dir=DIR)``): a rerun
+serves every group already on disk and computes the rest.
 """
 
 from repro.resilience.faults import FaultPlan, InjectedCrash, active, injected
-from repro.resilience.checkpoint import RunCheckpoint
 
 __all__ = [
     "FaultPlan",
     "InjectedCrash",
-    "RunCheckpoint",
     "active",
     "injected",
 ]

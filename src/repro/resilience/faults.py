@@ -113,9 +113,10 @@ class FaultPlan:
         return self
 
     def abort_run_after(self, group_start: int, times: int = 1) -> "FaultPlan":
-        """Hard-kill the process (``os._exit``) right after the
-        group starting at ``group_start`` is checkpointed — simulates a
-        multi-hour run dying mid-series."""
+        """Hard-kill the process (``os._exit``) right after the group
+        starting at ``group_start`` completes — after its result-cache
+        store under ``reuse`` — simulating a multi-hour run dying
+        mid-series."""
         self._faults.append(
             _Fault("abort", group_start=group_start, remaining=times)
         )

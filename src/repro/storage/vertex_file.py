@@ -101,10 +101,20 @@ class VertexFile:
                 raise StorageError("truncated vertex checkpoint")
             self._checkpoint = np.frombuffer(cp_raw, dtype=np.float64).copy()
             upd_raw = fh.read()
-        n = len(upd_raw) // _UPDATE.size
+        n, tail = divmod(len(upd_raw), _UPDATE.size)
+        if tail:
+            raise StorageError(
+                f"truncated vertex file: {tail} trailing byte(s) of a "
+                f"partial update record after {n} complete one(s)"
+            )
         self._updates: List[Tuple[int, int, int, float]] = [
             _UPDATE.unpack_from(upd_raw, i * _UPDATE.size) for i in range(n)
         ]
+        for vid, time, _tu, _val in self._updates:
+            if vid >= V:
+                raise StorageError(
+                    f"update at {time} names vertex {vid} outside [0,{V})"
+                )
 
     @property
     def checkpoint(self) -> np.ndarray:

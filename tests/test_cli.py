@@ -59,19 +59,6 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--app", "bfs"])
 
-    def test_checkpoint_dir_resumes(self, capsys, tmp_path):
-        args = [
-            "run", "--graph", "wiki", "--app", "pagerank",
-            "--snapshots", "4", "--batch", "2", "--seed", "3",
-            "--checkpoint-dir", str(tmp_path / "ck"),
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "resumed from checkpoint" not in first
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "2 group(s) resumed from checkpoint" in second
-
     def test_mmap_run_leaves_no_store_behind(
         self, capsys, tmp_path, monkeypatch
     ):

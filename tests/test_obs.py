@@ -241,7 +241,7 @@ def test_run_report_shape_and_derived_rates():
     assert report["config"]["mode"] == "push"
     assert report["counters"]["iterations"] == result.counters.iterations
     assert report["storage"]["bytes_read"] == 0
-    assert report["checkpoint"]["groups_stored"] == 0
+    assert report["cache"]["stores"] == 0
     rate = report["derived"]["plan_cache_hit_rate"]
     assert rate is not None and 0.0 < rate < 1.0
     assert report["phases_s"] and "apply" in report["phases_s"]
@@ -280,7 +280,7 @@ def test_distributed_report_same_shape_with_network_figures():
     assert counters["distributed.messages"] == result.messages
     assert counters["distributed.message_bytes"] == result.message_bytes
     # Same top-level shape as an engine run report.
-    for key in ("counters", "metrics", "derived", "storage", "checkpoint"):
+    for key in ("counters", "metrics", "derived", "storage", "cache"):
         assert key in report
 
 
@@ -306,20 +306,32 @@ def test_injected_clock_makes_trace_timings_deterministic():
 
 
 def test_checkpoint_metrics_flow_through_registry(tmp_path):
+    """A run's persisted groups, and a restarted run's resume from them,
+    are counted as the result cache's stores and hits."""
+    from repro.cache import reset_process_caches
+
     series = _series("pagerank")
     program = make_program("pagerank")
-    config = EngineConfig(mode="push", batch_size=4)
+    config = EngineConfig(
+        mode="push", batch_size=4, reuse="cache", cache_dir=str(tmp_path)
+    )
     observation = obs.observe()
     try:
-        run(series, program, config, checkpoint_dir=tmp_path)
+        run(series, program, config)
         first = observation.registry.snapshot()["counters"]
-        resumed = run(series, program, config, checkpoint_dir=tmp_path)
+        reset_process_caches()  # resume from the disk tier
+        resumed = run(series, program, config)
         second = observation.registry.snapshot()["counters"]
+        report = resumed.report()
     finally:
         obs.disable()
-    assert first["checkpoint.groups_stored"] > 0
-    assert second["checkpoint.groups_loaded"] > 0
-    assert resumed.resumed_groups > 0
+        reset_process_caches()
+    groups = -(-series.num_snapshots // 4)
+    assert first["cache.stores"] == groups
+    assert second["cache.hits"] == groups
+    assert resumed.cached_groups == groups
+    assert report["cache"]["hits"] == groups
+    assert report["cached_groups"] == groups
 
 
 def test_storage_metrics_flow_through_registry(tmp_path):

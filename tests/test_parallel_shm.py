@@ -8,10 +8,11 @@ unchanged, and apply/convergence run through the serial code path in the
 calling thread. These tests state that promise over the application
 matrix (apps × modes × layouts × batch sizes × worker counts × sanitizer),
 and pin the rest of the executor's contract: an exception in one thread
-propagates as itself and leaves the pool usable, checkpoint resume works
-on threads, and shards are cut once per group.
+propagates as itself and leaves the pool usable, resume from the result
+cache works on threads, and shards are cut once per group.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import PageRank, make_program
 from repro.algorithms.program import GatherKind, Semantics, VertexProgram
+from repro.cache import reset_process_caches
 from repro.engine.config import EngineConfig
 from repro.engine.runner import run, run_group
 from repro.errors import EngineError
@@ -277,35 +279,44 @@ def test_shard_boundaries_cut_once_per_group(series16, monkeypatch):
     assert result.counters.iterations > groups  # else the check is vacuous
 
 
+def _cache_config(tmp_path, **kwargs):
+    return threaded(reuse="cache", cache_dir=str(tmp_path), **kwargs)
+
+
 def test_checkpoint_resume_on_threads(series16, tmp_path):
     program = make_program("wcc")
-    config = threaded(mode="push", batch_size=2)
+    config = _cache_config(tmp_path, mode="push", batch_size=2)
     serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
-    first = run(series16, program, config, checkpoint_dir=tmp_path)
-    assert first.resumed_groups == 0
-    resumed = run(series16, program, config, checkpoint_dir=tmp_path)
-    assert resumed.resumed_groups == -(-series16.num_snapshots // 2)
+    first = run(series16, program, config)
+    assert first.cached_groups == 0
+    reset_process_caches()  # the rerun reads the disk tier
+    resumed = run(series16, program, config)
+    assert resumed.cached_groups == -(-series16.num_snapshots // 2)
     for result in (first, resumed):
         assert_same_run(result, serial)
 
 
 def test_restored_groups_complete_in_series_order(series16, tmp_path):
-    """A partial checkpoint interleaves restored and recomputed groups;
-    the group loop must complete them in series order (the checkpoint
-    store and counter merge depend on it)."""
+    """A partially persisted run interleaves served and recomputed groups;
+    the group loop must complete them in series order (the cache store
+    and the counter merge depend on it)."""
     program = make_program("pagerank")
-    config = threaded(mode="push", batch_size=2)
+    config = _cache_config(tmp_path, mode="push", batch_size=2)
     serial = run(series16, program, EngineConfig(mode="push", batch_size=2))
-    full = run(series16, program, config, checkpoint_dir=tmp_path)
+    full = run(series16, program, config)
     assert full.values.tobytes() == serial.values.tobytes()
-    # Drop a middle group's checkpoint: the rerun restores 7 groups and
+    # Drop a middle group's entry: the rerun serves 7 groups and
     # recomputes exactly one, in place.
-    ckpts = sorted(tmp_path.glob("group_*"))
-    assert len(ckpts) == 8
-    ckpts[3].unlink()
-    with pytest.warns(RuntimeWarning, match="unreadable"):
-        partial = run(series16, program, config, checkpoint_dir=tmp_path)
-    assert partial.resumed_groups == 7
+    sidecars = sorted(tmp_path.glob("entry_*.json"))
+    assert len(sidecars) == 8
+    (middle,) = [
+        p for p in sidecars if json.loads(p.read_text())["meta"]["start"] == 6
+    ]
+    middle.unlink()
+    middle.with_suffix(".npy").unlink()
+    reset_process_caches()
+    partial = run(series16, program, config)
+    assert partial.cached_groups == 7
     assert_same_run(partial, serial)
 
 

@@ -13,7 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.algorithms import PageRank, SingleSourceShortestPath
+from repro.algorithms import (
+    MaximalIndependentSet,
+    PageRank,
+    SingleSourceShortestPath,
+)
 from repro.cache import (
     ResultCache,
     cache_key,
@@ -272,6 +276,52 @@ class TestKeys:
             group_fingerprint(group), program_identity(prog), config_digest(cfg)
         )
 
+    def test_array_parameters_are_keyed(self, tmp_path):
+        """Array-valued parameters (MIS priorities) are part of the key:
+        a run with other priorities is a miss, never the first run's
+        values."""
+        sym = random_temporal_graph(seed=7, symmetric=True)
+        series = sym.series(sym.evenly_spaced_times(6))
+        rng = np.random.default_rng(5)
+        p1 = rng.permutation(series.num_vertices) / series.num_vertices
+        p2 = p1[::-1].copy()
+        assert program_identity(
+            MaximalIndependentSet(p1)
+        ) != program_identity(MaximalIndependentSet(p2))
+        assert program_identity(
+            MaximalIndependentSet(p1)
+        ) == program_identity(MaximalIndependentSet(p1.copy()))
+        # dtype and shape are part of an array's identity, not just bytes.
+        p3 = np.arange(6, dtype=np.float64) / 6
+        assert len({
+            program_identity(MaximalIndependentSet(q))
+            for q in (p3, p3.astype(np.float32), p3.reshape(2, 3))
+        }) == 3
+        run(series, MaximalIndependentSet(p1), _cfg(tmp_path))
+        got = run(series, MaximalIndependentSet(p2), _cfg(tmp_path))
+        fresh = run(
+            series, MaximalIndependentSet(p2), EngineConfig(batch_size=2)
+        )
+        assert got.cached_groups == 0
+        assert got.values.tobytes() == fresh.values.tobytes()
+
+    def test_primitive_parameter_keys_are_unchanged(self):
+        """Programs with primitive parameters keep their CACHE_FORMAT 1
+        keys, so existing disk entries stay valid."""
+        assert program_identity(SingleSourceShortestPath(3)) == (
+            "77fd7749bb30ade71efa9939fa4a9bc9"
+        )
+
+    def test_unkeyable_parameter_is_a_typed_error(self, series, tmp_path):
+        prog = SingleSourceShortestPath(0)
+        prog.sources = [0, 1]
+        with pytest.raises(EngineError, match="sources"):
+            program_identity(prog)
+        with pytest.raises(EngineError):
+            run(series, prog, _cfg(tmp_path))
+        # Outside reuse no key is derived, so the program runs.
+        run(series, prog, EngineConfig(batch_size=2))
+
     def test_group_fingerprint_depends_on_contents(self, graph):
         s1 = graph.series(graph.evenly_spaced_times(4))
         s2 = graph.series(graph.evenly_spaced_times(5))
@@ -303,16 +353,6 @@ class TestComposition:
         np.testing.assert_array_equal(cold.values, scratch.values)
         np.testing.assert_array_equal(warm.values, scratch.values)
         assert warm.cached_groups == 3
-
-    def test_composes_with_checkpoint_dir(self, series, tmp_path):
-        prog = SingleSourceShortestPath(0)
-        scratch = run(series, prog, EngineConfig(batch_size=2))
-        cfg = _cfg(tmp_path)
-        ck = tmp_path / "ck"
-        cold = run(series, prog, cfg, checkpoint_dir=ck)
-        resumed = run(series, prog, cfg, checkpoint_dir=ck)
-        np.testing.assert_array_equal(cold.values, scratch.values)
-        np.testing.assert_array_equal(resumed.values, scratch.values)
 
     def test_incremental_seeds_and_matches(self, series, tmp_path):
         prog = SingleSourceShortestPath(0)

@@ -76,6 +76,27 @@ class TestValidation:
                 tmp_path / "x", "x", 0, 10, np.zeros(2), [(7, 5, 1.0)]
             )
 
+    def test_partial_trailing_update_rejected(self, tmp_path):
+        # The last update (vertex 3 = 3.5 at t=10) cut 5 bytes short must
+        # not load as a file that simply lacks it.
+        path = tmp_path / "x"
+        updates = [(1, 4, 1.5), (2, 7, 2.5), (3, 10, 3.5)]
+        write_vertex_file(path, "x", 0, 10, np.zeros(4), updates)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(StorageError, match="partial update"):
+            VertexFile(path)
+
+    def test_stored_update_vertex_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "x"
+        write_vertex_file(path, "x", 0, 10, np.zeros(4), [(3, 5, 1.0)])
+        data = bytearray(path.read_bytes())
+        # The update record is the file's last 28 bytes; its vertex id
+        # leads it as a little-endian u32.
+        data[-28:-24] = (99).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="vertex 99"):
+            VertexFile(path)
+
     def test_query_outside_range_rejected(self, tmp_path):
         write_vertex_file(tmp_path / "x", "x", 5, 10, np.zeros(1))
         vf = VertexFile(tmp_path / "x")
