@@ -9,8 +9,9 @@ A complete reproduction of the paper's system in pure Python:
   (:mod:`repro.layout`);
 - the push / pull / stream execution engines with Locality-Aware Batch
   Scheduling (:mod:`repro.engine`);
-- incremental computation, standard and LABS-enhanced
-  (:mod:`repro.engine.incremental`);
+- incremental computation, one seeder on the run's group loop
+  (:mod:`repro.engine.incremental`): ``reuse="incremental"`` and
+  :func:`incremental_labs`, whose ``batch=1`` is the standard baseline;
 - simulated multi-core (:mod:`repro.parallel`) and distributed
   (:mod:`repro.distributed`) execution over a deterministic memory-
   hierarchy simulator (:mod:`repro.memsim`);
@@ -51,7 +52,6 @@ from repro.engine import (
     Mode,
     RunResult,
     incremental_labs,
-    incremental_standard,
     run,
 )
 from repro.errors import ChronosError
@@ -87,7 +87,6 @@ __all__ = [
     "WeaklyConnectedComponents",
     "__version__",
     "incremental_labs",
-    "incremental_standard",
     "make_program",
     "run",
     "symmetrized",

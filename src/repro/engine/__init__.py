@@ -16,16 +16,18 @@ selects:
   produces the cache/TLB miss counts and simulated cycles that the
   evaluation figures report.
 
-Incremental execution (Section 3.5) lives in
-:mod:`repro.engine.incremental`; multi-core and distributed runners build
-on these engines from :mod:`repro.parallel` and :mod:`repro.distributed`.
+Incremental execution (Section 3.5) is one seeder in
+:mod:`repro.engine.incremental` on :func:`run`'s group loop — under
+``EngineConfig(reuse="incremental")``, or through
+:func:`incremental_labs`, the Figure 6 protocol. Multi-core and
+distributed runners build on these engines from :mod:`repro.parallel`
+and :mod:`repro.distributed`.
 """
 
 from repro.engine.config import EngineConfig, Mode
 from repro.engine.counters import EngineCounters
 from repro.engine.incremental import (
     incremental_labs,
-    incremental_standard,
     intersection_base_values,
     is_insert_only,
 )
@@ -37,7 +39,6 @@ __all__ = [
     "Mode",
     "RunResult",
     "incremental_labs",
-    "incremental_standard",
     "intersection_base_values",
     "is_insert_only",
     "run",

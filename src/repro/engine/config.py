@@ -97,8 +97,10 @@ class EngineConfig:
     #: tolerance-converging REGATHER programs warm-start. MONOTONE
     #: values stay bitwise identical; warm-started REGATHER values are
     #: tolerance-equal (and keyed separately, so they never serve a
-    #: ``"cache"`` run). Traced runs cannot reuse (the simulation is the
-    #: product).
+    #: ``"cache"`` run). The seeder is
+    #: :class:`repro.engine.incremental.Seeder`, the one
+    #: ``incremental_labs`` uses (which rejects ``reuse``). Traced runs
+    #: cannot reuse (the simulation is the product).
     reuse: Optional[str] = None
     #: On-disk tier directory for the result cache; ``None`` keeps the
     #: cache memory-only (still shared across runs in one process).

@@ -1,4 +1,4 @@
-"""Incremental computation, standard and LABS-enhanced (paper Section 3.5).
+"""Incremental computation (paper Section 3.5): one seeder for the group loop.
 
 Incremental execution applies to MONOTONE programs (WCC, SSSP): values
 relax monotonically toward the fixed point, so a later snapshot can be
@@ -13,36 +13,36 @@ part) applies: pre-compute the **intersection** of the group's snapshots
 (with per-edge maximum weights), compute the result on that intersection
 graph from scratch, and seed every snapshot of the group from it — each
 true snapshot is then reachable from the base by *adding* edges only.
+(The symmetric union trick serves delete-only algorithms; our engines
+relax, so a union base would be a lower bound and is not offered.)
 
-The symmetric **union** trick serves delete-only incremental algorithms;
-our engines are relaxation (insert-oriented) engines, so the union base
-would be a lower bound and is intentionally not offered as a seed.
+:class:`Seeder` is the one implementation of that seeding, and
+:func:`repro.engine.runner.run`'s group loop is the one loop it runs in:
 
-Two drivers:
-
-- :func:`incremental_standard` — snapshot by snapshot, each seeded from its
-  predecessor (the paper's "standard incremental computation approach");
-- :func:`incremental_labs` — compute S0, then process each subsequent run
-  of ``batch`` snapshots as one LABS group seeded from the previous group's
-  last result (the paper's proposal, Figure 6).
+- ``run(series, p, EngineConfig(reuse="incremental"))`` seeds each missed
+  group of ``series.groups(batch)`` from its predecessor; tolerance-
+  converging REGATHER programs warm-start from it;
+- :func:`incremental_labs` is the paper's Figure 6 protocol on the same
+  loop: snapshot 0 from scratch, then groups of ``batch`` snapshots, each
+  seeded from the previous group's last result. ``batch=1`` is the paper's
+  "standard incremental computation" baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.program import Semantics, VertexProgram
 from repro.engine.config import EngineConfig
 from repro.engine.counters import EngineCounters
-from repro.engine.runner import run_group
+from repro.engine.runner import RunResult, _run_series, run_group
 from repro.errors import EngineError
 from repro.layout.address_space import AddressSpace
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.obs import runtime as obs
-from repro.temporal.series import SnapshotSeriesView
+from repro.temporal.series import GroupView, SnapshotSeriesView
 
 
 def is_insert_only(series: SnapshotSeriesView, s_from: int, s_to: int) -> bool:
@@ -124,36 +124,6 @@ def intersection_base_values(
     return vals[:, 0], in_base, counters
 
 
-@dataclass
-class IncrementalResult:
-    """Outcome of an incremental run over a series."""
-
-    values: np.ndarray  # (V, S)
-    counters: EngineCounters
-    #: Per-group iteration counts, for inspecting the batching/duplication
-    #: trade-off Figure 6 is about.
-    group_iterations: List[int] = field(default_factory=list)
-    #: Which groups fell back to an intersection base.
-    used_intersection: List[bool] = field(default_factory=list)
-    #: Which driver produced this result (``incremental_labs``,
-    #: ``incremental_standard``, ``warm_start_regather``).
-    driver: str = "incremental_labs"
-    program_name: Optional[str] = None
-    config: Optional[EngineConfig] = None
-
-    @property
-    def sim_seconds(self) -> Optional[float]:
-        return None
-
-    def report(self) -> dict:
-        """A JSON-ready run summary, same shape as
-        ``RunResult.report()`` plus the per-group iteration counts —
-        see :func:`repro.obs.report.incremental_report`."""
-        from repro.obs.report import incremental_report
-
-        return incremental_report(self)
-
-
 def _tense_sources(
     series: SnapshotSeriesView,
     group_start: int,
@@ -187,20 +157,131 @@ def _tense_sources(
     return active
 
 
+class Seeder:
+    """Seeds each LABS group of one run from its predecessor's last column.
+
+    The group loop calls :meth:`note` with every finished group (computed
+    or served from the cache) and :meth:`seed` before executing the next.
+    A group is seeded only when its predecessor ends right before it.
+    MONOTONE programs seed from the predecessor's last column when the
+    delta is insert-only (:func:`is_insert_only_range`) and from the
+    group's intersection base otherwise; ``activation`` then restarts
+    every live vertex (``"all"``) or only the sources of tense edges
+    (``"tense"``). Tolerance-converging REGATHER programs warm-start from
+    the predecessor's column. Any other program is never seeded.
+    """
+
+    def __init__(
+        self,
+        series: SnapshotSeriesView,
+        program: VertexProgram,
+        config: EngineConfig,
+        activation: str = "all",
+    ) -> None:
+        self.series = series
+        self.program = program
+        self.config = config
+        self.activation = activation
+        self.monotone = program.semantics is Semantics.MONOTONE
+        self.warmable = (
+            program.semantics is Semantics.REGATHER and bool(program.tol)
+        )
+        self._seed_idx: Optional[int] = None
+        self._seed_col: Optional[np.ndarray] = None
+
+    def note(self, group: GroupView, vals: np.ndarray) -> None:
+        """Record ``group``'s result as the next group's seed source."""
+        self._seed_idx = group.stop - 1
+        self._seed_col = vals[:, -1]
+
+    def seed(
+        self,
+        group: GroupView,
+        hierarchy: Optional[MemoryHierarchy] = None,
+        address_space: Optional[AddressSpace] = None,
+    ) -> Tuple[Dict[str, Any], Optional[EngineCounters]]:
+        """``run_group`` overrides for ``group`` and any base's counters.
+
+        Returns ``({}, None)`` when the group is not seeded. A traced
+        run's hierarchy and address space carry the intersection base's
+        simulated cost into the run's own.
+        """
+        if (
+            self._seed_col is None
+            or self._seed_idx != group.start - 1
+            or not (self.monotone or self.warmable)
+        ):
+            return {}, None
+        with obs.span("phase", "seed", {"group": int(group.start)}):
+            kwargs: Dict[str, Any] = {}
+            seed_col = self._seed_col
+            base_counters = None
+            if self.monotone:
+                base_mask = None
+                if not is_insert_only_range(
+                    self.series, self._seed_idx, group.start, group.stop
+                ):
+                    # Deletions in the delta: seed every snapshot from the
+                    # group's intersection base instead (Section 3.5).
+                    seed_col, base_mask, base_counters = intersection_base_values(
+                        self.series,
+                        list(range(group.start, group.stop)),
+                        self.program,
+                        self.config,
+                        hierarchy=hierarchy,
+                        address_space=address_space,
+                    )
+                    obs.add("reuse.intersection_bases")
+                if self.activation == "all":
+                    # One full re-scatter from the seeded values, then
+                    # quiesce — exact for monotone programs.
+                    kwargs["initial_active"] = group.vertex_exists.copy()
+                else:
+                    kwargs["initial_active"] = self._tense(group, base_mask)
+            init_prog = self.program.initial_values(group)
+            kwargs["initial_values"] = np.where(
+                np.isnan(seed_col)[:, None], init_prog, seed_col[:, None]
+            )
+            obs.add("reuse.seeded_groups")
+        return kwargs, base_counters
+
+    def _tense(
+        self, group: GroupView, base_mask: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Tense-source activation against the edges the seed relaxed."""
+        series = self.series
+        weights = series.out_weight
+        if base_mask is None:
+            seed_idx = self._seed_idx
+            assert seed_idx is not None
+            mask = ((series.out_bitmap >> np.uint64(seed_idx)) & np.uint64(1)) == 1
+            seed_w = None if weights is None else weights[:, seed_idx]
+        else:
+            # The base relaxed its edges at the group's maximum weights.
+            mask = base_mask
+            seed_w = None
+            if weights is not None:
+                seed_w = np.where(
+                    mask, weights[:, group.start : group.stop].max(axis=1), np.inf
+                )
+        return _tense_sources(series, group.start, group.stop, mask, seed_w)
+
+
 def incremental_labs(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: Optional[EngineConfig] = None,
     batch: int = 8,
     activation: str = "all",
-) -> IncrementalResult:
+) -> RunResult:
     """LABS-enhanced incremental computation (paper Section 3.5, Figure 6).
 
     Computes snapshot 0 from scratch, then processes snapshots
     ``1..batch``, ``batch+1..2*batch``, ... as LABS groups, each seeded
     from the last snapshot computed by the previous group. Groups whose
     delta from the seed is not insert-only automatically fall back to an
-    intersection base.
+    intersection base. ``batch=1`` is the standard snapshot-by-snapshot
+    incremental approach the figure compares against.
 
     ``activation`` selects how the seeded computation restarts:
 
@@ -214,6 +295,9 @@ def incremental_labs(
       skipping the full first pass entirely. Exact for the same reasons,
       and strictly less work per snapshot, but with little left for LABS
       to amortise.
+
+    ``config.reuse`` must be None: the seeding here is the whole point,
+    and a result cache would mix its own seeds into the protocol.
     """
     if program.semantics is not Semantics.MONOTONE:
         raise EngineError(
@@ -225,230 +309,14 @@ def incremental_labs(
     if activation not in ("all", "tense"):
         raise EngineError(f"unknown activation strategy {activation!r}")
     config = config or EngineConfig()
-    with obs.span(
-        "run",
-        "run",
-        {
-            "program": program.name,
-            "driver": "incremental_labs",
-            "mode": config.mode.value,
-            "executor": config.executor,
-            "snapshots": int(series.num_snapshots),
-            "batch": batch,
-            "activation": activation,
-        },
-    ):
-        result = _incremental_labs_body(series, program, config, batch, activation)
-    result.program_name = program.name
-    result.config = config
-    obs.absorb_counters(result.counters)
-    return result
-
-
-def _incremental_labs_body(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: EngineConfig,
-    batch: int,
-    activation: str,
-) -> IncrementalResult:
-    traced = config.trace
-    hierarchy = (
-        MemoryHierarchy(config.num_cores, config.hierarchy_config, config.cost_model)
-        if traced
-        else None
-    )
-    space = AddressSpace() if traced else None
-
-    V, S = series.num_vertices, series.num_snapshots
-    out = np.full((V, S), np.nan, dtype=np.float64)
-    total = EngineCounters()
-    result = IncrementalResult(values=out, counters=total)
-
-    first_vals, counters = run_group(
-        series.group(0, 1), program, config, hierarchy=hierarchy, address_space=space
-    )
-    out[:, 0] = first_vals[:, 0]
-    total.merge(counters)
-    result.group_iterations.append(counters.iterations)
-    result.used_intersection.append(False)
-
-    pos = 1
-    seed_idx = 0
-    while pos < S:
-        stop = min(pos + batch, S)
-        group = series.group(pos, stop)
-        insertable = is_insert_only_range(series, seed_idx, pos, stop)
-        if insertable:
-            seed_col = out[:, seed_idx]
-            seed_edge_mask = (
-                (series.out_bitmap >> np.uint64(seed_idx)) & np.uint64(1)
-            ) == 1
-            seed_w = (
-                series.out_weight[:, seed_idx]
-                if series.out_weight is not None
-                else None
-            )
-            base_counters = None
-        else:
-            seed_col, seed_edge_mask, base_counters = intersection_base_values(
-                series,
-                list(range(pos, stop)),
-                program,
-                config,
-                hierarchy=hierarchy,
-                address_space=space,
-            )
-            total.merge(base_counters)
-            seed_w = None
-            if series.out_weight is not None:
-                seed_w = np.where(
-                    seed_edge_mask,
-                    series.out_weight[:, pos:stop].max(axis=1),
-                    np.inf,
-                )
-        init_prog = program.initial_values(group)
-        seeded = np.where(np.isnan(seed_col)[:, None], init_prog, seed_col[:, None])
-        if activation == "all":
-            active = group.vertex_exists.copy()
-        else:
-            active = _tense_sources(series, pos, stop, seed_edge_mask, seed_w)
-        vals, counters = run_group(
-            group,
-            program,
-            config,
-            hierarchy=hierarchy,
-            address_space=space,
-            initial_values=seeded,
-            initial_active=active,
-        )
-        out[:, pos:stop] = vals
-        total.merge(counters)
-        result.group_iterations.append(counters.iterations)
-        result.used_intersection.append(not insertable)
-        seed_idx = stop - 1
-        pos = stop
-
-    if traced:
-        total.per_core_cycles = [c.cycles for c in hierarchy.counters.per_core]
-    return result
-
-
-def incremental_standard(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: Optional[EngineConfig] = None,
-) -> IncrementalResult:
-    """The paper's baseline: incremental computation snapshot by snapshot."""
-    result = incremental_labs(series, program, config, batch=1)
-    result.driver = "incremental_standard"
-    return result
-
-
-def union_base_series(
-    series: SnapshotSeriesView, snapshots: List[int]
-) -> SnapshotSeriesView:
-    """The union graph of the given snapshots, as a 1-snapshot series.
-
-    The symmetric counterpart of the intersection trick (Section 3.5):
-    every snapshot of the group can be constructed from the union by
-    *removing* edges only, which enables incremental algorithms that
-    support deletion only. Our built-in engines are relaxation
-    (insertion-oriented) engines, so they seed from the intersection; the
-    union base is provided for deletion-oriented programs built on the
-    same infrastructure.
-    """
-    mask = np.uint64(0)
-    for s in snapshots:
-        mask |= np.uint64(1 << s)
-    in_union = (series.out_bitmap & mask) != 0
-    vmask = (series.vertex_bitmap & mask) != 0
-    src = series.out_src[in_union]
-    dst = series.out_dst[in_union]
-    weight = None
-    if series.out_weight is not None:
-        weight = series.out_weight[in_union][:, list(snapshots)].min(axis=1)[:, None]
-    return SnapshotSeriesView(
-        series.num_vertices,
-        [0],
-        src,
-        dst,
-        np.ones(src.shape[0], dtype=np.uint64),
-        weight,
-        vmask.astype(np.uint64),
-    )
-
-
-def warm_start_regather(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: Optional[EngineConfig] = None,
-    batch: int = 8,
-) -> IncrementalResult:
-    """Warm-started execution for tolerance-converging REGATHER programs.
-
-    PageRank-style programs cannot reuse results the way monotone programs
-    do, but when they converge on a tolerance (``program.tol > 0``) they
-    can be *warm-started*: each LABS group is initialised from the
-    previous group's last result, so nearly-converged values need few
-    iterations. Results match from-scratch execution within the
-    tolerance.
-    """
-    if program.semantics is not Semantics.REGATHER:
-        raise EngineError("warm_start_regather requires a REGATHER program")
-    if not program.tol or program.tol <= 0.0:
+    if config.reuse is not None:
         raise EngineError(
-            "warm starting needs tolerance-based convergence (program.tol > 0)"
+            f"incremental_labs seeds every group itself; reuse="
+            f"{config.reuse!r} is for run() (use reuse=None)"
         )
-    if batch <= 0:
-        raise EngineError(f"batch must be positive, got {batch}")
-    config = config or EngineConfig()
-    with obs.span(
-        "run",
-        "run",
-        {
-            "program": program.name,
-            "driver": "warm_start_regather",
-            "mode": config.mode.value,
-            "executor": config.executor,
-            "snapshots": int(series.num_snapshots),
-            "batch": batch,
-        },
-    ):
-        result = _warm_start_regather_body(series, program, config, batch)
-    result.driver = "warm_start_regather"
-    result.program_name = program.name
-    result.config = config
-    obs.absorb_counters(result.counters)
-    return result
-
-
-def _warm_start_regather_body(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: EngineConfig,
-    batch: int,
-) -> IncrementalResult:
-    V, S = series.num_vertices, series.num_snapshots
-    out = np.full((V, S), np.nan, dtype=np.float64)
-    total = EngineCounters()
-    result = IncrementalResult(values=out, counters=total)
-    seed: Optional[np.ndarray] = None
-    pos = 0
-    while pos < S:
-        stop = min(pos + batch, S)
-        group = series.group(pos, stop)
-        init = None
-        if seed is not None:
-            init_prog = program.initial_values(group)
-            init = np.where(np.isnan(seed)[:, None], init_prog, seed[:, None])
-        vals, counters = run_group(
-            group, program, config, initial_values=init
-        )
-        out[:, pos:stop] = vals
-        total.merge(counters)
-        result.group_iterations.append(counters.iterations)
-        result.used_intersection.append(False)
-        seed = out[:, stop - 1]
-        pos = stop
-    return result
+    S = series.num_snapshots
+    groups = [series.group(0, 1)] + [
+        series.group(pos, min(pos + batch, S)) for pos in range(1, S, batch)
+    ]
+    seeder = Seeder(series, program, config, activation)
+    return _run_series(series, program, config, groups, seeder)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro.memsim.hierarchy import MemoryHierarchy
 from repro.obs import runtime as obs
 from repro.parallel.locks import LockTable
 from repro.temporal.series import GroupView, SnapshotSeriesView
+
+if TYPE_CHECKING:
+    from repro.engine.incremental import Seeder
 
 #: Safety cap for convergence-driven programs.
 MAX_SAFE_ITERATIONS = 100_000
@@ -288,8 +291,32 @@ def run(
     LABS group is persisted as it completes, so a rerun after a crash
     serves the groups already on disk (``RunResult.cached_groups``) and
     computes the rest; results are bitwise identical either way.
+    ``reuse="incremental"`` also seeds each computed group from its
+    predecessor (:class:`repro.engine.incremental.Seeder`).
     """
     config = config or EngineConfig()
+    seeder = None
+    if config.reuse == "incremental":
+        from repro.engine.incremental import Seeder
+
+        seeder = Seeder(series, program, config)
+    batch = config.effective_batch_size(series.num_snapshots)
+    return _run_series(series, program, config, series.groups(batch), seeder)
+
+
+def _run_series(
+    series: SnapshotSeriesView,
+    program: VertexProgram,
+    config: EngineConfig,
+    groups: Sequence[GroupView],
+    seeder: Optional["Seeder"] = None,
+) -> RunResult:
+    """The one LABS group loop: run ``groups`` in order into one result.
+
+    Under ``config.reuse`` each group is first looked up in the result
+    cache, and each computed group is stored. ``seeder`` supplies a
+    computed group's initial state from its predecessor's result.
+    """
     with obs.span(
         "run",
         "run",
@@ -301,85 +328,77 @@ def run(
             "snapshots": int(series.num_snapshots),
         },
     ):
-        result = _run_series(series, program, config)
-    obs.absorb_counters(result.counters)
-    return result
+        planner = None
+        if config.reuse is not None:
+            from repro.engine.reuse import ReusePlanner
 
-
-def _run_series(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: EngineConfig,
-) -> RunResult:
-    planner = None
-    if config.reuse is not None:
-        from repro.engine.reuse import ReusePlanner
-
-        planner = ReusePlanner(series, program, config)
-    batch = config.effective_batch_size(series.num_snapshots)
-    traced = config.trace
-    hierarchy = (
-        MemoryHierarchy(config.num_cores, config.hierarchy_config, config.cost_model)
-        if traced
-        else None
-    )
-    space = AddressSpace() if traced else None
-    locks = LockTable(config.cost_model) if _wants_locks(config) else None
-    core_of = config.resolve_core_of(series.num_vertices)
-
-    from repro.resilience import faults as _faults
-
-    total = EngineCounters()
-    out = np.full((series.num_vertices, series.num_snapshots), np.nan, dtype=np.float64)
-    cached = 0
-    seeded = 0
-
-    def complete(
-        group: GroupView,
-        vals: np.ndarray,
-        counters: EngineCounters,
-        computed: bool,
-    ) -> None:
-        """Fold one finished group into the run (cache store, merge, abort)."""
-        if planner is not None:
-            if computed:
-                planner.store(group, vals, counters)
-            planner.note_complete(group, vals)
-        out[:, group.start : group.stop] = vals
-        total.merge(counters)
-        # Deterministic crash injection for the resume tests: die hard
-        # (no cleanup, like a SIGKILL'd run) right after this group.
-        _plan = _faults.active()
-        if _plan is not None and _plan.take_abort(group.start):
-            os._exit(137)
-
-    for group in series.groups(batch):
-        extra: Dict[str, Any] = {}
-        if planner is not None:
-            entry = planner.lookup(group)
-            if entry is not None:
-                cached += 1
-                complete(group, entry.values, entry.counters, False)
-                continue
-            # Seeded initial state for the group about to execute.
-            extra, base_counters = planner.seed_kwargs(group)
-            if extra:
-                seeded += 1
-            if base_counters is not None:
-                total.merge(base_counters)
-        vals, counters = run_group(
-            group,
-            program,
-            config,
-            hierarchy=hierarchy,
-            locks=locks,
-            core_of=core_of,
-            address_space=space,
-            **extra,
+            planner = ReusePlanner(program, config)
+        traced = config.trace
+        hierarchy = (
+            MemoryHierarchy(config.num_cores, config.hierarchy_config, config.cost_model)
+            if traced
+            else None
         )
-        complete(group, vals, counters, True)
+        space = AddressSpace() if traced else None
+        locks = LockTable(config.cost_model) if _wants_locks(config) else None
+        core_of = config.resolve_core_of(series.num_vertices)
+
+        from repro.resilience import faults as _faults
+
+        total = EngineCounters()
+        out = np.full(
+            (series.num_vertices, series.num_snapshots), np.nan, dtype=np.float64
+        )
+        cached = 0
+        seeded = 0
+
+        def complete(
+            group: GroupView,
+            vals: np.ndarray,
+            counters: EngineCounters,
+            computed: bool,
+        ) -> None:
+            """Fold one finished group into the run (cache store, merge, abort)."""
+            if planner is not None and computed:
+                planner.store(group, vals, counters)
+            if seeder is not None:
+                seeder.note(group, vals)
+            out[:, group.start : group.stop] = vals
+            total.merge(counters)
+            # Deterministic crash injection for the resume tests: die hard
+            # (no cleanup, like a SIGKILL'd run) right after this group.
+            _plan = _faults.active()
+            if _plan is not None and _plan.take_abort(group.start):
+                os._exit(137)
+
+        for group in groups:
+            if planner is not None:
+                entry = planner.lookup(group)
+                if entry is not None:
+                    cached += 1
+                    complete(group, entry.values, entry.counters, False)
+                    continue
+            extra: Dict[str, Any] = {}
+            if seeder is not None:
+                extra, base_counters = seeder.seed(group, hierarchy, space)
+                if extra:
+                    seeded += 1
+                if base_counters is not None:
+                    total.merge(base_counters)
+            vals, counters = run_group(
+                group,
+                program,
+                config,
+                hierarchy=hierarchy,
+                locks=locks,
+                core_of=core_of,
+                address_space=space,
+                **extra,
+            )
+            complete(group, vals, counters, True)
     if traced:
         total.per_core_cycles = [c.cycles for c in hierarchy.counters.per_core]
+    obs.absorb_counters(total)
     return RunResult(
         values=out,
         program=program,

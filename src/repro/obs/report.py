@@ -25,7 +25,6 @@ from repro.obs import runtime
 __all__ = [
     "build_report",
     "distributed_report",
-    "incremental_report",
     "run_report",
 ]
 
@@ -123,33 +122,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         extra={
             "cached_groups": getattr(result, "cached_groups", 0),
             "seeded_groups": getattr(result, "seeded_groups", 0),
-        },
-    )
-
-
-def incremental_report(result: Any) -> Dict[str, Any]:
-    """The report for a :class:`repro.engine.incremental.IncrementalResult`
-    — same shape as :func:`run_report`, with the per-group iteration
-    counts and intersection-base fallbacks in the extras."""
-    config = result.config
-    summary: Dict[str, Any] = {"driver": result.driver}
-    if config is not None:
-        summary.update(
-            {
-                "mode": config.mode.value,
-                "layout": config.layout.value,
-                "executor": config.executor,
-                "workers": config.workers,
-                "batch_size": config.batch_size,
-            }
-        )
-    return build_report(
-        result.program_name or "incremental",
-        summary,
-        result.counters,
-        extra={
-            "group_iterations": list(result.group_iterations),
-            "used_intersection": list(result.used_intersection),
         },
     )
 

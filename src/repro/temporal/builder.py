@@ -113,9 +113,9 @@ class TemporalGraphBuilder:
     def append(self, activity: Activity) -> "TemporalGraphBuilder":
         """Append one record, applying the per-vertex / per-edge checks.
 
-        The record is logged as it is, except that in non-strict mode
-        re-adding a live edge is logged as a ``modE`` and a delete or
-        modification of a dead edge is dropped.
+        The record is logged as it is, except that a ``delE`` loses its
+        weight, and in non-strict mode re-adding a live edge is logged as
+        a ``modE`` and a delete or modification of a dead edge is dropped.
         """
         weight = activity.weight
         self._log(
@@ -164,6 +164,9 @@ class TemporalGraphBuilder:
                 return
             elif kind == _DEL_EDGE:
                 self._edge_live[key] = False
+                # A delete's weight has no meaning, and the store does not
+                # keep one: log none, so every path reads the same record.
+                weight = math.nan
         kinds, srcs, dsts, times, weights = self._columns
         kinds.append(kind)
         srcs.append(src)

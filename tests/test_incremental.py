@@ -1,4 +1,8 @@
-"""Tests for incremental computation (standard and LABS-enhanced)."""
+"""Tests for incremental computation (standard and LABS-enhanced).
+
+The paper's standard incremental approach is ``incremental_labs`` at
+``batch=1``.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +11,24 @@ from repro.algorithms import PageRank, SingleSourceShortestPath, WeaklyConnected
 from repro.engine import (
     EngineConfig,
     incremental_labs,
-    incremental_standard,
     intersection_base_values,
     is_insert_only,
     run,
 )
 from repro.errors import EngineError
+from repro.obs import runtime as obs
 from tests.conftest import random_temporal_graph
+
+
+def _intersection_bases(series, prog, batch):
+    """``incremental_labs`` and its ``reuse.intersection_bases`` count."""
+    observation = obs.observe(trace=False)
+    try:
+        result = incremental_labs(series, prog, batch=batch)
+    finally:
+        obs.disable()
+    counters = observation.registry.snapshot()["counters"]
+    return result, counters["reuse.intersection_bases"]
 
 
 @pytest.fixture
@@ -63,17 +78,17 @@ class TestCorrectness:
     def test_sssp_insert_only(self, insert_only_series, batch):
         prog = SingleSourceShortestPath(0)
         scratch = run(insert_only_series, prog, EngineConfig())
-        inc = incremental_labs(insert_only_series, prog, batch=batch)
+        inc, bases = _intersection_bases(insert_only_series, prog, batch)
         np.testing.assert_array_equal(inc.values, scratch.values)
-        assert not any(inc.used_intersection)
+        assert bases == 0
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_sssp_with_deletions_uses_intersection(self, churny_series, batch):
         prog = SingleSourceShortestPath(0)
         scratch = run(churny_series, prog, EngineConfig())
-        inc = incremental_labs(churny_series, prog, batch=batch)
+        inc, bases = _intersection_bases(churny_series, prog, batch)
         assert np.allclose(inc.values, scratch.values, equal_nan=True)
-        assert any(inc.used_intersection)
+        assert bases > 0
 
     def test_wcc_with_deletions(self):
         graph = random_temporal_graph(seed=13, symmetric=True, with_deletes=True)
@@ -84,10 +99,16 @@ class TestCorrectness:
         np.testing.assert_array_equal(inc.values, scratch.values)
 
     def test_standard_equals_batch1(self, insert_only_series):
+        """Standard incremental seeds the groups of ``run``'s batch size 1."""
         prog = SingleSourceShortestPath(0)
-        std = incremental_standard(insert_only_series, prog)
+        std = run(
+            insert_only_series,
+            prog,
+            EngineConfig(batch_size=1, reuse="incremental"),
+        )
         labs1 = incremental_labs(insert_only_series, prog, batch=1)
         np.testing.assert_array_equal(std.values, labs1.values)
+        assert labs1.seeded_groups == insert_only_series.num_snapshots - 1
 
 
 class TestWorkSavings:
@@ -110,7 +131,7 @@ class TestWorkSavings:
 
     def test_labs_batching_reduces_edge_traffic(self, insert_only_series):
         prog = SingleSourceShortestPath(0)
-        std = incremental_standard(insert_only_series, prog)
+        std = incremental_labs(insert_only_series, prog, batch=1)
         labs = incremental_labs(insert_only_series, prog, batch=4)
         assert (
             labs.counters.edge_array_accesses
@@ -151,6 +172,16 @@ class TestValidation:
         with pytest.raises(EngineError):
             incremental_labs(
                 insert_only_series, SingleSourceShortestPath(0), batch=0
+            )
+
+    @pytest.mark.parametrize("reuse", ["cache", "incremental"])
+    def test_reuse_rejected(self, insert_only_series, reuse):
+        """The result cache would mix its own seeds into the protocol."""
+        with pytest.raises(EngineError, match="reuse"):
+            incremental_labs(
+                insert_only_series,
+                SingleSourceShortestPath(0),
+                EngineConfig(reuse=reuse),
             )
 
 

@@ -1,13 +1,23 @@
-"""Tests for the union pre-computation and REGATHER warm starting."""
+"""Tests for REGATHER warm starting under ``run(..., reuse="incremental")``."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.algorithms import PageRank, SingleSourceShortestPath
+from repro.algorithms import PageRank
+from repro.cache import reset_process_caches
 from repro.engine import EngineConfig, run
-from repro.engine.incremental import union_base_series, warm_start_regather
-from repro.errors import EngineError
+from repro.obs import runtime as obs
 from tests.conftest import random_temporal_graph
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    """Warm groups must execute, not come back from an earlier test."""
+    reset_process_caches()
+    yield
+    reset_process_caches()
 
 
 @pytest.fixture(scope="module")
@@ -16,38 +26,16 @@ def series():
     return graph.series(graph.evenly_spaced_times(8))
 
 
-class TestUnionBase:
-    def test_union_superset_of_every_snapshot(self, series):
-        union = union_base_series(series, [2, 3, 4])
-        union_edges = set(zip(union.out_src.tolist(), union.out_dst.tolist()))
-        for s in (2, 3, 4):
-            live = ((series.out_bitmap >> np.uint64(s)) & np.uint64(1)).astype(bool)
-            snap_edges = set(
-                zip(series.out_src[live].tolist(), series.out_dst[live].tolist())
-            )
-            assert snap_edges <= union_edges
-
-    def test_union_only_contains_group_edges(self, series):
-        union = union_base_series(series, [0, 1])
-        mask = np.uint64(0b11)
-        expected = int(np.count_nonzero((series.out_bitmap & mask) != 0))
-        assert union.num_edges == expected
-
-    def test_union_weights_are_minimum(self, series):
-        if series.out_weight is None:
-            pytest.skip("unweighted series")
-        union = union_base_series(series, [2, 3])
-        for i in range(min(union.num_edges, 50)):
-            u, v = int(union.out_src[i]), int(union.out_dst[i])
-            sel = np.nonzero((series.out_src == u) & (series.out_dst == v))[0][0]
-            assert union.out_weight[i, 0] == series.out_weight[sel, 2:4].min()
+def _warm(batch):
+    return EngineConfig(batch_size=batch, reuse="incremental")
 
 
 class TestWarmStart:
     def test_matches_scratch_within_tolerance(self, series):
         prog = PageRank(iterations=200, tol=1e-10)
         scratch = run(series, prog, EngineConfig())
-        warm = warm_start_regather(series, PageRank(iterations=200, tol=1e-10), batch=3)
+        warm = run(series, PageRank(iterations=200, tol=1e-10), _warm(3))
+        assert warm.seeded_groups == 2
         assert np.allclose(
             scratch.values, warm.values, atol=1e-6, equal_nan=True
         )
@@ -69,10 +57,18 @@ class TestWarmStart:
             {int(t1 - (t1 - t0) * 0.1 * (7 - i) / 7) for i in range(8)}
         )
         series = graph.series(times)
-        warm = warm_start_regather(
-            series, PageRank(iterations=500, tol=1e-10), batch=2
+        observation = obs.observe()
+        try:
+            run(series, PageRank(iterations=500, tol=1e-10), _warm(2))
+        finally:
+            obs.disable()
+        # One iteration span per executed iteration, tagged with its group.
+        spans = Counter(
+            e["args"]["group"]
+            for e in observation.tracer.events
+            if e["cat"] == "iteration"
         )
-        cold_iters = []
+        warm_iters, cold_iters = [], []
         for start in range(0, series.num_snapshots, 2):
             stop = min(start + 2, series.num_snapshots)
             _, counters = run_group(
@@ -81,18 +77,16 @@ class TestWarmStart:
                 EngineConfig(),
             )
             cold_iters.append(counters.iterations)
-        for w, c in zip(warm.group_iterations[1:], cold_iters[1:]):
+            warm_iters.append(spans[start])
+        assert warm_iters[0] == cold_iters[0]  # nothing to seed from
+        for w, c in zip(warm_iters[1:], cold_iters[1:]):
             assert w <= c
-        assert sum(warm.group_iterations[1:]) < sum(cold_iters[1:])
-
-    def test_requires_regather(self, series):
-        with pytest.raises(EngineError):
-            warm_start_regather(series, SingleSourceShortestPath(0))
+        assert sum(warm_iters[1:]) < sum(cold_iters[1:])
 
     def test_requires_tolerance(self, series):
-        with pytest.raises(EngineError):
-            warm_start_regather(series, PageRank(tol=0.0))
-
-    def test_bad_batch(self, series):
-        with pytest.raises(EngineError):
-            warm_start_regather(series, PageRank(tol=1e-8), batch=0)
+        """A REGATHER program without a tolerance runs every group cold."""
+        prog = PageRank(iterations=5, tol=0.0)
+        scratch = run(series, prog, EngineConfig(batch_size=3))
+        warm = run(series, PageRank(iterations=5, tol=0.0), _warm(3))
+        assert warm.seeded_groups == 0
+        assert warm.values.tobytes() == scratch.values.tobytes()

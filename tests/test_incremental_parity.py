@@ -1,14 +1,17 @@
-"""Property-based parity: incremental drivers vs from-scratch execution.
+"""Property-based parity: incremental computation vs from-scratch execution.
 
-The incremental drivers (``incremental_labs``, ``warm_start_regather``)
+Seeded runs (``incremental_labs`` and ``run(..., reuse="incremental")``)
 and their vectorized helpers must be *exactly* as correct as running
 every snapshot from scratch — bitwise for MONOTONE programs, within the
-convergence tolerance for REGATHER.  These tests draw random temporal
-graphs with interleaved inserts and deletes and assert that parity.
+convergence tolerance for warm-started REGATHER.  These tests draw random
+temporal graphs with interleaved inserts and deletes and assert that
+parity. ``incremental_labs`` must also equal the driver it replaced
+(``tests/incremental_oracle.py``) in values and in every counter.
 """
 
+import dataclasses
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
@@ -21,9 +24,11 @@ from repro.engine.incremental import (
     _tense_sources,
     is_insert_only,
     is_insert_only_range,
-    warm_start_regather,
 )
+from repro.memsim import HierarchyConfig
+from repro.obs import runtime as obs
 from tests.conftest import random_temporal_graph
+from tests.incremental_oracle import oracle_incremental_labs
 
 
 def _series(seed, with_deletes=True, symmetric=False, snapshots=7, weighted=True):
@@ -55,10 +60,17 @@ class TestMonotoneParity:
         series = _series(seed, with_deletes=with_deletes, weighted=with_deletes)
         prog = SingleSourceShortestPath(0)
         scratch = run(series, prog, EngineConfig())
-        inc = incremental_labs(series, prog, batch=batch, activation=activation)
+        observation = obs.observe(trace=False)
+        try:
+            inc = incremental_labs(
+                series, prog, batch=batch, activation=activation
+            )
+        finally:
+            obs.disable()
         np.testing.assert_array_equal(inc.values, scratch.values)
         if not with_deletes:
-            assert not any(inc.used_intersection)
+            counters = observation.registry.snapshot()["counters"]
+            assert counters["reuse.intersection_bases"] == 0
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -90,8 +102,10 @@ class TestRegatherParity:
         scratch = run(
             series, PageRank(iterations=500, tol=1e-12), EngineConfig()
         )
-        warm = warm_start_regather(
-            series, PageRank(iterations=500, tol=1e-12), batch=batch
+        warm = run(
+            series,
+            PageRank(iterations=500, tol=1e-12),
+            EngineConfig(batch_size=batch, reuse="incremental"),
         )
         assert np.allclose(
             scratch.values, warm.values, atol=1e-8, equal_nan=True
@@ -172,22 +186,102 @@ class TestVectorizedHelpers:
         np.testing.assert_array_equal(got, expected)
 
 
+class TestOracleParity:
+    """``incremental_labs`` on ``run``'s loop equals the driver it replaced:
+    values and every ``EngineCounters`` field, simulated cycles and
+    per-core cycles included."""
+
+    @staticmethod
+    def _check(series, app, config, batch, activation):
+        prog = (
+            WeaklyConnectedComponents()
+            if app == "wcc"
+            else SingleSourceShortestPath(0)
+        )
+        got = incremental_labs(
+            series, prog, config(), batch=batch, activation=activation
+        )
+        want = oracle_incremental_labs(
+            series, prog, config(), batch=batch, activation=activation
+        )
+        assert got.values.tobytes() == want.values.tobytes()
+        assert dataclasses.asdict(got.counters) == dataclasses.asdict(
+            want.counters
+        )
+        assert got.seeded_groups == len(want.group_iterations) - 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        app=st.sampled_from(["sssp", "wcc"]),
+        mode=st.sampled_from(["push", "pull", "stream"]),
+        batch=st.integers(1, 8),
+        activation=st.sampled_from(["all", "tense"]),
+        with_deletes=st.booleans(),
+    )
+    def test_untraced(self, seed, app, mode, batch, activation, with_deletes):
+        series = _series(
+            seed, with_deletes=with_deletes, symmetric=app == "wcc"
+        )
+        self._check(
+            series, app, lambda: EngineConfig(mode=mode), batch, activation
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        app=st.sampled_from(["sssp", "wcc"]),
+        mode=st.sampled_from(["push", "pull", "stream"]),
+        batch=st.integers(1, 8),
+        activation=st.sampled_from(["all", "tense"]),
+        cores=st.sampled_from([1, 2]),
+    )
+    def test_traced(self, seed, app, mode, batch, activation, cores):
+        graph = random_temporal_graph(
+            num_vertices=20,
+            num_events=150,
+            seed=seed,
+            symmetric=app == "wcc",
+            with_deletes=True,
+        )
+        series = graph.series(graph.evenly_spaced_times(6))
+
+        def config():
+            return EngineConfig(
+                mode=mode,
+                trace=True,
+                num_cores=cores,
+                hierarchy_config=HierarchyConfig.experiment_scale(),
+            )
+
+        self._check(series, app, config, batch, activation)
+
+
 class TestIncrementalReport:
-    """IncrementalResult.report() mirrors RunResult.report()'s shape."""
+    """``incremental_labs`` and warm starts report like any run."""
 
     def test_report_shape(self):
         series = _series(3, with_deletes=False)
-        inc = incremental_labs(series, SingleSourceShortestPath(0), batch=3)
-        rep = inc.report()
-        assert rep["config"]["driver"] == "incremental_labs"
-        assert rep["program"] == inc.program_name
-        assert rep["group_iterations"] == inc.group_iterations
-        assert rep["used_intersection"] == inc.used_intersection
-        assert "counters" in rep and "cache" in rep
+        observation = obs.observe(trace=False)
+        try:
+            inc = incremental_labs(series, SingleSourceShortestPath(0), batch=3)
+            rep = inc.report()
+        finally:
+            obs.disable()
+        assert observation.registry is not None
+        assert rep["program"] == "sssp"
+        assert rep["config"]["reuse"] is None
+        assert rep["seeded_groups"] == inc.seeded_groups == 2  # [1,4), [4,7)
+        assert rep["cache"]["seeded_groups"] == inc.seeded_groups
+        assert rep["counters"]["iterations"] == inc.counters.iterations
 
     def test_warm_start_report_driver(self):
         series = _series(4)
-        warm = warm_start_regather(
-            series, PageRank(iterations=200, tol=1e-8), batch=3
+        warm = run(
+            series,
+            PageRank(iterations=200, tol=1e-8),
+            EngineConfig(batch_size=3, reuse="incremental"),
         )
-        assert warm.report()["config"]["driver"] == "warm_start_regather"
+        rep = warm.report()
+        assert rep["config"]["reuse"] == "incremental"
+        assert rep["seeded_groups"] == warm.seeded_groups == 2

@@ -28,7 +28,13 @@ from repro.errors import InjectedCrash, StorageError, TemporalGraphError
 from repro.resilience import faults
 from repro.streaming import StreamingStore, fsck_store
 from repro.streaming.wal import FSYNC_POLICIES
-from repro.temporal.activity import add_edge, add_vertex, del_edge
+from repro.temporal.activity import (
+    Activity,
+    ActivityKind,
+    add_edge,
+    add_vertex,
+    del_edge,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -259,6 +265,30 @@ class TestRecoverySemantics:
             assert store.graph().num_vertices == n
         with StreamingStore(tmp_path / "s") as store:
             assert store.graph().num_vertices == n
+
+    def test_weighted_delete_survives_compaction(self, tmp_path):
+        """A delete's weight means nothing, so the log drops it: reopening
+        from the WAL and from a compacted base give the same log."""
+        acts = [
+            add_vertex(0, 1),
+            add_vertex(1, 1),
+            add_edge(0, 1, 2, 2.0),
+            Activity(time=5, kind=ActivityKind.DEL_EDGE, src=0, dst=1, weight=7.0),
+            add_edge(0, 1, 6, 3.0),
+        ]
+        store_dir = tmp_path / "s"
+        with StreamingStore(store_dir) as store:
+            store.append(acts)
+            fp = store.fingerprint()
+            records = store.graph().columns().records.tobytes()
+        with StreamingStore(store_dir) as store:  # replayed from the WAL
+            assert store.fingerprint() == fp
+            assert store.graph().columns().records.tobytes() == records
+            store.compact()
+        with StreamingStore(store_dir) as store:  # read from the base
+            assert store.recovery.had_base
+            assert store.fingerprint() == fp
+            assert store.graph().columns().records.tobytes() == records
 
 
 # --------------------------------------------------------------------- #
