@@ -12,7 +12,7 @@ equal bytes feeding the engine*:
   which the series' own GroupView memoisation makes safe.
 - **On-disk** (:func:`edge_file_fingerprint` /
   :meth:`~repro.storage.store.TemporalGraphStore` fingerprints): a
-  digest over the v2 format's *stored* per-section CRC32s (header CRC,
+  digest over the edge file's *stored* per-section CRC32s (header CRC,
   vertex-index CRC, every segment's checkpoint + activity trailer).
   This is the paper-motivated "nearly free" store identity: the CRCs
   were paid for at write time, so fingerprinting a store reads ~12
@@ -21,8 +21,7 @@ equal bytes feeding the engine*:
   corrupted *data* section is caught by the readers' CRC validation the
   moment the store is loaded (typed
   :class:`~repro.errors.IntegrityError`), so neither form of damage can
-  ever be served from cache. Version-1 files (no stored CRCs) fall back
-  to digesting the file bytes.
+  ever be served from cache.
 
 A series loaded from a store carries the store-level digest as
 ``source_fingerprint``; :func:`group_fingerprint` folds it in, so two
@@ -111,20 +110,15 @@ def group_fingerprint(group: "GroupView") -> str:
 def edge_file_fingerprint(edge_file: "EdgeFile") -> str:
     """The stored-CRC fingerprint of one edge file (see module docs).
 
-    v2 files: digest of the header and index with their CRCs, then every
+    The digest of the header and index with their CRCs, then every
     vertex segment's two trailer CRC32s in vertex order — located through
     the vertex index and gathered from a read-only mapping in one fancy
     index, without touching segment data (a trailer cut short by EOF
-    contributes the bytes that exist). v1 files (no stored CRCs): digest
-    of the full file bytes.
+    contributes the bytes that exist).
     """
     from repro.storage import format as fmt
 
     path = edge_file.path
-    if edge_file.version < 2:
-        with open(path, "rb") as fh:
-            return digest_bytes(b"v1:", fh.read())
-    trailer = fmt.segment_trailer_size(edge_file.version)
     index = edge_file._index_columns
     live = index["offset"] != 0
     data = np.memmap(path, dtype=np.uint8, mode="r")
@@ -134,7 +128,7 @@ def edge_file_fingerprint(edge_file: "EdgeFile") -> str:
     data_len += index["n_act"][live] * np.int64(fmt.ACTIVITY_SIZE)
     start = np.minimum(index["offset"][live], size).astype(np.int64)
     start += np.minimum(data_len, size)
-    at = (start[:, None] + np.arange(trailer)).ravel()
+    at = (start[:, None] + np.arange(fmt.TRAILER_SIZE)).ravel()
     h = hashlib.blake2b(digest_size=DIGEST_SIZE)
     # Header + its CRC, and the packed index + its CRC.
     h.update(data[: edge_file.header.segments_offset])

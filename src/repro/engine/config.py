@@ -43,7 +43,8 @@ class EngineConfig:
     trace: bool = False
     hierarchy_config: Optional[HierarchyConfig] = None
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Simulated core count (traced runs only).
+    #: Simulated core count (traced runs only). Stream mode shuffles into
+    #: ``max(num_cores, 4)`` buckets (X-Stream's streaming partitions).
     num_cores: int = 1
     #: ``partition`` assigns vertex partitions to cores; ``snapshot``
     #: assigns whole snapshots to cores (Section 3.4). Snapshot-parallelism
@@ -54,9 +55,6 @@ class EngineConfig:
     core_of: Optional[np.ndarray] = None
     #: Override the program's iteration cap.
     max_iterations: Optional[int] = None
-    #: Number of shuffle buckets in stream mode (X-Stream's streaming
-    #: partitions); defaults to ``max(num_cores, 4)``.
-    stream_buckets: Optional[int] = None
     #: Treat cores as distributed machines: cross-partition push
     #: propagation becomes messages (counted and charged network time)
     #: instead of locked shared-memory writes. Used by

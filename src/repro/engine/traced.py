@@ -76,12 +76,6 @@ def mask_to_int(row: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _num_buckets(ctx: ExecContext) -> int:
-    if ctx.config.stream_buckets is not None:
-        return max(1, ctx.config.stream_buckets)
-    return max(ctx.config.num_cores, 4)
-
-
 def _source_messages(
     ctx: ExecContext, degs: Optional[np.ndarray]
 ) -> Callable[[int, int], np.ndarray]:
@@ -335,7 +329,8 @@ def _stream_scatter(ctx: ExecContext) -> None:
     snap_mask = mask_to_int(state.snap_active)
     cached_messages = _source_messages(ctx, degs) if weights is None else None
 
-    num_buckets = _num_buckets(ctx)
+    # Shuffle buckets: X-Stream's streaming partitions.
+    num_buckets = max(ctx.config.num_cores, 4)
     V = max(group.num_vertices, 1)
     if state.update_buffer_base < 0 and state.space is not None:
         state.alloc_stream_buffers(num_buckets)

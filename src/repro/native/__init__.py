@@ -65,7 +65,7 @@ COMPILER = "gcc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
 #: Combine kinds; the library exports ``fold_<kind>`` for each.
 KINDS = ("add", "min", "max")
-#: Bytes of a format-v2 segment trailer: the two sections' CRC-32s.
+#: Bytes of a segment trailer: the two sections' CRC-32s.
 TRAILER_SIZE = 8
 
 _INDEX = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
@@ -111,8 +111,7 @@ _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
     "scan_sections": (
         [
             _BYTES, ctypes.c_int64,
-            _LENGTHS, _LENGTHS, _LENGTHS, ctypes.c_ssize_t,
-            ctypes.c_int, ctypes.c_int,
+            _LENGTHS, _LENGTHS, _LENGTHS, ctypes.c_ssize_t, ctypes.c_int,
             _OUT_BYTES, ctypes.c_int64, _OUT_BYTES, ctypes.c_int64,
         ],
         ctypes.c_ssize_t,
@@ -120,8 +119,7 @@ _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
     "pack_sections": (
         [
             _BYTES, ctypes.c_int64, _BYTES, ctypes.c_int64,
-            _LENGTHS, _LENGTHS, ctypes.c_ssize_t, ctypes.c_int,
-            _OUT_BYTES, ctypes.c_int64,
+            _LENGTHS, _LENGTHS, ctypes.c_ssize_t, _OUT_BYTES, ctypes.c_int64,
         ],
         ctypes.c_int,
     ),
@@ -272,15 +270,13 @@ def scan_sections(
     offset: np.ndarray,
     cp_len: np.ndarray,
     act_len: np.ndarray,
-    checked: bool,
     gather: bool,
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     """Verify and gather the segments of the file bytes ``data`` (``uint8``).
 
     Segment ``i`` holds ``cp_len[i]`` checkpoint bytes at ``offset[i]``,
-    then ``act_len[i]`` activity bytes (all ``int64``). With ``checked``
-    (format v2) its trailer must hold both sections' CRC-32s.
-    Returns the first segment whose trailer does not match (``len(offset)``
+    then ``act_len[i]`` activity bytes (all ``int64``); its trailer must
+    hold both sections' CRC-32s. Returns the first segment whose trailer does not match (``len(offset)``
     when all do) and, with ``gather`` and all matching, every section back
     to back as a checkpoint and an activity byte array (empty arrays
     without). The caller proves every segment lies inside ``data`` first;
@@ -299,7 +295,7 @@ def scan_sections(
     first_bad = int(
         function(
             data, data.shape[0], offset, cp_len, act_len, n,
-            checked, gather, cp_out, cp_out.shape[0], act_out, act_out.shape[0],
+            gather, cp_out, cp_out.shape[0], act_out, act_out.shape[0],
         )
     )
     if first_bad < 0:
@@ -315,15 +311,13 @@ def pack_sections(
     act: np.ndarray,
     cp_len: np.ndarray,
     act_len: np.ndarray,
-    checked: bool,
 ) -> np.ndarray:
     """The segments of an edge file, back to back, as one ``uint8`` array.
 
     Segment ``i`` is the next ``cp_len[i]`` bytes of ``cp``, the next
-    ``act_len[i]`` bytes of ``act`` (both ``uint8``, lengths ``int64``) and,
-    with ``checked`` (format v2), the trailer of their two CRC-32s. The
-    lengths must use up both arrays exactly, else a
-    :class:`~repro.errors.StorageError`.
+    ``act_len[i]`` bytes of ``act`` (both ``uint8``, lengths ``int64``) and
+    the trailer of their two CRC-32s. The lengths must use up both arrays
+    exactly, else a :class:`~repro.errors.StorageError`.
     """
     function = _function("pack_sections")
     n = int(cp_len.shape[0])
@@ -332,13 +326,9 @@ def pack_sections(
             f"section pack of {n} checkpoint lengths got {act_len.shape[0]} "
             "activity lengths"
         )
-    out = np.empty(
-        cp.shape[0] + act.shape[0] + (TRAILER_SIZE * n if checked else 0),
-        dtype=np.uint8,
-    )
+    out = np.empty(cp.shape[0] + act.shape[0] + TRAILER_SIZE * n, dtype=np.uint8)
     if function(
-        cp, cp.shape[0], act, act.shape[0], cp_len, act_len, n,
-        checked, out, out.shape[0],
+        cp, cp.shape[0], act, act.shape[0], cp_len, act_len, n, out, out.shape[0]
     ):
         raise StorageError(
             f"section pack: {n} segment lengths do not use up the "

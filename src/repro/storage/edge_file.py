@@ -1,12 +1,10 @@
 """Time-locality edge files: writer and reader (paper Figure 4).
 
-Files are written in format version 2 (per-section CRC32 checksums, see
-:mod:`repro.storage.format`) by default; version-1 files remain fully
-readable and ``write_edge_file(..., version=1)`` can still produce them
-for compatibility testing. Every read path validates section lengths and
-(v2) checksums, so a truncated or bit-flipped file raises a typed
-:class:`~repro.errors.StorageError` / :class:`~repro.errors.IntegrityError`
-naming the corrupt section instead of returning garbage records.
+One format, :mod:`repro.storage.format`: every section carries a CRC32.
+Every read path validates section lengths and checksums, so a truncated
+or bit-flipped file raises a typed :class:`~repro.errors.StorageError` /
+:class:`~repro.errors.IntegrityError` naming the corrupt section instead
+of returning garbage records.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ def write_edge_file(
     graph: TemporalGraph,
     t1: Time,
     t2: Time,
-    version: int = fmt.VERSION,
 ) -> None:
     """Write the snapshot group ``[t1, t2]`` of ``graph`` as an edge file.
 
@@ -57,8 +54,8 @@ def write_edge_file(
     the ``tu`` link to the next activity on the same edge. The checkpoint
     holds the edges' own state: an edge whose endpoint is deleted at
     ``t1`` is kept (it shows again if the vertex is re-added), vertex
-    liveness being the reader's to apply. With the default ``version=2``
-    every section is followed by its CRC32.
+    liveness being the reader's to apply. Every section is followed by
+    its CRC32.
 
     Both sectors are cut from the log's columns
     (:meth:`TemporalGraph.columns`, shared by every group of a store) in
@@ -69,7 +66,7 @@ def write_edge_file(
     if t1 > t2:
         raise StorageError(f"invalid group range [{t1}, {t2}]")
     V = graph.num_vertices
-    header = fmt.EdgeFileHeader(V, t1, t2, version)
+    header = fmt.EdgeFileHeader(V, t1, t2)
     columns = graph.columns()
     events = columns.events
 
@@ -98,7 +95,7 @@ def write_edge_file(
     vertices = np.flatnonzero(cp_counts + act_counts)
     cp_bytes = cp_counts[vertices] * fmt.CHECKPOINT_ENTRY_SIZE
     act_bytes = act_counts[vertices] * fmt.ACTIVITY_SIZE
-    segment_bytes = cp_bytes + act_bytes + fmt.segment_trailer_size(version)
+    segment_bytes = cp_bytes + act_bytes + fmt.TRAILER_SIZE
     index = np.zeros(V, dtype=fmt.INDEX_DTYPE)
     index["offset"][vertices] = (
         header.segments_offset + np.cumsum(segment_bytes) - segment_bytes
@@ -111,7 +108,6 @@ def write_edge_file(
         activities.view(np.uint8),
         cp_bytes.astype(np.int64),
         act_bytes.astype(np.int64),
-        checked=version >= 2,
     )
 
     # Writer primitive: durable callers (store.create, WAL compaction)
@@ -119,7 +115,7 @@ def write_edge_file(
     # (chronolint CHF003 proves it at every caller).
     with open(path, "wb") as fh:
         fmt.write_header(fh, header)
-        fmt.write_index(fh, index, version)
+        fmt.write_index(fh, index)
         fh.write(memoryview(segments))
 
     # Deterministic storage-fault injection: an installed FaultPlan may
@@ -151,7 +147,7 @@ class EdgeFileScan:
 
 
 class EdgeFile:
-    """Reader over a time-locality edge file (v1 or v2).
+    """Reader over a time-locality edge file.
 
     Two access patterns, one set of checks. :meth:`segment` seeks to one
     vertex through the index (:meth:`_read_segment`); :meth:`scan` reads
@@ -173,12 +169,9 @@ class EdgeFile:
         self.path = Path(path)
         with open(self.path, "rb") as fh:
             self.header = fmt.read_header(fh, str(self.path))
-            index = fmt.read_index(
-                fh, self.header.num_vertices, self.header.version, str(self.path)
-            )
+            index = fmt.read_index(fh, self.header.num_vertices, str(self.path))
         #: ``(offset, n_cp, n_act)`` per vertex, an ``INDEX_DTYPE`` array.
         self._index_columns = index
-        self._trailer_size = fmt.segment_trailer_size(self.header.version)
         self.mmap = bool(mmap)
         self._mm: Optional[np.memmap] = None
         if self.mmap:
@@ -200,10 +193,6 @@ class EdgeFile:
     @property
     def num_vertices(self) -> int:
         return self.header.num_vertices
-
-    @property
-    def version(self) -> int:
-        return self.header.version
 
     @staticmethod
     def _file_read(fh: BinaryIO) -> Callable[[int, int], bytes]:
@@ -238,7 +227,7 @@ class EdgeFile:
     ]:
         """Read + validate one vertex segment via ``read(offset, size)``.
 
-        Section lengths, then the (v2) CRC trailer through
+        Section lengths, then the CRC trailer through
         :func:`repro.storage.format.verify_segment`. Every corruption
         error of this class is raised from here — :meth:`scan` re-enters
         it for the segment its bulk checks reject.
@@ -257,18 +246,16 @@ class EdgeFile:
                 f"truncated activity segment of vertex {v} in {self.path}: "
                 f"{len(act_raw)} of {act_expected} bytes"
             )
-        if self._trailer_size:
-            trailer = read(offset + cp_expected + act_expected, self._trailer_size)
-            fmt.verify_segment(v, cp_raw, act_raw, trailer, str(self.path))
-            obs.add("storage.crc_verified")
+        trailer = read(offset + cp_expected + act_expected, fmt.TRAILER_SIZE)
+        fmt.verify_segment(v, cp_raw, act_raw, trailer, str(self.path))
+        obs.add("storage.crc_verified")
         obs.add("storage.segments_read")
         obs.add(
-            "storage.bytes_read",
-            cp_expected + act_expected + self._trailer_size,
+            "storage.bytes_read", cp_expected + act_expected + fmt.TRAILER_SIZE
         )
         return (
-            fmt.unpack_checkpoint_entries(cp_raw),
-            fmt.unpack_activities(act_raw),
+            np.frombuffer(cp_raw, fmt.CHECKPOINT_DTYPE).tolist(),
+            np.frombuffer(act_raw, fmt.ACTIVITY_DTYPE).tolist(),
         )
 
     def segment(
@@ -327,7 +314,7 @@ class EdgeFile:
             fmt.ACTIVITY_SIZE
         )
         size = np.uint64(data.shape[0])
-        needed = (cp_bytes + act_bytes + self._trailer_size).astype(np.uint64)
+        needed = (cp_bytes + act_bytes + fmt.TRAILER_SIZE).astype(np.uint64)
         fits = (offset <= size) & (needed <= size - np.minimum(offset, size))
         # Segments before the first short one are still CRC-checked first:
         # an earlier mismatch is reported ahead of a later truncation.
@@ -345,7 +332,6 @@ class EdgeFile:
             offset[:intact].astype(np.int64),
             cp_bytes[:intact],
             act_bytes[:intact],
-            checked=self._trailer_size != 0,
             gather=gather,
         )
         if suspect < fits.shape[0]:
@@ -357,8 +343,7 @@ class EdgeFile:
                 f"segment of vertex {v} in {self.path} changed while "
                 "it was being read"
             )
-        if self._trailer_size:
-            obs.add("storage.crc_verified", intact)
+        obs.add("storage.crc_verified", intact)
         obs.add("storage.segments_read", intact)
         obs.add("storage.bytes_read", int(needed.sum()))
         return vertices, checkpoint, activities
@@ -379,6 +364,9 @@ class EdgeFile:
         )
         checkpoint = cp_raw.view(fmt.CHECKPOINT_DTYPE)
         activities = act_raw.view(fmt.ACTIVITY_DTYPE)
+        # The CRCs prove the bytes are the ones written, not that they are
+        # in range: a crafted file with valid CRCs must not reach the
+        # kernel's indexing with a wild vertex, kind or time.
         for section, records in (
             ("checkpoint sector", checkpoint),
             ("activity segment", activities),
@@ -497,9 +485,9 @@ class EdgeFile:
     def fingerprint(self) -> str:
         """Stored-CRC content fingerprint of this file (cache identity).
 
-        See :func:`repro.cache.fingerprint.edge_file_fingerprint`: for v2
-        files this digests the header, index, and per-segment CRC32s that
-        were already paid for at write time — ~12 bytes per segment, no
+        See :func:`repro.cache.fingerprint.edge_file_fingerprint`: this
+        digests the header, index, and per-segment CRC32s that were
+        already paid for at write time — ~12 bytes per segment, no
         segment-data reads.
         """
         from repro.cache.fingerprint import edge_file_fingerprint

@@ -13,7 +13,7 @@ from repro.errors import StorageError
 from repro.obs import runtime as obs
 from repro.storage import format as fmt
 from repro.storage.atomic import atomic_write_json, atomic_write_via
-from repro.storage.edge_file import write_edge_file
+from repro.storage.edge_file import EdgeFile, write_edge_file
 from repro.storage.snapshot_group import SnapshotGroup
 from repro.temporal.activity import Activity, ActivityKind
 from repro.temporal.bitmap import MAX_SNAPSHOTS
@@ -51,6 +51,16 @@ class StoreConfig:
         if self.memory_budget_bytes is not None:
             return total_bytes > self.memory_budget_bytes
         return False
+
+
+def check_vertex_count(edge_file: EdgeFile, num_vertices: Any) -> None:
+    """Refuse an edge file whose header disagrees with the manifest's
+    ``num_vertices``, which sizes every array a series load allocates."""
+    if edge_file.num_vertices != num_vertices:
+        raise StorageError(
+            f"edge file {edge_file.path} holds {edge_file.num_vertices} "
+            f"vertices; the store manifest says {num_vertices}"
+        )
 
 
 def group_entries(
@@ -175,14 +185,14 @@ class TemporalGraphStore:
                     )
                     for a in entry["vertex_activities"]
                 ]
-                self._groups.append(
-                    SnapshotGroup.open(
-                        self.path / entry["edge_file"],
-                        set(entry["live_vertices_at_start"]),
-                        vertex_acts,
-                        mmap=self.mmap,
-                    )
+                group = SnapshotGroup.open(
+                    self.path / entry["edge_file"],
+                    set(entry["live_vertices_at_start"]),
+                    vertex_acts,
+                    mmap=self.mmap,
                 )
+                check_vertex_count(group.edge_file, self.num_vertices)
+                self._groups.append(group)
 
     # ------------------------------------------------------------------ #
 
@@ -322,8 +332,8 @@ class TemporalGraphStore:
     def fingerprint(self) -> str:
         """Store-level content fingerprint: manifest + every group's digest.
 
-        The result-cache identity of this store. Derived from the v2
-        format's stored per-section CRC32s, so computing it reads only
+        The result-cache identity of this store. Derived from the edge
+        files' stored per-section CRC32s, so computing it reads only
         headers, indexes, and segment trailers — never segment data.
         """
         from repro.cache.fingerprint import combine_digests, digest_bytes

@@ -1,4 +1,4 @@
-"""Compaction: fold head + base into fresh v2 edge files, atomically.
+"""Compaction: fold head + base into fresh edge files, atomically.
 
 The protocol (each step fsync'd before the next, crash points named):
 

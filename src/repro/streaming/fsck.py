@@ -8,7 +8,8 @@ modifying anything:
 - every edge file (referenced or not): full
   :meth:`~repro.storage.edge_file.EdgeFile.verify` scan — header,
   vertex index, and per-segment CRCs — reporting each
-  :class:`~repro.errors.IntegrityError` with its section details;
+  :class:`~repro.errors.IntegrityError` with its section details, and,
+  for a referenced file, a vertex count that differs from the manifest's;
 - the WAL, if present: frame scan with torn-tail diagnosis and the
   absorbed-sequence cross-check against the manifest;
 - debris: unpublished temp siblings and a stale compaction scratch dir
@@ -27,7 +28,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import IntegrityError, StorageError
 from repro.storage.atomic import TMP_INFIX
 from repro.storage.edge_file import EdgeFile
-from repro.storage.store import MANIFEST_NAME
+from repro.storage.store import MANIFEST_NAME, check_vertex_count
 from repro.streaming import wal as walmod
 from repro.streaming.compact import COMPACT_TMP_DIR
 
@@ -115,7 +116,8 @@ def fsck_store(path: PathLike) -> Dict[str, Any]:
         try:
             reader = EdgeFile(edge_path)
             entry["segments_verified"] = reader.verify()
-            entry["version"] = reader.version
+            if entry["referenced"]:
+                check_vertex_count(reader, (manifest or {}).get("num_vertices"))
         except StorageError as exc:
             entry["ok"] = False
             entry.update(_error_detail(exc))

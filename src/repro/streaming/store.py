@@ -2,7 +2,7 @@
 
 A :class:`StreamingStore` directory holds at most three kinds of state:
 
-- an (optional) immutable **base**: a v2 snapshot-group store — edge
+- an (optional) immutable **base**: a snapshot-group store — edge
   files plus ``manifest.json`` — produced by the last compaction;
 - the **WAL** (``wal.chronos``): every activity appended since that
   compaction, CRC-framed (:mod:`repro.streaming.wal`);
@@ -339,7 +339,7 @@ class StreamingStore:
     # compaction
 
     def compact(self) -> Dict[str, Any]:
-        """Fold the head into a fresh v2 base store, atomically.
+        """Fold the head into a fresh base store, atomically.
 
         On return the manifest references the new generation, the WAL is
         empty, and a crash at *any* interior instant (see

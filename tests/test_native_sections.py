@@ -48,27 +48,20 @@ def native_crcs(cp, act=b""):
     """The codec's two CRCs of ``cp`` and ``act`` (one packed segment)."""
     cp = np.frombuffer(bytes(cp), np.uint8) if not isinstance(cp, np.ndarray) else cp
     act = np.frombuffer(bytes(act), np.uint8)
-    packed = native.pack_sections(
-        cp, act, _lengths([cp.shape[0]]), _lengths([act.shape[0]]), checked=True
-    )
+    packed = native.pack_sections(cp, act, _lengths([cp.shape[0]]), _lengths([act.shape[0]]))
     return struct.unpack("<II", packed[-8:].tobytes())
 
 
 def oracle_fingerprint(edge_file):
     """The seek-per-segment store fingerprint the vectorised gather replaced."""
-    path = edge_file.path
-    if edge_file.version < 2:
-        with open(path, "rb") as fh:
-            return digest_bytes(b"v1:", fh.read())
-    trailer = fmt.segment_trailer_size(edge_file.version)
     h = hashlib.blake2b(digest_size=DIGEST_SIZE)
-    with open(path, "rb") as fh:
+    with open(edge_file.path, "rb") as fh:
         h.update(fh.read(edge_file.header.segments_offset))
         for offset, n_cp, n_act in edge_file._index_columns.tolist():
             if offset == 0:
                 continue
             fh.seek(offset + n_cp * fmt.CHECKPOINT_ENTRY_SIZE + n_act * fmt.ACTIVITY_SIZE)
-            h.update(fh.read(trailer))
+            h.update(fh.read(fmt.TRAILER_SIZE))
     return h.hexdigest()
 
 
@@ -100,7 +93,7 @@ def test_crc_equals_zlib_at_unaligned_starts():
 # pack and scan are mirrors
 
 
-def _random_sections(rng, n, checked):
+def _random_sections(rng, n):
     cp_len = rng.integers(0, 40, n) * rng.integers(0, 2, n)  # many empty
     act_len = rng.integers(0, 90, n) * rng.integers(0, 2, n)
     cp = rng.integers(0, 256, int(cp_len.sum()), dtype=np.uint8)
@@ -108,14 +101,14 @@ def _random_sections(rng, n, checked):
     return cp, act, _lengths(cp_len), _lengths(act_len)
 
 
-@pytest.mark.parametrize("checked", [True, False])
+@pytest.mark.parametrize("gather", [True, False])
 @pytest.mark.parametrize("mmap", [False, True])
-def test_pack_then_scan_round_trips(checked, mmap, tmp_path):
+def test_pack_then_scan_round_trips(gather, mmap, tmp_path):
     rng = np.random.default_rng(2)
-    cp, act, cp_len, act_len = _random_sections(rng, 300, checked)
-    packed = native.pack_sections(cp, act, cp_len, act_len, checked)
+    cp, act, cp_len, act_len = _random_sections(rng, 300)
+    packed = native.pack_sections(cp, act, cp_len, act_len)
     assert packed.tobytes() == oracle_sections(
-        cp.tobytes(), act.tobytes(), cp_len.tolist(), act_len.tolist(), checked
+        cp.tobytes(), act.tobytes(), cp_len.tolist(), act_len.tolist()
     )
     prefix = 13  # segments start mid-file, as after a header and index
     path = tmp_path / "sections.bin"
@@ -125,25 +118,21 @@ def test_pack_then_scan_round_trips(checked, mmap, tmp_path):
         if mmap
         else np.frombuffer(path.read_bytes(), np.uint8)
     )
-    trailer = native.TRAILER_SIZE if checked else 0
-    sizes = cp_len + act_len + trailer
+    sizes = cp_len + act_len + native.TRAILER_SIZE
     offset = prefix + np.cumsum(sizes) - sizes
     first_bad, got_cp, got_act = native.scan_sections(
-        data, offset, cp_len, act_len, checked, gather=True
+        data, offset, cp_len, act_len, gather
     )
-    assert first_bad == len(offset)
-    assert got_cp.tobytes() == cp.tobytes()
-    assert got_act.tobytes() == act.tobytes()
-    # Without gather nothing is copied, and the verdict is the same.
-    assert native.scan_sections(data, offset, cp_len, act_len, checked, gather=False)[
-        0
-    ] == len(offset)
+    assert first_bad == len(offset)  # the verdict does not depend on gather
+    # Without gather nothing is copied.
+    assert got_cp.tobytes() == (cp.tobytes() if gather else b"")
+    assert got_act.tobytes() == (act.tobytes() if gather else b"")
 
 
 def test_scan_reports_the_first_mismatching_segment(tmp_path):
     rng = np.random.default_rng(3)
-    cp, act, cp_len, act_len = _random_sections(rng, 50, True)
-    packed = native.pack_sections(cp, act, cp_len, act_len, True)
+    cp, act, cp_len, act_len = _random_sections(rng, 50)
+    packed = native.pack_sections(cp, act, cp_len, act_len)
     sizes = cp_len + act_len + native.TRAILER_SIZE
     offset = np.cumsum(sizes) - sizes
     for victim in (7, 31, 49):
@@ -151,7 +140,7 @@ def test_scan_reports_the_first_mismatching_segment(tmp_path):
             flipped = packed.copy()
             flipped[offset[victim] + where] ^= 0x01
             first_bad, _, _ = native.scan_sections(
-                flipped, offset, cp_len, act_len, True, gather=True
+                flipped, offset, cp_len, act_len, gather=True
             )
             assert first_bad == victim
 
@@ -162,10 +151,10 @@ def test_ranges_outside_the_buffer_are_a_typed_error():
         with pytest.raises(StorageError, match="outside"):
             native.scan_sections(
                 data, _lengths([offset]), _lengths([cp_len]), _lengths([act_len]),
-                True, gather=True,
+                gather=True,
             )
     with pytest.raises(StorageError, match="do not use up"):
-        native.pack_sections(data, data, _lengths([10]), _lengths([10]), True)
+        native.pack_sections(data, data, _lengths([10]), _lengths([10]))
 
 
 # ---------------------------------------------------------------------- #
@@ -173,29 +162,25 @@ def test_ranges_outside_the_buffer_are_a_typed_error():
 
 
 @pytest.fixture(scope="module")
-def edge_files(tmp_path_factory):
+def edge_file_bytes(tmp_path_factory):
     graph = random_temporal_graph(seed=91, num_vertices=12, num_events=120)
     t0, t1 = graph.time_range
-    out = {}
-    for version in fmt.SUPPORTED_VERSIONS:
-        path = tmp_path_factory.mktemp("clean") / f"v{version}.chronos"
-        write_edge_file(path, graph, t0 - 1, t1, version=version)
-        out[version] = path.read_bytes()
-    return out
+    path = tmp_path_factory.mktemp("clean") / "edges.chronos"
+    write_edge_file(path, graph, t0 - 1, t1)
+    return path.read_bytes()
 
 
-def _rewrite_index(raw, version, rows):
+def _rewrite_index(raw, rows):
     """``raw`` with index rows replaced and the index CRC recomputed."""
     data = bytearray(raw)
     (num_vertices,) = struct.unpack_from("<I", data, 6)
-    start = fmt.header_size(version)
+    start = fmt.HEADER_SIZE
     end = start + num_vertices * fmt.INDEX_ENTRY_SIZE
     index = np.frombuffer(bytes(data[start:end]), dtype=fmt.INDEX_DTYPE).copy()
     for v, (offset, n_cp, n_act) in rows.items():
         index[v % num_vertices] = (offset, n_cp, n_act)
     data[start:end] = index.tobytes()
-    if version >= 2:
-        data[end : end + fmt.CRC_SIZE] = struct.pack("<I", zlib.crc32(index.tobytes()))
+    data[end : end + fmt.CRC_SIZE] = struct.pack("<I", zlib.crc32(index.tobytes()))
     return bytes(data), index
 
 
@@ -203,14 +188,12 @@ _U32 = (1 << 32) - 1
 
 
 @st.composite
-def hostile_rows(draw, raw, version):
-    index = np.frombuffer(
-        raw[fmt.header_size(version) :], dtype=fmt.INDEX_DTYPE, count=12
-    )
+def hostile_rows(draw, raw):
+    index = np.frombuffer(raw[fmt.HEADER_SIZE :], dtype=fmt.INDEX_DTYPE, count=12)
     real = [int(o) for o in index["offset"] if o]
     offsets = st.one_of(
         st.sampled_from(real),  # another segment's: overlap
-        st.integers(1, fmt.header_size(version) + 12 * fmt.INDEX_ENTRY_SIZE),  # header
+        st.integers(1, fmt.HEADER_SIZE + 12 * fmt.INDEX_ENTRY_SIZE),  # header
         st.integers(len(raw) - 16, len(raw) + 64),  # around and past EOF
         st.sampled_from([1 << 63, (1 << 64) - 1, (1 << 64) - 8]),  # huge
         st.integers(0, len(raw)),
@@ -231,13 +214,13 @@ def _records_or_typed_error(action):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), version=st.sampled_from(fmt.SUPPORTED_VERSIONS), mmap=st.booleans())
+@given(data=st.data(), mmap=st.booleans())
 def test_hostile_index_rows_give_typed_errors_or_the_records(
-    edge_files, tmp_path_factory, data, version, mmap
+    edge_file_bytes, tmp_path_factory, data, mmap
 ):
-    raw = edge_files[version]
-    rows = data.draw(hostile_rows(raw, version))
-    hostile, index = _rewrite_index(raw, version, rows)
+    raw = edge_file_bytes
+    rows = data.draw(hostile_rows(raw))
+    hostile, index = _rewrite_index(raw, rows)
     path = tmp_path_factory.mktemp("hostile") / "edges.chronos"
     path.write_bytes(hostile)
 
@@ -265,15 +248,15 @@ def test_hostile_index_rows_give_typed_errors_or_the_records(
     assert {v for v, _, _ in scanned} == set(np.flatnonzero(index["offset"]).tolist())
 
 
-def test_overlapping_segments_cannot_size_the_gather(edge_files, tmp_path):
-    raw = edge_files[2]
+def test_overlapping_segments_cannot_size_the_gather(edge_file_bytes, tmp_path):
+    raw = edge_file_bytes
     (num_vertices,) = struct.unpack_from("<I", raw, 6)
-    index = np.frombuffer(raw[fmt.header_size(2) :], dtype=fmt.INDEX_DTYPE, count=num_vertices)
+    index = np.frombuffer(raw[fmt.HEADER_SIZE :], dtype=fmt.INDEX_DTYPE, count=num_vertices)
     nbytes = index["n_cp"] * fmt.CHECKPOINT_ENTRY_SIZE + index["n_act"] * fmt.ACTIVITY_SIZE
     widest = int(np.argmax(nbytes))
     assert num_vertices * int(nbytes[widest]) > len(raw)
     hostile, _ = _rewrite_index(
-        raw, 2, {v: tuple(int(x) for x in index[widest]) for v in range(num_vertices)}
+        raw, {v: tuple(int(x) for x in index[widest]) for v in range(num_vertices)}
     )
     path = tmp_path / "overlap.chronos"
     path.write_bytes(hostile)
@@ -298,22 +281,21 @@ def test_store_fingerprint_is_the_golden_cache_key(tmp_path):
     assert store.group_fingerprints() == groups
 
 
-def test_fingerprint_equals_the_seek_loop_on_damaged_files(edge_files, tmp_path):
+def test_fingerprint_equals_the_seek_loop_on_damaged_files(edge_file_bytes, tmp_path):
     path = tmp_path / "edges.chronos"
-    for version, raw in edge_files.items():
-        segments_offset = fmt.EdgeFileHeader(12, 0, 0, version).segments_offset
-        cases = {"intact": raw}
-        for cut in range(segments_offset, len(raw), 5):
-            cases[f"cut {cut}"] = raw[:cut]
-        for pos in range(len(raw) - 16, len(raw)):  # the last trailers
-            flipped = bytearray(raw)
-            flipped[pos] ^= 0xFF
-            cases[f"flip {pos}"] = bytes(flipped)
-        for name, content in cases.items():
-            path.write_bytes(raw)
-            edge_file = EdgeFile(path)  # opened intact, then damaged
-            path.write_bytes(content)
-            assert edge_file.fingerprint() == oracle_fingerprint(edge_file), (version, name)
+    raw = edge_file_bytes
+    cases = {"intact": raw}
+    for cut in range(fmt.EdgeFileHeader(12, 0, 0).segments_offset, len(raw), 5):
+        cases[f"cut {cut}"] = raw[:cut]
+    for pos in range(len(raw) - 16, len(raw)):  # the last trailers
+        flipped = bytearray(raw)
+        flipped[pos] ^= 0xFF
+        cases[f"flip {pos}"] = bytes(flipped)
+    for name, content in cases.items():
+        path.write_bytes(raw)
+        edge_file = EdgeFile(path)  # opened intact, then damaged
+        path.write_bytes(content)
+        assert edge_file.fingerprint() == oracle_fingerprint(edge_file), name
 
 
 def test_a_flipped_trailer_moves_the_fingerprint_and_refuses_the_load(tmp_path):

@@ -11,7 +11,9 @@ and the oracles.
 
 from __future__ import annotations
 
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +314,7 @@ def test_load_series_storage_counters_equal_per_segment_totals(mmap, tmp_path):
                 bytes_read += (
                     n_cp * fmt.CHECKPOINT_ENTRY_SIZE
                     + n_act * fmt.ACTIVITY_SIZE
-                    + 2 * fmt.CRC_SIZE
+                    + fmt.TRAILER_SIZE
                 )
     # ... which is also what reading each segment on its own counts.
     one_by_one = _counters_of(
@@ -342,19 +344,24 @@ def test_load_series_storage_counters_equal_per_segment_totals(mmap, tmp_path):
 def test_scan_rejects_records_the_kernel_could_not_index(
     where, raw, message, tmp_path
 ):
-    """v1 files carry no CRCs; a record with a wild kind, vertex or time
-    must still be a typed error, not an IndexError in the kernel."""
+    """CRCs prove the bytes are the ones written, not that they are in
+    range: a crafted record with a wild kind, vertex or time under valid
+    CRCs must still be a typed error, not an IndexError in the kernel."""
     from repro.storage import EdgeFile, write_edge_file
 
     graph = TemporalGraphBuilder().add_edge(0, 1, 1).add_edge(1, 2, 2).build()
-    path = tmp_path / "v1.chronos"
-    write_edge_file(path, graph, 0, 2, version=1)
-    # Vertex 0's segment: no checkpoint, one activity record.
+    path = tmp_path / "crafted.chronos"
+    write_edge_file(path, graph, 0, 2)
+    # Vertex 0's segment: no checkpoint, one activity record, the trailer.
     offset = next(
         off for off, _cp, _act in EdgeFile(path)._index_columns.tolist() if off
     )
     data = bytearray(path.read_bytes())
     data[offset + where.start : offset + where.stop] = raw
+    record_end = offset + fmt.ACTIVITY_SIZE
+    struct.pack_into(
+        "<I", data, record_end + fmt.CRC_SIZE, zlib.crc32(data[offset:record_end])
+    )
     path.write_bytes(bytes(data))
     with pytest.raises(StorageError, match=message):
         EdgeFile(path).scan()

@@ -1,19 +1,17 @@
-"""Corruption matrix for format v2: every byte flip / truncation is typed.
+"""Corruption matrix for the edge file: every byte flip / truncation is typed.
 
-The integrity contract (ISSUE 4): any truncation and any single-byte
-corruption of an edge file must surface as a typed
-:class:`~repro.errors.StorageError` / :class:`~repro.errors.IntegrityError`
-*naming the corrupt section* — never as silently wrong data and never as a
-bare ``struct.error``. Version-1 files (no checksums) must keep loading
-byte-for-byte identically to version-2 files of the same graph.
+The integrity contract: any truncation and any single-byte corruption of
+an edge file must surface as a typed :class:`~repro.errors.StorageError` /
+:class:`~repro.errors.IntegrityError` *naming the corrupt section* — never
+as silently wrong data and never as a bare ``struct.error``. A header
+carrying any version but the one format's is refused.
 """
 
 import io
 import struct
+import zlib
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro.errors import IntegrityError, StorageError
 from repro.storage import EdgeFile, TemporalGraphStore, write_edge_file
@@ -45,10 +43,10 @@ def _full_read(path):
 
 def _section_boundaries(path, graph):
     """Every section boundary offset in file order."""
-    header = fmt.header_size(2)
+    header = fmt.HEADER_SIZE
     index_end = header + graph.num_vertices * fmt.INDEX_ENTRY_SIZE + fmt.CRC_SIZE
     bounds = [
-        fmt.HEADER_SIZE,  # header struct | header crc
+        header - fmt.CRC_SIZE,  # header struct | header crc
         header,  # header crc | index
         index_end - fmt.CRC_SIZE,  # index | index crc
         index_end,  # index crc | segments
@@ -95,7 +93,7 @@ class TestTruncationMatrix:
 
 class TestBitFlipMatrix:
     def test_every_single_byte_flip_is_detected(self, edge_path):
-        """Exhaustive: no byte of a v2 file can flip silently."""
+        """Exhaustive: no byte of an edge file can flip silently."""
         data = bytearray(edge_path.read_bytes())
         for pos in range(len(data)):
             orig = data[pos]
@@ -110,7 +108,7 @@ class TestBitFlipMatrix:
     def test_integrity_error_names_the_section(self, edge_path, graph):
         data = bytearray(edge_path.read_bytes())
         # A byte inside the vertex index (past the header).
-        pos = fmt.header_size(2) + 3
+        pos = fmt.HEADER_SIZE + 3
         data[pos] ^= 0xFF
         edge_path.write_bytes(bytes(data))
         with pytest.raises(IntegrityError) as exc_info:
@@ -134,21 +132,6 @@ class TestBitFlipMatrix:
         edge_path.write_bytes(bytes(data))
         with pytest.raises(IntegrityError, match=f"vertex {v}"):
             EdgeFile(edge_path).segment(v)
-
-    def test_version_field_flip_cannot_demote_to_v1(self, edge_path):
-        # No single-bit flip maps version 2 onto version 1 (2 ^ (1<<k) != 1
-        # for every k), so a corrupt v2 header can never be silently read
-        # under the checksum-free v1 rules.
-        for bit in range(16):
-            assert (2 ^ (1 << bit)) != 1
-        data = bytearray(edge_path.read_bytes())
-        for bit in range(8):
-            flipped = bytearray(data)
-            flipped[4] ^= 1 << bit  # low byte of the version u16
-            edge_path.write_bytes(bytes(flipped))
-            with pytest.raises(StorageError):
-                EdgeFile(edge_path)
-        edge_path.write_bytes(bytes(data))
 
 
 class TestFaultPlanStorageCorruption:
@@ -175,56 +158,39 @@ class TestFaultPlanStorageCorruption:
         assert blobs[0] == blobs[1]
 
 
-class TestVersionParity:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 1_000),
-        num_vertices=st.integers(2, 16),
-        num_events=st.integers(1, 80),
-    )
-    def test_v1_and_v2_load_identically(
-        self, seed, num_vertices, num_events, tmp_path_factory
-    ):
-        g = random_temporal_graph(
-            seed=seed, num_vertices=num_vertices, num_events=num_events
-        )
-        assume(g.activities)  # self-loop-only draws produce an empty log
-        t0, t1 = g.time_range
-        d = tmp_path_factory.mktemp("parity")
-        p1, p2 = d / "v1.chronos", d / "v2.chronos"
-        write_edge_file(p1, g, t0 - 1, t1, version=1)
-        write_edge_file(p2, g, t0 - 1, t1, version=2)
-        ef1, ef2 = EdgeFile(p1), EdgeFile(p2)
-        assert (ef1.version, ef2.version) == (1, 2)
-        assert ef1.header.num_vertices == ef2.header.num_vertices
-        for v in range(g.num_vertices):
-            assert ef1.segment(v) == ef2.segment(v)
-            assert ef1.out_edges_at(v, t1) == ef2.out_edges_at(v, t1)
+class TestVersion:
+    def test_header_roundtrip(self):
+        buf = io.BytesIO()
+        fmt.write_header(buf, fmt.EdgeFileHeader(7, -3, 99))
+        assert len(buf.getvalue()) == fmt.HEADER_SIZE
+        buf.seek(0)
+        assert fmt.read_header(buf) == fmt.EdgeFileHeader(7, -3, 99)
 
-    def test_v1_has_no_checksums_and_smaller_size(self, graph, tmp_path):
-        t0, t1 = graph.time_range
-        p1, p2 = tmp_path / "v1", tmp_path / "v2"
-        write_edge_file(p1, graph, t0 - 1, t1, version=1)
-        write_edge_file(p2, graph, t0 - 1, t1, version=2)
-        segments = EdgeFile(p2).verify()
-        overhead = (
-            fmt.CRC_SIZE  # header crc
-            + fmt.CRC_SIZE  # index crc
-            + segments * 2 * fmt.CRC_SIZE  # per-segment trailers
-        )
-        assert p2.stat().st_size == p1.stat().st_size + overhead
-
-    def test_unsupported_write_version_rejected(self, graph, tmp_path):
-        t0, t1 = graph.time_range
-        with pytest.raises(StorageError, match="version"):
-            write_edge_file(tmp_path / "v9", graph, t0 - 1, t1, version=9)
-
-    def test_header_roundtrip_both_versions(self):
-        for version in fmt.SUPPORTED_VERSIONS:
-            buf = io.BytesIO()
-            fmt.write_header(
-                buf, fmt.EdgeFileHeader(7, -3, 99, version)
-            )
-            buf.seek(0)
-            header = fmt.read_header(buf)
-            assert header == fmt.EdgeFileHeader(7, -3, 99, version)
+    def test_every_other_version_is_rejected(self, tmp_path):
+        """One format: every u16 version other than 2, under a valid
+        header CRC, is a typed error (header-only, zero-vertex files)."""
+        buf = io.BytesIO()
+        fmt.write_header(buf, fmt.EdgeFileHeader(0, 0, 10))
+        fmt.write_index(buf, [])
+        data = bytearray(buf.getvalue())
+        crc_at = fmt.HEADER_SIZE - fmt.CRC_SIZE
+        rejected = 0
+        for version in range(1 << 16):
+            struct.pack_into("<H", data, 4, version)
+            struct.pack_into("<I", data, crc_at, zlib.crc32(data[:crc_at]))
+            try:
+                fmt.read_header(io.BytesIO(bytes(data)))
+            except StorageError as exc:
+                assert str(exc) == f"unsupported edge file version {version}"
+                rejected += 1
+            else:
+                assert version == fmt.VERSION
+            if version in (0, 1, fmt.VERSION, 0xFFFF):
+                path = tmp_path / f"v{version}.chronos"
+                path.write_bytes(bytes(data))
+                if version == fmt.VERSION:
+                    assert EdgeFile(path).verify() == 0
+                else:
+                    with pytest.raises(StorageError, match="unsupported"):
+                        EdgeFile(path)
+        assert rejected == (1 << 16) - 1

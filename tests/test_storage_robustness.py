@@ -1,13 +1,16 @@
 """Failure-injection tests for the on-disk format readers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import EdgeFile, TemporalGraphStore, write_edge_file
+from repro.storage import EdgeFile, TemporalGraphStore, load_series, write_edge_file
 from repro.storage import format as fmt
+from repro.streaming import StreamingStore, fsck_store
+from repro.temporal import add_edge
 from tests.conftest import random_temporal_graph
 
 
@@ -55,6 +58,70 @@ class TestCorruptEdgeFiles:
         for v in range(graph.num_vertices):
             assert ef.segment(v) == ([], [])
             assert ef.out_edges_at(v, 5) == {}
+
+
+def _craft_header(path, num_vertices):
+    """A valid, CRC'd header claiming ``num_vertices``, then 64 bytes."""
+    with open(path, "wb") as fh:
+        fmt.write_header(fh, fmt.EdgeFileHeader(num_vertices, 0, 10))
+        fh.write(bytes(64))
+
+
+def _compacted_store(path):
+    """A compacted 3-vertex streaming store; returns its first edge file."""
+    with StreamingStore(path) as store:
+        store.append([add_edge(0, 1, 1), add_edge(1, 2, 2)])
+        store.compact()
+    return sorted(path.glob("edges_*.chronos"))[0]
+
+
+def _fsck_entry(path, name):
+    report = fsck_store(path)
+    assert not report["clean"]
+    (entry,) = [e for e in report["edge_files"] if e["file"] == name]
+    assert not entry["ok"]
+    return entry
+
+
+class TestHostileVertexCounts:
+    @pytest.mark.parametrize("num_vertices", [(1 << 32) - 1, 1 << 28])
+    def test_header_vertex_count_cannot_size_the_index_read(
+        self, tmp_path, num_vertices
+    ):
+        path = tmp_path / "edges.chronos"
+        _craft_header(path, num_vertices)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StorageError, match="truncated vertex index"):
+                EdgeFile(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_crafted_header_in_a_store_is_reported_not_raised(self, tmp_path):
+        edge_path = _compacted_store(tmp_path)
+        _craft_header(edge_path, (1 << 32) - 1)
+        entry = _fsck_entry(tmp_path, edge_path.name)
+        assert "truncated vertex index" in entry["message"]
+        with pytest.raises(StorageError, match="truncated vertex index"):
+            StreamingStore(tmp_path)
+        with pytest.raises(StorageError, match="truncated vertex index"):
+            load_series(TemporalGraphStore(tmp_path), [3])
+
+    def test_manifest_vertex_count_must_match_the_edge_files(self, tmp_path):
+        edge_path = _compacted_store(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["num_vertices"] == 3
+        manifest["num_vertices"] = 10**12
+        manifest_path.write_text(json.dumps(manifest))
+        names = f"{edge_path} holds 3 vertices; the store manifest says {10**12}"
+        with pytest.raises(StorageError, match=names):
+            TemporalGraphStore(tmp_path)
+        with pytest.raises(StorageError, match=names):
+            StreamingStore(tmp_path)
+        assert names in _fsck_entry(tmp_path, edge_path.name)["message"]
 
 
 def _drop_first_edge_file(path, manifest):

@@ -9,8 +9,9 @@ from repro.memsim import HierarchyConfig
 
 
 class TestBuckets:
-    @pytest.mark.parametrize("buckets", [1, 2, 7])
-    def test_bucket_count_does_not_change_results(self, small_series, buckets):
+    @pytest.mark.parametrize("num_cores", [1, 2, 7])
+    def test_bucket_count_does_not_change_results(self, small_series, num_cores):
+        """A traced run shuffles into ``max(num_cores, 4)`` buckets."""
         base = run(
             small_series,
             SingleSourceShortestPath(0),
@@ -19,29 +20,20 @@ class TestBuckets:
         got = run(
             small_series,
             SingleSourceShortestPath(0),
-            EngineConfig(mode=Mode.STREAM, stream_buckets=buckets),
+            EngineConfig(
+                mode=Mode.STREAM,
+                num_cores=num_cores,
+                trace=True,
+                hierarchy_config=HierarchyConfig.experiment_scale(),
+            ),
         )
         np.testing.assert_array_equal(base.values, got.values)
 
-    def test_sum_program_stable_across_buckets(self, small_series):
-        """Bucketed gather must preserve per-destination message order, so
-        even float sums are bitwise stable."""
-        results = [
-            run(
-                small_series,
-                PageRank(iterations=4),
-                EngineConfig(mode=Mode.STREAM, stream_buckets=b),
-            ).values
-            for b in (1, 3, 8)
-        ]
-        for other in results[1:]:
-            np.testing.assert_array_equal(results[0], other)
-
     def test_traced_matches_vectorized_with_buckets(self, small_series):
-        cfg_v = EngineConfig(mode=Mode.STREAM, stream_buckets=3)
+        cfg_v = EngineConfig(mode=Mode.STREAM)
         cfg_t = EngineConfig(
             mode=Mode.STREAM,
-            stream_buckets=3,
+            num_cores=6,
             trace=True,
             hierarchy_config=HierarchyConfig.experiment_scale(),
         )

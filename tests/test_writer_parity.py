@@ -6,8 +6,8 @@ the loops they used to be live on in :mod:`tests.writer_oracle`. Random
 logs (strict, non-strict and raw; add/del/mod, addV/delV, same-timestamp
 ties, non-unit and zero weights, vertices without out-edges, first
 activity at time 0 so ``t1 = -1``) must give the same group boundaries,
-the same manifest and byte-identical edge files, in format versions 1 and
-2, under default, many-group and single-group planning.
+the same manifest and byte-identical edge files under default, many-group
+and single-group planning.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.storage import TemporalGraphStore, load_series
 from repro.storage import format as fmt
-from repro.storage.edge_file import write_edge_file
 from repro.storage.store import MANIFEST_NAME, group_entries
 from repro.streaming import StreamingStore
 from repro.temporal import (
@@ -57,21 +56,17 @@ def _plan(graph, shape):
     return boundaries
 
 
-def _assert_files_match_oracle(directory, names, graph, boundaries, version):
+def _assert_files_match_oracle(directory, names, graph, boundaries):
     for name, (t1, t2) in zip(names, boundaries):
         expected = directory / (name + ".oracle")
-        oracle_write_edge_file(expected, graph, t1, t2, version)
+        oracle_write_edge_file(expected, graph, t1, t2)
         assert (directory / name).read_bytes() == expected.read_bytes(), name
         expected.unlink()
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    graphs_and_times(WEIGHTS),
-    st.sampled_from(STORE_SHAPES),
-    st.sampled_from(fmt.SUPPORTED_VERSIONS),
-)
-def test_store_is_byte_identical_to_the_oracle(case, shape, version):
+@given(graphs_and_times(WEIGHTS), st.sampled_from(STORE_SHAPES))
+def test_store_is_byte_identical_to_the_oracle(case, shape):
     graph, times = case
     boundaries = _plan(graph, shape)
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,11 +78,7 @@ def test_store_is_byte_identical_to_the_oracle(case, shape, version):
         assert manifest["groups"] == oracle_manifest_entries(
             graph, names, boundaries
         )
-        if version != fmt.VERSION:  # ``create`` writes the current version
-            for name, (t1, t2) in zip(names, boundaries):
-                write_edge_file(path / name, graph, t1, t2, version)
-            store = TemporalGraphStore(path)
-        _assert_files_match_oracle(path, names, graph, boundaries, version)
+        _assert_files_match_oracle(path, names, graph, boundaries)
         assert_same_series(load_series(store, times), build_series(graph, times))
 
 
@@ -100,24 +91,24 @@ def test_larger_store_is_byte_identical_to_the_oracle(weighted, tmp_path):
     assert store.num_groups > 2
     boundaries = _plan(graph, {"redundancy_ratio": 0.8})
     names = [g.edge_file.path.name for g in store.groups]
-    _assert_files_match_oracle(tmp_path, names, graph, boundaries, fmt.VERSION)
+    _assert_files_match_oracle(tmp_path, names, graph, boundaries)
     assert group_entries(graph, names, boundaries) == oracle_manifest_entries(
         graph, names, boundaries
     )
 
 
-def oracle_sections(cp, act, cp_len, act_len, checked):
+def oracle_sections(cp, act, cp_len, act_len):
     """The writer's per-segment trailer loop before the native codec: slice
     each segment's two sections, append CRC32(checkpoint) + CRC32(activities)."""
     out, cp_at, act_at = [], 0, 0
     for cl, al in zip(cp_len, act_len):
         cp_section = cp[cp_at : cp_at + cl]
         act_section = act[act_at : act_at + al]
-        out += (cp_section, act_section)
-        if checked:
-            out.append(
-                struct.pack("<II", zlib.crc32(cp_section), zlib.crc32(act_section))
-            )
+        out += (
+            cp_section,
+            act_section,
+            struct.pack("<II", zlib.crc32(cp_section), zlib.crc32(act_section)),
+        )
         cp_at, act_at = cp_at + cl, act_at + al
     return b"".join(out)
 
@@ -125,7 +116,7 @@ def oracle_sections(cp, act, cp_len, act_len, checked):
 @pytest.mark.parametrize("seed", [3, 7, 11])
 def test_segments_equal_the_per_segment_trailer_loop(seed, tmp_path):
     """Every segment region the codec writes is what the old loop wrote
-    from the same sections, over v2 stores with deletions whose groups
+    from the same sections, over stores with deletions whose groups
     hold empty checkpoint and empty activity sectors."""
     graph = random_temporal_graph(seed=seed, num_vertices=40, num_events=900)
     store = TemporalGraphStore.create(tmp_path, graph, redundancy_ratio=0.8)
@@ -135,7 +126,7 @@ def test_segments_equal_the_per_segment_trailer_loop(seed, tmp_path):
         header = group.edge_file.header
         index = np.frombuffer(
             raw, fmt.INDEX_DTYPE, count=header.num_vertices,
-            offset=fmt.header_size(header.version),
+            offset=fmt.HEADER_SIZE,
         )
         index = index[index["offset"] != 0]
         offset = index["offset"].tolist()
@@ -145,9 +136,7 @@ def test_segments_equal_the_per_segment_trailer_loop(seed, tmp_path):
         act = b"".join(
             raw[o + c : o + c + a] for o, c, a in zip(offset, cp_len, act_len)
         )
-        assert raw[header.segments_offset :] == oracle_sections(
-            cp, act, cp_len, act_len, checked=True
-        )
+        assert raw[header.segments_offset :] == oracle_sections(cp, act, cp_len, act_len)
         empty_cp += cp_len.count(0)
         empty_act += act_len.count(0)
     assert empty_cp and empty_act
@@ -217,9 +206,7 @@ def test_compaction_round_trip_is_byte_identical_and_exact(batches, shape):
                 assert manifest["groups"] == oracle_manifest_entries(
                     graph, names, boundaries
                 )
-                _assert_files_match_oracle(
-                    path, names, graph, boundaries, fmt.VERSION
-                )
+                _assert_files_match_oracle(path, names, graph, boundaries)
                 assert store.fingerprint() == fingerprint
         with StreamingStore(path, **shape) as reopened:
             assert reopened.fingerprint() == fingerprint

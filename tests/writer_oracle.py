@@ -38,15 +38,12 @@ def _crc(data: bytes) -> bytes:
 
 
 def oracle_write_edge_file(
-    path: Path, graph: TemporalGraph, t1: int, t2: int, version: int = 2
+    path: Path, graph: TemporalGraph, t1: int, t2: int
 ) -> None:
     """The snapshot group ``[t1, t2]`` of ``graph``, one record at a time."""
     V = graph.num_vertices
-    checksummed = version >= 2
-    header = _HEADER.pack(b"CHRN", version, V, t1, t2)
-    segments_offset = (
-        len(header) + V * _INDEX_ENTRY.size + (2 * _CRC.size if checksummed else 0)
-    )
+    header = _HEADER.pack(b"CHRN", 2, V, t1, t2)
+    segments_offset = len(header) + V * _INDEX_ENTRY.size + 2 * _CRC.size
 
     by_src: Dict[int, List] = {}
     for a in graph.activities:
@@ -88,21 +85,15 @@ def oracle_write_edge_file(
             continue
         cp_raw = b"".join(checkpoint)
         act_raw = b"".join(packed_acts)
-        segment = cp_raw + act_raw
-        if checksummed:
-            segment += _crc(cp_raw) + _crc(act_raw)
+        segment = cp_raw + act_raw + _crc(cp_raw) + _crc(act_raw)
         index.append((offset, len(checkpoint), len(packed_acts)))
         segments.append(segment)
         offset += len(segment)
 
     index_raw = b"".join(_INDEX_ENTRY.pack(*entry) for entry in index)
     with open(path, "wb") as fh:
-        fh.write(header)
-        if checksummed:
-            fh.write(_crc(header))
-        fh.write(index_raw)
-        if checksummed:
-            fh.write(_crc(index_raw))
+        fh.write(header + _crc(header))
+        fh.write(index_raw + _crc(index_raw))
         for segment in segments:
             fh.write(segment)
 
