@@ -58,9 +58,8 @@ def panel(graph_name, app, mode, cores=CORES):
         sp = run_multicore(
             series,
             prog,
-            chronos_config(
-                mode, num_cores=c, parallel="snapshot", max_iterations=cap
-            ),
+            chronos_config(mode, num_cores=c, max_iterations=cap),
+            strategy="snapshot",
         )
         grace = run_multicore(
             series,

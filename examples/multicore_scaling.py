@@ -17,7 +17,7 @@ from repro.partition import partition_series
 HC = HierarchyConfig.experiment_scale()
 
 
-def config(batch, layout, cores, parallel="partition"):
+def config(batch, layout, cores):
     return EngineConfig(
         mode="push",
         batch_size=batch,
@@ -25,7 +25,6 @@ def config(batch, layout, cores, parallel="partition"):
         trace=True,
         hierarchy_config=HC,
         num_cores=cores,
-        parallel=parallel,
         max_iterations=3,
     )
 
@@ -45,8 +44,8 @@ def main() -> None:
             core_of=partition_series(series, c),
         ),
         "SP": lambda c: run_multicore(
-            series, prog,
-            config(None, LayoutKind.TIME_LOCALITY, c, parallel="snapshot"),
+            series, prog, config(None, LayoutKind.TIME_LOCALITY, c),
+            strategy="snapshot",
         ),
         "Grace": lambda c: run_multicore(
             series, prog, config(1, LayoutKind.STRUCTURE_LOCALITY, c),

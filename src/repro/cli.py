@@ -208,22 +208,14 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         choices=["serial", "process"],
         default="serial",
         help="run in the calling thread, or (process) fold each LABS "
-        "group's plan shards on a pool of worker threads (wall-clock "
-        "parallelism; incompatible with --trace)",
+        "group's plan as destination-vertex ranges on a pool of worker "
+        "threads (wall-clock parallelism; incompatible with --trace)",
     )
     runp.add_argument(
         "--workers",
         type=int,
         default=1,
         help="worker-thread count for --executor process",
-    )
-    runp.add_argument(
-        "--parallel",
-        choices=["partition", "snapshot"],
-        default="partition",
-        help="multi-core strategy (paper Section 3.4): partition shards "
-        "each LABS group by destination vertex; snapshot-parallelism is "
-        "simulated only and is rejected with --executor process",
     )
     runp.add_argument(
         "--mmap",
@@ -310,7 +302,6 @@ def _run_and_report(
         ),
         executor=args.executor,
         workers=args.workers,
-        parallel=args.parallel,
         sanitize=args.sanitize,
         reuse=args.reuse,
         cache_dir=args.cache_dir,

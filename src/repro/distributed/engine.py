@@ -70,7 +70,6 @@ def run_distributed(
     cfg = base.with_(
         trace=True,
         num_cores=num_machines,
-        parallel="partition",
         distributed=True,
         core_of=np.asarray(machine_of, dtype=np.int64),
         hierarchy_config=hconf,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -14,9 +14,6 @@ from repro.engine.state import GroupState
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.parallel.locks import LockTable
 from repro.temporal.series import GroupView
-
-if TYPE_CHECKING:
-    from repro.parallel.shm import GroupShards
 
 
 @dataclass
@@ -31,9 +28,14 @@ class ExecContext:
     hierarchy: Optional[MemoryHierarchy] = None
     core_of: Optional[np.ndarray] = None
     locks: Optional[LockTable] = None
-    #: The group's plan shards when it executes on the worker-thread pool
-    #: (``executor="process"``); planned scatters route through them.
-    shards: Optional["GroupShards"] = None
+    #: Untraced runs: the group's plan stream cut into ranges, range ``w``
+    #: being ``[bounds[w], bounds[w + 1])``: one range serially, one per
+    #: pool thread under ``executor="process"``
+    #: (:func:`repro.parallel.shm.cut_ranges`).
+    bounds: Optional[np.ndarray] = None
+    #: The sanitizer's cell -> owning range claim map, when there is more
+    #: than one range.
+    claims: Optional[np.ndarray] = None
 
     @property
     def traced(self) -> bool:

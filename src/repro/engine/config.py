@@ -43,13 +43,12 @@ class EngineConfig:
     trace: bool = False
     hierarchy_config: Optional[HierarchyConfig] = None
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Simulated core count (traced runs only). Stream mode shuffles into
-    #: ``max(num_cores, 4)`` buckets (X-Stream's streaming partitions).
+    #: Simulated core count (traced runs only): partition-parallelism, or
+    #: snapshot-parallelism through
+    #: ``repro.parallel.run_multicore(strategy="snapshot")``. Stream mode
+    #: shuffles into ``max(num_cores, 4)`` buckets (X-Stream's streaming
+    #: partitions).
     num_cores: int = 1
-    #: ``partition`` assigns vertex partitions to cores; ``snapshot``
-    #: assigns whole snapshots to cores (Section 3.4). Snapshot-parallelism
-    #: is simulated only: with ``executor="process"`` it is an error.
-    parallel: str = "partition"
     #: Vertex -> core map for partition-parallelism; contiguous ranges by
     #: default. Use :mod:`repro.partition` for Metis-style assignments.
     core_of: Optional[np.ndarray] = None
@@ -60,30 +59,29 @@ class EngineConfig:
     #: instead of locked shared-memory writes. Used by
     #: :mod:`repro.distributed`.
     distributed: bool = False
-    #: How untraced runs execute: ``"serial"`` in the calling thread (the
-    #: default), or ``"process"``, which selects the pool of ``workers``
-    #: worker *threads* of :mod:`repro.parallel.shm` (the value name
-    #: predates the threads). Each group's gather plan is sharded by
-    #: destination-vertex ranges (owner-computes, lock-free), each thread
-    #: folds its shard through the GIL-free native fold, and values and
-    #: logical counters are bitwise identical to serial. Traced
-    #: (simulated) runs are always serial; ``executor="process"`` with
-    #: ``trace=True`` is an error.
+    #: How untraced runs execute: ``"serial"`` scatters the group's whole
+    #: gather-plan stream in the calling thread (the default);
+    #: ``"process"`` cuts it into ``workers`` destination-vertex ranges
+    #: (owner-computes, lock-free) and scatters each on a thread of the
+    #: pool of :mod:`repro.parallel.shm` (the value name predates the
+    #: threads) through the GIL-free native fold. Both run the one
+    #: ranged scatter, and values and logical counters are bitwise
+    #: identical. Traced (simulated) runs are always serial;
+    #: ``executor="process"`` with ``trace=True`` is an error.
     executor: str = "serial"
-    #: Worker-thread count for ``executor="process"``. ``workers=1`` falls
-    #: back to the serial executor (with a warning). Unrelated to
-    #: ``num_cores``, which is the *simulated* core count of traced runs.
+    #: Worker-thread count for ``executor="process"``; ``workers=1`` is one
+    #: range, run inline. Unrelated to ``num_cores``, which is the
+    #: *simulated* core count of traced runs.
     workers: int = 1
-    #: Shard-race sanitizer (TSan for the owner-computes discipline).
-    #: Under ``executor="process"`` each group's shard plan is proven
-    #: pairwise disjoint before any scatter, and every worker thread
-    #: validates the cells of each fold against an ownership map (cell ->
-    #: owning worker) at the write site, raising a typed
-    #: :class:`~repro.errors.ShardRaceError` (naming the group and both
-    #: workers) on overlap or an out-of-ownership write. Serial runs
-    #: verify the cached gather plan is destination-sorted once per group.
-    #: The sanitizer only *reads* engine state, so clean runs stay bitwise
-    #: identical to ``sanitize=False``.
+    #: Shard-race sanitizer (TSan for the owner-computes discipline). Each
+    #: untraced group run proves its gather-plan stream destination-sorted;
+    #: with more than one range it also proves the cuts pairwise disjoint
+    #: before any scatter, and every range's scatter validates the cells
+    #: it selected against an ownership map (cell -> owning worker) before
+    #: folding, raising a typed :class:`~repro.errors.ShardRaceError`
+    #: (naming the group and both workers) on overlap or an
+    #: out-of-ownership write. The sanitizer only *reads* engine state, so
+    #: clean runs stay bitwise identical to ``sanitize=False``.
     sanitize: bool = False
     #: Result reuse across runs (:mod:`repro.cache`): ``None`` (default)
     #: recomputes everything; ``"cache"`` serves any group whose
@@ -113,8 +111,6 @@ class EngineConfig:
             raise EngineError(f"batch_size must be positive, got {self.batch_size}")
         if self.num_cores <= 0:
             raise EngineError(f"num_cores must be positive, got {self.num_cores}")
-        if self.parallel not in ("partition", "snapshot"):
-            raise EngineError(f"unknown parallel strategy {self.parallel!r}")
         if self.num_cores > 1 and not self.trace:
             raise EngineError(
                 "multi-core execution is simulated and requires trace=True"
@@ -127,12 +123,6 @@ class EngineConfig:
             raise EngineError(
                 "the process executor is wall-clock-only; traced runs are "
                 "simulated serially (use executor='serial' with num_cores)"
-            )
-        if self.executor == "process" and self.parallel == "snapshot":
-            raise EngineError(
-                "the process executor is partition-parallel only; "
-                "snapshot-parallelism is simulated (use trace=True, "
-                "num_cores>1 with parallel='snapshot')"
             )
         if self.reuse not in (None, "cache", "incremental"):
             raise EngineError(

@@ -34,12 +34,18 @@ active sources' CSR slices — ascending sources over a ``(dst, src)``
 stream, so every cell's contributions stay in stream order — instead of
 masking the whole stream. Push, pull and stream are three *accountings*
 of this one scatter (:func:`vectorized_scatter`).
+
+Selection and fold run over a stream range ``[lo, hi)``. Serial execution
+is the one range ``[0, length)``; the thread executor
+(:mod:`repro.parallel.shm`) cuts the stream at destination-vertex
+boundaries into one range per thread, so each range owns its cells and
+the same code folds them on every executor.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -47,9 +53,11 @@ from repro import native
 from repro.engine.config import Mode
 from repro.layout.vertex_array import LayoutKind, flat_destination_index
 from repro.obs import runtime as obs
+from repro.parallel.plan_shard import check_ownership
 from repro.temporal.bitmap import popcounts
 
 if TYPE_CHECKING:
+    from repro.algorithms.program import VertexProgram
     from repro.engine.common import ExecContext
     from repro.temporal.series import GroupView
 
@@ -221,34 +229,42 @@ class GatherPlan:
     # ------------------------------------------------------------------ #
     # per-iteration selection and fold
 
-    def select_stationary(self, snap_active: np.ndarray) -> Optional[np.ndarray]:
-        """Stream positions live under ``snap_active``; None = whole stream."""
+    def select_stationary(
+        self, snap_active: np.ndarray, lo: int, hi: int
+    ) -> Optional[np.ndarray]:
+        """Positions of range ``[lo, hi)`` live under ``snap_active``,
+        relative to ``lo``; None = the whole range."""
         if snap_active.all():
             return None
-        return np.flatnonzero(snap_active[self.snap_ids])
+        return np.flatnonzero(snap_active[self.snap_ids[lo:hi]])
 
     def select_monotone(
-        self, active: np.ndarray, snap_active: np.ndarray
+        self, active: np.ndarray, snap_active: np.ndarray, lo: int, hi: int
     ) -> np.ndarray:
-        """Stream positions whose (source, snapshot) is in the frontier.
+        """Positions of range ``[lo, hi)``, relative to ``lo``, whose
+        (source, snapshot) is in the frontier.
 
         Equals ``flatnonzero(snap_active[s] & active[src, s])`` over the
-        stream up to order: small frontiers are resolved through the
-        per-source CSR slices (source-major, which keeps every destination
-        cell's entries in stream order) instead of a full-stream mask.
+        range up to order: a frontier with fewer candidates than a
+        ``1 / _CSR_SELECT_FACTOR`` share of the range is resolved through
+        the per-source CSR slices, keeping the candidates inside the range
+        (source-major, which keeps every destination cell's entries in
+        stream order), instead of masking the whole range.
         """
         active_now = active & snap_active[None, :]
         frontier = np.flatnonzero(active_now.any(axis=1))
-        if frontier.size == 0 or self.length == 0:
+        if frontier.size == 0 or hi <= lo:
             return np.empty(0, dtype=np.int64)
         active_flat = active_now.reshape(-1)  # C-order (V, S_g)
+        src_c = self.src_flat_c[lo:hi]
         ptr, positions = self._source_csr
         counts = ptr[frontier + 1] - ptr[frontier]
-        total = int(counts.sum())
-        if total * _CSR_SELECT_FACTOR >= self.length:
-            return np.flatnonzero(active_flat[self.src_flat_c])
+        if int(counts.sum()) * _CSR_SELECT_FACTOR >= hi - lo:
+            return np.flatnonzero(active_flat[src_c])
         cand = positions[_ragged_ranges(ptr[frontier], counts)]
-        return cand[active_flat[self.src_flat_c[cand]]]
+        if lo > 0 or hi < self.length:
+            cand = cand[(cand >= lo) & (cand < hi)] - lo
+        return cand[active_flat[src_c[cand]]]
 
     def fold(
         self,
@@ -256,13 +272,18 @@ class GatherPlan:
         ufunc: np.ufunc,
         msg: np.ndarray,
         sel: Optional[np.ndarray],
-        src: Optional[np.ndarray] = None,
+        lo: int,
+        hi: int,
+        per_cell: bool = False,
     ) -> int:
-        """Fold ``msg`` at the selected entries (None = all); returns updates.
+        """Fold ``msg`` at the selected positions of range ``[lo, hi)``
+        (None = all); returns updates.
 
-        ``src`` (``src_flat``) gathers per-cell messages; see :func:`fold_stream`.
+        ``per_cell`` messages are one per ``(vertex, snapshot)`` cell,
+        gathered through ``src_flat``; see :func:`fold_stream`.
         """
-        return fold_stream(acc_flat, ufunc, self.dst_flat, msg, sel, src)
+        src = self.src_flat[lo:hi] if per_cell else None
+        return fold_stream(acc_flat, ufunc, self.dst_flat[lo:hi], msg, sel, src)
 
 
 # ---------------------------------------------------------------------- #
@@ -294,40 +315,48 @@ def plan_for(group: "GroupView", direction: str, layout: LayoutKind) -> GatherPl
 
 
 def stream_scatter(
-    plan: Any,
-    program: Any,
+    plan: GatherPlan,
+    lo: int,
+    hi: int,
+    program: "VertexProgram",
     values_flat: np.ndarray,
     acc_flat: np.ndarray,
     active: np.ndarray,
     snap_active: np.ndarray,
     *,
     monotone: bool,
-    needs_degrees: bool,
     degree_cells: Optional[np.ndarray] = None,
+    claims: Optional[np.ndarray] = None,
+    worker: int = 0,
+    group: int = -1,
 ) -> int:
-    """One planned scatter over an edge-major plan stream (or a slice).
+    """One planned scatter over the range ``[lo, hi)`` of ``plan``'s stream.
 
-    ``plan`` is anything with the gather-plan stream surface —
-    :class:`GatherPlan` for the serial executor, a
-    :class:`repro.parallel.plan_shard.PlanShard` on a worker thread.
-    Selects the live (edge, snapshot) stream entries, computes their
-    messages elementwise, and folds them sequentially with the program's
-    gather ufunc (:func:`fold_stream`); returns accumulator updates.
+    Serial execution is the range ``[0, plan.length)``; the thread
+    executor runs one destination-vertex range per pool thread. Selects
+    the range's live (edge, snapshot) entries, computes their messages
+    elementwise, and folds them sequentially with the program's gather
+    ufunc (:func:`fold_stream`); returns accumulator updates.
     ``degree_cells`` is the source out-degree array flattened in physical
-    layout order (required when ``needs_degrees``) — per-entry degrees are
-    gathered from it at ``plan.src_flat``, which equals the per-entry
-    ``degrees[src, snap]`` lookup bit for bit.
+    layout order (given iff the program needs degrees) — per-entry degrees
+    are gathered from it at ``plan.src_flat``, which equals the per-entry
+    ``degrees[src, snap]`` lookup bit for bit. With the sanitizer's
+    ``claims`` map, the selected destination cells must belong to
+    ``worker`` before anything is folded
+    (:func:`repro.parallel.plan_shard.check_ownership`).
     """
     if monotone:
-        sel: Optional[np.ndarray] = plan.select_monotone(active, snap_active)
+        sel: Optional[np.ndarray] = plan.select_monotone(active, snap_active, lo, hi)
         if sel.size == 0:
             return 0
     else:
-        sel = plan.select_stationary(snap_active)
+        sel = plan.select_stationary(snap_active, lo, hi)
         if sel is not None and sel.size == 0:
             return 0
+    if claims is not None:
+        dst = plan.dst_flat[lo:hi]
+        check_ownership(claims, dst if sel is None else dst[sel], worker, group)
     ufunc = program.gather.ufunc
-    deg = degree_cells if needs_degrees else None
     if not program.needs_weights or plan.weight_stream is None:
         # Weight-free messages depend only on the (source, snapshot) cell:
         # evaluate the elementwise scatter once per cell over the flat
@@ -336,41 +365,60 @@ def stream_scatter(
         # message bit is unchanged, with V*S_g-sized arithmetic and no
         # stream-sized temporary.
         with np.errstate(invalid="ignore"):
-            cell_msg = program.scatter(values_flat, None, deg)
-        return plan.fold(acc_flat, ufunc, cell_msg, sel, plan.src_flat)
-    src_flat = plan.src_flat if sel is None else plan.src_flat[sel]
-    weights = plan.weight_stream if sel is None else plan.weight_stream[sel]
-    if deg is not None:
-        deg = deg[src_flat]
+            cell_msg = program.scatter(values_flat, None, degree_cells)
+        return plan.fold(acc_flat, ufunc, cell_msg, sel, lo, hi, per_cell=True)
+    src_flat = plan.src_flat[lo:hi]
+    weights = plan.weight_stream[lo:hi]
+    if sel is not None:
+        src_flat = src_flat[sel]
+        weights = weights[sel]
+    deg = None if degree_cells is None else degree_cells[src_flat]
     with np.errstate(invalid="ignore"):
         msg = program.scatter(values_flat[src_flat], weights, deg)
-    return plan.fold(acc_flat, ufunc, msg, sel)
+    return plan.fold(acc_flat, ufunc, msg, sel, lo, hi)
 
 
-def planned_scatter(ctx: Any) -> int:
+def planned_scatter(ctx: "ExecContext") -> int:
     """Run one planned scatter for ``ctx``; returns accumulator updates.
 
-    Under ``executor="process"`` the scatter runs on the worker-thread
-    pool (each thread folds its exclusive destination shard); otherwise it
-    runs in this thread via :func:`stream_scatter`.
+    :func:`stream_scatter` runs once per range of the group's cuts
+    (``ctx.bounds``): one range in this thread, more on the worker-thread
+    pool (:func:`repro.parallel.shm.scatter_ranges`), each thread folding
+    its exclusive destination range.
     """
-    if ctx.shards is not None:
-        return ctx.shards.scatter()
     state = ctx.state
     program = ctx.program
     plan = state.gather_plan()
-    needs_degrees = program.needs_degrees
-    return stream_scatter(
-        plan,
-        program,
-        state.values_flat,
-        state.acc_flat,
-        state.active,
-        state.snap_active,
-        monotone=ctx.monotone,
-        needs_degrees=needs_degrees,
-        degree_cells=plan.degree_cells if needs_degrees else None,
-    )
+    bounds = ctx.bounds
+    monotone = ctx.monotone
+    degree_cells = plan.degree_cells if program.needs_degrees else None
+    group = int(ctx.group.start)
+
+    def scatter(w: int) -> int:
+        return stream_scatter(
+            plan,
+            int(bounds[w]),
+            int(bounds[w + 1]),
+            program,
+            state.values_flat,
+            state.acc_flat,
+            state.active,
+            state.snap_active,
+            monotone=monotone,
+            degree_cells=degree_cells,
+            claims=ctx.claims,
+            worker=w,
+            group=group,
+        )
+
+    ranges = int(bounds.shape[0]) - 1
+    if ranges == 1:
+        return scatter(0)
+    if monotone:
+        plan._source_csr  # built here once, not raced by the range threads
+    from repro.parallel.shm import scatter_ranges
+
+    return scatter_ranges(scatter, ranges)
 
 
 def vectorized_scatter(ctx: "ExecContext") -> None:

@@ -27,6 +27,7 @@ from repro.memsim.counters import MemoryCounters
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.obs import runtime as obs
 from repro.parallel.locks import LockTable
+from repro.parallel.shm import cut_ranges
 from repro.temporal.series import GroupView, SnapshotSeriesView
 
 if TYPE_CHECKING:
@@ -40,7 +41,6 @@ def _wants_locks(config: EngineConfig) -> bool:
     return (
         config.mode is Mode.PUSH
         and config.num_cores > 1
-        and config.parallel == "partition"
         and not config.distributed
     )
 
@@ -68,7 +68,7 @@ def run_group(
     program: VertexProgram,
     config: EngineConfig,
     hierarchy: Optional[MemoryHierarchy] = None,
-    locks: Optional[LockTable] = None,
+    lock_free: bool = False,
     core_of: Optional[np.ndarray] = None,
     only_snapshots: Optional[List[int]] = None,
     address_space: Optional[AddressSpace] = None,
@@ -83,12 +83,16 @@ def run_group(
     a previously computed snapshot (Section 3.5). Passing ``state`` reuses
     an existing :class:`GroupState` (same arrays and simulated addresses);
     snapshot-parallelism uses this so every per-snapshot run shares the one
-    edge array and vertex data array, as the paper describes (Section 6.2).
+    edge array and vertex data array, as the paper describes (Section 6.2),
+    and passes ``lock_free`` because its single-core runs take no locks.
+    Simulated partition-parallel push runs (``num_cores > 1``) lock every
+    propagation write.
 
-    Under ``executor="process"`` the group's plan is cut into one shard
-    per worker thread here, once (:mod:`repro.parallel.shm`); each
-    iteration's scatter folds the shards on the pool, while apply and
-    convergence run in this thread.
+    Untraced, the group's plan stream is cut into ranges here, once
+    (:func:`repro.parallel.shm.cut_ranges`): the whole stream serially,
+    one range per worker thread under ``executor="process"``, whose pool
+    folds the ranges each iteration while apply and convergence run in
+    this thread.
     """
     with obs.span(
         "group",
@@ -130,34 +134,26 @@ def run_group(
             state.snap_active &= mask
             state.active &= mask[None, :]
 
-        shards = None
+        gstart = int(group.start)
+        bounds = claims = None
         if not traced:
-            # Build (or fetch) the gather plan and cut its shards up front:
-            # the bitmap unpack and the shard cuts happen once per group,
-            # not once per iteration.
+            # Build (or fetch) the gather plan and cut its stream ranges up
+            # front: the bitmap unpack and the cuts (with the sanitizer's
+            # proofs) happen once per group, not once per iteration.
             with obs.span("phase", "plan"):
-                plan = state.gather_plan()
-                if config.executor == "process":
-                    from repro.parallel.shm import shard_group
-
-                    shards = shard_group(state, program, config)
-            if config.sanitize and shards is None:
-                # Serial arm of the sanitizer: per-cell fold order and the
-                # shard cuts both assume a destination-vertex-major stream;
-                # prove it once per group. (Sharded runs prove shard
-                # disjointness instead — see GroupShards.)
-                from repro.parallel.plan_shard import assert_destination_sorted
-
-                assert_destination_sorted(plan.dst_vertices(), int(group.start))
+                workers = config.workers if config.executor == "process" else 1
+                bounds, claims = cut_ranges(
+                    state.gather_plan(), workers, config.sanitize, gstart
+                )
 
         resolved = core_of if core_of is not None else config.resolve_core_of(
             group.num_vertices
         )
-        if _wants_locks(config):
-            if locks is None:
-                locks = LockTable(config.cost_model)
-        else:
-            locks = None
+        locks = (
+            LockTable(config.cost_model)
+            if _wants_locks(config) and not lock_free
+            else None
+        )
         ctx = ExecContext(
             group=group,
             state=state,
@@ -167,7 +163,8 @@ def run_group(
             hierarchy=hierarchy if traced else None,
             core_of=resolved,
             locks=locks,
-            shards=shards,
+            bounds=bounds,
+            claims=claims,
         )
         max_iter = (
             config.max_iterations
@@ -181,7 +178,6 @@ def run_group(
         # context manager — no span object or args dict is ever allocated.
         observation = obs.active()
         tracing = observation is not None and observation.tracer is not None
-        gstart = int(group.start)
         while state.snap_active.any() and counters.iterations < max_iter:
             ispan = (
                 observation.span(
@@ -200,8 +196,8 @@ def run_group(
                 if regather:
                     state.reset_acc()
                 # The one scatter-phase bracket for every path: simulated
-                # scatters, serial folds and sharded folds (where the
-                # planned scatter routes through ctx.shards to the pool).
+                # scatters and planned folds (one range inline, more on
+                # the pool).
                 with obs.span("phase", "scatter"):
                     if traced:
                         traced_scatter(ctx)
@@ -324,7 +320,6 @@ def _run_series(
             "program": getattr(program, "name", "?"),
             "mode": config.mode.value,
             "executor": config.executor,
-            "parallel": config.parallel,
             "snapshots": int(series.num_snapshots),
         },
     ):
@@ -340,7 +335,6 @@ def _run_series(
             else None
         )
         space = AddressSpace() if traced else None
-        locks = LockTable(config.cost_model) if _wants_locks(config) else None
         core_of = config.resolve_core_of(series.num_vertices)
 
         from repro.resilience import faults as _faults
@@ -390,7 +384,6 @@ def _run_series(
                 program,
                 config,
                 hierarchy=hierarchy,
-                locks=locks,
                 core_of=core_of,
                 address_space=space,
                 **extra,

@@ -49,10 +49,5 @@ class AddressSpace:
         return base
 
     @property
-    def bytes_allocated(self) -> int:
-        """Total footprint of all allocations (the simulated heap size)."""
-        return self._next
-
-    @property
     def regions(self) -> Dict[str, Region]:
         return dict(self._regions)

@@ -38,10 +38,6 @@ class EdgeArrayLayout:
     def nbytes(self) -> int:
         return self.num_edges * self.entry_bytes
 
-    @property
-    def weight_nbytes(self) -> int:
-        return self.num_edges * self.num_snapshots * 8
-
     def entry_range(self, e: int) -> Tuple[int, int]:
         """``(addr, nbytes)`` of edge entry ``e`` (id + snapshot bitmap)."""
         return self.base + e * self.entry_bytes, self.entry_bytes

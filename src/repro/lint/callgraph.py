@@ -17,7 +17,7 @@ every function body to zero or more callee qualnames:
   method name against every class in the package — minus a blocklist of
   ubiquitous builtin-collection/file method names (``.append``, ``.get``,
   ``.write``, ...) that would otherwise wire unrelated code together.
-  Fallback is what lets handle-dispatched calls (``ctx.shards.scatter``)
+  Fallback is what lets handle-dispatched calls (``ctx.locks.acquire``)
   stay inside the analyzed world;
 - anything still unresolved is **optimistically ignored**: the
   whole-program rules prove contracts about the code they can see, and

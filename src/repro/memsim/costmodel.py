@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memsim.counters import CoreCounters
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -49,9 +47,6 @@ class CostModel:
     def seconds(self, cycles: float) -> float:
         """Convert simulated cycles into simulated seconds."""
         return cycles / self.frequency_hz
-
-    def core_seconds(self, counters: CoreCounters) -> float:
-        return self.seconds(counters.cycles)
 
     def message_seconds(self, messages: int, total_bytes: int) -> float:
         """Network time for a batch of messages under the LogP-style model."""

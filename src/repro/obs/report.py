@@ -109,7 +109,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         "layout": config.layout.value,
         "executor": config.executor,
         "workers": config.workers,
-        "parallel": config.parallel,
         "batch_size": config.batch_size,
         "sanitize": config.sanitize,
         "reuse": config.reuse,
@@ -134,7 +133,6 @@ def distributed_report(result: Any) -> Dict[str, Any]:
         "mode": "push",
         "executor": "simulated-distributed",
         "workers": result.num_machines,
-        "parallel": "partition",
     }
     return build_report(
         result.program_name or "distributed",

@@ -17,12 +17,15 @@ exactly:
 Per-iteration simulated time is the slowest core's cycles in that iteration
 (BSP barrier), summed over iterations.
 
+The strategy is :func:`run_multicore`'s ``strategy`` argument.
+
 *Real* (wall-clock) partition-parallelism lives next door:
-:mod:`repro.parallel.shm` folds each LABS group's gather plan on a
-persistent pool of threads, one destination-vertex shard per thread
-(:mod:`repro.parallel.plan_shard`), so the parallel fold is lock-free and
-bitwise identical to serial execution. The fold is a native call that
-releases the GIL, so the threads run on real cores. Select it with
+:mod:`repro.parallel.shm` cuts each LABS group's gather-plan stream into
+one destination-vertex range per thread of a persistent pool
+(:mod:`repro.parallel.plan_shard`) and runs the serial scatter over each
+range, so the parallel fold is lock-free and bitwise identical to serial
+execution. The fold is a native call that releases the GIL, so the
+threads run on real cores. Select it with
 ``EngineConfig(executor="process", workers=N)``.
 """
 
@@ -32,7 +35,6 @@ __all__ = [
     "LockTable",
     "MulticoreResult",
     "run_multicore",
-    "PlanShard",
     "shard_boundaries",
     "shutdown_pool",
 ]
@@ -40,7 +42,6 @@ __all__ = [
 _LAZY = {
     "MulticoreResult": "repro.parallel.multicore",
     "run_multicore": "repro.parallel.multicore",
-    "PlanShard": "repro.parallel.plan_shard",
     "shard_boundaries": "repro.parallel.plan_shard",
     "shutdown_pool": "repro.parallel.shm",
 }

@@ -50,11 +50,19 @@ def run_multicore(
     program: VertexProgram,
     config: EngineConfig,
     core_of: Optional[np.ndarray] = None,
+    strategy: str = "partition",
 ) -> MulticoreResult:
-    """Run ``program`` under the configured parallel strategy."""
+    """Run ``program`` on ``config.num_cores`` simulated cores.
+
+    ``strategy="partition"`` assigns vertex partitions to cores (``core_of``,
+    contiguous ranges by default); ``"snapshot"`` assigns whole snapshots
+    to cores (Section 3.4).
+    """
+    if strategy not in ("partition", "snapshot"):
+        raise EngineError(f"unknown parallel strategy {strategy!r}")
     if not config.trace:
         raise EngineError("multi-core runs are simulated; set trace=True")
-    if config.parallel == "partition":
+    if strategy == "partition":
         cfg = config if core_of is None else config.with_(core_of=core_of)
         res: RunResult = run(series, program, cfg)
         cost = config.cost_model
@@ -103,6 +111,7 @@ def _simulate_snapshot_parallel(
             only_snapshots=[s],
             address_space=space,
             state=shared,
+            lock_free=True,
         )
         out[:, s] = vals[:, s]
         core_cycles[core] += counters.sim_cycles

@@ -1,30 +1,30 @@
-"""Sharding the edge-major gather plan across worker threads.
+"""Cutting the edge-major gather plan into per-thread stream ranges.
 
 The :class:`~repro.engine.kernels.GatherPlan` stream is the live pairs of
 the group's in-edge array in ``(dst, src, snapshot)`` order, so it is
-destination-**vertex**-major under both layouts: slicing it into
-contiguous ranges — with cuts only at destination-vertex boundaries —
+destination-**vertex**-major under both layouts: cutting it into
+contiguous ranges ``[lo, hi)`` — only at destination-vertex boundaries —
 hands each worker a set of accumulator cells nobody else writes. That is
 the owner-computes discipline of partition-parallelism (paper Section 3.4)
-realised without locks: every worker selects, computes messages for, and
-folds exactly its own slice, and because each cell's contributions stay in
-the same stream order as the serial fold, the result is bitwise identical
-to serial execution.
+realised without locks: every worker runs
+:func:`~repro.engine.kernels.stream_scatter` over exactly its own range,
+and because each cell's contributions stay in the same stream order as
+the serial fold, the result is bitwise identical to serial execution.
 
-:func:`shard_boundaries` and the :class:`PlanShard` slices are cut once
-per group (:class:`repro.parallel.shm.GroupShards`), never once per
-iteration.
+:func:`shard_boundaries` cuts once per group run
+(:func:`repro.parallel.shm.cut_ranges`), never once per iteration.
 
 **Shard-race sanitizer** (``EngineConfig(sanitize=True)`` — TSan for
 owner-computes): the lock-free correctness argument above is an
 *invariant*, not a property the runtime otherwise checks. With the
-sanitizer on, the caller verifies the shard slices tile the stream with
-pairwise-disjoint destination-vertex ranges
-(:func:`verify_disjoint_ownership`) and builds a shadow **ownership
-map** — one byte per accumulator cell, holding ``worker_id + 1`` for the
-owner (:func:`ownership_map`) — shared by every shard. Every worker fold
-then validates the cells it is about to write against that map *at the
-write site* (:meth:`PlanShard.fold`), so an overlapping shard plan or an
+sanitizer on, every group run proves the stream destination-sorted
+(:func:`assert_destination_sorted`); with more than one range it also
+proves the ranges tile the stream with pairwise-disjoint
+destination-vertex intervals (:func:`verify_disjoint_ownership`) and
+builds a shadow **ownership map** — one byte per accumulator cell, holding
+``worker_id + 1`` for the owner (:func:`ownership_map`). Every range's
+scatter then validates the cells it is about to write against that map
+*before its fold* (:func:`check_ownership`), so an overlapping cut or an
 out-of-ownership write raises a typed
 :class:`~repro.errors.ShardRaceError` naming the group, the writing
 worker, and the owning worker, instead of silently corrupting the
@@ -43,7 +43,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine.kernels import GatherPlan, fold_stream
 from repro.errors import EngineError, ShardRaceError
 
 #: Ownership-map claims are ``worker_id + 1`` stored in one byte
@@ -124,8 +123,32 @@ def verify_disjoint_ownership(
         prev_owner = w
 
 
+def check_ownership(
+    claims: np.ndarray, cells: np.ndarray, worker: int, group: int
+) -> None:
+    """Raise unless every cell in ``cells`` is claimed by ``worker``.
+
+    ``cells`` are the destination cells one range's scatter selected; the
+    check runs before its fold, so nothing is written on a violation.
+    """
+    owners = claims[cells]
+    bad = owners != np.uint8(worker + 1)
+    if bad.any():
+        pos = int(np.flatnonzero(bad)[0])
+        claim = int(owners[pos])
+        raise ShardRaceError(
+            "out-of-ownership scatter write"
+            if claim == 0
+            else "scatter write into another worker's cells",
+            group=group,
+            worker=worker,
+            other=claim - 1 if claim else None,
+            cell=int(cells[pos]),
+        )
+
+
 def assert_destination_sorted(keys: np.ndarray, group: int) -> None:
-    """Serial-sanitize check: destination vertex non-decreasing along the stream.
+    """Sanitizer check: destination vertex non-decreasing along the stream.
 
     Per-cell fold order and the shard slicing both assume a
     destination-vertex-major stream; a corrupted or mis-built plan silently
@@ -165,92 +188,3 @@ def shard_boundaries(keys: np.ndarray, workers: int) -> np.ndarray:
         (np.zeros(1, dtype=np.int64), snapped, np.asarray([length], dtype=np.int64))
     )
     return np.maximum.accumulate(bounds)
-
-
-class PlanShard:
-    """One worker's contiguous slice of the edge-major plan stream.
-
-    Mirrors the :class:`~repro.engine.kernels.GatherPlan` stream surface
-    consumed by :func:`~repro.engine.kernels.stream_scatter` —
-    ``src_flat``, ``weight_stream``, ``select_*`` and ``fold`` — restricted
-    to positions ``[start, stop)`` of ``plan``'s stream. The plan's arrays
-    are sliced zero-copy, so construction is O(1).
-
-    When an ownership claim map is given (``sanitize_map``; see
-    :func:`ownership_map`), :meth:`fold` validates every destination
-    cell it is about to write against the map before the native fold
-    runs and raises
-    :class:`~repro.errors.ShardRaceError` on an out-of-ownership write.
-    """
-
-    def __init__(
-        self,
-        plan: "GatherPlan",
-        start: int,
-        stop: int,
-        sanitize_map: Optional[np.ndarray] = None,
-        worker_id: int = -1,
-        group_start: int = -1,
-    ) -> None:
-        self.start = int(start)
-        self.stop = int(stop)
-        self.dst_flat = plan.dst_flat[start:stop]
-        self.src_flat = plan.src_flat[start:stop]
-        self.src_flat_c = plan.src_flat_c[start:stop]
-        self.snap_ids = plan.snap_ids[start:stop]
-        weights = plan.weight_stream
-        self.weight_stream = None if weights is None else weights[start:stop]
-        self.sanitize_map = sanitize_map
-        self.worker_id = int(worker_id)
-        self.group_start = int(group_start)
-
-    def _check_ownership(self, dst_flat: np.ndarray) -> None:
-        """Raise unless every selected destination cell belongs to us."""
-        claims = self.sanitize_map[dst_flat]
-        bad = claims != np.uint8(self.worker_id + 1)
-        if bad.any():
-            pos = int(np.flatnonzero(bad)[0])
-            claim = int(claims[pos])
-            raise ShardRaceError(
-                "out-of-ownership scatter write"
-                if claim == 0
-                else "scatter write into another worker's cells",
-                group=self.group_start,
-                worker=self.worker_id,
-                other=claim - 1 if claim else None,
-                cell=int(dst_flat[pos]),
-            )
-
-    def fold(
-        self,
-        acc_flat: np.ndarray,
-        ufunc: np.ufunc,
-        msg: np.ndarray,
-        sel: Optional[np.ndarray],
-        src: Optional[np.ndarray] = None,
-    ) -> int:
-        if self.sanitize_map is not None:
-            self._check_ownership(self.dst_flat if sel is None else self.dst_flat[sel])
-        return fold_stream(acc_flat, ufunc, self.dst_flat, msg, sel, src)
-
-    # ------------------------------------------------------------------ #
-    # per-iteration selection (slice-local positions)
-
-    def select_stationary(self, snap_active: np.ndarray) -> Optional[np.ndarray]:
-        """Slice positions live under ``snap_active``; None = whole slice."""
-        if snap_active.all():
-            return None
-        return np.flatnonzero(snap_active[self.snap_ids])
-
-    def select_monotone(
-        self, active: np.ndarray, snap_active: np.ndarray
-    ) -> np.ndarray:
-        """Slice positions whose (source, snapshot) is in the frontier.
-
-        The full-slice mask is the serial
-        :meth:`GatherPlan.select_monotone` selection restricted to this
-        shard's contiguous range, so each owned cell sees its contributions
-        in the serial order.
-        """
-        active_now = (active & snap_active[None, :]).reshape(-1)
-        return np.flatnonzero(active_now[self.src_flat_c])

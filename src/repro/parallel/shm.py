@@ -1,56 +1,53 @@
-"""Real wall-clock partition-parallelism: plan shards folded on threads.
+"""Real wall-clock partition-parallelism: plan stream ranges folded on threads.
 
 ``EngineConfig(executor="process", workers=N)`` runs every LABS group's
 scatter on a persistent pool of ``N`` threads of this process (the value
 name predates the threads and is kept for compatibility). This is the
 paper's owner-computes partition-parallelism (Section 3.4) on real cores:
 
-- once per group, :class:`GroupShards` cuts the group's own
+- once per group run, :func:`cut_ranges` cuts the group's own
   :class:`~repro.engine.kernels.GatherPlan` stream at destination-vertex
   boundaries (:func:`~repro.parallel.plan_shard.shard_boundaries`) into
-  one :class:`~repro.parallel.plan_shard.PlanShard` per thread, each a
-  zero-copy slice of the plan's arrays. A shard owns its destinations'
+  one range ``[lo, hi)`` per thread. A range owns its destinations'
   accumulator cells outright, so no locks are needed;
-- per iteration, :meth:`GroupShards.scatter` runs
-  :func:`~repro.engine.kernels.stream_scatter` on every shard in the pool
-  and waits for all of them (the BSP barrier). The fold is a ``ctypes``
-  call into the native library, which releases the GIL, so the shards
-  fold in parallel;
+- per iteration, :func:`scatter_ranges` runs
+  :func:`~repro.engine.kernels.stream_scatter` — the serial executor's
+  scatter, over one range — on the pool once per range and waits for all
+  of them (the BSP barrier). The fold is a ``ctypes`` call into the
+  native library, which releases the GIL, so the ranges fold in parallel;
 - apply and convergence stay in the calling thread, unchanged.
 
-Each accumulator cell's contributions keep their serial stream order
-inside one shard, so values and logical counters are bitwise identical to
-the serial executor. An exception raised by one shard's scatter is
-re-raised as itself once every shard has finished, and the pool stays
-usable. Shard threads record no observability spans: the tracer is
-single-threaded, and the caller's ``phase/scatter`` span covers the fold.
+Serial execution is the single range ``[0, length)``, run inline, and so
+is ``workers=1``. Each accumulator cell's contributions keep their serial
+stream order inside one range, so values and logical counters are
+bitwise identical to the serial executor. An exception raised by one
+range's scatter is re-raised as itself once every range has finished, and
+the pool stays usable. Pool threads record no observability spans: the
+tracer is single-threaded, and the caller's ``phase/scatter`` span covers
+the fold.
 
-Snapshot-parallelism (whole groups per core) is measured in the simulator
-only (:mod:`repro.parallel.multicore`, ``trace=True``).
+Snapshot-parallelism (whole snapshots per core) is measured in the
+simulator only (:func:`repro.parallel.multicore.run_multicore`).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.program import Semantics
-from repro.engine.kernels import stream_scatter
 from repro.parallel.plan_shard import (
-    PlanShard,
+    assert_destination_sorted,
     ownership_map,
     shard_boundaries,
     verify_disjoint_ownership,
 )
 
 if TYPE_CHECKING:
-    from repro.algorithms.program import VertexProgram
-    from repro.engine.config import EngineConfig
-    from repro.engine.state import GroupState
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.engine.kernels import GatherPlan
 
 #: Name prefix of the POSIX shared-memory segments the executor once
 #: created. It creates none now; the name stays because callers that glob
@@ -61,12 +58,15 @@ SEGMENT_PREFIX = "repro-shm"
 POOL_SPAWNS = 0
 
 _LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
+_POOL: Optional["ThreadPoolExecutor"] = None
 _POOL_WORKERS = 0
 
 
-def get_pool(workers: int) -> ThreadPoolExecutor:
+def get_pool(workers: int) -> "ThreadPoolExecutor":
     """The persistent pool of ``workers`` threads, (re)started only when needed."""
+    # Imported here, not at module load: serial runs never need it.
+    from concurrent.futures import ThreadPoolExecutor
+
     global _POOL, _POOL_WORKERS, POOL_SPAWNS
     with _LOCK:
         if _POOL is not None and _POOL_WORKERS != workers:
@@ -90,85 +90,40 @@ def shutdown_pool() -> None:
             _POOL = None
 
 
-class GroupShards:
-    """One group's plan cut into one shard per pool thread, once per group.
+def cut_ranges(
+    plan: "GatherPlan", workers: int, sanitize: bool, group: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(bounds, claims)`` of one group run, cut once before its scatters.
 
-    Holds the group's :class:`~repro.engine.state.GroupState` and reads its
-    arrays at every :meth:`scatter`, so each iteration sees the values and
-    masks the caller's apply phase just wrote. With ``sanitize`` the shard
-    boundaries are proven disjoint here, before any fold, and every shard
-    checks its writes against the shared ownership map
-    (:meth:`~repro.parallel.plan_shard.PlanShard.fold`).
+    Range ``w`` is ``[bounds[w], bounds[w + 1])`` of ``plan``'s stream;
+    one worker gets the whole stream. With ``sanitize`` the stream is
+    proven destination-sorted, and with more than one range the cuts are
+    proven disjoint and ``claims`` is the ownership map every range's
+    scatter checks its writes against (None otherwise).
     """
-
-    def __init__(
-        self,
-        state: "GroupState",
-        program: "VertexProgram",
-        workers: int,
-        sanitize: bool = False,
-    ) -> None:
-        plan = state.gather_plan()
-        group = int(state.group.start)
-        keys = plan.dst_vertices()
-        bounds = shard_boundaries(keys, workers)
-        claims: Optional[np.ndarray] = None
-        if sanitize:
-            verify_disjoint_ownership(keys, bounds, group=group)
-            claims = ownership_map(
-                plan.dst_flat, bounds, plan.num_vertices * plan.num_snapshots
-            )
-        self.shards = [
-            PlanShard(
-                plan,
-                int(bounds[w]),
-                int(bounds[w + 1]),
-                sanitize_map=claims,
-                worker_id=w,
-                group_start=group,
-            )
-            for w in range(workers)
-        ]
-        self.pool = get_pool(workers)
-        self.state = state
-        self.program = program
-        self.monotone = program.semantics is Semantics.MONOTONE
-        self.degree_cells = plan.degree_cells if program.needs_degrees else None
-
-    def scatter(self) -> int:
-        """One scatter of every shard on the pool; returns accumulator updates."""
-        state = self.state
-        futures: List["Future[int]"] = [
-            self.pool.submit(
-                stream_scatter,
-                shard,
-                self.program,
-                state.values_flat,
-                state.acc_flat,
-                state.active,
-                state.snap_active,
-                monotone=self.monotone,
-                needs_degrees=self.program.needs_degrees,
-                degree_cells=self.degree_cells,
-            )
-            for shard in self.shards
-        ]
-        # Every shard finishes before any error surfaces: no thread is
-        # still folding into the accumulator when the caller unwinds.
-        wait(futures)
-        return sum(future.result() for future in futures)
+    if workers == 1 and not sanitize:
+        return np.array([0, plan.length], dtype=np.int64), None
+    keys = plan.dst_vertices()
+    if sanitize:
+        assert_destination_sorted(keys, group)
+    bounds = shard_boundaries(keys, workers)
+    if workers == 1 or not sanitize:
+        return bounds, None
+    verify_disjoint_ownership(keys, bounds, group=group)
+    claims = ownership_map(
+        plan.dst_flat, bounds, plan.num_vertices * plan.num_snapshots
+    )
+    return bounds, claims
 
 
-def shard_group(
-    state: "GroupState", program: "VertexProgram", config: "EngineConfig"
-) -> Optional[GroupShards]:
-    """The group's shards under ``config``; None (serial) for one worker."""
-    if config.workers <= 1:
-        warnings.warn(
-            "executor='process': workers=1 gives no parallelism; falling "
-            "back to the serial executor",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return GroupShards(state, program, config.workers, config.sanitize)
+def scatter_ranges(scatter: Callable[[int], int], ranges: int) -> int:
+    """``scatter(w)`` for every range ``w`` on the pool; returns the summed
+    accumulator updates."""
+    from concurrent.futures import wait
+
+    pool = get_pool(ranges)
+    futures = [pool.submit(scatter, w) for w in range(ranges)]
+    # Every range finishes before any error surfaces: no thread is still
+    # folding into the accumulator when the caller unwinds.
+    wait(futures)
+    return sum(future.result() for future in futures)

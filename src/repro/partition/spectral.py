@@ -90,10 +90,3 @@ def apply_ordering(
         None if series.out_weight is None else series.out_weight.copy(),
         series.vertex_bitmap[order],
     )
-
-
-def inverse_permutation(order: np.ndarray) -> np.ndarray:
-    """``perm`` with ``perm[order[i]] = i`` (old id -> new id)."""
-    perm = np.empty(order.shape[0], dtype=np.int64)
-    perm[order] = np.arange(order.shape[0])
-    return perm

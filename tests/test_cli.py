@@ -1,16 +1,10 @@
 """Tests for the command-line interface."""
 
-import os
-import subprocess
-import sys
 import tempfile
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 class TestRunCommand:
@@ -73,22 +67,6 @@ class TestRunCommand:
         assert rc == 0
         assert "pagerank on wiki" in capsys.readouterr().out
         assert list(tmp_path.glob("repro-store-*")) == []
-
-    def test_process_snapshot_parallel_is_rejected(self):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "run",
-                "--executor", "process", "--workers", "2",
-                "--parallel", "snapshot",
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-            timeout=120,
-        )
-        assert proc.returncode != 0
-        assert "EngineError" in proc.stderr
-        assert "trace=True, num_cores>1" in proc.stderr
 
 
 class TestStatsCommand:

@@ -18,6 +18,7 @@ from repro.algorithms import (
 from repro.engine import EngineConfig, Mode, run
 from repro.errors import EngineError
 from repro.layout import LayoutKind
+from repro.parallel import run_multicore
 from repro.reference import (
     reference_mis,
     reference_pagerank,
@@ -162,9 +163,14 @@ class TestConfigValidation:
         with pytest.raises(EngineError):
             EngineConfig(num_cores=2)
 
-    def test_unknown_parallel(self):
-        with pytest.raises(EngineError):
-            EngineConfig(parallel="waves")
+    def test_unknown_parallel(self, small_series):
+        with pytest.raises(EngineError, match="unknown parallel strategy"):
+            run_multicore(
+                small_series,
+                PageRank(),
+                EngineConfig(trace=True, num_cores=2),
+                strategy="waves",
+            )
 
     def test_string_mode_coerced(self):
         cfg = EngineConfig(mode="pull", layout="structure")

@@ -23,6 +23,7 @@ from repro.engine.config import EngineConfig, Mode
 from repro.engine.kernels import GatherPlan
 from repro.engine.runner import run
 from repro.layout.vertex_array import LayoutKind
+from repro.parallel.plan_shard import shard_boundaries
 from repro.temporal.builder import TemporalGraphBuilder
 from tests.conftest import assert_matches_traced, random_temporal_graph
 
@@ -183,18 +184,18 @@ def _check_fold_against_per_edge_loop(
         if selection == "none":
             sel, chosen = None, np.ones((V, S), dtype=bool)
         elif selection == "stationary":
-            sel = plan.select_stationary(snap_active)
+            sel = plan.select_stationary(snap_active, 0, plan.length)
             chosen = np.broadcast_to(snap_active, (V, S))
         else:
             factor = 0 if selection == "csr" else 10**9
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "_CSR_SELECT_FACTOR", factor)
-                sel = plan.select_monotone(active, snap_active)
+                sel = plan.select_monotone(active, snap_active, 0, plan.length)
             chosen = active & snap_active[None, :]
         pick = slice(None) if sel is None else sel
         msg = msgs[e_src[pick], e_dst[pick], e_snap[pick]]
         with np.errstate(invalid="ignore"):
-            n = plan.fold(acc_flat, kind.ufunc, msg, sel)
+            n = plan.fold(acc_flat, kind.ufunc, msg, sel, 0, plan.length)
             expected = 0
             for u, d, bits in zip(src.tolist(), dst.tolist(), bitmap.tolist()):
                 for k in range(S):
@@ -381,7 +382,10 @@ def test_plan_bytes_per_live_cell():
     group = graph.series(graph.evenly_spaced_times(8)).group(0, 8)
     plan = kernels.plan_for(group, "in", LayoutKind.TIME_LOCALITY)
     plan.select_monotone(
-        np.ones((group.num_vertices, 8), dtype=bool), np.ones(8, dtype=bool)
+        np.ones((group.num_vertices, 8), dtype=bool),
+        np.ones(8, dtype=bool),
+        0,
+        plan.length,
     )
 
     def stream_bytes():
@@ -410,6 +414,77 @@ def test_monotone_selection_branches_agree(monkeypatch, factor):
     monkeypatch.setattr(kernels, "_CSR_SELECT_FACTOR", factor)
     got = run(series, _program("sssp"), EngineConfig(mode=Mode.PUSH))
     assert_matches_traced(got, baseline)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_ranged_selection_and_fold_equal_the_whole_stream(monkeypatch, layout):
+    """Cut into 1-4 destination-vertex ranges, selection and fold are the
+    whole-stream ones: per-range selections are the range's mask as a set
+    and keep each cell's entries in stream order, and folding every range
+    writes the whole-stream fold's bytes with the same update count — for
+    frontiers on both sides of the CSR-versus-mask threshold, and a dense
+    frontier forced through the CSR path (its candidates fill every range
+    up to both ends)."""
+    graph = random_temporal_graph(
+        num_vertices=60, num_events=700, seed=23, weighted=True
+    )
+    group = graph.series(graph.evenly_spaced_times(8)).group(0, 8)
+    plan = kernels.plan_for(group, "in", layout)
+    V, S = group.num_vertices, group.num_snapshots
+    rng = np.random.default_rng(23)
+    entry_msg = rng.normal(size=plan.length) * 10.0 ** rng.integers(-8, 9, plan.length)
+    cell_msg = rng.normal(size=V * S) * 10.0 ** rng.integers(-8, 9, V * S)
+    ptr, _ = plan._source_csr
+    snap_active = np.ones(S, dtype=bool)
+    snap_active[3] = False
+    csr_chosen = set()  # (whole stream?, CSR path?) per selection
+    for rows, factor in ((2, None), (V, None), (V, 0)):
+        if factor is not None:
+            monkeypatch.setattr(kernels, "_CSR_SELECT_FACTOR", factor)
+        active = np.zeros((V, S), dtype=bool)
+        active[rng.choice(V, rows, replace=False)] = rng.random((rows, S)) < 0.6
+        frontier = np.flatnonzero((active & snap_active).any(axis=1))
+        candidates = int((ptr[frontier + 1] - ptr[frontier]).sum())
+        live = (active & snap_active).reshape(-1)
+        whole = plan.select_monotone(active, snap_active, 0, plan.length)
+        stationary = plan.select_stationary(snap_active, 0, plan.length)
+        folds = {}
+        for per_cell in (False, True):
+            acc = np.zeros(V * S, dtype=np.float64)
+            msg = cell_msg if per_cell else entry_msg[whole]
+            count = plan.fold(acc, np.add, msg, whole, 0, plan.length, per_cell)
+            folds[per_cell] = (acc, count)
+        for workers in range(1, 5):
+            bounds = shard_boundaries(plan.dst_vertices(), workers)
+            got = {per_cell: np.zeros(V * S, dtype=np.float64) for per_cell in folds}
+            counts = dict.fromkeys(folds, 0)
+            for w in range(workers):
+                lo, hi = int(bounds[w]), int(bounds[w + 1])
+                csr_chosen.add(
+                    (workers == 1, candidates * kernels._CSR_SELECT_FACTOR < hi - lo)
+                )
+                sel = plan.select_monotone(active, snap_active, lo, hi)
+                assert np.array_equal(
+                    np.sort(sel), np.flatnonzero(live[plan.src_flat_c[lo:hi]])
+                )
+                cells = plan.dst_flat[lo:hi][sel]
+                by_cell = np.argsort(cells, kind="stable")
+                steps = np.diff(sel[by_cell])
+                assert np.all((steps > 0) | (np.diff(cells[by_cell]) != 0))
+                in_range = stationary[(stationary >= lo) & (stationary < hi)] - lo
+                assert np.array_equal(
+                    plan.select_stationary(snap_active, lo, hi), in_range
+                )
+                for per_cell in folds:
+                    msg = cell_msg if per_cell else entry_msg[lo:hi][sel]
+                    counts[per_cell] += plan.fold(
+                        got[per_cell], np.add, msg, sel, lo, hi, per_cell
+                    )
+            for per_cell, (acc, count) in folds.items():
+                assert got[per_cell].tobytes() == acc.tobytes()
+                assert counts[per_cell] == count
+    # Both paths ran, over the whole stream and over proper ranges.
+    assert csr_chosen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_push_counts_dirty_checks_when_frontier_has_no_out_edges():

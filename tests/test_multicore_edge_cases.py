@@ -23,7 +23,8 @@ class TestSnapshotParallelEdgeCases:
         res = run_multicore(
             small_series,
             prog,
-            cfg(num_cores=16, parallel="snapshot"),
+            cfg(num_cores=16),
+            strategy="snapshot",
         )
         ref = run(small_series, prog, EngineConfig())
         np.testing.assert_array_equal(res.values, ref.values)
@@ -34,7 +35,7 @@ class TestSnapshotParallelEdgeCases:
     def test_single_core_snapshot_parallel(self, small_series):
         prog = SingleSourceShortestPath(0)
         res = run_multicore(
-            small_series, prog, cfg(num_cores=1, parallel="snapshot")
+            small_series, prog, cfg(num_cores=1), strategy="snapshot"
         )
         ref = run(small_series, prog, EngineConfig())
         np.testing.assert_array_equal(res.values, ref.values)
@@ -43,7 +44,8 @@ class TestSnapshotParallelEdgeCases:
         res = run_multicore(
             small_series,
             PageRank(iterations=1),
-            cfg(num_cores=2, parallel="snapshot"),
+            cfg(num_cores=2),
+            strategy="snapshot",
         )
         # 5 snapshots over 2 cores: 3 on core 0, 2 on core 1 — both busy.
         assert all(s > 0 for s in res.per_core_seconds)

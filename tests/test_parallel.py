@@ -135,7 +135,8 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             prog,
-            traced_config(num_cores=2, mode=Mode.PUSH, parallel="snapshot"),
+            traced_config(num_cores=2, mode=Mode.PUSH),
+            strategy="snapshot",
         )
         np.testing.assert_array_equal(single.values, sp.values)
 
@@ -143,7 +144,8 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PUSH, parallel="snapshot"),
+            traced_config(num_cores=2, mode=Mode.PUSH),
+            strategy="snapshot",
         )
         assert sp.counters.locks_acquired == 0
 
@@ -153,7 +155,8 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             PageRank(iterations=1),
-            traced_config(num_cores=2, mode=Mode.PUSH, parallel="snapshot"),
+            traced_config(num_cores=2, mode=Mode.PUSH),
+            strategy="snapshot",
         )
         expected = small_series.num_edges * small_series.num_snapshots
         assert sp.counters.edge_array_accesses == expected
@@ -164,7 +167,8 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             prog,
-            traced_config(num_cores=3, mode=Mode.PUSH, parallel="snapshot"),
+            traced_config(num_cores=3, mode=Mode.PUSH),
+            strategy="snapshot",
         )
         np.testing.assert_array_equal(single.values, sp.values)
 
@@ -185,6 +189,7 @@ class TestSnapshotParallel:
         sp = run_multicore(
             series,
             prog,
-            traced_config(num_cores=4, mode=Mode.PUSH, parallel="snapshot"),
+            traced_config(num_cores=4, mode=Mode.PUSH),
+            strategy="snapshot",
         )
         assert chronos.sim_seconds < sp.sim_seconds

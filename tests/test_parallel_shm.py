@@ -325,23 +325,16 @@ def test_restored_groups_complete_in_series_order(series16, tmp_path):
 
 
 def test_workers_one_falls_back_to_serial(series16):
+    """One worker is one range, the whole stream, run inline."""
     program = make_program("pagerank")
     serial = run(series16, program, EngineConfig(mode="push", batch_size=4))
-    with pytest.warns(RuntimeWarning, match="falling back to the serial"):
-        result = run(series16, program, threaded(1, mode="push", batch_size=4))
+    result = run(series16, program, threaded(1, mode="push", batch_size=4))
     assert result.values.tobytes() == serial.values.tobytes()
 
 
 def test_process_executor_rejects_trace():
     with pytest.raises(EngineError, match="wall-clock-only"):
         EngineConfig(executor="process", trace=True)
-
-
-def test_process_executor_rejects_snapshot_parallel():
-    # Snapshot-parallelism is simulated only; the error names that path.
-    with pytest.raises(EngineError, match=r"trace=True, num_cores>1"):
-        EngineConfig(executor="process", workers=2, parallel="snapshot")
-    EngineConfig(trace=True, num_cores=2, parallel="snapshot")  # still fine
 
 
 def test_invalid_executor_and_workers():

@@ -3,9 +3,10 @@
 The thread executor's lock-free correctness rests on one invariant: the
 destination-vertex-major plan stream is cut only at vertex boundaries, so
 each worker thread folds into accumulator cells nobody else touches. The
-sanitizer turns that invariant into a runtime check — shard disjointness
-is proven before the first scatter, and every thread validates each fold
-against a shadow ownership map at the write site — and these tests prove
+sanitizer turns that invariant into a runtime check — the stream is
+proven destination-sorted and the range cuts disjoint before the first
+scatter, and every range's scatter validates the cells it selected
+against a shadow ownership map before it folds — and these tests prove
 both that clean runs stay bitwise identical and that corrupted plans are
 caught with the offending group/worker identified, instead of silently
 corrupting results.
@@ -13,19 +14,18 @@ corrupting results.
 
 import os
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import make_program
 from repro.engine.config import EngineConfig
+from repro.engine.kernels import GatherPlan, stream_scatter
 from repro.engine.runner import run, run_group
 from repro.engine.state import GroupState
 from repro.errors import EngineError, ShardRaceError
 from repro.parallel import shm
 from repro.parallel.plan_shard import (
-    PlanShard,
     assert_destination_sorted,
     ownership_map,
     shard_boundaries,
@@ -112,27 +112,32 @@ def test_assert_destination_sorted():
     assert ei.value.group == 8
 
 
-def _shard(dst_flat, sanitize_map, worker_id):
-    """A whole-stream shard over an edge-major destination stream (cells
-    of one vertex interleave; only the vertex is non-decreasing)."""
-    aux = np.zeros_like(dst_flat)
-    plan = SimpleNamespace(
-        dst_flat=dst_flat, src_flat=aux, src_flat_c=aux,
-        snap_ids=aux.astype(np.uint8), weight_stream=None,
-    )
-    return PlanShard(
-        plan, 0, dst_flat.shape[0],
-        sanitize_map=sanitize_map, worker_id=worker_id, group_start=16,
+def _plan():
+    """A 3-vertex, 2-snapshot weighted plan of the in-edges 1->0, 2->0,
+    0->1, 0->2, 1->2, each live in both snapshots. Time-locality cells are
+    ``dst * 2 + snapshot``, so stream positions 0-3 write cells {0, 1},
+    4-5 cells {2, 3} and 6-9 cells {4, 5}."""
+    src = np.array([1, 2, 0, 0, 1], dtype=np.int64)
+    dst = np.array([0, 0, 1, 2, 2], dtype=np.int64)
+    bitmap = np.full(5, 0b11, dtype=np.uint64)
+    weights = np.arange(1.0, 11.0).reshape(5, 2)
+    return GatherPlan(src, dst, bitmap, 3, 2, weights=weights)
+
+
+def _scatter(plan, acc, lo, hi, claims=None, worker=0):
+    """One SpMV range scatter of ``plan`` (value of cell c = c + 1)."""
+    return stream_scatter(
+        plan, lo, hi, make_program("spmv"), np.arange(1.0, 7.0), acc,
+        np.ones((3, 2), dtype=bool), np.ones(2, dtype=bool),
+        monotone=False, claims=claims, worker=worker, group=16,
     )
 
 
 def test_plan_shard_rejects_write_into_another_workers_cell():
-    dst_flat = np.array([1, 0, 0, 2], dtype=np.intp)
-    claims = np.array([1, 1, 2, 0, 0, 0], dtype=np.uint8)  # cell 2 is w1's
-    shard = _shard(dst_flat, claims, worker_id=0)
+    claims = np.array([1, 1, 2, 2, 0, 0], dtype=np.uint8)  # cells 2, 3: w1's
     acc = np.zeros(6, dtype=np.float64)
     with pytest.raises(ShardRaceError) as ei:
-        shard.fold(acc, np.add, np.ones(4, dtype=np.float64), None)
+        _scatter(_plan(), acc, 0, 6, claims, worker=0)
     err = ei.value
     assert err.worker == 0 and err.other == 1
     assert err.cell == 2 and err.group == 16
@@ -140,26 +145,26 @@ def test_plan_shard_rejects_write_into_another_workers_cell():
 
 
 def test_plan_shard_rejects_write_into_unclaimed_cell():
-    dst_flat = np.array([0, 3], dtype=np.intp)
-    claims = np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8)  # cell 3 unclaimed
-    shard = _shard(dst_flat, claims, worker_id=0)
+    claims = np.array([1, 1, 2, 2, 0, 0], dtype=np.uint8)  # cells 4, 5 unclaimed
     acc = np.zeros(6, dtype=np.float64)
     with pytest.raises(ShardRaceError) as ei:
-        shard.fold(acc, np.add, np.ones(2, dtype=np.float64), None)
-    assert ei.value.other is None and ei.value.cell == 3
-    assert acc.tolist() == [0.0] * 6  # not even the owned cell 0
+        _scatter(_plan(), acc, 4, 10, claims, worker=1)
+    assert ei.value.other is None and ei.value.cell == 4
+    assert acc.tolist() == [0.0] * 6  # not even the owned cells 2, 3
 
 
 def test_plan_shard_sanitized_fold_matches_unsanitized():
-    flat = np.array([1, 0, 1, 0, 3, 2, 2], dtype=np.intp)
-    msg = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-    claims = np.array([1, 1, 1, 1, 0, 0], dtype=np.uint8)
+    plan = _plan()
     clean = np.zeros(6, dtype=np.float64)
-    _shard(flat, None, -1).fold(clean, np.add, msg, None)
+    assert _scatter(plan, clean, 0, plan.length) == 10
+    bounds = shard_boundaries(plan.dst_vertices(), 2)
+    claims = ownership_map(plan.dst_flat, bounds, 6)
     sanitized = np.zeros(6, dtype=np.float64)
-    _shard(flat, claims, worker_id=0).fold(sanitized, np.add, msg, None)
+    for w in range(2):
+        _scatter(plan, sanitized, int(bounds[w]), int(bounds[w + 1]), claims, w)
     assert sanitized.tobytes() == clean.tobytes()
-    assert clean.tolist() == [10.0, 5.0, 96.0, 16.0, 0.0, 0.0]
+    # message = source value * weight, summed per cell in stream order
+    assert clean.tolist() == [18.0, 32.0, 5.0, 12.0, 34.0, 56.0]
 
 
 def test_shard_race_error_survives_pickling():
@@ -215,8 +220,8 @@ def test_parent_detects_corrupted_shard_plan(series16, monkeypatch):
 
 def test_worker_detects_out_of_ownership_write(series16, monkeypatch):
     # An all-zeros claim map makes every write out-of-ownership: the
-    # violation is raised *inside a worker thread*, at the write site,
-    # and re-raised as itself from the scatter.
+    # violation is raised *inside a worker thread*, before its fold, and
+    # re-raised as itself from the scatter.
     monkeypatch.setattr(
         shm,
         "ownership_map",
@@ -246,11 +251,13 @@ def test_serial_sanitize_detects_unsorted_plan(series16):
     before = state.acc_flat.copy()
     plan.dst_flat[i], plan.dst_flat[i + 1] = plan.dst_flat[i + 1], plan.dst_flat[i]
     try:
-        with pytest.raises(ShardRaceError) as ei:
-            run_group(group, program, config, state=state)
-        assert ei.value.group == 0
-        assert ei.value.cell == int(vertices[i])
-        assert state.acc_flat.tobytes() == before.tobytes()  # nothing folded
+        # One sanitizer arm: the threaded executor proves the order too.
+        for cfg in (config, config.with_(executor="process", workers=WORKERS)):
+            with pytest.raises(ShardRaceError) as ei:
+                run_group(group, program, cfg, state=state)
+            assert ei.value.group == 0
+            assert ei.value.cell == int(vertices[i])
+            assert state.acc_flat.tobytes() == before.tobytes()  # nothing folded
     finally:
         # Plans are cached on the group view; drop the corrupted one so
         # later tests over the same fixture rebuild it clean.
