@@ -59,7 +59,7 @@ def main() -> None:
     if args.executor == "process":
         print(
             f"\nWall-clock, thread executor ({args.workers} worker threads, "
-            "one plan shard each):"
+            "one destination range each):"
         )
         for batch in (1, 4, 8, 32):
             layout = (

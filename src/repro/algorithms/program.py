@@ -92,6 +92,11 @@ class VertexProgram:
     gather: GatherKind = GatherKind.SUM
     #: Whether scatter consumes edge weights.
     needs_weights: bool = False
+    #: How a weighted program's message combines the source's value with
+    #: the edge weight: ``"add"`` (``values + weights``) or ``"mul"``
+    #: (``values * weights``). The engine's walk forms the message itself
+    #: from this declaration; :meth:`scatter` must compute the same.
+    edge_op: Optional[str] = None
     #: Whether scatter divides by the source's out-degree.
     needs_degrees: bool = False
     #: Directed programs propagate along edge direction only. Undirected
@@ -153,6 +158,16 @@ class VertexProgram:
         if self.semantics is Semantics.MONOTONE and self.gather is not GatherKind.MIN:
             raise EngineError(
                 f"{self.name}: MONOTONE semantics requires a MIN gather"
+            )
+        if self.needs_weights and (
+            self.edge_op not in ("add", "mul")
+            or self.needs_degrees
+            or self.gather in (GatherKind.OR, GatherKind.AND)
+        ):
+            raise EngineError(
+                f"{self.name}: a weighted program declares edge_op 'add' or "
+                f"'mul' (got {self.edge_op!r}), combining value and weight "
+                "alone, under a SUM, MIN or MAX gather"
             )
 
     @staticmethod

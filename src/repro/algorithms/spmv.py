@@ -22,6 +22,7 @@ class SpMV(VertexProgram):
     semantics = Semantics.REGATHER
     gather = GatherKind.SUM
     needs_weights = True
+    edge_op = "mul"
     directed = True
 
     def __init__(self, iterations: int = 5) -> None:

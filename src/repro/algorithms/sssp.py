@@ -23,6 +23,7 @@ class SingleSourceShortestPath(VertexProgram):
     semantics = Semantics.MONOTONE
     gather = GatherKind.MIN
     needs_weights = True
+    edge_op = "add"
     directed = True
 
     def __init__(self, source: int = 0) -> None:

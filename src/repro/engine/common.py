@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,14 +28,13 @@ class ExecContext:
     hierarchy: Optional[MemoryHierarchy] = None
     core_of: Optional[np.ndarray] = None
     locks: Optional[LockTable] = None
-    #: Untraced runs: the group's plan stream cut into ranges, range ``w``
-    #: being ``[bounds[w], bounds[w + 1])``: one range serially, one per
-    #: pool thread under ``executor="process"``
+    #: Untraced runs: ``(edge_bounds, vertex_bounds)``, the group's
+    #: destination vertices cut into ranges, range ``w`` owning the
+    #: vertices ``[vertex_bounds[w], vertex_bounds[w + 1])`` and their
+    #: in-edges ``[edge_bounds[w], edge_bounds[w + 1])``: one range
+    #: serially, one per pool thread under ``executor="process"``
     #: (:func:`repro.parallel.shm.cut_ranges`).
-    bounds: Optional[np.ndarray] = None
-    #: The sanitizer's cell -> owning range claim map, when there is more
-    #: than one range.
-    claims: Optional[np.ndarray] = None
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def traced(self) -> bool:

@@ -59,12 +59,12 @@ class EngineConfig:
     #: instead of locked shared-memory writes. Used by
     #: :mod:`repro.distributed`.
     distributed: bool = False
-    #: How untraced runs execute: ``"serial"`` scatters the group's whole
-    #: gather-plan stream in the calling thread (the default);
-    #: ``"process"`` cuts it into ``workers`` destination-vertex ranges
-    #: (owner-computes, lock-free) and scatters each on a thread of the
+    #: How untraced runs execute: ``"serial"`` walks the group's whole
+    #: edge array in the calling thread (the default); ``"process"``
+    #: cuts its destinations into ``workers`` vertex ranges
+    #: (owner-computes, lock-free) and walks each on a thread of the
     #: pool of :mod:`repro.parallel.shm` (the value name predates the
-    #: threads) through the GIL-free native fold. Both run the one
+    #: threads) through the GIL-free native walk. Both run the one
     #: ranged scatter, and values and logical counters are bitwise
     #: identical. Traced (simulated) runs are always serial;
     #: ``executor="process"`` with ``trace=True`` is an error.
@@ -74,13 +74,12 @@ class EngineConfig:
     #: *simulated* core count of traced runs.
     workers: int = 1
     #: Shard-race sanitizer (TSan for the owner-computes discipline). Each
-    #: untraced group run proves its gather-plan stream destination-sorted;
-    #: with more than one range it also proves the cuts pairwise disjoint
-    #: before any scatter, and every range's scatter validates the cells
-    #: it selected against an ownership map (cell -> owning worker) before
-    #: folding, raising a typed :class:`~repro.errors.ShardRaceError`
-    #: (naming the group and both workers) on overlap or an
-    #: out-of-ownership write. The sanitizer only *reads* engine state, so
+    #: untraced group run proves, before any scatter, its in-edge array
+    #: destination-sorted and every range's in-edges inside the range's
+    #: destination interval, raising a typed
+    #: :class:`~repro.errors.ShardRaceError` (naming the group and both
+    #: workers) on a mid-vertex cut, an out-of-interval destination or an
+    #: unsorted edge array. The sanitizer only *reads* engine state, so
     #: clean runs stay bitwise identical to ``sanitize=False``.
     sanitize: bool = False
     #: Result reuse across runs (:mod:`repro.cache`): ``None`` (default)

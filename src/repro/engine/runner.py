@@ -88,10 +88,10 @@ def run_group(
     Simulated partition-parallel push runs (``num_cores > 1``) lock every
     propagation write.
 
-    Untraced, the group's plan stream is cut into ranges here, once
-    (:func:`repro.parallel.shm.cut_ranges`): the whole stream serially,
+    Untraced, the group's destination vertices are cut into ranges here,
+    once (:func:`repro.parallel.shm.cut_ranges`): all of them serially,
     one range per worker thread under ``executor="process"``, whose pool
-    folds the ranges each iteration while apply and convergence run in
+    walks the ranges each iteration while apply and convergence run in
     this thread.
     """
     with obs.span(
@@ -135,16 +135,13 @@ def run_group(
             state.active &= mask[None, :]
 
         gstart = int(group.start)
-        bounds = claims = None
+        bounds = None
         if not traced:
-            # Build (or fetch) the gather plan and cut its stream ranges up
-            # front: the bitmap unpack and the cuts (with the sanitizer's
-            # proofs) happen once per group, not once per iteration.
+            # Cut the destination ranges up front: the cuts (with the
+            # sanitizer's proofs) happen once per group, not per iteration.
             with obs.span("phase", "plan"):
                 workers = config.workers if config.executor == "process" else 1
-                bounds, claims = cut_ranges(
-                    state.gather_plan(), workers, config.sanitize, gstart
-                )
+                bounds = cut_ranges(group, workers, config.sanitize, gstart)
 
         resolved = core_of if core_of is not None else config.resolve_core_of(
             group.num_vertices
@@ -164,7 +161,6 @@ def run_group(
             core_of=resolved,
             locks=locks,
             bounds=bounds,
-            claims=claims,
         )
         max_iter = (
             config.max_iterations
@@ -196,8 +192,7 @@ def run_group(
                 if regather:
                     state.reset_acc()
                 # The one scatter-phase bracket for every path: simulated
-                # scatters and planned folds (one range inline, more on
-                # the pool).
+                # scatters and walks (one range inline, more on the pool).
                 with obs.span("phase", "scatter"):
                     if traced:
                         traced_scatter(ctx)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms.program import Semantics, VertexProgram
-from repro.engine.kernels import GatherPlan, plan_for
+from repro.engine.kernels import plan_for
 from repro.layout.address_space import AddressSpace
 from repro.layout.edge_array import EdgeArrayLayout
 from repro.layout.vertex_array import LayoutKind, VertexArrayLayout
@@ -64,6 +64,8 @@ class GroupState:
         self.values_flat = self._values_phys.reshape(-1)
         self.acc_flat = self._acc_phys.reshape(-1)
         self.values[:] = program.initial_values(group)
+        #: What the scatter's walk reads besides the group's edge arrays.
+        self.operands = plan_for(group, "in", layout_kind)
 
         self.active = np.empty((V, Sg), dtype=np.bool_)
         if program.semantics is Semantics.MONOTONE:
@@ -127,15 +129,6 @@ class GroupState:
     def reset_acc(self) -> None:
         """Reset the accumulator to the gather identity (REGATHER programs)."""
         self._acc_phys.fill(self.program.gather.identity)
-
-    def gather_plan(self) -> GatherPlan:
-        """The cached gather plan for this group/layout (every mode's).
-
-        Plans live on the :class:`~repro.temporal.series.GroupView` (they
-        depend only on immutable topology), so snapshot-parallel runs that
-        share one group share one plan too.
-        """
-        return plan_for(self.group, "in", self.layout_kind)
 
     def alloc_stream_buffers(self, num_buckets: int) -> None:
         """Reserve the stream-mode update buffer and shuffle buckets."""

@@ -18,16 +18,11 @@ Two things depend on the layout:
 
 from repro.layout.address_space import AddressSpace
 from repro.layout.edge_array import EdgeArrayLayout
-from repro.layout.vertex_array import (
-    LayoutKind,
-    VertexArrayLayout,
-    flat_destination_index,
-)
+from repro.layout.vertex_array import LayoutKind, VertexArrayLayout
 
 __all__ = [
     "AddressSpace",
     "EdgeArrayLayout",
     "LayoutKind",
     "VertexArrayLayout",
-    "flat_destination_index",
 ]

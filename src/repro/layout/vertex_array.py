@@ -29,27 +29,6 @@ class LayoutKind(enum.Enum):
     STRUCTURE_LOCALITY = "structure"
 
 
-def flat_destination_index(
-    kind: LayoutKind,
-    v_ids: np.ndarray,
-    snap_ids: np.ndarray,
-    num_vertices: int,
-    num_snapshots: int,
-) -> np.ndarray:
-    """Flat element indices of ``(v, s)`` cells in this layout's order.
-
-    This is the vectorised counterpart of :meth:`VertexArrayLayout.addr`
-    (sans base/itemsize): sorting destinations by this key makes the
-    engines' segmented gather writes land in the accumulator's physical
-    address order.
-    """
-    v_ids = np.asarray(v_ids, dtype=np.int64)
-    snap_ids = np.asarray(snap_ids, dtype=np.int64)
-    if kind is LayoutKind.TIME_LOCALITY:
-        return v_ids * np.int64(num_snapshots) + snap_ids
-    return snap_ids * np.int64(num_vertices) + v_ids
-
-
 class VertexArrayLayout:
     """Address computation for one per-vertex, per-snapshot data array."""
 

@@ -51,7 +51,7 @@ __all__ = [
 _DETERMINISTIC_SCOPE = ("repro.engine", "repro.parallel")
 
 #: The one module allowed to load native code: the native library, whose
-#: gather-fold is also the engine's one in-place scatter.
+#: edge-array walk is also the engine's one in-place scatter.
 _NATIVE_MODULE = "repro.native"
 
 #: Call names that load a native library (``ctypes.CDLL(path)``,
@@ -241,8 +241,8 @@ class ScatterDisciplineRule(Rule):
     The bitwise-identity contract between the serial fold, the simulated
     engine, and the sharded thread executor holds because every
     vectorised accumulator write goes through the one audited sequential
-    fold, the native gather-fold of :mod:`repro.native` (reached through
-    :func:`repro.engine.kernels.fold_stream`; per-cell application order
+    fold, the native edge-array walk of :mod:`repro.native` (reached
+    through :func:`repro.engine.kernels.walk`; per-cell application order
     and NumPy's tie / NaN rules are pinned there). A stray ``ufunc.at`` in
     the engine or executors bypasses that audit, and under owner-computes
     sharding it can write cells the worker does not own. The library is
@@ -255,7 +255,7 @@ class ScatterDisciplineRule(Rule):
     slug = "scatter"
     title = "in-place scatters and native loads live in repro/native/ only"
     invariant = (
-        "every accumulator scatter goes through the native gather-fold "
+        "every accumulator scatter goes through the native edge-array walk "
         "(repro.native), preserving per-cell application order; no other "
         "module of the package loads native code"
     )
@@ -277,7 +277,7 @@ class ScatterDisciplineRule(Rule):
             if ctx.in_module(*_DETERMINISTIC_SCOPE):
                 yield node, (
                     "in-place ufunc.at scatter outside the native "
-                    "gather-fold; fold through kernels.fold_stream "
+                    "edge-array walk; fold through kernels.walk "
                     "(repro.native) so per-cell application order stays "
                     "audited"
                 )

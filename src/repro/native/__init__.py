@@ -1,16 +1,21 @@
-"""The native library: the engine's gather-fold and the store's section codec.
+"""The native library: the engine's edge-array walk and the store's section codec.
 
 One shared library, built from the two C sources shipped beside this module
 and called through ctypes:
 
-- ``fold.c``, the scatter's inner loop (:func:`fold`). One loop per combine
-  kind — ``fold_add``, ``fold_min`` and ``fold_max`` — each applying
-  ``acc[dst[p]] = op(acc[dst[p]], m)`` entry by entry in stream order, with
-  ``p = sel[i]`` (or ``i``) and ``m = msg[src[p]]`` (or ``msg[i]``). Each
-  combine is NumPy's scalar rule with the operands in NumPy's order, so the
-  fold equals the sequential ``ufunc.at`` it replaced byte for byte,
-  including ``-0.0`` ties, NaNs and infinities (``tests/test_kernel_plans.py``
-  keeps ``ufunc.at`` as the oracle).
+- ``fold.c``, the scatter (:func:`walk`). One loop per combine kind —
+  ``walk_add``, ``walk_min`` and ``walk_max`` — over a LABS group's edge
+  array: for every edge of the range and every set bit ``s`` of its
+  snapshot bitmap (masked by the running snapshots or by the source's
+  frontier word), ``acc[dst, s] = op(acc[dst, s], m)`` with ``m`` the
+  source cell's message, or that message combined with the edge's weight.
+  The dense walk runs over a range of in-edges, the sparse walk over the
+  frontier's out-edges, keeping one destination interval. Each combine is
+  NumPy's scalar rule with the operands in NumPy's order, so the walk
+  equals the sequential ``ufunc.at`` over the per-(edge, snapshot) stream
+  it replaced byte for byte, including ``-0.0`` ties, NaNs and
+  infinities (``tests/test_kernel_plans.py`` keeps ``ufunc.at`` and that
+  stream, ``tests/plan_oracle.py``, as the oracles).
 - ``sections.c``, the edge file's section codec (:func:`scan_sections`,
   :func:`pack_sections`). A table-driven CRC-32 equal to ``zlib.crc32``; the
   reader checks every segment's two CRCs against its stored trailer and
@@ -63,12 +68,11 @@ SOURCES = (
 )
 COMPILER = "gcc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
-#: Combine kinds; the library exports ``fold_<kind>`` for each.
+#: Combine kinds; the library exports ``walk_<kind>`` for each.
 KINDS = ("add", "min", "max")
 #: Bytes of a segment trailer: the two sections' CRC-32s.
 TRAILER_SIZE = 8
 
-_INDEX = np.ctypeslib.ndpointer(np.intp, ndim=1, flags="C_CONTIGUOUS")
 _BYTES = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
 _OUT_BYTES = np.ctypeslib.ndpointer(
     np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
@@ -89,25 +93,28 @@ def _or_null(pointer: Any) -> Any:
     )
 
 
-#: ``fold_<kind>(acc, dst, sel|NULL, src|NULL, msg, n)``: ctypes checks
-#: dtype, rank, contiguity and (for ``acc``) writability on every call.
-_FOLD = (
+_WORDS = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
+_SIZE = ctypes.c_ssize_t
+
+#: ``walk_<kind>(acc, msg, bitmap, src, dst, index, rows, nrows, weight,
+#: wrow, edge_op, front, mask, lo, hi, vs, ss, nsnap)``: ctypes checks
+#: dtype, rank, contiguity and (for ``acc``) writability on every call. The
+#: weight matrix is passed through its row stride (``wrow``), so a column
+#: slice of a wider matrix needs no copy.
+_WALK = (
     [
-        np.ctypeslib.ndpointer(
-            np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
-        ),
-        _INDEX,
-        _or_null(_INDEX),
-        _or_null(_INDEX),
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
         np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
-        ctypes.c_ssize_t,
+        _WORDS, _LENGTHS, _LENGTHS, _or_null(_LENGTHS), _or_null(_LENGTHS), _SIZE,
+        _or_null(np.ctypeslib.ndpointer(np.float64, ndim=2)), _SIZE, ctypes.c_int,
+        _or_null(_WORDS), ctypes.c_uint64, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
     ],
-    None,
+    _SIZE,
 )
 
 #: Every exported function: ``name -> (argtypes, restype)``.
 _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
-    **{f"fold_{kind}": _FOLD for kind in KINDS},
+    **{f"walk_{kind}": _WALK for kind in KINDS},
     "scan_sections": (
         [
             _BYTES, ctypes.c_int64,
@@ -238,31 +245,71 @@ def _function(name: str) -> Any:
         return _FUNCTIONS[name]
 
 
-def fold(
+def walk(
     kind: str,
     acc: np.ndarray,
-    dst: np.ndarray,
     msg: np.ndarray,
-    sel: Optional[np.ndarray] = None,
-    src: Optional[np.ndarray] = None,
+    edges: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    lo: int,
+    hi: int,
+    strides: Tuple[int, int],
+    num_snapshots: int,
+    *,
+    mask: int = 0,
+    front: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
+    index: Optional[np.ndarray] = None,
+    weight: Optional[np.ndarray] = None,
+    edge_op: Optional[str] = None,
 ) -> int:
-    """Fold entries ``sel`` (None = all of ``dst``) into ``acc``; returns the count.
+    """Fold one walk of an edge array into ``acc``; returns the pairs folded.
 
-    ``kind`` is one of :data:`KINDS`. Messages are ``msg[src[p]]`` when
-    ``src`` is given (one message per cell), else ``msg[i]`` (one per
-    folded entry). ``dst``, ``sel`` and ``src`` are trusted plan indices:
-    the sizes are checked here, the index values are not.
+    ``edges`` is ``(bitmap, src, dst)``. Without ``rows`` this is the dense
+    walk over the edges ``[lo, hi)``, each edge's bits masked by
+    ``front[src]`` (one ``uint64`` word per vertex) or, without ``front``,
+    by ``mask``; with ``rows`` it is the sparse walk over the out-edges
+    ``[index[u], index[u + 1])`` of each frontier row ``u``, keeping
+    destinations in ``[lo, hi)``. ``kind`` is one of :data:`KINDS`;
+    ``strides`` are the accumulator's vertex and snapshot strides; ``msg``
+    holds one message per accumulator cell, combined with ``weight[e, s]``
+    by ``edge_op`` (``"add"`` or ``"mul"``) when given. The sizes are
+    checked here, the index values are not: they are the group's own edge
+    arrays, proven by the sanitizer when it is on.
     """
-    function = _function(f"fold_{kind}")
-    n = int(dst.shape[0] if sel is None else sel.shape[0])
-    if src is None and msg.shape[0] < n:
-        raise EngineError(f"fold of {n} entries got only {msg.shape[0]} messages")
-    if src is not None and src.shape[0] != dst.shape[0]:
+    function = _function(f"walk_{kind}")
+    bitmap, src, dst = edges
+    length = int(bitmap.shape[0])
+    if msg.shape != acc.shape:
+        raise EngineError(f"walk got {msg.shape[0]} messages for {acc.shape[0]} cells")
+    if src.shape[0] != length or dst.shape[0] != length:
         raise EngineError(
-            f"fold source index has {src.shape[0]} entries, the stream {dst.shape[0]}"
+            f"walk edge arrays disagree: {length}, {src.shape[0]}, {dst.shape[0]}"
         )
-    function(acc, dst, sel, src, msg, n)
-    return n
+    if not 1 <= num_snapshots <= 64:
+        raise EngineError(f"walk of {num_snapshots} snapshots (1..64 fit a word)")
+    if rows is None and not 0 <= lo <= hi <= length:
+        raise EngineError(f"walk range [{lo}, {hi}) outside {length} edges")
+    if rows is not None and (front is None or index is None or index[-1] != length):
+        raise EngineError("a sparse walk needs frontier words and its edges' index")
+    ops = {None: 0, "add": 1, "mul": 2}
+    if edge_op not in ops or (edge_op is None) != (weight is None):
+        raise EngineError(f"walk edge op {edge_op!r} with weights {weight is not None}")
+    if weight is not None and length and (
+        weight.shape[0] != length
+        or weight.shape[1] < num_snapshots
+        or weight.strides[1] != weight.itemsize
+        or weight.strides[0] % weight.itemsize
+    ):
+        raise EngineError(f"walk weights {weight.shape} miss {length} edge rows")
+    wrow = 0 if weight is None else weight.strides[0] // weight.itemsize
+    nrows = 0 if rows is None else int(rows.shape[0])
+    return int(
+        function(
+            acc, msg, bitmap, src, dst, index, rows, nrows, weight, wrow,
+            ops[edge_op], front, mask, lo, hi, strides[0], strides[1],
+            num_snapshots,
+        )
+    )
 
 
 def scan_sections(

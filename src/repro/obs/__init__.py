@@ -8,10 +8,10 @@ Three pillars over one inversion-of-control runtime:
   JSONL or Chrome trace-event JSON (loadable in Perfetto or
   ``chrome://tracing``). Recording is single-threaded: the executor's
   worker threads record nothing, and the caller's scatter span covers
-  their folds.
+  their walks.
 - **Metrics registry** (:mod:`repro.obs.metrics`): named counters,
-  gauges, and histograms — plan cache hits, storage bytes read and CRCs
-  verified, checkpoint and result-cache events, and the engine's own
+  gauges, and histograms — storage bytes read and CRCs verified,
+  result-cache events, and the engine's own
   logical counters — snapshotable to JSON and diffable between runs.
 - **Run reports** (:mod:`repro.obs.report`): ``RunResult.report()`` and
   the ``repro trace`` / ``--trace out.json`` / ``--metrics out.json``

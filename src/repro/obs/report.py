@@ -8,7 +8,7 @@ runs all produce the same report shape:
 - ``counters`` — the run's logical ``EngineCounters`` totals;
 - ``metrics`` — the active registry snapshot (caches, storage,
   streaming), when a registry is installed;
-- ``derived`` — hit rates computed from the raw counters;
+- ``derived`` — the result cache's hit rate, from the raw counters;
 - ``storage`` / ``cache`` — the headline numbers pulled
   out of the snapshot (always present, 0 when idle);
 - ``phases_s`` / ``spans`` / ``wall_s`` — the trace-side phase
@@ -61,9 +61,7 @@ def build_report(
         report["metrics"] = None
     get = metric_counters.get
     report["derived"] = {
-        "plan_cache_hit_rate": _hit_rate(
-            get("plan.cache_hits", 0), get("plan.cache_builds", 0)
-        ),
+        "cache_hit_rate": _hit_rate(get("cache.hits", 0), get("cache.misses", 0)),
     }
     report["storage"] = {
         "bytes_read": get("storage.bytes_read", 0),
@@ -79,7 +77,6 @@ def build_report(
         "bytes_read": get("cache.bytes_read", 0),
         "bytes_written": get("cache.bytes_written", 0),
         "invalid_entries": get("cache.invalid_entries", 0),
-        "hit_rate": _hit_rate(get("cache.hits", 0), get("cache.misses", 0)),
         "seeded_groups": get("reuse.seeded_groups", 0),
         "seed_iter_saved": get("reuse.seed_iter_saved", 0),
         "intersection_bases": get("reuse.intersection_bases", 0),

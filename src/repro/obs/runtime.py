@@ -72,8 +72,6 @@ NOOP = _NoopSpan()
 #: snapshots and reports always carry the core names even when the run
 #: never touched a subsystem (e.g. a cache-free run's cache counters).
 BASELINE_COUNTERS: Tuple[str, ...] = (
-    "plan.cache_builds",
-    "plan.cache_hits",
     "storage.bytes_read",
     "storage.segments_read",
     "storage.crc_verified",

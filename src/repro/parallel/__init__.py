@@ -20,11 +20,11 @@ Per-iteration simulated time is the slowest core's cycles in that iteration
 The strategy is :func:`run_multicore`'s ``strategy`` argument.
 
 *Real* (wall-clock) partition-parallelism lives next door:
-:mod:`repro.parallel.shm` cuts each LABS group's gather-plan stream into
-one destination-vertex range per thread of a persistent pool
-(:mod:`repro.parallel.plan_shard`) and runs the serial scatter over each
+:mod:`repro.parallel.shm` cuts each LABS group's destination vertices
+into one interval per thread of a persistent pool
+(:mod:`repro.parallel.plan_shard`) and runs the serial walk over each
 range, so the parallel fold is lock-free and bitwise identical to serial
-execution. The fold is a native call that releases the GIL, so the
+execution. The walk is a native call that releases the GIL, so the
 threads run on real cores. Select it with
 ``EngineConfig(executor="process", workers=N)``.
 """

@@ -1,30 +1,30 @@
-"""Real wall-clock partition-parallelism: plan stream ranges folded on threads.
+"""Real wall-clock partition-parallelism: destination ranges walked on threads.
 
 ``EngineConfig(executor="process", workers=N)`` runs every LABS group's
 scatter on a persistent pool of ``N`` threads of this process (the value
 name predates the threads and is kept for compatibility). This is the
 paper's owner-computes partition-parallelism (Section 3.4) on real cores:
 
-- once per group run, :func:`cut_ranges` cuts the group's own
-  :class:`~repro.engine.kernels.GatherPlan` stream at destination-vertex
-  boundaries (:func:`~repro.parallel.plan_shard.shard_boundaries`) into
-  one range ``[lo, hi)`` per thread. A range owns its destinations'
-  accumulator cells outright, so no locks are needed;
-- per iteration, :func:`scatter_ranges` runs
-  :func:`~repro.engine.kernels.stream_scatter` — the serial executor's
-  scatter, over one range — on the pool once per range and waits for all
-  of them (the BSP barrier). The fold is a ``ctypes`` call into the
-  native library, which releases the GIL, so the ranges fold in parallel;
+- once per group run, :func:`cut_ranges` cuts the group's destination
+  vertices into one interval ``[v_lo, v_hi)`` per thread, balanced by
+  in-edges (:func:`~repro.parallel.plan_shard.shard_boundaries` over
+  ``in_index``). A range owns its destinations' accumulator cells
+  outright, so no locks are needed;
+- per iteration, :func:`scatter_ranges` runs the serial executor's walk
+  (:func:`~repro.engine.kernels.walk_scatter`) on the pool once per range
+  and waits for all of them (the BSP barrier). The walk is a ``ctypes``
+  call into the native library, which releases the GIL, so the ranges
+  fold in parallel;
 - apply and convergence stay in the calling thread, unchanged.
 
-Serial execution is the single range ``[0, length)``, run inline, and so
-is ``workers=1``. Each accumulator cell's contributions keep their serial
-stream order inside one range, so values and logical counters are
-bitwise identical to the serial executor. An exception raised by one
+Serial execution is the single range ``[0, V)``, run inline, and so is
+``workers=1``. Each accumulator cell's contributions keep their
+source-ascending order inside one range, so values and logical counters
+are bitwise identical to the serial executor. An exception raised by one
 range's scatter is re-raised as itself once every range has finished, and
 the pool stays usable. Pool threads record no observability spans: the
 tracer is single-threaded, and the caller's ``phase/scatter`` span covers
-the fold.
+the walk.
 
 Snapshot-parallelism (whole snapshots per core) is measured in the
 simulator only (:func:`repro.parallel.multicore.run_multicore`).
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.parallel.plan_shard import (
     assert_destination_sorted,
-    ownership_map,
     shard_boundaries,
     verify_disjoint_ownership,
 )
@@ -47,7 +46,7 @@ from repro.parallel.plan_shard import (
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.engine.kernels import GatherPlan
+    from repro.temporal.series import GroupView
 
 #: Name prefix of the POSIX shared-memory segments the executor once
 #: created. It creates none now; the name stays because callers that glob
@@ -91,29 +90,27 @@ def shutdown_pool() -> None:
 
 
 def cut_ranges(
-    plan: "GatherPlan", workers: int, sanitize: bool, group: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``(bounds, claims)`` of one group run, cut once before its scatters.
+    group: "GroupView", workers: int, sanitize: bool, start: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(edge_bounds, vertex_bounds)`` of one group run, cut once before
+    its scatters.
 
-    Range ``w`` is ``[bounds[w], bounds[w + 1])`` of ``plan``'s stream;
-    one worker gets the whole stream. With ``sanitize`` the stream is
-    proven destination-sorted, and with more than one range the cuts are
-    proven disjoint and ``claims`` is the ownership map every range's
-    scatter checks its writes against (None otherwise).
+    Range ``w`` owns the destination vertices
+    ``[vertex_bounds[w], vertex_bounds[w + 1])``, whose in-edges are
+    ``[edge_bounds[w], edge_bounds[w + 1])``; one worker gets them all.
+    With ``sanitize`` the in-edge array is proven destination-sorted and
+    every range's in-edges proven inside its interval, before any write.
     """
+    index = group.in_index
     if workers == 1 and not sanitize:
-        return np.array([0, plan.length], dtype=np.int64), None
-    keys = plan.dst_vertices()
+        vertex_bounds = np.array([0, group.num_vertices], dtype=np.int64)
+        return index[vertex_bounds], vertex_bounds
     if sanitize:
-        assert_destination_sorted(keys, group)
-    bounds = shard_boundaries(keys, workers)
-    if workers == 1 or not sanitize:
-        return bounds, None
-    verify_disjoint_ownership(keys, bounds, group=group)
-    claims = ownership_map(
-        plan.dst_flat, bounds, plan.num_vertices * plan.num_snapshots
-    )
-    return bounds, claims
+        assert_destination_sorted(group.in_dst, start)
+    vertex_bounds = shard_boundaries(index, workers)
+    if sanitize:
+        verify_disjoint_ownership(group.in_dst, index, vertex_bounds, start)
+    return index[vertex_bounds], vertex_bounds
 
 
 def scatter_ranges(scatter: Callable[[int], int], ranges: int) -> int:

@@ -100,13 +100,14 @@ class SnapshotSeriesView:
         #: built in memory (content digests alone key those).
         self.source_fingerprint: Optional[str] = None
         # Memoised GroupViews, keyed (start, stop). Views are immutable, and
-        # reusing them lets the scatter kernel plans they carry (see
-        # GroupView.plan_cache) survive across runs over the same series.
+        # reusing them saves re-filtering the edge arrays for every run over
+        # the same series; the scatter walks a view's arrays as they are,
+        # so nothing else is cached per group.
         self._group_cache: Dict[Tuple[int, int], "GroupView"] = {}
 
     def __getstate__(self) -> dict:
-        # The group cache holds GroupViews carrying cached gather plans —
-        # large, derived, and rebuilt lazily — so pickles drop it.
+        # The group cache holds derived views, rebuilt lazily, so pickles
+        # drop it.
         state = dict(self.__dict__)
         state["_group_cache"] = {}
         return state
@@ -245,13 +246,6 @@ class GroupView:
             (series.vertex_bitmap[:, None] >> shifts[None, :]) & np.uint64(1)
         ).astype(bool)
         self.times = series.times[start:stop]
-        #: Cached scatter kernel plans, keyed by layout (one plan — the
-        #: edge-major live stream of ``in_*``, which is why that array's
-        #: ``(dst, src)`` order matters — serves every mode) and filled
-        #: lazily by :func:`repro.engine.kernels.plan_for`. Plans depend
-        #: only on the (immutable) group topology, so every run and
-        #: iteration over this view shares them.
-        self.plan_cache: Dict = {}
 
     @property
     def num_vertices(self) -> int:

@@ -1,7 +1,7 @@
 """The native library's build path: lazy, cached, race-safe, typed failures.
 
-The fold and the store's section codec share the one library, so the
-first fold here is the first native call of the process.
+The scatter's walk and the store's section codec share the one library,
+so the first walk here is the first native call of the process.
 
 Each subprocess is a fresh interpreter with its own cache root
 (``XDG_CACHE_HOME``), so "first import", "second process" and "two
@@ -26,7 +26,8 @@ from repro.errors import EngineError
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
-#: Imports the engine, lists what the cache holds, then folds once.
+#: Imports the engine, lists what the cache holds, then walks once: the
+#: in-edges 0->0, 1->2, 2->2 of one snapshot, one message per vertex.
 _PROBE = """
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ from repro.engine import kernels
 cache = Path(sys.argv[1])
 print(sorted(p.name for p in cache.rglob("*") if p.is_file()))
 acc = np.zeros(3)
-kernels.fold_stream(acc, np.add, np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]))
+edges = (np.ones(3, np.uint64), np.arange(3), np.array([0, 2, 2]))
+kernels.walk(acc, np.add, np.array([1.0, 2.0, 3.0]), edges, 0, 3, (1, 1), 1, mask=1)
 print(acc.tolist())
 """
 
@@ -110,7 +112,8 @@ def fresh_library(tmp_path, monkeypatch):
 
 def _fold_once():
     acc = np.zeros(2)
-    kernels.fold_stream(acc, np.add, np.array([1]), np.array([1.0]))
+    edges = (np.ones(1, np.uint64), np.zeros(1, np.int64), np.ones(1, np.int64))
+    kernels.walk(acc, np.add, np.ones(2), edges, 0, 1, (1, 1), 1, mask=1)
     return acc
 
 
@@ -171,8 +174,9 @@ def test_the_library_name_hashes_source_flags_and_platform(monkeypatch, tmp_path
 
 
 def test_a_short_message_array_is_a_typed_error():
-    with pytest.raises(EngineError, match="2 entries got only 1 messages"):
-        kernels.fold_stream(np.zeros(2), np.add, np.array([0, 1]), np.array([1.0]))
+    edges = (np.ones(2, np.uint64), np.zeros(2, np.int64), np.array([0, 1]))
+    with pytest.raises(EngineError, match="walk got 1 messages for 2 cells"):
+        kernels.walk(np.zeros(2), np.add, np.array([1.0]), edges, 0, 2, (1, 1), 1, mask=1)
 
 
 def _setup_py_package_data():

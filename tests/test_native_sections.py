@@ -342,7 +342,8 @@ write_edge_file(Path(sys.argv[2]), graph, 0, 2)
 print(EdgeFile(Path(sys.argv[2])).verify())
 print(sorted(p.name for p in cache.iterdir()))
 acc = np.zeros(2)
-kernels.fold_stream(acc, np.add, np.array([1]), np.array([1.0]))
+edges = (np.ones(1, np.uint64), np.zeros(1, np.int64), np.ones(1, np.int64))
+kernels.walk(acc, np.add, np.ones(2), edges, 0, 1, (1, 1), 1, mask=1)
 print(sorted(p.name for p in cache.iterdir()))
 """
 

@@ -177,7 +177,7 @@ def test_disabled_span_is_the_shared_noop_singleton():
     assert obs.span("phase", "apply") is obs.NOOP
     assert obs.span("iteration", "iteration", {"i": 1}) is obs.NOOP
     # Metric writers are no-ops without a registry to mutate.
-    obs.add("plan.cache_hits")
+    obs.add("cache.hits")
     obs.gauge("x", 1.0)
     obs.event("phase", "marker")
     assert obs.active() is None
@@ -215,7 +215,7 @@ def test_run_metrics_capture_caches_and_engine_counters():
     counters = ob.registry.snapshot()["counters"]
     for name in BASELINE_COUNTERS:
         assert name in counters  # baselines always present
-    assert counters["plan.cache_builds"] > 0
+    assert not any(name.startswith("plan.") for name in counters)
     # Absorbed engine counters mirror the result's logical totals.
     assert counters["engine.iterations"] == result.counters.iterations
     assert (
@@ -242,8 +242,7 @@ def test_run_report_shape_and_derived_rates():
     assert report["counters"]["iterations"] == result.counters.iterations
     assert report["storage"]["bytes_read"] == 0
     assert report["cache"]["stores"] == 0
-    rate = report["derived"]["plan_cache_hit_rate"]
-    assert rate is not None and 0.0 < rate < 1.0
+    assert report["derived"] == {"cache_hit_rate": None}  # no cache in play
     assert report["phases_s"] and "apply" in report["phases_s"]
     assert report["wall_s"] is not None
     assert observation.tracer.events

@@ -1,9 +1,9 @@
 """The thread executor (``executor="process"``): parity and robustness.
 
-:mod:`repro.parallel.shm` folds each LABS group's plan shards on a
-persistent pool of worker threads. It promises *bitwise* identical values
-and *identical* logical counters versus the serial executor —
-owner-computes plan sharding keeps every accumulator cell's fold order
+:mod:`repro.parallel.shm` walks each LABS group's destination ranges on
+a persistent pool of worker threads. It promises *bitwise* identical
+values and *identical* logical counters versus the serial executor —
+owner-computes destination ranges keep every accumulator cell's fold order
 unchanged, and apply/convergence run through the serial code path in the
 calling thread. These tests state that promise over the application
 matrix (apps × modes × layouts × batch sizes × worker counts × sanitizer),
@@ -261,14 +261,14 @@ def test_clean_interpreter_exit_after_threaded_runs():
 
 
 def test_shard_boundaries_cut_once_per_group(series16, monkeypatch):
-    """Each group's plan is cut into shards once, before its first
-    scatter — never once per iteration."""
+    """Each group's destinations are cut into ranges once, before its
+    first scatter — never once per iteration."""
     calls = []
     real = shm.shard_boundaries
 
-    def counting(keys, workers):
+    def counting(index, workers):
         calls.append(workers)
-        return real(keys, workers)
+        return real(index, workers)
 
     monkeypatch.setattr(shm, "shard_boundaries", counting)
     result = run(
@@ -325,7 +325,7 @@ def test_restored_groups_complete_in_series_order(series16, tmp_path):
 
 
 def test_workers_one_falls_back_to_serial(series16):
-    """One worker is one range, the whole stream, run inline."""
+    """One worker is one range, every destination, run inline."""
     program = make_program("pagerank")
     serial = run(series16, program, EngineConfig(mode="push", batch_size=4))
     result = run(series16, program, threaded(1, mode="push", batch_size=4))
@@ -363,15 +363,22 @@ def test_resolve_core_of_memoized():
     workers=st.integers(min_value=1, max_value=8),
 )
 def test_shard_boundaries_cut_only_at_segment_starts(seed, workers):
+    """Cuts are destination vertices, so each range's in-edges
+    ``[index[b_w], index[b_w+1])`` start and end at vertex boundaries, tile
+    the edges, and hold no more than an equal share plus one vertex's."""
     rng = np.random.default_rng(seed)
     length = int(rng.integers(0, 200))
-    flat = np.sort(rng.integers(0, 30, size=length)).astype(np.int64)
-    bounds = shard_boundaries(flat, workers)
+    keys = np.sort(rng.integers(0, 30, size=length)).astype(np.int64)
+    counts = np.bincount(keys, minlength=30)
+    index = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    bounds = shard_boundaries(index, workers)
     assert bounds.shape == (workers + 1,)
-    assert bounds[0] == 0 and bounds[-1] == length
+    assert bounds[0] == 0 and bounds[-1] == 30
     assert np.all(np.diff(bounds) >= 0)
-    for b in bounds[1:-1]:
-        if 0 < b < length:
-            # A cut position starts a new destination segment: no cell is
-            # split across two workers.
-            assert flat[b - 1] != flat[b]
+    edges = index[bounds]
+    assert edges[0] == 0 and edges[-1] == length
+    for w in range(workers):
+        lo, hi = int(edges[w]), int(edges[w + 1])
+        # No destination is split across two workers.
+        assert np.all((keys[lo:hi] >= bounds[w]) & (keys[lo:hi] < bounds[w + 1]))
+        assert hi - lo <= -(-length // workers) + int(counts.max(initial=0))
