@@ -5,24 +5,21 @@ identical to serial* across executors and result reuse — rests on
 invariants (seeded RNG only, audited scatter folds, owner-computes shard
 writes, typed errors, pinned dtypes, temp-scoped
 durable writes) that nothing in Python enforces. This package enforces
-them mechanically, as one analyzer with two kinds of rule over one parse
-of every file:
+them mechanically, as one analyzer with one rule per property, of two
+kinds, over one parse of every file:
 
 - :mod:`repro.lint.core` — the run (read, tokenise and parse each file
   once), :class:`Finding` records, the ``# chronolint:`` suppression-tag
   protocol and its stale-tag audit, the rule registry;
 - :mod:`repro.lint.rules` — the per-file rules CHR001–CHR003 and
-  CHR005–CHR007, one AST walk per file, plus the detectors the
-  whole-program rules share with them;
+  CHR005–CHR007, one AST walk per file;
 - :mod:`repro.lint.callgraph` — the module-level call graph over the
   library files of the same run;
 - the whole-program rules over that graph:
   :mod:`repro.lint.effects` (CHF001, nothing reachable from
-  ``runner.run`` reads clocks, global RNG, the environment or set
-  order — the premise of ``repro.cache.keys.config_digest``),
-  :mod:`repro.lint.exceptions` (CHF002, typed raises along public call
-  chains) and :mod:`repro.lint.sinks` (CHF003, every raw write's path
-  is temp-scoped);
+  ``runner.run`` reads the environment or set order — the premise of
+  ``repro.cache.keys.config_digest``) and :mod:`repro.lint.sinks`
+  (CHF003, every raw write's path is temp-scoped);
 - :mod:`repro.lint.cli` — the ``chronolint`` console entry point, also
   reachable as ``python -m repro.lint`` and ``repro lint``.
 

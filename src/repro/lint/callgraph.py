@@ -105,16 +105,6 @@ class FunctionInfo:
             stack.extend(ast.iter_child_nodes(cur))
         return out
 
-    @property
-    def is_public(self) -> bool:
-        """Public API surface: no private segment anywhere in the local path
-        (``__init__`` counts as public — constructing a public class is)."""
-        local = self.qualname.split(":", 1)[1]
-        return not any(
-            part.startswith("_") and part != "__init__"
-            for part in local.split(".")
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -134,7 +124,6 @@ class ModuleInfo:
 
     name: str  #: dotted module, e.g. ``"repro.engine.runner"``
     path: str
-    tree: ast.Module
     #: local name -> dotted target (``obs`` -> ``repro.obs.runtime``).
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -219,13 +208,6 @@ class Program:
     def module_of(self, qualname: str) -> str:
         return qualname.split(":", 1)[0]
 
-    def find_module(self, suffix: str) -> Optional[ModuleInfo]:
-        """The module whose dotted name equals or ends with ``suffix``."""
-        for name, mod in sorted(self.modules.items()):
-            if name == suffix or name.endswith("." + suffix):
-                return mod
-        return None
-
     def resolve_class(self, module: ModuleInfo, dotted: str) -> Optional[ClassInfo]:
         """Resolve a (possibly dotted) class reference seen in ``module``."""
         head, _, rest = dotted.partition(".")
@@ -308,7 +290,7 @@ def _base_text(expr: ast.expr) -> Optional[str]:
 
 
 def _index_module(name: str, path: str, tree: ast.Module) -> ModuleInfo:
-    mod = ModuleInfo(name=name, path=path, tree=tree)
+    mod = ModuleInfo(name=name, path=path)
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -6,13 +6,13 @@ Usage::
     chronolint src/ --strict                    # also audit suppressions
     chronolint src/ --json report.json          # machine-readable report
     chronolint --list-rules                     # what is enforced, and why
-    chronolint src/repro/engine --select CHR001,CHF003
 
 Exit status: 0 when every file parses and no *untagged* finding was
 found; 1 on untagged findings or unparsable files; with ``--strict``
 also 1 when a suppression tag matched nothing (stale tags rot the audit
 trail); 2 on usage errors. Suppressed findings are reported under
 ``--strict`` but never fail the run — that is what the tag is for.
+Every run applies every rule; filter the ``--json`` report by rule id.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="chronolint",
         description=(
             "Static analyzer for the Chronos engine: per-file invariant "
-            "rules (CHR) and call-graph proofs of the determinism, "
-            "exception-flow and crash-consistency contracts (CHF)."
+            "rules (CHR) and call-graph proofs of the run path's "
+            "determinism and crash-consistency contracts (CHF)."
         ),
     )
     parser.add_argument(
@@ -42,12 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report suppressed findings and fail on suppression tags "
         "that no longer match anything",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--json",
@@ -82,17 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("chronolint: no paths given (try: chronolint src/)",
               file=sys.stderr)
         return 2
-    select = (
-        None if args.select is None
-        else [s for s in args.select.split(",") if s]
-    )
-    rules = all_rules(select)
-    if select is not None and not rules:
-        print(f"chronolint: no rules match --select {args.select!r}",
-              file=sys.stderr)
-        return 2
-
-    result = analyze_paths(args.paths, rules=rules)
+    result = analyze_paths(args.paths)
 
     for found in result.active:
         print(found.format())

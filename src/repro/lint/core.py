@@ -8,7 +8,7 @@ rule then consume the same parsed files:
 - *per-file* rules (CHR001–CHR007, :mod:`repro.lint.rules`) subscribe to
   AST node types and are dispatched by a single tree walk per file,
   yielding ``(node, message)`` pairs;
-- *whole-program* rules (CHF001–CHF003) see the call graph
+- *whole-program* rules (CHF001, CHF003) see the call graph
   (:mod:`repro.lint.callgraph`) built over the library subset of those
   files (``module_name(path) is not None``) and yield findings whose
   evidence may be a call chain.
@@ -16,20 +16,15 @@ rule then consume the same parsed files:
 Both report :class:`Finding` records, resolved against the same tags and
 audited by the same stale-tag check.
 
-Suppression syntax (comments only — tags inside string literals are
-inert, which is what lets the test fixtures embed tagged sources):
-
-- ``# chronolint: allow-<slug>`` — suppress the named rule, e.g.
-  ``# chronolint: allow-broad-except`` for CHR003;
-- ``# chronolint: disable=CHR001,CHF003`` — suppress by rule id (either
-  family, any case);
-- ``# chronolint: skip-file`` — anywhere in the file, skips it entirely
-  (it is not parsed, linted, or part of the call graph).
-
-A tag covers its own physical line and the line directly below it, so a
-justification can sit on its own line above the violating statement.
-Suppressed findings are still collected (``Finding.suppressed``) so
-``--strict`` can report them and flag tags that no longer match anything.
+Suppression has one spelling, ``# chronolint: allow-<slug>`` (e.g.
+``# chronolint: allow-broad-except`` for CHR003), in comments only —
+tags inside string literals are inert, which is what lets the test
+fixtures embed tagged sources. A tag covers its own physical line and
+the line directly below it, so a justification can sit on its own line
+above the violating statement. Suppressed findings are still collected
+(``Finding.suppressed``) so ``--strict`` can report them and flag tags
+that no longer match anything; any other token after ``chronolint:``
+is stale from the start.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import ast
 import io
 import os
-import re
 import tokenize
 from dataclasses import dataclass, field, replace
 from pathlib import PurePosixPath
@@ -45,7 +39,7 @@ from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type,
 )
 
-from repro.lint.callgraph import Program
+from repro.lint.callgraph import Program, attr_chain
 
 __all__ = [
     "AnalysisResult",
@@ -68,9 +62,6 @@ __all__ = [
 _SKIP_DIRS = frozenset({".git", "__pycache__", ".hypothesis", ".pytest_cache",
                         "node_modules", ".mypy_cache", "build", "dist"})
 
-#: A rule id of either family, as written in ``disable=`` lists.
-_RULE_ID = re.compile(r"CH[RF]\d{3}", re.IGNORECASE)
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -86,7 +77,7 @@ class Finding:
     #: whole-program finding is reachability-based — the offending line
     #: may be arbitrarily far from the contract it breaks.
     chain: Tuple[str, ...] = ()
-    suppressed: bool = False  #: an ``allow``/``disable`` tag covered it
+    suppressed: bool = False  #: an ``allow-<slug>`` tag covered it
 
     def format(self) -> str:
         tag = " (suppressed)" if self.suppressed else ""
@@ -112,36 +103,35 @@ class Finding:
 class Suppressions:
     """Parsed ``chronolint:`` tags of one file."""
 
-    skip_file: bool = False
-    #: line -> tokens on/above it: ``allow-<slug>`` slugs and rule ids.
+    #: line -> the slugs of the ``allow-<slug>`` tags on it.
     by_line: Dict[int, Set[str]] = field(default_factory=dict)
-    #: ``(line, token)`` pairs that matched a finding (strict-mode audit).
+    #: ``(line, slug)`` pairs that matched a finding (strict-mode audit).
     used: Set[Tuple[int, str]] = field(default_factory=set)
-    #: every ``(line, token)`` pair declared in the file.
+    #: every ``(line, slug)`` pair declared in the file.
     declared: Set[Tuple[int, str]] = field(default_factory=set)
+    #: ``(line, token)`` pairs that are not ``allow-<slug>``: always stale.
+    unknown: Set[Tuple[int, str]] = field(default_factory=set)
 
-    def cover(self, line: int, rule_id: str, slug: str) -> bool:
-        """Whether a tag suppresses ``rule_id`` at ``line`` (marks it used)."""
+    def cover(self, line: int, slug: str) -> bool:
+        """Whether a tag suppresses ``slug`` at ``line`` (marks it used)."""
         hit = False
         for tag_line in (line, line - 1):
-            tokens = self.by_line.get(tag_line, ())
-            for token in (slug, rule_id):
-                if token in tokens:
-                    self.used.add((tag_line, token))
-                    hit = True
+            if slug in self.by_line.get(tag_line, ()):
+                self.used.add((tag_line, slug))
+                hit = True
         return hit
 
     def unused(self) -> List[Tuple[int, str]]:
-        """Declared tags that never matched a finding, sorted by line."""
-        return sorted(self.declared - self.used)
+        """Tags that never matched a finding, sorted by line."""
+        return sorted((self.declared - self.used) | self.unknown)
 
 
 def parse_suppressions(source: str) -> Suppressions:
     """Extract ``# chronolint:`` tags from comment tokens.
 
-    String literals are inert. Rule ids (``disable=CHF003`` or a bare
-    ``chr001``) are matched case-insensitively and stored upper-case, so
-    every id of a ``disable=`` list counts, whichever family it names.
+    String literals are inert. Every whitespace-separated token after the
+    prefix is a tag: ``allow-<slug>`` suppresses, anything else (an old
+    ``disable=`` list or ``skip-file``, a typo) is recorded as unknown.
     """
     sup = Suppressions()
     if "chronolint:" not in source:
@@ -158,19 +148,13 @@ def parse_suppressions(source: str) -> Suppressions:
             continue
         body = text[len("chronolint:"):].strip()
         line = tok.start[0]
-        entries: Set[str] = set()
-        for part in body.replace(",", " ").split():
-            if part == "skip-file":
-                sup.skip_file = True
-            elif part.startswith("allow-"):
-                entries.add(part[len("allow-"):])
+        for part in body.split():
+            slug = part.removeprefix("allow-")
+            if slug == part or not slug:
+                sup.unknown.add((line, part))
             else:
-                rule_id = part.removeprefix("disable=")
-                if _RULE_ID.fullmatch(rule_id):
-                    entries.add(rule_id.upper())
-        if entries:
-            sup.by_line.setdefault(line, set()).update(entries)
-            sup.declared.update((line, e) for e in entries)
+                sup.by_line.setdefault(line, set()).add(slug)
+                sup.declared.add((line, slug))
     return sup
 
 
@@ -213,6 +197,37 @@ class FileContext:
     #: Names of the enclosing function defs, innermost last (maintained by
     #: the dispatcher during the walk).
     func_stack: List[str] = field(default_factory=list)
+    #: Local name -> dotted target of the absolute imports the walk has
+    #: passed so far (``t`` -> ``time``, ``shuffle`` -> ``random.shuffle``).
+    aliases: Dict[str, str] = field(default_factory=dict)
+
+    def note_import(self, node: ast.AST) -> None:
+        """Record the names an ``import`` / ``from … import`` binds."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.partition(".")[0]
+                self.aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head
+                )
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.level:  # in-package: never a clock or an RNG
+                    self.aliases.pop(local, None)
+                else:
+                    self.aliases[local] = f"{node.module}.{alias.name}"
+
+    def call_chain(self, call: ast.Call) -> Optional[Tuple[str, ...]]:
+        """The callee's attribute chain, its head resolved through imports.
+
+        ``from time import perf_counter; perf_counter()`` and
+        ``import numpy.random as npr; npr.rand()`` read as
+        ``("time", "perf_counter")`` and ``("numpy", "random", "rand")``.
+        """
+        chain = attr_chain(call.func)
+        if chain is None or chain[0] not in self.aliases:
+            return chain
+        return tuple(self.aliases[chain[0]].split(".")) + chain[1:]
 
     def in_module(self, *prefixes: str) -> bool:
         """Whether this file's module sits under any dotted prefix."""
@@ -281,25 +296,19 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
-    """Fresh instances of every registered rule (optionally a subset), by id."""
+def all_rules() -> List[Rule]:
+    """Fresh instances of every registered rule, by id."""
     # Importing the rule modules registers them.
     import repro.lint.effects  # noqa: F401
-    import repro.lint.exceptions  # noqa: F401
     import repro.lint.rules  # noqa: F401
     import repro.lint.sinks  # noqa: F401
 
-    wanted = None if select is None else {s.upper() for s in select}
-    return [
-        cls()
-        for rule_id, cls in sorted(REGISTRY.items())
-        if wanted is None or rule_id in wanted
-    ]
+    return [cls() for _, cls in sorted(REGISTRY.items())]
 
 
 def _resolve(found: Finding, sup: Suppressions) -> Finding:
     """``found``, marked suppressed when a tag of ``sup`` covers it."""
-    return replace(found, suppressed=sup.cover(found.line, found.rule, found.slug))
+    return replace(found, suppressed=sup.cover(found.line, found.slug))
 
 
 class _Dispatcher(ast.NodeVisitor):
@@ -326,6 +335,7 @@ class _Dispatcher(ast.NodeVisitor):
                 self._out.append(_resolve(found, ctx.suppressions))
 
     def visit(self, node: ast.AST) -> None:
+        self._ctx.note_import(node)
         self._dispatch(node)
         is_func = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if is_func:
@@ -337,20 +347,14 @@ class _Dispatcher(ast.NodeVisitor):
                 self._ctx.func_stack.pop()
 
 
-def _parse(source: str, path: str) -> Optional[FileContext]:
-    """Tokenise and parse one file; None when it carries ``skip-file``.
-
-    Raises :class:`SyntaxError` on unparsable input.
-    """
-    sup = parse_suppressions(source)
-    if sup.skip_file:
-        return None
+def _parse(source: str, path: str) -> FileContext:
+    """Tokenise and parse one file; :class:`SyntaxError` if unparsable."""
     return FileContext(
         path=path,
         source=source,
         tree=ast.parse(source, filename=path),
         module=module_name(path),
-        suppressions=sup,
+        suppressions=parse_suppressions(source),
     )
 
 
@@ -362,21 +366,16 @@ def _lint(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
 
 
 def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Finding], Optional[Suppressions]]:
+    source: str, path: str = "<string>"
+) -> Tuple[List[Finding], Suppressions]:
     """Run the per-file rules over one source string as if it lived at ``path``.
 
-    Returns ``(findings, suppressions)``; the suppressions object is
-    ``None`` when the file was skipped via ``skip-file``. Findings
-    include suppressed ones (``Finding.suppressed`` set) so callers can
-    audit tags. Raises :class:`SyntaxError` on unparsable input.
+    Returns ``(findings, suppressions)``. Findings include suppressed
+    ones (``Finding.suppressed`` set) so callers can audit tags. Raises
+    :class:`SyntaxError` on unparsable input.
     """
     ctx = _parse(source, path)
-    if ctx is None:
-        return [], None
-    return _lint(ctx, all_rules() if rules is None else rules), ctx.suppressions
+    return _lint(ctx, all_rules()), ctx.suppressions
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -448,19 +447,14 @@ class AnalysisResult:
         }
 
 
-def analyze_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> AnalysisResult:
-    """Run ``rules`` (default: all) over every python file under ``paths``.
+def analyze_paths(paths: Iterable[str]) -> AnalysisResult:
+    """Run every rule over every python file under ``paths``.
 
     Each file is read, tokenised and parsed once; per-file rules walk
     every file, whole-program rules run over the call graph of the
-    library files. A tag is audited as stale when it matched nothing,
-    unless it names a registered rule that was not among ``rules`` —
-    a ``--select`` run cannot know whether that rule would have used it.
+    library files. A tag that matched nothing is audited as stale.
     """
-    active = list(all_rules() if rules is None else rules)
+    rules = all_rules()
     program = Program()
     result = AnalysisResult(program=program)
     sups: Dict[str, Suppressions] = {}
@@ -474,34 +468,31 @@ def analyze_paths(
         except SyntaxError as exc:
             result.errors[path] = f"syntax error: {exc}"
             continue
-        if ctx is None:
-            continue
         sups[path] = ctx.suppressions
-        result.findings.extend(_lint(ctx, active))
+        result.findings.extend(_lint(ctx, rules))
         if ctx.module is not None:
             program.add(ctx.module, path, ctx.tree)
     program.link()
 
-    for rule in active:
+    for rule in rules:
         if rule.interests:
             continue
         for found in rule.run(program):
             result.findings.append(_resolve(found, sups[found.path]))
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    selected = {token for rule in active for token in (rule.rule_id, rule.slug)}
-    unselected = {
-        token
-        for cls in REGISTRY.values()
-        for token in (cls.rule_id, cls.slug)
-    } - selected
     for path in sorted(sups):
-        for line, token in sups[path].unused():
-            if token not in unselected:
-                result.stale_tags.append((path, line, token))
+        result.stale_tags.extend((path, line, t) for line, t in sups[path].unused())
     return result
 
 
 def build_program(paths: Iterable[str]) -> Program:
     """The call graph over the library files under ``paths``, no rules run."""
-    return analyze_paths(paths, rules=()).program
+    program = Program()
+    for path in iter_python_files(paths):
+        module = module_name(path)
+        if module is not None:
+            with open(path, "r", encoding="utf-8") as handle:
+                program.add(module, path, ast.parse(handle.read(), filename=path))
+    program.link()
+    return program

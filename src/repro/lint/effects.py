@@ -5,22 +5,20 @@ worker count, and sanitize mode from the cache key: two
 runs that differ only in those knobs are *assumed* to produce bitwise
 identical values. That assumption holds exactly when nothing reachable
 from the engine entry points (``repro.engine.runner.run`` /
-``_run_series``) depends on ambient state. This pass makes the
-assumption a machine-checked theorem: it infers per-function direct
-effect sets
+``_run_series``) depends on ambient state. This pass checks the two
+effects that are legal elsewhere and wrong only on that path:
 
-- ``wall-clock``  — ``time.*`` clock reads, ``datetime.now`` family,
-- ``global-rng``  — legacy ``np.random.*`` / stdlib ``random.*`` draws,
 - ``env-read``    — ``os.environ`` / ``os.getenv`` lookups,
 - ``set-iter``    — iteration over a ``set``/``frozenset`` expression
-  (hash-order-dependent; iterate ``sorted(...)`` instead),
+  (hash-order-dependent; iterate ``sorted(...)`` instead).
 
-and walks the call graph from the runner roots. Any reachable effect is
-a violation, reported with a sample root-to-function call chain. Calls
-*into* ``repro.obs`` are the sanctioned boundary — the observability
-layer owns the injected clock, and its design guarantees enabling it
-cannot change results — so the walk does not descend into it.
-``time.sleep`` is not a clock read.
+It infers each function's direct effects and walks the call graph from
+the runner roots; a reachable effect is reported with a sample
+root-to-function call chain. Calls *into* ``repro.obs`` are the
+sanctioned boundary — enabling observability cannot change results — so
+the walk does not descend into it. Clock reads and global-RNG draws are
+wrong everywhere in the library, not just here: CHR007 and CHR001 flag
+every one.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import FunctionInfo, Program, attr_chain
 from repro.lint.core import Finding, Rule, register
-from repro.lint.rules import clock_read, global_rng
 
 __all__ = ["EffectPurityPass", "direct_effects", "runner_roots"]
 
@@ -47,13 +44,6 @@ def _call_effect(node: ast.Call) -> Optional[Tuple[str, str]]:
     if chain is None:
         return None
     dotted = ".".join(chain)
-    if clock_read(chain):
-        return ("wall-clock", dotted)
-    rng = global_rng(node, chain)
-    if rng == "unseeded":
-        return ("global-rng", dotted + " (unseeded)")
-    if rng is not None:
-        return ("global-rng", dotted)
     if len(chain) == 2 and chain[0] == "os" and chain[1] == "getenv":
         return ("env-read", dotted)
     if (
@@ -159,11 +149,11 @@ def reachable_from(
 class EffectPurityPass(Rule):
     rule_id = "CHF001"
     slug = "effect"
-    title = "the runner-reachable world is effect-free"
+    title = "the runner-reachable world reads no environment or set order"
     invariant = (
-        "nothing reachable from runner.run/_run_series reads clocks, "
-        "global RNG, the environment, or set iteration order outside the "
-        "repro.obs injection boundary — the premise of config_digest"
+        "nothing reachable from runner.run/_run_series reads the "
+        "environment or set iteration order outside the repro.obs "
+        "boundary — the premise of config_digest"
     )
 
     def run(self, program: Program) -> Iterable[Finding]:

@@ -1,4 +1,4 @@
-"""The per-file CHR rules, and the detectors the CHF rules share with them.
+"""The per-file CHR rules.
 
 Each rule mechanically enforces one invariant the engine's correctness
 story rests on (bitwise-identical LABS results across the serial and
@@ -19,18 +19,19 @@ never raise).
 | CHR006 | dtype           | explicit dtypes on engine/parallel allocations  |
 | CHR007 | obs-boundary    | clocks and span recording live in repro.obs     |
 
-Where a CHR and a CHF rule look for the same thing — clock reads,
-global-RNG draws, untyped raises, the typed-error hierarchy — the
-detector below is the one definition both call.
+Each property is checked by exactly one rule. Clock reads, global-RNG
+draws and untyped raises are wrong anywhere in the library, not only
+where an entry point reaches them, so they are per-file rules, which
+flag every site. Calls are read through the file's own imports
+(:meth:`~repro.lint.core.FileContext.call_chain`), so
+``from time import perf_counter`` hides nothing.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-from typing import AbstractSet, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
-from repro.lint.callgraph import attr_chain
 from repro.lint.core import FileContext, Rule, register
 
 __all__ = [
@@ -40,10 +41,6 @@ __all__ = [
     "ObservabilityBoundaryRule",
     "ScatterDisciplineRule",
     "TypedRaiseRule",
-    "clock_read",
-    "error_hierarchy",
-    "global_rng",
-    "untyped_raise",
 ]
 
 #: Modules whose results must be bitwise-reproducible: the engine, the
@@ -93,7 +90,7 @@ _GETATTR_FUNCS = frozenset({
 _ITER_FUNCS = frozenset({"__next__", "__anext__"})
 
 
-def clock_read(chain: Tuple[str, ...]) -> bool:
+def _clock_read(chain: Tuple[str, ...]) -> bool:
     """Whether a call's attribute chain reads a clock (``time.*``, ``now``)."""
     if len(chain) == 2 and chain[0] == "time" and chain[1] in _WALL_CLOCK:
         return True
@@ -102,85 +99,6 @@ def clock_read(chain: Tuple[str, ...]) -> bool:
         and chain[-1] in ("now", "utcnow", "today")
         and any(p in ("datetime", "date") for p in chain[:-1])
     )
-
-
-def global_rng(call: ast.Call, chain: Tuple[str, ...]) -> Optional[str]:
-    """How a call draws global RNG state, or None.
-
-    ``"np-legacy"`` for the module-level ``np.random.*`` functions,
-    ``"unseeded"`` for ``np.random.default_rng()`` (entropy-seeded),
-    ``"stdlib"`` for the module-level ``random.*`` functions.
-    """
-    if len(chain) == 3 and chain[0] in ("np", "numpy") and chain[1] == "random":
-        if chain[2] in _NP_LEGACY_RNG:
-            return "np-legacy"
-        if chain[2] == "default_rng" and not call.args and not call.keywords:
-            return "unseeded"
-    elif len(chain) == 2 and chain[0] == "random" and chain[1] in _STDLIB_RNG:
-        return "stdlib"
-    return None
-
-
-def untyped_raise(
-    node: ast.Raise, typed: AbstractSet[str], funcs: Iterable[str]
-) -> Optional[str]:
-    """The class an untyped ``raise`` constructs, or None when it is allowed.
-
-    Allowed: re-raises, exception variables and dynamic expressions, the
-    ``typed`` classes, ``NotImplementedError`` (abstract interfaces),
-    ``AttributeError`` inside ``__getattr__``-family methods, and
-    ``StopIteration`` inside ``__next__``; ``funcs`` names the enclosing
-    function(s).
-    """
-    exc = node.exc
-    name: Optional[str] = None
-    if isinstance(exc, ast.Call):
-        if isinstance(exc.func, ast.Name):
-            name = exc.func.id
-        elif isinstance(exc.func, ast.Attribute):
-            name = exc.func.attr
-    elif isinstance(exc, ast.Name):
-        name = exc.id
-    if name is None or not name[:1].isupper():
-        return None  # bare re-raise, dynamic expression, or caught variable
-    if name in typed or name in _ALWAYS_ALLOWED:
-        return None
-    enclosing = set(funcs)
-    if name == "AttributeError" and enclosing & _GETATTR_FUNCS:
-        return None
-    if name in ("StopIteration", "StopAsyncIteration") and enclosing & _ITER_FUNCS:
-        return None
-    return name
-
-
-def error_hierarchy(tree: ast.Module) -> Dict[str, Set[str]]:
-    """The typed errors an ``errors.py`` defines: class -> transitive bases.
-
-    The one reading of the hierarchy: CHR005 applies it to the installed
-    ``repro/errors.py``, CHF002 to the analyzed package's own (the golden
-    fixtures analyze synthetic packages, so neither imports the module).
-    """
-    bases: Dict[str, Tuple[str, ...]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            chains = (attr_chain(base) for base in node.bases)
-            bases[node.name] = tuple(c[-1] for c in chains if c)
-    closure: Dict[str, Set[str]] = {}
-
-    def ancestors(name: str, seen: Set[str]) -> Set[str]:
-        if name in closure:
-            return closure[name]
-        if name in seen:
-            return set()
-        seen.add(name)
-        out: Set[str] = set()
-        for base in bases.get(name, ()):
-            out.add(base)
-            out |= ancestors(base, seen)
-        closure[name] = out
-        return out
-
-    return {name: ancestors(name, set()) for name in bases}
 
 
 def _has_kwarg(node: ast.Call, name: str) -> bool:
@@ -213,21 +131,22 @@ class GlobalRandomnessRule(Rule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterator[Tuple[ast.AST, str]]:
         assert isinstance(node, ast.Call)
-        chain = attr_chain(node.func)
+        chain = ctx.call_chain(node)
         if chain is None:
             return
-        kind = global_rng(node, chain)
-        if kind == "np-legacy":
-            yield node, (
-                f"np.random.{chain[2]} uses hidden global RNG state; draw from "
-                "a seeded np.random.Generator (np.random.default_rng(seed))"
-            )
-        elif kind == "unseeded":
-            yield node, (
-                "np.random.default_rng() without a seed is entropy-"
-                "seeded; pass an explicit seed for reproducible output"
-            )
-        elif kind == "stdlib":
+        if len(chain) == 3 and chain[0] in ("np", "numpy") and chain[1] == "random":
+            if chain[2] in _NP_LEGACY_RNG:
+                yield node, (
+                    f"np.random.{chain[2]} uses hidden global RNG state; draw "
+                    "from a seeded np.random.Generator "
+                    "(np.random.default_rng(seed))"
+                )
+            elif chain[2] == "default_rng" and not node.args and not node.keywords:
+                yield node, (
+                    "np.random.default_rng() without a seed is entropy-"
+                    "seeded; pass an explicit seed for reproducible output"
+                )
+        elif len(chain) == 2 and chain[0] == "random" and chain[1] in _STDLIB_RNG:
             yield node, (
                 f"random.{chain[1]} uses the interpreter-global RNG; use a "
                 "seeded random.Random(seed) or np.random.default_rng(seed)"
@@ -282,7 +201,7 @@ class ScatterDisciplineRule(Rule):
                     "audited"
                 )
             return
-        chain = attr_chain(func)
+        chain = ctx.call_chain(node)
         if chain is not None and chain[-1] in _NATIVE_LOADERS:
             yield node, (
                 f"native library load ({'.'.join(chain)}) outside "
@@ -347,9 +266,10 @@ class TypedRaiseRule(Rule):
     hierarchy — e.g. ``repro fsck`` reports a file as damaged on a
     ``StorageError``. A stray ``ValueError`` either escapes
     ``except ChronosError`` handlers or gets misclassified. Allowed
-    outside the hierarchy: what :func:`untyped_raise` allows (re-raises,
-    exception *variables*, ``NotImplementedError``, and the
-    ``__getattr__`` / ``__next__`` protocol errors).
+    outside the hierarchy: re-raises, exception *variables* and dynamic
+    expressions, ``NotImplementedError`` (abstract interfaces),
+    ``AttributeError`` inside a ``__getattr__``-family method and
+    ``StopIteration`` inside ``__next__``.
     """
 
     rule_id = "CHR005"
@@ -364,8 +284,33 @@ class TypedRaiseRule(Rule):
     def __init__(self) -> None:
         import repro.errors
 
-        tree = ast.parse(inspect.getsource(repro.errors))
-        self._typed = set(error_hierarchy(tree))
+        self._typed = {
+            name
+            for name, obj in vars(repro.errors).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == repro.errors.__name__
+        }
+
+    def _untyped(self, exc: Optional[ast.expr], funcs: Set[str]) -> Optional[str]:
+        """The class an untyped ``raise exc`` constructs, or None if allowed."""
+        name: Optional[str] = None
+        if isinstance(exc, ast.Call):
+            if isinstance(exc.func, ast.Name):
+                name = exc.func.id
+            elif isinstance(exc.func, ast.Attribute):
+                name = exc.func.attr
+        elif isinstance(exc, ast.Name):
+            name = exc.id
+        if name is None or not name[:1].isupper():
+            return None  # bare re-raise, dynamic expression, or caught variable
+        if name in self._typed or name in _ALWAYS_ALLOWED:
+            return None
+        if name == "AttributeError" and funcs & _GETATTR_FUNCS:
+            return None
+        if name in ("StopIteration", "StopAsyncIteration") and funcs & _ITER_FUNCS:
+            return None
+        return name
 
     def check(
         self, node: ast.AST, ctx: FileContext
@@ -373,7 +318,7 @@ class TypedRaiseRule(Rule):
         assert isinstance(node, ast.Raise)
         if ctx.module is None:  # library scope only
             return
-        name = untyped_raise(node, self._typed, ctx.func_stack)
+        name = self._untyped(node.exc, set(ctx.func_stack))
         if name is not None:
             yield node, (
                 f"raise {name} inside the library; raise a typed error "
@@ -415,7 +360,7 @@ class DtypeDisciplineRule(Rule):
         assert isinstance(node, ast.Call)
         if not ctx.in_module(*_DETERMINISTIC_SCOPE):
             return
-        chain = attr_chain(node.func)
+        chain = ctx.call_chain(node)
         if chain is None or len(chain) != 2 or chain[0] not in ("np", "numpy"):
             return
         fn = chain[1]
@@ -469,16 +414,16 @@ class ObservabilityBoundaryRule(Rule):
         assert isinstance(node, ast.Call)
         if ctx.module is None or ctx.in_module(_OBS_MODULE):
             return
-        chain = attr_chain(node.func)
+        chain = ctx.call_chain(node)
         if chain is None:
             return
-        if clock_read(chain) and chain[0] == "time":
+        if _clock_read(chain) and chain[0] == "time":
             yield node, (
                 f"time.{chain[1]} read outside repro.obs; library timing "
                 "flows through repro.obs.span / an injected clock so a "
                 "disabled run stays provably clock-free"
             )
-        elif clock_read(chain):
+        elif _clock_read(chain):
             yield node, (
                 f"{'.'.join(chain)} reads the wall clock outside repro.obs; "
                 "inject time through the observability layer instead"

@@ -140,7 +140,7 @@ _FUNCTIONS: Optional[Dict[str, Any]] = None
 def cache_dir() -> Path:
     """The per-user directory native builds are published into."""
     # Where the build is kept, never what it computes.
-    root = os.environ.get("XDG_CACHE_HOME", "")  # chronolint: disable=CHF001
+    root = os.environ.get("XDG_CACHE_HOME", "")  # chronolint: allow-effect
     base = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
     return base / "repro" / "native"
 

@@ -6,6 +6,8 @@ dir — the call graph is built over the files ``module_name`` places in
 the library, so the on-disk layout must look like the real tree. Sources
 live inside string literals, so suppression tags within them are inert
 to the run scanning this repository (same trick as ``test_lint.py``).
+Every run applies every rule, so the fixtures of the retired CHF002 and
+of CHF001's clock and RNG arms show the per-file rule that flags them.
 """
 
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, analyze_paths, build_program
+from repro.lint import analyze_paths, build_program
 from repro.lint.cli import main as chronolint_main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -30,10 +32,8 @@ def write_pkg(tmp_path, files):
     return tmp_path / "src"
 
 
-def analyze(tmp_path, files, select=None):
-    src = write_pkg(tmp_path, files)
-    rules = all_rules(select) if select else None
-    return analyze_paths([str(src)], rules=rules)
+def analyze(tmp_path, files):
+    return analyze_paths([str(write_pkg(tmp_path, files))])
 
 
 def fired(result):
@@ -80,7 +80,7 @@ def test_callgraph_resolves_imports_and_methods(tmp_path):
 # CHF001 — effect/purity inference on the run path
 
 
-def test_chf001_fires_on_clock_read_deep_under_runner(tmp_path):
+def test_chr007_fires_on_clock_read_deep_under_runner(tmp_path):
     result = analyze(tmp_path, {
         "engine/runner.py": """
         from repro.engine.helpers import step
@@ -94,29 +94,41 @@ def test_chf001_fires_on_clock_read_deep_under_runner(tmp_path):
         def step(series):
             return time.perf_counter()
         """,
-    }, select=["CHF001"])
-    assert fired(result) == ["CHF001"]
+    })
+    # CHR007 flags the read wherever it sits, reachable or not.
+    assert fired(result) == ["CHR007"]
     (violation,) = result.active
     assert violation.path.endswith("helpers.py")
-    assert "wall-clock" in violation.message
-    # The report carries the root-to-effect chain per-file lint cannot see.
-    assert violation.chain[0] == "repro.engine.runner:run"
-    assert violation.chain[-1] == "repro.engine.helpers:step"
+    assert "time.perf_counter" in violation.message
 
 
 def test_chf001_fires_on_global_rng_and_env(tmp_path):
     result = analyze(tmp_path, {
         "engine/runner.py": """
-        import os
         import numpy as np
+        from repro.engine.helpers import setting
 
         def _run_series(series):
             jitter = np.random.rand()
-            return os.environ.get("CHRONOS_X", jitter)
+            return setting(jitter)
         """,
-    }, select=["CHF001"])
-    kinds = sorted(v.message.split(" effect")[0] for v in result.active)
-    assert kinds == ["env-read", "global-rng"]
+        "engine/helpers.py": """
+        import os
+
+        def setting(default):
+            return os.environ.get("CHRONOS_X", default)
+        """,
+    })
+    by_rule = {v.rule: v for v in result.active}
+    assert sorted(by_rule) == ["CHF001", "CHR001"]
+    env = by_rule["CHF001"]
+    assert env.path.endswith("helpers.py")
+    assert env.message.startswith("env-read effect")
+    # The report carries the root-to-effect chain per-file lint cannot see.
+    assert env.chain == (
+        "repro.engine.runner:_run_series", "repro.engine.helpers:setting",
+    )
+    assert "np.random.rand" in by_rule["CHR001"].message
 
 
 def test_chf001_set_iteration_is_an_effect(tmp_path):
@@ -128,29 +140,29 @@ def test_chf001_set_iteration_is_an_effect(tmp_path):
                 total += v
             return total
         """,
-    }, select=["CHF001"])
+    })
     assert fired(result) == ["CHF001"]
     assert "set" in result.active[0].message
 
 
 def test_chf001_obs_boundary_is_sanctioned(tmp_path):
-    # The same clock read is fine inside repro.obs: the observability
-    # layer owns the injected clock and the walk stops at its boundary.
+    # An env read is fine inside repro.obs: enabling observability cannot
+    # change results, and the walk stops at its boundary.
     result = analyze(tmp_path, {
         "engine/runner.py": """
-        from repro.obs.clock import tick
+        from repro.obs.config import enabled
 
         def run(series, config):
-            tick()
+            enabled()
             return series
         """,
-        "obs/clock.py": """
-        import time
+        "obs/config.py": """
+        import os
 
-        def tick():
-            return time.perf_counter()
+        def enabled():
+            return os.environ.get("CHRONOS_TRACE")
         """,
-    }, select=["CHF001"])
+    })
     assert result.active == []
 
 
@@ -160,21 +172,21 @@ def test_chf001_unreachable_effects_do_not_fire(tmp_path):
         def run(series, config):
             return series
         """,
-        "bench/wallclock.py": """
-        import time
+        "bench/settings.py": """
+        import os
 
-        def now():
-            return time.perf_counter()
+        def scale():
+            return os.environ.get("CHRONOS_SCALE")
         """,
-    }, select=["CHF001"])
+    })
     assert result.active == []
 
 
 # ---------------------------------------------------------------------- #
-# CHF002 — exception flow
+# Untyped raises — the retired CHF002's fixtures, now CHR005 inputs
 
 
-def test_chf002_fires_on_deep_untyped_raise(tmp_path):
+def test_chr005_fires_on_deep_untyped_raise(tmp_path):
     result = analyze(tmp_path, {
         "errors.py": """
         class ChronosError(Exception):
@@ -192,15 +204,15 @@ def test_chf002_fires_on_deep_untyped_raise(tmp_path):
                 raise ValueError("negative")
             return x
         """,
-    }, select=["CHF002"])
-    assert fired(result) == ["CHF002"]
+    })
+    # CHR005 flags the raise whether or not a public function reaches it.
+    assert fired(result) == ["CHR005"]
     (violation,) = result.active
     assert violation.path.endswith("deep.py")
-    assert "reached from public" in violation.message
-    assert violation.chain[0] == "repro.api:public"
+    assert "raise ValueError" in violation.message
 
 
-def test_chf002_typed_raise_passes(tmp_path):
+def test_chr005_typed_raise_passes(tmp_path):
     result = analyze(tmp_path, {
         "errors.py": """
         class ChronosError(Exception):
@@ -217,7 +229,7 @@ def test_chf002_typed_raise_passes(tmp_path):
                 raise EngineError("negative")
             return x
         """,
-    }, select=["CHF002"])
+    })
     assert result.active == []
 
 
@@ -232,7 +244,7 @@ def test_chf003_fires_on_raw_durable_write(tmp_path):
             with open(path, "wb") as fh:
                 fh.write(payload)
         """,
-    }, select=["CHF003"])
+    })
     assert fired(result) == ["CHF003"]
     assert "temp scope" in result.active[0].message
 
@@ -250,7 +262,7 @@ def test_chf003_temp_scoped_write_passes(tmp_path):
                 fh.write(payload)
             return scratch
         """,
-    }, select=["CHF003"])
+    })
     assert result.active == []
 
 
@@ -273,7 +285,7 @@ def test_chf003_writer_callback_param_is_sanctioned(tmp_path):
             atomic_write_via(final, _fill, tag="io")
             atomic_write_via(final, lambda tmp: open(tmp, "wb").close(), tag="io")
         """,
-    }, select=["CHF003"])
+    })
     assert result.active == []
 
 
@@ -297,7 +309,7 @@ def test_chf003_param_obligation_propagates_to_callers(tmp_path):
             write_blob(scratch, payload)
         """,
     }
-    assert analyze(tmp_path / "clean", clean, select=["CHF003"]).active == []
+    assert analyze(tmp_path / "clean", clean).active == []
 
     dirty = dict(clean)
     dirty["cache.py"] = """
@@ -308,7 +320,7 @@ def test_chf003_param_obligation_propagates_to_callers(tmp_path):
     def persist(payload):
         write_blob(RESULTS, payload)
     """
-    result = analyze(tmp_path / "dirty", dirty, select=["CHF003"])
+    result = analyze(tmp_path / "dirty", dirty)
     assert fired(result) == ["CHF003"]
 
 
@@ -328,7 +340,7 @@ def test_chf003_publish_machinery_is_exempt(tmp_path):
             with open(path, "ab") as fh:
                 fh.write(record)
         """,
-    }, select=["CHF003"])
+    })
     assert result.active == []
 
 
@@ -349,7 +361,7 @@ def test_suppression_tag_covers_and_chronolint_prefix_works(tmp_path):
                 with open(RESULTS, "wb") as fh:
                     fh.write(payload)
             """,
-        }, select=["CHF003"])
+        })
         assert [v.rule for v in result.suppressed] == (["CHF003"] if covered else [])
         assert [v.rule for v in result.active] == ([] if covered else ["CHF003"])
         assert result.stale_tags == []
@@ -418,9 +430,10 @@ def test_cli_clean_package_and_select(tmp_path, capsys):
     })
     assert chronolint_main([str(src), "--strict"]) == 0
     capsys.readouterr()
-    assert chronolint_main([str(src), "--select", "CHF001,CHF003"]) == 0
-    capsys.readouterr()
-    assert chronolint_main([str(src), "--select", "nope"]) == 2
+    # Every run applies every rule: there is no --select.
+    with pytest.raises(SystemExit) as exc:
+        chronolint_main([str(src), "--select", "CHF001"])
+    assert exc.value.code == 2
     capsys.readouterr()
     assert chronolint_main([]) == 2
 
@@ -434,8 +447,9 @@ def test_cli_list_passes(capsys):
     # --list-rules lists the whole-program rules beside the per-file ones.
     assert chronolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for pass_id in ("CHF001", "CHF002", "CHF003"):
-        assert pass_id in out
+    listed = [line.split()[0] for line in out.splitlines() if line[:1] == "C"]
+    assert len(listed) == 8
+    assert [r for r in listed if r.startswith("CHF")] == ["CHF001", "CHF003"]
 
 
 def test_repro_cli_analyze_subcommand(tmp_path, capsys):
