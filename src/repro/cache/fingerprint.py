@@ -1,9 +1,10 @@
-"""Content fingerprints: the identity half of every cache key.
+"""Content fingerprints: the group digest that keys every cache entry,
+and the stored-CRC digest that identifies a store.
 
-Two complementary derivations, one contract — *equal fingerprint means
-equal bytes feeding the engine*:
+Two derivations, one contract — *equal fingerprint means equal bytes*:
 
-- **In-memory** (:func:`group_fingerprint`): a BLAKE2b digest over the
+- **In-memory** (:func:`group_fingerprint`, the identity half of every
+  cache key): a BLAKE2b digest over the
   arrays a :class:`~repro.temporal.series.GroupView` actually hands the
   engine (edge array, bitmaps, weights, vertex liveness, snapshot
   times). Exact by construction — any content change, including a
@@ -16,18 +17,16 @@ equal bytes feeding the engine*:
   vertex-index CRC, every segment's checkpoint + activity trailer).
   This is the paper-motivated "nearly free" store identity: the CRCs
   were paid for at write time, so fingerprinting a store reads ~12
-  bytes per vertex segment instead of the segment itself. A corrupted
-  CRC section therefore changes the store fingerprint directly; a
-  corrupted *data* section is caught by the readers' CRC validation the
-  moment the store is loaded (typed
-  :class:`~repro.errors.IntegrityError`), so neither form of damage can
-  ever be served from cache.
+  bytes per vertex segment instead of the segment itself. fsck, the CLI
+  and integrity probes read it; a corrupted CRC section changes it.
 
-A series loaded from a store carries the store-level digest as
-``source_fingerprint``; :func:`group_fingerprint` folds it in, so two
-stores with byte-identical *derived* series but different underlying
-files still key separately (conservative: never a stale hit, at worst a
-redundant recompute).
+The cache key is the group's content and nothing else: a series loaded
+from a store and its in-memory twin hand the engine the same arrays, so
+they share every cache entry. Damage to a store never reaches the
+cache: the readers' CRC validation refuses a corrupted data or CRC
+section of every group a load reads (typed
+:class:`~repro.errors.IntegrityError`), and a group it does not read
+contributes nothing to the series.
 """
 
 from __future__ import annotations
@@ -90,10 +89,9 @@ def group_fingerprint(group: "GroupView") -> str:
     cached = getattr(group, "_content_fingerprint", None)
     if cached is not None:
         return str(cached)
-    source = getattr(group.series, "source_fingerprint", None)
     meta = (
         f"v{group.num_vertices}:g[{group.start},{group.stop}):"
-        f"t{tuple(group.times)}:src{source or '-'}:"
+        f"t{tuple(group.times)}:"
     ).encode("ascii")
     fp = digest_bytes(
         meta,

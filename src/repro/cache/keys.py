@@ -2,7 +2,7 @@
 
 A key names one *deterministic computation*: the engine's bitwise-identity
 contract (values and logical counters are independent of executor,
-worker count, batching, sanitizer, and observability) is what
+worker count, batching, and observability) is what
 makes the remaining dimensions — group content, program, and the few
 config fields that do shape results — a complete key.
 
@@ -19,9 +19,9 @@ config fields that do shape results — a complete key.
   warm-started REGATHER results are tolerance-equal, not bitwise, so
   entries written under ``reuse="incremental"`` never serve a
   ``reuse="cache"`` run.
-- Executor, workers and sanitize are deliberately *excluded*: they are
-  proven result-neutral (the executor and sanitizer parity suites), so
-  a serial run can serve a process-executor run and vice versa.
+- Executor and workers are deliberately *excluded*: they are proven
+  result-neutral (the executor parity suites), so a serial run can
+  serve a thread-pool run and vice versa.
 
 ``CACHE_FORMAT`` versions the whole scheme; bumping it orphans (never
 mis-serves) existing entries.
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 __all__ = ["CACHE_FORMAT", "cache_key", "config_digest", "program_identity"]
 
 #: Version of the key scheme and on-disk entry layout.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 _PRIMITIVES = (bool, int, float, str, type(None))
 

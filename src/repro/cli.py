@@ -207,9 +207,9 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "--executor",
         choices=["serial", "process"],
         default="serial",
-        help="run in the calling thread, or (process) fold each LABS "
-        "group's plan as destination-vertex ranges on a pool of worker "
-        "threads (wall-clock parallelism; incompatible with --trace)",
+        help="run in the calling thread, or (process: a thread pool) walk "
+        "each group's destination-vertex ranges on --workers threads "
+        "(wall-clock parallelism; incompatible with --trace)",
     )
     runp.add_argument(
         "--workers",
@@ -223,13 +223,6 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         help="out-of-core mode: persist the generated graph as an on-disk "
         "snapshot-group store in a temporary directory and open it "
         "memory-mapped (StoreConfig(mmap=True))",
-    )
-    runp.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the shard-race sanitizer: validate owner-computes "
-        "shard disjointness and every worker thread's writes against a "
-        "shadow ownership map (raises ShardRaceError on violation)",
     )
     runp.add_argument(
         "--reuse",
@@ -302,7 +295,6 @@ def _run_and_report(
         ),
         executor=args.executor,
         workers=args.workers,
-        sanitize=args.sanitize,
         reuse=args.reuse,
         cache_dir=args.cache_dir,
     )

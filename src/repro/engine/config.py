@@ -61,27 +61,19 @@ class EngineConfig:
     distributed: bool = False
     #: How untraced runs execute: ``"serial"`` walks the group's whole
     #: edge array in the calling thread (the default); ``"process"``
-    #: cuts its destinations into ``workers`` vertex ranges
-    #: (owner-computes, lock-free) and walks each on a thread of the
-    #: pool of :mod:`repro.parallel.shm` (the value name predates the
-    #: threads) through the GIL-free native walk. Both run the one
-    #: ranged scatter, and values and logical counters are bitwise
-    #: identical. Traced (simulated) runs are always serial;
+    #: means a thread pool: it cuts the group's destinations into
+    #: ``workers`` vertex ranges (owner-computes, lock-free) and walks
+    #: each on a thread of :mod:`repro.parallel.shm` through the
+    #: GIL-free native walk. Both run the one ranged scatter, whose
+    #: ranges every group run proves owner-safe before its first write,
+    #: and values and logical counters are bitwise identical. Traced
+    #: (simulated) runs are always serial;
     #: ``executor="process"`` with ``trace=True`` is an error.
     executor: str = "serial"
     #: Worker-thread count for ``executor="process"``; ``workers=1`` is one
     #: range, run inline. Unrelated to ``num_cores``, which is the
     #: *simulated* core count of traced runs.
     workers: int = 1
-    #: Shard-race sanitizer (TSan for the owner-computes discipline). Each
-    #: untraced group run proves, before any scatter, its in-edge array
-    #: destination-sorted and every range's in-edges inside the range's
-    #: destination interval, raising a typed
-    #: :class:`~repro.errors.ShardRaceError` (naming the group and both
-    #: workers) on a mid-vertex cut, an out-of-interval destination or an
-    #: unsorted edge array. The sanitizer only *reads* engine state, so
-    #: clean runs stay bitwise identical to ``sanitize=False``.
-    sanitize: bool = False
     #: Result reuse across runs (:mod:`repro.cache`): ``None`` (default)
     #: recomputes everything; ``"cache"`` serves any group whose
     #: (content fingerprint, program identity, config digest) key has a

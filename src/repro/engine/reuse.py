@@ -12,8 +12,8 @@ digest's ``reuse`` field keeps those (possibly warm-started) entries
 apart from ``reuse="cache"`` ones.
 
 The planner only *prepends* work (a fingerprint pass) and *skips* groups;
-the group loop, executors and sanitizer are untouched, which is how reuse
-composes with all of them.
+the group loop and executors are untouched, which is how reuse composes
+with both.
 """
 
 from __future__ import annotations

@@ -137,11 +137,11 @@ def run_group(
         gstart = int(group.start)
         bounds = None
         if not traced:
-            # Cut the destination ranges up front: the cuts (with the
-            # sanitizer's proofs) happen once per group, not per iteration.
+            # Cut the destination ranges up front: the cuts and their
+            # owner-computes proofs happen once per group, not per iteration.
             with obs.span("phase", "plan"):
                 workers = config.workers if config.executor == "process" else 1
-                bounds = cut_ranges(group, workers, config.sanitize, gstart)
+                bounds = cut_ranges(group, workers, gstart)
 
         resolved = core_of if core_of is not None else config.resolve_core_of(
             group.num_vertices

@@ -56,14 +56,14 @@ class InjectedCrash(ChronosError):
 
 
 class ShardRaceError(EngineError):
-    """The shard-race sanitizer detected a violation of owner-computes.
+    """A group run's destination ranges violate owner-computes.
 
-    Raised under ``EngineConfig(sanitize=True)`` when a group's shard plan
-    assigns one destination vertex to two workers (overlap, detected
-    before any scatter runs) or when a worker thread is about to fold
-    into an accumulator cell outside its claimed ownership range (detected
-    at the write site, against the shadow ownership map). A race in the
-    shard plan is deterministic, so the run aborts.
+    Every untraced group run proves, before its first write, that its
+    in-edge array is destination-sorted and that every range's in-edges
+    fall inside the range's destination interval. An unsorted array, a
+    mid-vertex cut or an out-of-interval destination raises this, naming
+    the group, the writing range and the owning one. The violation is
+    deterministic, so the run aborts with the accumulator untouched.
     """
 
     def __init__(

@@ -23,9 +23,9 @@ kinds, over one parse of every file:
 - :mod:`repro.lint.cli` — the ``chronolint`` console entry point, also
   reachable as ``python -m repro.lint`` and ``repro lint``.
 
-The *dynamic* half of the tooling — the shard-race sanitizer
-(``EngineConfig(sanitize=True)``) — lives with the executor in
-:mod:`repro.parallel.plan_shard` / :mod:`repro.parallel.shm`.
+The *dynamic* half of the tooling — the owner-computes proof every group
+run makes before its first write — lives with the executor in
+:mod:`repro.parallel.shm`.
 
 Public API::
 

@@ -1,7 +1,7 @@
 """CHF001 — interprocedural effect/purity inference for the run path.
 
-The result cache's ``config_digest`` deliberately excludes executor,
-worker count, and sanitize mode from the cache key: two
+The result cache's ``config_digest`` deliberately excludes executor
+and worker count from the cache key: two
 runs that differ only in those knobs are *assumed* to produce bitwise
 identical values. That assumption holds exactly when nothing reachable
 from the engine entry points (``repro.engine.runner.run`` /

@@ -274,7 +274,8 @@ def walk(
     holds one message per accumulator cell, combined with ``weight[e, s]``
     by ``edge_op`` (``"add"`` or ``"mul"``) when given. The sizes are
     checked here, the index values are not: they are the group's own edge
-    arrays, proven by the sanitizer when it is on.
+    arrays, proven owner-safe before every walk
+    (:func:`repro.parallel.shm.cut_ranges`).
     """
     function = _function(f"walk_{kind}")
     bitmap, src, dst = edges

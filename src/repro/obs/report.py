@@ -107,7 +107,6 @@ def run_report(result: Any) -> Dict[str, Any]:
         "executor": config.executor,
         "workers": config.workers,
         "batch_size": config.batch_size,
-        "sanitize": config.sanitize,
         "reuse": config.reuse,
         "cache_dir": config.cache_dir,
     }

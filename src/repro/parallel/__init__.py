@@ -20,13 +20,12 @@ Per-iteration simulated time is the slowest core's cycles in that iteration
 The strategy is :func:`run_multicore`'s ``strategy`` argument.
 
 *Real* (wall-clock) partition-parallelism lives next door:
-:mod:`repro.parallel.shm` cuts each LABS group's destination vertices
-into one interval per thread of a persistent pool
-(:mod:`repro.parallel.plan_shard`) and runs the serial walk over each
-range, so the parallel fold is lock-free and bitwise identical to serial
-execution. The walk is a native call that releases the GIL, so the
-threads run on real cores. Select it with
-``EngineConfig(executor="process", workers=N)``.
+:mod:`repro.parallel.shm` cuts each group's destination vertices into
+one interval per thread of a persistent pool, proves the cut owner-safe,
+and runs the serial walk over each range, so the parallel fold is
+lock-free and bitwise identical to serial execution. The walk is a
+native call that releases the GIL, so the threads run on real cores.
+Select it with ``EngineConfig(executor="process", workers=N)``.
 """
 
 from repro.parallel.locks import LockTable
@@ -42,7 +41,7 @@ __all__ = [
 _LAZY = {
     "MulticoreResult": "repro.parallel.multicore",
     "run_multicore": "repro.parallel.multicore",
-    "shard_boundaries": "repro.parallel.plan_shard",
+    "shard_boundaries": "repro.parallel.shm",
     "shutdown_pool": "repro.parallel.shm",
 }
 

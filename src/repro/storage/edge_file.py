@@ -483,7 +483,7 @@ class EdgeFile:
         return self.path.stat().st_size
 
     def fingerprint(self) -> str:
-        """Stored-CRC content fingerprint of this file (cache identity).
+        """Stored-CRC content fingerprint of this file.
 
         See :func:`repro.cache.fingerprint.edge_file_fingerprint`: this
         digests the header, index, and per-segment CRC32s that were

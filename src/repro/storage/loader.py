@@ -72,11 +72,7 @@ def load_series(
     with obs.span(
         "phase", "load", {"op": "load_series", "snapshots": len(times)}
     ):
-        series = _load_series(store, times)
-        # Carry the store's stored-CRC identity so cached results for
-        # groups of this series are keyed to the exact on-disk bytes.
-        series.source_fingerprint = store.fingerprint()
-        return series
+        return _load_series(store, times)
 
 
 def _group_events(group: SnapshotGroup, stop: int) -> EdgeEvents:

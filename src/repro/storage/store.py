@@ -332,8 +332,9 @@ class TemporalGraphStore:
     def fingerprint(self) -> str:
         """Store-level content fingerprint: manifest + every group's digest.
 
-        The result-cache identity of this store. Derived from the edge
-        files' stored per-section CRC32s, so computing it reads only
+        The store's identity for fsck, the CLI and integrity probes
+        (result-cache keys digest group content instead). Derived from the
+        edge files' stored per-section CRC32s, so computing it reads only
         headers, indexes, and segment trailers — never segment data.
         """
         from repro.cache.fingerprint import combine_digests, digest_bytes

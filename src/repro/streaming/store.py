@@ -312,9 +312,8 @@ class StreamingStore:
     def series(self, times: Sequence[Time]) -> SnapshotSeriesView:
         """A snapshot series over the current head, for the engine.
 
-        The series carries no store-level ``source_fingerprint``: its
-        group fingerprints are content-only (exact — they digest every
-        array the engine consumes), so across append batches the
+        Its group fingerprints are content-only (exact — they digest
+        every array the engine consumes), so across append batches the
         unchanged prefix groups keep their cache identity and
         ``EngineConfig(reuse="incremental")`` refreshes only the groups
         whose content actually moved.

@@ -93,12 +93,6 @@ class SnapshotSeriesView:
         self.out_degrees = self._per_snapshot_degrees(
             self.out_src, self.out_bitmap, num_vertices, S
         )
-        #: Stored-CRC fingerprint of the backing store, set by
-        #: :func:`repro.storage.loader.load_series`; folded into every
-        #: group's content fingerprint so cached results are keyed to the
-        #: exact on-disk bytes they were computed from. None for series
-        #: built in memory (content digests alone key those).
-        self.source_fingerprint: Optional[str] = None
         # Memoised GroupViews, keyed (start, stop). Views are immutable, and
         # reusing them saves re-filtering the edge arrays for every run over
         # the same series; the scatter walks a view's arrays as they are,

@@ -27,7 +27,7 @@ from repro.engine.config import EngineConfig, Mode
 from repro.engine.kernels import frontier_words, snapshot_mask
 from repro.engine.runner import run
 from repro.layout.vertex_array import LayoutKind
-from repro.parallel.plan_shard import shard_boundaries
+from repro.parallel.shm import shard_boundaries
 from repro.temporal.bitmap import popcounts
 from repro.temporal.builder import TemporalGraphBuilder
 from tests.conftest import assert_matches_traced, random_temporal_graph

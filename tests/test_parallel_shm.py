@@ -6,7 +6,8 @@ values and *identical* logical counters versus the serial executor —
 owner-computes destination ranges keep every accumulator cell's fold order
 unchanged, and apply/convergence run through the serial code path in the
 calling thread. These tests state that promise over the application
-matrix (apps × modes × layouts × batch sizes × worker counts × sanitizer),
+matrix (apps × modes × layouts × batch sizes × worker counts), every
+threaded run proving its ranges owner-safe before its first write,
 and pin the rest of the executor's contract: an exception in one thread
 propagates as itself and leaves the pool usable, resume from the result
 cache works on threads, and shards are cut once per group.
@@ -33,7 +34,7 @@ from repro.engine.runner import run, run_group
 from repro.errors import EngineError
 from repro.layout.vertex_array import LayoutKind
 from repro.parallel import shm
-from repro.parallel.plan_shard import shard_boundaries
+from repro.parallel.shm import shard_boundaries
 from tests.conftest import random_temporal_graph
 
 #: Overridable so the CI multi-worker smoke job can run the same tests
@@ -91,15 +92,8 @@ def test_process_executor_parity(series16, algo, mode, batch):
         base = dict(mode=mode, layout=layout, batch_size=batch)
         serial = run(series16, program, EngineConfig(**base))
         for workers in POOL_SIZES:
-            for sanitize in (False, True):
-                got = run(
-                    series16,
-                    program,
-                    threaded(workers, sanitize=sanitize, **base),
-                )
-                assert_same_run(
-                    got, serial, f"{layout.value} x{workers} sanitize={sanitize}"
-                )
+            got = run(series16, program, threaded(workers, **base))
+            assert_same_run(got, serial, f"{layout.value} x{workers}")
 
 
 def test_many_threads_with_fast_switching_stay_bitwise(series16):
@@ -112,7 +106,7 @@ def test_many_threads_with_fast_switching_stay_bitwise(series16):
             program = make_program(algo)
             base = dict(mode=mode, batch_size=8)
             serial = run(series16, program, EngineConfig(**base))
-            got = run(series16, program, threaded(8, sanitize=True, **base))
+            got = run(series16, program, threaded(8, **base))
             assert_same_run(got, serial, algo)
     finally:
         sys.setswitchinterval(interval)

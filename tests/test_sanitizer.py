@@ -1,15 +1,17 @@
-"""The shard-race sanitizer (``EngineConfig(sanitize=True)``).
+"""The owner-computes proof every untraced group run makes.
 
-The thread executor's lock-free correctness rests on one invariant: each
-worker thread walks a destination-vertex interval cut from ``in_index``,
-so it folds into accumulator cells nobody else touches. The sanitizer
-turns that invariant into a runtime check before the first scatter — the
-in-edge array is proven destination-sorted, and every range's in-edges
-proven inside its interval — and these tests prove both that clean runs
-stay bitwise identical and that a mid-vertex cut, an out-of-interval
-destination and an unsorted edge array are caught with the offending
-group/worker identified, with the accumulator untouched, instead of
-silently corrupting results.
+The scatter's lock-free correctness rests on one invariant: each range
+walks a destination-vertex interval cut from ``in_index``, so it folds
+into accumulator cells nobody else touches, and the native walk trusts
+the group's index values. :func:`repro.parallel.shm.cut_ranges` turns
+that invariant into a runtime check before the first scatter of every
+group run, serial included — the in-edge array is proven
+destination-sorted, and every range's in-edges proven inside its
+interval — and these tests prove that a mid-vertex cut, an
+out-of-interval destination and an unsorted edge array are caught with
+the offending group/worker identified, with the accumulator untouched,
+instead of silently corrupting results. Clean runs are the parity
+matrices of ``tests/test_parallel_shm.py``.
 """
 
 import os
@@ -19,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import native
 from repro.algorithms import make_program
 from repro.engine.config import EngineConfig
 from repro.engine import kernels
@@ -26,7 +29,7 @@ from repro.engine.runner import run, run_group
 from repro.engine.state import GroupState
 from repro.errors import ShardRaceError
 from repro.parallel import shm
-from repro.parallel.plan_shard import (
+from repro.parallel.shm import (
     assert_destination_sorted,
     shard_boundaries,
     verify_disjoint_ownership,
@@ -36,8 +39,6 @@ from tests.conftest import random_temporal_graph
 #: Overridable so the CI multi-worker smoke job can run the same tests
 #: at workers=4 (see .github/workflows/ci.yml).
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
-ALGOS = ["pagerank", "wcc", "sssp", "mis", "spmv"]
-MODES = ["push", "pull"]
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +118,17 @@ def _group(dst=(0, 0, 1, 2, 2)):
     )
 
 
-def test_plan_shard_rejects_write_into_another_workers_cell():
+def test_cut_rejects_write_into_another_workers_cell():
     with pytest.raises(ShardRaceError) as ei:
-        shm.cut_ranges(_group(dst=(0, 1, 1, 2, 2)), 2, True, 16)
+        shm.cut_ranges(_group(dst=(0, 1, 1, 2, 2)), 2, 16)
     err = ei.value
     assert err.worker == 0 and err.other == 1
     assert err.cell == 1 and err.group == 16
 
 
-def test_plan_shard_rejects_write_into_unclaimed_cell():
+def test_cut_rejects_write_into_unclaimed_cell():
     with pytest.raises(ShardRaceError) as ei:
-        shm.cut_ranges(_group(dst=(0, 0, 1, 2, 3)), 2, True, 16)
+        shm.cut_ranges(_group(dst=(0, 0, 1, 2, 3)), 2, 16)
     assert ei.value.worker == 1
     assert ei.value.other is None and ei.value.cell == 3
 
@@ -141,16 +142,16 @@ def _spmv_walk(group, acc, lo, hi):
     )
 
 
-def test_plan_shard_sanitized_fold_matches_unsanitized():
+def test_cut_ranges_fold_matches_the_whole_walk():
     group = _group()
     clean = np.zeros(6, dtype=np.float64)
     assert _spmv_walk(group, clean, 0, 5) == 10
-    edge_bounds, vertex_bounds = shm.cut_ranges(group, 2, True, 16)
+    edge_bounds, vertex_bounds = shm.cut_ranges(group, 2, 16)
     assert vertex_bounds.tolist() == [0, 1, 3]
-    sanitized = np.zeros(6, dtype=np.float64)
+    ranged = np.zeros(6, dtype=np.float64)
     for w in range(2):
-        _spmv_walk(group, sanitized, int(edge_bounds[w]), int(edge_bounds[w + 1]))
-    assert sanitized.tobytes() == clean.tobytes()
+        _spmv_walk(group, ranged, int(edge_bounds[w]), int(edge_bounds[w + 1]))
+    assert ranged.tobytes() == clean.tobytes()
     # message = source value * weight, summed per cell in source order
     assert clean.tolist() == [18.0, 32.0, 5.0, 12.0, 34.0, 56.0]
 
@@ -165,24 +166,6 @@ def test_shard_race_error_survives_pickling():
 
 # ---------------------------------------------------------------------- #
 # end to end through the executors
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("algo", ALGOS)
-def test_sanitize_clean_runs_are_bitwise_identical(series16, algo, mode):
-    program = make_program(algo)
-    base = EngineConfig(mode=mode, batch_size=8)
-    serial = run(series16, program, base)
-    sanitized = run(series16, program, base.with_(sanitize=True))
-    parallel = run(
-        series16,
-        program,
-        base.with_(sanitize=True, executor="process", workers=WORKERS),
-    )
-    assert sanitized.values.tobytes() == serial.values.tobytes()
-    assert sanitized.counters == serial.counters
-    assert parallel.values.tobytes() == serial.values.tobytes()
-    assert parallel.counters == serial.counters
 
 
 def _corrupted_run(group, mutate, configs):
@@ -207,9 +190,7 @@ def _corrupted_run(group, mutate, configs):
 
 
 def _threaded(**kwargs):
-    return EngineConfig(
-        batch_size=8, executor="process", workers=WORKERS, sanitize=True, **kwargs
-    )
+    return EngineConfig(batch_size=8, executor="process", workers=WORKERS, **kwargs)
 
 
 def test_parent_detects_corrupted_shard_plan(series16):
@@ -239,37 +220,63 @@ def test_worker_detects_out_of_ownership_write(series16):
         group.in_dst[last] = group.num_vertices
         return lambda: group.in_dst.__setitem__(last, dst)
 
-    for err in _corrupted_run(
-        group, mutate, [EngineConfig(batch_size=8, sanitize=True), _threaded()]
-    ):
+    for err in _corrupted_run(group, mutate, [EngineConfig(batch_size=8), _threaded()]):
         assert err.worker is not None
         assert err.cell == group.num_vertices
         assert err.other is None  # unclaimed, not another worker's
 
 
-def test_serial_sanitize_detects_unsorted_plan(series16):
-    # A swapped in_dst pair: the array is no longer destination-sorted.
-    group = series16.group(0, 8)
+def _swapped_pair(group):
+    """``(low, swap)``: ``swap()`` exchanges the first rising ``in_dst``
+    pair, so the array is no longer destination-sorted, and returns
+    itself (a second call restores it); ``low`` is the smaller
+    destination, found out of order after the swap."""
     rising = np.flatnonzero(group.in_dst[1:] > group.in_dst[:-1])
     assert rising.size, "fixture group must span more than one destination"
     i = int(rising[0])
-    low = int(group.in_dst[i])
 
     def swap():
         group.in_dst[[i, i + 1]] = group.in_dst[[i + 1, i]]
         return swap
 
-    # One sanitizer arm: the threaded executor proves the order too.
-    for err in _corrupted_run(
-        group, swap, [EngineConfig(batch_size=8, sanitize=True), _threaded()]
-    ):
+    return int(group.in_dst[i]), swap
+
+
+def test_serial_sanitize_detects_unsorted_plan(series16):
+    group = series16.group(0, 8)
+    low, swap = _swapped_pair(group)
+    # One proof for both executors: serial runs check the order too.
+    for err in _corrupted_run(group, swap, [EngineConfig(batch_size=8), _threaded()]):
         assert err.group == 0
         assert err.cell == low
+
+
+def test_default_serial_run_refuses_an_unsorted_edge_array(series16, monkeypatch):
+    # No option selects the proof: a default-config run() checks the
+    # order before its first walk, so nothing is folded.
+    group = series16.group(0, 8)
+    low, swap = _swapped_pair(group)
+    walks = []
+    real = native.walk
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(native, "walk", counting)
+    swap()
+    try:
+        with pytest.raises(ShardRaceError) as ei:
+            run(series16, make_program("pagerank"), EngineConfig(batch_size=8))
+    finally:
+        swap()
+    assert (ei.value.group, ei.value.cell) == (0, low)
+    assert walks == []
 
 
 def test_serial_sanitize_accepts_clean_plan(series16):
     group = series16.group(0, 8)
     program = make_program("pagerank")
-    vals, _ = run_group(group, program, EngineConfig(batch_size=8, sanitize=True))
-    ref, _ = run_group(group, program, EngineConfig(batch_size=8))
+    vals, _ = run_group(group, program, EngineConfig(batch_size=8))
+    ref, _ = run_group(group, program, _threaded())
     assert vals.tobytes() == ref.tobytes()
