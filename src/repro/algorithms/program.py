@@ -103,7 +103,8 @@ class VertexProgram:
     #: programs (WCC, MIS) must be run on a symmetrised temporal graph; see
     #: :func:`repro.datasets.generators.symmetrized`.
     directed: bool = True
-    #: Convergence tolerance on per-vertex value change (0.0 = exact).
+    #: Convergence tolerance on per-vertex value change (0.0 = exact). What
+    #: counts as a change is the engine's rule (:func:`repro.native.settle`).
     tol: float = 0.0
     #: Iteration cap (None = run to convergence).
     max_iterations: Optional[int] = None
@@ -132,23 +133,6 @@ class VertexProgram:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-
-    def changed(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """Elementwise 'did this vertex change' mask driving active sets.
-
-        NaN entries (dead vertices) never count as changed; with ``tol``
-        set, sub-tolerance float drift does not count either.
-        """
-        with np.errstate(invalid="ignore"):
-            if self.tol > 0.0:
-                diff = np.abs(new - old)
-                mask = diff > self.tol
-                # inf -> finite transitions produce NaN diffs; they changed.
-                mask |= np.isinf(old) & ~np.isinf(new)
-                return mask & ~np.isnan(new)
-            both_inf = np.isinf(old) & np.isinf(new) & (np.sign(old) == np.sign(new))
-            neq = (new != old) & ~(np.isnan(new) & np.isnan(old))
-            return neq & ~both_inf & ~np.isnan(new)
 
     def decode(self, values: np.ndarray) -> np.ndarray:
         """Map internal value encoding to the user-facing result."""

@@ -21,7 +21,8 @@ weighted programs declare their edge op (:attr:`VertexProgram.edge_op`:
 SSSP adds, SpMV multiplies) and the walk forms ``values[cell] op w[e, s]``
 itself, reading the group's weight matrix through its row stride. The
 frontier is one ``uint64`` word per vertex (a series holds at most
-:data:`~repro.temporal.bitmap.MAX_SNAPSHOTS` = 64 snapshots). Nothing
+:data:`~repro.temporal.bitmap.MAX_SNAPSHOTS` = 64 snapshots), settled by
+apply (:func:`repro.native.settle`) with the running snapshots' word. Nothing
 per ``(edge, snapshot)`` is built or kept: the group's edge arrays are
 the plan.
 
@@ -56,6 +57,7 @@ import numpy as np
 from repro import native
 from repro.engine.config import Mode
 from repro.layout.vertex_array import LayoutKind
+from repro.temporal.bitmap import bits_iter, popcount, popcounts
 
 if TYPE_CHECKING:
     from repro.engine.common import ExecContext
@@ -85,8 +87,8 @@ class WalkOperands:
     """What the walk reads of one group besides its edge arrays, per layout.
 
     Nothing here is built per ``(edge, snapshot)``: the strides are two
-    integers, the weight matrix is the group's own, and the two cached
-    arrays are per ``(vertex, snapshot)`` cell and per snapshot.
+    integers, the weight matrix is the group's own, and the cached arrays
+    are per ``(vertex, snapshot)`` cell, per vertex and per snapshot.
     """
 
     def __init__(self, group: "GroupView", layout: LayoutKind) -> None:
@@ -110,6 +112,16 @@ class WalkOperands:
         return np.ascontiguousarray(degrees).reshape(-1)
 
     @cached_property
+    def exists(self) -> np.ndarray:
+        """Each vertex's live snapshots in the group, one word per vertex."""
+        return frontier_words(self.group.vertex_exists)
+
+    @cached_property
+    def out_edges(self) -> np.ndarray:
+        """Out-edges per vertex: what push enumerates for a frontier row."""
+        return np.diff(self.group.out_index)
+
+    @cached_property
     def snapshot_counts(self) -> np.ndarray:
         """Live in-edges per snapshot (pull mode's dirty-check count): every
         live edge adds one to its source's out-degree in that snapshot."""
@@ -122,17 +134,16 @@ def plan_for(group: "GroupView", direction: str, layout: LayoutKind) -> WalkOper
     return WalkOperands(group, layout)
 
 
-def frontier_words(active: np.ndarray, snap_active: np.ndarray) -> np.ndarray:
-    """One ``uint64`` per vertex: bit ``s`` set when ``(v, s)`` is in the
-    monotone frontier (active and its snapshot still running)."""
-    live = active & snap_active[None, :]
-    words = np.zeros((live.shape[0], 8), dtype=np.uint8)
-    words[:, : (live.shape[1] + 7) // 8] = np.packbits(live, axis=1, bitorder="little")
-    return words.view("<u8").reshape(-1).astype(np.uint64, copy=False)
+def frontier_words(active: np.ndarray, snap_active: Any = True) -> np.ndarray:
+    """One ``uint64`` per vertex: bit ``s`` set when ``(v, s)`` is active
+    and its snapshot running (a group's entry frontier)."""
+    cells = np.zeros((active.shape[0], 64), dtype=bool)
+    cells[:, : active.shape[1]] = active & snap_active
+    return np.packbits(cells, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def snapshot_mask(snap_active: np.ndarray) -> int:
-    """The running snapshots as one bitmap word."""
+    """The snapshots set in a boolean row as one bitmap word."""
     return sum(1 << int(s) for s in np.flatnonzero(snap_active))
 
 
@@ -175,8 +186,8 @@ def walk_scatter(ctx: "ExecContext") -> int:
     The walk runs once per range of the group's cuts (``ctx.bounds``):
     one range in this thread, more on the worker-thread pool
     (:func:`repro.parallel.shm.scatter_ranges`), each thread folding its
-    exclusive destination interval. The frontier words and the dense or
-    sparse choice are made once here; each range computes the cell
+    exclusive destination interval. The dense or sparse choice is made
+    once here, from the frontier words; each range computes the cell
     messages it gathers.
     """
     state = ctx.state
@@ -191,18 +202,14 @@ def walk_scatter(ctx: "ExecContext") -> int:
     front = rows = None
     mask = 0
     if ctx.monotone:
-        front = frontier_words(state.active, state.snap_active)
+        front = state.front
         rows = np.flatnonzero(front)
         if rows.size == 0:
             return 0
-        out_index = group.out_index
-        out_edges = int((out_index[rows + 1] - out_index[rows]).sum())
-        if out_edges * SPARSE_FRACTION >= group.num_edges:
+        if int(operands.out_edges[rows].sum()) * SPARSE_FRACTION >= group.num_edges:
             rows = None
     else:
-        mask = snapshot_mask(state.snap_active)
-        if mask == 0:
-            return 0
+        mask = state.running
     if rows is None:
         edges = (group.in_bitmap, group.in_src, group.in_dst)
         weights, index, bounds = operands.weights, None, ctx.bounds[0]
@@ -264,30 +271,25 @@ def vectorized_scatter(ctx: "ExecContext") -> None:
     counters = ctx.counters
     mode = ctx.config.mode
     if mode is Mode.PUSH:
-        edge_counts = np.diff(group.out_index)
+        out_edges = state.operands.out_edges
         if ctx.monotone:
             counters.dirty_checks += group.num_vertices * group.num_snapshots
-            active_now = state.active & state.snap_active[None, :]
-            active_any = active_now.any(axis=1)
-            n_sel = int(edge_counts[active_any].sum())
-            if n_sel == 0:
-                return
+            rows = np.flatnonzero(state.front)
             # One enumeration covers every edge of every active vertex.
-            counters.edge_array_accesses += n_sel
+            counters.edge_array_accesses += int(out_edges[rows].sum())
             counters.vertex_value_reads += int(
-                active_now[active_any & (edge_counts > 0)].sum()
+                popcounts(state.front[rows[out_edges[rows] > 0]]).sum()
             )
         else:
             counters.edge_array_accesses += group.num_edges
-            counters.vertex_value_reads += int((edge_counts > 0).sum()) * int(
-                state.snap_active.sum()
-            )
+            reads = int(np.count_nonzero(out_edges)) * popcount(state.running)
+            counters.vertex_value_reads += reads
         counters.acc_updates += walk_scatter(ctx)
         return
     counters.edge_array_accesses += group.num_edges
     if mode is Mode.PULL:
         counters.dirty_checks += int(
-            state.operands.snapshot_counts[state.snap_active].sum()
+            state.operands.snapshot_counts[list(bits_iter(state.running))].sum()
         )
         updates = walk_scatter(ctx)
     else:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.algorithms.program import Semantics, VertexProgram
 from repro.engine.common import ExecContext
 from repro.engine.config import EngineConfig, Mode
@@ -46,21 +47,17 @@ def _wants_locks(config: EngineConfig) -> bool:
 
 
 def _apply_phase(ctx: ExecContext) -> None:
-    """Mode-independent apply: fold accumulators into values, update masks."""
-    state = ctx.state
-    program = ctx.program
-    group = ctx.group
-    snapm = state.snap_active
+    """Mode-independent apply: the program's ``apply`` in NumPy, then one
+    :func:`repro.native.settle` pass (values, next frontier and running word)."""
+    state, program, running = ctx.state, ctx.program, ctx.state.running
     with np.errstate(invalid="ignore"):
-        cand = program.apply(state.values, state.acc, group)
-    upd_mask = group.vertex_exists & snapm[None, :]
-    new = np.where(upd_mask, cand, state.values)
-    changed = program.changed(state.values, new) & snapm[None, :]
+        cand = program.apply(state.values, state.acc, ctx.group)
+    state.running = native.settle(
+        state.values, cand, state.operands.exists, running, state.front,
+        program.tol, program.name,
+    )
     if ctx.traced:
-        trace_apply(ctx, changed)
-    state.values[:] = new
-    state.active[...] = changed & group.vertex_exists
-    state.snap_active[...] = snapm & changed.any(axis=0)
+        trace_apply(ctx, running)
 
 
 def run_group(
@@ -114,25 +111,11 @@ def run_group(
                 trace=traced,
                 address_space=address_space,
             )
-        else:
-            state.snap_active[...] = True
-            if program.semantics is Semantics.MONOTONE:
-                state.active[...] = (
-                    program.initial_active(group) & group.vertex_exists
-                )
-            else:
-                state.active[...] = group.vertex_exists
         if initial_values is not None:
             state.values[:] = np.where(
                 group.vertex_exists, initial_values, np.nan
             )
-        if initial_active is not None:
-            state.active[...] = initial_active & group.vertex_exists
-        if only_snapshots is not None:
-            mask = np.zeros(group.num_snapshots, dtype=bool)
-            mask[list(only_snapshots)] = True
-            state.snap_active &= mask
-            state.active &= mask[None, :]
+        state.activate(initial_active, only_snapshots)
 
         gstart = int(group.start)
         bounds = None
@@ -174,7 +157,7 @@ def run_group(
         # context manager — no span object or args dict is ever allocated.
         observation = obs.active()
         tracing = observation is not None and observation.tracer is not None
-        while state.snap_active.any() and counters.iterations < max_iter:
+        while state.running and counters.iterations < max_iter:
             ispan = (
                 observation.span(
                     "iteration",

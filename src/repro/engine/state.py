@@ -6,8 +6,8 @@ One :class:`GroupState` holds, for the LABS group being processed:
   layout (``(V, S_g)`` for time-locality, ``(S_g, V)`` for structure-
   locality) and exposed through a uniform ``(V, S_g)`` view;
 - the persistent **accumulator** array (same orientation);
-- the **active/dirty** mask driving monotone frontiers and pull-mode
-  dirty checks;
+- the **frontier** (dirty bits), one ``uint64`` word per vertex, and
+  the **running** snapshots' word;
 - when tracing, the :class:`~repro.layout.vertex_array.VertexArrayLayout`
   objects that map ``(vertex, snapshot)`` elements to simulated addresses,
   plus the edge-array and stream-buffer address regions.
@@ -15,17 +15,17 @@ One :class:`GroupState` holds, for the LABS group being processed:
 Execution is strictly phased (scatter reads values, apply writes them), so
 a single physical values array provides synchronous semantics; the
 functional role of the paper's two-version array is played by the phase
-barrier, and the dirty mask carries the cross-iteration change information.
+barrier, and the frontier carries the cross-iteration change information.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.algorithms.program import Semantics, VertexProgram
-from repro.engine.kernels import plan_for
+from repro.engine.kernels import frontier_words, plan_for, snapshot_mask
 from repro.layout.address_space import AddressSpace
 from repro.layout.edge_array import EdgeArrayLayout
 from repro.layout.vertex_array import LayoutKind, VertexArrayLayout
@@ -67,12 +67,10 @@ class GroupState:
         #: What the scatter's walk reads besides the group's edge arrays.
         self.operands = plan_for(group, "in", layout_kind)
 
-        self.active = np.empty((V, Sg), dtype=np.bool_)
-        if program.semantics is Semantics.MONOTONE:
-            self.active[...] = program.initial_active(group) & group.vertex_exists
-        else:
-            self.active[...] = group.vertex_exists
-        self.snap_active = np.ones(Sg, dtype=np.bool_)
+        #: The frontier and running words: none until a run's entry
+        #: (:meth:`activate`), then set by every apply.
+        self.front = np.zeros(V, dtype=np.uint64)
+        self.running = 0
 
         # --- simulated address regions (traced runs only) --------------- #
         #: (V, S_g) mask of accumulator cells written in the current
@@ -126,6 +124,21 @@ class GroupState:
 
     # ------------------------------------------------------------------ #
 
+    def activate(
+        self, active: Optional[np.ndarray] = None, only: Optional[List[int]] = None
+    ) -> None:
+        """Set the entry frontier from a ``(V, S_g)`` mask (default: the
+        program's initial one; every live cell for REGATHER programs) and
+        run the snapshots ``only`` (default: all)."""
+        group, program = self.group, self.program
+        if active is None:
+            monotone = program.semantics is Semantics.MONOTONE
+            active = program.initial_active(group) if monotone else group.vertex_exists
+        S = group.num_snapshots
+        running = np.isin(np.arange(S), range(S) if only is None else only)
+        self.front = frontier_words(active & group.vertex_exists, running)
+        self.running = snapshot_mask(running)
+
     def reset_acc(self) -> None:
         """Reset the accumulator to the gather identity (REGATHER programs)."""
         self._acc_phys.fill(self.program.gather.identity)
@@ -139,11 +152,3 @@ class GroupState:
         self.update_buffer_base = self.space.alloc(worst, "update_buffer")
         bases = [self.space.alloc(worst, f"bucket_{b}") for b in range(num_buckets)]
         self.bucket_bases = np.asarray(bases, dtype=np.int64)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.group.num_vertices
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.group.num_snapshots

@@ -67,15 +67,6 @@ def snap_indices(bitmap: int) -> np.ndarray:
     return cached
 
 
-def mask_to_int(row: np.ndarray) -> int:
-    """Pack a boolean snapshot row into a bitmap int (vectorised)."""
-    row = np.ascontiguousarray(row, dtype=bool)
-    if row.size == 0:
-        return 0
-    packed = np.packbits(row, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def _source_messages(
     ctx: ExecContext, degs: Optional[np.ndarray]
 ) -> Callable[[int, int], np.ndarray]:
@@ -145,8 +136,8 @@ def _push_scatter(ctx: ExecContext) -> None:
     degs = group.out_degrees if program.needs_degrees else None
     ufunc = program.gather.ufunc
     monotone = ctx.monotone
-    active = state.active
-    snap_mask = mask_to_int(state.snap_active)
+    front = state.front
+    snap_mask = state.running
     all_snaps = np.arange(Sg, dtype=np.int64)
 
     for u in range(V):
@@ -159,7 +150,7 @@ def _push_scatter(ctx: ExecContext) -> None:
             counters.dirty_checks += Sg
             for a, n in dlay.ranges(u, all_snaps):
                 hier.access(a, n, False, core)
-            umask = mask_to_int(active[u]) & snap_mask
+            umask = int(front[u]) & snap_mask
             if umask == 0 or e0 == e1:
                 continue
         else:
@@ -251,8 +242,8 @@ def _pull_scatter(ctx: ExecContext) -> None:
     degs = group.out_degrees if program.needs_degrees else None
     ufunc = program.gather.ufunc
     monotone = ctx.monotone
-    active = state.active
-    snap_mask = mask_to_int(state.snap_active)
+    front = state.front
+    snap_mask = state.running
     cached_messages = _source_messages(ctx, degs) if weights is None else None
 
     for v in range(V):
@@ -273,7 +264,7 @@ def _pull_scatter(ctx: ExecContext) -> None:
             for a2, n2 in dlay.ranges(u, snaps):
                 hier.access(a2, n2, False, core)
             if monotone:
-                dm = bm & mask_to_int(active[u])
+                dm = bm & int(front[u])
                 if dm == 0:
                     continue
                 dsnaps = snap_indices(dm)
@@ -283,7 +274,7 @@ def _pull_scatter(ctx: ExecContext) -> None:
                 hier.access(a3, n3, False, core)
             counters.vertex_value_reads += len(dsnaps)
             if cached_messages is not None:
-                umask = mask_to_int(active[u]) & snap_mask if monotone else snap_mask
+                umask = int(front[u]) & snap_mask if monotone else snap_mask
                 msg = cached_messages(u, umask)[dsnaps]
             else:
                 a4, n4 = elay.weight_range(e, int(dsnaps[0]), int(dsnaps[-1]) + 1)
@@ -325,8 +316,8 @@ def _stream_scatter(ctx: ExecContext) -> None:
     degs = group.out_degrees if program.needs_degrees else None
     ufunc = program.gather.ufunc
     monotone = ctx.monotone
-    active = state.active
-    snap_mask = mask_to_int(state.snap_active)
+    front = state.front
+    snap_mask = state.running
     cached_messages = _source_messages(ctx, degs) if weights is None else None
 
     # Shuffle buckets: X-Stream's streaming partitions.
@@ -348,7 +339,7 @@ def _stream_scatter(ctx: ExecContext) -> None:
         if bm == 0:
             continue
         if monotone:
-            bm &= mask_to_int(active[src])
+            bm &= int(front[src])
             if bm == 0:
                 continue
         snaps = snap_indices(bm)
@@ -356,9 +347,7 @@ def _stream_scatter(ctx: ExecContext) -> None:
             hier.access(a2, n2, False, core)
         counters.vertex_value_reads += len(snaps)
         if cached_messages is not None:
-            umask = (
-                mask_to_int(active[src]) & snap_mask if monotone else snap_mask
-            )
+            umask = int(front[src]) & snap_mask if monotone else snap_mask
             msg = cached_messages(src, umask)[snaps]
         else:
             a3, n3 = elay.weight_range(e, int(snaps[0]), int(snaps[-1]) + 1)
@@ -420,8 +409,9 @@ def _stream_scatter(ctx: ExecContext) -> None:
             hier.alu(len(snaps), core)
 
 
-def trace_apply(ctx: ExecContext, changed: np.ndarray) -> None:
-    """Charge the apply phase's memory accesses to the simulated cores."""
+def trace_apply(ctx: ExecContext, running: int) -> None:
+    """Charge the apply phase's memory accesses to the simulated cores
+    (after the settle: ``running`` is the word the phase started with)."""
     state = ctx.state
     hier = ctx.hierarchy
     core_of = ctx.core_of
@@ -438,16 +428,12 @@ def trace_apply(ctx: ExecContext, changed: np.ndarray) -> None:
             for a, n in vlay.ranges(v, snaps):
                 hier.access(a, n, True, core)
             hier.alu(len(snaps), core)
-        crows = np.nonzero(changed.any(axis=1))[0]
-        for v in crows:
+        for v in np.flatnonzero(state.front):
             core = int(core_of[v])
-            snaps = np.nonzero(changed[v])[0]
-            for a, n in dlay.ranges(v, snaps):
+            for a, n in dlay.ranges(v, snap_indices(int(state.front[v]))):
                 hier.access(a, n, True, core)
     else:
-        snaps = np.nonzero(state.snap_active)[0]
-        if snaps.size == 0:
-            return
+        snaps = snap_indices(running)
         live_rows = np.nonzero(ctx.group.vertex_exists.any(axis=1))[0]
         for v in live_rows:
             core = int(core_of[v])

@@ -1,9 +1,10 @@
-"""The native library: the engine's edge-array walk and the store's section codec.
+"""The native library: the engine's walk and settle, and the store's section codec.
 
 One shared library, built from the two C sources shipped beside this module
 and called through ctypes:
 
-- ``fold.c``, the scatter (:func:`walk`). One loop per combine kind —
+- ``fold.c``, the scatter (:func:`walk`) and apply's :func:`settle`
+  (``tests/apply_oracle.py`` is its oracle). The walk is one loop per combine kind —
   ``walk_add``, ``walk_min`` and ``walk_max`` — over a LABS group's edge
   array: for every edge of the range and every set bit ``s`` of its
   snapshot bitmap (masked by the running snapshots or by the source's
@@ -112,9 +113,19 @@ _WALK = (
     _SIZE,
 )
 
-#: Every exported function: ``name -> (argtypes, restype)``.
+#: Every exported function: ``name -> (argtypes, restype)``. ``settle`` reads
+#: its value arrays through their element strides: a view needs no copy.
 _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
     **{f"walk_{kind}": _WALK for kind in KINDS},
+    "settle": (
+        [
+            np.ctypeslib.ndpointer(np.float64, ndim=2, flags="WRITEABLE"), _SIZE, _SIZE,
+            np.ctypeslib.ndpointer(np.float64, ndim=2), _SIZE, _SIZE, _WORDS,
+            ctypes.c_uint64, np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C,W"),
+            ctypes.c_double, _SIZE,
+        ],
+        ctypes.c_uint64,
+    ),
     "scan_sections": (
         [
             _BYTES, ctypes.c_int64,
@@ -311,6 +322,35 @@ def walk(
             num_snapshots,
         )
     )
+
+
+def settle(
+    values: np.ndarray, cand: Any, exists: np.ndarray, running: int,
+    front: np.ndarray, tol: float, program: str,
+) -> int:
+    """Write apply's ``cand`` into the ``(V, S_g)`` ``values`` on each set bit
+    ``s`` of ``exists[v] & running`` and set ``front[v]``'s bits to the cells
+    that changed (``fold.c`` states the rule); returns the words' OR.
+
+    ``cand`` is promoted to ``float64`` and broadcast as ``np.where`` would;
+    any other shape is an :class:`~repro.errors.EngineError` naming ``program``.
+    """
+    function = _function("settle")
+    try:
+        cells = np.broadcast_to(np.asarray(cand, np.float64), values.shape)
+    except ValueError:
+        raise EngineError(
+            f"{program}: apply returned shape {np.shape(cand)}, not {values.shape}"
+        ) from None
+    if np.may_share_memory(cells, values) or not cells.flags.aligned:
+        cells = np.array(cells)
+    V = values.shape[0]
+    if exists.shape != (V,) or front.shape != (V,):
+        raise EngineError(
+            f"settle of {V} vertices got {exists.shape}, {front.shape} words"
+        )
+    vs, ss, cv, cs = (stride // 8 for stride in values.strides + cells.strides)
+    return int(function(values, vs, ss, cells, cv, cs, exists, running, front, tol, V))
 
 
 def scan_sections(

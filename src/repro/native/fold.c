@@ -1,4 +1,5 @@
-/* The engine's scatter: one walk of a group's edge array per combine kind.
+/* The engine's scatter: one walk of a group's edge array per combine kind,
+ * and apply's settle pass (at the end of this file).
  *
  *   walk_<op>(acc, msg, bitmap, src, dst, index, rows, nrows,
  *             weight, wrow, edge_op, front, mask, lo, hi, vs, ss, nsnap)
@@ -185,3 +186,41 @@ static idx_t first_at_least(const int64_t *dst, idx_t lo, idx_t hi,
 DEFINE_WALK(add, COMBINE_ADD)
 DEFINE_WALK(min, COMBINE_MIN)
 DEFINE_WALK(max, COMBINE_MAX)
+
+/* The apply phase's bookkeeping, after the program's apply has computed
+ * the candidate values cand (element strides cv, cs; 0 for a broadcast):
+ *
+ *   settle(values, vs, ss, cand, cv, cs, exists, running, front, tol, nvert)
+ *
+ * For each vertex v and each set bit s of exists[v] & running, writes
+ * values[v*vs + s*ss] = cand[v*cv + s*cs] and sets bit s of front[v] when
+ * the cell changed: the new value is not NaN and, when tol > 0 does not
+ * hold, differs from the old (an old NaN counts); when it holds,
+ * |new - old| > tol, or the old value is infinite and the new finite.
+ * Every other bit of front[v] is cleared. Returns the OR of the front
+ * words: the snapshots still running. */
+uint64_t settle(double *values, idx_t vs, idx_t ss, const double *cand,
+                idx_t cv, idx_t cs, const uint64_t *exists,
+                uint64_t running, uint64_t *front, double tol, idx_t nvert)
+{
+    const int exact = !(tol > 0);
+    uint64_t any = 0;
+    for (idx_t v = 0; v < nvert; ++v) {
+        double *const row = values + v * vs;
+        const double *const in = cand + v * cv;
+        uint64_t b = exists[v] & running, moved = 0;
+        while (b) {
+            const idx_t s = __builtin_ctzll(b);
+            const double old = row[s * ss], new = in[s * cs];
+            row[s * ss] = new;
+            if (!isnan(new) && (exact ? new != old
+                                      : fabs(new - old) > tol ||
+                                            (isinf(old) && !isinf(new))))
+                moved |= (uint64_t)1 << s;
+            b &= b - 1;
+        }
+        front[v] = moved;
+        any |= moved;
+    }
+    return any;
+}

@@ -1,9 +1,11 @@
-"""Tests for the simulated engine's bitmap helpers."""
+"""Tests for the engine's bitmap helpers: the simulated engine's snapshot
+index memo and the boolean-row packing of a group's entry frontier."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.traced import mask_to_int, snap_indices
+from repro.engine.kernels import snapshot_mask
+from repro.engine.traced import snap_indices
 
 
 class TestSnapIndices:
@@ -28,14 +30,14 @@ class TestSnapIndices:
 class TestMaskToInt:
     def test_roundtrip_with_unpack(self):
         row = np.array([True, False, True, True])
-        assert mask_to_int(row) == 0b1101
+        assert snapshot_mask(row) == 0b1101
 
     def test_empty_row(self):
-        assert mask_to_int(np.zeros(5, dtype=bool)) == 0
+        assert snapshot_mask(np.zeros(5, dtype=bool)) == 0
 
     @given(st.lists(st.booleans(), min_size=0, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_inverse_of_snap_indices(self, bits):
         row = np.asarray(bits, dtype=bool)
-        packed = mask_to_int(row)
+        packed = snapshot_mask(row)
         assert list(snap_indices(packed)) == list(np.nonzero(row)[0])

@@ -200,9 +200,6 @@ class ExplodingProgram(VertexProgram):
     def apply(self, values, acc, group):
         return acc
 
-    def changed(self, old, new):
-        return ~np.isclose(old, new) & ~(np.isnan(old) & np.isnan(new))
-
 
 def test_worker_exception_propagates_and_cleans_up(series16):
     program = make_program("wcc")

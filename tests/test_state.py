@@ -46,7 +46,12 @@ class TestInitialisation:
         state = GroupState(
             group, LayoutKind.TIME_LOCALITY, SingleSourceShortestPath(0)
         )
-        assert state.active[1:].sum() == 0
+        # Only the source's live cells start in the frontier words.
+        state.activate()
+        exists = group.vertex_exists
+        assert state.front[1:].tolist() == [0] * (group.num_vertices - 1)
+        assert int(state.front[0]) == sum(1 << s for s in np.flatnonzero(exists[0]))
+        assert state.running == (1 << group.num_snapshots) - 1
 
     def test_reset_acc(self, group):
         state = GroupState(group, LayoutKind.TIME_LOCALITY, PageRank())
