@@ -1,4 +1,4 @@
-"""The per-group execution context shared by both scatter implementations."""
+"""The per-group execution context shared by the walk and the simulator."""
 
 from __future__ import annotations
 
@@ -25,16 +25,16 @@ class ExecContext:
     program: VertexProgram
     config: EngineConfig
     counters: EngineCounters
+    #: ``(edge_bounds, vertex_bounds)``, the group's destination vertices
+    #: cut into ranges, range ``w`` owning the vertices
+    #: ``[vertex_bounds[w], vertex_bounds[w + 1])`` and their in-edges
+    #: ``[edge_bounds[w], edge_bounds[w + 1])``: one range serially, one
+    #: per pool thread under ``executor="process"``
+    #: (:func:`repro.parallel.shm.cut_ranges`).
+    bounds: Tuple[np.ndarray, np.ndarray]
     hierarchy: Optional[MemoryHierarchy] = None
     core_of: Optional[np.ndarray] = None
     locks: Optional[LockTable] = None
-    #: Untraced runs: ``(edge_bounds, vertex_bounds)``, the group's
-    #: destination vertices cut into ranges, range ``w`` owning the
-    #: vertices ``[vertex_bounds[w], vertex_bounds[w + 1])`` and their
-    #: in-edges ``[edge_bounds[w], edge_bounds[w + 1])``: one range
-    #: serially, one per pool thread under ``executor="process"``
-    #: (:func:`repro.parallel.shm.cut_ranges`).
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def traced(self) -> bool:

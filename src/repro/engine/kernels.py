@@ -26,18 +26,20 @@ apply (:func:`repro.native.settle`) with the running snapshots' word. Nothing
 per ``(edge, snapshot)`` is built or kept: the group's edge arrays are
 the plan.
 
-Bitwise identity with the per-edge simulated engine
-(:mod:`repro.engine.traced`) holds by construction: the walk applies its
-pairs one by one, each with NumPy's scalar combine rule
-(``tests/test_kernel_plans.py`` checks it against ``ufunc.at``), and
-every destination cell's contributions arrive in source-ascending order —
-the in-edge array is ``(dst, src)``-ordered and the sparse walk takes its
-rows ascending — which is the order a per-edge loop reaches them in,
-whether it walks the out-edge array (push), the in-edge array (pull) or
-stream mode's shuffle buckets (bucket id is monotone in destination
-vertex). Push, pull and stream are three *accountings* of this one
-scatter (:func:`vectorized_scatter`). ``tests/plan_oracle.py`` keeps the
-per-cell index stream this walk replaced as its oracle.
+The walk is the only producer of values and logical counters, traced
+runs included: the simulated engine (:mod:`repro.engine.traced`) only
+charges a traced run's accesses after it. It applies its pairs one by
+one, each with NumPy's scalar combine rule (``tests/test_kernel_plans.py``
+checks it against ``ufunc.at``), and every destination cell's
+contributions arrive in source-ascending order — the in-edge array is
+``(dst, src)``-ordered and the sparse walk takes its rows ascending —
+which is the order a per-edge loop reaches them in, whether it walks the
+out-edge array (push), the in-edge array (pull) or stream mode's shuffle
+buckets (bucket id is monotone in destination vertex). Push, pull and
+stream are three *accountings* of this one scatter
+(:func:`vectorized_scatter`). ``tests/scatter_oracle.py`` keeps those
+per-edge loops, and ``tests/plan_oracle.py`` the per-cell index stream
+this walk replaced, as its oracles.
 
 The walk runs over destination-vertex ranges ``[v_lo, v_hi)`` cut from
 ``in_index`` (:func:`repro.parallel.shm.cut_ranges`): the dense walk over
@@ -254,7 +256,7 @@ def walk_scatter(ctx: "ExecContext") -> int:
 
 
 def vectorized_scatter(ctx: "ExecContext") -> None:
-    """One untraced scatter phase: the mode's accounting of one walk.
+    """One scatter phase, traced or not: the mode's accounting of one walk.
 
     Push enumerates the out-edges of its frontier (every out-edge for
     REGATHER programs) and, for MONOTONE programs, scans its own O(|V|)

@@ -85,11 +85,14 @@ def run_group(
     Simulated partition-parallel push runs (``num_cores > 1``) lock every
     propagation write.
 
-    Untraced, the group's destination vertices are cut into ranges here,
-    once (:func:`repro.parallel.shm.cut_ranges`): all of them serially,
-    one range per worker thread under ``executor="process"``, whose pool
-    walks the ranges each iteration while apply and convergence run in
-    this thread.
+    Every run, traced or not, cuts the group's destination vertices into
+    ranges here, once, and proves them (:func:`repro.parallel.shm.cut_ranges`):
+    all of them serially, one range per worker thread under
+    ``executor="process"``, whose pool walks the ranges each iteration
+    while apply and convergence run in this thread. The walk
+    (:func:`repro.engine.kernels.vectorized_scatter`) computes every
+    value and logical counter; a traced run then charges the mode's
+    accesses to ``hierarchy`` (:func:`repro.engine.traced.traced_scatter`).
     """
     with obs.span(
         "group",
@@ -118,13 +121,11 @@ def run_group(
         state.activate(initial_active, only_snapshots)
 
         gstart = int(group.start)
-        bounds = None
-        if not traced:
-            # Cut the destination ranges up front: the cuts and their
-            # owner-computes proofs happen once per group, not per iteration.
-            with obs.span("phase", "plan"):
-                workers = config.workers if config.executor == "process" else 1
-                bounds = cut_ranges(group, workers, gstart)
+        # Cut the destination ranges up front: the cuts and their
+        # owner-computes proofs happen once per group, not per iteration.
+        with obs.span("phase", "plan"):
+            workers = config.workers if config.executor == "process" else 1
+            bounds = cut_ranges(group, workers, gstart)
 
         resolved = core_of if core_of is not None else config.resolve_core_of(
             group.num_vertices
@@ -140,10 +141,10 @@ def run_group(
             program=program,
             config=config,
             counters=counters,
+            bounds=bounds,
             hierarchy=hierarchy if traced else None,
             core_of=resolved,
             locks=locks,
-            bounds=bounds,
         )
         max_iter = (
             config.max_iterations
@@ -174,13 +175,12 @@ def run_group(
                     bytes_before = counters.message_bytes
                 if regather:
                     state.reset_acc()
-                # The one scatter-phase bracket for every path: simulated
-                # scatters and walks (one range inline, more on the pool).
+                # The walk computes (one range inline, more on the pool);
+                # a traced run then charges its accesses to the simulator.
                 with obs.span("phase", "scatter"):
+                    vectorized_scatter(ctx)
                     if traced:
                         traced_scatter(ctx)
-                    else:
-                        vectorized_scatter(ctx)
                 if locks is not None:
                     extra, total = locks.finish_iteration()
                     for core, cyc in extra.items():

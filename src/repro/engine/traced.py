@@ -1,13 +1,14 @@
-"""The simulated engine: per-edge push / pull / stream scatters (paper Section 5).
+"""The simulated engine: per-edge push / pull / stream charges (paper Section 5).
 
-These loops visit one edge at a time and charge every edge-array,
-vertex-value, dirty-bit, accumulator, lock and update-buffer access to the
-simulated memory hierarchy (:mod:`repro.memsim`); they produce the address
-trace behind the paper's Tables 2–5. They are also the in-tree *reference*
-for the vectorised scatter of :mod:`repro.engine.kernels`: an independent
-implementation of the same per-cell fold order, so a ``trace=True`` run
-equals an untraced run bit for bit on values and on the six logical
-counters.
+A ``trace=True`` run scatters with the native walk like every other run
+(:func:`repro.engine.kernels.vectorized_scatter`, which computes the
+values and the six logical counters); these loops then visit one edge at
+a time and charge every edge-array, vertex-value, dirty-bit, accumulator,
+lock, message and update-buffer access that the mode's scatter makes to
+the simulated memory hierarchy (:mod:`repro.memsim`). They produce the
+address trace behind the paper's Tables 2–5, compute nothing, and mark
+the accumulator cells written (``state.received``) for
+:func:`trace_apply`.
 
 - **push** — each active source enumerates its out-edges and pushes its
   scattered value to the destination's accumulator. Under partition-
@@ -33,7 +34,7 @@ counters.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,39 +68,9 @@ def snap_indices(bitmap: int) -> np.ndarray:
     return cached
 
 
-def _source_messages(
-    ctx: ExecContext, degs: Optional[np.ndarray]
-) -> Callable[[int, int], np.ndarray]:
-    """Per-source message memo for one weight-free scatter phase.
-
-    Weight-free scatter depends only on the source vertex, and values are
-    immutable during a scatter phase, so pull and stream compute a
-    source's messages once per iteration instead of once per edge.
-    """
-    program = ctx.program
-    values = ctx.state.values
-    Sg = ctx.group.num_snapshots
-    cache: Dict[int, np.ndarray] = {}
-
-    def messages(u: int, umask: int) -> np.ndarray:
-        arr = cache.get(u)
-        if arr is None:
-            usnaps = snap_indices(umask)
-            arr = np.empty(Sg, dtype=np.float64)
-            with np.errstate(invalid="ignore"):
-                arr[usnaps] = program.scatter(
-                    values[u, usnaps],
-                    None,
-                    None if degs is None else degs[u, usnaps],
-                )
-            cache[u] = arr
-        return arr
-
-    return messages
-
-
 def traced_scatter(ctx: ExecContext) -> None:
-    """One simulated scatter phase in the mode of ``ctx.config``."""
+    """Charge one scatter phase in the mode of ``ctx.config`` (after the
+    walk has folded it)."""
     ctx.state.received[:] = False
     mode = ctx.config.mode
     if mode is Mode.PUSH:
@@ -113,7 +84,6 @@ def traced_scatter(ctx: ExecContext) -> None:
 def _push_scatter(ctx: ExecContext) -> None:
     group = ctx.group
     state = ctx.state
-    program = ctx.program
     counters = ctx.counters
     hier = ctx.hierarchy
     core_of = ctx.core_of
@@ -125,16 +95,12 @@ def _push_scatter(ctx: ExecContext) -> None:
     out_index = group.out_index
     out_dst = group.out_dst
     out_bitmap = group.out_bitmap
-    weights = group.out_weight if program.needs_weights else None
-    values = state.values
-    acc = state.acc
+    weights = group.out_weight if ctx.program.needs_weights else None
     received = state.received
     vlay = state.values_layout
     alay = state.acc_layout
     dlay = state.dirty_layout
     elay = state.edge_layout
-    degs = group.out_degrees if program.needs_degrees else None
-    ufunc = program.gather.ufunc
     monotone = ctx.monotone
     front = state.front
     snap_mask = state.running
@@ -147,7 +113,6 @@ def _push_scatter(ctx: ExecContext) -> None:
         if monotone:
             # Push checks only its own dirty bits: the O(|V|) cost the
             # paper contrasts with pull's O(|E|) neighbour checks.
-            counters.dirty_checks += Sg
             for a, n in dlay.ranges(u, all_snaps):
                 hier.access(a, n, False, core)
             umask = int(front[u]) & snap_mask
@@ -157,25 +122,9 @@ def _push_scatter(ctx: ExecContext) -> None:
             if e0 == e1:
                 continue
             umask = snap_mask
-        usnaps = snap_indices(umask)
-        for a, n in vlay.ranges(u, usnaps):
+        for a, n in vlay.ranges(u, snap_indices(umask)):
             hier.access(a, n, False, core)
-        counters.vertex_value_reads += len(usnaps)
-        vals_u = values[u]
-        deg_u = degs[u] if degs is not None else None
-        # Weight-free scatter depends only on the source: compute the
-        # message once per vertex instead of once per edge.
-        msg_full = None
-        if weights is None:
-            msg_full = np.empty(Sg, dtype=np.float64)
-            with np.errstate(invalid="ignore"):
-                msg_full[usnaps] = program.scatter(
-                    vals_u[usnaps],
-                    None,
-                    None if deg_u is None else deg_u[usnaps],
-                )
         for e in range(e0, e1):
-            counters.edge_array_accesses += 1
             a, n = elay.entry_range(e)
             hier.access(a, n, False, core)
             bm = int(out_bitmap[e]) & umask
@@ -183,11 +132,9 @@ def _push_scatter(ctx: ExecContext) -> None:
                 continue
             snaps = snap_indices(bm)
             v = int(out_dst[e])
-            w_e = None
             if weights is not None:
                 a2, n2 = elay.weight_range(e, int(snaps[0]), int(snaps[-1]) + 1)
                 hier.access(a2, n2, False, core)
-                w_e = weights[e, snaps]
             target_core = int(core_of[v])
             if distributed and target_core != core:
                 # Cross-machine propagation becomes one message that
@@ -204,26 +151,13 @@ def _push_scatter(ctx: ExecContext) -> None:
                     counters.lock_base_cycles += base
             for a3, n3 in alay.ranges(v, snaps):
                 hier.access(a3, n3, True, write_core)
-            if msg_full is not None:
-                msg = msg_full[snaps]
-            else:
-                with np.errstate(invalid="ignore"):
-                    msg = program.scatter(
-                        vals_u[snaps],
-                        w_e,
-                        None if deg_u is None else deg_u[snaps],
-                    )
-            acc[v, snaps] = ufunc(acc[v, snaps], msg)
             received[v, snaps] = True
-            counters.acc_updates += len(snaps)
             hier.alu(2 * len(snaps), core)
 
 
 def _pull_scatter(ctx: ExecContext) -> None:
     group = ctx.group
     state = ctx.state
-    program = ctx.program
-    counters = ctx.counters
     hier = ctx.hierarchy
     core_of = ctx.core_of
 
@@ -231,27 +165,21 @@ def _pull_scatter(ctx: ExecContext) -> None:
     in_index = group.in_index
     in_src = group.in_src
     in_bitmap = group.in_bitmap
-    weights = group.in_weight if program.needs_weights else None
-    values = state.values
-    acc = state.acc
+    weights = group.in_weight if ctx.program.needs_weights else None
     received = state.received
     vlay = state.values_layout
     alay = state.acc_layout
     dlay = state.dirty_layout
     elay = state.in_edge_layout
-    degs = group.out_degrees if program.needs_degrees else None
-    ufunc = program.gather.ufunc
     monotone = ctx.monotone
     front = state.front
     snap_mask = state.running
-    cached_messages = _source_messages(ctx, degs) if weights is None else None
 
     for v in range(V):
         core = int(core_of[v])
         e0 = int(in_index[v])
         e1 = int(in_index[v + 1])
         for e in range(e0, e1):
-            counters.edge_array_accesses += 1
             a, n = elay.entry_range(e)
             hier.access(a, n, False, core)
             bm = int(in_bitmap[e]) & snap_mask
@@ -260,7 +188,6 @@ def _pull_scatter(ctx: ExecContext) -> None:
             u = int(in_src[e])
             snaps = snap_indices(bm)
             # The per-neighbour dirty check — pull's O(|E|) overhead.
-            counters.dirty_checks += len(snaps)
             for a2, n2 in dlay.ranges(u, snaps):
                 hier.access(a2, n2, False, core)
             if monotone:
@@ -272,33 +199,18 @@ def _pull_scatter(ctx: ExecContext) -> None:
                 dsnaps = snaps
             for a3, n3 in vlay.ranges(u, dsnaps):
                 hier.access(a3, n3, False, core)
-            counters.vertex_value_reads += len(dsnaps)
-            if cached_messages is not None:
-                umask = int(front[u]) & snap_mask if monotone else snap_mask
-                msg = cached_messages(u, umask)[dsnaps]
-            else:
+            if weights is not None:
                 a4, n4 = elay.weight_range(e, int(dsnaps[0]), int(dsnaps[-1]) + 1)
                 hier.access(a4, n4, False, core)
-                w_e = weights[e, dsnaps]
-                with np.errstate(invalid="ignore"):
-                    msg = program.scatter(
-                        values[u, dsnaps],
-                        w_e,
-                        None if degs is None else degs[u, dsnaps],
-                    )
             for a5, n5 in alay.ranges(v, dsnaps):
                 hier.access(a5, n5, True, core)
-            acc[v, dsnaps] = ufunc(acc[v, dsnaps], msg)
             received[v, dsnaps] = True
-            counters.acc_updates += len(dsnaps)
             hier.alu(2 * len(dsnaps), core)
 
 
 def _stream_scatter(ctx: ExecContext) -> None:
     group = ctx.group
     state = ctx.state
-    program = ctx.program
-    counters = ctx.counters
     hier = ctx.hierarchy
     core_of = ctx.core_of
 
@@ -306,19 +218,14 @@ def _stream_scatter(ctx: ExecContext) -> None:
     out_src = group.out_src
     out_dst = group.out_dst
     out_bitmap = group.out_bitmap
-    weights = group.out_weight if program.needs_weights else None
-    values = state.values
-    acc = state.acc
+    weights = group.out_weight if ctx.program.needs_weights else None
     received = state.received
     vlay = state.values_layout
     alay = state.acc_layout
     elay = state.edge_layout
-    degs = group.out_degrees if program.needs_degrees else None
-    ufunc = program.gather.ufunc
     monotone = ctx.monotone
     front = state.front
     snap_mask = state.running
-    cached_messages = _source_messages(ctx, degs) if weights is None else None
 
     # Shuffle buckets: X-Stream's streaming partitions.
     num_buckets = max(ctx.config.num_cores, 4)
@@ -327,12 +234,11 @@ def _stream_scatter(ctx: ExecContext) -> None:
         state.alloc_stream_buffers(num_buckets)
 
     # Phase 1: scatter — stream the edge array, emit update entries.
-    all_updates: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
+    all_updates: List[Tuple[int, int, np.ndarray]] = []
     upd_pos = 0
     for e in range(E):
         src = int(out_src[e])
         core = int(core_of[src])
-        counters.edge_array_accesses += 1
         a, n = elay.entry_range(e)
         hier.access(a, n, False, core)
         bm = int(out_bitmap[e]) & snap_mask
@@ -345,37 +251,25 @@ def _stream_scatter(ctx: ExecContext) -> None:
         snaps = snap_indices(bm)
         for a2, n2 in vlay.ranges(src, snaps):
             hier.access(a2, n2, False, core)
-        counters.vertex_value_reads += len(snaps)
-        if cached_messages is not None:
-            umask = int(front[src]) & snap_mask if monotone else snap_mask
-            msg = cached_messages(src, umask)[snaps]
-        else:
+        if weights is not None:
             a3, n3 = elay.weight_range(e, int(snaps[0]), int(snaps[-1]) + 1)
             hier.access(a3, n3, False, core)
-            w_e = weights[e, snaps]
-            with np.errstate(invalid="ignore"):
-                msg = program.scatter(
-                    values[src, snaps],
-                    w_e,
-                    None if degs is None else degs[src, snaps],
-                )
         entry_bytes = 4 + 8 * len(snaps)
         if state.update_buffer_base >= 0:
             hier.access(state.update_buffer_base + upd_pos, entry_bytes, True, core)
         upd_pos += entry_bytes
-        counters.update_entries += len(snaps)
         dst = int(out_dst[e])
-        all_updates.append((dst * num_buckets // V, dst, snaps, msg))
+        all_updates.append((dst * num_buckets // V, dst, snaps))
         hier.alu(2 * len(snaps), core)
 
     # Phase 2: shuffle — stream updates (in append order) into
     # destination-range buckets.
-    per_bucket: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
+    per_bucket: List[List[Tuple[int, np.ndarray]]] = [
         [] for _ in range(num_buckets)
     ]
     read_pos = 0
     bucket_pos = [0] * num_buckets
-    for b, dst, snaps, msg in all_updates:
+    for b, dst, snaps in all_updates:
         core = int(core_of[dst])
         entry_bytes = 4 + 8 * len(snaps)
         if state.update_buffer_base >= 0:
@@ -390,12 +284,12 @@ def _stream_scatter(ctx: ExecContext) -> None:
             )
         read_pos += entry_bytes
         bucket_pos[b] += entry_bytes
-        per_bucket[b].append((dst, snaps, msg))
+        per_bucket[b].append((dst, snaps))
 
     # Phase 3: gather — per bucket, apply updates to accumulators.
     for b, bucket in enumerate(per_bucket):
         pos = 0
-        for dst, snaps, msg in bucket:
+        for dst, snaps in bucket:
             core = int(core_of[dst])
             entry_bytes = 4 + 8 * len(snaps)
             if state.bucket_bases is not None:
@@ -403,9 +297,7 @@ def _stream_scatter(ctx: ExecContext) -> None:
             pos += entry_bytes
             for a4, n4 in alay.ranges(dst, snaps):
                 hier.access(a4, n4, True, core)
-            acc[dst, snaps] = ufunc(acc[dst, snaps], msg)
             received[dst, snaps] = True
-            counters.acc_updates += len(snaps)
             hier.alu(len(snaps), core)
 
 

@@ -157,10 +157,10 @@ class GlobalRandomnessRule(Rule):
 class ScatterDisciplineRule(Rule):
     """CHR002: in-place scatters and native loads only in the native library.
 
-    The bitwise-identity contract between the serial fold, the simulated
-    engine, and the sharded thread executor holds because every
-    vectorised accumulator write goes through the one audited sequential
-    fold, the native edge-array walk of :mod:`repro.native` (reached
+    The bitwise-identity contract between the serial walk and the
+    sharded thread executor (and the per-edge loops of
+    ``tests/scatter_oracle.py``) holds because every accumulator write
+    goes through the one audited sequential fold, the native edge-array walk of :mod:`repro.native` (reached
     through :func:`repro.engine.kernels.walk`; per-cell application order
     and NumPy's tie / NaN rules are pinned there). A stray ``ufunc.at`` in
     the engine or executors bypasses that audit, and under owner-computes

@@ -26,7 +26,7 @@ are bitwise identical to the serial executor.
 
 The lock-free argument is an invariant the native walk does not check:
 it writes ``acc[dst * vs + s * ss]`` for whatever ``in_dst`` holds. So
-every untraced group run, serial included, proves it before the first
+every group run, serial and traced included, proves it before the first
 write: ``in_dst`` is destination-sorted (:func:`assert_destination_sorted`)
 and the ranges tile the vertices with intervals holding all their
 in-edges (:func:`verify_disjoint_ownership`). A mid-vertex cut, an

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.temporal import TemporalGraphBuilder
+from tests.scatter_oracle import oracle_run
 
 
-#: The counters both engines define (the rest are simulation-only).
+#: The counters the walk computes on every run (the rest are simulation-only).
 LOGICAL_COUNTERS = (
     "iterations",
     "edge_array_accesses",
@@ -19,15 +20,17 @@ LOGICAL_COUNTERS = (
 )
 
 
-def assert_matches_traced(got, traced, label=""):
-    """An untraced run equals the ``trace=True`` run of the same cell:
-    values byte for byte and all six logical counters."""
-    assert got.values.tobytes() == traced.values.tobytes(), (
-        f"values differ from the traced run {label}"
+def assert_matches_oracle(got, series, program, config, label=""):
+    """A run equals the per-edge scatter oracle's run of the same cell
+    (:func:`tests.scatter_oracle.oracle_run` under ``config``): values
+    byte for byte and all six logical counters."""
+    want = oracle_run(series, program, config)
+    assert got.values.tobytes() == want.values.tobytes(), (
+        f"values differ from the scatter oracle {label}"
     )
     for name in LOGICAL_COUNTERS:
-        assert getattr(got.counters, name) == getattr(traced.counters, name), (
-            f"{name} differs from the traced run {label}"
+        assert getattr(got.counters, name) == getattr(want.counters, name), (
+            f"{name} differs from the scatter oracle {label}"
         )
 
 

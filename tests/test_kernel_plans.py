@@ -2,7 +2,7 @@
 
 The vectorised scatter (:mod:`repro.engine.kernels`) promises *bitwise*
 identical values and *identical* logical counters versus the per-edge
-simulated engine (:mod:`repro.engine.traced`, ``trace=True``) — an
+push / pull / stream loops of :mod:`tests.scatter_oracle` — an
 independent implementation of the same fold order — for every mode,
 layout, gather kind, and semantics. The native walk is checked against a
 pure-Python per-edge loop, against NumPy's sequential ``ufunc.at``
@@ -30,7 +30,7 @@ from repro.layout.vertex_array import LayoutKind
 from repro.parallel.shm import shard_boundaries
 from repro.temporal.bitmap import popcounts
 from repro.temporal.builder import TemporalGraphBuilder
-from tests.conftest import assert_matches_traced, random_temporal_graph
+from tests.conftest import assert_matches_oracle, random_temporal_graph
 from tests.plan_oracle import GatherPlan, edge_message, oracle_scatter
 
 MODES = [Mode.PUSH, Mode.PULL, Mode.STREAM]
@@ -72,9 +72,8 @@ def _program(app: str) -> VertexProgram:
 
 def _assert_kernels_agree(series, app, mode, layout, batch):
     cfg = EngineConfig(mode=mode, layout=layout, batch_size=batch)
-    assert_matches_traced(
-        run(series, _program(app), cfg),
-        run(series, _program(app), cfg.with_(trace=True)),
+    assert_matches_oracle(
+        run(series, _program(app), cfg), series, _program(app), cfg,
         f"for {app}/{mode}/{layout}/batch {batch}",
     )
 
@@ -467,12 +466,10 @@ def test_monotone_selection_branches_agree(monkeypatch, factor):
     crossover."""
     graph = random_temporal_graph(num_vertices=25, num_events=200, seed=5)
     series = graph.series(graph.evenly_spaced_times(8))
-    baseline = run(
-        series, _program("sssp"), EngineConfig(mode=Mode.PUSH, trace=True)
-    )
+    cfg = EngineConfig(mode=Mode.PUSH)
     monkeypatch.setattr(kernels, "SPARSE_FRACTION", factor)
-    got = run(series, _program("sssp"), EngineConfig(mode=Mode.PUSH))
-    assert_matches_traced(got, baseline)
+    got = run(series, _program("sssp"), cfg)
+    assert_matches_oracle(got, series, _program("sssp"), cfg)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -579,8 +576,8 @@ def test_push_counts_dirty_checks_when_frontier_has_no_out_edges():
         builder.add_edge(0, leaf, leaf)  # a star: both leaves are sinks
     series = builder.build().series([2, 3])
     program = make_program("sssp", source=0)
-    got = run(series, program, EngineConfig(mode=Mode.PUSH))
-    traced = run(series, program, EngineConfig(mode=Mode.PUSH, trace=True))
-    assert_matches_traced(got, traced)
+    cfg = EngineConfig(mode=Mode.PUSH)
+    got = run(series, program, cfg)
+    assert_matches_oracle(got, series, program, cfg)
     V, S = series.num_vertices, series.num_snapshots
     assert got.counters.dirty_checks == got.counters.iterations * V * S

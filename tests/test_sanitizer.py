@@ -1,4 +1,4 @@
-"""The owner-computes proof every untraced group run makes.
+"""The owner-computes proof every group run makes, traced or not.
 
 The scatter's lock-free correctness rests on one invariant: each range
 walks a destination-vertex interval cut from ``in_index``, so it folds
@@ -251,9 +251,13 @@ def test_serial_sanitize_detects_unsorted_plan(series16):
         assert err.cell == low
 
 
-def test_default_serial_run_refuses_an_unsorted_edge_array(series16, monkeypatch):
+@pytest.mark.parametrize("trace", [False, True])
+def test_default_serial_run_refuses_an_unsorted_edge_array(
+    series16, monkeypatch, trace
+):
     # No option selects the proof: a default-config run() checks the
-    # order before its first walk, so nothing is folded.
+    # order before its first walk, so nothing is folded — traced runs
+    # scatter with the same walk and are proven the same way.
     group = series16.group(0, 8)
     low, swap = _swapped_pair(group)
     walks = []
@@ -267,7 +271,11 @@ def test_default_serial_run_refuses_an_unsorted_edge_array(series16, monkeypatch
     swap()
     try:
         with pytest.raises(ShardRaceError) as ei:
-            run(series16, make_program("pagerank"), EngineConfig(batch_size=8))
+            run(
+                series16,
+                make_program("pagerank"),
+                EngineConfig(batch_size=8, trace=trace),
+            )
     finally:
         swap()
     assert (ei.value.group, ei.value.cell) == (0, low)
