@@ -1,10 +1,14 @@
-"""The native library: the engine's walk and settle, and the store's section codec.
+"""The native library: the engine's walk and settle, a series' degrees, and the
+store's section codec.
 
 One shared library, built from the two C sources shipped beside this module
 and called through ctypes:
 
-- ``fold.c``, the scatter (:func:`walk`) and apply's :func:`settle`
-  (``tests/apply_oracle.py`` is its oracle). The walk is one loop per combine kind —
+- ``fold.c``, the scatter (:func:`walk`), apply's :func:`settle`
+  (``tests/apply_oracle.py`` is its oracle) and a snapshot series'
+  per-snapshot out-degrees in one pass over its edges (:func:`out_degrees`;
+  ``tests/degree_oracle.py`` keeps the per-snapshot ``bincount`` loop it
+  replaced as the oracle). The walk is one loop per combine kind —
   ``walk_add``, ``walk_min`` and ``walk_max`` — over a LABS group's edge
   array: for every edge of the range and every set bit ``s`` of its
   snapshot bitmap (masked by the running snapshots or by the source's
@@ -60,7 +64,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import EngineError, StorageError
+from repro.errors import EngineError, SnapshotError, StorageError
 
 #: The C sources, shipped as package data next to this module.
 SOURCES = (
@@ -125,6 +129,11 @@ _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
             ctypes.c_double, _SIZE,
         ],
         ctypes.c_uint64,
+    ),
+    "out_degrees": (
+        [_WORDS, _LENGTHS, _SIZE, _SIZE,
+         np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")],
+        None,
     ),
     "scan_sections": (
         [
@@ -351,6 +360,36 @@ def settle(
         )
     vs, ss, cv, cs = (stride // 8 for stride in values.strides + cells.strides)
     return int(function(values, vs, ss, cells, cv, cs, exists, running, front, tol, V))
+
+
+def out_degrees(
+    bitmap: np.ndarray, src: np.ndarray, num_vertices: int, num_snapshots: int
+) -> np.ndarray:
+    """The ``(V, S)`` ``int64`` out-degrees of an edge array, per snapshot.
+
+    Cell ``[v, s]`` counts the edges ``e`` with ``src[e] == v`` and bit
+    ``s`` of ``bitmap[e]`` (``uint64``) set; bits ``s >= S`` count nowhere.
+    Mismatched lengths, ``S`` outside ``1..64`` and a source outside
+    ``[0, V)`` are a :class:`~repro.errors.SnapshotError`, raised before
+    the C writes anything.
+    """
+    function = _function("out_degrees")
+    if bitmap.shape != src.shape or bitmap.ndim != 1:
+        raise SnapshotError(
+            f"out-degrees of {bitmap.shape} bitmaps and {src.shape} sources"
+        )
+    if not 1 <= num_snapshots <= 64:
+        raise SnapshotError(
+            f"out-degrees of {num_snapshots} snapshots (1..64 fit a word)"
+        )
+    if src.shape[0] and not 0 <= src.min() <= src.max() < num_vertices:
+        raise SnapshotError(
+            f"out-degrees: a source id in [{src.min()}, {src.max()}] lies "
+            f"outside the {num_vertices} vertices"
+        )
+    degrees = np.zeros((num_vertices, num_snapshots), dtype=np.int64)
+    function(bitmap, src, src.shape[0], num_snapshots, degrees)
+    return degrees
 
 
 def scan_sections(

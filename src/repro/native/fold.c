@@ -1,5 +1,6 @@
 /* The engine's scatter: one walk of a group's edge array per combine kind,
- * and apply's settle pass (at the end of this file).
+ * then apply's settle pass and a series' out-degree count (at the end of
+ * this file).
  *
  *   walk_<op>(acc, msg, bitmap, src, dst, index, rows, nrows,
  *             weight, wrow, edge_op, front, mask, lo, hi, vs, ss, nsnap)
@@ -223,4 +224,26 @@ uint64_t settle(double *values, idx_t vs, idx_t ss, const double *cand,
         any |= moved;
     }
     return any;
+}
+
+/* A snapshot series' per-snapshot out-degrees:
+ *
+ *   out_degrees(bitmap, src, nedge, nsnap, deg)
+ *
+ * For each edge e and each set bit s < nsnap of bitmap[e], adds 1 to
+ * deg[src[e]*nsnap + s]; deg is the zeroed (V, nsnap) matrix, row-major.
+ * The caller checks 1 <= nsnap <= 64 and 0 <= src[e] < V first. */
+void out_degrees(const uint64_t *bitmap, const int64_t *src, idx_t nedge,
+                 idx_t nsnap, int64_t *deg)
+{
+    const uint64_t full =
+        nsnap >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << nsnap) - 1);
+    for (idx_t e = 0; e < nedge; ++e) {
+        int64_t *const row = deg + src[e] * nsnap;
+        uint64_t b = bitmap[e] & full;
+        while (b) {
+            ++row[__builtin_ctzll(b)];
+            b &= b - 1;
+        }
+    }
 }

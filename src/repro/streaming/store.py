@@ -172,7 +172,9 @@ class StreamingStore:
             batch_records=batch_records,
             next_seq=last_seq + 1,
         )
+        #: The graph of the head's first ``_graph_records`` records.
         self._graph_cache: Optional[TemporalGraph] = None
+        self._graph_records = 0
         obs.add("recover.opens")
 
     def _read_manifest(self) -> Optional[Dict[str, Any]]:
@@ -283,7 +285,6 @@ class StreamingStore:
         # (redundant adds/deletes degrade to mod/no-op).
         self._head.extend(records)
         self._last_seq = seq
-        self._graph_cache = None
         return seq
 
     def sync(self) -> None:
@@ -294,20 +295,32 @@ class StreamingStore:
     # reads
 
     def graph(self) -> TemporalGraph:
-        """The full logical temporal graph (base + head), memoised."""
-        if self._graph_cache is None:
-            if len(self._head) == 0:
-                raise StorageError(
-                    f"streaming store at {self.path} is empty; append "
-                    "activities before reading"
-                )
-            graph = self._head.build()
+        """The full logical temporal graph (base + head).
+
+        The first call after an open builds the whole log; every later
+        one extends the last graph's log with the records appended since
+        (:func:`~repro.temporal.columns.log_columns` with ``after``), so
+        a read after an append sorts about what the append brought.
+        """
+        logged = len(self._head)
+        if logged == 0:
+            raise StorageError(
+                f"streaming store at {self.path} is empty; append "
+                "activities before reading"
+            )
+        graph = self._graph_cache
+        if graph is None or self._graph_records < logged:
+            columns = log_columns(
+                self._head.records(self._graph_records),
+                after=None if graph is None else graph.columns(),
+            )
+            graph = TemporalGraph.from_columns(columns)
             if self._num_vertices_floor > graph.num_vertices:
                 graph = TemporalGraph.from_columns(
-                    graph.columns(), self._num_vertices_floor
+                    columns, self._num_vertices_floor
                 )
-            self._graph_cache = graph
-        return self._graph_cache
+            self._graph_cache, self._graph_records = graph, logged
+        return graph
 
     def series(self, times: Sequence[Time]) -> SnapshotSeriesView:
         """A snapshot series over the current head, for the engine.

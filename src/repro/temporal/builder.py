@@ -174,7 +174,11 @@ class TemporalGraphBuilder:
         times.append(t)
         weights.append(weight)
 
+    def records(self, start: int = 0) -> np.ndarray:
+        """The logged records from the ``start``-th on, as one :data:`RECORD`
+        array in the order they were logged."""
+        return make_records(*(column[start:] for column in self._columns))
+
     def build(self, num_vertices: Optional[int] = None) -> TemporalGraph:
         """Freeze the log into an immutable :class:`TemporalGraph`."""
-        columns = log_columns(make_records(*self._columns))
-        return TemporalGraph.from_columns(columns, num_vertices)
+        return TemporalGraph.from_columns(log_columns(self.records()), num_vertices)

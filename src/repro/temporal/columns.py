@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TemporalGraphError
 from repro.temporal.activity import Activity, ActivityKind
 from repro.temporal.reconstruct import (
+    NEVER,
     EdgeEvents,
     chain_state,
     edge_order,
@@ -138,32 +139,59 @@ def activities_of(records: np.ndarray) -> Tuple[Activity, ...]:
     )
 
 
-def log_columns(records: np.ndarray) -> LogColumns:
-    """The log holding ``records``, which may come in any order.
+def log_columns(
+    records: np.ndarray, after: Optional[LogColumns] = None
+) -> LogColumns:
+    """The log holding ``after``'s records and ``records``, given in any order.
 
     Sorting is stable, so records equal in every field keep the order
     they were given in — the order ``sorted()`` leaves equal
-    :class:`Activity` objects in.
+    :class:`Activity` objects in. Without ``after`` this is the log of
+    ``records`` alone. With it, the log before the earliest of
+    ``records`` is ``after``'s as it stands: only ``after``'s records
+    from that time on and ``records`` are sorted, and the per-edge
+    columns merge the two edge orders rather than sort again, so
+    extending a log costs about what was appended (plus linear copies).
     """
-    canonical = ("time", "kind", "src", "dst", "weight")
-    records = records[np.lexsort([records[key] for key in canonical[::-1]])]
-    kind = records["kind"]
-    src = records["src"].astype(np.int64)
-    dst = np.ascontiguousarray(records["dst"])
-    time = np.ascontiguousarray(records["time"])
-
+    if after is None:
+        after = _EMPTY
+    start = records["time"].min(initial=NEVER)
+    k = int(np.searchsorted(after.time, start, side="left"))
+    tail = _join(after.records[k:], records)
+    tail = tail[np.lexsort([tail[key] for key in _CANONICAL[::-1]])]
+    kind = tail["kind"]
+    src = tail["src"].astype(np.int64)
     on_edge = kind >= ActivityKind.ADD_EDGE
-    weight = records["weight"][on_edge]
-    events = EdgeEvents(
+    weight = tail["weight"][on_edge]
+    appended = EdgeEvents(
         src=src[on_edge],
-        dst=dst[on_edge],
-        time=time[on_edge],
+        dst=tail["dst"][on_edge],
+        time=tail["time"][on_edge],
         kind=kind[on_edge],
         weight=np.where(np.isnan(weight), 1.0, weight),
     )
+    # The edge and vertex records of ``after`` before ``start``.
+    old, old_order = after.events, after.edge_order
+    kept = int(np.searchsorted(old.time, start, side="left"))
+    kept_vertex = int(np.searchsorted(after.vertex_time, start, side="left"))
+
+    def join(name: str) -> np.ndarray:
+        return _join(getattr(old, name)[:kept], getattr(appended, name))
+
+    events = EdgeEvents(
+        join("src"), join("dst"), join("time"), join("kind"), join("weight")
+    )
+
     # Any id bound above the largest id gives the same permutation.
-    id_bound = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    by_edge = edge_order(events.src, events.dst, id_bound)
+    id_bound = int(max(events.src.max(initial=-1), events.dst.max(initial=-1)))
+    id_bound += 1
+    by_edge = kept + edge_order(appended.src, appended.dst, id_bound)
+    if kept:
+        # Two runs, each sorted by (src, dst) and stable: the kept rows in
+        # ``after``'s order and the appended ones. A stable sort of the two
+        # back to back is a merge that keeps kept rows first on a tie.
+        runs = np.concatenate((old_order[old_order < kept], by_edge))
+        by_edge = runs[edge_order(events.src[runs], events.dst[runs], id_bound)]
     until, live_after = chain_state(
         first_of_edge(events.src[by_edge], events.dst[by_edge]),
         events.time[by_edge],
@@ -174,13 +202,42 @@ def log_columns(records: np.ndarray) -> LogColumns:
     next_time = np.empty_like(until)
     next_time[by_edge] = until
     return LogColumns(
-        records=records,
-        time=time,
+        records=_join(after.records[:k], tail),
+        time=_join(after.time[:k], np.ascontiguousarray(tail["time"])),
         events=events,
-        vertex=src[~on_edge],
-        vertex_time=time[~on_edge],
-        vertex_add=kind[~on_edge] == ActivityKind.ADD_VERTEX,
+        vertex=_join(after.vertex[:kept_vertex], src[~on_edge]),
+        vertex_time=_join(after.vertex_time[:kept_vertex], tail["time"][~on_edge]),
+        vertex_add=_join(
+            after.vertex_add[:kept_vertex], kind[~on_edge] == ActivityKind.ADD_VERTEX
+        ),
         edge_order=by_edge,
         live=live,
         next_time=next_time,
     )
+
+
+def _join(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``head`` then ``tail``, copied only when there is a ``head``."""
+    return np.concatenate((head, tail)) if head.shape[0] else tail
+
+
+_CANONICAL = ("time", "kind", "src", "dst", "weight")
+_INT = np.zeros(0, dtype=np.int64)
+#: The log of no records: what ``log_columns`` extends without ``after``.
+_EMPTY = LogColumns(
+    records=np.zeros(0, dtype=RECORD),
+    time=_INT,
+    events=EdgeEvents(
+        src=_INT,
+        dst=_INT,
+        time=_INT,
+        kind=np.zeros(0, dtype=np.uint8),
+        weight=np.zeros(0, dtype=np.float64),
+    ),
+    vertex=_INT,
+    vertex_time=_INT,
+    vertex_add=np.zeros(0, dtype=np.bool_),
+    edge_order=_INT,
+    live=np.zeros(0, dtype=np.bool_),
+    next_time=_INT,
+)

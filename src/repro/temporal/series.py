@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.errors import SnapshotError
 from repro.temporal.bitmap import mask_below
 from repro.temporal.graph import TemporalGraph
@@ -90,8 +91,10 @@ class SnapshotSeriesView:
         self.in_index = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
 
         self.vertex_bitmap = vertex_bitmap.astype(np.uint64)
-        self.out_degrees = self._per_snapshot_degrees(
-            self.out_src, self.out_bitmap, num_vertices, S
+        # One native pass over the edges, each set bit counted into its
+        # (source, snapshot) cell: no per-snapshot scan, no (E, S) temporary.
+        self.out_degrees = native.out_degrees(
+            self.out_bitmap, self.out_src, num_vertices, S
         )
         # Memoised GroupViews, keyed (start, stop). Views are immutable, and
         # reusing them saves re-filtering the edge arrays for every run over
@@ -108,19 +111,6 @@ class SnapshotSeriesView:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-
-    @staticmethod
-    def _per_snapshot_degrees(
-        src: np.ndarray, bitmap: np.ndarray, num_vertices: int, S: int
-    ) -> np.ndarray:
-        # One small scan per snapshot: the single-pass form needs the
-        # ``(E, S)`` bit matrix widened to int64, tens of megabytes of
-        # fresh pages per call, and its cost then follows the allocator.
-        degrees = np.zeros((num_vertices, S), dtype=np.int64)
-        for s in range(S):
-            live = ((bitmap >> np.uint64(s)) & np.uint64(1)).astype(bool)
-            degrees[:, s] = np.bincount(src[live], minlength=num_vertices)
-        return degrees
 
     # ------------------------------------------------------------------ #
 

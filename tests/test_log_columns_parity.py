@@ -13,6 +13,7 @@ the same head after a reopen from the WAL and from a compacted base.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -24,7 +25,12 @@ from hypothesis import strategies as st
 from repro.errors import TemporalGraphError
 from repro.streaming import StreamingStore
 from repro.streaming import wal as walmod
-from repro.temporal.columns import activities_of, make_records
+from repro.temporal.columns import (
+    LogColumns,
+    activities_of,
+    log_columns,
+    make_records,
+)
 from repro.temporal import (
     Activity,
     TemporalGraph,
@@ -303,6 +309,107 @@ def test_larger_stream_round_trips_like_the_oracle(tmp_path):
     _stream_through_store(store_dir, batches, extra)
     with StreamingStore(store_dir) as store:
         assert store.recovery.base_groups > 2
+
+
+# --------------------------------------------------------------------- #
+# the store extends its graph's log instead of rebuilding it
+# --------------------------------------------------------------------- #
+
+
+def _assert_same_log(got, want):
+    """Every ``LogColumns`` field, dtype and bytes."""
+    for field in dataclasses.fields(LogColumns):
+        name = field.name
+        if name == "events":
+            assert got.events.stop is want.events.stop is None
+            for column in ("src", "dst", "time", "kind", "weight"):
+                a, b = getattr(got.events, column), getattr(want.events, column)
+                assert a.dtype == b.dtype, column
+                assert a.tobytes() == b.tobytes(), f"events.{column}"
+        else:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _append_and_check(store, head, floor, batch):
+    """Append ``batch`` to the store and the oracle head; the store's graph
+    must be the full build of every head record, and its fingerprint the
+    oracle's (``head=None``: no oracle to ask)."""
+    store.append(batch)
+    if head is not None:
+        for activity in batch:
+            head.append(activity)
+    if not len(store._head):  # every record so far dropped: nothing to read
+        return
+    _assert_same_log(store.graph().columns(), log_columns(store._head.records()))
+    if head is not None:
+        oracle = oracle_head_graph(head, floor)
+        assert store.fingerprint() == oracle_fingerprint(oracle)
+
+
+@st.composite
+def tied_appends(draw):
+    """A raw stream in up to eight append batches, ending in a delete and
+    re-add of one edge at one time, with at least one cut between two
+    records of equal time; and after how many batches to compact (0:
+    never)."""
+    _, ops = draw(op_lists(WEIGHTS))
+    log = _raw_log(ops)
+    last = log[-1].time if log else 0
+    log += [
+        add_edge(0, 1, last, 0.5),
+        add_vertex(1, last + 1),
+        del_edge(0, 1, last + 1),
+        add_edge(0, 1, last + 1, 2.0),
+    ]
+    ties = [i for i in range(1, len(log)) if log[i - 1].time == log[i].time]
+    cuts = draw(st.lists(st.integers(1, len(log) - 1), max_size=6))
+    cuts = sorted({draw(st.sampled_from(ties)), *cuts})
+    batches = [log[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(log)])]
+    return batches, draw(st.integers(0, len(batches)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(tied_appends())
+def test_store_graph_extends_like_a_full_build(case):
+    """After every append, before and after ``compact()`` and across a
+    reopen, ``graph()``'s log equals ``log_columns`` of every head record
+    field for field, and the fingerprint equals the oracle's."""
+    batches, split = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s"
+        head = OracleBuilder(strict=False)
+        with StreamingStore(path, fsync="os") as store:
+            for batch in batches[:split]:
+                _append_and_check(store, head, 0, batch)
+            compacted = len(store._head) > 0
+            if compacted:
+                fingerprint = store.fingerprint()
+                store.compact()
+                _assert_same_log(
+                    store.graph().columns(), log_columns(store._head.records())
+                )
+                assert store.fingerprint() == fingerprint
+            for batch in batches[split:]:
+                _append_and_check(store, head, 0, batch)
+            fingerprint = store.fingerprint()
+        with StreamingStore(path, fsync="os") as store:
+            _assert_same_log(
+                store.graph().columns(), log_columns(store._head.records())
+            )
+            assert store.fingerprint() == fingerprint
+            # A base reopens in its own tie order, which the oracle's
+            # replay of the base does not share.
+            tied_base = compacted and _tied(head)
+            reopened, floor = (None, 0) if tied_base else oracle_open(path)
+            shift = store.last_time
+            for batch in batches:
+                later = [
+                    Activity(a.time + shift, a.kind, a.src, a.dst, a.weight)
+                    for a in batch
+                ]
+                _append_and_check(store, reopened, floor, later)
 
 
 # --------------------------------------------------------------------- #

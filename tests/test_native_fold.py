@@ -1,7 +1,9 @@
-"""The native library's build path: lazy, cached, race-safe, typed failures.
+"""The native library's build path: lazy, cached, race-safe, typed failures;
+and its series degree pass against the loop it replaced.
 
-The scatter's walk and the store's section codec share the one library,
-so the first walk here is the first native call of the process.
+The scatter's walk, a series' degree count and the store's section codec
+share the one library, so the first walk here is the first native call of
+the process.
 
 Each subprocess is a fresh interpreter with its own cache root
 (``XDG_CACHE_HOME``), so "first import", "second process" and "two
@@ -21,7 +23,8 @@ import pytest
 
 from repro import native
 from repro.engine import kernels
-from repro.errors import EngineError
+from repro.errors import EngineError, SnapshotError
+from tests.degree_oracle import oracle_out_degrees
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -208,3 +211,69 @@ def test_every_c_source_ships_with_the_package():
     for where, patterns in shipped.items():
         for source in sources:
             assert any(fnmatch.fnmatch(source, p) for p in patterns), (where, source)
+
+
+# --------------------------------------------------------------------- #
+# out_degrees: one pass over a series' edges, against the per-snapshot loop
+# --------------------------------------------------------------------- #
+
+
+def _degree_case(seed, num_vertices, num_edges, S):
+    """Random edges over ``num_vertices`` sources, every bitmap bit random
+    (bits at and past ``S`` included: they must count nowhere)."""
+    rng = np.random.default_rng(seed)
+    src = np.sort(rng.integers(0, num_vertices, num_edges)).astype(np.int64)
+    bitmap = rng.integers(0, 1 << 63, num_edges, dtype=np.uint64)
+    bitmap |= rng.integers(0, 2, num_edges, dtype=np.uint64) << np.uint64(63)
+    return src, bitmap
+
+
+@pytest.mark.parametrize("S", [1, 8, 63, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_out_degrees_equal_the_per_snapshot_loop(S, seed):
+    src, bitmap = _degree_case(seed, 50, 2_000, S)
+    if S == 64:
+        bitmap[0] |= np.uint64(1) << np.uint64(63)  # the top bit counts
+    got = native.out_degrees(bitmap, src, 60, S)  # vertices 50..59: no edges
+    want = oracle_out_degrees(src, bitmap, 60, S)
+    assert got.dtype == want.dtype and got.shape == want.shape == (60, S)
+    assert got.tobytes() == want.tobytes()
+    assert not got[50:].any()
+
+
+@pytest.mark.parametrize("S", [1, 64])
+def test_out_degrees_of_no_edges_are_zero(S):
+    src, bitmap = np.zeros(0, np.int64), np.zeros(0, np.uint64)
+    got = native.out_degrees(bitmap, src, 4, S)
+    assert got.tobytes() == oracle_out_degrees(src, bitmap, 4, S).tobytes()
+
+
+def _no_c_call(name):
+    def tripwire(*args):
+        raise AssertionError(f"{name} ran on input its wrapper must refuse")
+
+    return tripwire
+
+
+@pytest.mark.parametrize(
+    "src, S, message",
+    [
+        ([0, -1], 8, "outside the 4 vertices"),
+        ([0, 4], 8, "outside the 4 vertices"),
+        ([0, 1], 0, "0 snapshots"),
+        ([0, 1], 65, "65 snapshots"),
+    ],
+)
+def test_hostile_out_degree_input_is_refused_before_the_c_runs(
+    monkeypatch, src, S, message
+):
+    monkeypatch.setattr(native, "_function", _no_c_call)
+    bitmap = np.full(2, ~np.uint64(0))
+    with pytest.raises(SnapshotError, match=message):
+        native.out_degrees(bitmap, np.array(src, np.int64), 4, S)
+
+
+def test_mismatched_out_degree_arrays_are_refused(monkeypatch):
+    monkeypatch.setattr(native, "_function", _no_c_call)
+    with pytest.raises(SnapshotError, match="bitmaps and"):
+        native.out_degrees(np.ones(3, np.uint64), np.zeros(2, np.int64), 4, 8)
