@@ -15,14 +15,12 @@ import dataclasses
 import pytest
 
 from repro.bench import report_table
-from repro.bench.harness import make_app, small_series
-from repro.engine import EngineConfig, run
+from repro.bench.harness import SIM, make_app, small_series
+from repro.engine import EngineConfig, Simulation, simulate
 from repro.layout import LayoutKind
 from repro.memsim import CacheConfig, HierarchyConfig
 from repro.parallel import run_multicore
 from repro.partition import hash_partition, partition_series
-
-HC = HierarchyConfig.experiment_scale()
 
 
 def test_ablation_layout_vs_scheduling(benchmark):
@@ -34,14 +32,8 @@ def test_ablation_layout_vs_scheduling(benchmark):
         rows = []
         for layout in (LayoutKind.TIME_LOCALITY, LayoutKind.STRUCTURE_LOCALITY):
             for batch in (1, 16):
-                cfg = EngineConfig(
-                    mode="push",
-                    layout=layout,
-                    batch_size=batch,
-                    trace=True,
-                    hierarchy_config=HC,
-                )
-                res = run(series, prog, cfg)
+                cfg = EngineConfig(mode="push", layout=layout, batch_size=batch)
+                res = simulate(series, prog, cfg, SIM)
                 rows.append(
                     (
                         layout.value,
@@ -80,15 +72,9 @@ def test_ablation_partition_quality(benchmark):
             ("multilevel", partition_series(series, 8)),
             ("hash", hash_partition(series.num_vertices, 8)),
         ):
-            cfg = EngineConfig(
-                mode="push",
-                batch_size=None,
-                trace=True,
-                hierarchy_config=HC,
-                num_cores=8,
-                max_iterations=2,
-            )
-            res = run_multicore(series, prog, cfg, core_of=part)
+            cfg = EngineConfig(mode="push", batch_size=None, max_iterations=2)
+            sim = dataclasses.replace(SIM, num_cores=8, core_of=part)
+            res = run_multicore(series, prog, cfg, sim)
             rows.append(
                 (
                     name,
@@ -135,14 +121,9 @@ def test_ablation_line_size(benchmark):
                     else LayoutKind.TIME_LOCALITY
                 )
                 cfg = EngineConfig(
-                    mode="push",
-                    layout=layout,
-                    batch_size=batch,
-                    trace=True,
-                    hierarchy_config=hc,
-                    max_iterations=1,
+                    mode="push", layout=layout, batch_size=batch, max_iterations=1
                 )
-                res = run(series, prog, cfg)
+                res = simulate(series, prog, cfg, Simulation(hierarchy=hc))
                 misses[batch] = res.memory.l1d_misses
             rows.append(
                 (line, line // 8, misses[1], misses[16],

@@ -15,11 +15,10 @@ time.
 import pytest
 
 from repro.bench import report_table
-from repro.bench.harness import small_graphs
+from repro.bench.harness import SIM, small_graphs
 from repro.algorithms import SingleSourceShortestPath, WeaklyConnectedComponents
 from repro.datasets import symmetrized
 from repro.engine import EngineConfig, incremental_labs
-from repro.memsim import HierarchyConfig
 
 BATCHES = (1, 4, 8, 16, 32)
 
@@ -45,17 +44,13 @@ def measure(app, activation="all"):
         if app == "wcc"
         else SingleSourceShortestPath(0)
     )
-    cfg = EngineConfig(
-        mode="push",
-        trace=True,
-        hierarchy_config=HierarchyConfig.experiment_scale(),
-    )
+    cfg = EngineConfig(mode="push")
     seconds = {}
     for batch in BATCHES:
         res = incremental_labs(
-            series, prog, cfg, batch=batch, activation=activation
+            series, prog, cfg, batch=batch, activation=activation, sim=SIM
         )
-        seconds[batch] = cfg.cost_model.seconds(res.counters.sim_cycles)
+        seconds[batch] = res.sim_seconds
     standard = seconds[1]
     return [
         (batch, round(100.0 * (standard - seconds[batch]) / standard, 1))

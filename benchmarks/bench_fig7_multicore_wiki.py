@@ -12,10 +12,13 @@ Reproduction: simulated multi-core (16 snapshots, batch 16, iteration cap
 6, Metis-style partitions) at 1/4/16 cores.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import report_table
 from repro.bench.harness import (
+    SIM,
     baseline_config,
     chronos_config,
     make_app,
@@ -41,31 +44,27 @@ def panel(graph_name, app, mode, cores=CORES):
     baseline = run_multicore(
         series,
         prog,
-        baseline_config(mode, num_cores=1, max_iterations=cap),
+        baseline_config(mode, max_iterations=cap),
+        SIM,
     )
     base_s = baseline.sim_seconds
 
     parts = {c: partition_series(series, c) for c in cores if c > 1}
     rows = []
     for c in cores:
-        core_of = parts.get(c)
+        sim = replace(SIM, num_cores=c, core_of=parts.get(c))
         chronos = run_multicore(
-            series,
-            prog,
-            chronos_config(mode, num_cores=c, max_iterations=cap),
-            core_of=core_of,
+            series, prog, chronos_config(mode, max_iterations=cap), sim
         )
         sp = run_multicore(
             series,
             prog,
-            chronos_config(mode, num_cores=c, max_iterations=cap),
+            chronos_config(mode, max_iterations=cap),
+            replace(SIM, num_cores=c),
             strategy="snapshot",
         )
         grace = run_multicore(
-            series,
-            prog,
-            baseline_config(mode, num_cores=c, max_iterations=cap),
-            core_of=core_of,
+            series, prog, baseline_config(mode, max_iterations=cap), sim
         )
         rows.append(
             (

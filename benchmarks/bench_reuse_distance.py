@@ -8,11 +8,10 @@ independent of any particular cache geometry.
 
 from repro.algorithms import PageRank
 from repro.bench import report_table
-from repro.bench.harness import small_series
+from repro.bench.harness import SIM, small_series
 from repro.engine import EngineConfig
 from repro.engine.runner import run_group
 from repro.layout.address_space import AddressSpace
-from repro.memsim import HierarchyConfig, MemoryHierarchy
 from repro.memsim.reuse import lru_miss_ratio, record_trace
 
 CACHE_SIZES = (32, 128, 512)
@@ -20,14 +19,9 @@ CACHE_SIZES = (32, 128, 512)
 
 def trace_run(series, batch, layout):
     cfg = EngineConfig(
-        mode="push",
-        batch_size=batch,
-        layout=layout,
-        trace=True,
-        hierarchy_config=HierarchyConfig.experiment_scale(),
-        max_iterations=1,
+        mode="push", batch_size=batch, layout=layout, max_iterations=1
     )
-    hier = MemoryHierarchy(1, cfg.hierarchy_config, cfg.cost_model)
+    hier = SIM.machine()
     recorder = record_trace(hier)
     space = AddressSpace()
     size = cfg.effective_batch_size(series.num_snapshots)
@@ -36,6 +30,7 @@ def trace_run(series, batch, layout):
             group,
             PageRank(iterations=1),
             cfg,
+            sim=SIM,
             hierarchy=hier,
             address_space=space,
         )

@@ -9,10 +9,18 @@ Reproduction: the line-ownership directory's transfer counter over one
 PageRank iteration at 2/4/8 simulated cores.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import report_table
-from repro.bench.harness import baseline_config, chronos_config, make_app, small_series
+from repro.bench.harness import (
+    SIM,
+    baseline_config,
+    chronos_config,
+    make_app,
+    small_series,
+)
 from repro.parallel import run_multicore
 from repro.partition import partition_series
 
@@ -28,18 +36,12 @@ def measure(mode):
     series = small_series("wiki", "pagerank", snapshots=16)
     rows = []
     for c in CORES:
-        part = partition_series(series, c)
+        sim = replace(SIM, num_cores=c, core_of=partition_series(series, c))
         chronos = run_multicore(
-            series,
-            make_app("pagerank"),
-            chronos_config(mode, num_cores=c, max_iterations=1),
-            core_of=part,
+            series, make_app("pagerank"), chronos_config(mode, max_iterations=1), sim
         )
         grace = run_multicore(
-            series,
-            make_app("pagerank"),
-            baseline_config(mode, num_cores=c, max_iterations=1),
-            core_of=part,
+            series, make_app("pagerank"), baseline_config(mode, max_iterations=1), sim
         )
         rows.append(
             (

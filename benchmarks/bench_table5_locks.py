@@ -9,8 +9,16 @@ Reproduction: the lock table's base + contention cycles converted to
 simulated seconds, one PageRank iteration, 2-16 cores.
 """
 
+from dataclasses import replace
+
 from repro.bench import report_table
-from repro.bench.harness import baseline_config, chronos_config, make_app, small_series
+from repro.bench.harness import (
+    SIM,
+    baseline_config,
+    chronos_config,
+    make_app,
+    small_series,
+)
 from repro.parallel import run_multicore
 from repro.partition import partition_series
 
@@ -23,12 +31,12 @@ def measure():
     series = small_series("wiki", "pagerank", snapshots=16)
     rows = []
     for c in CORES:
-        part = partition_series(series, c)
-        cfg_c = chronos_config("push", num_cores=c, max_iterations=1)
-        cfg_g = baseline_config("push", num_cores=c, max_iterations=1)
-        chronos = run_multicore(series, make_app("pagerank"), cfg_c, core_of=part)
-        grace = run_multicore(series, make_app("pagerank"), cfg_g, core_of=part)
-        cm = cfg_c.cost_model
+        sim = replace(SIM, num_cores=c, core_of=partition_series(series, c))
+        cfg_c = chronos_config("push", max_iterations=1)
+        cfg_g = baseline_config("push", max_iterations=1)
+        chronos = run_multicore(series, make_app("pagerank"), cfg_c, sim)
+        grace = run_multicore(series, make_app("pagerank"), cfg_g, sim)
+        cm = sim.cost_model
         rows.append(
             (
                 c,

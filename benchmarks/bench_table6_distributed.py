@@ -56,10 +56,9 @@ def measure(graph_name):
             series,
             prog,
             num_machines=4,
-            config=EngineConfig(
-                mode="push", hierarchy_config=HC, max_iterations=cap
-            ),
+            config=EngineConfig(mode="push", max_iterations=cap),
             machine_of=machine_of,
+            hierarchy=HC,
         )
         baseline = run_distributed(
             series,
@@ -69,10 +68,10 @@ def measure(graph_name):
                 mode="push",
                 batch_size=1,
                 layout=LayoutKind.STRUCTURE_LOCALITY,
-                hierarchy_config=HC,
                 max_iterations=cap,
             ),
             machine_of=machine_of,
+            hierarchy=HC,
         )
         paper_c, paper_b = PAPER[(graph_name, app)]
         rows.append(

@@ -19,7 +19,15 @@ and a speedup on hosts with enough free cores.
 import argparse
 import time
 
-from repro import EngineConfig, HierarchyConfig, PageRank, run, wiki_like
+from repro import (
+    EngineConfig,
+    HierarchyConfig,
+    PageRank,
+    Simulation,
+    run,
+    simulate,
+    wiki_like,
+)
 from repro.layout import LayoutKind
 
 
@@ -84,20 +92,16 @@ def main() -> None:
         )
 
     print("\nSimulated memory system (1 PageRank iteration, traced):")
+    sim = Simulation(hierarchy=HierarchyConfig.experiment_scale())
     print(f"  {'batch':>5} {'L1d miss':>10} {'LLC miss':>10} {'dTLB miss':>10}")
     for batch in (1, 4, 8, 32):
         layout = (
             LayoutKind.STRUCTURE_LOCALITY if batch == 1 else LayoutKind.TIME_LOCALITY
         )
         cfg = EngineConfig(
-            mode="push",
-            batch_size=batch,
-            layout=layout,
-            trace=True,
-            hierarchy_config=HierarchyConfig.experiment_scale(),
-            max_iterations=1,
+            mode="push", batch_size=batch, layout=layout, max_iterations=1
         )
-        res = run(series, PageRank(iterations=1), cfg)
+        res = simulate(series, PageRank(iterations=1), cfg, sim)
         m = res.memory
         print(
             f"  {batch:5d} {m.l1d_misses:10d} {m.llc_misses:10d} "

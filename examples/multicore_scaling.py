@@ -9,7 +9,7 @@ the gap (Tables 4 and 5).
 Run:  python examples/multicore_scaling.py
 """
 
-from repro import EngineConfig, HierarchyConfig, PageRank, wiki_like
+from repro import EngineConfig, HierarchyConfig, PageRank, Simulation, wiki_like
 from repro.layout import LayoutKind
 from repro.parallel import run_multicore
 from repro.partition import partition_series
@@ -17,16 +17,14 @@ from repro.partition import partition_series
 HC = HierarchyConfig.experiment_scale()
 
 
-def config(batch, layout, cores):
+def config(batch, layout):
     return EngineConfig(
-        mode="push",
-        batch_size=batch,
-        layout=layout,
-        trace=True,
-        hierarchy_config=HC,
-        num_cores=cores,
-        max_iterations=3,
+        mode="push", batch_size=batch, layout=layout, max_iterations=3
     )
+
+
+def machine(cores, core_of=None):
+    return Simulation(hierarchy=HC, num_cores=cores, core_of=core_of)
 
 
 def main() -> None:
@@ -40,16 +38,16 @@ def main() -> None:
 
     systems = {
         "Chronos": lambda c: run_multicore(
-            series, prog, config(None, LayoutKind.TIME_LOCALITY, c),
-            core_of=partition_series(series, c),
+            series, prog, config(None, LayoutKind.TIME_LOCALITY),
+            machine(c, partition_series(series, c)),
         ),
         "SP": lambda c: run_multicore(
-            series, prog, config(None, LayoutKind.TIME_LOCALITY, c),
+            series, prog, config(None, LayoutKind.TIME_LOCALITY), machine(c),
             strategy="snapshot",
         ),
         "Grace": lambda c: run_multicore(
-            series, prog, config(1, LayoutKind.STRUCTURE_LOCALITY, c),
-            core_of=partition_series(series, c),
+            series, prog, config(1, LayoutKind.STRUCTURE_LOCALITY),
+            machine(c, partition_series(series, c)),
         ),
     }
 

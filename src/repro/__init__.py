@@ -51,8 +51,10 @@ from repro.engine import (
     EngineConfig,
     Mode,
     RunResult,
+    Simulation,
     incremental_labs,
     run,
+    simulate,
 )
 from repro.errors import ChronosError
 from repro.layout import LayoutKind
@@ -77,6 +79,7 @@ __all__ = [
     "Mode",
     "PageRank",
     "RunResult",
+    "Simulation",
     "SingleSourceShortestPath",
     "Snapshot",
     "SnapshotSeriesView",
@@ -89,6 +92,7 @@ __all__ = [
     "incremental_labs",
     "make_program",
     "run",
+    "simulate",
     "symmetrized",
     "twitter_like",
     "web_like",

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.algorithms import make_program
 from repro.algorithms.program import Semantics
 from repro.datasets import symmetrized, twitter_like, web_like, weibo_like, wiki_like
-from repro.engine import EngineConfig, RunResult, run
+from repro.engine import EngineConfig, RunResult, Simulation, simulate
 from repro.layout import LayoutKind
 from repro.memsim import HierarchyConfig
 from repro.temporal.graph import TemporalGraph
@@ -102,35 +102,28 @@ def make_app(app: str):
     return make_program(app, **kwargs)
 
 
+#: The simulated machine of every traced experiment: one core of the
+#: experiment-scale hierarchy. Multi-core experiments derive theirs with
+#: ``dataclasses.replace(SIM, num_cores=..., core_of=...)``.
+SIM = Simulation(hierarchy=HierarchyConfig.experiment_scale())
+
+
 def chronos_config(
-    mode: str,
-    batch_size: Optional[int] = None,
-    trace: bool = True,
-    **kwargs,
+    mode: str, batch_size: Optional[int] = None, **kwargs
 ) -> EngineConfig:
     """Chronos: time-locality layout + LABS batching."""
     return EngineConfig(
-        mode=mode,
-        layout=LayoutKind.TIME_LOCALITY,
-        batch_size=batch_size,
-        trace=trace,
-        hierarchy_config=HierarchyConfig.experiment_scale() if trace else None,
-        **kwargs,
+        mode=mode, layout=LayoutKind.TIME_LOCALITY, batch_size=batch_size, **kwargs
     )
 
 
-def baseline_config(mode: str, trace: bool = True, **kwargs) -> EngineConfig:
+def baseline_config(mode: str, **kwargs) -> EngineConfig:
     """The paper's baseline: a static engine applied snapshot by snapshot
     (batch size 1, structure-locality layout). With partition-parallelism
     this is the 'Grace' comparator for push/pull and 'X-Stream' for
     stream."""
     return EngineConfig(
-        mode=mode,
-        layout=LayoutKind.STRUCTURE_LOCALITY,
-        batch_size=1,
-        trace=trace,
-        hierarchy_config=HierarchyConfig.experiment_scale() if trace else None,
-        **kwargs,
+        mode=mode, layout=LayoutKind.STRUCTURE_LOCALITY, batch_size=1, **kwargs
     )
 
 
@@ -140,10 +133,11 @@ def traced_run(
     config: EngineConfig,
     max_iterations: Optional[int] = None,
 ) -> RunResult:
+    """``app`` over ``series`` under ``config``, simulated on :data:`SIM`."""
     program = make_app(app)
     if max_iterations is not None:
         config = config.with_(max_iterations=max_iterations)
-    return run(series, program, config)
+    return simulate(series, program, config, SIM)
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,10 @@ config fields that do shape results — a complete key.
   left out of the key.
 - **Config digest** covers only the result-shaping fields: mode,
   layout, ``max_iterations`` (a cap changes both values and counters),
-  ``distributed`` (message counters), and the ``reuse`` policy itself —
-  warm-started REGATHER results are tolerance-equal, not bitwise, so
-  entries written under ``reuse="incremental"`` never serve a
-  ``reuse="cache"`` run.
+  and the ``reuse`` policy itself — warm-started REGATHER results are
+  tolerance-equal, not bitwise, so entries written under
+  ``reuse="incremental"`` never serve a ``reuse="cache"`` run. Nothing
+  of the simulated machine enters: a simulated run cannot reuse.
 - Executor and workers are deliberately *excluded*: they are proven
   result-neutral (the executor parity suites), so a serial run can
   serve a thread-pool run and vice versa.
@@ -42,8 +42,9 @@ if TYPE_CHECKING:
 
 __all__ = ["CACHE_FORMAT", "cache_key", "config_digest", "program_identity"]
 
-#: Version of the key scheme and on-disk entry layout.
-CACHE_FORMAT = 2
+#: Version of the key scheme and on-disk entry layout (3: the config
+#: digest no longer hashes the simulator's ``distributed`` flag).
+CACHE_FORMAT = 3
 
 _PRIMITIVES = (bool, int, float, str, type(None))
 
@@ -89,7 +90,6 @@ def config_digest(config: "EngineConfig") -> str:
         ("mode", config.mode.value),
         ("layout", config.layout.value),
         ("max_iterations", config.max_iterations),
-        ("distributed", config.distributed),
         ("reuse", config.reuse),
     )
     return digest_bytes(repr(fields).encode("utf-8"))

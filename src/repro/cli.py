@@ -5,7 +5,7 @@ Examples::
     python -m repro.cli stats
     python -m repro.cli run --graph wiki --app pagerank --mode push \\
         --snapshots 16 --batch 8
-    python -m repro.cli run --graph weibo --app sssp --trace
+    python -m repro.cli run --graph weibo --app sssp --simulate
     python -m repro.cli run --trace trace.json --metrics metrics.json
     python -m repro.cli trace --app wcc --out trace.json
 
@@ -33,7 +33,7 @@ from repro.datasets import (
     weibo_like,
     wiki_like,
 )
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, Simulation, run, simulate
 from repro.layout import LayoutKind
 from repro.memsim import HierarchyConfig
 
@@ -180,15 +180,20 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
     runp.add_argument(
         "--layout", choices=["time", "structure"], default="time"
     )
+    # A simulated run charges every group, so it cannot reuse results.
+    charged = runp.add_mutually_exclusive_group()
+    charged.add_argument(
+        "--simulate",
+        action="store_true",
+        help="charge the run to the simulated memory hierarchy and report "
+        "its miss counts and simulated time",
+    )
     runp.add_argument(
         "--trace",
-        nargs="?",
-        const=True,
         default=None,
         metavar="CHROME_JSON",
-        help="bare: simulate the memory hierarchy and report miss "
-        "counts; with a path: write the run's observability trace "
-        "there as Chrome trace-event JSON (Perfetto-loadable)",
+        help="write the run's observability trace here as Chrome "
+        "trace-event JSON (Perfetto-loadable)",
     )
     runp.add_argument(
         "--trace-jsonl",
@@ -209,7 +214,7 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         default="serial",
         help="run in the calling thread, or (process: a thread pool) walk "
         "each group's destination-vertex ranges on --workers threads "
-        "(wall-clock parallelism; incompatible with --trace)",
+        "(wall-clock parallelism)",
     )
     runp.add_argument(
         "--workers",
@@ -224,7 +229,7 @@ def _add_run_args(runp: argparse.ArgumentParser) -> None:
         "snapshot-group store in a temporary directory and open it "
         "memory-mapped (StoreConfig(mmap=True))",
     )
-    runp.add_argument(
+    charged.add_argument(
         "--reuse",
         choices=["cache", "incremental"],
         default=None,
@@ -259,17 +264,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Memory-hierarchy simulation (`--trace` bare) and observability
-    # tracing (`--trace PATH` / the `trace` subcommand) are distinct:
-    # the former changes what the engine computes (simulated misses),
-    # the latter only records spans and metrics around it.
-    memsim = args.trace is True
-    chrome_out = args.trace if isinstance(args.trace, str) else None
+    chrome_out = args.trace
     if args.command == "trace":
         chrome_out = chrome_out or args.out
     observation = obs.observe()
     try:
-        return _run_and_report(args, observation, memsim, chrome_out)
+        return _run_and_report(args, observation, chrome_out)
     finally:
         obs.disable()
 
@@ -277,7 +277,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_and_report(
     args: argparse.Namespace,
     observation: "obs.Observation",
-    memsim: bool,
     chrome_out: Optional[str],
 ) -> int:
     # Built first so a rejected combination fails before any graph work.
@@ -288,10 +287,6 @@ def _run_and_report(
             LayoutKind.TIME_LOCALITY
             if args.layout == "time"
             else LayoutKind.STRUCTURE_LOCALITY
-        ),
-        trace=memsim,
-        hierarchy_config=(
-            HierarchyConfig.experiment_scale() if memsim else None
         ),
         executor=args.executor,
         workers=args.workers,
@@ -332,7 +327,11 @@ def _run_and_report(
             f"{config.effective_batch_size(series.num_snapshots)}"
             f"{executor_note}"
         )
-        result = run(series, program, config)
+        if args.simulate:
+            sim = Simulation(hierarchy=HierarchyConfig.experiment_scale())
+            result = simulate(series, program, config, sim)
+        else:
+            result = run(series, program, config)
     wall = observation.tracer.duration("run") if observation.tracer else None
     c = result.counters
     reuse_note = ""
@@ -347,7 +346,7 @@ def _run_and_report(
         f"{c.edge_array_accesses} edge-array accesses"
         f"{reuse_note}"
     )
-    if memsim:
+    if args.simulate:
         m = result.memory
         print(
             f"simulated: {result.sim_seconds:.5f}s, L1d misses {m.l1d_misses}, "

@@ -8,10 +8,11 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.program import VertexProgram
-from repro.engine.config import EngineConfig, Mode
+from repro.engine.config import EngineConfig, Mode, Simulation
 from repro.engine.counters import EngineCounters
-from repro.engine.runner import run
+from repro.engine.runner import simulate
 from repro.errors import EngineError
+from repro.memsim.costmodel import CostModel
 from repro.memsim.counters import MemoryCounters
 from repro.memsim.hierarchy import HierarchyConfig
 from repro.obs import runtime as obs
@@ -47,13 +48,17 @@ def run_distributed(
     num_machines: int = 4,
     config: Optional[EngineConfig] = None,
     machine_of: Optional[np.ndarray] = None,
+    hierarchy: Optional[HierarchyConfig] = None,
+    cost_model: Optional[CostModel] = None,
 ) -> DistributedResult:
     """Run ``program`` over ``series`` on a simulated cluster.
 
     The default configuration matches the paper's distributed experiments:
     push mode, one thread per machine, Metis-style partitioning, LABS
     batching over all loaded snapshots (set ``config.batch_size=1`` for the
-    snapshot-by-snapshot baseline of Table 6).
+    snapshot-by-snapshot baseline of Table 6). Each machine is one core
+    of ``hierarchy`` with an LLC of its own; ``cost_model`` prices its
+    cycles and the network.
     """
     if num_machines <= 0:
         raise EngineError(f"need at least one machine, got {num_machines}")
@@ -63,19 +68,16 @@ def run_distributed(
             "the distributed engine propagates by message passing and "
             "supports push mode only (as in the paper's Section 6.3)"
         )
-    hconf = base.hierarchy_config or HierarchyConfig()
-    hconf = replace(hconf, private_llc=True)
     if machine_of is None:
         machine_of = partition_series(series, num_machines)
-    cfg = base.with_(
-        trace=True,
+    sim = Simulation(
+        hierarchy=replace(hierarchy or HierarchyConfig(), private_llc=True),
+        cost_model=cost_model or CostModel(),
         num_cores=num_machines,
-        distributed=True,
         core_of=np.asarray(machine_of, dtype=np.int64),
-        hierarchy_config=hconf,
     )
-    res = run(series, program, cfg)
-    cost = cfg.cost_model
+    res = simulate(series, program, base, sim)
+    cost = sim.cost_model
     obs.add("distributed.messages", int(res.counters.messages))
     obs.add("distributed.message_bytes", int(res.counters.message_bytes))
     return DistributedResult(

@@ -11,10 +11,11 @@ selects:
   (the baseline / Grace-style layout) (Section 3.2);
 - the **batch size** — how many snapshots LABS processes per edge-array
   enumeration; batch size 1 is the paper's snapshot-by-snapshot baseline
-  (Section 3.3);
-- optional **tracing** through the simulated memory hierarchy, which
-  produces the cache/TLB miss counts and simulated cycles that the
-  evaluation figures report.
+  (Section 3.3).
+
+:func:`~repro.engine.runner.simulate` is :func:`run` charged to a
+simulated machine (:class:`~repro.engine.config.Simulation`): the cache/TLB
+miss counts and simulated cycles that the evaluation figures report.
 
 Incremental execution (Section 3.5) is one seeder in
 :mod:`repro.engine.incremental` on :func:`run`'s group loop — under
@@ -24,23 +25,25 @@ distributed runners build on these engines from :mod:`repro.parallel`
 and :mod:`repro.distributed`.
 """
 
-from repro.engine.config import EngineConfig, Mode
+from repro.engine.config import EngineConfig, Mode, Simulation
 from repro.engine.counters import EngineCounters
 from repro.engine.incremental import (
     incremental_labs,
     intersection_base_values,
     is_insert_only,
 )
-from repro.engine.runner import RunResult, run, run_group
+from repro.engine.runner import RunResult, run, run_group, simulate
 
 __all__ = [
     "EngineConfig",
     "EngineCounters",
     "Mode",
     "RunResult",
+    "Simulation",
     "incremental_labs",
     "intersection_base_values",
     "is_insert_only",
     "run",
     "run_group",
+    "simulate",
 ]

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.algorithms.program import Semantics, VertexProgram
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, Simulation
 from repro.engine.counters import EngineCounters
 from repro.engine.state import GroupState
 from repro.memsim.hierarchy import MemoryHierarchy
@@ -32,13 +32,11 @@ class ExecContext:
     #: per pool thread under ``executor="process"``
     #: (:func:`repro.parallel.shm.cut_ranges`).
     bounds: Tuple[np.ndarray, np.ndarray]
+    #: Present exactly when the run is simulated (with ``hierarchy``).
+    sim: Optional[Simulation] = None
     hierarchy: Optional[MemoryHierarchy] = None
     core_of: Optional[np.ndarray] = None
     locks: Optional[LockTable] = None
-
-    @property
-    def traced(self) -> bool:
-        return self.hierarchy is not None
 
     @property
     def monotone(self) -> bool:

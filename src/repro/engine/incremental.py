@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.program import Semantics, VertexProgram
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, Simulation
 from repro.engine.counters import EngineCounters
 from repro.engine.runner import RunResult, _run_series, run_group
 from repro.errors import EngineError
@@ -85,6 +85,7 @@ def intersection_base_values(
     snapshots: List[int],
     program: VertexProgram,
     config: EngineConfig,
+    sim: Optional[Simulation] = None,
     hierarchy: Optional[MemoryHierarchy] = None,
     address_space: Optional[AddressSpace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, EngineCounters]:
@@ -118,6 +119,7 @@ def intersection_base_values(
         base_series.group(0, 1),
         program,
         config,
+        sim=sim,
         hierarchy=hierarchy,
         address_space=address_space,
     )
@@ -197,12 +199,13 @@ class Seeder:
     def seed(
         self,
         group: GroupView,
+        sim: Optional[Simulation] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
         address_space: Optional[AddressSpace] = None,
     ) -> Tuple[Dict[str, Any], Optional[EngineCounters]]:
         """``run_group`` overrides for ``group`` and any base's counters.
 
-        Returns ``({}, None)`` when the group is not seeded. A traced
+        Returns ``({}, None)`` when the group is not seeded. A simulated
         run's hierarchy and address space carry the intersection base's
         simulated cost into the run's own.
         """
@@ -228,6 +231,7 @@ class Seeder:
                         list(range(group.start, group.stop)),
                         self.program,
                         self.config,
+                        sim=sim,
                         hierarchy=hierarchy,
                         address_space=address_space,
                     )
@@ -273,6 +277,7 @@ def incremental_labs(
     config: Optional[EngineConfig] = None,
     batch: int = 8,
     activation: str = "all",
+    sim: Optional[Simulation] = None,
 ) -> RunResult:
     """LABS-enhanced incremental computation (paper Section 3.5, Figure 6).
 
@@ -297,7 +302,8 @@ def incremental_labs(
       to amortise.
 
     ``config.reuse`` must be None: the seeding here is the whole point,
-    and a result cache would mix its own seeds into the protocol.
+    and a result cache would mix its own seeds into the protocol. ``sim``
+    simulates the run, bases included, as ``simulate`` does.
     """
     if program.semantics is not Semantics.MONOTONE:
         raise EngineError(
@@ -319,4 +325,4 @@ def incremental_labs(
         series.group(pos, min(pos + batch, S)) for pos in range(1, S, batch)
     ]
     seeder = Seeder(series, program, config, activation)
-    return _run_series(series, program, config, groups, seeder)
+    return _run_series(series, program, config, groups, seeder, sim)

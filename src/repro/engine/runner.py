@@ -18,11 +18,12 @@ import numpy as np
 from repro import native
 from repro.algorithms.program import Semantics, VertexProgram
 from repro.engine.common import ExecContext
-from repro.engine.config import EngineConfig, Mode
+from repro.engine.config import EngineConfig, Mode, Simulation
 from repro.engine.counters import EngineCounters
 from repro.engine.kernels import vectorized_scatter
 from repro.engine.state import GroupState
 from repro.engine.traced import trace_apply, traced_scatter
+from repro.errors import EngineError
 from repro.layout.address_space import AddressSpace
 from repro.memsim.counters import MemoryCounters
 from repro.memsim.hierarchy import MemoryHierarchy
@@ -38,14 +39,6 @@ if TYPE_CHECKING:
 MAX_SAFE_ITERATIONS = 100_000
 
 
-def _wants_locks(config: EngineConfig) -> bool:
-    return (
-        config.mode is Mode.PUSH
-        and config.num_cores > 1
-        and not config.distributed
-    )
-
-
 def _apply_phase(ctx: ExecContext) -> None:
     """Mode-independent apply: the program's ``apply`` in NumPy, then one
     :func:`repro.native.settle` pass (values, next frontier and running word)."""
@@ -56,7 +49,7 @@ def _apply_phase(ctx: ExecContext) -> None:
         state.values, cand, state.operands.exists, running, state.front,
         program.tol, program.name,
     )
-    if ctx.traced:
+    if ctx.sim is not None:
         trace_apply(ctx, running)
 
 
@@ -64,6 +57,7 @@ def run_group(
     group: GroupView,
     program: VertexProgram,
     config: EngineConfig,
+    sim: Optional[Simulation] = None,
     hierarchy: Optional[MemoryHierarchy] = None,
     lock_free: bool = False,
     core_of: Optional[np.ndarray] = None,
@@ -77,21 +71,24 @@ def run_group(
 
     ``initial_values``/``initial_active`` override the program's own
     initialisation — this is how incremental computation seeds a group from
-    a previously computed snapshot (Section 3.5). Passing ``state`` reuses
-    an existing :class:`GroupState` (same arrays and simulated addresses);
+    a previously computed snapshot (Section 3.5). ``sim`` simulates the
+    run on ``hierarchy`` (default ``sim.machine()``) with the vertex ->
+    core map ``core_of`` (default ``sim.resolve_core_of``). Passing
+    ``state`` reuses an existing :class:`GroupState` (same arrays and
+    simulated addresses);
     snapshot-parallelism uses this so every per-snapshot run shares the one
     edge array and vertex data array, as the paper describes (Section 6.2),
     and passes ``lock_free`` because its single-core runs take no locks.
-    Simulated partition-parallel push runs (``num_cores > 1``) lock every
-    propagation write.
+    Simulated partition-parallel push runs (``sim.num_cores > 1``) lock
+    every propagation write, unless the cores are distributed machines.
 
-    Every run, traced or not, cuts the group's destination vertices into
+    Every run, simulated or not, cuts the group's destination vertices into
     ranges here, once, and proves them (:func:`repro.parallel.shm.cut_ranges`):
     all of them serially, one range per worker thread under
     ``executor="process"``, whose pool walks the ranges each iteration
     while apply and convergence run in this thread. The walk
     (:func:`repro.engine.kernels.vectorized_scatter`) computes every
-    value and logical counter; a traced run then charges the mode's
+    value and logical counter; a simulated run then charges the mode's
     accesses to ``hierarchy`` (:func:`repro.engine.traced.traced_scatter`).
     """
     with obs.span(
@@ -101,17 +98,14 @@ def run_group(
     ):
         program.validate()
         counters = EngineCounters()
-        traced = config.trace
-        if traced and hierarchy is None:
-            hierarchy = MemoryHierarchy(
-                config.num_cores, config.hierarchy_config, config.cost_model
-            )
+        if sim is not None and hierarchy is None:
+            hierarchy = sim.machine()
         if state is None:
             state = GroupState(
                 group,
                 config.layout,
                 program,
-                trace=traced,
+                trace=sim is not None,
                 address_space=address_space,
             )
         if initial_values is not None:
@@ -127,14 +121,13 @@ def run_group(
             workers = config.workers if config.executor == "process" else 1
             bounds = cut_ranges(group, workers, gstart)
 
-        resolved = core_of if core_of is not None else config.resolve_core_of(
-            group.num_vertices
-        )
-        locks = (
-            LockTable(config.cost_model)
-            if _wants_locks(config) and not lock_free
-            else None
-        )
+        locks = None
+        if sim is not None:
+            if core_of is None:
+                core_of = sim.resolve_core_of(group.num_vertices)
+            shared = not (sim.hierarchy.private_llc or lock_free)
+            if config.mode is Mode.PUSH and sim.num_cores > 1 and shared:
+                locks = LockTable(sim.cost_model)
         ctx = ExecContext(
             group=group,
             state=state,
@@ -142,8 +135,9 @@ def run_group(
             config=config,
             counters=counters,
             bounds=bounds,
-            hierarchy=hierarchy if traced else None,
-            core_of=resolved,
+            sim=sim,
+            hierarchy=hierarchy,
+            core_of=core_of,
             locks=locks,
         )
         max_iter = (
@@ -152,7 +146,6 @@ def run_group(
             else (program.max_iterations or MAX_SAFE_ITERATIONS)
         )
         regather = program.semantics is Semantics.REGATHER
-        cost = config.cost_model
         # Observability, hoisted out of the loop: when disabled (the common
         # case) each iteration costs one None check and a shared no-op
         # context manager — no span object or args dict is ever allocated.
@@ -169,17 +162,17 @@ def run_group(
                 else obs.NOOP
             )
             with ispan:
-                if traced:
+                if sim is not None:
                     before = [c.cycles for c in hierarchy.counters.per_core]
                     msgs_before = counters.messages
                     bytes_before = counters.message_bytes
                 if regather:
                     state.reset_acc()
                 # The walk computes (one range inline, more on the pool);
-                # a traced run then charges its accesses to the simulator.
+                # a simulated run then charges its accesses to the machine.
                 with obs.span("phase", "scatter"):
                     vectorized_scatter(ctx)
-                    if traced:
+                    if sim is not None:
                         traced_scatter(ctx)
                 if locks is not None:
                     extra, total = locks.finish_iteration()
@@ -189,25 +182,22 @@ def run_group(
                 with obs.span("phase", "apply"):
                     _apply_phase(ctx)
                 counters.iterations += 1
-                if traced:
+                if sim is not None:
                     deltas = [
                         c.cycles - b
                         for c, b in zip(hierarchy.counters.per_core, before)
                     ]
                     counters.sim_cycles += max(deltas)
-                    if config.distributed:
+                    if sim.hierarchy.private_llc:
                         dm = counters.messages - msgs_before
                         db = counters.message_bytes - bytes_before
                         if dm:
                             # Machines flush their per-destination buffers
                             # concurrently each superstep.
-                            net_s = (
-                                cost.message_seconds(dm, db) / config.num_cores
-                            )
+                            cost = sim.cost_model
+                            net_s = cost.message_seconds(dm, db) / sim.num_cores
                             counters.extra_seconds += net_s
-                            counters.sim_cycles += int(
-                                net_s * cost.frequency_hz
-                            )
+                            counters.sim_cycles += int(net_s * cost.frequency_hz)
         with obs.span("phase", "gather"):
             result = state.values.copy()
         return result, counters
@@ -232,11 +222,11 @@ class RunResult:
 
     @property
     def sim_seconds(self) -> Optional[float]:
-        """Simulated end-to-end time (traced runs only)."""
-        if not self.config.trace:
+        """Simulated end-to-end time (simulated runs only)."""
+        if self.hierarchy is None:
             return None
         # extra_seconds is already folded into sim_cycles
-        return self.config.cost_model.seconds(self.counters.sim_cycles)
+        return self.hierarchy.cost.seconds(self.counters.sim_cycles)
 
     def decoded(self) -> np.ndarray:
         """User-facing values (e.g. MIS membership instead of encoding)."""
@@ -278,18 +268,41 @@ def run(
     return _run_series(series, program, config, series.groups(batch), seeder)
 
 
+def simulate(
+    series: SnapshotSeriesView,
+    program: VertexProgram,
+    config: Optional[EngineConfig] = None,
+    sim: Optional[Simulation] = None,
+) -> RunResult:
+    """:func:`run` with every group's accesses charged to the simulated
+    machine ``sim``: same values and logical counters, plus ``memory``,
+    ``sim_seconds`` and the simulation-only counters. ``config.reuse`` is
+    an error: a group served from the cache would skip its charges."""
+    config = config or EngineConfig()
+    if config.reuse is not None:
+        raise EngineError(
+            "simulated runs cannot reuse results: a cached group skips its charges"
+        )
+    batch = config.effective_batch_size(series.num_snapshots)
+    return _run_series(
+        series, program, config, series.groups(batch), sim=sim or Simulation()
+    )
+
+
 def _run_series(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: EngineConfig,
     groups: Sequence[GroupView],
     seeder: Optional["Seeder"] = None,
+    sim: Optional[Simulation] = None,
 ) -> RunResult:
     """The one LABS group loop: run ``groups`` in order into one result.
 
     Under ``config.reuse`` each group is first looked up in the result
     cache, and each computed group is stored. ``seeder`` supplies a
-    computed group's initial state from its predecessor's result.
+    computed group's initial state from its predecessor's result. ``sim``
+    charges every group to one hierarchy and address space.
     """
     with obs.span(
         "run",
@@ -306,14 +319,8 @@ def _run_series(
             from repro.engine.reuse import ReusePlanner
 
             planner = ReusePlanner(program, config)
-        traced = config.trace
-        hierarchy = (
-            MemoryHierarchy(config.num_cores, config.hierarchy_config, config.cost_model)
-            if traced
-            else None
-        )
-        space = AddressSpace() if traced else None
-        core_of = config.resolve_core_of(series.num_vertices)
+        hierarchy = sim.machine() if sim is not None else None
+        space = AddressSpace() if sim is not None else None
 
         from repro.resilience import faults as _faults
 
@@ -352,7 +359,7 @@ def _run_series(
                     continue
             extra: Dict[str, Any] = {}
             if seeder is not None:
-                extra, base_counters = seeder.seed(group, hierarchy, space)
+                extra, base_counters = seeder.seed(group, sim, hierarchy, space)
                 if extra:
                     seeded += 1
                 if base_counters is not None:
@@ -361,13 +368,13 @@ def _run_series(
                 group,
                 program,
                 config,
+                sim=sim,
                 hierarchy=hierarchy,
-                core_of=core_of,
                 address_space=space,
                 **extra,
             )
             complete(group, vals, counters, True)
-    if traced:
+    if hierarchy is not None:
         total.per_core_cycles = [c.cycles for c in hierarchy.counters.per_core]
     obs.absorb_counters(total)
     return RunResult(
@@ -375,7 +382,7 @@ def _run_series(
         program=program,
         config=config,
         counters=total,
-        memory=hierarchy.counters if traced else None,
+        memory=hierarchy.counters if hierarchy is not None else None,
         hierarchy=hierarchy,
         cached_groups=cached,
         seeded_groups=seeded,

@@ -1,7 +1,7 @@
 """The simulated engine: per-edge push / pull / stream charges (paper Section 5).
 
-A ``trace=True`` run scatters with the native walk like every other run
-(:func:`repro.engine.kernels.vectorized_scatter`, which computes the
+A simulated run (:func:`repro.engine.runner.simulate`) scatters with the
+native walk like every other run (:mod:`repro.engine.kernels` computes the
 values and the six logical counters); these loops then visit one edge at
 a time and charge every edge-array, vertex-value, dirty-bit, accumulator,
 lock, message and update-buffer access that the mode's scatter makes to
@@ -88,7 +88,7 @@ def _push_scatter(ctx: ExecContext) -> None:
     hier = ctx.hierarchy
     core_of = ctx.core_of
     locks = ctx.locks
-    distributed = ctx.config.distributed
+    distributed = ctx.sim.hierarchy.private_llc
 
     V = group.num_vertices
     Sg = group.num_snapshots
@@ -228,7 +228,7 @@ def _stream_scatter(ctx: ExecContext) -> None:
     snap_mask = state.running
 
     # Shuffle buckets: X-Stream's streaming partitions.
-    num_buckets = max(ctx.config.num_cores, 4)
+    num_buckets = max(ctx.sim.num_cores, 4)
     V = max(group.num_vertices, 1)
     if state.update_buffer_base < 0 and state.space is not None:
         state.alloc_stream_buffers(num_buckets)

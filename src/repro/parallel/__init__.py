@@ -17,7 +17,8 @@ exactly:
 Per-iteration simulated time is the slowest core's cycles in that iteration
 (BSP barrier), summed over iterations.
 
-The strategy is :func:`run_multicore`'s ``strategy`` argument.
+The strategy is :func:`run_multicore`'s ``strategy`` argument; the cores
+and the vertex -> core map are its ``Simulation``'s.
 
 *Real* (wall-clock) partition-parallelism lives next door:
 :mod:`repro.parallel.shm` cuts each group's destination vertices into

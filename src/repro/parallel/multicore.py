@@ -3,9 +3,10 @@
 Section 3.4 of the paper. Both strategies are executed on the simulated
 memory hierarchy:
 
-- **partition-parallelism** is the regular engine with ``num_cores > 1``
-  and a vertex -> core map: LABS batching applies, per-iteration time is
-  the slowest core's cycles (BSP barrier), push mode takes locks;
+- **partition-parallelism** is the regular simulated engine with
+  ``Simulation(num_cores > 1)`` and a vertex -> core map: LABS batching
+  applies, per-iteration time is the slowest core's cycles (BSP
+  barrier), push mode takes locks;
 - **snapshot-parallelism** runs each snapshot as an independent restricted
   computation pinned to one core, all sharing a single
   :class:`~repro.engine.state.GroupState` — one read-only edge array and
@@ -21,14 +22,13 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms.program import VertexProgram
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, Simulation
 from repro.engine.counters import EngineCounters
-from repro.engine.runner import RunResult, run, run_group
+from repro.engine.runner import run_group, simulate
 from repro.engine.state import GroupState
 from repro.errors import EngineError
 from repro.layout.address_space import AddressSpace
 from repro.memsim.counters import MemoryCounters
-from repro.memsim.hierarchy import MemoryHierarchy
 from repro.temporal.series import SnapshotSeriesView
 
 
@@ -49,47 +49,41 @@ def run_multicore(
     series: SnapshotSeriesView,
     program: VertexProgram,
     config: EngineConfig,
-    core_of: Optional[np.ndarray] = None,
+    sim: Simulation,
     strategy: str = "partition",
 ) -> MulticoreResult:
-    """Run ``program`` on ``config.num_cores`` simulated cores.
+    """Run ``program`` on ``sim.num_cores`` simulated cores.
 
-    ``strategy="partition"`` assigns vertex partitions to cores (``core_of``,
-    contiguous ranges by default); ``"snapshot"`` assigns whole snapshots
-    to cores (Section 3.4).
+    ``strategy="partition"`` assigns vertex partitions to cores
+    (``sim.core_of``, contiguous ranges by default); ``"snapshot"``
+    assigns whole snapshots to cores round-robin (Section 3.4), so a
+    vertex -> core map is an error there.
     """
-    if strategy not in ("partition", "snapshot"):
-        raise EngineError(f"unknown parallel strategy {strategy!r}")
-    if not config.trace:
-        raise EngineError("multi-core runs are simulated; set trace=True")
+    cost = sim.cost_model
     if strategy == "partition":
-        cfg = config if core_of is None else config.with_(core_of=core_of)
-        res: RunResult = run(series, program, cfg)
-        cost = config.cost_model
-        per_core = [cost.seconds(c) for c in res.counters.per_core_cycles]
+        res = simulate(series, program, config, sim)
         return MulticoreResult(
             values=res.values,
             counters=res.counters,
             memory=res.memory,
             strategy="partition",
-            num_cores=config.num_cores,
+            num_cores=sim.num_cores,
             sim_seconds=cost.seconds(res.counters.sim_cycles),
-            per_core_seconds=per_core,
+            per_core_seconds=[cost.seconds(c) for c in res.counters.per_core_cycles],
         )
-    return _simulate_snapshot_parallel(series, program, config)
-
-
-def _simulate_snapshot_parallel(
-    series: SnapshotSeriesView,
-    program: VertexProgram,
-    config: EngineConfig,
-) -> MulticoreResult:
-    """Snapshot-parallelism: one snapshot per core, round-robin."""
+    if strategy != "snapshot":
+        raise EngineError(f"unknown parallel strategy {strategy!r}")
+    if sim.core_of is not None:
+        raise EngineError(
+            "snapshot-parallelism pins each snapshot to one core; "
+            "it takes no vertex -> core map (Simulation.core_of)"
+        )
+    if config.reuse is not None:
+        raise EngineError("simulated runs cannot reuse results")
     S = series.num_snapshots
     V = series.num_vertices
-    cores = config.num_cores
-    cost = config.cost_model
-    hierarchy = MemoryHierarchy(cores, config.hierarchy_config, cost)
+    cores = sim.num_cores
+    hierarchy = sim.machine()
     space = AddressSpace()
     group = series.group(0, S)
     # One shared state: a single edge array and a single time-locality
@@ -106,6 +100,7 @@ def _simulate_snapshot_parallel(
             group,
             program,
             config,
+            sim=sim,
             hierarchy=hierarchy,
             core_of=uniform,
             only_snapshots=[s],

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms.program import VertexProgram
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, Simulation
 from repro.engine.counters import EngineCounters
 from repro.engine.incremental import (
     _tense_sources,
@@ -24,7 +24,6 @@ from repro.engine.incremental import (
 )
 from repro.engine.runner import run_group
 from repro.layout.address_space import AddressSpace
-from repro.memsim.hierarchy import MemoryHierarchy
 from repro.temporal.series import SnapshotSeriesView
 
 
@@ -44,10 +43,12 @@ def oracle_incremental_labs(
     config: Optional[EngineConfig] = None,
     batch: int = 8,
     activation: str = "all",
+    sim: Optional[Simulation] = None,
 ) -> IncrementalResult:
-    """The old ``incremental_labs`` minus its argument checks and span."""
+    """The old ``incremental_labs`` minus its argument checks and span
+    (the simulated machine, once read from the config, is ``sim``)."""
     return _incremental_labs_body(
-        series, program, config or EngineConfig(), batch, activation
+        series, program, config or EngineConfig(), batch, activation, sim
     )
 
 
@@ -57,13 +58,10 @@ def _incremental_labs_body(
     config: EngineConfig,
     batch: int,
     activation: str,
+    sim: Optional[Simulation],
 ) -> IncrementalResult:
-    traced = config.trace
-    hierarchy = (
-        MemoryHierarchy(config.num_cores, config.hierarchy_config, config.cost_model)
-        if traced
-        else None
-    )
+    traced = sim is not None
+    hierarchy = sim.machine() if traced else None
     space = AddressSpace() if traced else None
 
     V, S = series.num_vertices, series.num_snapshots
@@ -72,7 +70,12 @@ def _incremental_labs_body(
     result = IncrementalResult(values=out, counters=total)
 
     first_vals, counters = run_group(
-        series.group(0, 1), program, config, hierarchy=hierarchy, address_space=space
+        series.group(0, 1),
+        program,
+        config,
+        sim=sim,
+        hierarchy=hierarchy,
+        address_space=space,
     )
     out[:, 0] = first_vals[:, 0]
     total.merge(counters)
@@ -102,6 +105,7 @@ def _incremental_labs_body(
                 list(range(pos, stop)),
                 program,
                 config,
+                sim=sim,
                 hierarchy=hierarchy,
                 address_space=space,
             )
@@ -123,6 +127,7 @@ def _incremental_labs_body(
             group,
             program,
             config,
+            sim=sim,
             hierarchy=hierarchy,
             address_space=space,
             initial_values=seeded,

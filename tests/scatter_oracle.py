@@ -1,7 +1,7 @@
 """Per-edge push / pull / stream arithmetic, kept as the walk's oracle.
 
 Until the simulated engine (:mod:`repro.engine.traced`) became charge-only,
-every ``trace=True`` run computed its values and the six logical counters
+every simulated run computed its values and the six logical counters
 a second time in per-edge push / pull / stream loops, beside the native
 walk. :func:`oracle_scatter` is that arithmetic with the memory hierarchy,
 locks and messages taken out: one Python loop per mode that visits one
@@ -219,7 +219,7 @@ def _stream_scatter(ctx: ExecContext) -> None:
     cached_messages = _source_messages(ctx, degs) if weights is None else None
 
     # Shuffle buckets: X-Stream's streaming partitions.
-    num_buckets = max(ctx.config.num_cores, 4)
+    num_buckets = max(ctx.sim.num_cores if ctx.sim else 1, 4)
     V = max(group.num_vertices, 1)
 
     # Phase 1: scatter — stream the edge array, emit update entries.

@@ -3,8 +3,10 @@
 import numpy as np
 
 from repro.bench import baseline_config, chronos_config, report_table
+from repro.bench.harness import SIM
 from repro.bench.reporting import Table, all_tables, clear_tables
 from repro.layout import LayoutKind
+from repro.memsim import HierarchyConfig
 
 
 class TestReporting:
@@ -34,17 +36,16 @@ class TestReporting:
 
 class TestConfigFactories:
     def test_chronos_config(self):
-        cfg = chronos_config("push", batch_size=16, trace=False)
+        cfg = chronos_config("push", batch_size=16)
         assert cfg.layout is LayoutKind.TIME_LOCALITY
         assert cfg.batch_size == 16
-        assert not cfg.trace
 
     def test_baseline_config(self):
-        cfg = baseline_config("pull", trace=True)
+        cfg = baseline_config("pull")
         assert cfg.layout is LayoutKind.STRUCTURE_LOCALITY
         assert cfg.batch_size == 1
-        assert cfg.trace
-        assert cfg.hierarchy_config is not None
+        # Traced experiments run on the one experiment-scale machine.
+        assert SIM.hierarchy == HierarchyConfig.experiment_scale()
 
 
 class TestHarnessSeries:

@@ -25,7 +25,7 @@ class TestRunCommand:
         rc = main(
             [
                 "run", "--graph", "twitter", "--app", "sssp",
-                "--snapshots", "4", "--trace",
+                "--snapshots", "4", "--simulate",
             ]
         )
         out = capsys.readouterr().out

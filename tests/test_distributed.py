@@ -34,7 +34,8 @@ class TestCorrectness:
         single = run(series, prog, EngineConfig())
         dist = run_distributed(
             series, prog, num_machines=3,
-            config=EngineConfig(mode=Mode.PUSH, hierarchy_config=HC),
+            config=EngineConfig(mode=Mode.PUSH),
+            hierarchy=HC,
         )
         np.testing.assert_array_equal(single.values, dist.values)
 

@@ -25,19 +25,15 @@ class TestNetworkModel:
             series,
             PageRank(iterations=2),
             num_machines=4,
-            config=EngineConfig(
-                mode=Mode.PUSH,
-                cost_model=CostModel(network_latency_s=1e-4),
-            ),
+            config=EngineConfig(mode=Mode.PUSH),
+            cost_model=CostModel(network_latency_s=1e-4),
         )
         fast = run_distributed(
             series,
             PageRank(iterations=2),
             num_machines=4,
-            config=EngineConfig(
-                mode=Mode.PUSH,
-                cost_model=CostModel(network_latency_s=1e-7),
-            ),
+            config=EngineConfig(mode=Mode.PUSH),
+            cost_model=CostModel(network_latency_s=1e-7),
         )
         assert slow.network_seconds > fast.network_seconds
         assert slow.messages == fast.messages
@@ -55,16 +51,15 @@ class TestNetworkModel:
         def speedup(latency):
             chronos = run_distributed(
                 series, PageRank(iterations=2), num_machines=4,
-                config=EngineConfig(
-                    mode=Mode.PUSH, cost_model=CostModel(network_latency_s=latency)
-                ),
+                config=EngineConfig(mode=Mode.PUSH),
+                cost_model=CostModel(network_latency_s=latency),
             )
             base = run_distributed(
                 series, PageRank(iterations=2), num_machines=4,
                 config=EngineConfig(
-                    mode=Mode.PUSH, batch_size=1, layout="structure",
-                    cost_model=CostModel(network_latency_s=latency),
+                    mode=Mode.PUSH, batch_size=1, layout="structure"
                 ),
+                cost_model=CostModel(network_latency_s=latency),
             )
             return base.sim_seconds / chronos.sim_seconds
 
@@ -79,22 +74,18 @@ class TestNetworkModel:
         def bandwidth_speedup(bw):
             chronos = run_distributed(
                 series, PageRank(iterations=2), num_machines=4,
-                config=EngineConfig(
-                    mode=Mode.PUSH,
-                    cost_model=CostModel(
-                        network_latency_s=0.0,
-                        network_bandwidth_bytes_per_s=bw,
-                    ),
+                config=EngineConfig(mode=Mode.PUSH),
+                cost_model=CostModel(
+                    network_latency_s=0.0, network_bandwidth_bytes_per_s=bw
                 ),
             )
             base = run_distributed(
                 series, PageRank(iterations=2), num_machines=4,
                 config=EngineConfig(
-                    mode=Mode.PUSH, batch_size=1, layout="structure",
-                    cost_model=CostModel(
-                        network_latency_s=0.0,
-                        network_bandwidth_bytes_per_s=bw,
-                    ),
+                    mode=Mode.PUSH, batch_size=1, layout="structure"
+                ),
+                cost_model=CostModel(
+                    network_latency_s=0.0, network_bandwidth_bytes_per_s=bw
                 ),
             )
             return base.sim_seconds / chronos.sim_seconds

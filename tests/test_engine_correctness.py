@@ -15,7 +15,7 @@ from repro.algorithms import (
     SpMV,
     WeaklyConnectedComponents,
 )
-from repro.engine import EngineConfig, Mode, run
+from repro.engine import EngineConfig, Mode, Simulation, run, simulate
 from repro.errors import EngineError
 from repro.layout import LayoutKind
 from repro.parallel import run_multicore
@@ -135,7 +135,7 @@ class TestTracedEqualsVectorized:
         prog = SingleSourceShortestPath(0)
         cfg = EngineConfig(mode=mode, batch_size=2)
         fast = run(small_series, prog, cfg)
-        traced = run(small_series, prog, cfg.with_(trace=True))
+        traced = simulate(small_series, prog, cfg)
         assert_matches_oracle(fast, small_series, prog, cfg)
         assert_matches_oracle(traced, small_series, prog, cfg)
         assert traced.sim_seconds is not None and traced.sim_seconds > 0
@@ -146,7 +146,7 @@ class TestTracedEqualsVectorized:
         prog = PageRank(iterations=3)
         cfg = EngineConfig(mode=mode)
         fast = run(small_series, prog, cfg)
-        traced = run(small_series, prog, cfg.with_(trace=True))
+        traced = simulate(small_series, prog, cfg)
         assert_matches_oracle(fast, small_series, prog, cfg)
         assert_matches_oracle(traced, small_series, prog, cfg)
 
@@ -165,15 +165,20 @@ class TestConfigValidation:
             EngineConfig(batch_size=0)
 
     def test_multicore_requires_trace(self):
-        with pytest.raises(EngineError):
+        """Cores are simulated: the core count is the Simulation's, and
+        the value config cannot express one."""
+        with pytest.raises(TypeError):
             EngineConfig(num_cores=2)
+        with pytest.raises(EngineError, match="num_cores must be positive"):
+            Simulation(num_cores=0)
 
     def test_unknown_parallel(self, small_series):
         with pytest.raises(EngineError, match="unknown parallel strategy"):
             run_multicore(
                 small_series,
                 PageRank(),
-                EngineConfig(trace=True, num_cores=2),
+                EngineConfig(),
+                Simulation(num_cores=2),
                 strategy="waves",
             )
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SingleSourceShortestPath
-from repro.engine import EngineConfig, Mode, run
+from repro.engine import EngineConfig, Mode, Simulation, run, simulate
 from repro.memsim import HierarchyConfig
 
 
@@ -122,14 +122,10 @@ class TestMissCountsFallWithBatch:
         hc = HierarchyConfig.experiment_scale()
         misses = []
         for batch in (1, 8):
-            cfg = EngineConfig(
-                mode=mode,
-                batch_size=batch,
-                trace=True,
-                hierarchy_config=hc,
-                max_iterations=1,
+            cfg = EngineConfig(mode=mode, batch_size=batch, max_iterations=1)
+            res = simulate(
+                series, PageRank(iterations=1), cfg, Simulation(hierarchy=hc)
             )
-            res = run(series, PageRank(iterations=1), cfg)
             misses.append(
                 (
                     res.memory.l1d_misses,

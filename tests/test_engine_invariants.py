@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SingleSourceShortestPath, SpMV
-from repro.engine import EngineConfig, Mode, run
+from repro.engine import EngineConfig, Mode, run, simulate
 from repro.temporal import TemporalGraphBuilder
 
 
@@ -107,8 +107,8 @@ class TestDeterminism:
         assert a.counters.edge_array_accesses == b.counters.edge_array_accesses
 
     def test_traced_counters_deterministic(self, small_series):
-        cfg = EngineConfig(mode=Mode.PUSH, trace=True)
-        a = run(small_series, SingleSourceShortestPath(0), cfg)
-        b = run(small_series, SingleSourceShortestPath(0), cfg)
+        cfg = EngineConfig(mode=Mode.PUSH)
+        a = simulate(small_series, SingleSourceShortestPath(0), cfg)
+        b = simulate(small_series, SingleSourceShortestPath(0), cfg)
         assert a.memory.l1d_misses == b.memory.l1d_misses
         assert a.counters.sim_cycles == b.counters.sim_cycles

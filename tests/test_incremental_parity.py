@@ -19,7 +19,7 @@ from repro.algorithms import (
     SingleSourceShortestPath,
     WeaklyConnectedComponents,
 )
-from repro.engine import EngineConfig, incremental_labs, run
+from repro.engine import EngineConfig, Simulation, incremental_labs, run
 from repro.engine.incremental import (
     _tense_sources,
     is_insert_only,
@@ -192,17 +192,17 @@ class TestOracleParity:
     per-core cycles included."""
 
     @staticmethod
-    def _check(series, app, config, batch, activation):
+    def _check(series, app, config, batch, activation, sim=None):
         prog = (
             WeaklyConnectedComponents()
             if app == "wcc"
             else SingleSourceShortestPath(0)
         )
         got = incremental_labs(
-            series, prog, config(), batch=batch, activation=activation
+            series, prog, config(), batch=batch, activation=activation, sim=sim
         )
         want = oracle_incremental_labs(
-            series, prog, config(), batch=batch, activation=activation
+            series, prog, config(), batch=batch, activation=activation, sim=sim
         )
         assert got.values.tobytes() == want.values.tobytes()
         assert dataclasses.asdict(got.counters) == dataclasses.asdict(
@@ -246,15 +246,12 @@ class TestOracleParity:
         )
         series = graph.series(graph.evenly_spaced_times(6))
 
-        def config():
-            return EngineConfig(
-                mode=mode,
-                trace=True,
-                num_cores=cores,
-                hierarchy_config=HierarchyConfig.experiment_scale(),
-            )
-
-        self._check(series, app, config, batch, activation)
+        sim = Simulation(
+            hierarchy=HierarchyConfig.experiment_scale(), num_cores=cores
+        )
+        self._check(
+            series, app, lambda: EngineConfig(mode=mode), batch, activation, sim
+        )
 
 
 class TestIncrementalReport:

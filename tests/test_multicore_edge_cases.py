@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SingleSourceShortestPath
-from repro.engine import EngineConfig, Mode, run
+from repro.engine import EngineConfig, Mode, Simulation, run
+from repro.errors import EngineError
 from repro.memsim import HierarchyConfig
 from repro.parallel import run_multicore
 
 HC = HierarchyConfig.experiment_scale()
+PUSH = EngineConfig(mode=Mode.PUSH)
 
 
-def cfg(**kwargs):
-    base = dict(trace=True, hierarchy_config=HC, mode=Mode.PUSH)
-    base.update(kwargs)
-    return EngineConfig(**base)
+def sim(num_cores, core_of=None):
+    return Simulation(hierarchy=HC, num_cores=num_cores, core_of=core_of)
 
 
 class TestSnapshotParallelEdgeCases:
@@ -23,7 +23,8 @@ class TestSnapshotParallelEdgeCases:
         res = run_multicore(
             small_series,
             prog,
-            cfg(num_cores=16),
+            PUSH,
+            sim(16),
             strategy="snapshot",
         )
         ref = run(small_series, prog, EngineConfig())
@@ -35,7 +36,7 @@ class TestSnapshotParallelEdgeCases:
     def test_single_core_snapshot_parallel(self, small_series):
         prog = SingleSourceShortestPath(0)
         res = run_multicore(
-            small_series, prog, cfg(num_cores=1), strategy="snapshot"
+            small_series, prog, PUSH, sim(1), strategy="snapshot"
         )
         ref = run(small_series, prog, EngineConfig())
         np.testing.assert_array_equal(res.values, ref.values)
@@ -44,18 +45,45 @@ class TestSnapshotParallelEdgeCases:
         res = run_multicore(
             small_series,
             PageRank(iterations=1),
-            cfg(num_cores=2),
+            PUSH,
+            sim(2),
             strategy="snapshot",
         )
         # 5 snapshots over 2 cores: 3 on core 0, 2 on core 1 — both busy.
         assert all(s > 0 for s in res.per_core_seconds)
+
+    def test_vertex_core_map_is_rejected(self, small_series):
+        """Snapshot-parallelism pins whole snapshots to cores; a vertex ->
+        core map would be dropped, so it is an error, not ignored."""
+        core_of = np.zeros(small_series.num_vertices, dtype=np.int64)
+        with pytest.raises(EngineError, match="core_of"):
+            run_multicore(
+                small_series,
+                PageRank(iterations=1),
+                PUSH,
+                sim(2, core_of),
+                strategy="snapshot",
+            )
+
+    @pytest.mark.parametrize("strategy", ["partition", "snapshot"])
+    def test_reuse_is_rejected(self, small_series, strategy):
+        """A simulated run charges every group, so neither strategy takes
+        a result-reuse policy."""
+        with pytest.raises(EngineError, match="cannot reuse results"):
+            run_multicore(
+                small_series,
+                PageRank(iterations=1),
+                EngineConfig(reuse="cache"),
+                sim(2),
+                strategy=strategy,
+            )
 
 
 class TestPartitionParallelEdgeCases:
     def test_all_vertices_on_one_core(self, small_series):
         core_of = np.zeros(small_series.num_vertices, dtype=np.int64)
         prog = PageRank(iterations=2)
-        res = run_multicore(small_series, prog, cfg(num_cores=2), core_of=core_of)
+        res = run_multicore(small_series, prog, PUSH, sim(2, core_of))
         ref = run(small_series, prog, EngineConfig())
         np.testing.assert_array_equal(res.values, ref.values)
         # No cross-partition edges: contention-free.
@@ -63,7 +91,7 @@ class TestPartitionParallelEdgeCases:
 
     def test_sixteen_cores(self, small_series):
         prog = SingleSourceShortestPath(0)
-        res = run_multicore(small_series, prog, cfg(num_cores=16))
+        res = run_multicore(small_series, prog, PUSH, sim(16))
         ref = run(small_series, prog, EngineConfig())
         np.testing.assert_array_equal(res.values, ref.values)
 
@@ -71,13 +99,13 @@ class TestPartitionParallelEdgeCases:
         prog = PageRank(iterations=2)
         ref = run(small_series, prog, EngineConfig())
         for mode in (Mode.PULL, Mode.STREAM):
-            res = run_multicore(small_series, prog, cfg(mode=mode, num_cores=4))
+            res = run_multicore(small_series, prog, EngineConfig(mode=mode), sim(4))
             np.testing.assert_array_equal(res.values, ref.values)
             assert res.counters.locks_acquired == 0
 
     def test_barrier_time_at_most_sum_of_cores(self, small_series):
         res = run_multicore(
-            small_series, PageRank(iterations=2), cfg(num_cores=4)
+            small_series, PageRank(iterations=2), PUSH, sim(4)
         )
         assert res.sim_seconds <= sum(res.per_core_seconds) + 1e-12
         assert res.sim_seconds >= max(res.per_core_seconds) - 1e-12

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SingleSourceShortestPath
-from repro.engine import EngineConfig, Mode, run
-from repro.errors import EngineError
+from repro.engine import EngineConfig, Mode, Simulation, run
 from repro.memsim import CostModel, HierarchyConfig
 from repro.parallel import LockTable, run_multicore
 from repro.partition import partition_series
@@ -13,10 +12,8 @@ from repro.partition import partition_series
 HC = HierarchyConfig.experiment_scale()
 
 
-def traced_config(**kwargs):
-    base = dict(trace=True, hierarchy_config=HC)
-    base.update(kwargs)
-    return EngineConfig(**base)
+def machine(num_cores, core_of=None):
+    return Simulation(hierarchy=HC, num_cores=num_cores, core_of=core_of)
 
 
 class TestLockTable:
@@ -55,7 +52,7 @@ class TestPartitionParallel:
         prog = PageRank(iterations=3)
         single = run(small_series, prog, EngineConfig())
         multi = run_multicore(
-            small_series, prog, traced_config(num_cores=4, mode=Mode.PUSH)
+            small_series, prog, EngineConfig(mode=Mode.PUSH), machine(4)
         )
         np.testing.assert_array_equal(single.values, multi.values)
 
@@ -63,7 +60,7 @@ class TestPartitionParallel:
         res = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(2),
         )
         assert res.counters.locks_acquired > 0
         assert res.counters.lock_base_cycles > 0
@@ -72,7 +69,7 @@ class TestPartitionParallel:
         res = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PULL),
+            EngineConfig(mode=Mode.PULL), machine(2),
         )
         assert res.counters.locks_acquired == 0
 
@@ -82,12 +79,12 @@ class TestPartitionParallel:
         batched = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PUSH, batch_size=None),
+            EngineConfig(mode=Mode.PUSH, batch_size=None), machine(2),
         )
         unbatched = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PUSH, batch_size=1),
+            EngineConfig(mode=Mode.PUSH, batch_size=1), machine(2),
         )
         assert batched.counters.locks_acquired < unbatched.counters.locks_acquired
 
@@ -95,7 +92,7 @@ class TestPartitionParallel:
         res = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=4, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(4),
         )
         assert res.memory.intercore_transfers > 0
 
@@ -111,12 +108,12 @@ class TestPartitionParallel:
         series = rng_graph.series(rng_graph.evenly_spaced_times(4))
         prog = PageRank(iterations=2)
         good = run_multicore(
-            series, prog, traced_config(num_cores=4, mode=Mode.PUSH),
-            core_of=partition_series(series, 4),
+            series, prog, EngineConfig(mode=Mode.PUSH),
+            machine(4, partition_series(series, 4)),
         )
         bad = run_multicore(
-            series, prog, traced_config(num_cores=4, mode=Mode.PUSH),
-            core_of=hash_partition(series.num_vertices, 4),
+            series, prog, EngineConfig(mode=Mode.PUSH),
+            machine(4, hash_partition(series.num_vertices, 4)),
         )
         assert (
             good.counters.lock_contention_cycles
@@ -124,7 +121,8 @@ class TestPartitionParallel:
         )
 
     def test_requires_trace(self, small_series):
-        with pytest.raises(EngineError):
+        """Multi-core runs are simulated: the Simulation is required."""
+        with pytest.raises(TypeError):
             run_multicore(small_series, PageRank(), EngineConfig())
 
 
@@ -135,7 +133,7 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             prog,
-            traced_config(num_cores=2, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(2),
             strategy="snapshot",
         )
         np.testing.assert_array_equal(single.values, sp.values)
@@ -144,7 +142,7 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             PageRank(iterations=2),
-            traced_config(num_cores=2, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(2),
             strategy="snapshot",
         )
         assert sp.counters.locks_acquired == 0
@@ -155,7 +153,7 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             PageRank(iterations=1),
-            traced_config(num_cores=2, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(2),
             strategy="snapshot",
         )
         expected = small_series.num_edges * small_series.num_snapshots
@@ -167,7 +165,7 @@ class TestSnapshotParallel:
         sp = run_multicore(
             small_series,
             prog,
-            traced_config(num_cores=3, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(3),
             strategy="snapshot",
         )
         np.testing.assert_array_equal(single.values, sp.values)
@@ -183,13 +181,13 @@ class TestSnapshotParallel:
         series = graph.series(graph.evenly_spaced_times(8))
         prog = PageRank(iterations=2)
         chronos = run_multicore(
-            series, prog, traced_config(num_cores=4, mode=Mode.PUSH),
-            core_of=partition_series(series, 4),
+            series, prog, EngineConfig(mode=Mode.PUSH),
+            machine(4, partition_series(series, 4)),
         )
         sp = run_multicore(
             series,
             prog,
-            traced_config(num_cores=4, mode=Mode.PUSH),
+            EngineConfig(mode=Mode.PUSH), machine(4),
             strategy="snapshot",
         )
         assert chronos.sim_seconds < sp.sim_seconds

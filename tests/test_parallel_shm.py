@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from repro.algorithms import PageRank, make_program
 from repro.algorithms.program import GatherKind, Semantics, VertexProgram
 from repro.cache import reset_process_caches
-from repro.engine.config import EngineConfig
-from repro.engine.runner import run, run_group
+from repro.engine.config import EngineConfig, Simulation
+from repro.engine.runner import run, run_group, simulate
 from repro.errors import EngineError
 from repro.layout.vertex_array import LayoutKind
 from repro.parallel import shm
@@ -153,12 +153,12 @@ def test_renamed_pagerank_subclass_gets_degrees(series16):
     """``needs_degrees`` is declared by the class, not inferred from the
     program's name, on the serial, simulated and threaded paths alike."""
     want = run(series16, PageRank(iterations=3), EngineConfig(batch_size=4))
-    for kwargs in (
-        {},
-        {"trace": True},
-        {"executor": "process", "workers": WORKERS},
+    for execute, kwargs in (
+        (run, {}),
+        (simulate, {}),
+        (run, {"executor": "process", "workers": WORKERS}),
     ):
-        got = run(
+        got = execute(
             series16,
             RenamedPageRank(iterations=3),
             EngineConfig(batch_size=4, **kwargs),
@@ -323,9 +323,23 @@ def test_workers_one_falls_back_to_serial(series16):
     assert result.values.tobytes() == serial.values.tobytes()
 
 
-def test_process_executor_rejects_trace():
-    with pytest.raises(EngineError, match="wall-clock-only"):
-        EngineConfig(executor="process", trace=True)
+@pytest.mark.parametrize("mode", MODES)
+def test_simulated_run_on_the_pool_equals_serial(mode):
+    """The walk runs on the pool and the simulator charges serially after
+    it, so a simulated pooled run equals the one-range run on values,
+    engine counters and memory counters (per core included)."""
+    g = random_temporal_graph(
+        num_vertices=20, num_events=160, seed=5, symmetric=True, weighted=True
+    )
+    series = g.series(g.evenly_spaced_times(6))
+    sim = Simulation(num_cores=2)
+    for algo in ("pagerank", "sssp"):
+        program = make_program(algo)
+        want = simulate(series, program, threaded(1, mode=mode, batch_size=4), sim)
+        got = simulate(series, program, threaded(2, mode=mode, batch_size=4), sim)
+        assert_same_run(got, want, algo)
+        assert got.memory == want.memory, algo
+        assert len(got.memory.per_core) == 2
 
 
 def test_invalid_executor_and_workers():
@@ -336,11 +350,11 @@ def test_invalid_executor_and_workers():
 
 
 def test_resolve_core_of_memoized():
-    config = EngineConfig(trace=True, num_cores=4)
-    a = config.resolve_core_of(100)
-    b = config.resolve_core_of(100)
-    assert a is b  # same object: computed once per (config, V)
-    c = config.resolve_core_of(50)
+    sim = Simulation(num_cores=4)
+    a = sim.resolve_core_of(100)
+    b = sim.resolve_core_of(100)
+    assert a is b  # same object: computed once per (simulation, V)
+    c = sim.resolve_core_of(50)
     assert c is not a and c.shape == (50,)
 
 

@@ -27,7 +27,8 @@ from repro.cache import (
     reset_process_caches,
     result_cache,
 )
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, run, simulate
+from repro.engine import runner
 from repro.engine.counters import EngineCounters
 from repro.errors import EngineError, IntegrityError
 from repro.parallel.shm import cut_ranges
@@ -117,9 +118,19 @@ class TestHitAndMiss:
         other = run(shifted, prog, _cfg(tmp_path))
         assert other.cached_groups == 0
 
-    def test_reuse_rejects_trace(self, series, tmp_path):
-        with pytest.raises(EngineError):
-            _cfg(tmp_path, trace=True)
+    def test_reuse_rejects_trace(self, series, tmp_path, monkeypatch):
+        """A cached group would skip its simulated charges, so simulate()
+        refuses reuse before it runs (or stores) any group."""
+
+        def run_group(*args, **kwargs):
+            raise AssertionError("simulate() ran a group under reuse")
+
+        monkeypatch.setattr(runner, "run_group", run_group)
+        prog = SingleSourceShortestPath(0)
+        for reuse in ("cache", "incremental"):
+            with pytest.raises(EngineError, match="reuse"):
+                simulate(series, prog, _cfg(tmp_path, reuse=reuse))
+        assert not (tmp_path / "cache").exists()
 
 
 class TestStoreInvalidation:

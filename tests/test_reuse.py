@@ -115,10 +115,10 @@ class TestRecorder:
         share lines) and incurs fewer LRU misses at a fixed cache size."""
         from tests.conftest import random_temporal_graph
         from repro.algorithms import PageRank
-        from repro.engine import EngineConfig
+        from repro.engine import EngineConfig, Simulation
         from repro.engine.runner import run_group
         from repro.layout.address_space import AddressSpace
-        from repro.memsim import HierarchyConfig, MemoryHierarchy
+        from repro.memsim import HierarchyConfig
 
         graph = random_temporal_graph(
             num_vertices=600, num_events=3000, seed=71, with_deletes=False,
@@ -128,11 +128,10 @@ class TestRecorder:
         traces = {}
         for batch, layout in ((1, "structure"), (None, "time")):
             cfg = EngineConfig(
-                mode="push", batch_size=batch, layout=layout, trace=True,
-                hierarchy_config=HierarchyConfig.experiment_scale(),
-                max_iterations=1,
+                mode="push", batch_size=batch, layout=layout, max_iterations=1,
             )
-            hier = MemoryHierarchy(1, cfg.hierarchy_config, cfg.cost_model)
+            sim = Simulation(hierarchy=HierarchyConfig.experiment_scale())
+            hier = sim.machine()
             rec = record_trace(hier)
             space = AddressSpace()
             size = cfg.effective_batch_size(series.num_snapshots)
@@ -141,6 +140,7 @@ class TestRecorder:
                     group,
                     PageRank(iterations=1),
                     cfg,
+                    sim=sim,
                     hierarchy=hier,
                     address_space=space,
                 )

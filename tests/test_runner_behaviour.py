@@ -9,7 +9,7 @@ from repro.algorithms import (
     SingleSourceShortestPath,
     WeaklyConnectedComponents,
 )
-from repro.engine import EngineConfig, Mode, run, run_group
+from repro.engine import EngineConfig, Mode, Simulation, run, run_group, simulate
 from repro.temporal import TemporalGraphBuilder
 
 
@@ -134,11 +134,7 @@ class TestRunResult:
         assert res.memory is None and res.hierarchy is None
 
     def test_per_core_cycles_with_trace(self, small_series):
-        res = run(
-            small_series,
-            PageRank(iterations=1),
-            EngineConfig(trace=True),
-        )
+        res = simulate(small_series, PageRank(iterations=1), EngineConfig())
         assert len(res.counters.per_core_cycles) == 1
         assert res.counters.per_core_cycles[0] > 0
 
@@ -151,8 +147,7 @@ class TestConfigHelpers:
         assert cfg2.mode is Mode.PUSH
 
     def test_resolve_core_of_default_blocks(self):
-        cfg = EngineConfig(num_cores=4, trace=True)
-        core_of = cfg.resolve_core_of(10)
+        core_of = Simulation(num_cores=4).resolve_core_of(10)
         assert core_of.min() == 0 and core_of.max() == 3
         assert list(core_of) == sorted(core_of)
 
@@ -161,12 +156,12 @@ class TestConfigHelpers:
 
         from repro.errors import EngineError
 
-        cfg = EngineConfig(num_cores=2, trace=True, core_of=np.array([0, 5]))
+        sim = Simulation(num_cores=2, core_of=np.array([0, 5]))
         with pytest.raises(EngineError):
-            cfg.resolve_core_of(2)
-        cfg2 = EngineConfig(num_cores=2, trace=True, core_of=np.array([0]))
+            sim.resolve_core_of(2)
+        sim2 = Simulation(num_cores=2, core_of=np.array([0]))
         with pytest.raises(EngineError):
-            cfg2.resolve_core_of(2)
+            sim2.resolve_core_of(2)
 
     def test_effective_batch_size(self):
         cfg = EngineConfig(batch_size=10)

@@ -25,7 +25,7 @@ from repro import native
 from repro.algorithms import make_program
 from repro.engine.config import EngineConfig
 from repro.engine import kernels
-from repro.engine.runner import run, run_group
+from repro.engine.runner import run, run_group, simulate
 from repro.engine.state import GroupState
 from repro.errors import ShardRaceError
 from repro.parallel import shm
@@ -271,10 +271,8 @@ def test_default_serial_run_refuses_an_unsorted_edge_array(
     swap()
     try:
         with pytest.raises(ShardRaceError) as ei:
-            run(
-                series16,
-                make_program("pagerank"),
-                EngineConfig(batch_size=8, trace=trace),
+            (simulate if trace else run)(
+                series16, make_program("pagerank"), EngineConfig(batch_size=8)
             )
     finally:
         swap()

@@ -4,42 +4,36 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SingleSourceShortestPath
-from repro.engine import EngineConfig, Mode, run
+from repro.engine import EngineConfig, Mode, Simulation, run, simulate
 from repro.memsim import HierarchyConfig
 
 
 class TestBuckets:
     @pytest.mark.parametrize("num_cores", [1, 2, 7])
     def test_bucket_count_does_not_change_results(self, small_series, num_cores):
-        """A traced run shuffles into ``max(num_cores, 4)`` buckets."""
+        """A simulated run shuffles into ``max(num_cores, 4)`` buckets."""
         base = run(
             small_series,
             SingleSourceShortestPath(0),
             EngineConfig(mode=Mode.STREAM),
         )
-        got = run(
+        got = simulate(
             small_series,
             SingleSourceShortestPath(0),
-            EngineConfig(
-                mode=Mode.STREAM,
+            EngineConfig(mode=Mode.STREAM),
+            Simulation(
+                hierarchy=HierarchyConfig.experiment_scale(),
                 num_cores=num_cores,
-                trace=True,
-                hierarchy_config=HierarchyConfig.experiment_scale(),
             ),
         )
         np.testing.assert_array_equal(base.values, got.values)
 
     def test_traced_matches_vectorized_with_buckets(self, small_series):
-        cfg_v = EngineConfig(mode=Mode.STREAM)
-        cfg_t = EngineConfig(
-            mode=Mode.STREAM,
-            num_cores=6,
-            trace=True,
-            hierarchy_config=HierarchyConfig.experiment_scale(),
-        )
+        cfg = EngineConfig(mode=Mode.STREAM)
+        sim = Simulation(hierarchy=HierarchyConfig.experiment_scale(), num_cores=6)
         prog = PageRank(iterations=2)
-        a = run(small_series, prog, cfg_v)
-        b = run(small_series, prog, cfg_t)
+        a = run(small_series, prog, cfg)
+        b = simulate(small_series, prog, cfg, sim)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.counters.update_entries == b.counters.update_entries
 
@@ -69,9 +63,10 @@ class TestStreamCharacter:
         misses = {}
         for mode in (Mode.PUSH, Mode.STREAM):
             cfg = EngineConfig(
-                mode=mode, batch_size=1, layout="structure", trace=True,
-                hierarchy_config=hc, max_iterations=1,
+                mode=mode, batch_size=1, layout="structure", max_iterations=1,
             )
-            res = run(series, PageRank(iterations=1), cfg)
+            res = simulate(
+                series, PageRank(iterations=1), cfg, Simulation(hierarchy=hc)
+            )
             misses[mode] = res.memory.dtlb_misses
         assert misses[Mode.STREAM] < misses[Mode.PUSH]
