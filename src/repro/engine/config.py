@@ -104,13 +104,16 @@ class EngineConfig:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simulation:
     """The simulated machine :func:`repro.engine.runner.simulate` charges a
     run's memory accesses, locks and messages to (DESIGN §2); it shapes no
     value or logical counter. Under ``hierarchy.private_llc`` the cores
     are distributed machines: cross-core pushes become messages charged
-    network time instead of locked shared-memory writes."""
+    network time instead of locked shared-memory writes.
+
+    A machine is equal to and hashes as itself only: ``core_of`` may be
+    an ndarray, which has no truth value to compare by."""
 
     hierarchy: HierarchyConfig = HierarchyConfig()
     cost_model: CostModel = CostModel()

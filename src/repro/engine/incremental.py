@@ -42,6 +42,7 @@ from repro.errors import EngineError
 from repro.layout.address_space import AddressSpace
 from repro.memsim.hierarchy import MemoryHierarchy
 from repro.obs import runtime as obs
+from repro.temporal.bitmap import mask_below
 from repro.temporal.series import GroupView, SnapshotSeriesView
 
 
@@ -59,23 +60,19 @@ def is_insert_only_range(
 ) -> bool:
     """:func:`is_insert_only` for every snapshot in ``[start, stop)`` at once.
 
-    One bitmap unpack over the range instead of one pass per snapshot —
-    the check a seeded LABS group makes before trusting its seed.
+    One word test per edge instead of one pass per snapshot — the check
+    a seeded LABS group makes before trusting its seed: every edge live
+    in ``s_from`` has all of the range's bits set. Only a weighted
+    series then reads cells, the surviving edges' weights over the range.
     """
-    bf = ((series.out_bitmap >> np.uint64(s_from)) & np.uint64(1)) == 1
-    shifts = np.arange(start, stop, dtype=np.uint64)
-    bt = (
-        (series.out_bitmap[:, None] >> shifts[None, :]) & np.uint64(1)
-    ).astype(bool)
-    if np.any(bf[:, None] & ~bt):
+    bitmap = series.out_bitmap
+    held = ((bitmap >> np.uint64(s_from)) & np.uint64(1)) == 1
+    span = np.uint64(mask_below(stop - start) << start)
+    if np.any((bitmap[held] & span) != span):
         return False
     if series.out_weight is not None:
-        both = bf[:, None] & bt
-        increased = (
-            series.out_weight[:, start:stop]
-            > series.out_weight[:, s_from][:, None]
-        )
-        if np.any(increased & both):
+        weights = series.out_weight[held]
+        if np.any(weights[:, start:stop] > weights[:, s_from][:, None]):
             return False
     return True
 

@@ -34,7 +34,10 @@ Analytics freshness: ``series(times)`` exposes the head to the engine.
 Group fingerprints of such a series are content-only, so after an
 append batch the unchanged prefix groups still *hit* the result cache
 and only the groups whose content moved recompute — seeded from their
-predecessor under ``EngineConfig(reuse="incremental")``.
+predecessor under ``EngineConfig(reuse="incremental")``. The prefix
+groups' views and fingerprints themselves carry over from the previous
+series (:meth:`StreamingStore.series`), so only the groups the append
+touched are sliced and hashed again.
 """
 
 from __future__ import annotations
@@ -300,7 +303,11 @@ class StreamingStore:
         The first call after an open builds the whole log; every later
         one extends the last graph's log with the records appended since
         (:func:`~repro.temporal.columns.log_columns` with ``after``), so
-        a read after an append sorts about what the append brought.
+        a read after an append sorts about what the append brought. The
+        extended graph's lineage (:meth:`TemporalGraph.extends`) names
+        the last graph's most recent series and the earliest appended
+        time, which is what lets :meth:`series` skip the unchanged
+        groups.
         """
         logged = len(self._head)
         if logged == 0:
@@ -308,17 +315,20 @@ class StreamingStore:
                 f"streaming store at {self.path} is empty; append "
                 "activities before reading"
             )
-        graph = self._graph_cache
-        if graph is None or self._graph_records < logged:
+        graph = previous = self._graph_cache
+        if previous is None or self._graph_records < logged:
+            records = self._head.records(self._graph_records)
             columns = log_columns(
-                self._head.records(self._graph_records),
-                after=None if graph is None else graph.columns(),
+                records,
+                after=None if previous is None else previous.columns(),
             )
             graph = TemporalGraph.from_columns(columns)
             if self._num_vertices_floor > graph.num_vertices:
                 graph = TemporalGraph.from_columns(
                     columns, self._num_vertices_floor
                 )
+            if previous is not None:
+                graph.extends(previous, int(records["time"].min()))
             self._graph_cache, self._graph_records = graph, logged
         return graph
 
@@ -329,7 +339,11 @@ class StreamingStore:
         every array the engine consumes), so across append batches the
         unchanged prefix groups keep their cache identity and
         ``EngineConfig(reuse="incremental")`` refreshes only the groups
-        whose content actually moved.
+        whose content actually moved. After an append the series also
+        adopts, from the most recent series built before it (while the
+        caller still holds that one), every group view that ends before
+        the earliest appended time, fingerprint included: a fresh query
+        slices and hashes only the groups the append touched.
         """
         return self.graph().series(times)
 

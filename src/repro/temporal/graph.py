@@ -22,12 +22,14 @@ Semantics (documented here once, relied on everywhere else):
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -51,12 +53,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.temporal.snapshot import Snapshot
 
 
+class Lineage(NamedTuple):
+    """What a graph whose log extends another graph's log keeps of it.
+
+    ``series`` is the most recent series built from the older log, held
+    weakly; ``t_new`` is the earliest time the extension added records
+    at. By the semantics above the two logs agree on every state before
+    ``t_new``, so :func:`~repro.temporal.series.build_series` can adopt
+    the older series' group views that end before it.
+    """
+
+    series: "weakref.ReferenceType[SnapshotSeriesView]"
+    t_new: Time
+
+
 class TemporalGraph:
     """An immutable temporal graph: one :class:`LogColumns` and a vertex count.
 
     ``TemporalGraph(activities)`` is the API-edge constructor and converts
     the records once; producers that already hold columns use
     :meth:`from_columns`.
+
+    Besides its log a graph remembers, weakly, the most recent series
+    built from it (``latest_series``, set by
+    :func:`~repro.temporal.series.build_series`) and, when its log
+    extends another graph's (:meth:`extends`), that graph's
+    :class:`Lineage`. Neither changes any state the graph answers for.
     """
 
     def __init__(
@@ -89,6 +111,30 @@ class TemporalGraph:
                 f"vertex {max_vid}"
             )
         self._num_vertices = num_vertices
+        self.lineage: Optional[Lineage] = None
+        self.latest_series: Optional[
+            "weakref.ReferenceType[SnapshotSeriesView]"
+        ] = None
+
+    def extends(self, parent: "TemporalGraph", t_new: Time) -> None:
+        """Record that this log is ``parent``'s plus records from ``t_new`` on.
+
+        The lineage holds ``parent``'s most recent series; when none was
+        built from ``parent`` it keeps ``parent``'s own lineage, with the
+        earlier of the two times.
+        """
+        if parent.latest_series is not None:
+            self.lineage = Lineage(parent.latest_series, t_new)
+        elif parent.lineage is not None:
+            self.lineage = Lineage(
+                parent.lineage.series, min(parent.lineage.t_new, t_new)
+            )
+
+    def __getstate__(self) -> dict:
+        # Weak references do not pickle: a copy starts with no series.
+        state = dict(self.__dict__)
+        state["lineage"] = state["latest_series"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     # Basic accessors

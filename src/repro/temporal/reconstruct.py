@@ -235,6 +235,7 @@ def reconstruct_edges(
     times: np.ndarray,
     streams: Sequence[EdgeEvents],
     vertex_bitmap: np.ndarray,
+    order: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The shared edge array of a series: ``(src, dst, bitmap, weight)``.
 
@@ -242,7 +243,9 @@ def reconstruct_edges(
     ``streams`` the edge records, streams in time order. Rows come out
     sorted by ``(src, dst)``, restricted to edges live in at least one
     snapshot; ``weight`` is ``None`` unless some live cell's weight is
-    not ``1.0``.
+    not ``1.0``. ``order`` is the records' :func:`edge_order` when the
+    caller already holds it (a log's ``edge_order``), else it is sorted
+    here.
     """
     num_snapshots = int(times.shape[0])
     src = _column(streams, "src", np.int64)
@@ -264,7 +267,8 @@ def reconstruct_edges(
     )
 
     # Stable sort by edge key: within an edge, records keep replay order.
-    order = edge_order(src, dst, vertex_bitmap.shape[0])
+    if order is None:
+        order = edge_order(src, dst, vertex_bitmap.shape[0])
     src, dst, time, kind, weight, stream, stop = (
         column[order]
         for column in (src, dst, time, kind, weight, stream, stop)

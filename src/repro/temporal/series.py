@@ -16,6 +16,7 @@ baseline enumerates, so baseline and LABS share one code path.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from repro import native
 from repro.errors import SnapshotError
 from repro.temporal.bitmap import mask_below
-from repro.temporal.graph import TemporalGraph
+from repro.temporal.graph import Lineage, TemporalGraph
 from repro.temporal.reconstruct import (
     check_times,
     edge_order,
@@ -99,7 +100,9 @@ class SnapshotSeriesView:
         # Memoised GroupViews, keyed (start, stop). Views are immutable, and
         # reusing them saves re-filtering the edge arrays for every run over
         # the same series; the scatter walks a view's arrays as they are,
-        # so nothing else is cached per group.
+        # so nothing else is cached per group. A series built over an
+        # extended log starts with the views it adopted from its lineage
+        # (see ``build_series``), fingerprints included.
         self._group_cache: Dict[Tuple[int, int], "GroupView"] = {}
 
     def __getstate__(self) -> dict:
@@ -183,6 +186,11 @@ class GroupView:
     group and the bitmaps are re-based so bit 0 is the first snapshot of the
     group. Group size 1 therefore yields exactly the per-snapshot compact
     CSR that a static engine (the paper's baseline) would use.
+
+    A view owns every array it holds and keeps only the series' vertex
+    count, not the series: a view a later series adopts across a log
+    extension (:func:`build_series`) keeps neither its first series nor
+    that series' ``(V, S)`` arrays alive.
     """
 
     def __init__(self, series: SnapshotSeriesView, start: int, stop: int) -> None:
@@ -191,7 +199,7 @@ class GroupView:
                 f"invalid group range [{start}, {stop}) for "
                 f"{series.num_snapshots} snapshots"
             )
-        self.series = series
+        self.num_vertices = series.num_vertices
         self.start = start
         self.stop = stop
         S_g = stop - start
@@ -224,16 +232,12 @@ class GroupView:
         in_counts = np.bincount(self.in_dst, minlength=series.num_vertices)
         self.in_index = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
 
-        self.out_degrees = series.out_degrees[:, start:stop]
+        self.out_degrees = series.out_degrees[:, start:stop].copy()
         shifts = np.arange(start, stop, dtype=np.uint64)
         self.vertex_exists = (
             (series.vertex_bitmap[:, None] >> shifts[None, :]) & np.uint64(1)
         ).astype(bool)
         self.times = series.times[start:stop]
-
-    @property
-    def num_vertices(self) -> int:
-        return self.series.num_vertices
 
     @property
     def num_snapshots(self) -> int:
@@ -246,6 +250,24 @@ class GroupView:
 
 
 def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesView:
+    """The series of ``graph`` at ``times``, for the engine.
+
+    :func:`reconstruct_series` builds it. When ``graph`` extends another
+    graph's log, the series first adopts the group views of that graph's
+    :class:`~repro.temporal.graph.Lineage` that still hold
+    (:func:`_adopt_groups`); it then becomes ``graph``'s
+    ``latest_series``, the donor of the graph that extends this one.
+    """
+    series = reconstruct_series(graph, times)
+    if graph.lineage is not None:
+        _adopt_groups(series, graph.lineage)
+    graph.latest_series = weakref.ref(series)
+    return series
+
+
+def reconstruct_series(
+    graph: TemporalGraph, times: Sequence[Time]
+) -> SnapshotSeriesView:
     """Reconstruct the states of ``graph`` at the given ``times``.
 
     The log's columns (:meth:`TemporalGraph.columns`, converted once per
@@ -261,7 +283,9 @@ def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesV
     matrix is allocated only when some live (edge, snapshot) cell has a
     weight other than ``1.0``. Vertex liveness is the single rule of
     :mod:`repro.temporal.graph` (latest explicit record wins, else first
-    touch).
+    touch). The series adopts no view and donates none: a point snapshot
+    (:meth:`~repro.temporal.snapshot.Snapshot.from_temporal_graph`) is
+    read off one and leaves ``graph``'s lineage as it was.
     """
     times = check_times(times)
     snapshot_times = np.asarray(times, dtype=np.int64)
@@ -277,8 +301,37 @@ def build_series(graph: TemporalGraph, times: Sequence[Time]) -> SnapshotSeriesV
         graph.first_touch,
     )
     out_src, out_dst, out_bitmap, out_weight = reconstruct_edges(
-        snapshot_times, [events], vertex_bitmap
+        snapshot_times, [events], vertex_bitmap, order=columns.edge_order
     )
     return SnapshotSeriesView(
         V, times, out_src, out_dst, out_bitmap, out_weight, vertex_bitmap
     )
+
+
+def _adopt_groups(series: SnapshotSeriesView, lineage: Lineage) -> None:
+    """Memoise into ``series`` the views of its lineage that still hold.
+
+    A view of the lineage's series is adopted when it covers the same
+    ``[start, stop)`` at the same times, all of them before
+    ``lineage.t_new`` (strictly: an append may add records at the last
+    logged time), and both series have the same vertex count and both or
+    neither a weight matrix. The two logs agree on every state before
+    ``t_new`` (a vertex first touched from then on is not live before),
+    so such a view equals, array for array, the one ``series`` would
+    build, and its memoised fingerprint is the one it would compute.
+    """
+    donor = lineage.series()
+    if (
+        donor is None
+        or donor.num_vertices != series.num_vertices
+        or (donor.out_weight is None) != (series.out_weight is None)
+    ):
+        return
+    times = series.times
+    for (start, stop), view in donor._group_cache.items():
+        if (
+            stop <= len(times)
+            and times[stop - 1] < lineage.t_new
+            and times[start:stop] == donor.times[start:stop]
+        ):
+            series._group_cache[(start, stop)] = view

@@ -63,10 +63,9 @@ class Snapshot:
     @classmethod
     def from_temporal_graph(cls, graph: "TemporalGraph", t: Time) -> "Snapshot":
         """Reconstruct the snapshot of ``graph`` at time ``t``."""
-        from repro.temporal.series import build_series
+        from repro.temporal.series import reconstruct_series
 
-        series = build_series(graph, [t])
-        return series.snapshot(0)
+        return reconstruct_series(graph, [t]).snapshot(0)
 
     @classmethod
     def from_edges(

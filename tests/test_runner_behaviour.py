@@ -163,6 +163,15 @@ class TestConfigHelpers:
         with pytest.raises(EngineError):
             sim2.resolve_core_of(2)
 
+    def test_simulation_compares_and_hashes_by_identity(self):
+        import numpy as np
+
+        a = Simulation(num_cores=2, core_of=np.array([0, 1]))
+        b = Simulation(num_cores=2, core_of=np.array([0, 1]))
+        assert a == a and a != b
+        machines = {a: "a", b: "b"}
+        assert machines[a] == "a" and machines[b] == "b"
+
     def test_effective_batch_size(self):
         cfg = EngineConfig(batch_size=10)
         assert cfg.effective_batch_size(4) == 4

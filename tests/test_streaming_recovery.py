@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import make_program
+from repro.cache import fingerprint
 from repro.cache.result_cache import reset_process_caches
 from repro.engine import EngineConfig, run
 from repro.errors import InjectedCrash, StorageError, TemporalGraphError
@@ -35,6 +36,7 @@ from repro.temporal.activity import (
     add_vertex,
     del_edge,
 )
+from repro.temporal.graph import TemporalGraph
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -297,7 +299,7 @@ class TestRecoverySemantics:
 
 
 class TestIncrementalFreshness:
-    def test_prefix_groups_hit_cache_after_append(self, tmp_path):
+    def test_prefix_groups_hit_cache_after_append(self, tmp_path, monkeypatch):
         reset_process_caches()
         with StreamingStore(tmp_path / "s") as store:
             store.append(
@@ -307,7 +309,8 @@ class TestIncrementalFreshness:
             times = list(store.graph().evenly_spaced_times(8))
             config = EngineConfig(reuse="incremental", batch_size=4)
             program = make_program("pagerank")
-            first = run(store.series(times), program, config)
+            series = store.series(times)
+            first = run(series, program, config)
             assert first.cached_groups == 0
 
             store.append(
@@ -315,11 +318,25 @@ class TestIncrementalFreshness:
                  for i in range(50)]
             )
             times2 = times + [230, 251]
-            second = run(store.series(times2), program, config)
-            # The unchanged prefix groups keep their fingerprints.
-            assert second.cached_groups >= 2
+            digests = []
+            digest = fingerprint.digest_bytes
+            monkeypatch.setattr(
+                fingerprint,
+                "digest_bytes",
+                lambda *chunks: digests.append(1) or digest(*chunks),
+            )
+            series2 = store.series(times2)
+            second = run(series2, program, config)
+            # The unchanged prefix groups are the first series' views,
+            # fingerprints included: only the new group is sliced and hashed.
+            assert second.cached_groups == 2
+            for start, stop in ((0, 4), (4, 8)):
+                assert series2.group(start, stop) is series.group(start, stop)
+            assert len(digests) == 1
+            monkeypatch.undo()
             fresh = run(
-                store.graph().series(times2), program,
+                TemporalGraph.from_columns(store.graph().columns()).series(times2),
+                program,
                 EngineConfig(batch_size=4),
             )
             np.testing.assert_array_equal(
