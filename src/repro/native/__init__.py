@@ -1,5 +1,5 @@
-"""The native library: the engine's walk and settle, a series' degrees, and the
-store's section codec.
+"""The native library: the engine's walk and settle, a series' degrees, the
+edge order, and the store's section codec.
 
 One shared library, built from the two C sources shipped beside this module
 and called through ctypes:
@@ -8,12 +8,15 @@ and called through ctypes:
   (``tests/apply_oracle.py`` is its oracle) and a snapshot series'
   per-snapshot out-degrees in one pass over its edges (:func:`out_degrees`;
   ``tests/degree_oracle.py`` keeps the per-snapshot ``bincount`` loop it
-  replaced as the oracle). The walk is one loop per combine kind —
-  ``walk_add``, ``walk_min`` and ``walk_max`` — over a LABS group's edge
-  array: for every edge of the range and every set bit ``s`` of its
-  snapshot bitmap (masked by the running snapshots or by the source's
-  frontier word), ``acc[dst, s] = op(acc[dst, s], m)`` with ``m`` the
-  source cell's message, or that message combined with the edge's weight.
+  replaced as the oracle), and the stable counting sort of key pairs
+  behind every edge order (:func:`pair_order`; ``np.lexsort`` is its
+  oracle, a property test in ``tests/test_reconstruct_parity.py``). The
+  walk is one loop per combine kind — ``walk_add``, ``walk_min`` and
+  ``walk_max`` — over a LABS group's edge array: for every edge of the
+  range and every set bit ``s`` of its snapshot bitmap (masked by the
+  running snapshots or by the source's frontier word), ``acc[dst, s] =
+  op(acc[dst, s], m)`` with ``m`` the source cell's message, or that
+  message combined with the edge's weight.
   The dense walk runs over a range of in-edges, the sparse walk over the
   frontier's out-edges, keeping one destination interval. Each combine is
   NumPy's scalar rule with the operands in NumPy's order, so the walk
@@ -83,6 +86,9 @@ _OUT_BYTES = np.ctypeslib.ndpointer(
     np.uint8, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
 )
 _LENGTHS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_OUT_LENGTHS = np.ctypeslib.ndpointer(
+    np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
+)
 
 
 def _or_null(pointer: Any) -> Any:
@@ -133,6 +139,10 @@ _SIGNATURES: Dict[str, Tuple[List[Any], Any]] = {
     "out_degrees": (
         [_WORDS, _LENGTHS, _SIZE, _SIZE,
          np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")],
+        None,
+    ),
+    "pair_order": (
+        [_LENGTHS, _LENGTHS, _SIZE, _OUT_LENGTHS, _SIZE, _OUT_LENGTHS, _OUT_LENGTHS],
         None,
     ),
     "scan_sections": (
@@ -390,6 +400,35 @@ def out_degrees(
     degrees = np.zeros((num_vertices, num_snapshots), dtype=np.int64)
     function(bitmap, src, src.shape[0], num_snapshots, degrees)
     return degrees
+
+
+def pair_order(major: np.ndarray, minor: np.ndarray, bound: int) -> np.ndarray:
+    """The stable permutation sorting key pairs by ``major``, then ``minor``.
+
+    Equal to ``np.lexsort((minor, major))`` (``int64``), in ``O(n + K)``
+    for ``n`` pairs whose largest key is ``K - 1``: a linear check returns
+    the identity for pairs already in order, else two stable counting
+    passes. The scratch follows the keys present, never ``bound``.
+    Mismatched lengths and a key outside ``[0, bound)`` are a
+    :class:`~repro.errors.SnapshotError`, raised before the C writes
+    anything.
+    """
+    function = _function("pair_order")
+    major = np.ascontiguousarray(major, dtype=np.int64)
+    minor = np.ascontiguousarray(minor, dtype=np.int64)
+    if major.shape != minor.shape or major.ndim != 1:
+        raise SnapshotError(f"pair order of {major.shape} and {minor.shape} keys")
+    n = major.shape[0]
+    low = min(major.min(initial=0), minor.min(initial=0))
+    high = max(major.max(initial=-1), minor.max(initial=-1))
+    if low < 0 or high >= bound:
+        raise SnapshotError(
+            f"pair order: a key in [{low}, {high}] lies outside [0, {bound})"
+        )
+    out = np.empty(n, dtype=np.int64)
+    count = np.empty(high + 2, dtype=np.int64)
+    function(major, minor, n, count, high + 1, np.empty(n, dtype=np.int64), out)
+    return out
 
 
 def scan_sections(

@@ -1,6 +1,6 @@
 /* The engine's scatter: one walk of a group's edge array per combine kind,
- * then apply's settle pass and a series' out-degree count (at the end of
- * this file).
+ * then apply's settle pass, a series' out-degree count and the stable
+ * counting sort behind every edge order (at the end of this file).
  *
  *   walk_<op>(acc, msg, bitmap, src, dst, index, rows, nrows,
  *             weight, wrow, edge_op, front, mask, lo, hi, vs, ss, nsnap)
@@ -33,6 +33,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef ptrdiff_t idx_t; /* numpy.intp */
 
@@ -245,5 +246,50 @@ void out_degrees(const uint64_t *bitmap, const int64_t *src, idx_t nedge,
             ++row[__builtin_ctzll(b)];
             b &= b - 1;
         }
+    }
+}
+
+/* The stable order of n key pairs, by major key, then minor key:
+ *
+ *   pair_order(major, minor, n, count, nkeys, tmp, out)
+ *
+ * Writes to out the permutation that sorts the pairs, equal pairs in input
+ * order: np.lexsort((minor, major)). Pairs already in order are one linear
+ * check and the identity. Otherwise two stable counting passes, least
+ * significant key first: by minor into tmp (skipped when the minor keys
+ * are already in order), then by major into out.
+ * count holds nkeys + 1 cells of scratch; the caller checks every key lies
+ * in [0, nkeys) and sizes tmp and out at n first. */
+void pair_order(const int64_t *major, const int64_t *minor, idx_t n,
+                int64_t *count, idx_t nkeys, int64_t *tmp, int64_t *out)
+{
+    idx_t e = 1;
+    while (e < n && (major[e - 1] < major[e] ||
+                     (major[e - 1] == major[e] && minor[e - 1] <= minor[e])))
+        ++e;
+    if (e >= n) {
+        for (e = 0; e < n; ++e)
+            out[e] = e;
+        return;
+    }
+    /* Minor keys already in order make their pass the identity. */
+    idx_t m = 1;
+    while (m < n && minor[m - 1] <= minor[m])
+        ++m;
+    const int64_t *const key[2] = {minor, major};
+    const int64_t *from = NULL;
+    int64_t *const to[2] = {tmp, out};
+    for (int pass = m >= n; pass < 2; ++pass) {
+        const int64_t *const k = key[pass];
+        memset(count, 0, (size_t)(nkeys + 1) * sizeof *count);
+        for (e = 0; e < n; ++e)
+            ++count[k[e] + 1];
+        for (idx_t c = 1; c < nkeys; ++c)
+            count[c] += count[c - 1];
+        for (e = 0; e < n; ++e) {
+            const int64_t row = from ? from[e] : e;
+            to[pass][count[k[row]]++] = row;
+        }
+        from = to[pass];
     }
 }

@@ -149,16 +149,19 @@ def log_columns(
     :class:`Activity` objects in. Without ``after`` this is the log of
     ``records`` alone. With it, the log before the earliest of
     ``records`` is ``after``'s as it stands: only ``after``'s records
-    from that time on and ``records`` are sorted, and the per-edge
-    columns merge the two edge orders rather than sort again, so
-    extending a log costs about what was appended (plus linear copies).
+    from that time on and ``records`` are put in canonical order (one
+    linear check when they already are), and the chain facts of the
+    edges none of them touch are ``after``'s, so extending a log costs
+    about what was appended plus linear passes. ``records`` is handed
+    over: the log may hold it as its own array.
     """
     if after is None:
         after = _EMPTY
     start = records["time"].min(initial=NEVER)
     k = int(np.searchsorted(after.time, start, side="left"))
     tail = _join(after.records[k:], records)
-    tail = tail[np.lexsort([tail[key] for key in _CANONICAL[::-1]])]
+    if not _in_canonical_order(tail):
+        tail = tail[np.lexsort([tail[key] for key in _CANONICAL[::-1]])]
     kind = tail["kind"]
     src = tail["src"].astype(np.int64)
     on_edge = kind >= ActivityKind.ADD_EDGE
@@ -171,7 +174,7 @@ def log_columns(
         weight=np.where(np.isnan(weight), 1.0, weight),
     )
     # The edge and vertex records of ``after`` before ``start``.
-    old, old_order = after.events, after.edge_order
+    old = after.events
     kept = int(np.searchsorted(old.time, start, side="left"))
     kept_vertex = int(np.searchsorted(after.vertex_time, start, side="left"))
 
@@ -182,25 +185,18 @@ def log_columns(
         join("src"), join("dst"), join("time"), join("kind"), join("weight")
     )
 
-    # Any id bound above the largest id gives the same permutation.
     id_bound = int(max(events.src.max(initial=-1), events.dst.max(initial=-1)))
-    id_bound += 1
-    by_edge = kept + edge_order(appended.src, appended.dst, id_bound)
-    if kept:
-        # Two runs, each sorted by (src, dst) and stable: the kept rows in
-        # ``after``'s order and the appended ones. A stable sort of the two
-        # back to back is a merge that keeps kept rows first on a tie.
-        runs = np.concatenate((old_order[old_order < kept], by_edge))
-        by_edge = runs[edge_order(events.src[runs], events.dst[runs], id_bound)]
-    until, live_after = chain_state(
-        first_of_edge(events.src[by_edge], events.dst[by_edge]),
-        events.time[by_edge],
-        events.kind[by_edge],
-    )
-    live = np.empty_like(live_after)
-    live[by_edge] = live_after
-    next_time = np.empty_like(until)
-    next_time[by_edge] = until
+    by_edge = edge_order(events.src, events.dst, id_bound + 1)
+    # Chain facts change only on the edges that hold a record from
+    # ``start`` on (every edge, without ``after``); the rest keep
+    # ``after``'s.
+    rows, new_chain = _touched_chains(events, by_edge, kept)
+    until, live_after = chain_state(new_chain, events.time[rows], events.kind[rows])
+    from_start = events.time.shape[0] - kept
+    live = _join(after.live[:kept], np.empty(from_start, np.bool_))
+    live[rows] = live_after
+    next_time = _join(after.next_time[:kept], np.empty(from_start, np.int64))
+    next_time[rows] = until
     return LogColumns(
         records=_join(after.records[:k], tail),
         time=_join(after.time[:k], np.ascontiguousarray(tail["time"])),
@@ -214,6 +210,34 @@ def log_columns(
         live=live,
         next_time=next_time,
     )
+
+
+def _touched_chains(
+    events: EdgeEvents, by_edge: np.ndarray, kept: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edge records of every edge with a record at row ``kept`` or
+    later, in ``by_edge`` order, and the mask of each edge's first."""
+    new_edge = first_of_edge(events.src[by_edge], events.dst[by_edge])
+    edge = np.cumsum(new_edge) - 1
+    touched = np.zeros(int(new_edge.sum()), dtype=np.bool_)
+    touched[edge[by_edge >= kept]] = True
+    redo = np.flatnonzero(touched[edge])
+    return by_edge[redo], new_edge[redo]
+
+
+def _in_canonical_order(records: np.ndarray) -> bool:
+    """Whether a stable canonical sort would leave ``records`` as they are:
+    each record is at most its successor in ``(time, kind, src, dst,
+    weight)``, with ``np.lexsort``'s NaN weights last."""
+    first, second = records[:-1], records[1:]
+    before = np.zeros(first.shape[0], dtype=np.bool_)
+    tied = np.ones(first.shape[0], dtype=np.bool_)
+    for key in _CANONICAL[:-1]:
+        a, b = first[key], second[key]
+        before |= tied & (a < b)
+        tied &= a == b
+    a, b = first["weight"], second["weight"]
+    return bool(np.all(before | (tied & ((a <= b) | np.isnan(b)))))
 
 
 def _join(head: np.ndarray, tail: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ edge array back. There is no replay loop: reconstruction is phrased over
 Every record on an edge is valid on ``[time, next_time)``, where
 ``next_time`` is the time of the next record on the same edge (the
 paper's ``tu`` link, Section 4.2) or "forever" for the last one. The
-snapshots a record covers are therefore a contiguous *bit range*, found
-with two ``np.searchsorted`` calls against the snapshot times; an edge's
+snapshots a record covers are therefore a contiguous *bit range*: from
+its first snapshot (``np.searchsorted`` against the snapshot times) to
+the next record's first snapshot, or past the last one; an edge's
 snapshot bitmap is the OR of the ranges of its live records (``addE``,
 or ``modE`` while the edge is live), ANDed with both endpoints' vertex
 bitmaps. Records sharing a timestamp get empty intervals except for the
@@ -25,11 +26,11 @@ edge record. As intervals: one implicit range ``[first_touch,
 first_explicit_record)`` plus ``[time, next_record_time)`` for every
 ``addV``.
 
-Cost is ``O(R log R)`` for ``R`` records (one stable sort by edge key),
-independent of the number of snapshots; intermediate memory is ``O(R +
-E)``. The only ``O(E * S)`` object is the ``(E, S)`` weight matrix of the
-result, and it is allocated only when some live cell's weight is not
-``1.0``.
+Cost is ``O(R + V)`` for ``R`` records over ``V`` vertices (one native
+counting sort by edge key, :func:`edge_order`), independent of the number
+of snapshots; intermediate memory is ``O(R + E)``. The only ``O(E * S)``
+object is the ``(E, S)`` weight matrix of the result, and it is allocated
+only when some live cell's weight is not ``1.0``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from repro import native
 from repro.errors import ChronosError, SnapshotError
 from repro.temporal.activity import ActivityKind
 from repro.temporal.bitmap import MAX_SNAPSHOTS
@@ -114,16 +116,16 @@ def check_times(
     return checked
 
 
-def _low_bits(n: np.ndarray) -> np.ndarray:
-    """``uint64`` bitmaps with the ``n`` lowest bits set, ``0 <= n <= 64``."""
-    n = n.astype(np.uint64)
-    partial = (np.uint64(1) << np.minimum(n, np.uint64(63))) - np.uint64(1)
-    return np.where(n >= np.uint64(64), ~np.uint64(0), partial)
+#: ``_LOW_BITS[n]``: the ``uint64`` bitmap with the ``n`` lowest bits set.
+_LOW_BITS = np.array(
+    [(1 << n) - 1 for n in range(MAX_SNAPSHOTS + 1)], dtype=np.uint64
+)
 
 
 def _bit_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bitmaps with bits ``lo..hi-1`` set (empty where ``hi <= lo``)."""
-    return _low_bits(hi) & ~_low_bits(lo)
+    """Bitmaps with bits ``lo..hi-1`` set (empty where ``hi <= lo``),
+    ``0 <= lo, hi <= 64``."""
+    return _LOW_BITS[hi] & ~_LOW_BITS[lo]
 
 
 def _column(
@@ -136,16 +138,15 @@ def _column(
     return np.concatenate(parts).astype(dtype, copy=False)
 
 
-def edge_order(
-    src: np.ndarray, dst: np.ndarray, num_vertices: int
-) -> np.ndarray:
-    """The stable permutation sorting records by ``(src, dst)``."""
-    if num_vertices > 1 << 32:
-        return np.lexsort((dst, src))  # the packed key would overflow
-    # One sort of a packed key is several times cheaper than a lexsort.
-    key = src.astype(np.uint64) * np.uint64(num_vertices)
-    key += dst.astype(np.uint64)
-    return np.argsort(key, kind="stable")
+def edge_order(src: np.ndarray, dst: np.ndarray, bound: int) -> np.ndarray:
+    """The stable permutation sorting records by ``(src, dst)``.
+
+    ``np.lexsort((dst, src))``, as one native counting sort in ``O(R +
+    V)`` (:func:`repro.native.pair_order`): a linear check when the keys
+    are already in order. A key outside ``[0, bound)`` is a
+    :class:`SnapshotError`.
+    """
+    return native.pair_order(src, dst, bound)
 
 
 def first_of_edge(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -162,18 +163,23 @@ def chain_state(
 
     The columns are in :func:`edge_order`, ``new_chain`` marking the
     first record of each chain (an edge within one stream). ``until`` is
-    the time of the next record of the chain — the paper's ``tu`` link —
-    or :data:`NEVER` for the last one; ``live`` says whether the edge is
-    live after the record: the chain's latest non-``modE`` record at or
-    before it is an ``addE`` (``modE`` of a dead edge is a no-op).
+    the ``time`` of the next record of the chain — the paper's ``tu``
+    link — or :data:`NEVER` for the last one (``time`` may be any
+    per-record value, such as a record's first snapshot); ``live`` says
+    whether the edge is live after the record: the chain's latest
+    non-``modE`` record at or before it is an ``addE`` (``modE`` of a
+    dead edge is a no-op).
     """
     n = time.shape[0]
     index = np.arange(n, dtype=np.int64)
+    chain_start = np.where(new_chain, index, 0)
+    np.maximum.accumulate(chain_start, out=chain_start)
+    anchor = np.where(kind != _MOD, index, -1)
+    np.maximum.accumulate(anchor, out=anchor)
+    live = (anchor >= chain_start) & (kind[anchor] == _ADD)
+    del index, chain_start, anchor  # the scratch is freed before ``until``
     until = np.full(n, NEVER, dtype=np.int64)
     until[:-1] = np.where(new_chain[1:], NEVER, time[1:])
-    chain_start = np.maximum.accumulate(np.where(new_chain, index, 0))
-    anchor = np.maximum.accumulate(np.where(kind != _MOD, index, -1))
-    live = (anchor >= chain_start) & (kind[anchor] == _ADD)
     return until, live
 
 
@@ -206,7 +212,7 @@ def vertex_liveness(
     :func:`first_touch_times` (or any per-vertex time from which the
     vertex is implicitly live).
     """
-    order = np.argsort(rec_vertex, kind="stable")
+    order = edge_order(rec_vertex, np.zeros_like(rec_vertex), num_vertices)
     vertex = rec_vertex[order]
     time = rec_time[order]
     n = vertex.shape[0]
@@ -266,21 +272,26 @@ def reconstruct_edges(
         lengths,
     )
 
+    # Each record's first snapshot, searched while the times of a stream
+    # are still in replay order.
+    lo = np.searchsorted(times, time, side="left")
     # Stable sort by edge key: within an edge, records keep replay order.
     if order is None:
         order = edge_order(src, dst, vertex_bitmap.shape[0])
-    src, dst, time, kind, weight, stream, stop = (
+    src, dst, kind, heavy, stream, stop, lo = (
         column[order]
-        for column in (src, dst, time, kind, weight, stream, stop)
+        for column in (src, dst, kind, weight != 1.0, stream, stop, lo)
     )
     new_edge = first_of_edge(src, dst)
     new_chain = new_edge.copy()
     new_chain[1:] |= stream[1:] != stream[:-1]
 
-    # Validity interval [time, next record of the chain), in snapshots.
-    until, live = chain_state(new_chain, time, kind)
-    lo = np.searchsorted(times, time, side="left")
-    hi = np.minimum(np.searchsorted(times, until, side="left"), stop)
+    # Validity interval [time, next record of the chain), in snapshots:
+    # up to the next record's first snapshot, else to the stream's stop
+    # or "forever" (no snapshot lies past it).
+    hi, live = chain_state(new_chain, lo, kind)
+    np.minimum(hi, stop, out=hi)
+    np.minimum(hi, np.searchsorted(times, NEVER, side="left"), out=hi)
 
     cover = _bit_ranges(lo, hi)
     cover &= vertex_bitmap[src] & vertex_bitmap[dst]
@@ -293,7 +304,7 @@ def reconstruct_edges(
     out_dst = dst[edge_starts][keep]
     out_bitmap = bitmap[keep]
 
-    weighted = np.flatnonzero((cover != np.uint64(0)) & (weight != 1.0))
+    weighted = np.flatnonzero((cover != np.uint64(0)) & heavy)
     if weighted.shape[0] == 0:
         return out_src, out_dst, out_bitmap, None
     # Row of each record's edge among the kept rows.
@@ -303,7 +314,7 @@ def reconstruct_edges(
         (out_src.shape[0], num_snapshots), dtype=np.float64
     )
     _fill_cells(
-        out_weight, rows[weighted], cover[weighted], weight[weighted]
+        out_weight, rows[weighted], cover[weighted], weight[order[weighted]]
     )
     return out_src, out_dst, out_bitmap, out_weight
 

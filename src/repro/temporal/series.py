@@ -17,6 +17,7 @@ baseline enumerates, so baseline and LABS share one code path.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +54,8 @@ class SnapshotSeriesView:
     vertex_bitmap:
         ``(V,)`` bitmap of the snapshots each vertex is live in.
     out_degrees:
-        ``(V, S)`` per-snapshot out-degrees (used by PageRank/SpMV).
+        ``(V, S)`` per-snapshot out-degrees (used by PageRank/SpMV),
+        computed on first read.
     """
 
     def __init__(
@@ -68,15 +70,16 @@ class SnapshotSeriesView:
     ) -> None:
         self.num_vertices = int(num_vertices)
         self.times: Tuple[Time, ...] = tuple(times)
-        S = len(self.times)
         # Both producers hand rows over already in (src, dst) order, where
         # the stable sort is a linear run check.
         order = edge_order(out_src, out_dst, num_vertices)
-        self.out_src = out_src[order].astype(np.int64)
-        self.out_dst = out_dst[order].astype(np.int64)
-        self.out_bitmap = out_bitmap[order].astype(np.uint64)
+        self.out_src = out_src[order].astype(np.int64, copy=False)
+        self.out_dst = out_dst[order].astype(np.int64, copy=False)
+        self.out_bitmap = out_bitmap[order].astype(np.uint64, copy=False)
         self.out_weight = (
-            None if out_weight is None else out_weight[order].astype(np.float64)
+            None
+            if out_weight is None
+            else out_weight[order].astype(np.float64, copy=False)
         )
         counts = np.bincount(self.out_src, minlength=num_vertices)
         self.out_index = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
@@ -92,11 +95,6 @@ class SnapshotSeriesView:
         self.in_index = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
 
         self.vertex_bitmap = vertex_bitmap.astype(np.uint64)
-        # One native pass over the edges, each set bit counted into its
-        # (source, snapshot) cell: no per-snapshot scan, no (E, S) temporary.
-        self.out_degrees = native.out_degrees(
-            self.out_bitmap, self.out_src, num_vertices, S
-        )
         # Memoised GroupViews, keyed (start, stop). Views are immutable, and
         # reusing them saves re-filtering the edge arrays for every run over
         # the same series; the scatter walks a view's arrays as they are,
@@ -104,6 +102,18 @@ class SnapshotSeriesView:
         # extended log starts with the views it adopted from its lineage
         # (see ``build_series``), fingerprints included.
         self._group_cache: Dict[Tuple[int, int], "GroupView"] = {}
+
+    @cached_property
+    def out_degrees(self) -> np.ndarray:
+        """``(V, S)`` per-snapshot out-degrees, computed on first read.
+
+        One native pass over the edges, each set bit counted into its
+        (source, snapshot) cell: no per-snapshot scan, no ``(E, S)``
+        temporary.
+        """
+        return native.out_degrees(
+            self.out_bitmap, self.out_src, self.num_vertices, self.num_snapshots
+        )
 
     def __getstate__(self) -> dict:
         # The group cache holds derived views, rebuilt lazily, so pickles
@@ -232,7 +242,6 @@ class GroupView:
         in_counts = np.bincount(self.in_dst, minlength=series.num_vertices)
         self.in_index = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
 
-        self.out_degrees = series.out_degrees[:, start:stop].copy()
         shifts = np.arange(start, stop, dtype=np.uint64)
         self.vertex_exists = (
             (series.vertex_bitmap[:, None] >> shifts[None, :]) & np.uint64(1)
@@ -242,6 +251,14 @@ class GroupView:
     @property
     def num_snapshots(self) -> int:
         return self.stop - self.start
+
+    @cached_property
+    def out_degrees(self) -> np.ndarray:
+        """``(V, S_g)`` per-snapshot out-degrees, computed on first read
+        from the group's own edges: the series' columns ``[start, stop)``."""
+        return native.out_degrees(
+            self.out_bitmap, self.out_src, self.num_vertices, self.num_snapshots
+        )
 
     @property
     def num_edges(self) -> int:

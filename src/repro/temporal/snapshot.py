@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.errors import SnapshotError
+from repro.temporal.reconstruct import edge_order
 from repro.types import Time, VertexId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +41,7 @@ class Snapshot:
             raise SnapshotError("src and dst arrays must have the same shape")
         if weight is not None and weight.shape != src.shape:
             raise SnapshotError("weight array must match the edge count")
-        order = np.lexsort((dst, src))
+        order = edge_order(src, dst, num_vertices)
         self.num_vertices = int(num_vertices)
         self.time = time
         self.out_dst = dst[order].astype(np.int64)
@@ -50,7 +51,7 @@ class Snapshot:
         self.out_index = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.vertex_mask = vertex_mask.astype(bool)
         # In-CSR (built eagerly; snapshots are small relative to the series).
-        in_order = np.lexsort((self._out_src, self.out_dst))
+        in_order = edge_order(self.out_dst, self._out_src, num_vertices)
         self.in_src = self._out_src[in_order]
         self.in_weight = (
             None if self.out_weight is None else self.out_weight[in_order]

@@ -441,6 +441,7 @@ def test_plan_bytes_per_live_cell():
     graph = wiki_like(300, 4000, seed=1)
     series = graph.series(graph.evenly_spaced_times(8))
     group = series.group(0, 8)
+    group.out_degrees  # (V, S) cells, memoised on first read
     held = dict(vars(group))
     operands = []
     for layout in LAYOUTS:

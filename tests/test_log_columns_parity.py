@@ -30,6 +30,7 @@ from repro.temporal.columns import (
     activities_of,
     log_columns,
     make_records,
+    records_of,
 )
 from repro.temporal import (
     Activity,
@@ -410,6 +411,41 @@ def test_store_graph_extends_like_a_full_build(case):
                     for a in batch
                 ]
                 _append_and_check(store, reopened, floor, later)
+
+
+@st.composite
+def retouching_batches(draw):
+    """A raw log and up to three later batches, in no particular order
+    within a batch, that delete, re-add and modify edges the log already
+    holds; each batch's first record ties with the last time before it."""
+    _, ops = draw(op_lists(WEIGHTS))
+    log = _raw_log(ops)
+    edges = sorted({(a.src, a.dst) for a in log if a.dst >= 0})
+    assume(edges)
+    batches, last = [log], log[-1].time
+    for _ in range(draw(st.integers(1, 3))):
+        batch = []
+        for step in [0, *draw(st.lists(st.integers(0, 1), max_size=5))]:
+            last += step
+            u, v = draw(st.sampled_from(edges))
+            op = draw(st.sampled_from(["delE", "addE", "modE"]))
+            batch.append(MAKE[op](u, v, last, draw(st.sampled_from(WEIGHTS))))
+        batches.append(draw(st.permutations(batch)))
+    return batches
+
+
+@settings(max_examples=100, deadline=None)
+@given(retouching_batches())
+def test_extending_a_log_retouches_old_chains_like_a_full_build(batches):
+    """``log_columns(batch, after=...)`` recomputes the chain facts of the
+    edges a batch touches and keeps the rest: every field equals a full
+    build of all records so far and the oracle's columns."""
+    columns, logged = None, []
+    for batch in batches:
+        columns = log_columns(records_of(batch), after=columns)
+        logged += batch
+        _assert_same_log(columns, log_columns(records_of(logged)))
+        assert_same_columns(TemporalGraph.from_columns(columns), OracleGraph(logged))
 
 
 # --------------------------------------------------------------------- #

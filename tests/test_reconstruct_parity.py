@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -263,15 +264,66 @@ def test_weight_matrix_only_for_a_live_non_unit_cell():
     assert seen.out_weight.tolist() == [[2.0, 1.0], [1.0, 1.0]]
 
 
-def test_packed_sort_key_and_its_lexsort_fallback_agree():
+@st.composite
+def key_pairs(draw):
+    """``(src, dst, bound)``: random, empty, single, all-equal, sorted and
+    reverse-sorted keys, some at ``bound - 1``."""
+    bound = draw(st.integers(min_value=1, max_value=40))
+    key = st.integers(min_value=0, max_value=bound - 1)
+    n = draw(st.integers(min_value=0, max_value=60))
+    src = np.array(draw(st.lists(key, min_size=n, max_size=n)), dtype=np.int64)
+    dst = np.array(draw(st.lists(key, min_size=n, max_size=n)), dtype=np.int64)
+    shape = draw(st.sampled_from(["random", "equal", "sorted", "reversed", "top"]))
+    if shape == "equal":
+        src[:], dst[:] = src[:1].sum(), dst[:1].sum()
+    elif shape in ("sorted", "reversed"):
+        order = np.lexsort((dst, src))
+        if shape == "reversed":
+            order = order[::-1]
+        src, dst = src[order], dst[order]
+    elif shape == "top":
+        dst[::2] = bound - 1
+    return src, dst, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_pairs())
+def test_edge_order_is_the_stable_lexsort(case):
+    """The native counting sort is ``np.lexsort((dst, src))``, and with the
+    keys swapped the series' in-edge order ``np.lexsort((src, dst))``."""
+    src, dst, bound = case
+    got = edge_order(src, dst, bound)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.lexsort((dst, src)))
+    np.testing.assert_array_equal(edge_order(dst, src, bound), np.lexsort((src, dst)))
+
+
+def test_a_huge_bound_allocates_nothing_large():
+    """Scratch follows the largest key present, not the bound."""
     rng = np.random.default_rng(0)
     src = rng.integers(0, 50, 500)
     dst = rng.integers(0, 50, 500)
     expected = np.lexsort((dst, src))
-    np.testing.assert_array_equal(edge_order(src, dst, 50), expected)
-    np.testing.assert_array_equal(edge_order(src, dst, (1 << 32) + 1), expected)
-    # The series' in-edge order, (dst, src): keys swapped.
-    np.testing.assert_array_equal(edge_order(dst, src, 50), np.lexsort((src, dst)))
+    edge_order(src, dst, 50)  # the native library is built outside the trace
+    tracemalloc.start()
+    try:
+        got = edge_order(src, dst, (1 << 32) + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, expected)
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [([0, 1], [1, 3]), ([0, 3], [1, 0]), ([0, -1], [1, 0]), ([0, 1], [-2, 0])],
+)
+def test_a_key_at_or_past_the_bound_is_a_typed_error(src, dst):
+    """A packed ``src * bound + dst`` key silently mis-ordered a ``dst >=
+    bound``; the counting sort refuses any key outside ``[0, bound)``."""
+    with pytest.raises(SnapshotError, match=r"outside \[0, 3\)"):
+        edge_order(np.array(src), np.array(dst), 3)
 
 
 # ---------------------------------------------------------------------- #
